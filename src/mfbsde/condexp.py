@@ -117,8 +117,14 @@ def project(
     basis: RegressionBasis,
     return_info: bool = False,
 ):
-    """Fitted E[values | state] evaluated back at each particle."""
-    values = np.asarray(values, dtype=np.float64).ravel()
+    """Fitted E[values | state] evaluated back at each particle.
+
+    ``values`` is (N,) or an (N, m) block of right-hand sides; every column
+    is fitted against the same factorization and the fit has its shape.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim not in (1, 2):
+        raise RegressionError(f"values must be (N,) or (N, m), got shape {values.shape}")
     design = _design(state, basis)
     if design.shape[0] != values.shape[0]:
         raise RegressionError("values and state must share the particle axis")
@@ -133,7 +139,7 @@ def project_increment(
     dt: float,
     basis: RegressionBasis,
 ) -> np.ndarray:
-    """Componentwise fit of E[values * dW^T | state] / dt, an (N, d) array.
+    """Fit of E[values * dW^T | state] / dt, an (N, d) array.
 
     The projected mean of ``values`` is subtracted before forming the
     product; the conditional expectation is unchanged (E_k[dW] = 0) and the
@@ -144,22 +150,14 @@ def project_increment(
     if increments.ndim != 2 or increments.shape[0] != values.shape[0]:
         raise RegressionError("increments must be (N, d) matching values")
     centered = values - project(values, state, basis)
-    out = np.empty_like(increments)
-    for j in range(increments.shape[1]):
-        out[:, j] = project(centered * increments[:, j] / dt, state, basis)
-    return out
+    return project(centered[:, None] * increments / dt, state, basis)
 
 
 @dataclass(frozen=True)
 class RegressionEngine:
-    """A basis bound to convenience methods used throughout the solvers."""
+    """A basis bound to the projection every solver and diagnostic fits with."""
 
     basis: RegressionBasis
 
     def project(self, values: np.ndarray, state: np.ndarray) -> np.ndarray:
         return project(values, state, self.basis)
-
-    def project_increment(
-        self, values: np.ndarray, state: np.ndarray, increments: np.ndarray, dt: float
-    ) -> np.ndarray:
-        return project_increment(values, state, increments, dt, self.basis)

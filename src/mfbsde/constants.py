@@ -308,10 +308,6 @@ class ThetaConstants:
     eps_star: float | None
     n0: int | None
 
-    @staticmethod
-    def R(q: float) -> float:
-        return picard_ratio_bound(q)
-
 
 def _step_count(rate: float, horizon: float) -> int:
     # Unique positive integer m with rate*T <= m < rate*T + 1.

@@ -15,7 +15,7 @@ import numpy as np
 
 from .measures import MeasureView
 
-Evaluator = Callable[[float, np.ndarray, np.ndarray, MeasureView | None, np.ndarray | None], np.ndarray]
+Evaluator = Callable[[float, np.ndarray, np.ndarray, MeasureView | None], np.ndarray]
 
 
 class FixtureError(KeyError):
@@ -193,7 +193,6 @@ def freeze_rows(
     y_values: np.ndarray,
     z_values: np.ndarray,
     law: MeasureView | None,
-    aux: np.ndarray | None = None,
 ) -> Callable[[float, np.ndarray], np.ndarray]:
     """Scalar driver in the own Z row, all other arguments frozen.
 
@@ -210,7 +209,7 @@ def freeze_rows(
         rows = np.asarray(rows, dtype=np.float64)
         z_mod = z_values.copy()
         z_mod[:, component, :] = rows
-        return spec.evaluate(t, y_values, z_mod, law, aux)[:, component]
+        return spec.evaluate(t, y_values, z_mod, law)[:, component]
 
     return frozen
 
@@ -255,7 +254,7 @@ def _fixture_pure_quadratic(
 ) -> FixtureBundle:
     """f(t, y, z, mu) = (gamma/2) |z|^2 in one dimension."""
 
-    def evaluate(t, y, z, law, aux):
+    def evaluate(t, y, z, law):
         return 0.5 * gamma * _row_norms(z) ** 2
 
     spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none")
@@ -281,7 +280,7 @@ def _fixture_pure_quadratic(
 def _fixture_linear_mf(a: float = 0.0, b: float = 1.0, terminal: str = "const", value: float = 1.0) -> FixtureBundle:
     """f = a y + b E[Y], scalar and z-free; matched by a closed-form ODE."""
 
-    def evaluate(t, y, z, law, aux):
+    def evaluate(t, y, z, law):
         mean = law.mean_y()[0] if law is not None else 0.0
         return a * y + b * mean
 
@@ -326,7 +325,7 @@ def _fixture_remark31(n: int = 2, M1: float = 0.5, horizon: float = 0.25) -> Fix
     psi(x) = 2n + (2n - 1) x^8, psi0(x) = x^3, gamma0 = 1, zeta = n^(1/3).
     """
 
-    def evaluate(t, y, z, law, aux):
+    def evaluate(t, y, z, law):
         rows = _row_norms(z)  # (N, n)
         full = np.linalg.norm(z.reshape(z.shape[0], -1), axis=1)[:, None]
         ynorm = np.linalg.norm(y, axis=1)[:, None]
@@ -367,7 +366,7 @@ def _fixture_eq41(n: int = 2, M1: float = 1.0, horizon: float = 1.0) -> FixtureB
     f^i = 1 + |y| + |z^i|^2 + sum_{j != i} sin|z^j| + W2(mu1, d0) cos(W2(mu2, d0)).
     """
 
-    def evaluate(t, y, z, law, aux):
+    def evaluate(t, y, z, law):
         rows = _row_norms(z)
         ynorm = np.linalg.norm(y, axis=1)[:, None]
         sins = np.sin(rows)
@@ -417,7 +416,7 @@ def _fixture_bounded_sine_mf(
     the Y marginal, as the Picard scheme requires.
     """
 
-    def evaluate(t, y, z, law, aux):
+    def evaluate(t, y, z, law):
         rows = _row_norms(z)
         w1 = law.w_y(1) if law is not None else 0.0
         return 0.5 * gamma * rows**2 + K * math.sin(w1)
@@ -455,7 +454,7 @@ def _fixture_volterra_demo(gamma: float = 1.0, clamp: float = 10.0) -> FixtureBu
     f = (gamma/2)|z|^2 and g(s, y-history, z, mu) = clamp(E[Y_s], +-clamp).
     """
 
-    def evaluate(t, y, z, law, aux):
+    def evaluate(t, y, z, law):
         return 0.5 * gamma * _row_norms(z) ** 2
 
     def g(k, y_hist, z, law):
@@ -568,7 +567,7 @@ def check_growth(
         law_y = gen.normal(0.0, scale, size=(64, spec.n))
         law_z = gen.normal(0.0, scale, size=(64, spec.n * spec.d))
         law = MeasureView(law_y, law_z)
-        vals = spec.evaluate(t, y, z, law, None)
+        vals = spec.evaluate(t, y, z, law)
         z_rows = np.linalg.norm(z, axis=2)
         y_norm = np.linalg.norm(y, axis=1)
         w1 = law.w_y(w1_order)

@@ -56,7 +56,6 @@ class PathEnsemble:
         grid: TimeGrid,
         increments: np.ndarray,
         seed: int,
-        aux: np.ndarray | None = None,
     ) -> None:
         increments = np.asarray(increments, dtype=np.float64)
         if increments.ndim != 3:
@@ -70,7 +69,6 @@ class PathEnsemble:
         self.grid = grid
         self.increments = increments
         self.seed = int(seed)
-        self.aux = aux
         self._cumulative: np.ndarray | None = None
 
     @property
@@ -105,24 +103,13 @@ def sample_brownian(
     particles: int,
     dimension: int,
     seed: int,
-    aux_dim: int = 0,
 ) -> PathEnsemble:
-    """Draw an ensemble of Brownian increments.
-
-    The auxiliary channel (off by default) supplies per-particle standard
-    normal draws independent of the paths, from a derived stream.
-    """
+    """Draw an ensemble of Brownian increments."""
     if particles < 1 or dimension < 1:
         raise PathsError("particles and dimension must be positive")
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     incs = gen.standard_normal((particles, grid.steps, dimension)) * np.sqrt(grid.dt)
-    aux = None
-    if aux_dim > 0:
-        aux_gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((int(seed), 0x5EED)))
-        )
-        aux = aux_gen.standard_normal((particles, aux_dim))
-    return PathEnsemble(grid, incs, seed, aux=aux)
+    return PathEnsemble(grid, incs, seed)
 
 
 def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
@@ -139,7 +126,7 @@ def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
     coarse_grid = build_grid(ensemble.grid.horizon, m // factor)
     n, _, d = ensemble.increments.shape
     incs = ensemble.increments.reshape(n, m // factor, factor, d).sum(axis=2)
-    return PathEnsemble(coarse_grid, incs, ensemble.seed, aux=ensemble.aux)
+    return PathEnsemble(coarse_grid, incs, ensemble.seed)
 
 
 def dump_ensemble(ensemble: PathEnsemble, path: str) -> None:

@@ -1,19 +1,31 @@
-"""Backward particle solvers: scalar sweeps, Picard maps, stitching.
+"""Backward particle solvers: one backward kernel, Picard maps, stitching.
 
-All schemes share one backward step. With E_k the regression projection at
-node k and Z_k extracted from the martingale increment,
+Every scheme runs the same backward kernel. It walks the nodes once and
+carries all n components: Y as (N, n) and Z as (N, n, d). With E_k the
+regression projection at node k,
 
+    Z_k = E_k[(Y_{k+1} - E_k[Y_{k+1}]) dW_k^T] / dt,
     Y_k = E_k[Y_{k+1}] + (dt/2) (f(t_k, Z_k) + f(t_{k+1}, Z_{k+1})),
 
 a trapezoidal driver quadrature whose O(dt^2) bias is what the acceptance
-tolerances assume. Frozen arguments (the Y cloud, the law) enter per node:
-the fixed-point map uses the current input iterate, the Picard scheme for
-unbounded terminals the previous sweep's iterate.
+tolerances assume. A node makes two projection calls: one on Y_{k+1},
+whose fit serves both the centering and Y_k, and one on the centered
+increment products as a single (N, n d) block.
+
+In a diagonally quadratic system component i is free only in its own Z row
+z^i. Every other driver argument is frozen, through
+:func:`mfbsde.generators.freeze_rows`, by one policy:
+
+- ``theta``: the other rows are zero; Y and the law come from the previous
+  sweep.
+- ``local`` and ``global``: Y, the other rows and the law come from the
+  input iterate; during law refinements the law comes from ``law_source``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -22,9 +34,9 @@ from .condexp import RegressionEngine
 from .constants import (
     GlobalConstants,
     global_ode,
-    local_radii,
-    local_window,
     kappa_local_certificate,
+    local_radii,  # noqa: F401 -- looked up here by perfbench/tracing.py
+    local_window,
     volterra_weight,
 )
 from .diagnostics import bmo_norm
@@ -35,6 +47,7 @@ from .generators import (
     FixtureBundle,
     GeneratorSpec,
     GSpec,
+    freeze_rows,
 )
 from .measures import MeasureView, exp_moment
 from .paths import PathEnsemble, TimeGrid
@@ -58,7 +71,6 @@ class SolverOptions:
     inner_sweeps: int = 1
     init_offset: float = 0.0
     law_refinements: int = 0
-    track_iterates: bool = False
 
 
 @dataclass
@@ -110,7 +122,6 @@ class PicardTrace:
     steps: list[PicardStep] = field(default_factory=list)
     converged: bool = False
     note: str = ""
-    iterates: list[np.ndarray] = field(default_factory=list)
 
     def differences(self) -> np.ndarray:
         return np.array([s.combined for s in self.steps])
@@ -138,6 +149,67 @@ def _clip_rows(z: np.ndarray, radius: float | None) -> tuple[np.ndarray, int]:
     return z * scale, int(over.sum())
 
 
+def _increment_fit(
+    values: np.ndarray, fit: np.ndarray, state: np.ndarray, dw: np.ndarray, dt: float, engine: RegressionEngine
+) -> np.ndarray:
+    """E_k[(values - fit) dW^T] / dt as an (N, n, d) array, all n d products
+    fitted as one block; ``fit`` is E_k[values], so the product is centered."""
+    n_part, n = values.shape
+    products = (values - fit)[:, :, None] * dw[:, None, :] / dt
+    return engine.project(products.reshape(n_part, -1), state).reshape(n_part, n, -1)
+
+
+def _backward(
+    grid: TimeGrid,
+    paths: PathEnsemble,
+    driver: NodeDriver,
+    terminal: np.ndarray,
+    engine: RegressionEngine,
+    opts: SolverOptions,
+    k_lo: int,
+    k_hi: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The backward kernel on nodes [k_lo, k_hi] for terminal values (N, n).
+
+    ``driver(k, t, z)`` maps Z (N, n, d) at node k to driver values (N, n);
+    it must accept k = k_hi, where the terminal-side quadrature point takes
+    the Z of node k_hi - 1. Extra inner sweeps re-extract Z from the
+    driver-corrected target, a damping that helps stiff quadratic
+    coefficients. Returns (Y (N, K+1, n), Z (N, K, n, d), clip events).
+    """
+    if not 0 <= k_lo < k_hi <= grid.steps:
+        raise ValueError(f"bad node range [{k_lo}, {k_hi}]")
+    n_part, n = terminal.shape
+    if n_part != paths.particles:
+        raise ValueError("terminal values must have one entry per particle")
+    span, dt = k_hi - k_lo, grid.dt
+    y = np.empty((n_part, span + 1, n))
+    z = np.empty((n_part, span, n, paths.dimension))
+    y[:, span] = terminal
+    clips = 0
+    f_next: np.ndarray | None = None
+    for k in range(k_hi - 1, k_lo - 1, -1):
+        j = k - k_lo
+        state, dw = paths.brownian_at(k), paths.increments[:, k, :]
+        y_next = y[:, j + 1]
+        fit_next = engine.project(y_next, state)
+        z_k, c = _clip_rows(_increment_fit(y_next, fit_next, state, dw, dt, engine), opts.z_clip)
+        clips += c
+        if f_next is None:  # terminal quadrature point
+            f_next = driver(k + 1, grid.nodes[k + 1], z_k)
+        f_here = driver(k, grid.nodes[k], z_k)
+        for _ in range(opts.inner_sweeps - 1):
+            target = y_next + 0.5 * (f_here + f_next) * dt
+            fit = engine.project(target, state)
+            z_k, c = _clip_rows(_increment_fit(target, fit, state, dw, dt, engine), opts.z_clip)
+            clips += c
+            f_here = driver(k, grid.nodes[k], z_k)
+        y[:, j] = fit_next + 0.5 * (f_here + f_next) * dt
+        z[:, j] = z_k
+        f_next = f_here
+    return y, z, clips
+
+
 def solve_scalar(
     grid: TimeGrid,
     paths: PathEnsemble,
@@ -148,49 +220,44 @@ def solve_scalar(
     k_lo: int = 0,
     k_hi: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """One backward sweep of a scalar quadratic BSDE on nodes [k_lo, k_hi].
+    """One backward sweep of a scalar quadratic BSDE on nodes [k_lo, k_hi]:
+    the backward kernel with n = 1.
 
-    ``driver(k, t, z)`` maps the own-row values (N, d) at node k to driver
-    values (N,); it must accept k = k_hi for the terminal-side quadrature
-    point. Extra inner sweeps re-extract Z from the driver-corrected
-    target, a damping that helps stiff quadratic coefficients.
+    ``driver(k, t, z)`` maps the Z values (N, d) at node k to driver values
+    (N,); it must accept k = k_hi for the terminal-side quadrature point.
     Returns (Y (N, K+1), Z (N, K, d), clip events).
     """
-    if k_hi is None:
-        k_hi = grid.steps
-    if not 0 <= k_lo < k_hi <= grid.steps:
-        raise ValueError(f"bad node range [{k_lo}, {k_hi}]")
-    terminal = np.asarray(terminal, dtype=np.float64).ravel()
-    n_part = paths.particles
-    if terminal.shape[0] != n_part:
-        raise ValueError("terminal values must have one entry per particle")
-    span = k_hi - k_lo
-    dt = grid.dt
-    y = np.empty((n_part, span + 1))
-    z = np.empty((n_part, span, paths.dimension))
-    y[:, span] = terminal
-    clips = 0
-    f_next: np.ndarray | None = None
-    for k in range(k_hi - 1, k_lo - 1, -1):
-        j = k - k_lo
-        state = paths.brownian_at(k)
-        y_next = y[:, j + 1]
-        z_k = engine.project_increment(y_next, state, paths.increments[:, k, :], dt)
-        z_k, c = _clip_rows(z_k, opts.z_clip)
-        clips += c
-        if f_next is None:  # terminal quadrature point, own row falls back
-            f_next = driver(k + 1, grid.nodes[k + 1], z_k)
-        f_here = driver(k, grid.nodes[k], z_k)
-        for _ in range(opts.inner_sweeps - 1):
-            target = y_next + 0.5 * (f_here + f_next) * dt
-            z_k = engine.project_increment(target, state, paths.increments[:, k, :], dt)
-            z_k, c = _clip_rows(z_k, opts.z_clip)
-            clips += c
-            f_here = driver(k, grid.nodes[k], z_k)
-        y[:, j] = engine.project(y_next, state) + 0.5 * (f_here + f_next) * dt
-        z[:, j, :] = z_k
-        f_next = f_here
-    return y, z, clips
+    terminal = np.asarray(terminal, dtype=np.float64).reshape(-1, 1)
+    k_hi = grid.steps if k_hi is None else k_hi
+    y, z, clips = _backward(
+        grid, paths, lambda k, t, rows: driver(k, t, rows[:, 0])[:, None], terminal, engine, opts, k_lo, k_hi
+    )
+    return y[:, :, 0], z[:, :, 0], clips
+
+
+def _law_at(spec: GeneratorSpec, y: np.ndarray, z: np.ndarray, j: int) -> MeasureView | None:
+    """Law view of node j of the clouds Y (N, K+1, n) and Z (N, K, n, d), as
+    far as the driver reads it; the terminal node pairs with the last Z slice."""
+    if spec.law_dependence == "none":
+        return None
+    if spec.law_dependence == "y_only":
+        return MeasureView(y[:, j])
+    return MeasureView(y[:, j], z[:, min(j, z.shape[1] - 1)])
+
+
+def _own_rows(
+    spec: GeneratorSpec, y: np.ndarray, z: np.ndarray | None, laws: tuple, k_lo: int, k: int, t: float, rows: np.ndarray
+) -> np.ndarray:
+    """Driver values (N, n) at node k with component i free in rows[:, i].
+
+    Y, the other Z rows (zero when ``z`` is None) and the law of the
+    clouds ``laws`` = (Y, Z) are frozen at j = k - k_lo; one law view serves
+    all n components. The terminal node takes the last Z slice.
+    """
+    j = k - k_lo
+    other = np.zeros_like(rows) if z is None else z[:, min(j, z.shape[1] - 1)]
+    law = _law_at(spec, *laws, j)
+    return np.column_stack([freeze_rows(spec, i, y[:, j], other, law)(t, rows[:, i]) for i in range(spec.n)])
 
 
 def _flat_solution(terminal: np.ndarray, grid: TimeGrid, span: int, d: int, k_lo: int, offset: float = 0.0) -> Solution:
@@ -200,14 +267,6 @@ def _flat_solution(terminal: np.ndarray, grid: TimeGrid, span: int, d: int, k_lo
         y[:, :span, :] += offset  # probe shifts the start, never the data
     z = np.zeros((n_part, span, n_comp, d))
     return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo)
-
-
-def _law_view(spec: GeneratorSpec, y_slice: np.ndarray, z_slice: np.ndarray) -> MeasureView | None:
-    if spec.law_dependence == "none":
-        return None
-    if spec.law_dependence == "y_only":
-        return MeasureView(y_slice)
-    return MeasureView(y_slice, z_slice)
 
 
 def psi_map(
@@ -220,42 +279,18 @@ def psi_map(
     k_lo: int = 0,
     k_hi: int | None = None,
     law_source: Solution | None = None,
-    aux: np.ndarray | None = None,
 ) -> Solution:
-    """Frozen-coefficient map: component i solves a scalar BSDE whose own
-    Z row is free while Y, the other rows, and the law come from the input
-    iterate (or ``law_source`` when given) at the same node.
+    """Frozen-coefficient map: one backward pass in which component i has
+    its own Z row free while Y, the other rows and the law come from the
+    input iterate (the law from ``law_source`` when given) at the same node.
     """
     if k_hi is None:
         k_hi = grid.steps
-    span = k_hi - k_lo
     laws = law_source if law_source is not None else input_sol
-    n, d = spec.n, spec.d
-    law_cache: dict[int, MeasureView | None] = {}
-
-    def law_at(j: int) -> MeasureView | None:
-        if j not in law_cache:
-            z_j = laws.Z[:, min(j, span - 1)]
-            law_cache[j] = _law_view(spec, laws.Y[:, j], z_j)
-        return law_cache[j]
-
-    out_y = np.empty((paths.particles, span + 1, n))
-    out_z = np.empty((paths.particles, span, n, d))
-    clips = 0
-    terminal = input_sol.Y[:, span, :]
-    for i in range(n):
-        def driver(k: int, t: float, rows: np.ndarray, i: int = i) -> np.ndarray:
-            j = k - k_lo
-            z_frozen = input_sol.Z[:, min(j, span - 1)].copy()
-            z_frozen[:, i, :] = rows
-            return spec.evaluate(t, input_sol.Y[:, j], z_frozen, law_at(j), aux)[:, i]
-
-        yi, zi, c = solve_scalar(grid, paths, driver, terminal[:, i], engine, opts, k_lo, k_hi)
-        out_y[:, :, i] = yi
-        out_z[:, :, i, :] = zi
-        clips += c
-    out_y[:, span, :] = terminal  # keep the terminal bitwise
-    return Solution(Y=out_y, Z=out_z, grid=grid, k_lo=k_lo, seed_lineage={"seed": paths.seed}, clip_events=clips)
+    driver = partial(_own_rows, spec, input_sol.Y, input_sol.Z, (laws.Y, laws.Z), k_lo)
+    terminal = input_sol.Y[:, k_hi - k_lo, :]
+    y, z, clips = _backward(grid, paths, driver, terminal, engine, opts, k_lo, k_hi)
+    return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, seed_lineage={"seed": paths.seed}, clip_events=clips)
 
 
 def _combined_norm(dy_sup: float, dz_bmo: float) -> float:
@@ -273,7 +308,6 @@ def solve_local(
     k_lo: int = 0,
     k_hi: int | None = None,
     consts=None,
-    aux: np.ndarray | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Picard iteration of the frozen-coefficient map on one window.
 
@@ -297,9 +331,9 @@ def solve_local(
     trace = PicardTrace()
     floor = 1e-13 * max(1.0, float(np.abs(terminal).max()))
     for it in range(1, opts.max_iter + 1):
-        out = psi_map(spec, current, grid, paths, engine, opts, k_lo, k_hi, aux=aux)
+        out = psi_map(spec, current, grid, paths, engine, opts, k_lo, k_hi)
         for _ in range(opts.law_refinements):
-            out = psi_map(spec, current, grid, paths, engine, opts, k_lo, k_hi, law_source=out, aux=aux)
+            out = psi_map(spec, current, grid, paths, engine, opts, k_lo, k_hi, law_source=out)
         dy = float(np.abs(out.Y - current.Y).max())
         dz = bmo_norm(out.Z - current.Z, grid, paths, engine, k_lo=k_lo)
         combined = _combined_norm(dy, dz)
@@ -317,8 +351,6 @@ def solve_local(
                 in_ball_qv=bool(qv <= k2),
             )
         )
-        if opts.track_iterates:
-            trace.iterates.append(out.Y.copy())
         current = out
         if combined <= max(opts.tol, floor):
             trace.converged = True
@@ -365,7 +397,6 @@ def solve_global(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
-    aux: np.ndarray | None = None,
 ) -> tuple[Solution, GlobalReport]:
     """Backward stitching of local solves on windows of length delta_kappa.
 
@@ -411,7 +442,6 @@ def solve_global(
                     k_lo=k_lo,
                     k_hi=k_hi,
                     consts=window_consts,
-                    aux=aux,
                 )
                 break
             except SolverDivergence:
@@ -442,7 +472,6 @@ def solve_theta(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
-    aux: np.ndarray | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Picard scheme for unbounded terminals: sweep m+1 freezes the Y
     argument and the law at the previous sweep's iterate, starting from
@@ -453,35 +482,17 @@ def solve_theta(
     if terminal.ndim == 1:
         terminal = terminal[:, None]
     n, d, m = spec.n, spec.d, grid.steps
-    n_part = paths.particles
-    y_prev = np.zeros((n_part, m + 1, n))
-    z_prev = np.zeros((n_part, m, n, d))
+    y_prev = np.zeros((paths.particles, m + 1, n))
+    z_prev = np.zeros((paths.particles, m, n, d))
     if opts.init_offset:
         y_prev += opts.init_offset
     trace = PicardTrace()
     gamma = cert.gamma
     clips = 0
     for it in range(1, opts.max_iter + 1):
-        law_cache: dict[int, MeasureView | None] = {}
-
-        def law_at(k: int) -> MeasureView | None:
-            if k not in law_cache:
-                law_cache[k] = _law_view(spec, y_prev[:, k], z_prev[:, min(k, m - 1)])
-            return law_cache[k]
-
-        y_new = np.empty_like(y_prev)
-        z_new = np.empty_like(z_prev)
-        for i in range(n):
-            def driver(k: int, t: float, rows: np.ndarray, i: int = i) -> np.ndarray:
-                z_arg = np.zeros((n_part, n, d))
-                z_arg[:, i, :] = rows
-                return spec.evaluate(t, y_prev[:, k], z_arg, law_at(k), aux)[:, i]
-
-            yi, zi, c = solve_scalar(grid, paths, driver, terminal[:, i], engine, opts)
-            y_new[:, :, i] = yi
-            z_new[:, :, i, :] = zi
-            clips += c
-        y_new[:, m, :] = terminal
+        driver = partial(_own_rows, spec, y_prev, None, (y_prev, z_prev), 0)
+        y_new, z_new, c = _backward(grid, paths, driver, terminal, engine, opts, 0, m)
+        clips += c
         dy = float(np.abs(y_new - y_prev).max())
         dz = float(np.sqrt(np.mean((z_new - z_prev) ** 2)))
         sup_y = np.max(np.linalg.norm(y_new, axis=2), axis=1)
@@ -503,8 +514,6 @@ def solve_theta(
                 monitors=monitors,
             )
         )
-        if opts.track_iterates:
-            trace.iterates.append(y_new.copy())
         converged = dy <= opts.tol
         y_prev, z_prev = y_new, z_new
         if converged:
@@ -535,7 +544,6 @@ def solve_volterra(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
-    aux: np.ndarray | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Two-level scheme for a delayed (Volterra-type) mean-field term.
 
@@ -547,7 +555,7 @@ def solve_volterra(
     in the exp(beta t)-weighted squared sup norm with beta = 32 C^2 T, and
     iteration stops when the unweighted sup difference drops below tol.
     """
-    inner_sol, inner_trace = solve_theta(spec, ccert, terminal, grid, paths, engine, opts, aux=aux)
+    inner_sol, inner_trace = solve_theta(spec, ccert, terminal, grid, paths, engine, opts)
     m = grid.steps
     beta = volterra_weight(vcert.C, grid.horizon)
     weights = np.exp(beta * grid.nodes)
@@ -566,9 +574,7 @@ def solve_volterra(
         y_new[:, m, :] = inner_sol.Y[:, m, :]
         for k in range(m - 1, -1, -1):
             tails = tails + g_vals[:, k, :] * grid.dt
-            state = paths.brownian_at(k)
-            for i in range(n):
-                y_new[:, k, i] = inner_sol.Y[:, k, i] + engine.project(tails[:, i], state)
+            y_new[:, k] = inner_sol.Y[:, k] + engine.project(tails, paths.brownian_at(k))
         diff = y_new - y_prev
         dy = float(np.abs(diff).max())
         weighted = float(np.mean(np.max(weights[None, :] * np.sum(diff**2, axis=2), axis=1)))
@@ -582,8 +588,6 @@ def solve_volterra(
                 monitors={"weighted_sq": weighted},
             )
         )
-        if opts.track_iterates:
-            trace.iterates.append(y_new.copy())
         y_prev = y_new
         if dy <= opts.tol:
             trace.converged = True
@@ -622,35 +626,29 @@ def run_scheme(
         terminal = terminal[:, None]
     if terminal.shape != (paths.particles, bundle.spec.n):
         raise ValueError(f"terminal sampler returned shape {terminal.shape}")
-    aux = paths.aux
     if scheme == "theta":
         if bundle.convex is None:
             raise ValueError(f"fixture {bundle.name} has no Picard certificate")
-        sol, trace = solve_theta(bundle.spec, bundle.convex, terminal, grid, paths, engine, opts, aux=aux)
+        sol, trace = solve_theta(bundle.spec, bundle.convex, terminal, grid, paths, engine, opts)
         return sol, trace, {}
     if scheme == "local":
         if bundle.local is None:
             raise ValueError(f"fixture {bundle.name} has no local certificate")
-        sol, trace = solve_local(bundle.spec, bundle.local, terminal, grid, paths, engine, opts, aux=aux)
+        sol, trace = solve_local(bundle.spec, bundle.local, terminal, grid, paths, engine, opts)
         return sol, trace, {"window": local_window(bundle.local, bundle.spec.n)}
     if scheme == "global":
         if bundle.global_ is None:
             raise ValueError(f"fixture {bundle.name} has no global certificate")
-        sol, report = solve_global(bundle.spec, bundle.global_, terminal, grid, paths, engine, opts, aux=aux)
+        sol, report = solve_global(bundle.spec, bundle.global_, terminal, grid, paths, engine, opts)
         return sol, None, {"report": report}
     if scheme == "volterra":
         if bundle.volterra is None or bundle.g is None:
             raise ValueError(f"fixture {bundle.name} has no Volterra data")
         sol, trace = solve_volterra(
-            bundle.spec, bundle.g, bundle.volterra, bundle.convex, terminal, grid, paths, engine, opts, aux=aux
+            bundle.spec, bundle.g, bundle.volterra, bundle.convex, terminal, grid, paths, engine, opts
         )
         return sol, trace, {}
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def certified_ball(cert: CertificateLocal, n: int) -> tuple[float, float]:
-    """Radii (K1, K2) the local Picard iterates are checked against."""
-    return local_radii(cert, n)
 
 
 def summarize_nodes(sol: Solution, paths: PathEnsemble, engine: RegressionEngine) -> list[dict]:
@@ -700,15 +698,33 @@ def dump_solution(sol: Solution, path: str) -> None:
 
 
 def load_solution(path: str) -> Solution:
+    """Read a file written by :func:`dump_solution`, checking the header
+    (sizes >= 0, the span inside the grid, a finite positive horizon) and
+    that the payload holds exactly the Y and Z it announces."""
     import struct
 
     with open(path, "rb") as fh:
         magic = fh.read(len(_SOL_MAGIC))
         if magic != _SOL_MAGIC:
             raise ValueError("not a solution file")
-        n_part, span, n, d, k_lo, steps = struct.unpack("<qqqqqq", fh.read(48))
-        (horizon,) = struct.unpack("<d", fh.read(8))
-        y = np.frombuffer(fh.read(n_part * (span + 1) * n * 8), dtype="<f8").reshape(n_part, span + 1, n)
-        z = np.frombuffer(fh.read(n_part * span * n * d * 8), dtype="<f8").reshape(n_part, span, n, d)
+        head = fh.read(56)
+        if len(head) != 56:
+            raise ValueError("truncated solution header")
+        n_part, span, n, d, k_lo, steps, horizon = struct.unpack("<qqqqqqd", head)
+        payload = fh.read()
+    if min(n_part, span, n, d, k_lo) < 0 or k_lo + span > steps or not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(
+            f"corrupt solution header: particles={n_part} span={span} components={n} "
+            f"noise_dim={d} start_node={k_lo} grid_steps={steps} horizon={horizon}"
+        )
+    y_count, z_count = n_part * (span + 1) * n, n_part * span * n * d
+    expected = 8 * (y_count + z_count)
+    if len(payload) < expected:
+        raise ValueError(f"truncated solution payload: {len(payload)} of {expected} bytes")
+    if len(payload) > expected:
+        raise ValueError(f"solution payload has {len(payload) - expected} bytes past the announced arrays")
+    raw = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     grid = TimeGrid(horizon=horizon, steps=steps)
-    return Solution(Y=y.copy(), Z=z.copy(), grid=grid, k_lo=k_lo)
+    y = raw[:y_count].reshape(n_part, span + 1, n)
+    z = raw[y_count:].reshape(n_part, span, n, d)
+    return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo)

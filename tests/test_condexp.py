@@ -128,3 +128,25 @@ def test_shape_validation():
         project(np.ones(5), np.ones((4, 1)), ENGINE.basis)
     with pytest.raises(RegressionError):
         RegressionBasis(kind="fourier")
+
+
+@pytest.mark.parametrize("duplicated", [False, True], ids=["qr", "ridge"])
+def test_block_projection_equals_columnwise_fits(duplicated):
+    # an (N, 3) block is fitted against one factorization; each column must
+    # match its own fit, on the QR path and on the ridge path that a
+    # duplicated state coordinate forces
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(2000)
+    other = x if duplicated else rng.standard_normal(2000)
+    state = np.column_stack([x, other])
+    block = np.column_stack([np.sin(x), x**2 + rng.standard_normal(2000), rng.standard_normal(2000)])
+    fitted, info = project(block, state, ENGINE.basis, return_info=True)
+    assert info.ridge_used == duplicated
+    assert fitted.shape == block.shape
+    for j in range(3):
+        np.testing.assert_allclose(fitted[:, j], project(block[:, j], state, ENGINE.basis), rtol=0, atol=1e-13)
+
+
+def test_projection_rejects_three_axis_values():
+    with pytest.raises(RegressionError):
+        project(np.ones((4, 2, 2)), np.ones((4, 1)), ENGINE.basis)

@@ -47,7 +47,7 @@ def test_freeze_rows_reproduces_full_component():
     y = rng.standard_normal((40, 3))
     z = rng.standard_normal((40, 3, 3))
     law = MeasureView(y)
-    full = spec.evaluate(0.3, y, z, law, None)
+    full = spec.evaluate(0.3, y, z, law)
     for i in range(3):
         frozen = freeze_rows(spec, i, y, z, law)
         np.testing.assert_allclose(frozen(0.3, z[:, i, :]), full[:, i], atol=1e-14)
@@ -87,8 +87,8 @@ def test_diagonal_fixtures_ignore_or_damp_other_rows():
     rng = np.random.default_rng(1)
     y = rng.standard_normal((30, 1))
     z = rng.standard_normal((30, 1, 1))
-    f1 = b1.spec.evaluate(0.0, y, z, None, None)
-    f2 = b1.spec.evaluate(0.0, y, 5.0 * z, None, None)
+    f1 = b1.spec.evaluate(0.0, y, z, None)
+    f2 = b1.spec.evaluate(0.0, y, 5.0 * z, None)
     # scaling the own row changes the value quadratically, as it should
     np.testing.assert_allclose(f2, 25.0 * f1, atol=1e-12)
 
@@ -97,11 +97,11 @@ def test_diagonal_fixtures_ignore_or_damp_other_rows():
     y2 = rng.standard_normal((30, 2))
     z2 = rng.standard_normal((30, 2, 2))
     law = MeasureView(y2)
-    base = b2.spec.evaluate(0.0, y2, z2, law, None)[:, 0]
+    base = b2.spec.evaluate(0.0, y2, z2, law)[:, 0]
     bumped = z2.copy()
     h = 0.7
     bumped[:, 1, :] += h / np.sqrt(2)
-    moved = b2.spec.evaluate(0.0, y2, bumped, law, None)[:, 0]
+    moved = b2.spec.evaluate(0.0, y2, bumped, law)[:, 0]
     assert np.abs(moved - base).max() <= h + 1e-12
 
 
@@ -125,6 +125,6 @@ def test_bounded_sine_law_coupling():
     z = rng.standard_normal((20, 2, 2))
     near = MeasureView(np.zeros((20, 2)))
     far = MeasureView(np.full((20, 2), 1.0))
-    f_near = bundle.spec.evaluate(0.0, y, z, near, None)
-    f_far = bundle.spec.evaluate(0.0, y, z, far, None)
+    f_near = bundle.spec.evaluate(0.0, y, z, near)
+    f_far = bundle.spec.evaluate(0.0, y, z, far)
     assert np.abs(f_near - f_far).max() > 1e-3

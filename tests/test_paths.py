@@ -98,13 +98,3 @@ def test_load_rejects_mismatched_grid(tmp_path):
     dump_ensemble(ens, str(target))
     with pytest.raises(PathsError):
         load_ensemble(str(target), build_grid(0.5, 12))
-
-
-def test_aux_channel_optional():
-    grid = build_grid(1.0, 4)
-    plain = sample_brownian(grid, 8, 1, seed=3)
-    assert plain.aux is None
-    with_aux = sample_brownian(grid, 8, 1, seed=3, aux_dim=2)
-    assert with_aux.aux.shape == (8, 2)
-    # the driving increments are untouched by the side channel
-    np.testing.assert_array_equal(with_aux.increments, plain.increments)

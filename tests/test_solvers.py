@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from mfbsde.condexp import RegressionBasis, RegressionEngine
-from mfbsde.generators import fixture
+from mfbsde.generators import fixture, freeze_rows
+from mfbsde.measures import MeasureView
 from mfbsde.paths import build_grid, coarsen, sample_brownian
 from mfbsde.solvers import (
+    Solution,
     SolverDivergence,
     SolverOptions,
     dump_solution,
@@ -295,3 +297,102 @@ def test_csv_export_per_node(tmp_path):
     assert len(parsed) == grid.steps + 1
     assert float(parsed[0]["time"]) == 0.0
     assert {"node", "time", "max_abs_y", "mean_abs_y0", "tail_qv"} <= set(parsed[0].keys())
+
+
+def test_solution_load_rejects_truncated_payload(tmp_path):
+    bundle = fixture("pure_quadratic", gamma=1.0, terminal="brownian")
+    grid = build_grid(1.0, 8)
+    paths = sample_brownian(grid, 64, 1, seed=2)
+    sol, _, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions())
+    target = tmp_path / "sol.bin"
+    dump_solution(sol, str(target))
+    target.write_bytes(target.read_bytes()[:-5])
+    with pytest.raises(ValueError, match="truncated solution payload"):
+        load_solution(str(target))
+
+
+def test_solution_load_rejects_corrupt_header(tmp_path):
+    import struct
+
+    bundle = fixture("pure_quadratic", gamma=1.0, terminal="brownian")
+    grid = build_grid(1.0, 8)
+    paths = sample_brownian(grid, 64, 1, seed=2)
+    sol, _, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions())
+    target = tmp_path / "sol.bin"
+    dump_solution(sol, str(target))
+    raw = bytearray(target.read_bytes())
+    raw[8 + 4 * 8 : 8 + 5 * 8] = struct.pack("<q", 5)  # start node 5 + span 8 overruns 8 steps
+    target.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="corrupt solution header"):
+        load_solution(str(target))
+
+
+# Reference for the component-vectorized kernel: one scalar sweep per
+# component, each with its own freeze_rows driver.
+
+
+def _law_reference(spec, y, z, j):
+    if spec.law_dependence == "none":
+        return None
+    if spec.law_dependence == "y_only":
+        return MeasureView(y[:, j])
+    return MeasureView(y[:, j], z[:, min(j, z.shape[1] - 1)])
+
+
+def _per_component(spec, y_frozen, z_frozen, laws, terminal, grid, paths, opts, k_lo, k_hi):
+    span = k_hi - k_lo
+    n_part = paths.particles
+    out_y = np.empty((n_part, span + 1, spec.n))
+    out_z = np.empty((n_part, span, spec.n, spec.d))
+    for i in range(spec.n):
+        def driver(k, t, rows, i=i):
+            j = k - k_lo
+            other = np.zeros((n_part, spec.n, spec.d)) if z_frozen is None else z_frozen[:, min(j, span - 1)]
+            return freeze_rows(spec, i, y_frozen[:, j], other, _law_reference(spec, *laws, j))(t, rows)
+
+        out_y[:, :, i], out_z[:, :, i, :], _ = solve_scalar(grid, paths, driver, terminal[:, i], ENGINE, opts, k_lo, k_hi)
+    return out_y, out_z
+
+
+def _assert_rel_close(actual, reference, rel=1e-12):
+    assert np.abs(actual - reference).max() <= rel * np.abs(reference).max()
+
+
+def test_psi_map_matches_per_component_sweeps():
+    # eq41 with n = 2: cross rows and the joint law both enter the driver
+    bundle = fixture("eq41", n=2)
+    spec = bundle.spec
+    grid = build_grid(0.5, 8)
+    paths = sample_brownian(grid, 512, 2, seed=31)
+    k_lo, k_hi = 2, 6
+    span = k_hi - k_lo
+    rng = np.random.default_rng(31)
+    terminal = bundle.terminal(paths)
+    y_in = terminal[:, None, :] + 0.2 * rng.standard_normal((512, span + 1, 2))
+    y_in[:, span] = terminal
+    z_in = 0.3 * rng.standard_normal((512, span, 2, 2))
+    iterate = Solution(Y=y_in, Z=z_in, grid=grid, k_lo=k_lo)
+    opts = SolverOptions()
+    out = psi_map(spec, iterate, grid, paths, ENGINE, opts, k_lo, k_hi)
+    ref_y, ref_z = _per_component(spec, y_in, z_in, (y_in, z_in), terminal, grid, paths, opts, k_lo, k_hi)
+    _assert_rel_close(out.Y, ref_y)
+    _assert_rel_close(out.Z, ref_z)
+
+
+def test_theta_matches_per_component_sweeps():
+    bundle = fixture("bounded_sine_mf", n=2)
+    spec = bundle.spec
+    grid = build_grid(1.0, 8)
+    paths = sample_brownian(grid, 512, 2, seed=32)
+    terminal = bundle.terminal(paths)
+    opts = SolverOptions(tol=1e-8)
+    sol, trace = solve_theta(spec, bundle.convex, terminal, grid, paths, ENGINE, opts)
+    assert trace.converged and trace.iterations >= 3
+    y_prev = np.zeros((512, grid.steps + 1, 2))
+    z_prev = np.zeros((512, grid.steps, 2, 2))
+    for _ in range(trace.iterations):
+        y_prev, z_prev = _per_component(
+            spec, y_prev, None, (y_prev, z_prev), terminal, grid, paths, opts, 0, grid.steps
+        )
+    _assert_rel_close(sol.Y, y_prev)
+    _assert_rel_close(sol.Z, z_prev)
