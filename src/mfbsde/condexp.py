@@ -5,11 +5,20 @@ solve the normal equations through a thin QR factorization; a trace-scaled
 ridge fallback (penalty 1e-10 * tr(A^T A)/p) catches rank deficiency, and
 columns with no sample variance are dropped up front so the degenerate
 node-0 state reduces cleanly to a plain mean.
+
+A fit is split in two: :class:`NodeOperator` factors the design of one
+state once, and its ``apply`` fits any number of right-hand sides against
+that factorization. :func:`project` is one factor and one apply. An
+:class:`OperatorTable` keys operators by node index and lives as long as
+its owner: the solvers keep one per window for ``local`` and ``global``
+(every Picard iteration and BMO norm of the window shares it) and one
+operator per node visit for ``theta``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import Callable
 
 import numpy as np
 
@@ -93,22 +102,61 @@ def _design(state: np.ndarray, basis: RegressionBasis) -> np.ndarray:
     return _design_piecewise(state, basis.bins)
 
 
-def _solve(design: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ProjectionInfo]:
-    # Drop columns without sample variance, keeping the leading constant.
-    keep = [0] + [j for j in range(1, design.shape[1]) if design[:, j].std() > 0.0]
-    dropped = design.shape[1] - len(keep)
-    a = design[:, keep]
-    q, r = np.linalg.qr(a)
-    diag = np.abs(np.diag(r))
-    ridge = bool(diag.min() <= 1e-12 * max(diag.max(), 1.0))
-    if not ridge:
-        coef = np.linalg.solve(r, q.T @ values)
-    else:
-        gram = a.T @ a
-        lam = RIDGE_SCALE * np.trace(gram) / gram.shape[0]
-        coef = np.linalg.solve(gram + lam * np.eye(gram.shape[0]), a.T @ values)
-    info = ProjectionInfo(ridge_used=ridge, dropped_columns=dropped, rank=len(keep))
-    return a @ coef, info
+class NodeOperator:
+    """E[. | state] for one conditioning state, factored once.
+
+    Holds the design with its variance-free columns dropped, then either
+    the thin QR factors or, when R is numerically singular, the ridge
+    system; ``info`` describes the fit.
+    """
+
+    def __init__(self, state: np.ndarray, basis: RegressionBasis) -> None:
+        design = _design(state, basis)
+        # Drop columns without sample variance, keeping the leading constant.
+        keep = [0] + [j for j in range(1, design.shape[1]) if design[:, j].std() > 0.0]
+        a = design[:, keep]
+        q, r = np.linalg.qr(a)
+        diag = np.abs(np.diag(r))
+        ridge = bool(diag.min() <= 1e-12 * max(diag.max(), 1.0))
+        self._a = a
+        if not ridge:
+            self._q, self._r = q, r
+        else:
+            gram = a.T @ a
+            lam = RIDGE_SCALE * np.trace(gram) / gram.shape[0]
+            self._system = gram + lam * np.eye(gram.shape[0])
+        self.info = ProjectionInfo(ridge_used=ridge, dropped_columns=design.shape[1] - len(keep), rank=len(keep))
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Fitted E[values | state] at each particle; ``values`` is (N,) or an
+        (N, m) block of right-hand sides, and the fit has its shape."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim not in (1, 2):
+            raise RegressionError(f"values must be (N,) or (N, m), got shape {values.shape}")
+        if values.shape[0] != self._a.shape[0]:
+            raise RegressionError("values and state must share the particle axis")
+        if not self.info.ridge_used:
+            coef = np.linalg.solve(self._r, self._q.T @ values)
+        else:
+            coef = np.linalg.solve(self._system, self._a.T @ values)
+        return self._a @ coef
+
+
+class OperatorTable:
+    """Node operators of one ensemble and basis, keyed by node index and
+    factored on first use. ``state_at(k)`` gives the conditioning state of
+    node k. The table keeps every operator it built until it is dropped."""
+
+    def __init__(self, basis: RegressionBasis, state_at: Callable[[int], np.ndarray]) -> None:
+        self._basis = basis
+        self._state_at = state_at
+        self._ops: dict[int, NodeOperator] = {}
+
+    def __getitem__(self, k: int) -> NodeOperator:
+        op = self._ops.get(k)
+        if op is None:
+            op = self._ops[k] = NodeOperator(self._state_at(k), self._basis)
+        return op
 
 
 def project(
@@ -122,14 +170,9 @@ def project(
     ``values`` is (N,) or an (N, m) block of right-hand sides; every column
     is fitted against the same factorization and the fit has its shape.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim not in (1, 2):
-        raise RegressionError(f"values must be (N,) or (N, m), got shape {values.shape}")
-    design = _design(state, basis)
-    if design.shape[0] != values.shape[0]:
-        raise RegressionError("values and state must share the particle axis")
-    fit, info = _solve(design, values)
-    return (fit, info) if return_info else fit
+    op = NodeOperator(state, basis)
+    fit = op.apply(values)
+    return (fit, op.info) if return_info else fit
 
 
 def project_increment(
@@ -149,8 +192,9 @@ def project_increment(
     increments = np.asarray(increments, dtype=np.float64)
     if increments.ndim != 2 or increments.shape[0] != values.shape[0]:
         raise RegressionError("increments must be (N, d) matching values")
-    centered = values - project(values, state, basis)
-    return project(centered[:, None] * increments / dt, state, basis)
+    op = NodeOperator(state, basis)
+    centered = values - op.apply(values)
+    return op.apply(centered[:, None] * increments / dt)
 
 
 @dataclass(frozen=True)
@@ -159,5 +203,8 @@ class RegressionEngine:
 
     basis: RegressionBasis
 
+    def operator(self, state: np.ndarray) -> NodeOperator:
+        return NodeOperator(state, self.basis)
+
     def project(self, values: np.ndarray, state: np.ndarray) -> np.ndarray:
-        return project(values, state, self.basis)
+        return self.operator(state).apply(values)

@@ -43,29 +43,45 @@ def _compare(name: str, observed: float, bound: float, slack: float, note: str =
     return BoundReport(name=name, observed=float(observed), bound=float(bound), satisfied=ok, slack=slack, note=note)
 
 
-def bmo_profile(z_values: np.ndarray, grid, paths, engine, k_lo: int = 0) -> np.ndarray:
+def _tail_sums(z_values: np.ndarray, dt: float) -> np.ndarray:
+    """Per-particle tail sums sum_{j>=k} |Z_j|^2 dt, including node k, as (N, K)."""
+    z_values = np.asarray(z_values, dtype=np.float64)
+    if z_values.ndim == 3:  # (N, K, d) single component
+        z_values = z_values[:, :, None, :]
+    sq = np.sum(z_values**2, axis=(2, 3)) * dt
+    return np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
+
+
+def bmo_profile(z_values, grid, paths, engine, k_lo: int = 0, operators=None) -> np.ndarray:
     """Per-node conditional remaining quadratic variation, particle maximum.
 
     Entry k estimates max_omega E[ sum_{j>=k} |Z_j|^2 dt | F_{t_k} ] by
     projecting the tail sum onto the node-k state. The BMO norm is the
-    square root of the profile maximum.
+    square root of the profile maximum. A tuple of m Z arrays over the same
+    nodes gives a (K, m) profile: their tail sums are projected as one
+    (N, m) block per node. Node operators come from ``operators`` (an
+    :class:`mfbsde.condexp.OperatorTable` over global node indices) when
+    given, else one is factored per node.
     """
-    z_values = np.asarray(z_values, dtype=np.float64)
-    if z_values.ndim == 3:  # (N, K, d) single component
-        z_values = z_values[:, :, None, :]
-    n_steps = z_values.shape[1]
-    sq = np.sum(z_values**2, axis=(2, 3)) * grid.dt  # (N, K)
-    tails = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]  # tail sums including node k
-    profile = np.empty(n_steps)
+    if isinstance(z_values, tuple):
+        tails = np.stack([_tail_sums(z, grid.dt) for z in z_values], axis=2)  # (N, K, m)
+    else:
+        tails = _tail_sums(z_values, grid.dt)
+    n_steps = tails.shape[1]
+    profile = np.empty((n_steps,) + tails.shape[2:])
     for k in range(n_steps):
-        fitted = engine.project(tails[:, k], paths.brownian_at(k_lo + k))
-        profile[k] = float(fitted.max())
+        node = k_lo + k
+        op = engine.operator(paths.brownian_at(node)) if operators is None else operators[node]
+        profile[k] = op.apply(tails[:, k]).max(axis=0)
     return profile
 
 
-def bmo_norm(z_values: np.ndarray, grid, paths, engine, k_lo: int = 0) -> float:
-    profile = bmo_profile(z_values, grid, paths, engine, k_lo=k_lo)
-    return float(math.sqrt(max(profile.max(), 0.0)))
+def bmo_norm(z_values, grid, paths, engine, k_lo: int = 0, operators=None):
+    """BMO norm of Z on its nodes; a tuple of Z arrays gives a tuple of
+    norms from one pass over the nodes (see :func:`bmo_profile`)."""
+    profile = bmo_profile(z_values, grid, paths, engine, k_lo=k_lo, operators=operators)
+    norms = [float(math.sqrt(max(col.max(), 0.0))) for col in np.atleast_2d(profile.T)]
+    return tuple(norms) if isinstance(z_values, tuple) else norms[0]
 
 
 def john_nirenberg(z_values: np.ndarray, grid, paths, engine, k_lo: int = 0) -> BoundReport:
@@ -83,11 +99,7 @@ def john_nirenberg(z_values: np.ndarray, grid, paths, engine, k_lo: int = 0) -> 
             satisfied=True,
             note="skipped: BMO norm not below the unit threshold",
         )
-    z_values = np.asarray(z_values, dtype=np.float64)
-    if z_values.ndim == 3:
-        z_values = z_values[:, :, None, :]
-    sq = np.sum(z_values**2, axis=(2, 3)) * grid.dt
-    tails = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]  # tail sums per node
+    tails = _tail_sums(z_values, grid.dt)
     observed = float(np.exp(tails).mean(axis=0).max())
     bound = 1.0 / (1.0 - norm**2)
     return _compare("john_nirenberg", observed, bound, MC_SLACK, note=f"bmo={norm:.6g}")

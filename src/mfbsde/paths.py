@@ -138,15 +138,23 @@ def dump_ensemble(ensemble: PathEnsemble, path: str) -> None:
 
 
 def load_ensemble(path: str, grid: TimeGrid) -> PathEnsemble:
-    """Read an ensemble dumped by :func:`dump_ensemble` onto ``grid``."""
+    """Read an ensemble dumped by :func:`dump_ensemble` onto ``grid``,
+    checking the header (sizes >= 0, the grid's step count) and that the
+    payload holds exactly the increments it announces."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise PathsError("truncated ensemble header")
         n, m, d, seed = _HEADER.unpack(head)
+        if min(n, m, d) < 0:
+            raise PathsError(f"corrupt ensemble header: particles={n} steps={m} dimension={d}")
         if m != grid.steps:
             raise PathsError(f"file has {m} steps, grid has {grid.steps}")
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != n * m * d:
-        raise PathsError("truncated ensemble payload")
+        payload = fh.read()
+    expected = 8 * n * m * d
+    if len(payload) < expected:
+        raise PathsError(f"truncated ensemble payload: {len(payload)} of {expected} bytes")
+    if len(payload) > expected:
+        raise PathsError(f"ensemble payload has {len(payload) - expected} bytes past the announced increments")
+    raw = np.frombuffer(payload, dtype="<f8")
     return PathEnsemble(grid, raw.reshape(n, m, d).astype(np.float64), seed)

@@ -8,9 +8,16 @@ regression projection at node k,
     Y_k = E_k[Y_{k+1}] + (dt/2) (f(t_k, Z_k) + f(t_{k+1}, Z_{k+1})),
 
 a trapezoidal driver quadrature whose O(dt^2) bias is what the acceptance
-tolerances assume. A node makes two projection calls: one on Y_{k+1},
-whose fit serves both the centering and Y_k, and one on the centered
-increment products as a single (N, n d) block.
+tolerances assume. A node visit factors E_k once (a
+:class:`mfbsde.condexp.NodeOperator`) and applies it to Y_{k+1}, whose fit
+serves both the centering and Y_k, to the centered increment products as a
+single (N, n d) block, and to every inner sweep. ``local`` and ``global``
+go further: each window owns an :class:`mfbsde.condexp.OperatorTable` for
+its nodes, shared by every Picard iteration, law refinement and halving
+retry of the window and by its BMO norms, and dropped when the window is
+solved. ``theta`` keeps one operator per node visit. A non-finite Y or Z
+stops the kernel at the node where it appears with
+:class:`SolverDivergence`.
 
 In a diagonally quadratic system component i is free only in its own Z row
 z^i. Every other driver argument is frozen, through
@@ -30,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .condexp import RegressionEngine
+from .condexp import NodeOperator, OperatorTable, RegressionEngine
 from .constants import (
     GlobalConstants,
     global_ode,
@@ -149,14 +156,22 @@ def _clip_rows(z: np.ndarray, radius: float | None) -> tuple[np.ndarray, int]:
     return z * scale, int(over.sum())
 
 
-def _increment_fit(
-    values: np.ndarray, fit: np.ndarray, state: np.ndarray, dw: np.ndarray, dt: float, engine: RegressionEngine
-) -> np.ndarray:
+def _increment_fit(values: np.ndarray, fit: np.ndarray, op: NodeOperator, dw: np.ndarray, dt: float) -> np.ndarray:
     """E_k[(values - fit) dW^T] / dt as an (N, n, d) array, all n d products
     fitted as one block; ``fit`` is E_k[values], so the product is centered."""
     n_part, n = values.shape
     products = (values - fit)[:, :, None] * dw[:, None, :] / dt
-    return engine.project(products.reshape(n_part, -1), state).reshape(n_part, n, -1)
+    return op.apply(products.reshape(n_part, -1)).reshape(n_part, n, -1)
+
+
+def _check_finite(k: int, t: float, y: np.ndarray, z: np.ndarray) -> None:
+    """Raise SolverDivergence naming node k and the first component whose
+    Y (N, n) or Z (N, n, d) holds a non-finite value."""
+    for name, values in (("Z", z), ("Y", y)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite.reshape(len(values), values.shape[1], -1).all(axis=(0, 2))))
+            raise SolverDivergence(f"non-finite {name} at node {k} (t={t:.6g}) in component {i}")
 
 
 def _backward(
@@ -168,6 +183,7 @@ def _backward(
     opts: SolverOptions,
     k_lo: int,
     k_hi: int,
+    operators: OperatorTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The backward kernel on nodes [k_lo, k_hi] for terminal values (N, n).
 
@@ -175,7 +191,9 @@ def _backward(
     it must accept k = k_hi, where the terminal-side quadrature point takes
     the Z of node k_hi - 1. Extra inner sweeps re-extract Z from the
     driver-corrected target, a damping that helps stiff quadratic
-    coefficients. Returns (Y (N, K+1, n), Z (N, K, n, d), clip events).
+    coefficients. Node operators come from ``operators`` when given, else
+    one is factored per node visit. Returns (Y (N, K+1, n), Z (N, K, n, d),
+    clip events).
     """
     if not 0 <= k_lo < k_hi <= grid.steps:
         raise ValueError(f"bad node range [{k_lo}, {k_hi}]")
@@ -190,22 +208,24 @@ def _backward(
     f_next: np.ndarray | None = None
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
-        state, dw = paths.brownian_at(k), paths.increments[:, k, :]
+        op = engine.operator(paths.brownian_at(k)) if operators is None else operators[k]
+        dw = paths.increments[:, k, :]
         y_next = y[:, j + 1]
-        fit_next = engine.project(y_next, state)
-        z_k, c = _clip_rows(_increment_fit(y_next, fit_next, state, dw, dt, engine), opts.z_clip)
+        fit_next = op.apply(y_next)
+        z_k, c = _clip_rows(_increment_fit(y_next, fit_next, op, dw, dt), opts.z_clip)
         clips += c
         if f_next is None:  # terminal quadrature point
             f_next = driver(k + 1, grid.nodes[k + 1], z_k)
         f_here = driver(k, grid.nodes[k], z_k)
         for _ in range(opts.inner_sweeps - 1):
             target = y_next + 0.5 * (f_here + f_next) * dt
-            fit = engine.project(target, state)
-            z_k, c = _clip_rows(_increment_fit(target, fit, state, dw, dt, engine), opts.z_clip)
+            fit = op.apply(target)
+            z_k, c = _clip_rows(_increment_fit(target, fit, op, dw, dt), opts.z_clip)
             clips += c
             f_here = driver(k, grid.nodes[k], z_k)
         y[:, j] = fit_next + 0.5 * (f_here + f_next) * dt
         z[:, j] = z_k
+        _check_finite(k, grid.nodes[k], y[:, j], z_k)
         f_next = f_here
     return y, z, clips
 
@@ -279,17 +299,19 @@ def psi_map(
     k_lo: int = 0,
     k_hi: int | None = None,
     law_source: Solution | None = None,
+    operators: OperatorTable | None = None,
 ) -> Solution:
     """Frozen-coefficient map: one backward pass in which component i has
     its own Z row free while Y, the other rows and the law come from the
     input iterate (the law from ``law_source`` when given) at the same node.
+    ``operators`` is the caller's node-operator table, if it keeps one.
     """
     if k_hi is None:
         k_hi = grid.steps
     laws = law_source if law_source is not None else input_sol
     driver = partial(_own_rows, spec, input_sol.Y, input_sol.Z, (laws.Y, laws.Z), k_lo)
     terminal = input_sol.Y[:, k_hi - k_lo, :]
-    y, z, clips = _backward(grid, paths, driver, terminal, engine, opts, k_lo, k_hi)
+    y, z, clips = _backward(grid, paths, driver, terminal, engine, opts, k_lo, k_hi, operators)
     return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, seed_lineage={"seed": paths.seed}, clip_events=clips)
 
 
@@ -308,12 +330,16 @@ def solve_local(
     k_lo: int = 0,
     k_hi: int | None = None,
     consts=None,
+    operators: OperatorTable | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Picard iteration of the frozen-coefficient map on one window.
 
     Starts from the flat terminal propagation with zero Z (plus any probe
     offset), records ball membership against (K1, K2), and raises
     :class:`SolverDivergence` when the empirical ratios stop contracting.
+    Every iteration, law refinement and BMO norm factors each node once,
+    through ``operators`` or, when the caller keeps no table, one owned by
+    this call.
     """
     if k_hi is None:
         k_hi = grid.steps
@@ -327,18 +353,20 @@ def solve_local(
     if opts.z_clip is None:
         clip = 4.0 * math.sqrt(k2) if math.isfinite(k2) else None
         opts = replace(opts, z_clip=clip)
+    if operators is None:
+        operators = OperatorTable(engine.basis, paths.brownian_at)
     current = _flat_solution(terminal, grid, span, spec.d, k_lo, offset=opts.init_offset)
     trace = PicardTrace()
     floor = 1e-13 * max(1.0, float(np.abs(terminal).max()))
     for it in range(1, opts.max_iter + 1):
-        out = psi_map(spec, current, grid, paths, engine, opts, k_lo, k_hi)
+        out = psi_map(spec, current, grid, paths, engine, opts, k_lo, k_hi, operators=operators)
         for _ in range(opts.law_refinements):
-            out = psi_map(spec, current, grid, paths, engine, opts, k_lo, k_hi, law_source=out)
+            out = psi_map(spec, current, grid, paths, engine, opts, k_lo, k_hi, law_source=out, operators=operators)
         dy = float(np.abs(out.Y - current.Y).max())
-        dz = bmo_norm(out.Z - current.Z, grid, paths, engine, k_lo=k_lo)
+        dz, qv_norm = bmo_norm((out.Z - current.Z, out.Z), grid, paths, engine, k_lo=k_lo, operators=operators)
         combined = _combined_norm(dy, dz)
         max_y = float(np.abs(out.Y).max())
-        qv = bmo_norm(out.Z, grid, paths, engine, k_lo=k_lo) ** 2
+        qv = qv_norm**2
         trace.steps.append(
             PicardStep(
                 iteration=it,
@@ -402,8 +430,9 @@ def solve_global(
 
     Windows are quantized to whole grid steps with a one-step floor (the
     certified length is often far below the grid resolution); a window that
-    fails to contract is halved up to six times before giving up. Seam
-    values are shared arrays, so stitching is exact by construction.
+    fails to contract is halved up to six times before giving up, reusing
+    the window's node operators. Seam values are shared arrays, so
+    stitching is exact by construction.
     """
     gconsts = global_ode(cert, spec.n, grid.horizon)
     terminal = np.asarray(terminal, dtype=np.float64)
@@ -428,6 +457,7 @@ def solve_global(
     while k_hi > 0:
         size = min(spw, k_hi)
         halvings = 0
+        operators = OperatorTable(engine.basis, paths.brownian_at)
         while True:
             k_lo = k_hi - size
             try:
@@ -442,6 +472,7 @@ def solve_global(
                     k_lo=k_lo,
                     k_hi=k_hi,
                     consts=window_consts,
+                    operators=operators,
                 )
                 break
             except SolverDivergence:

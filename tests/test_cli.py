@@ -104,6 +104,19 @@ def test_divergence_exit_code(capsys, tmp_path):
     assert "error" in report
 
 
+def test_non_finite_solve_exits_diverged(capsys, tmp_path):
+    # gamma = 80 overflows the quadratic driver; the kernel stops at the
+    # first non-finite node instead of handing inf on as a bad config
+    cfg = write_config(
+        tmp_path,
+        params={"gamma": 80.0, "terminal": "brownian"},
+        seed=1,
+    )
+    code, out, _ = run_cli(capsys, "solve", cfg)
+    assert code == EXIT_DIVERGED
+    assert "non-finite" in json.loads(out)["error"]
+
+
 def test_verify_match_and_mismatch(capsys, tmp_path):
     cfg = write_config(tmp_path, particles=2048)
     code, out, _ = run_cli(capsys, "verify", cfg)
@@ -141,6 +154,27 @@ def test_constants_subcommand(capsys):
 def test_constants_rejects_bad_param(capsys):
     code, _, err = run_cli(capsys, "constants", "--fixture", "pure_quadratic", "--param", "oops")
     assert code == EXIT_CONFIG
+
+
+def test_verify_factors_once_per_node_visit(capsys, tmp_path, monkeypatch):
+    # theta factors each node once per sweep; the CSV's BMO profile adds
+    # one factorization per node
+    import numpy as np
+
+    calls = []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or real_qr(a, *args, **kw))
+    cfg = write_config(
+        tmp_path,
+        fixture="linear_mf",
+        params={"a": 0.0, "b": 1.0, "terminal": "const", "value": 1.0},
+        grid={"horizon": 1.0, "steps": 8},
+        solver={"tol": 1e-10, "max_iter": 60},
+        outputs={"csv": str(tmp_path / "nodes.csv")},
+    )
+    code, out, _ = run_cli(capsys, "verify", cfg, "--tolerance", "0.05")
+    assert code == EXIT_OK
+    assert len(calls) == (json.loads(out)["results"]["iterations"] + 1) * 8
 
 
 def test_outputs_written(capsys, tmp_path):

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from mfbsde.condexp import (
+    NodeOperator,
+    OperatorTable,
     RegressionBasis,
     RegressionEngine,
     RegressionError,
+    _design,
     project,
     project_increment,
 )
@@ -150,3 +153,69 @@ def test_block_projection_equals_columnwise_fits(duplicated):
 def test_projection_rejects_three_axis_values():
     with pytest.raises(RegressionError):
         project(np.ones((4, 2, 2)), np.ones((4, 1)), ENGINE.basis)
+
+
+def _one_shot_fit(values, state, basis):
+    # The single-call fit that node operators replaced: design, variance
+    # filter, QR (or ridge) and solve, all redone for every right-hand side.
+    design = _design(state, basis)
+    keep = [0] + [j for j in range(1, design.shape[1]) if design[:, j].std() > 0.0]
+    a = design[:, keep]
+    q, r = np.linalg.qr(a)
+    diag = np.abs(np.diag(r))
+    if not diag.min() <= 1e-12 * max(diag.max(), 1.0):
+        return a @ np.linalg.solve(r, q.T @ values)
+    gram = a.T @ a
+    lam = 1e-10 * np.trace(gram) / gram.shape[0]
+    return a @ np.linalg.solve(gram + lam * np.eye(gram.shape[0]), a.T @ values)
+
+
+def _state(kind, rng, n):
+    x = rng.standard_normal(n)
+    if kind == "qr":
+        return np.column_stack([x, rng.standard_normal(n)])
+    if kind == "ridge":  # a duplicated coordinate makes R singular
+        return np.column_stack([x, x])
+    return np.zeros((n, 2))  # node 0: W_0 = 0 leaves only the constant
+
+
+@pytest.mark.parametrize("kind", ["qr", "ridge", "node0"])
+def test_operator_apply_equals_one_shot_fit_bitwise(kind):
+    rng = np.random.default_rng(10)
+    state = _state(kind, rng, 1500)
+    op = NodeOperator(state, ENGINE.basis)
+    assert op.info.ridge_used == (kind == "ridge")
+    assert (op.info.rank == 1) == (kind == "node0")
+    block = np.column_stack([np.sin(state[:, 0]), rng.standard_normal(1500), state[:, 1] ** 2])
+    # several applies on one operator, vector and block, in either order
+    for values in (block[:, 1], block, block[:, 0], np.ascontiguousarray(block[:, :2])):
+        expected = _one_shot_fit(values, state, ENGINE.basis)
+        fitted = op.apply(values)
+        assert fitted.shape == values.shape
+        assert np.array_equal(fitted, expected)
+        assert np.array_equal(project(values, state, ENGINE.basis), expected)
+        assert np.array_equal(ENGINE.project(values, state), expected)
+
+
+def test_operator_table_factors_each_node_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    states = {k: rng.standard_normal((300, 1)) for k in range(4)}
+    calls = []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or real_qr(a, *args, **kw))
+    table = OperatorTable(ENGINE.basis, states.__getitem__)
+    values = rng.standard_normal(300)
+    for _ in range(3):
+        for k in (3, 1, 3, 0):
+            assert np.array_equal(table[k].apply(values), _one_shot_fit(values, states[k], ENGINE.basis))
+    assert table[1] is table[1]
+    # three distinct nodes factored once each, plus one QR per reference fit
+    assert len(calls) == 3 + 12
+
+
+def test_operator_rejects_mismatched_values():
+    op = NodeOperator(np.ones((4, 1)), ENGINE.basis)
+    with pytest.raises(RegressionError):
+        op.apply(np.ones(5))
+    with pytest.raises(RegressionError):
+        op.apply(np.ones((4, 2, 2)))

@@ -98,3 +98,27 @@ def test_load_rejects_mismatched_grid(tmp_path):
     dump_ensemble(ens, str(target))
     with pytest.raises(PathsError):
         load_ensemble(str(target), build_grid(0.5, 12))
+
+
+def test_load_rejects_negative_header_sizes(tmp_path):
+    # (-1, 4, -2) multiplies to the 8 floats that follow, so only the sign
+    # check stops it
+    import struct
+
+    target = tmp_path / "paths.bin"
+    target.write_bytes(struct.pack("<qqqq", -1, 4, -2, 0) + np.zeros(8).tobytes())
+    with pytest.raises(PathsError, match="corrupt ensemble header"):
+        load_ensemble(str(target), build_grid(1.0, 4))
+
+
+def test_load_reports_long_and_short_payloads(tmp_path):
+    grid = build_grid(0.5, 6)
+    target = tmp_path / "paths.bin"
+    dump_ensemble(sample_brownian(grid, 20, 2, seed=42), str(target))
+    good = target.read_bytes()
+    target.write_bytes(good + bytes(8))
+    with pytest.raises(PathsError, match="8 bytes past the announced increments"):
+        load_ensemble(str(target), grid)
+    target.write_bytes(good[:-8])
+    with pytest.raises(PathsError, match="truncated ensemble payload"):
+        load_ensemble(str(target), grid)

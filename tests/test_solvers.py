@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfbsde.condexp import RegressionBasis, RegressionEngine
-from mfbsde.generators import fixture, freeze_rows
+from mfbsde.generators import GeneratorSpec, fixture, freeze_rows
 from mfbsde.measures import MeasureView
 from mfbsde.paths import build_grid, coarsen, sample_brownian
 from mfbsde.solvers import (
@@ -396,3 +396,60 @@ def test_theta_matches_per_component_sweeps():
         )
     _assert_rel_close(sol.Y, y_prev)
     _assert_rel_close(sol.Z, z_prev)
+
+
+def _count_qr(monkeypatch):
+    calls = []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or real_qr(a, *args, **kw))
+    return calls
+
+
+def test_global_factors_each_node_once(monkeypatch):
+    # every Picard iteration, law query and BMO norm of a window shares the
+    # window's operators, so the whole stitched solve factors each node once
+    bundle = fixture("eq41", n=2)
+    grid = build_grid(0.5, 16)
+    paths = sample_brownian(grid, 1024, 2, seed=9)
+    calls = _count_qr(monkeypatch)
+    sol, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE)
+    assert sum(w.halvings for w in report.windows) == 0
+    assert sum(w.iterations for w in report.windows) > 2 * report.window_count
+    assert len(calls) == grid.steps
+
+
+@pytest.mark.parametrize("inner_sweeps", [1, 3])
+def test_theta_factors_once_per_node_visit(monkeypatch, inner_sweeps):
+    bundle = fixture("pure_quadratic", gamma=1.0, terminal="brownian")
+    grid = build_grid(1.0, 8)
+    paths = sample_brownian(grid, 1024, 1, seed=5)
+    calls = _count_qr(monkeypatch)
+    opts = SolverOptions(tol=1e-8, inner_sweeps=inner_sweeps)
+    _, trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
+    assert len(calls) == trace.iterations * grid.steps
+
+
+def test_non_finite_values_stop_the_kernel_at_their_node():
+    grid = build_grid(1.0, 8)
+    paths = sample_brownian(grid, 256, 1, seed=6)
+
+    def blows_up_at_node_5(k, t, z):
+        return np.full(len(z), np.inf if k == 5 else 0.0)
+
+    with pytest.raises(SolverDivergence, match=r"non-finite Y at node 5 \(t=0.625\) in component 0"):
+        solve_scalar(grid, paths, blows_up_at_node_5, np.zeros(256), ENGINE)
+
+
+def test_non_finite_terminal_names_its_component():
+    # a law-free two-component driver, so the NaN in component 1 reaches
+    # the kernel's check rather than a law query
+    spec = GeneratorSpec(n=2, d=2, evaluate=lambda t, y, z, law: np.zeros(y.shape), law_dependence="none")
+    grid = build_grid(0.5, 8)
+    paths = sample_brownian(grid, 512, 2, seed=7)
+    terminal = paths.terminal().copy()
+    iterate = Solution(
+        Y=np.repeat(terminal[:, None, :], 5, axis=1), Z=np.zeros((512, 4, 2, 2)), grid=grid, k_lo=4
+    )
+    iterate.Y[3, -1, 1] = np.nan
+    with pytest.raises(SolverDivergence, match="non-finite Z at node 7 .* in component 1"):
+        psi_map(spec, iterate, grid, paths, ENGINE, SolverOptions(), 4, 8)
