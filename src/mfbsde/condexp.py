@@ -11,8 +11,9 @@ state once, and its ``apply`` fits any number of right-hand sides against
 that factorization. :func:`project` is one factor and one apply. An
 :class:`OperatorTable` keys operators by node index and lives as long as
 its owner: the solvers keep one per window for ``local`` and ``global``
-(every Picard iteration and BMO norm of the window shares it) and one
-operator per node visit for ``theta``.
+(every Picard iteration and BMO norm of the window shares it), one for
+all outer sweeps of ``volterra``, and one operator per node visit for
+``theta``.
 """
 from __future__ import annotations
 

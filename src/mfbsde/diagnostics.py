@@ -13,7 +13,7 @@ import numpy as np
 
 from .constants import GlobalConstants, LocalConstants
 from .generators import CertificateLocal
-from .measures import ExpMoment, exp_moment
+from .measures import ExpMoment, exp_moment, sum_squares
 
 MC_SLACK = 0.05
 
@@ -44,11 +44,10 @@ def _compare(name: str, observed: float, bound: float, slack: float, note: str =
 
 
 def _tail_sums(z_values: np.ndarray, dt: float) -> np.ndarray:
-    """Per-particle tail sums sum_{j>=k} |Z_j|^2 dt, including node k, as (N, K)."""
+    """Per-particle tail sums sum_{j>=k} |Z_j|^2 dt, including node k, as
+    (N, K); Z is (N, K, d) for one component or (N, K, n, d)."""
     z_values = np.asarray(z_values, dtype=np.float64)
-    if z_values.ndim == 3:  # (N, K, d) single component
-        z_values = z_values[:, :, None, :]
-    sq = np.sum(z_values**2, axis=(2, 3)) * dt
+    sq = sum_squares(z_values.reshape(z_values.shape[:2] + (-1,))) * dt
     return np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
 
 
@@ -156,7 +155,7 @@ def check_envelope(sol, gconsts: GlobalConstants, n: int) -> list[BoundReport]:
     worst = float(np.max(comp_sq / np.maximum(eta_vals, 1e-300)))
     return [
         _compare("envelope_nodes", worst, 1.0, MC_SLACK, note="max_k max_i |Y^i_k|^2 / (eta(t_k)/n)"),
-        _compare("kappa_cap", float(np.sum(sol.Y**2, axis=2).max()), gconsts.kappa, MC_SLACK),
+        _compare("kappa_cap", float(sum_squares(sol.Y).max()), gconsts.kappa, MC_SLACK),
     ]
 
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import MeasureView
+from .measures import MeasureView, sum_squares
 
 Evaluator = Callable[[float, np.ndarray, np.ndarray, MeasureView | None], np.ndarray]
 
@@ -219,8 +219,11 @@ def freeze_rows(
 # ---------------------------------------------------------------------------
 
 
-def _row_norms(z: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(z, axis=2)  # (N, n)
+def _others_sum(values: np.ndarray) -> np.ndarray:
+    """Per-particle sums over the other rows, sum_{j != i} values[:, j], as
+    one (N, n) @ (n, n) contraction."""
+    n = values.shape[1]
+    return values @ (np.ones((n, n)) - np.eye(n))
 
 
 def _terminal_brownian(scale: float = 1.0):
@@ -255,7 +258,7 @@ def _fixture_pure_quadratic(
     """f(t, y, z, mu) = (gamma/2) |z|^2 in one dimension."""
 
     def evaluate(t, y, z, law):
-        return 0.5 * gamma * _row_norms(z) ** 2
+        return 0.5 * gamma * sum_squares(z)
 
     spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none")
     if terminal == "brownian":
@@ -326,16 +329,16 @@ def _fixture_remark31(n: int = 2, M1: float = 0.5, horizon: float = 0.25) -> Fix
     """
 
     def evaluate(t, y, z, law):
-        rows = _row_norms(z)  # (N, n)
-        full = np.linalg.norm(z.reshape(z.shape[0], -1), axis=1)[:, None]
-        ynorm = np.linalg.norm(y, axis=1)[:, None]
+        rows_sq = sum_squares(z)  # (N, n)
+        full = np.sqrt(sum_squares(z.reshape(z.shape[0], -1)))[:, None]
+        ynorm_sq = sum_squares(y)[:, None]
         w1 = law.w_y(2) if law is not None else 0.0
         w2 = law.w_z(2) if law is not None and law.has_z else 0.0
         coupling = w1**3 * math.cos(w2) + w2 ** (4.0 / 3.0)
         return (
-            (ynorm**2 + np.sin(rows)) * full
+            (ynorm_sq + np.sin(np.sqrt(rows_sq))) * full
             + full ** (4.0 / 3.0)
-            + rows**2
+            + rows_sq
             + coupling
         )
 
@@ -367,13 +370,12 @@ def _fixture_eq41(n: int = 2, M1: float = 1.0, horizon: float = 1.0) -> FixtureB
     """
 
     def evaluate(t, y, z, law):
-        rows = _row_norms(z)
-        ynorm = np.linalg.norm(y, axis=1)[:, None]
-        sins = np.sin(rows)
-        cross = sins.sum(axis=1, keepdims=True) - sins
+        rows_sq = sum_squares(z)
+        ynorm = np.sqrt(sum_squares(y))[:, None]
+        cross = _others_sum(np.sin(np.sqrt(rows_sq)))
         w1 = law.w_y(2) if law is not None else 0.0
         w2 = law.w_z(2) if law is not None and law.has_z else 0.0
-        return 1.0 + ynorm + rows**2 + cross + w1 * math.cos(w2)
+        return 1.0 + ynorm + rows_sq + cross + w1 * math.cos(w2)
 
     spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="joint", zeta_level=float(n))
     global_ = CertificateGlobal(
@@ -417,9 +419,8 @@ def _fixture_bounded_sine_mf(
     """
 
     def evaluate(t, y, z, law):
-        rows = _row_norms(z)
         w1 = law.w_y(1) if law is not None else 0.0
-        return 0.5 * gamma * rows**2 + K * math.sin(w1)
+        return 0.5 * gamma * sum_squares(z) + K * math.sin(w1)
 
     spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="y_only")
     convex = CertificateConvex(K=K, gamma=gamma, convexity=("convex",) * n)
@@ -455,7 +456,7 @@ def _fixture_volterra_demo(gamma: float = 1.0, clamp: float = 10.0) -> FixtureBu
     """
 
     def evaluate(t, y, z, law):
-        return 0.5 * gamma * _row_norms(z) ** 2
+        return 0.5 * gamma * sum_squares(z)
 
     def g(k, y_hist, z, law):
         mean = float(y_hist[:, k, 0].mean())
@@ -521,9 +522,8 @@ class GrowthReport:
 
 def _certificate_bound(cert, z_rows: np.ndarray, y_norm: np.ndarray, component: int, w1: float, w2: float, zeta: float) -> np.ndarray:
     own = z_rows[:, component]
-    others = z_rows.sum(axis=1) - own
     if isinstance(cert, CertificateLocal):
-        cross = np.sum(z_rows ** (1.0 + cert.alpha), axis=1) - own ** (1.0 + cert.alpha)
+        cross = _others_sum(z_rows ** (1.0 + cert.alpha))[:, component]
         return (
             zeta
             + cert.psi(y_norm)
@@ -533,7 +533,6 @@ def _certificate_bound(cert, z_rows: np.ndarray, y_norm: np.ndarray, component: 
             + cert.gamma0 * w2 ** (1.0 + cert.alpha)
         )
     if isinstance(cert, CertificateGlobal):
-        del others
         return zeta + cert.L * y_norm + 0.5 * cert.gamma * own**2 + cert.L * w1
     if isinstance(cert, CertificateConvex):
         return zeta + cert.K * y_norm + 0.5 * cert.gamma * own**2 + cert.K * w1
@@ -568,8 +567,8 @@ def check_growth(
         law_z = gen.normal(0.0, scale, size=(64, spec.n * spec.d))
         law = MeasureView(law_y, law_z)
         vals = spec.evaluate(t, y, z, law)
-        z_rows = np.linalg.norm(z, axis=2)
-        y_norm = np.linalg.norm(y, axis=1)
+        z_rows = np.sqrt(sum_squares(z))
+        y_norm = np.sqrt(sum_squares(y))
         w1 = law.w_y(w1_order)
         w2 = law.w_z(2)
         for i in range(spec.n):

@@ -4,6 +4,9 @@ Only distances to a point mass and paired comparisons are needed by the
 solvers; both have closed forms over a cloud. Exponential moments are
 computed in log-sum-exp form, and the log value is the authoritative one
 once exponents leave the comfortable range of float64.
+
+Every per-particle norm in the package, here and in the drivers, solvers
+and diagnostics, is the square root of :func:`sum_squares`.
 """
 from __future__ import annotations
 
@@ -16,6 +19,18 @@ import numpy as np
 
 class MeasureError(ValueError):
     pass
+
+
+def sum_squares(x: np.ndarray) -> np.ndarray:
+    """Sum of squares over the trailing axis, as one contraction.
+
+    The trailing axes here are short (n, d <= 4), and numpy's reduce over
+    such an axis runs an inner loop per particle; ``np.einsum`` makes one
+    pass. The square root equals ``np.linalg.norm(x, axis=-1)`` bitwise
+    for a trailing axis of length <= 2 and to a few ulp beyond; inf and
+    NaN propagate as they do there.
+    """
+    return np.einsum("...i,...i->...", x, x)
 
 
 def _as_cloud(points: np.ndarray) -> np.ndarray:
@@ -50,10 +65,11 @@ def _check_order(p: float) -> float:
 
 
 def wasserstein_to_delta(cloud: ParticleCloud, p: float = 2) -> float:
-    """W_p distance to the point mass at the origin: a p-th moment root."""
+    """W_p distance to the point mass at the origin: a p-th moment root,
+    sqrt(mean |x|^2) for p = 2 and mean |x| for p = 1."""
     p = _check_order(p)
-    norms = np.linalg.norm(cloud.points, axis=1)
-    return float(np.mean(norms**p) ** (1.0 / p))
+    sq = sum_squares(cloud.points)
+    return float(np.sqrt(np.mean(sq)) if p == 2 else np.mean(np.sqrt(sq)))
 
 
 def paired_distance(a: ParticleCloud, b: ParticleCloud, p: float = 2) -> float:
@@ -61,7 +77,7 @@ def paired_distance(a: ParticleCloud, b: ParticleCloud, p: float = 2) -> float:
     p = _check_order(p)
     if a.points.shape != b.points.shape:
         raise MeasureError("paired clouds must have identical shape")
-    norms = np.linalg.norm(a.points - b.points, axis=1)
+    norms = np.sqrt(sum_squares(a.points - b.points))
     return float(np.mean(norms**p) ** (1.0 / p))
 
 
@@ -78,7 +94,7 @@ def exact_wasserstein_small(a: ParticleCloud, b: ParticleCloud, p: float = 2) ->
         raise MeasureError("brute-force transport is limited to N <= 8")
     best = math.inf
     for perm in itertools.permutations(range(n)):
-        cost = np.mean(np.linalg.norm(a.points - b.points[list(perm)], axis=1) ** p)
+        cost = np.mean(np.sqrt(sum_squares(a.points - b.points[list(perm)])) ** p)
         best = min(best, float(cost))
     return best ** (1.0 / p)
 
@@ -119,7 +135,9 @@ class MeasureView:
     """Law of one time-slice of the particle system, as drivers see it.
 
     Wraps the Y cloud (R^n marginal), optionally the Z cloud (rows flattened
-    to R^{n d}), and the joint pairing. Scalar queries are cached because a
+    to R^{n d}), and the joint pairing; both are checked finite when the
+    view is built. Distances to the point mass come from one
+    :func:`sum_squares` contraction of the cloud and are cached, because a
     driver may ask for the same distance at every particle batch.
     """
 

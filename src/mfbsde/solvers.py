@@ -15,9 +15,9 @@ single (N, n d) block, and to every inner sweep. ``local`` and ``global``
 go further: each window owns an :class:`mfbsde.condexp.OperatorTable` for
 its nodes, shared by every Picard iteration, law refinement and halving
 retry of the window and by its BMO norms, and dropped when the window is
-solved. ``theta`` keeps one operator per node visit. A non-finite Y or Z
-stops the kernel at the node where it appears with
-:class:`SolverDivergence`.
+solved. ``theta`` keeps one operator per node visit; the outer sweeps of
+``volterra`` share one table. A non-finite Y or Z stops the kernel at the
+node where it appears with :class:`SolverDivergence`.
 
 In a diagonally quadratic system component i is free only in its own Z row
 z^i. Every other driver argument is frozen, through
@@ -56,7 +56,7 @@ from .generators import (
     GSpec,
     freeze_rows,
 )
-from .measures import MeasureView, exp_moment
+from .measures import MeasureView, exp_moment, sum_squares
 from .paths import PathEnsemble, TimeGrid
 
 NodeDriver = Callable[[int, float, np.ndarray], np.ndarray]
@@ -148,7 +148,7 @@ def _clip_rows(z: np.ndarray, radius: float | None) -> tuple[np.ndarray, int]:
     """Rescale rows whose norm exceeds the radius; count the events."""
     if radius is None or not math.isfinite(radius):
         return z, 0
-    norms = np.linalg.norm(z, axis=-1, keepdims=True)
+    norms = np.sqrt(sum_squares(z))[..., None]
     over = norms > radius
     if not over.any():
         return z, 0
@@ -160,7 +160,7 @@ def _increment_fit(values: np.ndarray, fit: np.ndarray, op: NodeOperator, dw: np
     """E_k[(values - fit) dW^T] / dt as an (N, n, d) array, all n d products
     fitted as one block; ``fit`` is E_k[values], so the product is centered."""
     n_part, n = values.shape
-    products = (values - fit)[:, :, None] * dw[:, None, :] / dt
+    products = np.einsum("ni,nd->nid", values - fit, dw) / dt
     return op.apply(products.reshape(n_part, -1)).reshape(n_part, n, -1)
 
 
@@ -438,7 +438,7 @@ def solve_global(
     terminal = np.asarray(terminal, dtype=np.float64)
     if terminal.ndim == 1:
         terminal = terminal[:, None]
-    feasible = bool(np.max(np.sum(terminal**2, axis=1)) <= spec.n * gconsts.c_tilde)
+    feasible = bool(np.max(sum_squares(terminal)) <= spec.n * gconsts.c_tilde)
     report = GlobalReport(constants=gconsts, terminal_feasible=feasible)
     dt = grid.dt
     spw = max(1, int(gconsts.delta_kappa / dt))
@@ -526,7 +526,7 @@ def solve_theta(
         clips += c
         dy = float(np.abs(y_new - y_prev).max())
         dz = float(np.sqrt(np.mean((z_new - z_prev) ** 2)))
-        sup_y = np.max(np.linalg.norm(y_new, axis=2), axis=1)
+        sup_y = np.max(np.sqrt(sum_squares(y_new)), axis=1)
         monitors = {}
         for q in (1, 2):
             em = exp_moment(gamma * sup_y, q=q)
@@ -582,7 +582,8 @@ def solve_volterra(
 
         Y^{r+1}_k = Y'_k + sum_{j >= k} E_k[ g(j, Y^r, Z', law_j) ] dt,
 
-    using one projection of the tail sum per node. Convergence is tracked
+    using one projection of the tail sum per node; the node operators are
+    factored once and shared by every outer sweep. Convergence is tracked
     in the exp(beta t)-weighted squared sup norm with beta = 32 C^2 T, and
     iteration stops when the unweighted sup difference drops below tol.
     """
@@ -595,6 +596,7 @@ def solve_volterra(
     if opts.init_offset:
         y_prev += opts.init_offset
     trace = PicardTrace(note=f"inner sweeps: {inner_trace.iterations}")
+    operators = OperatorTable(engine.basis, paths.brownian_at)
     for it in range(1, opts.max_iter + 1):
         g_vals = np.empty((paths.particles, m + 1, n))
         for j in range(m + 1):
@@ -605,10 +607,10 @@ def solve_volterra(
         y_new[:, m, :] = inner_sol.Y[:, m, :]
         for k in range(m - 1, -1, -1):
             tails = tails + g_vals[:, k, :] * grid.dt
-            y_new[:, k] = inner_sol.Y[:, k] + engine.project(tails, paths.brownian_at(k))
+            y_new[:, k] = inner_sol.Y[:, k] + operators[k].apply(tails)
         diff = y_new - y_prev
         dy = float(np.abs(diff).max())
-        weighted = float(np.mean(np.max(weights[None, :] * np.sum(diff**2, axis=2), axis=1)))
+        weighted = float(np.mean(np.max(weights[None, :] * sum_squares(diff), axis=1)))
         trace.steps.append(
             PicardStep(
                 iteration=it,

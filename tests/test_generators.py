@@ -128,3 +128,49 @@ def test_bounded_sine_law_coupling():
     f_near = bundle.spec.evaluate(0.0, y, z, near)
     f_far = bundle.spec.evaluate(0.0, y, z, far)
     assert np.abs(f_near - f_far).max() > 1e-3
+
+
+# Reference drivers written with np.linalg.norm and numpy's axis sums, as the
+# registry computed them before row norms became contractions. Law distances
+# are the p-th moment roots of the clouds' row norms.
+
+
+def _w(points, p):
+    return float(np.mean(np.linalg.norm(points, axis=1) ** p) ** (1.0 / p))
+
+
+def _reference_driver(name, params, y, z, law_y, law_z):
+    rows = np.linalg.norm(z, axis=2)
+    if name in ("pure_quadratic", "volterra_demo"):
+        return 0.5 * params["gamma"] * rows**2
+    if name == "linear_mf":
+        return params["a"] * y + params["b"] * law_y.mean(axis=0)[0]
+    if name == "bounded_sine_mf":
+        return 0.5 * params["gamma"] * rows**2 + params["K"] * np.sin(_w(law_y, 1))
+    w1, w2 = _w(law_y, 2), _w(law_z, 2)
+    ynorm = np.linalg.norm(y, axis=1)[:, None]
+    if name == "eq41":
+        sins = np.sin(rows)
+        cross = sins.sum(axis=1, keepdims=True) - sins
+        return 1.0 + ynorm + rows**2 + cross + w1 * np.cos(w2)
+    if name == "remark31":
+        full = np.linalg.norm(z.reshape(z.shape[0], -1), axis=1)[:, None]
+        coupling = w1**3 * np.cos(w2) + w2 ** (4.0 / 3.0)
+        return (ynorm**2 + np.sin(rows)) * full + full ** (4.0 / 3.0) + rows**2 + coupling
+    raise AssertionError(f"no reference driver for fixture {name}")
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_drivers_match_norm_reference(name):
+    bundle = fixture(name)
+    spec = bundle.spec
+    rng = np.random.default_rng(41)
+    y = 1.5 * rng.standard_normal((257, spec.n))
+    z = 1.5 * rng.standard_normal((257, spec.n, spec.d))
+    law_y = rng.standard_normal((257, spec.n))
+    law_z = rng.standard_normal((257, spec.n * spec.d))
+    law = MeasureView(law_y, law_z)
+    values = spec.evaluate(0.4, y, z, law)
+    reference = _reference_driver(name, bundle.params, y, z, law_y, law_z)
+    assert values.shape == reference.shape == (257, spec.n)
+    assert np.abs(values - reference).max() <= 1e-14 * np.abs(reference).max()

@@ -429,6 +429,35 @@ def test_theta_factors_once_per_node_visit(monkeypatch, inner_sweeps):
     assert len(calls) == trace.iterations * grid.steps
 
 
+def test_volterra_factors_outer_nodes_once(monkeypatch):
+    # the inner theta sweeps factor once per node visit; every outer sweep
+    # then shares one operator per node
+    bundle = fixture("volterra_demo")
+    grid = build_grid(1.0, 16)
+    paths = sample_brownian(grid, 1024, 1, seed=3)
+    calls = _count_qr(monkeypatch)
+    _, inner, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions())
+    assert len(calls) == inner.iterations * grid.steps
+    calls.clear()
+    _, outer, _ = run_scheme(bundle, "volterra", grid, paths, ENGINE, SolverOptions())
+    assert outer.iterations > 2
+    assert len(calls) == inner.iterations * grid.steps + grid.steps
+
+
+def test_global_eq41_pinned_small_solve():
+    # y0 and counts recorded from the solver before row norms became
+    # contractions; the contraction moves y0 by rounding only
+    bundle = fixture("eq41", n=2)
+    grid = build_grid(1.0, 16)
+    paths = sample_brownian(grid, 2**10, 2, seed=9)
+    sol, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE)
+    _assert_rel_close(sol.y0(), np.array([7.580996396792982, 7.5816648246167695]))
+    assert sum(w.iterations for w in report.windows) == 103
+    assert report.window_count == 16
+    assert sum(w.halvings for w in report.windows) == 0
+    assert sol.clip_events == 0
+
+
 def test_non_finite_values_stop_the_kernel_at_their_node():
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 256, 1, seed=6)
