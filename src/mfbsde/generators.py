@@ -1,21 +1,36 @@
 """Driver specifications, growth certificates, and the fixture registry.
 
 A driver evaluates vectorized over particles: given a time, the Y cloud
-(N, n), the Z cloud (N, n, d), and the shared law view, it returns driver
-values (N, n). Diagonal structure means component i is quadratic in its own
-Z row only; certificates carry the constants that make that quantitative.
+(N, n), the Z cloud (N, n, d), the shared law view and optionally the other
+rows (N, n, d), it returns driver values (N, n). Diagonal structure means
+component i is quadratic in its own Z row only; certificates carry the
+constants that make that quantitative. Component i reads its own row from
+the Z cloud and every other row from ``others``, so one call evaluates all
+n components with their own rows free and the other rows frozen.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
 from .measures import MeasureView, sum_squares
 
-Evaluator = Callable[[float, np.ndarray, np.ndarray, MeasureView | None], np.ndarray]
+
+class Evaluator(Protocol):
+    """Driver values (N, n) at time t for Y (N, n) and Z (N, n, d).
+
+    Component i takes its own row from ``z[:, i]`` and every row j != i
+    from ``others[:, j]`` (N, n, d); ``others=None`` takes them from ``z``,
+    so ``evaluate(t, y, z, law)`` is the full driver. Row i of ``others``
+    and rows j != i of ``z`` do not enter component i.
+    """
+
+    def __call__(
+        self, t: float, y: np.ndarray, z: np.ndarray, law: MeasureView | None, others: np.ndarray | None = None
+    ) -> np.ndarray: ...
 
 
 class FixtureError(KeyError):
@@ -141,6 +156,10 @@ class CertificateVolterra:
 class GeneratorSpec:
     """Vectorized driver with structural metadata.
 
+    ``evaluate`` follows :class:`Evaluator`: one call gives all n
+    components, each with its own Z row from the Z argument and the other
+    rows from ``others``.
+
     ``law_dependence`` is one of "joint" (needs Y and Z clouds), "y_only",
     or "none". ``zeta_level`` is the pointwise bound of the absorbing
     process zeta_t used by growth audits; fixtures here model it constant.
@@ -197,8 +216,9 @@ def freeze_rows(
     """Scalar driver in the own Z row, all other arguments frozen.
 
     ``y_values`` is (N, n) and ``z_values`` (N, n, d); the returned callable
-    maps (t, rows (N, d)) to component values (N,). Evaluating it at the
-    frozen row i reproduces the full driver component exactly.
+    maps (t, rows (N, d)) to component values (N,). The frozen rows reach
+    the driver as its ``others``, so evaluating the callable at the frozen
+    row i reproduces the full driver component.
     """
     if not 0 <= component < spec.n:
         raise CertificateError(f"component {component} outside 0..{spec.n - 1}")
@@ -209,7 +229,7 @@ def freeze_rows(
         rows = np.asarray(rows, dtype=np.float64)
         z_mod = z_values.copy()
         z_mod[:, component, :] = rows
-        return spec.evaluate(t, y_values, z_mod, law)[:, component]
+        return spec.evaluate(t, y_values, z_mod, law, z_values)[:, component]
 
     return frozen
 
@@ -257,7 +277,7 @@ def _fixture_pure_quadratic(
 ) -> FixtureBundle:
     """f(t, y, z, mu) = (gamma/2) |z|^2 in one dimension."""
 
-    def evaluate(t, y, z, law):
+    def evaluate(t, y, z, law, others=None):
         return 0.5 * gamma * sum_squares(z)
 
     spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none")
@@ -283,7 +303,7 @@ def _fixture_pure_quadratic(
 def _fixture_linear_mf(a: float = 0.0, b: float = 1.0, terminal: str = "const", value: float = 1.0) -> FixtureBundle:
     """f = a y + b E[Y], scalar and z-free; matched by a closed-form ODE."""
 
-    def evaluate(t, y, z, law):
+    def evaluate(t, y, z, law, others=None):
         mean = law.mean_y()[0] if law is not None else 0.0
         return a * y + b * mean
 
@@ -328,9 +348,10 @@ def _fixture_remark31(n: int = 2, M1: float = 0.5, horizon: float = 0.25) -> Fix
     psi(x) = 2n + (2n - 1) x^8, psi0(x) = x^3, gamma0 = 1, zeta = n^(1/3).
     """
 
-    def evaluate(t, y, z, law):
+    def evaluate(t, y, z, law, others=None):
         rows_sq = sum_squares(z)  # (N, n)
-        full = np.sqrt(sum_squares(z.reshape(z.shape[0], -1)))[:, None]
+        other_sq = rows_sq if others is None else sum_squares(others)
+        full = np.sqrt(rows_sq + _others_sum(other_sq))  # |z| for each component i
         ynorm_sq = sum_squares(y)[:, None]
         w1 = law.w_y(2) if law is not None else 0.0
         w2 = law.w_z(2) if law is not None and law.has_z else 0.0
@@ -369,10 +390,11 @@ def _fixture_eq41(n: int = 2, M1: float = 1.0, horizon: float = 1.0) -> FixtureB
     f^i = 1 + |y| + |z^i|^2 + sum_{j != i} sin|z^j| + W2(mu1, d0) cos(W2(mu2, d0)).
     """
 
-    def evaluate(t, y, z, law):
+    def evaluate(t, y, z, law, others=None):
         rows_sq = sum_squares(z)
+        other_sq = rows_sq if others is None else sum_squares(others)
         ynorm = np.sqrt(sum_squares(y))[:, None]
-        cross = _others_sum(np.sin(np.sqrt(rows_sq)))
+        cross = _others_sum(np.sin(np.sqrt(other_sq)))
         w1 = law.w_y(2) if law is not None else 0.0
         w2 = law.w_z(2) if law is not None and law.has_z else 0.0
         return 1.0 + ynorm + rows_sq + cross + w1 * math.cos(w2)
@@ -418,7 +440,7 @@ def _fixture_bounded_sine_mf(
     the Y marginal, as the Picard scheme requires.
     """
 
-    def evaluate(t, y, z, law):
+    def evaluate(t, y, z, law, others=None):
         w1 = law.w_y(1) if law is not None else 0.0
         return 0.5 * gamma * sum_squares(z) + K * math.sin(w1)
 
@@ -455,7 +477,7 @@ def _fixture_volterra_demo(gamma: float = 1.0, clamp: float = 10.0) -> FixtureBu
     f = (gamma/2)|z|^2 and g(s, y-history, z, mu) = clamp(E[Y_s], +-clamp).
     """
 
-    def evaluate(t, y, z, law):
+    def evaluate(t, y, z, law, others=None):
         return 0.5 * gamma * sum_squares(z)
 
     def g(k, y_hist, z, law):

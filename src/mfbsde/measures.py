@@ -22,15 +22,23 @@ class MeasureError(ValueError):
 
 
 def sum_squares(x: np.ndarray) -> np.ndarray:
-    """Sum of squares over the trailing axis, as one contraction.
+    """Sum of squares over the trailing axis, summed column by column.
 
-    The trailing axes here are short (n, d <= 4), and numpy's reduce over
-    such an axis runs an inner loop per particle; ``np.einsum`` makes one
-    pass. The square root equals ``np.linalg.norm(x, axis=-1)`` bitwise
-    for a trailing axis of length <= 2 and to a few ulp beyond; inf and
-    NaN propagate as they do there.
+    The trailing axes here are short (n, d <= 4), and any reduction over
+    such an axis (numpy's reduce, ``np.einsum``) runs an inner loop per
+    particle; adding the squared columns, x[..., 0]**2 + x[..., 1]**2 + ...,
+    makes one pass per column. The terms are added in the order
+    ``np.linalg.norm`` adds them, so the square root equals
+    ``np.linalg.norm(x, axis=-1)`` bitwise for a trailing axis of length
+    <= 4 whose squares are normal floats. Squares that overflow become inf
+    and NaN propagates, silently, so that non-finite values reach the
+    solvers' own guards.
     """
-    return np.einsum("...i,...i->...", x, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x[..., 0] * x[..., 0]
+        for i in range(1, x.shape[-1]):
+            total += x[..., i] * x[..., i]
+    return total
 
 
 def _as_cloud(points: np.ndarray) -> np.ndarray:
@@ -64,12 +72,15 @@ def _check_order(p: float) -> float:
     return float(p)
 
 
+def _distance_to_delta(points: np.ndarray, p: float) -> float:
+    sq = sum_squares(points)
+    return float(np.sqrt(np.mean(sq)) if p == 2 else np.mean(np.sqrt(sq)))
+
+
 def wasserstein_to_delta(cloud: ParticleCloud, p: float = 2) -> float:
     """W_p distance to the point mass at the origin: a p-th moment root,
     sqrt(mean |x|^2) for p = 2 and mean |x| for p = 1."""
-    p = _check_order(p)
-    sq = sum_squares(cloud.points)
-    return float(np.sqrt(np.mean(sq)) if p == 2 else np.mean(np.sqrt(sq)))
+    return _distance_to_delta(cloud.points, _check_order(p))
 
 
 def paired_distance(a: ParticleCloud, b: ParticleCloud, p: float = 2) -> float:
@@ -136,9 +147,10 @@ class MeasureView:
 
     Wraps the Y cloud (R^n marginal), optionally the Z cloud (rows flattened
     to R^{n d}), and the joint pairing; both are checked finite when the
-    view is built. Distances to the point mass come from one
-    :func:`sum_squares` contraction of the cloud and are cached, because a
-    driver may ask for the same distance at every particle batch.
+    view is built, and only then. Distances to the point mass use the
+    arithmetic of :func:`wasserstein_to_delta` on the checked points and are
+    cached, because a driver may ask for the same distance at every
+    particle batch.
     """
 
     def __init__(self, y: np.ndarray, z: np.ndarray | None = None) -> None:
@@ -173,7 +185,7 @@ class MeasureView:
     def _dist(self, tag: str, pts: np.ndarray, p: float) -> float:
         key = (tag, p)
         if key not in self._cache:
-            self._cache[key] = wasserstein_to_delta(ParticleCloud(pts), p)
+            self._cache[key] = _distance_to_delta(pts, _check_order(p))
         return self._cache[key]
 
     def w_y(self, p: float = 2) -> float:

@@ -20,8 +20,10 @@ solved. ``theta`` keeps one operator per node visit; the outer sweeps of
 node where it appears with :class:`SolverDivergence`.
 
 In a diagonally quadratic system component i is free only in its own Z row
-z^i. Every other driver argument is frozen, through
-:func:`mfbsde.generators.freeze_rows`, by one policy:
+z^i. A node's driver values for all n components come from one driver
+call: the kernel's Z goes in as the own rows and the frozen rows as the
+driver's ``others`` (see :class:`mfbsde.generators.Evaluator`). Every
+argument other than the own row is frozen by one policy:
 
 - ``theta``: the other rows are zero; Y and the law come from the previous
   sweep.
@@ -54,7 +56,6 @@ from .generators import (
     FixtureBundle,
     GeneratorSpec,
     GSpec,
-    freeze_rows,
 )
 from .measures import MeasureView, exp_moment, sum_squares
 from .paths import PathEnsemble, TimeGrid
@@ -271,13 +272,13 @@ def _own_rows(
     """Driver values (N, n) at node k with component i free in rows[:, i].
 
     Y, the other Z rows (zero when ``z`` is None) and the law of the
-    clouds ``laws`` = (Y, Z) are frozen at j = k - k_lo; one law view serves
-    all n components. The terminal node takes the last Z slice.
+    clouds ``laws`` = (Y, Z) are frozen at j = k - k_lo; one driver call
+    with one law view gives all n components. The terminal node takes the
+    last Z slice.
     """
     j = k - k_lo
     other = np.zeros_like(rows) if z is None else z[:, min(j, z.shape[1] - 1)]
-    law = _law_at(spec, *laws, j)
-    return np.column_stack([freeze_rows(spec, i, y[:, j], other, law)(t, rows[:, i]) for i in range(spec.n)])
+    return spec.evaluate(t, y[:, j], rows, _law_at(spec, *laws, j), other)
 
 
 def _flat_solution(terminal: np.ndarray, grid: TimeGrid, span: int, d: int, k_lo: int, offset: float = 0.0) -> Solution:

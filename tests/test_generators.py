@@ -53,6 +53,27 @@ def test_freeze_rows_reproduces_full_component():
         np.testing.assert_allclose(frozen(0.3, z[:, i, :]), full[:, i], atol=1e-14)
 
 
+@pytest.mark.parametrize("name", fixture_names())
+def test_component_reads_own_row_from_z_and_the_others_from_others(name):
+    spec = fixture(name).spec
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal((50, spec.n))
+    z = rng.standard_normal((50, spec.n, spec.d))
+    others = rng.standard_normal((50, spec.n, spec.d))
+    law = MeasureView(rng.standard_normal((50, spec.n)), rng.standard_normal((50, spec.n, spec.d)))
+    values = spec.evaluate(0.2, y, z, law, others)
+    assert values.shape == (50, spec.n)
+    for i in range(spec.n):
+        # the full driver at z with row i own and every other row from others
+        z_i = others.copy()
+        z_i[:, i] = z[:, i]
+        np.testing.assert_allclose(values[:, i], spec.evaluate(0.2, y, z_i, law)[:, i], rtol=1e-14)
+        # row i of others and the other rows of z do not enter component i
+        scrambled_z, scrambled_others = 3.0 * z, others.copy()
+        scrambled_z[:, i], scrambled_others[:, i] = z[:, i], 5.0
+        assert np.array_equal(spec.evaluate(0.2, y, scrambled_z, law, scrambled_others)[:, i], values[:, i])
+
+
 def test_freeze_rows_component_range():
     bundle = fixture("pure_quadratic")
     with pytest.raises(CertificateError):

@@ -100,6 +100,25 @@ def test_measure_view_caches_and_flattens():
     assert view.w_y(p=2) == pytest.approx(expected)
 
 
+def test_measure_view_distances_reuse_the_checked_points(monkeypatch):
+    # the finiteness check runs once per cloud, when the view is built; a
+    # distance query computes from the checked points without another
+    import mfbsde.measures as measures
+
+    rng = np.random.default_rng(5)
+    y, z = rng.standard_normal((64, 2)), rng.standard_normal((64, 2, 2))
+    checks = []
+    real = measures._as_cloud
+    monkeypatch.setattr(measures, "_as_cloud", lambda pts: checks.append(1) or real(pts))
+    view = MeasureView(y, z)
+    assert len(checks) == 2
+    values = {(tag, p): getattr(view, tag)(p) for tag in ("w_y", "w_z") for p in (1, 2)}
+    assert len(checks) == 2
+    for (tag, p), value in values.items():
+        points = y if tag == "w_y" else z.reshape(64, -1)
+        assert value == wasserstein_to_delta(ParticleCloud(points), p)
+
+
 def test_measure_view_without_z():
     view = MeasureView(np.ones((4, 1)))
     assert not view.has_z

@@ -11,9 +11,9 @@ from mfbsde.measures import ParticleCloud, sum_squares, wasserstein_to_delta
 SETTINGS = settings(max_examples=150, deadline=None)
 
 # Neither the helper nor np.linalg.norm rescales, so both lose relative
-# precision once squares fall into the subnormal range; beyond two terms
-# the summation order differs, so those cases are compared where every
-# nonzero square is a normal float.
+# precision once squares fall into the subnormal range, where rounding of
+# the squares can differ; beyond two terms the cases are compared where
+# every nonzero square is a normal float.
 NORMAL_SQUARES = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
 
 
@@ -38,6 +38,15 @@ def test_root_equals_norm_within_four_ulp(data):
     root, norm = np.sqrt(sum_squares(x)), np.linalg.norm(x, axis=-1)
     assert root.shape == norm.shape == shape[:2]
     assert np.all(np.abs(root - norm) <= 4 * np.spacing(norm))
+
+
+@SETTINGS
+@given(st.data())
+def test_root_equals_norm_bitwise_for_rows_of_three_and_four(data):
+    # the squared columns are added in the order np.linalg.norm adds them
+    shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 4), st.integers(3, 4)))
+    x = data.draw(hnp.arrays(np.float64, shape, elements=NORMAL_SQUARES))
+    assert np.array_equal(np.sqrt(sum_squares(x)), np.linalg.norm(x, axis=-1))
 
 
 @SETTINGS

@@ -1,16 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mfbsde.condexp import RegressionBasis, RegressionEngine
-from mfbsde.generators import GeneratorSpec, fixture, freeze_rows
+from mfbsde.generators import GeneratorSpec, fixture, fixture_names, freeze_rows
 from mfbsde.measures import MeasureView
 from mfbsde.paths import build_grid, coarsen, sample_brownian
 from mfbsde.solvers import (
     Solution,
     SolverDivergence,
     SolverOptions,
+    _own_rows,
     dump_solution,
     export_csv,
     load_solution,
@@ -398,6 +400,55 @@ def test_theta_matches_per_component_sweeps():
     _assert_rel_close(sol.Z, z_prev)
 
 
+def _frozen_full_driver(spec, i, y, other, law, t, rows):
+    """Component i of the full driver at the frozen rows with row i set to
+    ``rows``: what freezing a component means, without ``others``."""
+    z_mod = other.copy()
+    z_mod[:, i] = rows
+    return spec.evaluate(t, y, z_mod, law)[:, i]
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_own_rows_match_per_component_freezing(name):
+    spec = fixture(name).spec
+    n, d, span, k_lo = spec.n, spec.d, 3, 2
+    rng = np.random.default_rng(47)
+    y = rng.standard_normal((128, span + 1, n))
+    z = rng.standard_normal((128, span, n, d))
+    rows = 1.5 * rng.standard_normal((128, n, d))
+    for z_frozen in (z, None):  # the local/global and the theta policy
+        for k in (k_lo + 1, k_lo + span):  # an inner and the terminal node
+            j = k - k_lo
+            other = np.zeros_like(rows) if z_frozen is None else z[:, min(j, span - 1)]
+            law = _law_reference(spec, y, z, j)
+            values = _own_rows(spec, y, z_frozen, (y, z), k_lo, k, 0.3, rows)
+            frozen = np.column_stack([freeze_rows(spec, i, y[:, j], other, law)(0.3, rows[:, i]) for i in range(n)])
+            assert np.array_equal(values, frozen)
+            full = np.column_stack([_frozen_full_driver(spec, i, y[:, j], other, law, 0.3, rows[:, i]) for i in range(n)])
+            if name == "remark31":  # |z| adds the own and the other squares in another order
+                _assert_rel_close(values, full, rel=1e-14)
+            else:
+                assert np.array_equal(values, full)
+
+
+def test_psi_map_makes_one_driver_call_per_node():
+    # one call gives all n components: K node visits plus the terminal point
+    bundle = fixture("eq41", n=3)
+    calls = []
+    spec = replace(
+        bundle.spec, evaluate=lambda *args, _f=bundle.spec.evaluate: calls.append(args[2].shape) or _f(*args)
+    )
+    grid = build_grid(0.5, 8)
+    paths = sample_brownian(grid, 256, 3, seed=33)
+    k_lo, k_hi = 3, 8
+    terminal = bundle.terminal(paths)
+    iterate = Solution(
+        Y=np.repeat(terminal[:, None, :], 6, axis=1), Z=np.zeros((256, 5, 3, 3)), grid=grid, k_lo=k_lo
+    )
+    psi_map(spec, iterate, grid, paths, ENGINE, SolverOptions(), k_lo, k_hi)
+    assert calls == [(256, 3, 3)] * (k_hi - k_lo + 1)
+
+
 def _count_qr(monkeypatch):
     calls = []
     real_qr = np.linalg.qr
@@ -472,7 +523,7 @@ def test_non_finite_values_stop_the_kernel_at_their_node():
 def test_non_finite_terminal_names_its_component():
     # a law-free two-component driver, so the NaN in component 1 reaches
     # the kernel's check rather than a law query
-    spec = GeneratorSpec(n=2, d=2, evaluate=lambda t, y, z, law: np.zeros(y.shape), law_dependence="none")
+    spec = GeneratorSpec(n=2, d=2, evaluate=lambda t, y, z, law, others=None: np.zeros(y.shape), law_dependence="none")
     grid = build_grid(0.5, 8)
     paths = sample_brownian(grid, 512, 2, seed=7)
     terminal = paths.terminal().copy()
