@@ -18,7 +18,7 @@ import numpy as np
 
 from .condexp import RegressionBasis, RegressionEngine
 from .constants import global_ode, local_window, theta_consts, volterra_weight
-from .generators import FixtureError, fixture, fixture_names
+from .generators import FixtureBundle, FixtureError, fixture, fixture_names
 from .oracles import OracleRefusal, cole_hopf, linear_mf_oracle
 from .paths import build_grid, sample_brownian
 from .solvers import (
@@ -120,8 +120,7 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _solve_results(cfg: dict) -> tuple[dict, dict]:
-    bundle, grid, engine, paths, opts = _build(cfg)
+def _solve_results(cfg: dict, bundle, grid, engine, paths, opts) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     sol, trace, extras = run_scheme(bundle, cfg["scheme"], grid, paths, engine, opts)
     elapsed = time.perf_counter() - t0
@@ -158,7 +157,7 @@ def _solve_results(cfg: dict) -> tuple[dict, dict]:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     try:
-        results, timings = _solve_results(cfg)
+        results, timings = _solve_results(cfg, *_build(cfg))
     except SolverDivergence as exc:
         _emit(
             {
@@ -175,34 +174,24 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _reference_for(cfg: dict):
-    name = cfg["fixture"]
-    params = cfg.get("params", {})
-    horizon = float(cfg["grid"]["horizon"])
-    if name == "pure_quadratic":
-        gamma = float(params.get("gamma", 1.0))
-        kind = params.get("terminal", "brownian")
-        scale = float(params.get("M1", 1.0))
-        if kind == "brownian":
-            return cole_hopf(lambda w: w, gamma, horizon)
-        if kind == "tanh":
-            return cole_hopf(lambda w: scale * np.tanh(w), gamma, horizon)
-    if name == "linear_mf":
-        return linear_mf_oracle(
-            float(params.get("a", 0.0)),
-            float(params.get("b", 1.0)),
-            horizon,
-            params.get("terminal", "const"),
-            float(params.get("value", 1.0)),
-        )
-    raise ConfigError(f"no closed-form reference for fixture {name!r}")
+def _reference_for(bundle: FixtureBundle, horizon: float):
+    """The closed form the fixture is tagged with, at its resolved parameters."""
+    params = bundle.params
+    if bundle.oracle == "cole_hopf":
+        scale = params["M1"]
+        terminal = (lambda w: scale * np.tanh(w)) if params["terminal"] == "tanh" else (lambda w: w)
+        return cole_hopf(terminal, params["gamma"], horizon)
+    if bundle.oracle == "linear_mf":
+        return linear_mf_oracle(params["a"], params["b"], horizon, params["terminal"], params["value"])
+    raise ConfigError(f"no closed-form reference for fixture {bundle.name!r}")
 
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    reference = _reference_for(cfg)
+    bundle, grid, engine, paths, opts = _build(cfg)
+    reference = _reference_for(bundle, grid.horizon)
     try:
-        results, timings = _solve_results(cfg)
+        results, timings = _solve_results(cfg, bundle, grid, engine, paths, opts)
     except SolverDivergence as exc:
         _emit({"schema_version": 1, "command": "verify", "config": cfg, "error": str(exc), "results": {}, "timings": {}})
         return EXIT_DIVERGED

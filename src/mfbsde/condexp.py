@@ -8,12 +8,11 @@ node-0 state reduces cleanly to a plain mean.
 
 A fit is split in two: :class:`NodeOperator` factors the design of one
 state once, and its ``apply`` fits any number of right-hand sides against
-that factorization. :func:`project` is one factor and one apply. An
-:class:`OperatorTable` keys operators by node index and lives as long as
-its owner: the solvers keep one per window for ``local`` and ``global``
-(every Picard iteration and BMO norm of the window shares it), one for
-all outer sweeps of ``volterra``, and one operator per node visit for
-``theta``.
+that factorization. An :class:`OperatorTable` keys operators by node
+index and lives as long as its owner: the solvers keep one per window for
+``local`` and ``global`` (every Picard iteration and BMO norm of the window
+shares it), one for all outer sweeps of ``volterra``, and one operator per
+node visit for ``theta``.
 """
 from __future__ import annotations
 
@@ -160,44 +159,6 @@ class OperatorTable:
         return op
 
 
-def project(
-    values: np.ndarray,
-    state: np.ndarray,
-    basis: RegressionBasis,
-    return_info: bool = False,
-):
-    """Fitted E[values | state] evaluated back at each particle.
-
-    ``values`` is (N,) or an (N, m) block of right-hand sides; every column
-    is fitted against the same factorization and the fit has its shape.
-    """
-    op = NodeOperator(state, basis)
-    fit = op.apply(values)
-    return (fit, op.info) if return_info else fit
-
-
-def project_increment(
-    values: np.ndarray,
-    state: np.ndarray,
-    increments: np.ndarray,
-    dt: float,
-    basis: RegressionBasis,
-) -> np.ndarray:
-    """Fit of E[values * dW^T | state] / dt, an (N, d) array.
-
-    The projected mean of ``values`` is subtracted before forming the
-    product; the conditional expectation is unchanged (E_k[dW] = 0) and the
-    martingale part left over carries far less regression noise.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    increments = np.asarray(increments, dtype=np.float64)
-    if increments.ndim != 2 or increments.shape[0] != values.shape[0]:
-        raise RegressionError("increments must be (N, d) matching values")
-    op = NodeOperator(state, basis)
-    centered = values - op.apply(values)
-    return op.apply(centered[:, None] * increments / dt)
-
-
 @dataclass(frozen=True)
 class RegressionEngine:
     """A basis bound to the projection every solver and diagnostic fits with."""
@@ -208,4 +169,5 @@ class RegressionEngine:
         return NodeOperator(state, self.basis)
 
     def project(self, values: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """Fitted E[values | state] at each particle: one factor, one apply."""
         return self.operator(state).apply(values)

@@ -27,16 +27,6 @@ class BoundReport:
     slack: float = 0.0
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "observed": self.observed,
-            "bound": self.bound,
-            "satisfied": self.satisfied,
-            "slack": self.slack,
-            "note": self.note,
-        }
-
 
 def _compare(name: str, observed: float, bound: float, slack: float, note: str = "") -> BoundReport:
     ok = bool(observed <= bound * (1.0 + slack)) if math.isfinite(bound) else True

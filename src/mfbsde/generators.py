@@ -10,6 +10,7 @@ n components with their own rows free and the other rows frozen.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
@@ -492,7 +493,6 @@ def _fixture_volterra_demo(gamma: float = 1.0, clamp: float = 10.0) -> FixtureBu
         convex=CertificateConvex(K=0.0, gamma=gamma),
         volterra=CertificateVolterra(C=1.0, gamma=gamma, bounded_g=True),
         g=g,
-        oracle="cole_hopf",
         params={"gamma": gamma, "clamp": clamp},
     )
 
@@ -517,6 +517,10 @@ def fixture(name: str, **params) -> FixtureBundle:
         builder = _REGISTRY[name]
     except KeyError:
         raise FixtureError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise FixtureError(f"fixture {name!r}: {exc}") from None
     return builder(**params)
 
 

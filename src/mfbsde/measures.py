@@ -1,16 +1,15 @@
 """Empirical measures of particle clouds and their Wasserstein queries.
 
-Only distances to a point mass and paired comparisons are needed by the
-solvers; both have closed forms over a cloud. Exponential moments are
-computed in log-sum-exp form, and the log value is the authoritative one
-once exponents leave the comfortable range of float64.
+Only distances to a point mass are needed by the solvers, and they have
+a closed form over a cloud. Exponential moments are computed in
+log-sum-exp form, and the log value is the authoritative one once
+exponents leave the comfortable range of float64.
 
 Every per-particle norm in the package, here and in the drivers, solvers
 and diagnostics, is the square root of :func:`sum_squares`.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -83,39 +82,6 @@ def wasserstein_to_delta(cloud: ParticleCloud, p: float = 2) -> float:
     return _distance_to_delta(cloud.points, _check_order(p))
 
 
-def paired_distance(a: ParticleCloud, b: ParticleCloud, p: float = 2) -> float:
-    """Index-paired coupling cost, an upper bound for W_p(a, b)."""
-    p = _check_order(p)
-    if a.points.shape != b.points.shape:
-        raise MeasureError("paired clouds must have identical shape")
-    norms = np.sqrt(sum_squares(a.points - b.points))
-    return float(np.mean(norms**p) ** (1.0 / p))
-
-
-def exact_wasserstein_small(a: ParticleCloud, b: ParticleCloud, p: float = 2) -> float:
-    """Brute-force optimal transport between tiny equal-size clouds.
-
-    Exists for documentation and tests only; cost is N! over permutations.
-    """
-    p = _check_order(p)
-    if a.points.shape != b.points.shape:
-        raise MeasureError("clouds must have identical shape")
-    n = a.size
-    if n > 8:
-        raise MeasureError("brute-force transport is limited to N <= 8")
-    best = math.inf
-    for perm in itertools.permutations(range(n)):
-        cost = np.mean(np.sqrt(sum_squares(a.points - b.points[list(perm)])) ** p)
-        best = min(best, float(cost))
-    return best ** (1.0 / p)
-
-
-def moment(cloud: ParticleCloud, fn) -> float:
-    """Mean of ``fn`` over the cloud; ``fn`` maps one point to a real."""
-    vals = np.array([fn(x) for x in cloud.points], dtype=np.float64)
-    return float(vals.mean())
-
-
 @dataclass(frozen=True)
 class ExpMoment:
     """Empirical E[exp(q s)] with a log-scale companion.
@@ -164,10 +130,6 @@ class MeasureView:
             if self._z.shape[0] != self._y.shape[0]:
                 raise MeasureError("Y and Z clouds must pair particle by particle")
         self._cache: dict[tuple[str, float], float] = {}
-
-    @property
-    def y_points(self) -> np.ndarray:
-        return self._y
 
     @property
     def z_points(self) -> np.ndarray:

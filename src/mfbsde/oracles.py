@@ -37,9 +37,6 @@ class OracleResult:
     note: str = ""
     extras: dict = field(default_factory=dict, repr=False)
 
-    def contains(self, x: float) -> bool:
-        return abs(x - self.value) <= self.half_width
-
 
 def _integrability_screen(terminal_fn: TerminalFn, gamma: float, horizon: float) -> None:
     """Refuse when exp(gamma * g(w)) is not Gaussian-integrable.

@@ -44,7 +44,6 @@ from .constants import (
     GlobalConstants,
     global_ode,
     kappa_local_certificate,
-    local_radii,  # noqa: F401 -- looked up here by perfbench/tracing.py
     local_window,
     volterra_weight,
 )
@@ -93,7 +92,6 @@ class Solution:
     Z: np.ndarray
     grid: TimeGrid
     k_lo: int = 0
-    seed_lineage: dict = field(default_factory=dict)
     clip_events: int = 0
 
     @property
@@ -313,7 +311,7 @@ def psi_map(
     driver = partial(_own_rows, spec, input_sol.Y, input_sol.Z, (laws.Y, laws.Z), k_lo)
     terminal = input_sol.Y[:, k_hi - k_lo, :]
     y, z, clips = _backward(grid, paths, driver, terminal, engine, opts, k_lo, k_hi, operators)
-    return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, seed_lineage={"seed": paths.seed}, clip_events=clips)
+    return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, clip_events=clips)
 
 
 def _combined_norm(dy_sup: float, dz_bmo: float) -> float:
@@ -490,7 +488,6 @@ def solve_global(
         Y=full_y,
         Z=full_z,
         grid=grid,
-        seed_lineage={"seed": paths.seed},
         clip_events=clips,
     )
     return solution, report
@@ -560,7 +557,6 @@ def solve_theta(
         Y=y_prev,
         Z=z_prev,
         grid=grid,
-        seed_lineage={"seed": paths.seed},
         clip_events=clips,
     )
     return sol, trace
@@ -632,7 +628,6 @@ def solve_volterra(
         Y=y_prev,
         Z=inner_sol.Z,
         grid=grid,
-        seed_lineage={"seed": paths.seed},
         clip_events=inner_sol.clip_events,
     )
     return sol, trace

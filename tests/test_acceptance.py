@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mfbsde.cli import main as cli_main
-from mfbsde.condexp import RegressionBasis, RegressionEngine, project
+from mfbsde.condexp import RegressionBasis, RegressionEngine
 from mfbsde.constants import (
     EnvelopeRecord,
     local_radii,

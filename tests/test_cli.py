@@ -139,6 +139,41 @@ def test_verify_needs_known_reference(capsys, tmp_path):
     assert "reference" in err
 
 
+def test_verify_names_the_fixture_error_before_the_reference(capsys, tmp_path):
+    cfg = write_config(tmp_path, params={"terminal": "cubic"})
+    code, _, err = run_cli(capsys, "verify", cfg)
+    assert code == EXIT_CONFIG
+    assert "unknown terminal kind 'cubic'" in err
+    # the delay term has no exponential-transform closed form
+    cfg2 = write_config(tmp_path, name="volterra.json", fixture="volterra_demo", params={})
+    code2, _, err2 = run_cli(capsys, "verify", cfg2)
+    assert code2 == EXIT_CONFIG
+    assert "no closed-form reference" in err2
+
+
+def test_unknown_fixture_parameter_rejected(capsys, tmp_path):
+    cfg = write_config(tmp_path, fixture="eq41", params={"n": 2, "bogus": 1}, scheme="global")
+    for argv in (("solve", cfg), ("verify", cfg), ("constants", "--fixture", "eq41", "--param", "bogus=1")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert "bogus" in err
+
+
+def test_solve_with_law_refinements(capsys, tmp_path):
+    cfg = write_config(
+        tmp_path,
+        fixture="bounded_sine_mf",
+        params={"terminal": "tanh"},
+        scheme="local",
+        grid={"horizon": 0.05, "steps": 8},
+        seed=5,
+        solver={"tol": 1e-8, "law_refinements": 1},
+    )
+    code, out, _ = run_cli(capsys, "solve", cfg)
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["converged"]
+
+
 def test_constants_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "constants", "--fixture", "bounded_sine_mf", "--param", "terminal=tanh"

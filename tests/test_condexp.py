@@ -8,9 +8,8 @@ from mfbsde.condexp import (
     RegressionEngine,
     RegressionError,
     _design,
-    project,
-    project_increment,
 )
+from mfbsde.solvers import _increment_fit
 
 ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
 
@@ -55,7 +54,7 @@ def test_conditional_mean_of_lognormal_increment():
     x = rng.uniform(-1.0, 1.0, (n, 1))
     dw = 0.1 * rng.standard_normal(n)
     target = np.exp(x[:, 0] + dw)
-    fitted = project(target, x, RegressionBasis(degree=5))
+    fitted = NodeOperator(x, RegressionBasis(degree=5)).apply(target)
     truth = np.exp(x[:, 0] + 0.005)
     rel = np.abs(fitted - truth) / truth
     assert np.quantile(rel, 0.95) < 0.005
@@ -68,12 +67,13 @@ def test_increment_projection_recovers_integrand():
     n, dt = 100_000, 0.01
     w = rng.standard_normal((n, 1))
     dw = np.sqrt(dt) * rng.standard_normal((n, 1))
-    y_next = 1.7 * dw[:, 0] + 0.3
-    z = project_increment(y_next, w, dw, dt, ENGINE.basis)
-    assert z.shape == (n, 1)
+    y_next = (1.7 * dw[:, 0] + 0.3)[:, None]
+    op = NodeOperator(w, ENGINE.basis)
+    z = _increment_fit(y_next, op.apply(y_next), op, dw, dt)
+    assert z.shape == (n, 1, 1)
     # pointwise noise has heavy leverage in the state tails, so judge the
     # bulk of the distribution rather than the max
-    err = np.abs(z[:, 0] - 1.7)
+    err = np.abs(z[:, 0, 0] - 1.7)
     assert np.quantile(err, 0.99) < 0.05
     assert err.mean() < 0.01
 
@@ -83,7 +83,9 @@ def test_increment_projection_of_constant_is_exactly_zero():
     n, dt = 1000, 0.05
     w = rng.standard_normal((n, 1))
     dw = np.sqrt(dt) * rng.standard_normal((n, 1))
-    z = project_increment(np.full(n, 3.14), w, dw, dt, ENGINE.basis)
+    y_next = np.full((n, 1), 3.14)
+    op = NodeOperator(w, ENGINE.basis)
+    z = _increment_fit(y_next, op.apply(y_next), op, dw, dt)
     # centering removes the constant before multiplying by the increment,
     # leaving only rounding residue from the least-squares solve
     assert np.abs(z).max() < 1e-12
@@ -92,9 +94,9 @@ def test_increment_projection_of_constant_is_exactly_zero():
 def test_constant_state_falls_back_to_mean():
     values = np.array([1.0, 2.0, 3.0, 4.0])
     state = np.zeros((4, 1))
-    fitted, info = project(values, state, ENGINE.basis, return_info=True)
-    np.testing.assert_allclose(fitted, np.full(4, 2.5), atol=1e-13)
-    assert info.dropped_columns > 0
+    op = NodeOperator(state, ENGINE.basis)
+    np.testing.assert_allclose(op.apply(values), np.full(4, 2.5), atol=1e-13)
+    assert op.info.dropped_columns > 0
 
 
 def test_ridge_fallback_reported():
@@ -103,16 +105,16 @@ def test_ridge_fallback_reported():
     base = rng.standard_normal(500)
     state = np.column_stack([base, base * (1.0 + 1e-14)])
     values = base + rng.standard_normal(500) * 0.01
-    fitted, info = project(values, state, RegressionBasis(degree=2), return_info=True)
-    assert np.isfinite(fitted).all()
-    assert info.ridge_used or info.dropped_columns > 0
+    op = NodeOperator(state, RegressionBasis(degree=2))
+    assert np.isfinite(op.apply(values)).all()
+    assert op.info.ridge_used or op.info.dropped_columns > 0
 
 
 def test_piecewise_basis_projects_constants_exactly():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2000, 1))
     basis = RegressionBasis(kind="piecewise", bins=20)
-    fitted = project(np.full(2000, 2.0), x, basis)
+    fitted = NodeOperator(x, basis).apply(np.full(2000, 2.0))
     np.testing.assert_allclose(fitted, 2.0, atol=1e-12)
 
 
@@ -121,14 +123,14 @@ def test_piecewise_basis_fits_step_function():
     x = rng.uniform(-1, 1, (20_000, 1))
     values = np.where(x[:, 0] > 0, 1.0, -1.0) + 0.1 * rng.standard_normal(20_000)
     basis = RegressionBasis(kind="piecewise", bins=40)
-    fitted = project(values, x, basis)
+    fitted = NodeOperator(x, basis).apply(values)
     core = np.abs(x[:, 0]) > 0.1
     assert np.abs(fitted[core] - np.sign(x[core, 0])).max() < 0.2
 
 
 def test_shape_validation():
     with pytest.raises(RegressionError):
-        project(np.ones(5), np.ones((4, 1)), ENGINE.basis)
+        ENGINE.project(np.ones(5), np.ones((4, 1)))
     with pytest.raises(RegressionError):
         RegressionBasis(kind="fourier")
 
@@ -143,16 +145,17 @@ def test_block_projection_equals_columnwise_fits(duplicated):
     other = x if duplicated else rng.standard_normal(2000)
     state = np.column_stack([x, other])
     block = np.column_stack([np.sin(x), x**2 + rng.standard_normal(2000), rng.standard_normal(2000)])
-    fitted, info = project(block, state, ENGINE.basis, return_info=True)
-    assert info.ridge_used == duplicated
+    op = NodeOperator(state, ENGINE.basis)
+    fitted = op.apply(block)
+    assert op.info.ridge_used == duplicated
     assert fitted.shape == block.shape
     for j in range(3):
-        np.testing.assert_allclose(fitted[:, j], project(block[:, j], state, ENGINE.basis), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(fitted[:, j], ENGINE.project(block[:, j], state), rtol=0, atol=1e-13)
 
 
 def test_projection_rejects_three_axis_values():
     with pytest.raises(RegressionError):
-        project(np.ones((4, 2, 2)), np.ones((4, 1)), ENGINE.basis)
+        ENGINE.project(np.ones((4, 2, 2)), np.ones((4, 1)))
 
 
 def _one_shot_fit(values, state, basis):
@@ -193,7 +196,6 @@ def test_operator_apply_equals_one_shot_fit_bitwise(kind):
         fitted = op.apply(values)
         assert fitted.shape == values.shape
         assert np.array_equal(fitted, expected)
-        assert np.array_equal(project(values, state, ENGINE.basis), expected)
         assert np.array_equal(ENGINE.project(values, state), expected)
 
 

@@ -7,10 +7,7 @@ from mfbsde.measures import (
     MeasureError,
     MeasureView,
     ParticleCloud,
-    exact_wasserstein_small,
     exp_moment,
-    moment,
-    paired_distance,
     wasserstein_to_delta,
 )
 
@@ -31,44 +28,6 @@ def test_distance_scaling():
     base = wasserstein_to_delta(ParticleCloud(pts), p=2)
     scaled = wasserstein_to_delta(ParticleCloud(3.0 * pts), p=2)
     assert scaled == pytest.approx(3.0 * base)
-
-
-def test_paired_distance_triangle_inequality():
-    rng = np.random.default_rng(1)
-    a = ParticleCloud(rng.standard_normal((30, 1)))
-    b = ParticleCloud(rng.standard_normal((30, 1)))
-    c = ParticleCloud(rng.standard_normal((30, 1)))
-    ab = paired_distance(a, b)
-    bc = paired_distance(b, c)
-    ac = paired_distance(a, c)
-    assert ac <= ab + bc + 1e-12
-
-
-def test_paired_distance_overestimates_true_coupling():
-    # swapping labels costs the paired coupling 1 while the optimal
-    # transport between identical clouds is free
-    a = cloud([0.0], [1.0])
-    b = cloud([1.0], [0.0])
-    assert paired_distance(a, b, p=1) == pytest.approx(1.0)
-    assert exact_wasserstein_small(a, b, p=1) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_exact_wasserstein_sorted_coupling():
-    a = cloud([0.0], [2.0])
-    b = cloud([1.0], [3.0])
-    assert exact_wasserstein_small(a, b, p=1) == pytest.approx(1.0)
-    assert exact_wasserstein_small(a, b, p=2) == pytest.approx(1.0)
-
-
-def test_exact_wasserstein_size_guard():
-    pts = np.zeros((9, 1))
-    with pytest.raises(MeasureError):
-        exact_wasserstein_small(ParticleCloud(pts), ParticleCloud(pts))
-
-
-def test_moment_applies_function():
-    c = cloud([1.0], [2.0], [3.0])
-    assert moment(c, lambda x: float(x[0] ** 2)) == pytest.approx(14.0 / 3.0)
 
 
 def test_exp_moment_matches_gaussian_mgf():

@@ -142,6 +142,24 @@ def test_local_divergence_reports_trace():
     assert exc.value.trace.iterations >= 3
 
 
+def test_law_refinements_reach_the_same_fixed_point_in_no_more_iterations():
+    # refining the frozen law inside an iteration changes the path to the
+    # fixed point, not the fixed point
+    bundle = fixture("bounded_sine_mf", terminal="tanh")
+    grid = build_grid(0.05, 8)
+    paths = sample_brownian(grid, 1024, bundle.spec.d, seed=5)
+    tol = 1e-8
+    runs = [
+        run_scheme(bundle, "local", grid, paths, ENGINE, SolverOptions(tol=tol, law_refinements=r))[:2]
+        for r in (0, 1, 2)
+    ]
+    assert all(trace.converged for _, trace in runs)
+    for sol, _ in runs[1:]:
+        np.testing.assert_allclose(sol.y0(), runs[0][0].y0(), rtol=0, atol=10 * tol)
+    iterations = [trace.iterations for _, trace in runs]
+    assert iterations == sorted(iterations, reverse=True)
+
+
 def test_clip_counting():
     bundle = fixture("pure_quadratic", gamma=1.0, terminal="brownian")
     grid = build_grid(1.0, 8)
