@@ -6,13 +6,15 @@ ridge fallback (penalty 1e-10 * tr(A^T A)/p) catches rank deficiency, and
 columns with no sample variance are dropped up front so the degenerate
 node-0 state reduces cleanly to a plain mean.
 
-A fit is split in two: :class:`NodeOperator` factors the design of one
-state once, and its ``apply`` fits any number of right-hand sides against
-that factorization. An :class:`OperatorTable` keys operators by node
-index and lives as long as its owner: the solvers keep one per window for
-``local`` and ``global`` (every Picard iteration and BMO norm of the window
-shares it), one for all outer sweeps of ``volterra``, and one operator per
-node visit for ``theta``.
+A fit is split in three: a :class:`NodeFactor` holds the p x p part of one
+state's factorization, a :class:`NodeOperator` combines it with the state's
+design, and its ``apply`` fits any number of right-hand sides. Tables key
+them by node index and live as long as their owner. An
+:class:`OperatorTable` keeps built operators: the solvers keep one per
+window for ``local`` and ``global`` (every Picard iteration and BMO norm of
+the window shares it) and one for all outer sweeps of ``volterra``. A
+:class:`FactorTable` keeps only the factors and rebuilds an operator's
+particle-sized part at each access; ``theta`` keeps one per solve.
 """
 from __future__ import annotations
 
@@ -59,15 +61,16 @@ class ProjectionInfo:
 
 
 def _design_polynomial(state: np.ndarray, degree: int) -> np.ndarray:
+    # Column (a, ..., c) is column (a, ...) times x_c: the same products, in
+    # the same order, as multiplying 1 by x_a, ..., x_c one at a time.
     n, s = state.shape
-    cols = [np.ones(n)]
-    for deg in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(s), deg):
-            col = np.ones(n)
-            for j in combo:
-                col = col * state[:, j]
-            cols.append(col)
-    return np.column_stack(cols)
+    combos = [()] + [c for deg in range(1, degree + 1) for c in combinations_with_replacement(range(s), deg)]
+    column = {combo: i for i, combo in enumerate(combos)}
+    design = np.empty((n, len(combos)))
+    design[:, 0] = 1.0
+    for i, combo in enumerate(combos[1:], start=1):
+        np.multiply(design[:, column[combo[:-1]]], state[:, combo[-1]], out=design[:, i])
+    return design
 
 
 def _design_piecewise(state: np.ndarray, bins: int) -> np.ndarray:
@@ -102,30 +105,60 @@ def _design(state: np.ndarray, basis: RegressionBasis) -> np.ndarray:
     return _design_piecewise(state, basis.bins)
 
 
-class NodeOperator:
-    """E[. | state] for one conditioning state, factored once.
+@dataclass(frozen=True, eq=False)
+class NodeFactor:
+    """The p x p part of one state's projection, factored once.
 
-    Holds the design with its variance-free columns dropped, then either
-    the thin QR factors or, when R is numerically singular, the ridge
-    system; ``info`` describes the fit.
+    ``keep`` lists the design columns with sample variance (the constant
+    always stays). On the QR path ``rinv`` is R^{-1} of the thin QR of the
+    kept columns; when R is numerically singular ``system`` is the ridge
+    system instead. No array here has a particle axis.
     """
 
-    def __init__(self, state: np.ndarray, basis: RegressionBasis) -> None:
-        design = _design(state, basis)
-        # Drop columns without sample variance, keeping the leading constant.
-        keep = [0] + [j for j in range(1, design.shape[1]) if design[:, j].std() > 0.0]
+    keep: tuple[int, ...]
+    info: ProjectionInfo
+    rinv: np.ndarray | None = None
+    system: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, design: np.ndarray) -> "NodeFactor":
+        """Variance filter, R of the thin QR, the ridge test on diag(R),
+        then R^{-1} or the ridge system."""
+        keep = (0,) + tuple(j for j in range(1, design.shape[1]) if design[:, j].std() > 0.0)
         a = design[:, keep]
-        q, r = np.linalg.qr(a)
+        r = np.linalg.qr(a, mode="r")
         diag = np.abs(np.diag(r))
         ridge = bool(diag.min() <= 1e-12 * max(diag.max(), 1.0))
-        self._a = a
+        info = ProjectionInfo(ridge_used=ridge, dropped_columns=design.shape[1] - len(keep), rank=len(keep))
         if not ridge:
-            self._q, self._r = q, r
-        else:
-            gram = a.T @ a
-            lam = RIDGE_SCALE * np.trace(gram) / gram.shape[0]
-            self._system = gram + lam * np.eye(gram.shape[0])
-        self.info = ProjectionInfo(ridge_used=ridge, dropped_columns=design.shape[1] - len(keep), rank=len(keep))
+            return cls(keep, info, rinv=np.linalg.inv(r))
+        gram = a.T @ a
+        lam = RIDGE_SCALE * np.trace(gram) / gram.shape[0]
+        return cls(keep, info, system=gram + lam * np.eye(gram.shape[0]))
+
+
+class NodeOperator:
+    """E[. | state] for one conditioning state.
+
+    Built from the state's design and its :class:`NodeFactor`, factored
+    here unless one is given. On the QR path the operator holds only
+    Q = A R^{-1}, with A the kept design columns, and fits v as Q (Q^T v).
+    A given factor skips the variance filter and the QR, and since a fresh
+    factor forms Q the same way, a rebuilt operator is bitwise equal to a
+    fresh one. On the ridge path it holds A and solves the ridge system.
+    Window tables keep operators (:class:`OperatorTable`); ``theta`` keeps
+    only factors (:class:`FactorTable`), as a kept Q costs N x p floats
+    per node.
+    """
+
+    def __init__(self, state: np.ndarray, basis: RegressionBasis, factor: NodeFactor | None = None) -> None:
+        design = _design(state, basis)
+        if factor is None:
+            factor = NodeFactor.of(design)
+        a = design[:, factor.keep]
+        self.factor = factor
+        self.info = factor.info
+        self._cols = a if factor.info.ridge_used else a @ factor.rinv  # A or Q
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Fitted E[values | state] at each particle; ``values`` is (N,) or an
@@ -133,29 +166,38 @@ class NodeOperator:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim not in (1, 2):
             raise RegressionError(f"values must be (N,) or (N, m), got shape {values.shape}")
-        if values.shape[0] != self._a.shape[0]:
+        if values.shape[0] != self._cols.shape[0]:
             raise RegressionError("values and state must share the particle axis")
         if not self.info.ridge_used:
-            coef = np.linalg.solve(self._r, self._q.T @ values)
-        else:
-            coef = np.linalg.solve(self._system, self._a.T @ values)
-        return self._a @ coef
+            return self._cols @ (self._cols.T @ values)
+        return self._cols @ np.linalg.solve(self.factor.system, self._cols.T @ values)
 
 
 class OperatorTable:
     """Node operators of one ensemble and basis, keyed by node index and
-    factored on first use. ``state_at(k)`` gives the conditioning state of
+    built on first use. ``state_at(k)`` gives the conditioning state of
     node k. The table keeps every operator it built until it is dropped."""
 
     def __init__(self, basis: RegressionBasis, state_at: Callable[[int], np.ndarray]) -> None:
         self._basis = basis
         self._state_at = state_at
-        self._ops: dict[int, NodeOperator] = {}
+        self._kept: dict = {}
 
     def __getitem__(self, k: int) -> NodeOperator:
-        op = self._ops.get(k)
+        op = self._kept.get(k)
         if op is None:
-            op = self._ops[k] = NodeOperator(self._state_at(k), self._basis)
+            op = self._kept[k] = NodeOperator(self._state_at(k), self._basis)
+        return op
+
+
+class FactorTable(OperatorTable):
+    """An operator table that keeps only each node's factor, so it holds no
+    particle-sized array: every access builds a fresh operator from node
+    k's state and its factor, factored on first use."""
+
+    def __getitem__(self, k: int) -> NodeOperator:
+        op = NodeOperator(self._state_at(k), self._basis, self._kept.get(k))
+        self._kept[k] = op.factor
         return op
 
 

@@ -511,16 +511,29 @@ def fixture_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+# Values each builder annotation accepts; bool is an int subclass but no number here.
+_PARAM_TYPES = {float: (int, float), int: (int,), str: (str,)}
+
+
 def fixture(name: str, **params) -> FixtureBundle:
-    """Build a registered fixture with certificate-compatible parameters."""
+    """Build a registered fixture with certificate-compatible parameters.
+
+    Each parameter must be one the builder takes, of the type its annotation
+    names; anything else raises :class:`FixtureError` naming the parameter.
+    """
     try:
         builder = _REGISTRY[name]
     except KeyError:
         raise FixtureError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
+    signature = inspect.signature(builder, eval_str=True)
     try:
-        inspect.signature(builder).bind(**params)
+        signature.bind(**params)
     except TypeError as exc:
         raise FixtureError(f"fixture {name!r}: {exc}") from None
+    for key, value in params.items():
+        kind = signature.parameters[key].annotation
+        if isinstance(value, bool) or not isinstance(value, _PARAM_TYPES[kind]):
+            raise FixtureError(f"fixture {name!r}: parameter {key!r} must be of type {kind.__name__}, got {value!r}")
     return builder(**params)
 
 

@@ -8,16 +8,19 @@ regression projection at node k,
     Y_k = E_k[Y_{k+1}] + (dt/2) (f(t_k, Z_k) + f(t_{k+1}, Z_{k+1})),
 
 a trapezoidal driver quadrature whose O(dt^2) bias is what the acceptance
-tolerances assume. A node visit factors E_k once (a
-:class:`mfbsde.condexp.NodeOperator`) and applies it to Y_{k+1}, whose fit
-serves both the centering and Y_k, to the centered increment products as a
-single (N, n d) block, and to every inner sweep. ``local`` and ``global``
-go further: each window owns an :class:`mfbsde.condexp.OperatorTable` for
-its nodes, shared by every Picard iteration, law refinement and halving
-retry of the window and by its BMO norms, and dropped when the window is
-solved. ``theta`` keeps one operator per node visit; the outer sweeps of
-``volterra`` share one table. A non-finite Y or Z stops the kernel at the
-node where it appears with :class:`SolverDivergence`.
+tolerances assume. A node visit takes E_k (a
+:class:`mfbsde.condexp.NodeOperator`) from its caller's table and applies
+it to Y_{k+1}, whose fit serves both the centering and Y_k, to the centered
+increment products as a single (N, n d) block, and to every inner sweep.
+Every node is factored once per table: ``local`` and ``global`` keep an
+:class:`mfbsde.condexp.OperatorTable` per window, shared by every Picard
+iteration, law refinement and halving retry of the window and by its BMO
+norms, and dropped when the window is solved; the outer sweeps of
+``volterra`` share one. ``theta`` keeps a
+:class:`mfbsde.condexp.FactorTable` for the whole solve, which holds each
+node's p x p factor and rebuilds its operator at each visit. A non-finite
+Y or Z stops the kernel at the node where it appears with
+:class:`SolverDivergence`.
 
 In a diagonally quadratic system component i is free only in its own Z row
 z^i. A node's driver values for all n components come from one driver
@@ -39,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .condexp import NodeOperator, OperatorTable, RegressionEngine
+from .condexp import FactorTable, NodeOperator, OperatorTable, RegressionEngine
 from .constants import (
     GlobalConstants,
     global_ode,
@@ -178,11 +181,10 @@ def _backward(
     paths: PathEnsemble,
     driver: NodeDriver,
     terminal: np.ndarray,
-    engine: RegressionEngine,
+    operators: OperatorTable,
     opts: SolverOptions,
     k_lo: int,
     k_hi: int,
-    operators: OperatorTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The backward kernel on nodes [k_lo, k_hi] for terminal values (N, n).
 
@@ -190,9 +192,8 @@ def _backward(
     it must accept k = k_hi, where the terminal-side quadrature point takes
     the Z of node k_hi - 1. Extra inner sweeps re-extract Z from the
     driver-corrected target, a damping that helps stiff quadratic
-    coefficients. Node operators come from ``operators`` when given, else
-    one is factored per node visit. Returns (Y (N, K+1, n), Z (N, K, n, d),
-    clip events).
+    coefficients. Node k's operator is ``operators[k]``. Returns
+    (Y (N, K+1, n), Z (N, K, n, d), clip events).
     """
     if not 0 <= k_lo < k_hi <= grid.steps:
         raise ValueError(f"bad node range [{k_lo}, {k_hi}]")
@@ -207,7 +208,7 @@ def _backward(
     f_next: np.ndarray | None = None
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
-        op = engine.operator(paths.brownian_at(k)) if operators is None else operators[k]
+        op = operators[k]
         dw = paths.increments[:, k, :]
         y_next = y[:, j + 1]
         fit_next = op.apply(y_next)
@@ -248,8 +249,9 @@ def solve_scalar(
     """
     terminal = np.asarray(terminal, dtype=np.float64).reshape(-1, 1)
     k_hi = grid.steps if k_hi is None else k_hi
+    operators = FactorTable(engine.basis, paths.brownian_at)
     y, z, clips = _backward(
-        grid, paths, lambda k, t, rows: driver(k, t, rows[:, 0])[:, None], terminal, engine, opts, k_lo, k_hi
+        grid, paths, lambda k, t, rows: driver(k, t, rows[:, 0])[:, None], terminal, operators, opts, k_lo, k_hi
     )
     return y[:, :, 0], z[:, :, 0], clips
 
@@ -303,14 +305,17 @@ def psi_map(
     """Frozen-coefficient map: one backward pass in which component i has
     its own Z row free while Y, the other rows and the law come from the
     input iterate (the law from ``law_source`` when given) at the same node.
-    ``operators`` is the caller's node-operator table, if it keeps one.
+    ``operators`` is the caller's node-operator table, if it keeps one;
+    otherwise each node is factored for this pass alone.
     """
     if k_hi is None:
         k_hi = grid.steps
     laws = law_source if law_source is not None else input_sol
     driver = partial(_own_rows, spec, input_sol.Y, input_sol.Z, (laws.Y, laws.Z), k_lo)
     terminal = input_sol.Y[:, k_hi - k_lo, :]
-    y, z, clips = _backward(grid, paths, driver, terminal, engine, opts, k_lo, k_hi, operators)
+    if operators is None:
+        operators = FactorTable(engine.basis, paths.brownian_at)
+    y, z, clips = _backward(grid, paths, driver, terminal, operators, opts, k_lo, k_hi)
     return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, clip_events=clips)
 
 
@@ -506,6 +511,8 @@ def solve_theta(
     argument and the law at the previous sweep's iterate, starting from
     the zero pair. Exponential moments of the path supremum and the
     theta-interpolated differences (theta = 1/2) are recorded per sweep.
+    Each node is factored once per solve: every sweep rebuilds its operator
+    from the kept factor (a :class:`mfbsde.condexp.FactorTable`).
     """
     terminal = np.asarray(terminal, dtype=np.float64)
     if terminal.ndim == 1:
@@ -518,9 +525,10 @@ def solve_theta(
     trace = PicardTrace()
     gamma = cert.gamma
     clips = 0
+    operators = FactorTable(engine.basis, paths.brownian_at)
     for it in range(1, opts.max_iter + 1):
         driver = partial(_own_rows, spec, y_prev, None, (y_prev, z_prev), 0)
-        y_new, z_new, c = _backward(grid, paths, driver, terminal, engine, opts, 0, m)
+        y_new, z_new, c = _backward(grid, paths, driver, terminal, operators, opts, 0, m)
         clips += c
         dy = float(np.abs(y_new - y_prev).max())
         dz = float(np.sqrt(np.mean((z_new - z_prev) ** 2)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mfbsde.condexp import (
+    FactorTable,
     NodeOperator,
     OperatorTable,
     RegressionBasis,
@@ -9,6 +10,7 @@ from mfbsde.condexp import (
     RegressionError,
     _design,
 )
+from mfbsde.paths import build_grid, sample_brownian
 from mfbsde.solvers import _increment_fit
 
 ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
@@ -158,16 +160,21 @@ def test_projection_rejects_three_axis_values():
         ENGINE.project(np.ones((4, 2, 2)), np.ones((4, 1)))
 
 
-def _one_shot_fit(values, state, basis):
-    # The single-call fit that node operators replaced: design, variance
-    # filter, QR (or ridge) and solve, all redone for every right-hand side.
+def _one_shot_fit(values, state, basis, householder=False):
+    # The single-call fit: design, variance filter, QR (or ridge) and fit,
+    # all redone for every right-hand side. The QR path fits Q (Q^T v) with
+    # Q = A R^{-1}, as node operators do; ``householder`` gives the formula
+    # they replaced, A R^{-1} (Q^T v) with Q from the QR itself.
     design = _design(state, basis)
     keep = [0] + [j for j in range(1, design.shape[1]) if design[:, j].std() > 0.0]
     a = design[:, keep]
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
     if not diag.min() <= 1e-12 * max(diag.max(), 1.0):
-        return a @ np.linalg.solve(r, q.T @ values)
+        if householder:
+            return a @ np.linalg.solve(r, q.T @ values)
+        q = a @ np.linalg.inv(r)
+        return q @ (q.T @ values)
     gram = a.T @ a
     lam = 1e-10 * np.trace(gram) / gram.shape[0]
     return a @ np.linalg.solve(gram + lam * np.eye(gram.shape[0]), a.T @ values)
@@ -205,14 +212,58 @@ def test_operator_table_factors_each_node_once(monkeypatch):
     calls = []
     real_qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or real_qr(a, *args, **kw))
-    table = OperatorTable(ENGINE.basis, states.__getitem__)
     values = rng.standard_normal(300)
-    for _ in range(3):
-        for k in (3, 1, 3, 0):
-            assert np.array_equal(table[k].apply(values), _one_shot_fit(values, states[k], ENGINE.basis))
-    assert table[1] is table[1]
-    # three distinct nodes factored once each, plus one QR per reference fit
-    assert len(calls) == 3 + 12
+    for table_type in (OperatorTable, FactorTable):
+        calls.clear()
+        table = table_type(ENGINE.basis, states.__getitem__)
+        for _ in range(3):
+            for k in (3, 1, 3, 0):
+                assert np.array_equal(table[k].apply(values), _one_shot_fit(values, states[k], ENGINE.basis))
+        # an operator table hands out the operator it keeps, a factor table
+        # a fresh one built from the factor it keeps
+        assert (table[1] is table[1]) == (table_type is OperatorTable)
+        # three distinct nodes factored once each, plus one QR per reference fit
+        assert len(calls) == 3 + 12
+
+
+@pytest.mark.parametrize("kind", ["qr", "ridge", "node0"])
+def test_rebuilt_operator_equals_fresh_one_bitwise(kind):
+    rng = np.random.default_rng(12)
+    state = _state(kind, rng, 1500)
+    fresh = NodeOperator(state, ENGINE.basis)
+    rebuilt = NodeOperator(state.copy(), ENGINE.basis, fresh.factor)
+    assert rebuilt.factor is fresh.factor and rebuilt.info == fresh.info
+    block = np.column_stack([np.sin(state[:, 0]), rng.standard_normal(1500)])
+    for values in (block, block[:, 1]):
+        assert np.array_equal(rebuilt.apply(values), fresh.apply(values))
+    # what a factor table keeps per node is p x p at most: no particle axis
+    arrays = [v for v in vars(fresh.factor).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and (arrays[0] is fresh.factor.system) == (kind == "ridge")
+    rank = fresh.info.rank
+    assert len(fresh.factor.keep) == rank and all(a.shape == (rank, rank) for a in arrays)
+
+
+@pytest.mark.parametrize("kind", ["qr", "ridge", "node0"])
+def test_operator_fit_matches_householder_formula(kind):
+    # Q (Q^T v) with Q = A R^{-1} against the A R^{-1} (Q^T v) it replaced:
+    # the same projection, rounded differently
+    rng = np.random.default_rng(13)
+    state = _state(kind, rng, 1500)
+    block = np.column_stack([np.sin(state[:, 0]), rng.standard_normal(1500), state[:, 1] ** 2])
+    fitted = NodeOperator(state, ENGINE.basis).apply(block)
+    householder = _one_shot_fit(block, state, ENGINE.basis, householder=True)
+    assert np.abs(fitted - householder).max() <= 1e-12 * np.abs(fitted).max()
+
+
+@pytest.mark.parametrize("d, steps", [(1, 32), (2, 64)])
+def test_operator_columns_orthonormal_at_every_node(d, steps):
+    grid = build_grid(1.0, steps)
+    paths = sample_brownian(grid, 2**13, d, seed=14)
+    for k in range(steps + 1):
+        op = NodeOperator(paths.brownian_at(k), ENGINE.basis)
+        assert not op.info.ridge_used
+        q = op._cols
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12, k
 
 
 def test_operator_rejects_mismatched_values():

@@ -1,5 +1,8 @@
-"""Every module-level import in the package is read by its module."""
+"""Every module-level import in the package is read by its module, and
+every import anywhere in it is of the package, numpy or the standard
+library: numpy is the one declared dependency."""
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,35 @@ def test_detector_flags_only_unread_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level names of imports, at any depth, that are neither relative,
+    numpy nor in the standard library."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] not in allowed]
+
+
+def test_detector_flags_nested_foreign_imports():
+    source = (
+        "import numpy.linalg\n"
+        "from . import paths\n"
+        "from .condexp import NodeFactor\n"
+        "from collections import abc\n"
+        "def f():\n"
+        "    import scipy.linalg\n"
+        "    from pandas import DataFrame\n"
+        "    import json, numba\n"
+    )
+    assert foreign_imports(source) == ["scipy.linalg", "pandas", "numba"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_numpy_and_the_standard_library(path):
+    assert foreign_imports(path.read_text()) == []

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mfbsde.condexp import RegressionBasis, RegressionEngine
+from mfbsde import solvers
+from mfbsde.condexp import NodeOperator, RegressionBasis, RegressionEngine
 from mfbsde.generators import GeneratorSpec, fixture, fixture_names, freeze_rows
 from mfbsde.measures import MeasureView
 from mfbsde.paths import build_grid, coarsen, sample_brownian
@@ -488,29 +489,60 @@ def test_global_factors_each_node_once(monkeypatch):
 
 
 @pytest.mark.parametrize("inner_sweeps", [1, 3])
-def test_theta_factors_once_per_node_visit(monkeypatch, inner_sweeps):
+def test_theta_factors_each_node_once_per_solve(monkeypatch, inner_sweeps):
+    # every sweep and inner sweep rebuilds a node's operator from the factor
+    # the solve keeps
     bundle = fixture("pure_quadratic", gamma=1.0, terminal="brownian")
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 1024, 1, seed=5)
     calls = _count_qr(monkeypatch)
     opts = SolverOptions(tol=1e-8, inner_sweeps=inner_sweeps)
     _, trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
-    assert len(calls) == trace.iterations * grid.steps
+    assert trace.iterations > 1
+    assert len(calls) == grid.steps
+
+
+class _FreshEachVisit:
+    """A factor table that forgets: every access factors node k afresh."""
+
+    def __init__(self, basis, state_at):
+        self.basis, self.state_at = basis, state_at
+
+    def __getitem__(self, k):
+        return NodeOperator(self.state_at(k), self.basis)
+
+
+@pytest.mark.parametrize(
+    "name, params", [("linear_mf", {}), ("bounded_sine_mf", {"n": 2})], ids=["linear_mf", "bounded_sine_mf"]
+)
+def test_theta_with_kept_factors_equals_fresh_factoring_bitwise(monkeypatch, name, params):
+    bundle = fixture(name, **params)
+    grid = build_grid(1.0, 8)
+    paths = sample_brownian(grid, 1024, bundle.spec.d, seed=15)
+    opts = SolverOptions(tol=1e-10, max_iter=60)
+    kept, kept_trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
+    calls = _count_qr(monkeypatch)
+    monkeypatch.setattr(solvers, "FactorTable", _FreshEachVisit)
+    fresh, fresh_trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
+    assert len(calls) == fresh_trace.iterations * grid.steps > grid.steps
+    assert kept_trace.iterations == fresh_trace.iterations
+    assert np.array_equal(kept.Y, fresh.Y) and np.array_equal(kept.Z, fresh.Z)
 
 
 def test_volterra_factors_outer_nodes_once(monkeypatch):
-    # the inner theta sweeps factor once per node visit; every outer sweep
+    # the inner theta solve keeps one factor per node; every outer sweep
     # then shares one operator per node
     bundle = fixture("volterra_demo")
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 1024, 1, seed=3)
     calls = _count_qr(monkeypatch)
     _, inner, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions())
-    assert len(calls) == inner.iterations * grid.steps
+    assert inner.iterations > 1
+    assert len(calls) == grid.steps
     calls.clear()
     _, outer, _ = run_scheme(bundle, "volterra", grid, paths, ENGINE, SolverOptions())
     assert outer.iterations > 2
-    assert len(calls) == inner.iterations * grid.steps + grid.steps
+    assert len(calls) == 2 * grid.steps
 
 
 def test_global_eq41_pinned_small_solve():
