@@ -146,7 +146,7 @@ def _solve_results(cfg: dict, bundle, grid, engine, paths, opts) -> tuple[dict, 
         results["delta_kappa"] = rep.constants.delta_kappa
     outputs = cfg.get("outputs", {})
     if "csv" in outputs:
-        export_csv(sol, paths, engine, outputs["csv"])
+        export_csv(sol, paths, engine, outputs["csv"], operators=extras.get("operators"))
         results["csv"] = outputs["csv"]
     if "solution" in outputs:
         dump_solution(sol, outputs["solution"])

@@ -142,8 +142,9 @@ class NodeOperator:
 
     Built from the state's design and its :class:`NodeFactor`, factored
     here unless one is given. On the QR path the operator holds only
-    Q = A R^{-1}, with A the kept design columns, and fits v as Q (Q^T v).
-    A given factor skips the variance filter and the QR, and since a fresh
+    Q = A R^{-1}, with A the kept design columns (the design itself,
+    uncopied, when every column is kept), and fits v as Q (Q^T v). A given
+    factor skips the variance filter and the QR, and since a fresh
     factor forms Q the same way, a rebuilt operator is bitwise equal to a
     fresh one. On the ridge path it holds A and solves the ridge system.
     Window tables keep operators (:class:`OperatorTable`); ``theta`` keeps
@@ -155,10 +156,14 @@ class NodeOperator:
         design = _design(state, basis)
         if factor is None:
             factor = NodeFactor.of(design)
-        a = design[:, factor.keep]
         self.factor = factor
         self.info = factor.info
-        self._cols = a if factor.info.ridge_used else a @ factor.rinv  # A or Q
+        if factor.info.ridge_used:
+            self._cols = design[:, factor.keep]  # A
+        elif len(factor.keep) == design.shape[1]:
+            self._cols = design @ factor.rinv  # Q, with no copy of the design
+        else:
+            self._cols = design[:, factor.keep] @ factor.rinv  # Q
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Fitted E[values | state] at each particle; ``values`` is (N,) or an

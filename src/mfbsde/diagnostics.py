@@ -13,7 +13,7 @@ import numpy as np
 
 from .constants import GlobalConstants, LocalConstants
 from .generators import CertificateLocal
-from .measures import ExpMoment, exp_moment, sum_squares
+from .measures import ExpMoment, exp_moment, max_abs, sum_squares
 
 MC_SLACK = 0.05
 
@@ -35,10 +35,19 @@ def _compare(name: str, observed: float, bound: float, slack: float, note: str =
 
 def _tail_sums(z_values: np.ndarray, dt: float) -> np.ndarray:
     """Per-particle tail sums sum_{j>=k} |Z_j|^2 dt, including node k, as
-    (N, K); Z is (N, K, d) for one component or (N, K, n, d)."""
+    (N, K); Z is (N, K, d) for one component or (N, K, n, d).
+
+    The sums run node by node from the last one, adding in the order of a
+    reversed cumulative sum, into a node-major buffer whose (N, K) view is
+    returned, so each node's tail is contiguous.
+    """
     z_values = np.asarray(z_values, dtype=np.float64)
-    sq = sum_squares(z_values.reshape(z_values.shape[:2] + (-1,))) * dt
-    return np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
+    n_part, n_steps = z_values.shape[:2]
+    tails = np.empty((n_steps, n_part))
+    running = np.zeros(n_part)
+    for k in reversed(range(n_steps)):
+        running = tails[k] = running + sum_squares(z_values[:, k].reshape(n_part, -1)) * dt
+    return tails.T
 
 
 def bmo_profile(z_values, grid, paths, engine, k_lo: int = 0, operators=None) -> np.ndarray:
@@ -53,15 +62,15 @@ def bmo_profile(z_values, grid, paths, engine, k_lo: int = 0, operators=None) ->
     given, else one is factored per node.
     """
     if isinstance(z_values, tuple):
-        tails = np.stack([_tail_sums(z, grid.dt) for z in z_values], axis=2)  # (N, K, m)
+        tails = np.stack([_tail_sums(z, grid.dt).T for z in z_values], axis=2)  # (K, N, m)
     else:
-        tails = _tail_sums(z_values, grid.dt)
-    n_steps = tails.shape[1]
+        tails = _tail_sums(z_values, grid.dt).T  # (K, N)
+    n_steps = tails.shape[0]
     profile = np.empty((n_steps,) + tails.shape[2:])
     for k in range(n_steps):
         node = k_lo + k
         op = engine.operator(paths.brownian_at(node)) if operators is None else operators[node]
-        profile[k] = op.apply(tails[:, k]).max(axis=0)
+        profile[k] = op.apply(tails[k]).max(axis=0)
     return profile
 
 
@@ -173,7 +182,10 @@ def theta_gap(y_m: np.ndarray, y_mp: np.ndarray, theta: float, gamma: float = 1.
     delta_tilde = (y_m - theta * y_mp) / (1.0 - theta)
     moments: dict[str, ExpMoment] = {}
     for tag, arr in (("delta", delta), ("delta_tilde", delta_tilde)):
-        sup = np.max(np.abs(arr), axis=tuple(range(1, arr.ndim)))
+        # per-particle sup over the nodes (axis 1) and components, node by node
+        sup = np.zeros(len(arr))
+        for k in range(arr.shape[1]):
+            np.maximum(sup, max_abs(arr[:, k].reshape(len(arr), -1)), out=sup)
         for q in (1, 2):
             moments[f"{tag}_q{q}"] = exp_moment(gamma * sup, q=q)
     return ThetaGap(theta=theta, delta=delta, delta_tilde=delta_tilde, moments=moments)

@@ -6,7 +6,8 @@ log-sum-exp form, and the log value is the authoritative one once
 exponents leave the comfortable range of float64.
 
 Every per-particle norm in the package, here and in the drivers, solvers
-and diagnostics, is the square root of :func:`sum_squares`.
+and diagnostics, is the square root of :func:`sum_squares`; every
+per-particle sup over components is :func:`max_abs`.
 """
 from __future__ import annotations
 
@@ -38,6 +39,20 @@ def sum_squares(x: np.ndarray) -> np.ndarray:
         for i in range(1, x.shape[-1]):
             total += x[..., i] * x[..., i]
     return total
+
+
+def max_abs(x: np.ndarray) -> np.ndarray:
+    """Largest |x| over the trailing axis, taken column by column.
+
+    A reduction over a short trailing axis runs an inner loop per particle
+    (see :func:`sum_squares`); this makes one pass per column instead. The
+    maximum is exact, so it equals ``np.abs(x).max(axis=-1)`` bitwise, NaN
+    included.
+    """
+    top = np.abs(x[..., 0])
+    for i in range(1, x.shape[-1]):
+        np.maximum(top, np.abs(x[..., i]), out=top)
+    return top
 
 
 def _as_cloud(points: np.ndarray) -> np.ndarray:

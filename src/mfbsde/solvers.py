@@ -22,6 +22,12 @@ node's p x p factor and rebuilds its operator at each visit. A non-finite
 Y or Z stops the kernel at the node where it appears with
 :class:`SolverDivergence`.
 
+Every iterate is stored node-major: Y in a (K+1, N, n) buffer and Z in a
+(K, N, n, d) one, so a node visit reads Y_{k+1} and writes Y_k and Z_k as
+contiguous slices. :class:`Solution` shows them through the axis-swapped
+views of shape (N, K+1, n) and (N, K, n, d), and per-sweep monitors are
+accumulated node by node rather than over full-size temporaries.
+
 In a diagonally quadratic system component i is free only in its own Z row
 z^i. A node's driver values for all n components come from one driver
 call: the kernel's Z goes in as the own rows and the frozen rows as the
@@ -59,7 +65,7 @@ from .generators import (
     GeneratorSpec,
     GSpec,
 )
-from .measures import MeasureView, exp_moment, sum_squares
+from .measures import MeasureView, exp_moment, max_abs, sum_squares
 from .paths import PathEnsemble, TimeGrid
 
 NodeDriver = Callable[[int, float, np.ndarray], np.ndarray]
@@ -86,6 +92,12 @@ class SolverOptions:
 @dataclass
 class Solution:
     """Discrete solution pair: Y is (N, K+1, n), Z is (N, K, n, d).
+
+    The memory is node-major: Y and Z are axis-swapped views of (K+1, N, n)
+    and (K, N, n, d) buffers, so each node slice ``sol.Y[:, k]`` and
+    ``sol.Z[:, k]`` is C-contiguous. ``np.ascontiguousarray(sol.Y)`` gives a
+    particle-major copy; the solution file format is unchanged (see
+    :func:`dump_solution`).
 
     ``k_lo`` locates the first node inside ``grid`` so window solves can
     address global states; full-span solutions have k_lo = 0.
@@ -158,12 +170,25 @@ def _clip_rows(z: np.ndarray, radius: float | None) -> tuple[np.ndarray, int]:
     return z * scale, int(over.sum())
 
 
+def _by_particle(node_major: np.ndarray) -> np.ndarray:
+    """The (N, K, ...) view of a node-major (K, N, ...) buffer."""
+    return node_major.swapaxes(0, 1)
+
+
 def _increment_fit(values: np.ndarray, fit: np.ndarray, op: NodeOperator, dw: np.ndarray, dt: float) -> np.ndarray:
     """E_k[(values - fit) dW^T] / dt as an (N, n, d) array, all n d products
-    fitted as one block; ``fit`` is E_k[values], so the product is centered."""
+    fitted as one block; ``fit`` is E_k[values], so the product is centered.
+    Product (i, e) is written into column i d + e of the block, one column
+    at a time."""
     n_part, n = values.shape
-    products = np.einsum("ni,nd->nid", values - fit, dw) / dt
-    return op.apply(products.reshape(n_part, -1)).reshape(n_part, n, -1)
+    d = dw.shape[1]
+    centered = values - fit
+    products = np.empty((n_part, n * d))
+    for i in range(n):
+        for e in range(d):
+            np.multiply(centered[:, i], dw[:, e], out=products[:, i * d + e])
+    products /= dt
+    return op.apply(products).reshape(n_part, n, d)
 
 
 def _check_finite(k: int, t: float, y: np.ndarray, z: np.ndarray) -> None:
@@ -193,7 +218,8 @@ def _backward(
     the Z of node k_hi - 1. Extra inner sweeps re-extract Z from the
     driver-corrected target, a damping that helps stiff quadratic
     coefficients. Node k's operator is ``operators[k]``. Returns
-    (Y (N, K+1, n), Z (N, K, n, d), clip events).
+    (Y (N, K+1, n), Z (N, K, n, d), clip events), views of node-major
+    buffers.
     """
     if not 0 <= k_lo < k_hi <= grid.steps:
         raise ValueError(f"bad node range [{k_lo}, {k_hi}]")
@@ -201,16 +227,16 @@ def _backward(
     if n_part != paths.particles:
         raise ValueError("terminal values must have one entry per particle")
     span, dt = k_hi - k_lo, grid.dt
-    y = np.empty((n_part, span + 1, n))
-    z = np.empty((n_part, span, n, paths.dimension))
-    y[:, span] = terminal
+    y = np.empty((span + 1, n_part, n))
+    z = np.empty((span, n_part, n, paths.dimension))
+    y[span] = terminal
     clips = 0
     f_next: np.ndarray | None = None
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
         op = operators[k]
         dw = paths.increments[:, k, :]
-        y_next = y[:, j + 1]
+        y_next = y[j + 1]
         fit_next = op.apply(y_next)
         z_k, c = _clip_rows(_increment_fit(y_next, fit_next, op, dw, dt), opts.z_clip)
         clips += c
@@ -223,11 +249,11 @@ def _backward(
             z_k, c = _clip_rows(_increment_fit(target, fit, op, dw, dt), opts.z_clip)
             clips += c
             f_here = driver(k, grid.nodes[k], z_k)
-        y[:, j] = fit_next + 0.5 * (f_here + f_next) * dt
-        z[:, j] = z_k
-        _check_finite(k, grid.nodes[k], y[:, j], z_k)
+        y[j] = fit_next + 0.5 * (f_here + f_next) * dt
+        z[j] = z_k
+        _check_finite(k, grid.nodes[k], y[j], z_k)
         f_next = f_here
-    return y, z, clips
+    return _by_particle(y), _by_particle(z), clips
 
 
 def solve_scalar(
@@ -283,11 +309,12 @@ def _own_rows(
 
 def _flat_solution(terminal: np.ndarray, grid: TimeGrid, span: int, d: int, k_lo: int, offset: float = 0.0) -> Solution:
     n_part, n_comp = terminal.shape
-    y = np.repeat(terminal[:, None, :], span + 1, axis=1)
+    y = np.empty((span + 1, n_part, n_comp))
+    y[:] = terminal
     if offset:
-        y[:, :span, :] += offset  # probe shifts the start, never the data
-    z = np.zeros((n_part, span, n_comp, d))
-    return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo)
+        y[:span] += offset  # probe shifts the start, never the data
+    z = np.zeros((span, n_part, n_comp, d))
+    return Solution(Y=_by_particle(y), Z=_by_particle(z), grid=grid, k_lo=k_lo)
 
 
 def psi_map(
@@ -453,8 +480,8 @@ def solve_global(
     local_cert = kappa_local_certificate(cert, gconsts.kappa, grid.horizon)
     window_consts = gconsts.window
     n, d = spec.n, spec.d
-    full_y = np.empty((paths.particles, grid.steps + 1, n))
-    full_z = np.empty((paths.particles, grid.steps, n, d))
+    full_y = _by_particle(np.empty((grid.steps + 1, paths.particles, n)))
+    full_z = _by_particle(np.empty((grid.steps, paths.particles, n, d)))
     full_y[:, grid.steps, :] = terminal
     clips = 0
     k_hi = grid.steps
@@ -498,6 +525,44 @@ def solve_global(
     return solution, report
 
 
+def _theta_step(
+    it: int, gamma: float, y_new: np.ndarray, y_prev: np.ndarray, z_new: np.ndarray, z_prev: np.ndarray
+) -> PicardStep:
+    """Sweep ``it``'s record: the sup and mean-square differences, max |Y|,
+    and the log exponential moments of gamma sup_t |Y_t| (q = 1, 2) and,
+    from the second sweep, of the theta = 1/2 interpolated difference.
+
+    Every maximum is taken node by node over contiguous slices; per-particle
+    maxima of |Y_k|^2 get one square root at the end, which equals the
+    maximum of the norms bitwise. Only the Z difference is formed whole.
+    """
+    theta = 0.5
+    dy = max_y = 0.0
+    sup_sq = np.zeros(len(y_new))  # per particle: max over nodes of |Y_k|^2
+    delta = np.zeros(len(y_new))  # per particle: max over nodes of |Delta_k|
+    for j in range(y_new.shape[1]):
+        y_j, prev_j = y_new[:, j], y_prev[:, j]
+        dy = max(dy, float(np.abs(y_j - prev_j).max()))
+        max_y = max(max_y, float(np.abs(y_j).max()))
+        np.maximum(sup_sq, sum_squares(y_j), out=sup_sq)
+        if it >= 2:
+            np.maximum(delta, max_abs((y_j - theta * prev_j) / (1.0 - theta)), out=delta)
+    dz_sq = z_new - z_prev
+    dz_sq *= dz_sq
+    sup_y = np.sqrt(sup_sq)
+    monitors = {f"exp_sup_q{q}_log": exp_moment(gamma * sup_y, q=q).log_value for q in (1, 2)}
+    if it >= 2:
+        monitors["theta_delta_sup_log"] = exp_moment(gamma * delta, q=1).log_value
+    return PicardStep(
+        iteration=it,
+        dy_sup=dy,
+        dz_norm=float(np.sqrt(np.mean(dz_sq))),
+        combined=dy,
+        max_abs_y=max_y,
+        monitors=monitors,
+    )
+
+
 def solve_theta(
     spec: GeneratorSpec,
     cert: CertificateConvex,
@@ -506,52 +571,36 @@ def solve_theta(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
+    operators: OperatorTable | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Picard scheme for unbounded terminals: sweep m+1 freezes the Y
     argument and the law at the previous sweep's iterate, starting from
     the zero pair. Exponential moments of the path supremum and the
     theta-interpolated differences (theta = 1/2) are recorded per sweep.
     Each node is factored once per solve: every sweep rebuilds its operator
-    from the kept factor (a :class:`mfbsde.condexp.FactorTable`).
+    from the kept factor, in ``operators`` when the caller keeps the table
+    and in one owned by this call otherwise.
     """
     terminal = np.asarray(terminal, dtype=np.float64)
     if terminal.ndim == 1:
         terminal = terminal[:, None]
     n, d, m = spec.n, spec.d, grid.steps
-    y_prev = np.zeros((paths.particles, m + 1, n))
-    z_prev = np.zeros((paths.particles, m, n, d))
+    y_prev = _by_particle(np.zeros((m + 1, paths.particles, n)))
+    z_prev = _by_particle(np.zeros((m, paths.particles, n, d)))
     if opts.init_offset:
         y_prev += opts.init_offset
     trace = PicardTrace()
     gamma = cert.gamma
     clips = 0
-    operators = FactorTable(engine.basis, paths.brownian_at)
+    if operators is None:
+        operators = FactorTable(engine.basis, paths.brownian_at)
     for it in range(1, opts.max_iter + 1):
         driver = partial(_own_rows, spec, y_prev, None, (y_prev, z_prev), 0)
         y_new, z_new, c = _backward(grid, paths, driver, terminal, operators, opts, 0, m)
         clips += c
-        dy = float(np.abs(y_new - y_prev).max())
-        dz = float(np.sqrt(np.mean((z_new - z_prev) ** 2)))
-        sup_y = np.max(np.sqrt(sum_squares(y_new)), axis=1)
-        monitors = {}
-        for q in (1, 2):
-            em = exp_moment(gamma * sup_y, q=q)
-            monitors[f"exp_sup_q{q}_log"] = em.log_value
-        if it >= 2:
-            theta = 0.5
-            delta = np.max(np.abs((y_new - theta * y_prev) / (1.0 - theta)), axis=(1, 2))
-            monitors["theta_delta_sup_log"] = exp_moment(gamma * delta, q=1).log_value
-        trace.steps.append(
-            PicardStep(
-                iteration=it,
-                dy_sup=dy,
-                dz_norm=dz,
-                combined=dy,
-                max_abs_y=float(np.abs(y_new).max()),
-                monitors=monitors,
-            )
-        )
-        converged = dy <= opts.tol
+        step = _theta_step(it, gamma, y_new, y_prev, z_new, z_prev)
+        trace.steps.append(step)
+        converged = step.dy_sup <= opts.tol
         y_prev, z_prev = y_new, z_new
         if converged:
             trace.converged = True
@@ -603,15 +652,15 @@ def solve_volterra(
     trace = PicardTrace(note=f"inner sweeps: {inner_trace.iterations}")
     operators = OperatorTable(engine.basis, paths.brownian_at)
     for it in range(1, opts.max_iter + 1):
-        g_vals = np.empty((paths.particles, m + 1, n))
+        g_vals = np.empty((m + 1, paths.particles, n))  # node-major
         for j in range(m + 1):
             law = MeasureView(y_prev[:, j])
-            g_vals[:, j, :] = g(j, y_prev, inner_sol.Z, law)
+            g_vals[j] = g(j, y_prev, inner_sol.Z, law)
         tails = np.zeros((paths.particles, n))
         y_new = np.empty_like(y_prev)
         y_new[:, m, :] = inner_sol.Y[:, m, :]
         for k in range(m - 1, -1, -1):
-            tails = tails + g_vals[:, k, :] * grid.dt
+            tails = tails + g_vals[k] * grid.dt
             y_new[:, k] = inner_sol.Y[:, k] + operators[k].apply(tails)
         diff = y_new - y_prev
         dy = float(np.abs(diff).max())
@@ -657,7 +706,11 @@ def run_scheme(
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
 ):
-    """Dispatch a fixture to a scheme; returns (Solution, trace, extras)."""
+    """Dispatch a fixture to a scheme; returns (Solution, trace, extras).
+
+    ``extras`` holds the window constants for ``local``, the stitching
+    report for ``global`` and, for ``theta``, the solve's node-factor table
+    under ``"operators"`` (which :func:`export_csv` takes)."""
     terminal = np.asarray(bundle.terminal(paths), dtype=np.float64)
     if terminal.ndim == 1:
         terminal = terminal[:, None]
@@ -666,8 +719,9 @@ def run_scheme(
     if scheme == "theta":
         if bundle.convex is None:
             raise ValueError(f"fixture {bundle.name} has no Picard certificate")
-        sol, trace = solve_theta(bundle.spec, bundle.convex, terminal, grid, paths, engine, opts)
-        return sol, trace, {}
+        operators = FactorTable(engine.basis, paths.brownian_at)
+        sol, trace = solve_theta(bundle.spec, bundle.convex, terminal, grid, paths, engine, opts, operators)
+        return sol, trace, {"operators": operators}
     if scheme == "local":
         if bundle.local is None:
             raise ValueError(f"fixture {bundle.name} has no local certificate")
@@ -688,14 +742,16 @@ def run_scheme(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def summarize_nodes(sol: Solution, paths: PathEnsemble, engine: RegressionEngine) -> list[dict]:
+def summarize_nodes(sol: Solution, paths: PathEnsemble, engine: RegressionEngine, operators=None) -> list[dict]:
     """Per-node summary rows: time, mean |Y| per component, max |Y|, and a
-    running estimate of the conditional tail quadratic variation."""
+    running estimate of the conditional tail quadratic variation. Node
+    operators come from ``operators``, the solve's table (see
+    :func:`run_scheme`), when given, else each node is factored here."""
     from .diagnostics import bmo_profile
 
     times = sol.node_times()
     span = sol.Z.shape[1]
-    profile = bmo_profile(sol.Z, sol.grid, paths, engine, k_lo=sol.k_lo) if span else np.array([])
+    profile = bmo_profile(sol.Z, sol.grid, paths, engine, k_lo=sol.k_lo, operators=operators) if span else np.array([])
     rows = []
     for j, t in enumerate(times):
         row = {"node": sol.k_lo + j, "time": float(t), "max_abs_y": float(np.abs(sol.Y[:, j]).max())}
@@ -706,10 +762,10 @@ def summarize_nodes(sol: Solution, paths: PathEnsemble, engine: RegressionEngine
     return rows
 
 
-def export_csv(sol: Solution, paths: PathEnsemble, engine: RegressionEngine, path: str) -> None:
+def export_csv(sol: Solution, paths: PathEnsemble, engine: RegressionEngine, path: str, operators=None) -> None:
     import csv
 
-    rows = summarize_nodes(sol, paths, engine)
+    rows = summarize_nodes(sol, paths, engine, operators)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -721,7 +777,8 @@ _SOL_MAGIC = b"MFBS0001"
 
 def dump_solution(sol: Solution, path: str) -> None:
     """Fixed binary layout: magic, int64 header (N, K, n, d, k_lo, steps),
-    float64 horizon, then Y and Z row-major."""
+    float64 horizon, then Y (N, K+1, n) and Z (N, K, n, d) row-major, that
+    is particle-major whatever the solution's memory layout."""
     import struct
 
     n_part, kp1, n = sol.Y.shape
@@ -737,7 +794,8 @@ def dump_solution(sol: Solution, path: str) -> None:
 def load_solution(path: str) -> Solution:
     """Read a file written by :func:`dump_solution`, checking the header
     (sizes >= 0, the span inside the grid, a finite positive horizon) and
-    that the payload holds exactly the Y and Z it announces."""
+    that the payload holds exactly the Y and Z it announces. The arrays are
+    copied into node-major buffers, as the solvers store them."""
     import struct
 
     with open(path, "rb") as fh:
@@ -760,8 +818,8 @@ def load_solution(path: str) -> Solution:
         raise ValueError(f"truncated solution payload: {len(payload)} of {expected} bytes")
     if len(payload) > expected:
         raise ValueError(f"solution payload has {len(payload) - expected} bytes past the announced arrays")
-    raw = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    raw = np.frombuffer(payload, dtype="<f8")
     grid = TimeGrid(horizon=horizon, steps=steps)
-    y = raw[:y_count].reshape(n_part, span + 1, n)
-    z = raw[y_count:].reshape(n_part, span, n, d)
-    return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo)
+    y = np.ascontiguousarray(_by_particle(raw[:y_count].reshape(n_part, span + 1, n)), dtype=np.float64)
+    z = np.ascontiguousarray(_by_particle(raw[y_count:].reshape(n_part, span, n, d)), dtype=np.float64)
+    return Solution(Y=_by_particle(y), Z=_by_particle(z), grid=grid, k_lo=k_lo)

@@ -215,9 +215,9 @@ def test_constants_rejects_bad_param(capsys):
     assert code == EXIT_CONFIG
 
 
-def test_verify_factors_each_node_twice(capsys, tmp_path, monkeypatch):
-    # theta factors each node once per solve; the CSV's BMO profile adds
-    # one factorization per node
+def test_verify_factors_each_node_once(capsys, tmp_path, monkeypatch):
+    # theta factors each node once per solve, and the CSV's BMO profile
+    # rebuilds its operators from the solve's factors
     import numpy as np
 
     calls = []
@@ -234,7 +234,7 @@ def test_verify_factors_each_node_twice(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", cfg, "--tolerance", "0.05")
     assert code == EXIT_OK
     assert json.loads(out)["results"]["iterations"] > 1
-    assert len(calls) == 2 * 8
+    assert len(calls) == 8
 
 
 def test_outputs_written(capsys, tmp_path):

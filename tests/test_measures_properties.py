@@ -1,12 +1,13 @@
 """Property tests of the per-particle sum of squares: its square root is the
 row norm np.linalg.norm computes, and the distances to the point mass built
-on it agree with the p-th moment root of those norms."""
+on it agree with the p-th moment root of those norms. The per-particle
+largest absolute value equals numpy's reduction over the trailing axis."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mfbsde.measures import ParticleCloud, sum_squares, wasserstein_to_delta
+from mfbsde.measures import ParticleCloud, max_abs, sum_squares, wasserstein_to_delta
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -71,3 +72,11 @@ def test_distance_to_point_mass_matches_moment_root_of_norms(data):
     for p in (1, 2):
         reference = float(np.mean(norms**p) ** (1.0 / p))
         assert abs(wasserstein_to_delta(ParticleCloud(pts), p) - reference) <= 1e-14 * reference
+
+
+@SETTINGS
+@given(st.data())
+def test_max_abs_equals_the_trailing_axis_reduction_bitwise(data):
+    shape = data.draw(_shapes(4))
+    x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=True, allow_infinity=True)))
+    assert np.array_equal(max_abs(x), np.abs(x).max(axis=-1), equal_nan=True)

@@ -7,7 +7,7 @@ import pytest
 from mfbsde import solvers
 from mfbsde.condexp import NodeOperator, RegressionBasis, RegressionEngine
 from mfbsde.generators import GeneratorSpec, fixture, fixture_names, freeze_rows
-from mfbsde.measures import MeasureView
+from mfbsde.measures import MeasureView, exp_moment, sum_squares
 from mfbsde.paths import build_grid, coarsen, sample_brownian
 from mfbsde.solvers import (
     Solution,
@@ -583,3 +583,102 @@ def test_non_finite_terminal_names_its_component():
     iterate.Y[3, -1, 1] = np.nan
     with pytest.raises(SolverDivergence, match="non-finite Z at node 7 .* in component 1"):
         psi_map(spec, iterate, grid, paths, ENGINE, SolverOptions(), 4, 8)
+
+
+# Node-major storage: the solvers keep each iterate in a (K, N, ...) buffer
+# and hand it out as its (N, K, ...) view.
+
+_SCHEME_CASES = [
+    ("theta", "linear_mf", {}, 1.0, 8),
+    ("local", "bounded_sine_mf", {"terminal": "tanh"}, 0.059, 8),
+    ("global", "eq41", {"n": 2}, 0.5, 8),
+    ("volterra", "volterra_demo", {}, 1.0, 8),
+]
+
+
+@pytest.mark.parametrize("scheme, name, params, horizon, steps", _SCHEME_CASES, ids=[c[0] for c in _SCHEME_CASES])
+def test_schemes_return_contiguous_node_slices(scheme, name, params, horizon, steps):
+    bundle = fixture(name, **params)
+    grid = build_grid(horizon, steps)
+    paths = sample_brownian(grid, 512, bundle.spec.d, seed=4)
+    sol, _, _ = run_scheme(bundle, scheme, grid, paths, ENGINE, SolverOptions(tol=1e-8))
+    n, d = bundle.spec.n, bundle.spec.d
+    assert sol.Y.shape == (512, steps + 1, n)
+    assert sol.Z.shape == (512, steps, n, d)
+    assert all(sol.Y[:, k].flags.c_contiguous for k in range(steps + 1))
+    assert all(sol.Z[:, k].flags.c_contiguous for k in range(steps))
+
+
+def test_dump_writes_particle_major_bytes_and_load_keeps_the_layout(tmp_path):
+    bundle = fixture("bounded_sine_mf", n=2)
+    grid = build_grid(1.0, 8)
+    paths = sample_brownian(grid, 256, 2, seed=3)
+    sol, _, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions(tol=1e-8))
+    copy = Solution(Y=np.ascontiguousarray(sol.Y), Z=np.ascontiguousarray(sol.Z), grid=grid)
+    dump_solution(sol, str(tmp_path / "views.bin"))
+    dump_solution(copy, str(tmp_path / "copies.bin"))
+    assert (tmp_path / "views.bin").read_bytes() == (tmp_path / "copies.bin").read_bytes()
+    back = load_solution(str(tmp_path / "views.bin"))
+    assert np.array_equal(back.Y, sol.Y) and np.array_equal(back.Z, sol.Z)
+    assert back.Y[:, 3].flags.c_contiguous and back.Z[:, 3].flags.c_contiguous
+
+
+def test_csv_from_the_solve_factors_equals_fresh_factoring_bytewise(tmp_path, monkeypatch):
+    bundle = fixture("linear_mf")
+    grid = build_grid(1.0, 8)
+    paths = sample_brownian(grid, 512, 1, seed=6)
+    sol, _, extras = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions(tol=1e-10, max_iter=60))
+    export_csv(sol, paths, ENGINE, str(tmp_path / "fresh.csv"))
+    calls = _count_qr(monkeypatch)
+    export_csv(sol, paths, ENGINE, str(tmp_path / "kept.csv"), operators=extras["operators"])
+    assert calls == []
+    assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def _old_theta_monitors(y_new, y_prev, z_new, z_prev, gamma, it):
+    """The monitors as full-array expressions over particle-major copies."""
+    sup_y = np.max(np.sqrt(sum_squares(y_new)), axis=1)
+    monitors = {f"exp_sup_q{q}_log": exp_moment(gamma * sup_y, q=q).log_value for q in (1, 2)}
+    if it >= 2:
+        delta = np.max(np.abs((y_new - 0.5 * y_prev) / 0.5), axis=(1, 2))
+        monitors["theta_delta_sup_log"] = exp_moment(gamma * delta, q=1).log_value
+    return float(np.abs(y_new - y_prev).max()), float(np.abs(y_new).max()), monitors
+
+
+@pytest.mark.parametrize(
+    "name, params", [("linear_mf", {}), ("bounded_sine_mf", {"n": 2})], ids=["linear_mf", "bounded_sine_mf"]
+)
+def test_theta_node_by_node_monitors_equal_full_array_expressions_bitwise(monkeypatch, name, params):
+    bundle = fixture(name, **params)
+    grid = build_grid(1.0, 8)
+    paths = sample_brownian(grid, 1024, bundle.spec.d, seed=12)
+    iterates = []
+    real_backward = solvers._backward
+
+    def recording(*args):
+        y, z, clips = real_backward(*args)
+        iterates.append((np.ascontiguousarray(y), np.ascontiguousarray(z)))
+        return y, z, clips
+
+    monkeypatch.setattr(solvers, "_backward", recording)
+    _, trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions(tol=1e-10, max_iter=60))
+    assert trace.iterations == len(iterates) > 2
+    y_prev, z_prev = np.zeros_like(iterates[0][0]), np.zeros_like(iterates[0][1])
+    for step, (y_new, z_new) in zip(trace.steps, iterates):
+        dy, max_y, monitors = _old_theta_monitors(y_new, y_prev, z_new, z_prev, bundle.convex.gamma, step.iteration)
+        assert (step.dy_sup, step.max_abs_y) == (dy, max_y)
+        assert step.monitors == monitors
+        y_prev, z_prev = y_new, z_new
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 2)])
+def test_increment_fit_equals_the_einsum_formula_bitwise(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    grid = build_grid(1.0, 8)
+    paths = sample_brownian(grid, 2048, d, seed=n + d)
+    op = NodeOperator(paths.brownian_at(5), ENGINE.basis)
+    values = np.sin(paths.brownian_at(6).sum(axis=1))[:, None] * rng.uniform(0.5, 2.0, n)
+    fit, dw = op.apply(values), paths.increments[:, 5, :]
+    products = np.einsum("ni,nd->nid", values - fit, dw) / grid.dt
+    einsum_fit = op.apply(products.reshape(len(values), -1)).reshape(len(values), n, d)
+    assert np.array_equal(solvers._increment_fit(values, fit, op, dw, grid.dt), einsum_fit)
