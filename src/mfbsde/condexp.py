@@ -12,7 +12,8 @@ design, and its ``apply`` fits any number of right-hand sides. Tables key
 them by node index and live as long as their owner. An
 :class:`OperatorTable` keeps built operators: the solvers keep one per
 window for ``local`` and ``global`` (every Picard iteration and BMO norm of
-the window shares it) and one for all outer sweeps of ``volterra``. A
+the window shares it) and one per ``volterra`` solve, shared by its inner
+``theta`` solve and its outer sweeps. A
 :class:`FactorTable` keeps only the factors and rebuilds an operator's
 particle-sized part at each access; ``theta`` keeps one per solve.
 """

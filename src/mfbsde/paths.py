@@ -4,6 +4,15 @@ Noise is drawn from a counter-based Philox stream so that the increments of
 particle ``i`` depend only on ``(seed, i, M, d)`` and never on the ensemble
 size: growing ``N`` appends particles without reshuffling existing paths,
 which keeps refinement studies comparable.
+
+An ensemble is stored node-major, like the solvers' iterates: increments in
+an (M, N, d) buffer and the Brownian values in an (M+1, N, d) one, so every
+node slice a solver reads (W_{t_k} and dW_k) is a contiguous (N, d) block.
+``PathEnsemble.increments`` is the (N, M, d) axis-swapped view. The noise is
+drawn in blocks of particles into one reused buffer; Philox continues one
+stream across the blocks, so the values equal a single
+``standard_normal((N, M, d))`` draw bitwise while the draw costs one block of
+scratch memory. Both file formats are particle-major and unchanged.
 """
 from __future__ import annotations
 
@@ -13,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _HEADER = struct.Struct("<qqqq")  # N, M, d, seed (little-endian int64)
+_BLOCK = 1024  # particles per draw block
 
 
 class PathsError(ValueError):
@@ -49,7 +59,14 @@ def build_grid(horizon: float, steps: int) -> TimeGrid:
 
 
 class PathEnsemble:
-    """N Brownian paths on a grid, stored as per-step increments (N, M, d)."""
+    """N Brownian paths on a grid, stored as per-step increments.
+
+    ``increments`` has shape (N, M, d) and is a view of a node-major
+    (M, N, d) buffer, so ``increments[:, k]`` is C-contiguous. Any (N, M, d)
+    array is accepted; it is copied into a node-major buffer unless it
+    already is a view of one. ``brownian_at(k)`` returns row k of the
+    node-major (M+1, N, d) paths, built on first use.
+    """
 
     def __init__(
         self,
@@ -64,10 +81,11 @@ class PathEnsemble:
             raise PathsError(
                 f"increment count {increments.shape[1]} does not match grid steps {grid.steps}"
             )
-        if not np.isfinite(increments).all():
+        node_major = np.ascontiguousarray(increments.swapaxes(0, 1))
+        if not np.isfinite(node_major).all():
             raise PathsError("increments contain non-finite values")
         self.grid = grid
-        self.increments = increments
+        self.increments = node_major.swapaxes(0, 1)
         self.seed = int(seed)
         self._cumulative: np.ndarray | None = None
 
@@ -80,22 +98,43 @@ class PathEnsemble:
         return self.increments.shape[2]
 
     def _paths(self) -> np.ndarray:
+        """The node-major (M+1, N, d) Brownian values: one row add per node,
+        the same additions, in the same order, as a cumulative sum."""
         if self._cumulative is None:
-            n, m, d = self.increments.shape
-            out = np.zeros((n, m + 1, d))
-            np.cumsum(self.increments, axis=1, out=out[:, 1:, :])
+            dw = self.increments.swapaxes(0, 1)
+            out = np.empty((dw.shape[0] + 1,) + dw.shape[1:])
+            out[0] = 0.0
+            out[1] = dw[0]
+            for k in range(1, dw.shape[0]):
+                np.add(out[k], dw[k], out=out[k + 1])
             out.setflags(write=False)
             self._cumulative = out
         return self._cumulative
 
     def brownian_at(self, k: int) -> np.ndarray:
-        """Brownian values W_{t_k} as an (N, d) array."""
+        """Brownian values W_{t_k} as a C-contiguous (N, d) array."""
         if not 0 <= k <= self.grid.steps:
             raise IndexError(f"node index {k} outside [0, {self.grid.steps}]")
-        return self._paths()[:, k, :]
+        return self._paths()[k]
 
     def terminal(self) -> np.ndarray:
         return self.brownian_at(self.grid.steps)
+
+
+def _by_blocks(steps: int, particles: int, dimension: int, fill) -> np.ndarray:
+    """The (N, M, d) view of a node-major buffer filled one particle block at
+    a time: ``fill(lo, block)`` writes particles lo, lo + 1, ... into a
+    reused C-contiguous (b, M, d) block, which is copied into place
+    transposed, one noise coordinate at a time (a copy whose innermost loop
+    runs over the d coordinates is about 3x slower at d = 2)."""
+    out = np.empty((steps, particles, dimension))
+    block = np.empty((min(particles, _BLOCK), steps, dimension))
+    for lo in range(0, particles, _BLOCK):
+        part = block[: min(_BLOCK, particles - lo)]
+        fill(lo, part)
+        for e in range(dimension):
+            out[:, lo : lo + len(part), e] = part[:, :, e].T
+    return out.swapaxes(0, 1)
 
 
 def sample_brownian(
@@ -104,12 +143,19 @@ def sample_brownian(
     dimension: int,
     seed: int,
 ) -> PathEnsemble:
-    """Draw an ensemble of Brownian increments."""
+    """Draw an ensemble of Brownian increments, bitwise equal to
+    ``standard_normal((N, M, d)) * sqrt(dt)`` from the seed's Philox stream,
+    in blocks of particles."""
     if particles < 1 or dimension < 1:
         raise PathsError("particles and dimension must be positive")
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    incs = gen.standard_normal((particles, grid.steps, dimension)) * np.sqrt(grid.dt)
-    return PathEnsemble(grid, incs, seed)
+    scale = np.sqrt(grid.dt)
+
+    def draw(lo: int, block: np.ndarray) -> None:
+        gen.standard_normal(out=block)
+        block *= scale
+
+    return PathEnsemble(grid, _by_blocks(grid.steps, particles, dimension, draw), seed)
 
 
 def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
@@ -125,16 +171,23 @@ def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
         return ensemble
     coarse_grid = build_grid(ensemble.grid.horizon, m // factor)
     n, _, d = ensemble.increments.shape
-    incs = ensemble.increments.reshape(n, m // factor, factor, d).sum(axis=2)
-    return PathEnsemble(coarse_grid, incs, ensemble.seed)
+
+    def aggregate(lo: int, block: np.ndarray) -> None:
+        # sum a particle-major copy, so the additions run in the order of the
+        # particle-major reduction (pairwise for d = 1)
+        fine = np.ascontiguousarray(ensemble.increments[lo : lo + len(block)])
+        np.sum(fine.reshape(len(block), m // factor, factor, d), axis=2, out=block)
+
+    return PathEnsemble(coarse_grid, _by_blocks(m // factor, n, d, aggregate), ensemble.seed)
 
 
 def dump_ensemble(ensemble: PathEnsemble, path: str) -> None:
-    """Write header {N, M, d, seed} then row-major float64 increments."""
+    """Write header {N, M, d, seed} then the (N, M, d) increments as
+    row-major (particle-major) little-endian float64."""
     n, m, d = ensemble.increments.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(n, m, d, ensemble.seed))
-        fh.write(np.ascontiguousarray(ensemble.increments).astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(ensemble.increments, dtype="<f8").tobytes())
 
 
 def load_ensemble(path: str, grid: TimeGrid) -> PathEnsemble:
@@ -156,5 +209,6 @@ def load_ensemble(path: str, grid: TimeGrid) -> PathEnsemble:
         raise PathsError(f"truncated ensemble payload: {len(payload)} of {expected} bytes")
     if len(payload) > expected:
         raise PathsError(f"ensemble payload has {len(payload) - expected} bytes past the announced increments")
-    raw = np.frombuffer(payload, dtype="<f8")
-    return PathEnsemble(grid, raw.reshape(n, m, d).astype(np.float64), seed)
+    raw = np.frombuffer(payload, dtype="<f8").reshape(n, m, d)
+    node_major = np.array(raw.swapaxes(0, 1), dtype=np.float64, order="C")
+    return PathEnsemble(grid, node_major.swapaxes(0, 1), seed)

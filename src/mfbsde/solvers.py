@@ -15,8 +15,8 @@ increment products as a single (N, n d) block, and to every inner sweep.
 Every node is factored once per table: ``local`` and ``global`` keep an
 :class:`mfbsde.condexp.OperatorTable` per window, shared by every Picard
 iteration, law refinement and halving retry of the window and by its BMO
-norms, and dropped when the window is solved; the outer sweeps of
-``volterra`` share one. ``theta`` keeps a
+norms, and dropped when the window is solved; a ``volterra`` solve keeps
+one for its inner ``theta`` solve and its outer sweeps. ``theta`` keeps a
 :class:`mfbsde.condexp.FactorTable` for the whole solve, which holds each
 node's p x p factor and rebuilds its operator at each visit. A non-finite
 Y or Z stops the kernel at the node where it appears with
@@ -24,9 +24,11 @@ Y or Z stops the kernel at the node where it appears with
 
 Every iterate is stored node-major: Y in a (K+1, N, n) buffer and Z in a
 (K, N, n, d) one, so a node visit reads Y_{k+1} and writes Y_k and Z_k as
-contiguous slices. :class:`Solution` shows them through the axis-swapped
-views of shape (N, K+1, n) and (N, K, n, d), and per-sweep monitors are
-accumulated node by node rather than over full-size temporaries.
+contiguous slices, and reads W_{t_k} and dW_k as contiguous slices of the
+node-major :class:`mfbsde.paths.PathEnsemble`. :class:`Solution` shows the
+iterates through the axis-swapped views of shape (N, K+1, n) and
+(N, K, n, d), and per-sweep monitors are accumulated node by node rather
+than over full-size temporaries.
 
 In a diagonally quadratic system component i is free only in its own Z row
 z^i. A node's driver values for all n components come from one driver
@@ -532,14 +534,19 @@ def _theta_step(
     and the log exponential moments of gamma sup_t |Y_t| (q = 1, 2) and,
     from the second sweep, of the theta = 1/2 interpolated difference.
 
-    Every maximum is taken node by node over contiguous slices; per-particle
+    Every monitor is reduced node by node over contiguous slices; per-particle
     maxima of |Y_k|^2 get one square root at the end, which equals the
-    maximum of the norms bitwise. Only the Z difference is formed whole.
+    maximum of the norms bitwise. The squared Z difference is summed node by
+    node too, so ``dz_norm`` matches the whole-array mean to rounding.
     """
     theta = 0.5
     dy = max_y = 0.0
     sup_sq = np.zeros(len(y_new))  # per particle: max over nodes of |Y_k|^2
     delta = np.zeros(len(y_new))  # per particle: max over nodes of |Delta_k|
+    dz_sq = 0.0
+    for j in range(z_new.shape[1]):
+        dz_j = (z_new[:, j] - z_prev[:, j]).ravel()
+        dz_sq += float(np.dot(dz_j, dz_j))
     for j in range(y_new.shape[1]):
         y_j, prev_j = y_new[:, j], y_prev[:, j]
         dy = max(dy, float(np.abs(y_j - prev_j).max()))
@@ -547,8 +554,6 @@ def _theta_step(
         np.maximum(sup_sq, sum_squares(y_j), out=sup_sq)
         if it >= 2:
             np.maximum(delta, max_abs((y_j - theta * prev_j) / (1.0 - theta)), out=delta)
-    dz_sq = z_new - z_prev
-    dz_sq *= dz_sq
     sup_y = np.sqrt(sup_sq)
     monitors = {f"exp_sup_q{q}_log": exp_moment(gamma * sup_y, q=q).log_value for q in (1, 2)}
     if it >= 2:
@@ -556,7 +561,7 @@ def _theta_step(
     return PicardStep(
         iteration=it,
         dy_sup=dy,
-        dz_norm=float(np.sqrt(np.mean(dz_sq))),
+        dz_norm=math.sqrt(dz_sq / z_new.size),
         combined=dy,
         max_abs_y=max_y,
         monitors=monitors,
@@ -636,12 +641,14 @@ def solve_volterra(
 
         Y^{r+1}_k = Y'_k + sum_{j >= k} E_k[ g(j, Y^r, Z', law_j) ] dt,
 
-    using one projection of the tail sum per node; the node operators are
-    factored once and shared by every outer sweep. Convergence is tracked
-    in the exp(beta t)-weighted squared sup norm with beta = 32 C^2 T, and
-    iteration stops when the unweighted sup difference drops below tol.
+    using one projection of the tail sum per node. Each node is factored
+    once per solve: one operator table serves the inner solve and every
+    outer sweep. Convergence is tracked in the exp(beta t)-weighted squared
+    sup norm with beta = 32 C^2 T, and iteration stops when the unweighted
+    sup difference drops below tol.
     """
-    inner_sol, inner_trace = solve_theta(spec, ccert, terminal, grid, paths, engine, opts)
+    operators = OperatorTable(engine.basis, paths.brownian_at)
+    inner_sol, inner_trace = solve_theta(spec, ccert, terminal, grid, paths, engine, opts, operators)
     m = grid.steps
     beta = volterra_weight(vcert.C, grid.horizon)
     weights = np.exp(beta * grid.nodes)
@@ -650,7 +657,6 @@ def solve_volterra(
     if opts.init_offset:
         y_prev += opts.init_offset
     trace = PicardTrace(note=f"inner sweeps: {inner_trace.iterations}")
-    operators = OperatorTable(engine.basis, paths.brownian_at)
     for it in range(1, opts.max_iter + 1):
         g_vals = np.empty((m + 1, paths.particles, n))  # node-major
         for j in range(m + 1):

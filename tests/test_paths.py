@@ -1,7 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mfbsde import paths as paths_module
 from mfbsde.paths import (
+    PathEnsemble,
     PathsError,
     TimeGrid,
     build_grid,
@@ -122,3 +129,104 @@ def test_load_reports_long_and_short_payloads(tmp_path):
     target.write_bytes(good[:-8])
     with pytest.raises(PathsError, match="truncated ensemble payload"):
         load_ensemble(str(target), grid)
+
+
+# Node-major storage: increments live in an (M, N, d) buffer and the paths
+# in an (M+1, N, d) one; ``increments`` is the (N, M, d) view. The noise is
+# drawn in particle blocks of ``paths._BLOCK``.
+
+
+def _one_draw(grid, particles, dimension, seed):
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return gen.standard_normal((particles, grid.steps, dimension)) * np.sqrt(grid.dt)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def _assert_node_slices_contiguous(ens):
+    assert all(ens.increments[:, k].flags.c_contiguous for k in range(ens.grid.steps))
+    assert all(ens.brownian_at(k).flags.c_contiguous for k in range(ens.grid.steps + 1))
+
+
+@pytest.mark.parametrize("particles", [1, 1023, 1024, 1025, 3 * 1024 + 5])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_block_draws_equal_one_draw_bitwise(particles, dimension):
+    grid = build_grid(0.7, 5)
+    ens = sample_brownian(grid, particles, dimension, seed=31)
+    assert _same_bits(ens.increments, _one_draw(grid, particles, dimension, 31))
+    _assert_node_slices_contiguous(ens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    particles=st.integers(1, 60),
+    steps=st.integers(1, 6),
+    dimension=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 16),
+)
+def test_block_draws_equal_one_draw_for_any_block_size(particles, steps, dimension, seed, block):
+    grid = build_grid(1.0, steps)
+    with mock.patch.object(paths_module, "_BLOCK", block):
+        ens = sample_brownian(grid, particles, dimension, seed=seed)
+    assert _same_bits(ens.increments, _one_draw(grid, particles, dimension, seed))
+
+
+def test_brownian_values_equal_the_particle_major_cumsum_bitwise():
+    grid = build_grid(1.0, 16)
+    ens = sample_brownian(grid, 1500, 2, seed=8)
+    cumulative = np.cumsum(np.ascontiguousarray(ens.increments), axis=1)
+    assert _same_bits(ens.brownian_at(0), np.zeros((1500, 2)))
+    for k in range(1, grid.steps + 1):
+        assert _same_bits(ens.brownian_at(k), cumulative[:, k - 1])
+
+
+def test_node_slices_contiguous_after_load_coarsen_and_particle_major_input(tmp_path):
+    grid = build_grid(1.0, 8)
+    ens = sample_brownian(grid, 700, 2, seed=4)
+    dump_ensemble(ens, str(tmp_path / "paths.bin"))
+    rebuilt = PathEnsemble(grid, np.ascontiguousarray(ens.increments), 4)
+    for other in (load_ensemble(str(tmp_path / "paths.bin"), grid), coarsen(ens, 2), rebuilt):
+        _assert_node_slices_contiguous(other)
+    assert _same_bits(rebuilt.increments, ens.increments)
+    assert all(_same_bits(rebuilt.brownian_at(k), ens.brownian_at(k)) for k in range(grid.steps + 1))
+    # a view of a node-major buffer is kept, not copied
+    assert np.shares_memory(PathEnsemble(grid, ens.increments, 4).increments, ens.increments)
+
+
+def test_dump_writes_particle_major_bytes(tmp_path):
+    grid = build_grid(0.5, 6)
+    ens = sample_brownian(grid, 300, 3, seed=42)
+    dump_ensemble(ens, str(tmp_path / "view.bin"))
+    dump_ensemble(PathEnsemble(grid, np.ascontiguousarray(ens.increments), 42), str(tmp_path / "copy.bin"))
+    payload = (tmp_path / "view.bin").read_bytes()
+    assert payload == (tmp_path / "copy.bin").read_bytes()
+    assert payload[32:] == np.ascontiguousarray(ens.increments).astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("dimension, factor", [(1, 2), (1, 8), (2, 4), (3, 16)])
+def test_coarsen_equals_the_particle_major_reduction_bitwise(dimension, factor):
+    # d = 1 with factor >= 8 sums pairwise in numpy, not in sequence
+    grid = build_grid(1.0, 32)
+    fine = sample_brownian(grid, 2100, dimension, seed=13)
+    coarse = coarsen(fine, factor)
+    particle_major = np.ascontiguousarray(fine.increments).reshape(2100, 32 // factor, factor, dimension)
+    assert _same_bits(coarse.increments, particle_major.sum(axis=2))
+
+
+def test_sampling_keeps_no_extra_ensemble_sized_buffer():
+    # peak of the draw and the first path build: the increments, the paths
+    # and one draw block, plus 10%
+    particles, steps, dimension = 5000, 32, 2
+    grid = build_grid(1.0, steps)
+    bound = 8 * dimension * (particles * steps + particles * (steps + 1) + paths_module._BLOCK * steps)
+    tracemalloc.start()
+    try:
+        ens = sample_brownian(grid, particles, dimension, seed=5)
+        ens.brownian_at(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * bound

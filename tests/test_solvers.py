@@ -530,8 +530,8 @@ def test_theta_with_kept_factors_equals_fresh_factoring_bitwise(monkeypatch, nam
 
 
 def test_volterra_factors_outer_nodes_once(monkeypatch):
-    # the inner theta solve keeps one factor per node; every outer sweep
-    # then shares one operator per node
+    # the inner theta solve keeps one factor per node; the volterra solve
+    # hands its inner theta solve the operator table every outer sweep shares
     bundle = fixture("volterra_demo")
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 1024, 1, seed=3)
@@ -542,7 +542,7 @@ def test_volterra_factors_outer_nodes_once(monkeypatch):
     calls.clear()
     _, outer, _ = run_scheme(bundle, "volterra", grid, paths, ENGINE, SolverOptions())
     assert outer.iterations > 2
-    assert len(calls) == 2 * grid.steps
+    assert len(calls) == grid.steps
 
 
 def test_global_eq41_pinned_small_solve():
@@ -645,11 +645,14 @@ def _old_theta_monitors(y_new, y_prev, z_new, z_prev, gamma, it):
     return float(np.abs(y_new - y_prev).max()), float(np.abs(y_new).max()), monitors
 
 
-@pytest.mark.parametrize(
+_MONITOR_CASES = pytest.mark.parametrize(
     "name, params", [("linear_mf", {}), ("bounded_sine_mf", {"n": 2})], ids=["linear_mf", "bounded_sine_mf"]
 )
-def test_theta_node_by_node_monitors_equal_full_array_expressions_bitwise(monkeypatch, name, params):
-    bundle = fixture(name, **params)
+
+
+def _recorded_theta_sweeps(monkeypatch, bundle):
+    """A theta solve's sweep records, each with the iterate pair it was
+    computed from (previous and new, as particle-major copies)."""
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 1024, bundle.spec.d, seed=12)
     iterates = []
@@ -663,12 +666,28 @@ def test_theta_node_by_node_monitors_equal_full_array_expressions_bitwise(monkey
     monkeypatch.setattr(solvers, "_backward", recording)
     _, trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions(tol=1e-10, max_iter=60))
     assert trace.iterations == len(iterates) > 2
-    y_prev, z_prev = np.zeros_like(iterates[0][0]), np.zeros_like(iterates[0][1])
-    for step, (y_new, z_new) in zip(trace.steps, iterates):
+    previous = [(np.zeros_like(iterates[0][0]), np.zeros_like(iterates[0][1]))] + iterates[:-1]
+    return [(step, prev, new) for step, prev, new in zip(trace.steps, previous, iterates)]
+
+
+@_MONITOR_CASES
+def test_theta_node_by_node_monitors_equal_full_array_expressions_bitwise(monkeypatch, name, params):
+    bundle = fixture(name, **params)
+    for step, (y_prev, z_prev), (y_new, z_new) in _recorded_theta_sweeps(monkeypatch, bundle):
         dy, max_y, monitors = _old_theta_monitors(y_new, y_prev, z_new, z_prev, bundle.convex.gamma, step.iteration)
         assert (step.dy_sup, step.max_abs_y) == (dy, max_y)
         assert step.monitors == monitors
-        y_prev, z_prev = y_new, z_new
+
+
+@_MONITOR_CASES
+def test_theta_node_by_node_dz_norm_matches_the_whole_array_mean(monkeypatch, name, params):
+    # summed node by node, so equal to the whole-array formula up to the
+    # summation order
+    bundle = fixture(name, **params)
+    for step, (_, z_prev), (_, z_new) in _recorded_theta_sweeps(monkeypatch, bundle):
+        whole = float(np.sqrt(np.mean((z_new - z_prev) ** 2)))
+        assert whole > 0.0
+        assert abs(step.dz_norm - whole) <= 1e-12 * whole
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 2)])
