@@ -268,17 +268,21 @@ def cmd_refine(args) -> int:
     cfg = load_config(args.config)
     bundle, grid, engine, paths, opts = _build(cfg)
     t0 = time.perf_counter()
-    sol, trace, extras = run_scheme(bundle, cfg["scheme"], grid, paths, engine, opts)
-    ref = dense_reference(
-        bundle,
-        grid,
-        int(cfg["particles"]),
-        int(cfg["seed"]),
-        refine=args.factor,
-        scheme=cfg["scheme"],
-        engine=engine,
-        opts=opts,
-    )
+    try:
+        sol, trace, extras = run_scheme(bundle, cfg["scheme"], grid, paths, engine, opts)
+        ref = dense_reference(
+            bundle,
+            grid,
+            int(cfg["particles"]),
+            int(cfg["seed"]),
+            refine=args.factor,
+            scheme=cfg["scheme"],
+            engine=engine,
+            opts=opts,
+        )
+    except SolverDivergence as exc:
+        _emit({"schema_version": 1, "command": "refine", "config": cfg, "error": str(exc), "results": {}, "timings": {}})
+        return EXIT_DIVERGED
     elapsed = time.perf_counter() - t0
     base = sol.y0()
     fine = ref.extras["value_vector"]

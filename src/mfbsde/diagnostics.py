@@ -13,7 +13,7 @@ import numpy as np
 
 from .constants import GlobalConstants, LocalConstants
 from .generators import CertificateLocal
-from .measures import ExpMoment, exp_moment, max_abs, sum_squares
+from .measures import ExpMoment, column_max, exp_moment, max_abs, sum_squares
 
 MC_SLACK = 0.05
 
@@ -57,9 +57,10 @@ def bmo_profile(z_values, grid, paths, engine, k_lo: int = 0, operators=None) ->
     projecting the tail sum onto the node-k state. The BMO norm is the
     square root of the profile maximum. A tuple of m Z arrays over the same
     nodes gives a (K, m) profile: their tail sums are projected as one
-    (N, m) block per node. Node operators come from ``operators`` (an
-    :class:`mfbsde.condexp.OperatorTable` over global node indices) when
-    given, else one is factored per node.
+    (N, m) block per node, whose particle maxima are taken column by column
+    (:func:`mfbsde.measures.column_max`). Node operators come from
+    ``operators`` (an :class:`mfbsde.condexp.OperatorTable` over global node
+    indices) when given, else one is factored per node.
     """
     if isinstance(z_values, tuple):
         tails = np.stack([_tail_sums(z, grid.dt).T for z in z_values], axis=2)  # (K, N, m)
@@ -70,7 +71,7 @@ def bmo_profile(z_values, grid, paths, engine, k_lo: int = 0, operators=None) ->
     for k in range(n_steps):
         node = k_lo + k
         op = engine.operator(paths.brownian_at(node)) if operators is None else operators[node]
-        profile[k] = op.apply(tails[k]).max(axis=0)
+        profile[k] = column_max(op.apply(tails[k]))
     return profile
 
 

@@ -55,6 +55,20 @@ def max_abs(x: np.ndarray) -> np.ndarray:
     return top
 
 
+def column_max(x: np.ndarray) -> np.ndarray:
+    """Largest entry of each column of an (N, m) block, one column at a time;
+    an (N,) vector gives its maximum.
+
+    ``x.max(axis=0)`` over a block of a few columns runs an inner loop per
+    particle (see :func:`sum_squares`), about ten times slower than one pass
+    per column on an (8192, 2) block. The maximum is exact, so the result
+    equals ``np.max(x, axis=0)`` bitwise, NaN included.
+    """
+    if x.ndim == 1:
+        return x.max()
+    return np.array([x[:, c].max() for c in range(x.shape[1])])
+
+
 def _as_cloud(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:

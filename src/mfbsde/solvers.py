@@ -22,6 +22,20 @@ node's p x p factor and rebuilds its operator at each visit. A non-finite
 Y or Z stops the kernel at the node where it appears with
 :class:`SolverDivergence`.
 
+A ``local`` or ``global`` window computes once what none of its Picard
+iterations can change. The first node visit, k = k_hi - 1, reads only the
+window terminal Y_{k_hi}, node k's operator and dW_k, so E_k[Y_{k_hi}], the
+clipped Z_k and its clip count are computed once per :func:`solve_local`
+call; every pass still adds the clip count. With one inner sweep every pass
+writes exactly that Z_k, so from the second iteration on everything the
+terminal driver value at t_{k_hi} reads is fixed: the frozen Y, other rows
+and law clouds (the terminal and that Z_k) and the own rows (that Z_k). It
+is evaluated once, from the first iterate. The first iteration freezes the
+flat start, whose Z is zero, and extra inner sweeps re-extract a Z_k that
+moves, so neither reuses it. A 1-node window, what ``global`` gets when
+delta_kappa is below the grid step, then makes one driver call and no
+projection per pass.
+
 Every iterate is stored node-major: Y in a (K+1, N, n) buffer and Z in a
 (K, N, n, d) one, so a node visit reads Y_{k+1} and writes Y_k and Z_k as
 contiguous slices, and reads W_{t_k} and dW_k as contiguous slices of the
@@ -203,6 +217,13 @@ def _check_finite(k: int, t: float, y: np.ndarray, z: np.ndarray) -> None:
             raise SolverDivergence(f"non-finite {name} at node {k} (t={t:.6g}) in component {i}")
 
 
+def _node_fit(op: NodeOperator, values: np.ndarray, dw: np.ndarray, dt: float, radius: float | None):
+    """(E_k[values], the clipped Z fitted from values (N, n, d), clip events)."""
+    fit = op.apply(values)
+    z, clips = _clip_rows(_increment_fit(values, fit, op, dw, dt), radius)
+    return fit, z, clips
+
+
 def _backward(
     grid: TimeGrid,
     paths: PathEnsemble,
@@ -212,6 +233,7 @@ def _backward(
     opts: SolverOptions,
     k_lo: int,
     k_hi: int,
+    head: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The backward kernel on nodes [k_lo, k_hi] for terminal values (N, n).
 
@@ -219,9 +241,11 @@ def _backward(
     it must accept k = k_hi, where the terminal-side quadrature point takes
     the Z of node k_hi - 1. Extra inner sweeps re-extract Z from the
     driver-corrected target, a damping that helps stiff quadratic
-    coefficients. Node k's operator is ``operators[k]``. Returns
-    (Y (N, K+1, n), Z (N, K, n, d), clip events), views of node-major
-    buffers.
+    coefficients. Node k's operator is ``operators[k]``. ``head``, when
+    given, replaces what the first visit computes from the terminal:
+    (E_{k_hi-1}[Y_{k_hi}], the clipped Z_{k_hi-1}, its clip events, and the
+    terminal driver value, or None to evaluate it). Returns (Y (N, K+1, n),
+    Z (N, K, n, d), clip events), views of node-major buffers.
     """
     if not 0 <= k_lo < k_hi <= grid.steps:
         raise ValueError(f"bad node range [{k_lo}, {k_hi}]")
@@ -232,23 +256,22 @@ def _backward(
     y = np.empty((span + 1, n_part, n))
     z = np.empty((span, n_part, n, paths.dimension))
     y[span] = terminal
-    clips = 0
-    f_next: np.ndarray | None = None
+    clips, f_next = 0, None
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
         op = operators[k]
         dw = paths.increments[:, k, :]
         y_next = y[j + 1]
-        fit_next = op.apply(y_next)
-        z_k, c = _clip_rows(_increment_fit(y_next, fit_next, op, dw, dt), opts.z_clip)
-        clips += c
+        if k == k_hi - 1 and head is not None:
+            fit_next, z_k, clips, f_next = head
+        else:
+            fit_next, z_k, c = _node_fit(op, y_next, dw, dt, opts.z_clip)
+            clips += c
         if f_next is None:  # terminal quadrature point
             f_next = driver(k + 1, grid.nodes[k + 1], z_k)
         f_here = driver(k, grid.nodes[k], z_k)
         for _ in range(opts.inner_sweeps - 1):
-            target = y_next + 0.5 * (f_here + f_next) * dt
-            fit = op.apply(target)
-            z_k, c = _clip_rows(_increment_fit(target, fit, op, dw, dt), opts.z_clip)
+            _, z_k, c = _node_fit(op, y_next + 0.5 * (f_here + f_next) * dt, dw, dt, opts.z_clip)
             clips += c
             f_here = driver(k, grid.nodes[k], z_k)
         y[j] = fit_next + 0.5 * (f_here + f_next) * dt
@@ -330,12 +353,14 @@ def psi_map(
     k_hi: int | None = None,
     law_source: Solution | None = None,
     operators: OperatorTable | None = None,
+    _head: tuple | None = None,
 ) -> Solution:
     """Frozen-coefficient map: one backward pass in which component i has
     its own Z row free while Y, the other rows and the law come from the
     input iterate (the law from ``law_source`` when given) at the same node.
     ``operators`` is the caller's node-operator table, if it keeps one;
-    otherwise each node is factored for this pass alone.
+    otherwise each node is factored for this pass alone. ``_head`` is the
+    window head :func:`solve_local` computes once (see :func:`_backward`).
     """
     if k_hi is None:
         k_hi = grid.steps
@@ -344,7 +369,7 @@ def psi_map(
     terminal = input_sol.Y[:, k_hi - k_lo, :]
     if operators is None:
         operators = FactorTable(engine.basis, paths.brownian_at)
-    y, z, clips = _backward(grid, paths, driver, terminal, operators, opts, k_lo, k_hi)
+    y, z, clips = _backward(grid, paths, driver, terminal, operators, opts, k_lo, k_hi, _head)
     return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, clip_events=clips)
 
 
@@ -373,6 +398,12 @@ def solve_local(
     Every iteration, law refinement and BMO norm factors each node once,
     through ``operators`` or, when the caller keeps no table, one owned by
     this call.
+
+    The first node visit's projections read only the window terminal, so
+    they are computed once per call; with ``inner_sweeps == 1`` the terminal
+    driver value is fixed from the second iteration on and is evaluated once
+    (see the module docstring). Every pass equals a plain :func:`psi_map`
+    pass bitwise.
     """
     if k_hi is None:
         k_hi = grid.steps
@@ -389,12 +420,23 @@ def solve_local(
     if operators is None:
         operators = OperatorTable(engine.basis, paths.brownian_at)
     current = _flat_solution(terminal, grid, span, spec.d, k_lo, offset=opts.init_offset)
+    dw_head = paths.increments[:, k_hi - 1, :]
+    fit_head, z_head, clips_head = _node_fit(operators[k_hi - 1], current.Y[:, span], dw_head, grid.dt, opts.z_clip)
+    f_terminal = None
     trace = PicardTrace()
     floor = 1e-13 * max(1.0, float(np.abs(terminal).max()))
     for it in range(1, opts.max_iter + 1):
-        out = psi_map(spec, current, grid, paths, engine, opts, k_lo, k_hi, operators=operators)
+        if it == 2 and opts.inner_sweeps == 1:
+            # every pass from here on reads the same terminal-side driver value
+            f_terminal = _own_rows(
+                spec, current.Y, current.Z, (current.Y, current.Z), k_lo, k_hi, grid.nodes[k_hi], z_head
+            )
+        head = (fit_head, z_head, clips_head, f_terminal)
+        out = psi_map(spec, current, grid, paths, engine, opts, k_lo, k_hi, operators=operators, _head=head)
         for _ in range(opts.law_refinements):
-            out = psi_map(spec, current, grid, paths, engine, opts, k_lo, k_hi, law_source=out, operators=operators)
+            out = psi_map(
+                spec, current, grid, paths, engine, opts, k_lo, k_hi, law_source=out, operators=operators, _head=head
+            )
         dy = float(np.abs(out.Y - current.Y).max())
         dz, qv_norm = bmo_norm((out.Z - current.Z, out.Z), grid, paths, engine, k_lo=k_lo, operators=operators)
         combined = _combined_norm(dy, dz)
@@ -538,26 +580,33 @@ def _theta_step(
     maxima of |Y_k|^2 get one square root at the end, which equals the
     maximum of the norms bitwise. The squared Z difference is summed node by
     node too, so ``dz_norm`` matches the whole-array mean to rounding.
+
+    A finite Y can be too large for these monitors (|Y|^2 overflows above
+    about 1e154); an overflowing monitor raises :class:`SolverDivergence`
+    naming the sweep.
     """
     theta = 0.5
     dy = max_y = 0.0
     sup_sq = np.zeros(len(y_new))  # per particle: max over nodes of |Y_k|^2
     delta = np.zeros(len(y_new))  # per particle: max over nodes of |Delta_k|
     dz_sq = 0.0
-    for j in range(z_new.shape[1]):
-        dz_j = (z_new[:, j] - z_prev[:, j]).ravel()
-        dz_sq += float(np.dot(dz_j, dz_j))
-    for j in range(y_new.shape[1]):
-        y_j, prev_j = y_new[:, j], y_prev[:, j]
-        dy = max(dy, float(np.abs(y_j - prev_j).max()))
-        max_y = max(max_y, float(np.abs(y_j).max()))
-        np.maximum(sup_sq, sum_squares(y_j), out=sup_sq)
-        if it >= 2:
-            np.maximum(delta, max_abs((y_j - theta * prev_j) / (1.0 - theta)), out=delta)
-    sup_y = np.sqrt(sup_sq)
-    monitors = {f"exp_sup_q{q}_log": exp_moment(gamma * sup_y, q=q).log_value for q in (1, 2)}
+    with np.errstate(over="ignore"):  # an overflow is reported below as divergence
+        for j in range(z_new.shape[1]):
+            dz_j = (z_new[:, j] - z_prev[:, j]).ravel()
+            dz_sq += float(np.dot(dz_j, dz_j))
+        for j in range(y_new.shape[1]):
+            y_j, prev_j = y_new[:, j], y_prev[:, j]
+            dy = max(dy, float(np.abs(y_j - prev_j).max()))
+            max_y = max(max_y, float(np.abs(y_j).max()))
+            np.maximum(sup_sq, sum_squares(y_j), out=sup_sq)
+            if it >= 2:
+                np.maximum(delta, max_abs((y_j - theta * prev_j) / (1.0 - theta)), out=delta)
+        g_sup, g_delta = gamma * np.sqrt(sup_sq), gamma * delta  # the exponents' samples
+    if not np.isfinite([dy, dz_sq, g_sup.max(), g_delta.max()]).all():
+        raise SolverDivergence(f"sweep {it}: max |Y| = {max_y:.3g} overflows the sweep monitors")
+    monitors = {f"exp_sup_q{q}_log": exp_moment(g_sup, q=q).log_value for q in (1, 2)}
     if it >= 2:
-        monitors["theta_delta_sup_log"] = exp_moment(gamma * delta, q=1).log_value
+        monitors["theta_delta_sup_log"] = exp_moment(g_delta, q=1).log_value
     return PicardStep(
         iteration=it,
         dy_sup=dy,

@@ -272,3 +272,22 @@ def test_refine_subcommand(capsys, tmp_path):
     report = json.loads(out)
     assert report["results"]["refine_factor"] == 2
     assert report["results"]["gap"] < 0.1
+
+
+@pytest.mark.parametrize("gamma", [20.0, 30.0])
+def test_overflowing_theta_monitors_exit_diverged(capsys, tmp_path, gamma):
+    # finite Y too large for the exponential-moment monitors is a divergence,
+    # not a bad config
+    cfg = write_config(tmp_path, params={"gamma": gamma, "terminal": "brownian"}, seed=4, solver={"tol": 1e-7})
+    code, out, _ = run_cli(capsys, "solve", cfg)
+    assert code == EXIT_DIVERGED
+    assert "overflows the sweep monitors" in json.loads(out)["error"]
+
+
+def test_refine_on_a_diverging_solve_exits_diverged(capsys, tmp_path):
+    cfg = write_config(tmp_path, params={"gamma": 30.0, "terminal": "brownian"}, seed=3, solver={"tol": 1e-7})
+    code, out, _ = run_cli(capsys, "refine", cfg, "--factor", "2")
+    assert code == EXIT_DIVERGED
+    report = json.loads(out)
+    assert report["command"] == "refine" and report["results"] == {}
+    assert "non-finite Y at node 1" in report["error"]

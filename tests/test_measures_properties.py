@@ -1,13 +1,14 @@
 """Property tests of the per-particle sum of squares: its square root is the
 row norm np.linalg.norm computes, and the distances to the point mass built
 on it agree with the p-th moment root of those norms. The per-particle
-largest absolute value equals numpy's reduction over the trailing axis."""
+largest absolute value equals numpy's reduction over the trailing axis, and
+the column-by-column maximum equals numpy's reduction over the particles."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mfbsde.measures import ParticleCloud, max_abs, sum_squares, wasserstein_to_delta
+from mfbsde.measures import ParticleCloud, column_max, max_abs, sum_squares, wasserstein_to_delta
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -80,3 +81,15 @@ def test_max_abs_equals_the_trailing_axis_reduction_bitwise(data):
     shape = data.draw(_shapes(4))
     x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=True, allow_infinity=True)))
     assert np.array_equal(max_abs(x), np.abs(x).max(axis=-1), equal_nan=True)
+
+
+@SETTINGS
+@given(st.data())
+def test_column_max_equals_the_particle_axis_reduction_bitwise(data):
+    shape = data.draw(st.tuples(st.integers(1, 64), st.integers(1, 4)))
+    x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=True, allow_infinity=True)))
+    for block in (x, x[:, 0]):
+        got, want = np.atleast_1d(column_max(block)), np.atleast_1d(np.max(block, axis=0))
+        nan = np.isnan(want)
+        assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))  # signed zeros too

@@ -701,3 +701,129 @@ def test_increment_fit_equals_the_einsum_formula_bitwise(n, d):
     products = np.einsum("ni,nd->nid", values - fit, dw) / grid.dt
     einsum_fit = op.apply(products.reshape(len(values), -1)).reshape(len(values), n, d)
     assert np.array_equal(solvers._increment_fit(values, fit, op, dw, grid.dt), einsum_fit)
+
+
+# A window computes once what no Picard iteration of it can change: the first
+# node visit's projections, and from the second iteration on, with one inner
+# sweep, the terminal driver value. A plain Picard loop over the public
+# psi_map, which recomputes both on every pass, is the reference.
+
+
+def _reference_picard(spec, terminal, grid, paths, opts, k_lo, k_hi, iterations):
+    """``iterations`` passes of psi_map, each with its law refinements, from
+    the flat start; returns the last iterate and each pass's sup difference."""
+    span = k_hi - k_lo
+    y = np.empty((span + 1, len(terminal), spec.n))  # node-major, as the solvers store it
+    y[:] = terminal
+    if opts.init_offset:
+        y[:span] += opts.init_offset
+    z = np.zeros((span, len(terminal), spec.n, spec.d))
+    current = Solution(Y=y.swapaxes(0, 1), Z=z.swapaxes(0, 1), grid=grid, k_lo=k_lo)
+    dy_sup = []
+    for _ in range(iterations):
+        out = psi_map(spec, current, grid, paths, ENGINE, opts, k_lo, k_hi)
+        for _ in range(opts.law_refinements):
+            out = psi_map(spec, current, grid, paths, ENGINE, opts, k_lo, k_hi, law_source=out)
+        dy_sup.append(float(np.abs(out.Y - current.Y).max()))
+        current = out
+    return current, dy_sup
+
+
+def _with_window_clip(opts, k2):
+    """The options with the clip radius solve_local derives when none is set."""
+    if opts.z_clip is not None:
+        return opts
+    return replace(opts, z_clip=4.0 * math.sqrt(k2) if math.isfinite(k2) else None)
+
+
+_WINDOW_OPTIONS = [
+    {"inner_sweeps": s, "law_refinements": r, "init_offset": o, "z_clip": c}
+    for s in (1, 2)
+    for r in (0, 1)
+    for o in (0.0, 0.3)
+    for c in (None, 0.5)
+]
+
+
+@pytest.mark.parametrize(
+    "options", _WINDOW_OPTIONS, ids=["-".join(f"{k}={v}" for k, v in o.items()) for o in _WINDOW_OPTIONS]
+)
+def test_local_equals_a_plain_picard_loop_over_psi_map_bitwise(options):
+    # eq41 with n = 2: cross rows and the joint law reach the terminal point
+    bundle = fixture("eq41", n=2)
+    spec = bundle.spec
+    grid = build_grid(0.05, 8)
+    paths = sample_brownian(grid, 512, spec.d, seed=41)
+    k_lo, k_hi = 1, 6
+    terminal = bundle.terminal(paths)
+    opts = SolverOptions(tol=1e-8, **options)
+    sol, trace = solve_local(spec, bundle.local, terminal, grid, paths, ENGINE, opts, k_lo, k_hi)
+    assert trace.converged and trace.iterations >= 3
+    assert (sol.clip_events > 0) == (options["z_clip"] is not None)
+    opts = _with_window_clip(opts, solvers.local_window(bundle.local, spec.n).K2)
+    ref, dy_sup = _reference_picard(spec, terminal, grid, paths, opts, k_lo, k_hi, trace.iterations)
+    assert np.array_equal(sol.Y, ref.Y) and np.array_equal(sol.Z, ref.Z)
+    assert sol.clip_events == ref.clip_events
+    assert [step.dy_sup for step in trace.steps] == dy_sup
+
+
+def test_global_windows_equal_plain_picard_loops_over_psi_map_bitwise():
+    bundle = fixture("eq41", n=2)
+    spec = bundle.spec
+    grid = build_grid(1.0, 16)
+    paths = sample_brownian(grid, 2**10, 2, seed=9)
+    sol, report = solve_global(spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE)
+    assert sum(w.halvings for w in report.windows) == 0
+    opts = _with_window_clip(SolverOptions(), solvers.global_ode(bundle.global_, spec.n, grid.horizon).window.K2)
+    for w in report.windows:
+        ref, _ = _reference_picard(spec, sol.Y[:, w.k_hi], grid, paths, opts, w.k_lo, w.k_hi, w.iterations)
+        assert np.array_equal(sol.Y[:, w.k_lo : w.k_hi + 1], ref.Y)
+        assert np.array_equal(sol.Z[:, w.k_lo : w.k_hi], ref.Z)
+
+
+@pytest.mark.parametrize("inner_sweeps, total", [(1, 135), (2, 336)])
+def test_global_window_evaluates_its_terminal_driver_value_once(inner_sweeps, total):
+    # a 1-node window passes the terminal point and its node: 2 driver calls
+    # in iteration 1, then the terminal value once and 1 call per iteration;
+    # extra inner sweeps move the frozen Z, so every pass evaluates it again
+    bundle = fixture("eq41", n=2)
+    calls = []
+    spec = replace(
+        bundle.spec, evaluate=lambda *args, _f=bundle.spec.evaluate: calls.append(args[2].shape) or _f(*args)
+    )
+    grid = build_grid(1.0, 16)
+    paths = sample_brownian(grid, 2**10, 2, seed=9)
+    opts = SolverOptions(inner_sweeps=inner_sweeps)
+    _, report = solve_global(spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE, opts)
+    iterations = [w.iterations for w in report.windows]
+    assert min(iterations) >= 2 and all(w.k_hi - w.k_lo == 1 for w in report.windows)
+    expected = sum(i + 2 for i in iterations) if inner_sweeps == 1 else sum(3 * i for i in iterations)
+    assert len(calls) == expected == total
+
+
+def test_global_window_projects_its_terminal_once(monkeypatch):
+    # the fit of the terminal and its increment fit once per 1-node window;
+    # every iteration then projects only its BMO tail sums
+    bundle = fixture("eq41", n=2)
+    grid = build_grid(1.0, 16)
+    paths = sample_brownian(grid, 2**10, 2, seed=9)
+    widths = []
+    real_apply = NodeOperator.apply
+    monkeypatch.setattr(NodeOperator, "apply", lambda op, v: widths.append(v.shape[1:]) or real_apply(op, v))
+    _, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE)
+    assert all(w.k_hi - w.k_lo == 1 for w in report.windows)
+    iterations = sum(w.iterations for w in report.windows)
+    assert widths.count((4,)) == report.window_count  # the n d increment products
+    assert len(widths) == 2 * report.window_count + iterations == 135
+
+
+@pytest.mark.parametrize("gamma", [20.0, 30.0])
+def test_overflowing_theta_monitors_raise_divergence_naming_the_sweep(gamma):
+    # Y stays finite (max |Y| about 2e234 and 2e305) but |Y|^2 overflows, and
+    # at gamma = 30 so does the squared Z difference; pytest turns the
+    # overflow RuntimeWarning into an error, so none may escape
+    bundle = fixture("pure_quadratic", gamma=gamma, terminal="brownian")
+    grid = build_grid(1.0, 16)
+    paths = sample_brownian(grid, 2**10, 1, seed=4)
+    with pytest.raises(SolverDivergence, match=r"sweep 1: max \|Y\| = .* overflows the sweep monitors"):
+        solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), grid, paths, ENGINE, SolverOptions(tol=1e-7))
