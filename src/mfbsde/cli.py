@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 bad config or usage, 3 solver divergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -39,8 +40,8 @@ _SCHEMES = ("theta", "local", "global", "volterra")
 _TOP_KEYS = {"fixture", "params", "scheme", "grid", "particles", "seed", "basis", "solver", "outputs"}
 _REQUIRED = {"fixture", "scheme", "grid", "particles", "seed"}
 _GRID_KEYS = {"horizon", "steps"}
-_BASIS_KEYS = {"kind", "degree", "bins"}
-_SOLVER_KEYS = {"tol", "max_iter", "z_clip", "inner_sweeps", "init_offset", "law_refinements"}
+_BASIS_KEYS = {f.name for f in dataclasses.fields(RegressionBasis)}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverOptions)}
 _OUTPUT_KEYS = {"csv", "solution"}
 
 
@@ -88,22 +89,8 @@ def load_config(path: str) -> dict:
 def _build(cfg: dict):
     bundle = fixture(cfg["fixture"], **cfg.get("params", {}))
     grid = build_grid(float(cfg["grid"]["horizon"]), int(cfg["grid"]["steps"]))
-    basis_cfg = cfg.get("basis", {})
-    basis = RegressionBasis(
-        kind=basis_cfg.get("kind", "polynomial"),
-        degree=int(basis_cfg.get("degree", 3)),
-        bins=int(basis_cfg.get("bins", 50)),
-    )
-    sol_cfg = cfg.get("solver", {})
-    z_clip = sol_cfg.get("z_clip")
-    opts = SolverOptions(
-        tol=float(sol_cfg.get("tol", 1e-6)),
-        max_iter=int(sol_cfg.get("max_iter", 40)),
-        z_clip=None if z_clip is None else float(z_clip),
-        inner_sweeps=int(sol_cfg.get("inner_sweeps", 1)),
-        init_offset=float(sol_cfg.get("init_offset", 0.0)),
-        law_refinements=int(sol_cfg.get("law_refinements", 0)),
-    )
+    basis = RegressionBasis(**cfg.get("basis", {}))
+    opts = SolverOptions(**cfg.get("solver", {}))
     paths = sample_brownian(grid, int(cfg["particles"]), bundle.spec.d, seed=int(cfg["seed"]))
     return bundle, grid, RegressionEngine(basis), paths, opts
 

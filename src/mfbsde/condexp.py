@@ -1,24 +1,22 @@
 """Least-squares conditional expectations on a particle ensemble.
 
-The conditioning state at node k is the Brownian value W_{t_k}. Projections
-solve the normal equations through a thin QR factorization; a trace-scaled
+The conditioning state at node k is the Brownian value W_{t_k}. A fit
+solves the normal equations through a thin QR factorization; a trace-scaled
 ridge fallback (penalty 1e-10 * tr(A^T A)/p) catches rank deficiency, and
-columns with no sample variance are dropped up front so the degenerate
-node-0 state reduces cleanly to a plain mean.
+columns with no sample variance are dropped first, so a constant state
+reduces to a plain mean.
 
-A fit is split in three: a :class:`NodeFactor` holds the p x p part of one
-state's factorization, a :class:`NodeOperator` combines it with the state's
-design, and its ``apply`` fits any number of right-hand sides. Tables key
-them by node index and live as long as their owner. An
-:class:`OperatorTable` keeps built operators: the solvers keep one per
-window for ``local`` and ``global`` (every Picard iteration and BMO norm of
-the window shares it) and one per ``volterra`` solve, shared by its inner
-``theta`` solve and its outer sweeps. A
-:class:`FactorTable` keeps only the factors and rebuilds an operator's
-particle-sized part at each access; ``theta`` keeps one per solve.
+A :class:`NodeFactor` holds the p x p part of one state's factorization, a
+:class:`NodeOperator` combines it with the state's design, and its
+``apply`` fits an (N,) vector or an (N, m) block of right-hand sides. An
+operator rebuilt from a kept factor is bitwise equal to a fresh one. Tables
+key operators by node index and factor each node once: an
+:class:`OperatorTable` keeps the operators it builds, a :class:`FactorTable`
+keeps only their factors.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable
@@ -39,6 +37,9 @@ class RegressionBasis:
     kind="polynomial": all monomials of total degree <= degree.
     kind="piecewise": indicator columns of per-coordinate equal-width bins
     (their span contains constants, so the tower property is preserved).
+    Raises :class:`RegressionError` (a ``ValueError``) for an unknown kind,
+    a degree or bin count that is not an int (a bool is none), a negative
+    degree or a bin count below 1.
     """
 
     kind: str = "polynomial"
@@ -46,6 +47,10 @@ class RegressionBasis:
     bins: int = 50
 
     def __post_init__(self) -> None:
+        for name in ("degree", "bins"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise RegressionError(f"basis {name} must be an integer, got {value!r}")
         if self.kind not in ("polynomial", "piecewise"):
             raise RegressionError(f"unknown basis kind {self.kind!r}")
         if self.kind == "polynomial" and self.degree < 0:

@@ -59,10 +59,6 @@ class MonomialFn:
     def __call__(self, x):
         return self.c0 + self.c1 * np.abs(x) ** self.r
 
-    @property
-    def is_zero(self) -> bool:
-        return self.c0 == 0.0 and self.c1 == 0.0
-
 
 ZERO_FN = MonomialFn(0.0, 0.0, 1.0)
 
@@ -169,7 +165,6 @@ class GeneratorSpec:
     n: int
     d: int
     evaluate: Evaluator
-    diagonal: bool = True
     law_dependence: str = "joint"
     zeta_level: float = 0.0
 
@@ -247,10 +242,9 @@ def _others_sum(values: np.ndarray) -> np.ndarray:
     return values @ (np.ones((n, n)) - np.eye(n))
 
 
-def _terminal_brownian(scale: float = 1.0):
+def _terminal_brownian():
     def terminal(paths) -> np.ndarray:
-        w = paths.terminal()
-        return scale * w
+        return paths.terminal().copy()
 
     return terminal
 

@@ -143,9 +143,7 @@ class MeasureView:
     Wraps the Y cloud (R^n marginal), optionally the Z cloud (rows flattened
     to R^{n d}), and the joint pairing; both are checked finite when the
     view is built, and only then. Distances to the point mass use the
-    arithmetic of :func:`wasserstein_to_delta` on the checked points and are
-    cached, because a driver may ask for the same distance at every
-    particle batch.
+    arithmetic of :func:`wasserstein_to_delta` on the checked points.
     """
 
     def __init__(self, y: np.ndarray, z: np.ndarray | None = None) -> None:
@@ -158,7 +156,6 @@ class MeasureView:
             self._z = _as_cloud(zc)
             if self._z.shape[0] != self._y.shape[0]:
                 raise MeasureError("Y and Z clouds must pair particle by particle")
-        self._cache: dict[tuple[str, float], float] = {}
 
     @property
     def z_points(self) -> np.ndarray:
@@ -173,16 +170,10 @@ class MeasureView:
     def mean_y(self) -> np.ndarray:
         return self._y.mean(axis=0)
 
-    def _dist(self, tag: str, pts: np.ndarray, p: float) -> float:
-        key = (tag, p)
-        if key not in self._cache:
-            self._cache[key] = _distance_to_delta(pts, _check_order(p))
-        return self._cache[key]
-
     def w_y(self, p: float = 2) -> float:
         """W_p(mu_1, delta_0) for the Y marginal."""
-        return self._dist("y", self._y, p)
+        return _distance_to_delta(self._y, _check_order(p))
 
     def w_z(self, p: float = 2) -> float:
         """W_p(mu_2, delta_0) for the Z marginal."""
-        return self._dist("z", self.z_points, p)
+        return _distance_to_delta(self.z_points, _check_order(p))

@@ -193,7 +193,7 @@ def dense_reference(
     fine_seed = int(np.random.SeedSequence((int(seed), int(refine))).generate_state(1)[0])
     paths = sample_brownian(fine_grid, particles, bundle.spec.d, seed=fine_seed)
     if engine is None:
-        engine = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
+        engine = RegressionEngine(RegressionBasis())
     if opts is None:
         opts = SolverOptions()
     sol, trace, _ = run_scheme(bundle, scheme, fine_grid, paths, engine, opts)

@@ -1,63 +1,33 @@
 """Backward particle solvers: one backward kernel, Picard maps, stitching.
 
-Every scheme runs the same backward kernel. It walks the nodes once and
-carries all n components: Y as (N, n) and Z as (N, n, d). With E_k the
-regression projection at node k,
+Every scheme runs the same backward kernel, :func:`_backward`, over nodes
+[k_lo, k_hi] with all n components at once: Y is (N, n) and Z is (N, n, d)
+per node. With E_k the regression projection at node k,
 
     Z_k = E_k[(Y_{k+1} - E_k[Y_{k+1}]) dW_k^T] / dt,
     Y_k = E_k[Y_{k+1}] + (dt/2) (f(t_k, Z_k) + f(t_{k+1}, Z_{k+1})),
 
 a trapezoidal driver quadrature whose O(dt^2) bias is what the acceptance
-tolerances assume. A node visit takes E_k (a
-:class:`mfbsde.condexp.NodeOperator`) from its caller's table and applies
-it to Y_{k+1}, whose fit serves both the centering and Y_k, to the centered
-increment products as a single (N, n d) block, and to every inner sweep.
-Every node is factored once per table: ``local`` and ``global`` keep an
-:class:`mfbsde.condexp.OperatorTable` per window, shared by every Picard
-iteration, law refinement and halving retry of the window and by its BMO
-norms, and dropped when the window is solved; a ``volterra`` solve keeps
-one for its inner ``theta`` solve and its outer sweeps. ``theta`` keeps a
-:class:`mfbsde.condexp.FactorTable` for the whole solve, which holds each
-node's p x p factor and rebuilds its operator at each visit. A non-finite
-Y or Z stops the kernel at the node where it appears with
-:class:`SolverDivergence`.
+tolerances assume. Node k's operator comes from the caller's table (see
+:mod:`mfbsde.condexp`), and a solve factors each node once per table. A
+non-finite Y or Z raises :class:`SolverDivergence` naming the node.
 
-A ``local`` or ``global`` window computes once what none of its Picard
-iterations can change. The first node visit, k = k_hi - 1, reads only the
-window terminal Y_{k_hi}, node k's operator and dW_k, so E_k[Y_{k_hi}], the
-clipped Z_k and its clip count are computed once per :func:`solve_local`
-call; every pass still adds the clip count. With one inner sweep every pass
-writes exactly that Z_k, so from the second iteration on everything the
-terminal driver value at t_{k_hi} reads is fixed: the frozen Y, other rows
-and law clouds (the terminal and that Z_k) and the own rows (that Z_k). It
-is evaluated once, from the first iterate. The first iteration freezes the
-flat start, whose Z is zero, and extra inner sweeps re-extract a Z_k that
-moves, so neither reuses it. A 1-node window, what ``global`` gets when
-delta_kappa is below the grid step, then makes one driver call and no
-projection per pass.
+Component i is free only in its own Z row. One driver call gives all n
+components: the kernel's Z goes in as the own rows, and every other
+argument is frozen at the scheme's input iterate at the same node (see
+:func:`_own_rows`):
 
-Every iterate is stored node-major: Y in a (K+1, N, n) buffer and Z in a
-(K, N, n, d) one, so a node visit reads Y_{k+1} and writes Y_k and Z_k as
-contiguous slices, and reads W_{t_k} and dW_k as contiguous slices of the
-node-major :class:`mfbsde.paths.PathEnsemble`. :class:`Solution` shows the
-iterates through the axis-swapped views of shape (N, K+1, n) and
-(N, K, n, d), and per-sweep monitors are accumulated node by node rather
-than over full-size temporaries.
-
-In a diagonally quadratic system component i is free only in its own Z row
-z^i. A node's driver values for all n components come from one driver
-call: the kernel's Z goes in as the own rows and the frozen rows as the
-driver's ``others`` (see :class:`mfbsde.generators.Evaluator`). Every
-argument other than the own row is frozen by one policy:
-
-- ``theta``: the other rows are zero; Y and the law come from the previous
-  sweep.
+- ``theta``: Y, the other rows and the law come from the previous sweep.
 - ``local`` and ``global``: Y, the other rows and the law come from the
-  input iterate; during law refinements the law comes from ``law_source``.
+  input iterate; during law refinements the law comes from the latest pass.
+
+Every entry point takes its terminal through :func:`_terminal_block`, so a
+terminal that is not (particles, n) raises ``ValueError``.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -72,7 +42,7 @@ from .constants import (
     local_window,
     volterra_weight,
 )
-from .diagnostics import bmo_norm
+from .diagnostics import bmo_norm, bmo_profile
 from .generators import (
     CertificateConvex,
     CertificateLocal,
@@ -95,8 +65,23 @@ class SolverDivergence(RuntimeError):
         self.trace = trace
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class SolverOptions:
+    """Iteration controls shared by every scheme.
+
+    Raises ``ValueError`` unless tol is finite and >= 0, init_offset is
+    finite, max_iter and inner_sweeps are ints >= 1, law_refinements is an
+    int >= 0 and z_clip is None or finite and > 0; a bool is no number.
+    """
+
     tol: float = 1e-6
     max_iter: int = 40
     z_clip: float | None = None
@@ -104,19 +89,28 @@ class SolverOptions:
     init_offset: float = 0.0
     law_refinements: int = 0
 
+    def __post_init__(self) -> None:
+        checks = {
+            "tol": _is_real(self.tol) and self.tol >= 0,
+            "init_offset": _is_real(self.init_offset),
+            "max_iter": _is_count(self.max_iter, 1),
+            "inner_sweeps": _is_count(self.inner_sweeps, 1),
+            "law_refinements": _is_count(self.law_refinements, 0),
+            "z_clip": self.z_clip is None or (_is_real(self.z_clip) and self.z_clip > 0),
+        }
+        bad = [name for name, ok in checks.items() if not ok]
+        if bad:
+            raise ValueError(f"bad solver option(s): {', '.join(f'{k}={getattr(self, k)!r}' for k in bad)}")
+
 
 @dataclass
 class Solution:
     """Discrete solution pair: Y is (N, K+1, n), Z is (N, K, n, d).
 
-    The memory is node-major: Y and Z are axis-swapped views of (K+1, N, n)
-    and (K, N, n, d) buffers, so each node slice ``sol.Y[:, k]`` and
-    ``sol.Z[:, k]`` is C-contiguous. ``np.ascontiguousarray(sol.Y)`` gives a
-    particle-major copy; the solution file format is unchanged (see
-    :func:`dump_solution`).
-
-    ``k_lo`` locates the first node inside ``grid`` so window solves can
-    address global states; full-span solutions have k_lo = 0.
+    Y and Z are axis-swapped views of node-major (K+1, N, n) and
+    (K, N, n, d) buffers, so each node slice ``sol.Y[:, k]`` and
+    ``sol.Z[:, k]`` is C-contiguous. ``k_lo`` locates the first node inside
+    ``grid``; a full-span solution has k_lo = 0.
     """
 
     Y: np.ndarray
@@ -224,6 +218,17 @@ def _node_fit(op: NodeOperator, values: np.ndarray, dw: np.ndarray, dt: float, r
     return fit, z, clips
 
 
+def _terminal_block(terminal, particles: int, n: int) -> np.ndarray:
+    """The terminal values as float64 (particles, n); a 1-D array is one
+    column. Raises ``ValueError`` for any other shape."""
+    terminal = np.asarray(terminal, dtype=np.float64)
+    if terminal.ndim == 1:
+        terminal = terminal[:, None]
+    if terminal.shape != (particles, n):
+        raise ValueError(f"terminal has shape {terminal.shape}; expected ({particles}, {n})")
+    return terminal
+
+
 def _backward(
     grid: TimeGrid,
     paths: PathEnsemble,
@@ -240,12 +245,12 @@ def _backward(
     ``driver(k, t, z)`` maps Z (N, n, d) at node k to driver values (N, n);
     it must accept k = k_hi, where the terminal-side quadrature point takes
     the Z of node k_hi - 1. Extra inner sweeps re-extract Z from the
-    driver-corrected target, a damping that helps stiff quadratic
-    coefficients. Node k's operator is ``operators[k]``. ``head``, when
-    given, replaces what the first visit computes from the terminal:
-    (E_{k_hi-1}[Y_{k_hi}], the clipped Z_{k_hi-1}, its clip events, and the
-    terminal driver value, or None to evaluate it). Returns (Y (N, K+1, n),
-    Z (N, K, n, d), clip events), views of node-major buffers.
+    driver-corrected target. Node k's operator is ``operators[k]``.
+    ``head``, when given, is what the first visit would compute from the
+    terminal: (E_{k_hi-1}[Y_{k_hi}], the clipped Z_{k_hi-1}, its clip
+    events, and the terminal driver value or None to evaluate it); the
+    result is then bitwise equal to a run without it. Returns (Y (N, K+1, n),
+    Z (N, K, n, d), clip events) as views of node-major buffers.
     """
     if not 0 <= k_lo < k_hi <= grid.steps:
         raise ValueError(f"bad node range [{k_lo}, {k_hi}]")
@@ -294,11 +299,12 @@ def solve_scalar(
     """One backward sweep of a scalar quadratic BSDE on nodes [k_lo, k_hi]:
     the backward kernel with n = 1.
 
-    ``driver(k, t, z)`` maps the Z values (N, d) at node k to driver values
-    (N,); it must accept k = k_hi for the terminal-side quadrature point.
-    Returns (Y (N, K+1), Z (N, K, d), clip events).
+    ``terminal`` is (N,) or (N, 1). ``driver(k, t, z)`` maps the Z values
+    (N, d) at node k to driver values (N,); it must accept k = k_hi for the
+    terminal-side quadrature point. Returns (Y (N, K+1), Z (N, K, d), clip
+    events).
     """
-    terminal = np.asarray(terminal, dtype=np.float64).reshape(-1, 1)
+    terminal = _terminal_block(terminal, paths.particles, 1)
     k_hi = grid.steps if k_hi is None else k_hi
     operators = FactorTable(engine.basis, paths.brownian_at)
     y, z, clips = _backward(
@@ -318,18 +324,16 @@ def _law_at(spec: GeneratorSpec, y: np.ndarray, z: np.ndarray, j: int) -> Measur
 
 
 def _own_rows(
-    spec: GeneratorSpec, y: np.ndarray, z: np.ndarray | None, laws: tuple, k_lo: int, k: int, t: float, rows: np.ndarray
+    spec: GeneratorSpec, y: np.ndarray, z: np.ndarray, laws: tuple, k_lo: int, k: int, t: float, rows: np.ndarray
 ) -> np.ndarray:
     """Driver values (N, n) at node k with component i free in rows[:, i].
 
-    Y, the other Z rows (zero when ``z`` is None) and the law of the
-    clouds ``laws`` = (Y, Z) are frozen at j = k - k_lo; one driver call
-    with one law view gives all n components. The terminal node takes the
-    last Z slice.
+    Y (N, K+1, n), the other Z rows of z (N, K, n, d) and the law of the
+    clouds ``laws`` = (Y, Z) are frozen at j = k - k_lo; the terminal node
+    takes the last Z slice. One driver call gives all n components.
     """
     j = k - k_lo
-    other = np.zeros_like(rows) if z is None else z[:, min(j, z.shape[1] - 1)]
-    return spec.evaluate(t, y[:, j], rows, _law_at(spec, *laws, j), other)
+    return spec.evaluate(t, y[:, j], rows, _law_at(spec, *laws, j), z[:, min(j, z.shape[1] - 1)])
 
 
 def _flat_solution(terminal: np.ndarray, grid: TimeGrid, span: int, d: int, k_lo: int, offset: float = 0.0) -> Solution:
@@ -352,24 +356,20 @@ def psi_map(
     k_lo: int = 0,
     k_hi: int | None = None,
     law_source: Solution | None = None,
-    operators: OperatorTable | None = None,
-    _head: tuple | None = None,
 ) -> Solution:
-    """Frozen-coefficient map: one backward pass in which component i has
-    its own Z row free while Y, the other rows and the law come from the
-    input iterate (the law from ``law_source`` when given) at the same node.
-    ``operators`` is the caller's node-operator table, if it keeps one;
-    otherwise each node is factored for this pass alone. ``_head`` is the
-    window head :func:`solve_local` computes once (see :func:`_backward`).
+    """Frozen-coefficient map: one backward pass on nodes [k_lo, k_hi] from
+    the input iterate's node-k_hi values, in which component i has its own
+    Z row free while Y, the other rows and the law come from the input
+    iterate (the law from ``law_source`` when given) at the same node. Each
+    node is factored for this pass alone.
     """
     if k_hi is None:
         k_hi = grid.steps
     laws = law_source if law_source is not None else input_sol
     driver = partial(_own_rows, spec, input_sol.Y, input_sol.Z, (laws.Y, laws.Z), k_lo)
     terminal = input_sol.Y[:, k_hi - k_lo, :]
-    if operators is None:
-        operators = FactorTable(engine.basis, paths.brownian_at)
-    y, z, clips = _backward(grid, paths, driver, terminal, operators, opts, k_lo, k_hi, _head)
+    operators = FactorTable(engine.basis, paths.brownian_at)
+    y, z, clips = _backward(grid, paths, driver, terminal, operators, opts, k_lo, k_hi)
     return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, clip_events=clips)
 
 
@@ -395,22 +395,15 @@ def solve_local(
     Starts from the flat terminal propagation with zero Z (plus any probe
     offset), records ball membership against (K1, K2), and raises
     :class:`SolverDivergence` when the empirical ratios stop contracting.
-    Every iteration, law refinement and BMO norm factors each node once,
-    through ``operators`` or, when the caller keeps no table, one owned by
-    this call.
-
-    The first node visit's projections read only the window terminal, so
-    they are computed once per call; with ``inner_sweeps == 1`` the terminal
-    driver value is fixed from the second iteration on and is evaluated once
-    (see the module docstring). Every pass equals a plain :func:`psi_map`
-    pass bitwise.
+    Every iteration is a :func:`psi_map` pass followed by
+    ``law_refinements`` passes whose law comes from the previous pass, and
+    is bitwise equal to that sequence of :func:`psi_map` calls. Nodes are
+    factored once, through ``operators`` or a table owned by this call.
     """
     if k_hi is None:
         k_hi = grid.steps
     span = k_hi - k_lo
-    terminal = np.asarray(terminal, dtype=np.float64)
-    if terminal.ndim == 1:
-        terminal = terminal[:, None]
+    terminal = _terminal_block(terminal, paths.particles, spec.n)
     if consts is None:
         consts = local_window(cert, spec.n)
     k1, k2 = consts.K1, consts.K2
@@ -420,23 +413,23 @@ def solve_local(
     if operators is None:
         operators = OperatorTable(engine.basis, paths.brownian_at)
     current = _flat_solution(terminal, grid, span, spec.d, k_lo, offset=opts.init_offset)
+    # the first node visit reads only the terminal, the same on every pass
     dw_head = paths.increments[:, k_hi - 1, :]
     fit_head, z_head, clips_head = _node_fit(operators[k_hi - 1], current.Y[:, span], dw_head, grid.dt, opts.z_clip)
     f_terminal = None
     trace = PicardTrace()
     floor = 1e-13 * max(1.0, float(np.abs(terminal).max()))
     for it in range(1, opts.max_iter + 1):
+        laws = (current.Y, current.Z)
         if it == 2 and opts.inner_sweeps == 1:
-            # every pass from here on reads the same terminal-side driver value
-            f_terminal = _own_rows(
-                spec, current.Y, current.Z, (current.Y, current.Z), k_lo, k_hi, grid.nodes[k_hi], z_head
-            )
+            # every pass from here on writes z_head, so the terminal driver value is fixed
+            f_terminal = _own_rows(spec, current.Y, current.Z, laws, k_lo, k_hi, grid.nodes[k_hi], z_head)
         head = (fit_head, z_head, clips_head, f_terminal)
-        out = psi_map(spec, current, grid, paths, engine, opts, k_lo, k_hi, operators=operators, _head=head)
-        for _ in range(opts.law_refinements):
-            out = psi_map(
-                spec, current, grid, paths, engine, opts, k_lo, k_hi, law_source=out, operators=operators, _head=head
-            )
+        for _ in range(opts.law_refinements + 1):
+            driver = partial(_own_rows, spec, current.Y, current.Z, laws, k_lo)
+            y, z, clips = _backward(grid, paths, driver, terminal, operators, opts, k_lo, k_hi, head)
+            laws = (y, z)
+        out = Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, clip_events=clips)
         dy = float(np.abs(out.Y - current.Y).max())
         dz, qv_norm = bmo_norm((out.Z - current.Z, out.Z), grid, paths, engine, k_lo=k_lo, operators=operators)
         combined = _combined_norm(dy, dz)
@@ -510,9 +503,7 @@ def solve_global(
     stitching is exact by construction.
     """
     gconsts = global_ode(cert, spec.n, grid.horizon)
-    terminal = np.asarray(terminal, dtype=np.float64)
-    if terminal.ndim == 1:
-        terminal = terminal[:, None]
+    terminal = _terminal_block(terminal, paths.particles, spec.n)
     feasible = bool(np.max(sum_squares(terminal)) <= spec.n * gconsts.c_tilde)
     report = GlobalReport(constants=gconsts, terminal_feasible=feasible)
     dt = grid.dt
@@ -627,17 +618,14 @@ def solve_theta(
     opts: SolverOptions = SolverOptions(),
     operators: OperatorTable | None = None,
 ) -> tuple[Solution, PicardTrace]:
-    """Picard scheme for unbounded terminals: sweep m+1 freezes the Y
-    argument and the law at the previous sweep's iterate, starting from
-    the zero pair. Exponential moments of the path supremum and the
-    theta-interpolated differences (theta = 1/2) are recorded per sweep.
-    Each node is factored once per solve: every sweep rebuilds its operator
-    from the kept factor, in ``operators`` when the caller keeps the table
-    and in one owned by this call otherwise.
+    """Picard scheme for unbounded terminals, from the zero pair: sweep m+1
+    is one backward pass with Y, the other Z rows and the law frozen at
+    sweep m's iterate. Each sweep records its exponential moments of the
+    path supremum and of the theta-interpolated difference (theta = 1/2).
+    Nodes are factored once, through ``operators`` or a
+    :class:`mfbsde.condexp.FactorTable` owned by this call.
     """
-    terminal = np.asarray(terminal, dtype=np.float64)
-    if terminal.ndim == 1:
-        terminal = terminal[:, None]
+    terminal = _terminal_block(terminal, paths.particles, spec.n)
     n, d, m = spec.n, spec.d, grid.steps
     y_prev = _by_particle(np.zeros((m + 1, paths.particles, n)))
     z_prev = _by_particle(np.zeros((m, paths.particles, n, d)))
@@ -649,7 +637,7 @@ def solve_theta(
     if operators is None:
         operators = FactorTable(engine.basis, paths.brownian_at)
     for it in range(1, opts.max_iter + 1):
-        driver = partial(_own_rows, spec, y_prev, None, (y_prev, z_prev), 0)
+        driver = partial(_own_rows, spec, y_prev, z_prev, (y_prev, z_prev), 0)
         y_new, z_new, c = _backward(grid, paths, driver, terminal, operators, opts, 0, m)
         clips += c
         step = _theta_step(it, gamma, y_new, y_prev, z_new, z_prev)
@@ -765,12 +753,10 @@ def run_scheme(
 
     ``extras`` holds the window constants for ``local``, the stitching
     report for ``global`` and, for ``theta``, the solve's node-factor table
-    under ``"operators"`` (which :func:`export_csv` takes)."""
-    terminal = np.asarray(bundle.terminal(paths), dtype=np.float64)
-    if terminal.ndim == 1:
-        terminal = terminal[:, None]
-    if terminal.shape != (paths.particles, bundle.spec.n):
-        raise ValueError(f"terminal sampler returned shape {terminal.shape}")
+    under ``"operators"`` (which :func:`export_csv` takes). Raises
+    ``ValueError`` when the fixture's terminal is not (particles, n), when
+    it lacks the scheme's certificate, and for an unknown scheme."""
+    terminal = _terminal_block(bundle.terminal(paths), paths.particles, bundle.spec.n)
     if scheme == "theta":
         if bundle.convex is None:
             raise ValueError(f"fixture {bundle.name} has no Picard certificate")
@@ -802,8 +788,6 @@ def summarize_nodes(sol: Solution, paths: PathEnsemble, engine: RegressionEngine
     running estimate of the conditional tail quadratic variation. Node
     operators come from ``operators``, the solve's table (see
     :func:`run_scheme`), when given, else each node is factored here."""
-    from .diagnostics import bmo_profile
-
     times = sol.node_times()
     span = sol.Z.shape[1]
     profile = bmo_profile(sol.Z, sol.grid, paths, engine, k_lo=sol.k_lo, operators=operators) if span else np.array([])

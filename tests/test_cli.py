@@ -183,6 +183,41 @@ def test_integer_for_a_float_parameter_solves(capsys, tmp_path):
     assert json.loads(out)["config"]["params"]["gamma"] == 2
 
 
+_BAD_OPTIONS = [
+    ("solver", {"z_clip": -1}),
+    ("solver", {"z_clip": 0}),
+    ("solver", {"max_iter": 0}),
+    ("solver", {"max_iter": True}),
+    ("solver", {"max_iter": 2.5}),
+    ("solver", {"inner_sweeps": 0}),
+    ("solver", {"law_refinements": -1}),
+    ("solver", {"tol": "1e-6"}),
+    ("solver", {"tol": -1e-6}),
+    ("solver", {"tol": float("inf")}),
+    ("solver", {"init_offset": "0.5"}),
+    ("basis", {"degree": "3"}),
+    ("basis", {"degree": 2.0}),
+    ("basis", {"bins": True}),
+]
+
+
+@pytest.mark.parametrize(
+    "block, values", _BAD_OPTIONS, ids=[f"{b}-{k}={v!r}" for b, o in _BAD_OPTIONS for k, v in o.items()]
+)
+def test_bad_solver_or_basis_option_exits_config(capsys, tmp_path, block, values):
+    cfg = write_config(tmp_path, **{block: values})
+    code, out, err = run_cli(capsys, "solve", cfg)
+    assert code == EXIT_CONFIG and out == ""
+    assert next(iter(values)) in err
+
+
+def test_integers_for_float_solver_options_solve(capsys, tmp_path):
+    cfg = write_config(tmp_path, particles=256, solver={"tol": 1, "z_clip": 5, "init_offset": 0})
+    code, out, _ = run_cli(capsys, "solve", cfg)
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["converged"]
+
+
 def test_solve_with_law_refinements(capsys, tmp_path):
     cfg = write_config(
         tmp_path,

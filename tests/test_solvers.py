@@ -6,7 +6,7 @@ import pytest
 
 from mfbsde import solvers
 from mfbsde.condexp import NodeOperator, RegressionBasis, RegressionEngine
-from mfbsde.generators import GeneratorSpec, fixture, fixture_names, freeze_rows
+from mfbsde.generators import CertificateConvex, GeneratorSpec, fixture, fixture_names, freeze_rows
 from mfbsde.measures import MeasureView, exp_moment, sum_squares
 from mfbsde.paths import build_grid, coarsen, sample_brownian
 from mfbsde.solvers import (
@@ -419,6 +419,82 @@ def test_theta_matches_per_component_sweeps():
     _assert_rel_close(sol.Z, z_prev)
 
 
+def test_theta_freezes_the_other_rows_at_the_previous_sweep():
+    # eq41 reads the other rows, so freezing them at zero would differ by about 0.09
+    bundle = fixture("eq41", n=2)
+    spec = bundle.spec
+    grid = build_grid(0.1, 8)
+    paths = sample_brownian(grid, 512, 2, seed=34)
+    terminal = bundle.terminal(paths)
+    opts = SolverOptions(tol=1e-8)
+    sol, trace = solve_theta(spec, CertificateConvex(K=1.0, gamma=2.0), terminal, grid, paths, ENGINE, opts)
+    assert trace.converged and trace.iterations >= 3
+    y_prev = np.zeros((512, grid.steps + 1, 2))
+    z_prev = np.zeros((512, grid.steps, 2, 2))
+    for _ in range(trace.iterations):
+        y_prev, z_prev = _per_component(
+            spec, y_prev, z_prev, (y_prev, z_prev), terminal, grid, paths, opts, 0, grid.steps
+        )
+    _assert_rel_close(sol.Y, y_prev)
+    _assert_rel_close(sol.Z, z_prev)
+
+
+def _bad_terminal_calls():
+    """(id, call(terminal), particles, the bad terminal shapes) for every
+    public solver; each shape has the wrong width or particle count."""
+    def on(name, **params):
+        bundle = fixture(name, **params)
+        grid = build_grid(0.5, 4)
+        return bundle, grid, sample_brownian(grid, 64, bundle.spec.d, seed=8)
+
+    eq41, eq_grid, eq_paths = on("eq41", n=2)
+    sine, sine_grid, sine_paths = on("bounded_sine_mf", n=2)
+    volt, volt_grid, volt_paths = on("volterra_demo")
+    lin, lin_grid, lin_paths = on("linear_mf")
+    opts = SolverOptions(tol=1e-8)
+    return [
+        ("scalar", lambda t: solve_scalar(lin_grid, lin_paths, _zero_driver, t, ENGINE), [(64, 2), (63,), (63, 1)]),
+        (
+            "local",
+            lambda t: solve_local(eq41.spec, eq41.local, t, eq_grid, eq_paths, ENGINE, opts, 3, 4),
+            [(64, 3), (64,), (63, 2)],
+        ),
+        (
+            "theta",
+            lambda t: solve_theta(sine.spec, sine.convex, t, sine_grid, sine_paths, ENGINE, opts),
+            [(64, 1), (64, 3), (63, 2)],
+        ),
+        (
+            "global",
+            lambda t: solve_global(eq41.spec, eq41.global_, t, eq_grid, eq_paths, ENGINE),
+            [(64, 3), (64,), (63, 2)],
+        ),
+        (
+            "volterra",
+            lambda t: solve_volterra(
+                volt.spec, volt.g, volt.volterra, volt.convex, t, volt_grid, volt_paths, ENGINE, opts
+            ),
+            [(64, 2), (63,)],
+        ),
+        (
+            "run_scheme",
+            lambda t: run_scheme(replace(sine, terminal=lambda paths: t), "theta", sine_grid, sine_paths, ENGINE, opts),
+            [(64, 1), (64,), (65, 2)],
+        ),
+    ]
+
+
+_BAD_TERMINALS = [(name, call, shape) for name, call, shapes in _bad_terminal_calls() for shape in shapes]
+
+
+@pytest.mark.parametrize(
+    "name, call, shape", _BAD_TERMINALS, ids=[f"{n}-{'x'.join(map(str, s))}" for n, _, s in _BAD_TERMINALS]
+)
+def test_every_solver_refuses_a_terminal_of_the_wrong_shape(name, call, shape):
+    with pytest.raises(ValueError, match=r"terminal has shape .*; expected \(64, [12]\)"):
+        call(np.full(shape, 0.5))
+
+
 def _frozen_full_driver(spec, i, y, other, law, t, rows):
     """Component i of the full driver at the frozen rows with row i set to
     ``rows``: what freezing a component means, without ``others``."""
@@ -435,19 +511,18 @@ def test_own_rows_match_per_component_freezing(name):
     y = rng.standard_normal((128, span + 1, n))
     z = rng.standard_normal((128, span, n, d))
     rows = 1.5 * rng.standard_normal((128, n, d))
-    for z_frozen in (z, None):  # the local/global and the theta policy
-        for k in (k_lo + 1, k_lo + span):  # an inner and the terminal node
-            j = k - k_lo
-            other = np.zeros_like(rows) if z_frozen is None else z[:, min(j, span - 1)]
-            law = _law_reference(spec, y, z, j)
-            values = _own_rows(spec, y, z_frozen, (y, z), k_lo, k, 0.3, rows)
-            frozen = np.column_stack([freeze_rows(spec, i, y[:, j], other, law)(0.3, rows[:, i]) for i in range(n)])
-            assert np.array_equal(values, frozen)
-            full = np.column_stack([_frozen_full_driver(spec, i, y[:, j], other, law, 0.3, rows[:, i]) for i in range(n)])
-            if name == "remark31":  # |z| adds the own and the other squares in another order
-                _assert_rel_close(values, full, rel=1e-14)
-            else:
-                assert np.array_equal(values, full)
+    for k in (k_lo + 1, k_lo + span):  # an inner and the terminal node
+        j = k - k_lo
+        other = z[:, min(j, span - 1)]
+        law = _law_reference(spec, y, z, j)
+        values = _own_rows(spec, y, z, (y, z), k_lo, k, 0.3, rows)
+        frozen = np.column_stack([freeze_rows(spec, i, y[:, j], other, law)(0.3, rows[:, i]) for i in range(n)])
+        assert np.array_equal(values, frozen)
+        full = np.column_stack([_frozen_full_driver(spec, i, y[:, j], other, law, 0.3, rows[:, i]) for i in range(n)])
+        if name == "remark31":  # |z| adds the own and the other squares in another order
+            _assert_rel_close(values, full, rel=1e-14)
+        else:
+            assert np.array_equal(values, full)
 
 
 def test_psi_map_makes_one_driver_call_per_node():
