@@ -9,10 +9,9 @@ reduces to a plain mean.
 A :class:`NodeFactor` holds the p x p part of one state's factorization, a
 :class:`NodeOperator` combines it with the state's design, and its
 ``apply`` fits an (N,) vector or an (N, m) block of right-hand sides. An
-operator rebuilt from a kept factor is bitwise equal to a fresh one. Tables
-key operators by node index and factor each node once: an
-:class:`OperatorTable` keeps the operators it builds, a :class:`FactorTable`
-keeps only their factors.
+operator rebuilt from a kept factor is bitwise equal to a fresh one. A
+:class:`FactorTable` keys factors by node index, factors each node once and
+builds a fresh operator at every access.
 """
 from __future__ import annotations
 
@@ -153,9 +152,6 @@ class NodeOperator:
     factor skips the variance filter and the QR, and since a fresh
     factor forms Q the same way, a rebuilt operator is bitwise equal to a
     fresh one. On the ridge path it holds A and solves the ridge system.
-    Window tables keep operators (:class:`OperatorTable`); ``theta`` keeps
-    only factors (:class:`FactorTable`), as a kept Q costs N x p floats
-    per node.
     """
 
     def __init__(self, state: np.ndarray, basis: RegressionBasis, factor: NodeFactor | None = None) -> None:
@@ -184,27 +180,16 @@ class NodeOperator:
         return self._cols @ np.linalg.solve(self.factor.system, self._cols.T @ values)
 
 
-class OperatorTable:
-    """Node operators of one ensemble and basis, keyed by node index and
-    built on first use. ``state_at(k)`` gives the conditioning state of
-    node k. The table keeps every operator it built until it is dropped."""
+class FactorTable:
+    """Node factors of one ensemble and basis, keyed by node index.
+    ``state_at(k)`` gives the conditioning state of node k. Every access
+    builds a fresh operator from node k's state and its factor, factored on
+    first use, so the table holds no particle-sized array."""
 
     def __init__(self, basis: RegressionBasis, state_at: Callable[[int], np.ndarray]) -> None:
         self._basis = basis
         self._state_at = state_at
         self._kept: dict = {}
-
-    def __getitem__(self, k: int) -> NodeOperator:
-        op = self._kept.get(k)
-        if op is None:
-            op = self._kept[k] = NodeOperator(self._state_at(k), self._basis)
-        return op
-
-
-class FactorTable(OperatorTable):
-    """An operator table that keeps only each node's factor, so it holds no
-    particle-sized array: every access builds a fresh operator from node
-    k's state and its factor, factored on first use."""
 
     def __getitem__(self, k: int) -> NodeOperator:
         op = NodeOperator(self._state_at(k), self._basis, self._kept.get(k))
@@ -218,9 +203,6 @@ class RegressionEngine:
 
     basis: RegressionBasis
 
-    def operator(self, state: np.ndarray) -> NodeOperator:
-        return NodeOperator(state, self.basis)
-
     def project(self, values: np.ndarray, state: np.ndarray) -> np.ndarray:
         """Fitted E[values | state] at each particle: one factor, one apply."""
-        return self.operator(state).apply(values)
+        return NodeOperator(state, self.basis).apply(values)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .condexp import FactorTable
 from .constants import GlobalConstants, LocalConstants
 from .generators import CertificateLocal
 from .measures import ExpMoment, column_max, exp_moment, max_abs, sum_squares
@@ -35,12 +36,9 @@ def _compare(name: str, observed: float, bound: float, slack: float, note: str =
 
 def _tail_sums(z_values: np.ndarray, dt: float) -> np.ndarray:
     """Per-particle tail sums sum_{j>=k} |Z_j|^2 dt, including node k, as
-    (N, K); Z is (N, K, d) for one component or (N, K, n, d).
-
-    The sums run node by node from the last one, adding in the order of a
-    reversed cumulative sum, into a node-major buffer whose (N, K) view is
-    returned, so each node's tail is contiguous.
-    """
+    an (N, K) view of a node-major buffer; Z is (N, K, d) for one component
+    or (N, K, n, d). Each node's tail is a contiguous row of the buffer, and
+    the sums are added in the order of a reversed cumulative sum."""
     z_values = np.asarray(z_values, dtype=np.float64)
     n_part, n_steps = z_values.shape[:2]
     tails = np.empty((n_steps, n_part))
@@ -58,20 +56,19 @@ def bmo_profile(z_values, grid, paths, engine, k_lo: int = 0, operators=None) ->
     square root of the profile maximum. A tuple of m Z arrays over the same
     nodes gives a (K, m) profile: their tail sums are projected as one
     (N, m) block per node, whose particle maxima are taken column by column
-    (:func:`mfbsde.measures.column_max`). Node operators come from
-    ``operators`` (an :class:`mfbsde.condexp.OperatorTable` over global node
-    indices) when given, else one is factored per node.
+    (:func:`mfbsde.measures.column_max`). ``operators[k]`` is node k's
+    operator, k a global node index; without it a
+    :class:`mfbsde.condexp.FactorTable` of ``engine`` factors each node.
     """
     if isinstance(z_values, tuple):
         tails = np.stack([_tail_sums(z, grid.dt).T for z in z_values], axis=2)  # (K, N, m)
     else:
         tails = _tail_sums(z_values, grid.dt).T  # (K, N)
-    n_steps = tails.shape[0]
-    profile = np.empty((n_steps,) + tails.shape[2:])
-    for k in range(n_steps):
-        node = k_lo + k
-        op = engine.operator(paths.brownian_at(node)) if operators is None else operators[node]
-        profile[k] = column_max(op.apply(tails[k]))
+    if operators is None:
+        operators = FactorTable(engine.basis, paths.brownian_at)
+    profile = np.empty(tails.shape[:1] + tails.shape[2:])
+    for k in range(tails.shape[0]):
+        profile[k] = column_max(operators[k_lo + k].apply(tails[k]))
     return profile
 
 

@@ -99,15 +99,13 @@ class CertificateGlobal:
     """Linear-growth budget for terminal-restricted global solves.
 
     |f^i| <= zeta_t + L|y| + (gamma/2)|z^i|^2 + L * W2(mu1, d0),
-    with ||xi||_inf <= M1 and ||int |zeta|^2 dt||_inf <= M3; psi records the
-    modulus of the z-Lipschitz bound and is carried for reporting only.
+    with ||xi||_inf <= M1 and ||int |zeta|^2 dt||_inf <= M3.
     """
 
     L: float
     gamma: float
     M1: float
     M3: float
-    psi: MonomialFn = ZERO_FN
 
     def __post_init__(self) -> None:
         _require(self.gamma > 0, "gamma must be positive")
@@ -125,15 +123,10 @@ class CertificateConvex:
 
     K: float
     gamma: float
-    convexity: tuple[str, ...] = ("convex",)
 
     def __post_init__(self) -> None:
         _require(self.gamma > 0, "gamma must be positive")
         _require(self.K >= 0, "K must be nonnegative")
-        _require(
-            all(c in ("convex", "concave") for c in self.convexity),
-            "convexity entries must be 'convex' or 'concave'",
-        )
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,6 @@ class CertificateVolterra:
 
     C: float
     gamma: float
-    bounded_g: bool = False
 
     def __post_init__(self) -> None:
         _require(self.C >= 0, "C must be nonnegative")
@@ -400,7 +392,6 @@ def _fixture_eq41(n: int = 2, M1: float = 1.0, horizon: float = 1.0) -> FixtureB
         gamma=2.0,
         M1=M1 * math.sqrt(n),
         M3=float(n) ** 2 * horizon,
-        psi=MonomialFn(1.0, 1.0, 1.0),
     )
     local = CertificateLocal(
         gamma=2.0,
@@ -440,7 +431,7 @@ def _fixture_bounded_sine_mf(
         return 0.5 * gamma * sum_squares(z) + K * math.sin(w1)
 
     spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="y_only")
-    convex = CertificateConvex(K=K, gamma=gamma, convexity=("convex",) * n)
+    convex = CertificateConvex(K=K, gamma=gamma)
     if terminal == "brownian":
         term, local = _terminal_brownian(), None
     elif terminal == "tanh":
@@ -485,7 +476,7 @@ def _fixture_volterra_demo(gamma: float = 1.0, clamp: float = 10.0) -> FixtureBu
         spec=spec,
         terminal=_terminal_brownian(),
         convex=CertificateConvex(K=0.0, gamma=gamma),
-        volterra=CertificateVolterra(C=1.0, gamma=gamma, bounded_g=True),
+        volterra=CertificateVolterra(C=1.0, gamma=gamma),
         g=g,
         params={"gamma": gamma, "clamp": clamp},
     )

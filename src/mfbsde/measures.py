@@ -22,17 +22,13 @@ class MeasureError(ValueError):
 
 
 def sum_squares(x: np.ndarray) -> np.ndarray:
-    """Sum of squares over the trailing axis, summed column by column.
+    """Sum of squares over the trailing axis, x[..., 0]**2 + x[..., 1]**2
+    + ..., added in that order with one pass per column.
 
-    The trailing axes here are short (n, d <= 4), and any reduction over
-    such an axis (numpy's reduce, ``np.einsum``) runs an inner loop per
-    particle; adding the squared columns, x[..., 0]**2 + x[..., 1]**2 + ...,
-    makes one pass per column. The terms are added in the order
-    ``np.linalg.norm`` adds them, so the square root equals
-    ``np.linalg.norm(x, axis=-1)`` bitwise for a trailing axis of length
-    <= 4 whose squares are normal floats. Squares that overflow become inf
-    and NaN propagates, silently, so that non-finite values reach the
-    solvers' own guards.
+    The square root equals ``np.linalg.norm(x, axis=-1)`` bitwise for a
+    trailing axis of length <= 4 whose squares are normal floats. A square
+    that overflows gives inf and NaN propagates, with no warning, so that
+    non-finite values reach the solvers' own guards.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         total = x[..., 0] * x[..., 0]
@@ -42,13 +38,8 @@ def sum_squares(x: np.ndarray) -> np.ndarray:
 
 
 def max_abs(x: np.ndarray) -> np.ndarray:
-    """Largest |x| over the trailing axis, taken column by column.
-
-    A reduction over a short trailing axis runs an inner loop per particle
-    (see :func:`sum_squares`); this makes one pass per column instead. The
-    maximum is exact, so it equals ``np.abs(x).max(axis=-1)`` bitwise, NaN
-    included.
-    """
+    """Largest |x| over the trailing axis, with one pass per column;
+    bitwise equal to ``np.abs(x).max(axis=-1)``, NaN included."""
     top = np.abs(x[..., 0])
     for i in range(1, x.shape[-1]):
         np.maximum(top, np.abs(x[..., i]), out=top)
@@ -56,14 +47,9 @@ def max_abs(x: np.ndarray) -> np.ndarray:
 
 
 def column_max(x: np.ndarray) -> np.ndarray:
-    """Largest entry of each column of an (N, m) block, one column at a time;
-    an (N,) vector gives its maximum.
-
-    ``x.max(axis=0)`` over a block of a few columns runs an inner loop per
-    particle (see :func:`sum_squares`), about ten times slower than one pass
-    per column on an (8192, 2) block. The maximum is exact, so the result
-    equals ``np.max(x, axis=0)`` bitwise, NaN included.
-    """
+    """Largest entry of each column of an (N, m) block, with one pass per
+    column, or the maximum of an (N,) vector; bitwise equal to
+    ``np.max(x, axis=0)``, NaN included."""
     if x.ndim == 1:
         return x.max()
     return np.array([x[:, c].max() for c in range(x.shape[1])])

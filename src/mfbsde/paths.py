@@ -1,21 +1,19 @@
 """Time grids and Brownian particle ensembles.
 
-Noise is drawn from a counter-based Philox stream so that the increments of
-particle ``i`` depend only on ``(seed, i, M, d)`` and never on the ensemble
-size: growing ``N`` appends particles without reshuffling existing paths,
-which keeps refinement studies comparable.
+The increments of particle ``i`` depend only on ``(seed, i, M, d)``, never
+on the ensemble size, so growing ``N`` appends particles and keeps the
+existing paths. They are bitwise equal to ``standard_normal((N, M, d)) *
+sqrt(dt)`` from the seed's Philox stream.
 
-An ensemble is stored node-major, like the solvers' iterates: increments in
-an (M, N, d) buffer and the Brownian values in an (M+1, N, d) one, so every
-node slice a solver reads (W_{t_k} and dW_k) is a contiguous (N, d) block.
-``PathEnsemble.increments`` is the (N, M, d) axis-swapped view. The noise is
-drawn in blocks of particles into one reused buffer; Philox continues one
-stream across the blocks, so the values equal a single
-``standard_normal((N, M, d))`` draw bitwise while the draw costs one block of
-scratch memory. Both file formats are particle-major and unchanged.
+An ensemble is stored node-major: increments in an (M, N, d) buffer and
+the Brownian values in an (M+1, N, d) one, so the node slices W_{t_k} and
+dW_k are contiguous (N, d) blocks. ``PathEnsemble.increments`` is the
+(N, M, d) axis-swapped view. Sampling needs one particle block of scratch
+memory beyond these two buffers. Both file formats are particle-major.
 """
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -29,19 +27,27 @@ class PathsError(ValueError):
     """Invalid grid or ensemble construction."""
 
 
+def _is_number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid 0 = t_0 < ... < t_M = T."""
+    """Uniform grid 0 = t_0 < ... < t_M = T.
+
+    Raises :class:`PathsError` unless the horizon is a finite positive real
+    number (an int will do) and ``steps`` an int >= 1; a bool is neither.
+    """
 
     horizon: float
     steps: int
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.horizon) or self.horizon <= 0.0:
-            raise PathsError(f"horizon must be finite and positive, got {self.horizon}")
-        if self.steps < 1:
-            raise PathsError(f"need at least one step, got {self.steps}")
+        if not _is_number(self.horizon, numbers.Real) or not np.isfinite(self.horizon) or self.horizon <= 0.0:
+            raise PathsError(f"horizon must be a finite positive number, got {self.horizon!r}")
+        if not _is_number(self.steps, numbers.Integral) or self.steps < 1:
+            raise PathsError(f"steps must be an integer >= 1, got {self.steps!r}")
         nodes = np.linspace(0.0, self.horizon, self.steps + 1)
         if not np.all(np.diff(nodes) > 0.0):
             raise PathsError("grid nodes are not strictly increasing at this resolution")
@@ -55,17 +61,18 @@ class TimeGrid:
 
 def build_grid(horizon: float, steps: int) -> TimeGrid:
     """Validated uniform grid with ``steps`` intervals on [0, horizon]."""
-    return TimeGrid(float(horizon), int(steps))
+    return TimeGrid(horizon, steps)
 
 
 class PathEnsemble:
-    """N Brownian paths on a grid, stored as per-step increments.
+    """N Brownian paths on a grid: per-step increments and their sums.
 
     ``increments`` has shape (N, M, d) and is a view of a node-major
     (M, N, d) buffer, so ``increments[:, k]`` is C-contiguous. Any (N, M, d)
     array is accepted; it is copied into a node-major buffer unless it
-    already is a view of one. ``brownian_at(k)`` returns row k of the
-    node-major (M+1, N, d) paths, built on first use.
+    already is a view of one. The read-only node-major (M+1, N, d) Brownian
+    values are built here, with the additions of a cumulative sum in its
+    order; ``brownian_at(k)`` returns row k.
     """
 
     def __init__(
@@ -87,7 +94,13 @@ class PathEnsemble:
         self.grid = grid
         self.increments = node_major.swapaxes(0, 1)
         self.seed = int(seed)
-        self._cumulative: np.ndarray | None = None
+        w = np.empty((grid.steps + 1,) + node_major.shape[1:])
+        w[0] = 0.0
+        w[1] = node_major[0]
+        for k in range(1, grid.steps):
+            np.add(w[k], node_major[k], out=w[k + 1])
+        w.setflags(write=False)
+        self._w = w
 
     @property
     def particles(self) -> int:
@@ -97,25 +110,11 @@ class PathEnsemble:
     def dimension(self) -> int:
         return self.increments.shape[2]
 
-    def _paths(self) -> np.ndarray:
-        """The node-major (M+1, N, d) Brownian values: one row add per node,
-        the same additions, in the same order, as a cumulative sum."""
-        if self._cumulative is None:
-            dw = self.increments.swapaxes(0, 1)
-            out = np.empty((dw.shape[0] + 1,) + dw.shape[1:])
-            out[0] = 0.0
-            out[1] = dw[0]
-            for k in range(1, dw.shape[0]):
-                np.add(out[k], dw[k], out=out[k + 1])
-            out.setflags(write=False)
-            self._cumulative = out
-        return self._cumulative
-
     def brownian_at(self, k: int) -> np.ndarray:
         """Brownian values W_{t_k} as a C-contiguous (N, d) array."""
         if not 0 <= k <= self.grid.steps:
             raise IndexError(f"node index {k} outside [0, {self.grid.steps}]")
-        return self._paths()[k]
+        return self._w[k]
 
     def terminal(self) -> np.ndarray:
         return self.brownian_at(self.grid.steps)
@@ -124,15 +123,14 @@ class PathEnsemble:
 def _by_blocks(steps: int, particles: int, dimension: int, fill) -> np.ndarray:
     """The (N, M, d) view of a node-major buffer filled one particle block at
     a time: ``fill(lo, block)`` writes particles lo, lo + 1, ... into a
-    reused C-contiguous (b, M, d) block, which is copied into place
-    transposed, one noise coordinate at a time (a copy whose innermost loop
-    runs over the d coordinates is about 3x slower at d = 2)."""
+    reused C-contiguous (b, M, d) block, b <= ``_BLOCK``, which is then
+    copied into place. Scratch memory is one block."""
     out = np.empty((steps, particles, dimension))
     block = np.empty((min(particles, _BLOCK), steps, dimension))
     for lo in range(0, particles, _BLOCK):
         part = block[: min(_BLOCK, particles - lo)]
         fill(lo, part)
-        for e in range(dimension):
+        for e in range(dimension):  # a copy strided over d is slower
             out[:, lo : lo + len(part), e] = part[:, :, e].T
     return out.swapaxes(0, 1)
 
@@ -145,9 +143,14 @@ def sample_brownian(
 ) -> PathEnsemble:
     """Draw an ensemble of Brownian increments, bitwise equal to
     ``standard_normal((N, M, d)) * sqrt(dt)`` from the seed's Philox stream,
-    in blocks of particles."""
-    if particles < 1 or dimension < 1:
-        raise PathsError("particles and dimension must be positive")
+    in blocks of particles. Raises :class:`PathsError` unless particles and
+    dimension are ints >= 1 and the seed an int >= 0; a bool is none."""
+    counts = {"particles": particles, "dimension": dimension}
+    bad = [f"{k}={v!r}" for k, v in counts.items() if not _is_number(v, numbers.Integral) or v < 1]
+    if not _is_number(seed, numbers.Integral) or seed < 0:
+        bad.append(f"seed={seed!r}")
+    if bad:
+        raise PathsError(f"bad ensemble argument(s): {', '.join(bad)}")
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     scale = np.sqrt(grid.dt)
 

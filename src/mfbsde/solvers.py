@@ -8,9 +8,11 @@ per node. With E_k the regression projection at node k,
     Y_k = E_k[Y_{k+1}] + (dt/2) (f(t_k, Z_k) + f(t_{k+1}, Z_{k+1})),
 
 a trapezoidal driver quadrature whose O(dt^2) bias is what the acceptance
-tolerances assume. Node k's operator comes from the caller's table (see
-:mod:`mfbsde.condexp`), and a solve factors each node once per table. A
-non-finite Y or Z raises :class:`SolverDivergence` naming the node.
+tolerances assume. Node k's operator is ``operators[k]``: a
+:class:`mfbsde.condexp.FactorTable`, or a dict of operators built once for
+the nodes a call revisits (``local`` windows and ``volterra``). A solve
+factors each node once. A non-finite Y or Z raises
+:class:`SolverDivergence` naming the node.
 
 Component i is free only in its own Z row. One driver call gives all n
 components: the kernel's Z goes in as the own rows, and every other
@@ -34,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .condexp import FactorTable, NodeOperator, OperatorTable, RegressionEngine
+from .condexp import FactorTable, NodeOperator, RegressionEngine
 from .constants import (
     GlobalConstants,
     global_ode,
@@ -152,7 +154,6 @@ class PicardStep:
 class PicardTrace:
     steps: list[PicardStep] = field(default_factory=list)
     converged: bool = False
-    note: str = ""
 
     def differences(self) -> np.ndarray:
         return np.array([s.combined for s in self.steps])
@@ -234,7 +235,7 @@ def _backward(
     paths: PathEnsemble,
     driver: NodeDriver,
     terminal: np.ndarray,
-    operators: OperatorTable,
+    operators: FactorTable | dict[int, NodeOperator],
     opts: SolverOptions,
     k_lo: int,
     k_hi: int,
@@ -245,7 +246,8 @@ def _backward(
     ``driver(k, t, z)`` maps Z (N, n, d) at node k to driver values (N, n);
     it must accept k = k_hi, where the terminal-side quadrature point takes
     the Z of node k_hi - 1. Extra inner sweeps re-extract Z from the
-    driver-corrected target. Node k's operator is ``operators[k]``.
+    driver-corrected target. Node k's operator is ``operators[k]``, from a
+    :class:`mfbsde.condexp.FactorTable` or a dict of built operators.
     ``head``, when given, is what the first visit would compute from the
     terminal: (E_{k_hi-1}[Y_{k_hi}], the clipped Z_{k_hi-1}, its clip
     events, and the terminal driver value or None to evaluate it); the
@@ -388,7 +390,7 @@ def solve_local(
     k_lo: int = 0,
     k_hi: int | None = None,
     consts=None,
-    operators: OperatorTable | None = None,
+    operators: FactorTable | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Picard iteration of the frozen-coefficient map on one window.
 
@@ -397,8 +399,10 @@ def solve_local(
     :class:`SolverDivergence` when the empirical ratios stop contracting.
     Every iteration is a :func:`psi_map` pass followed by
     ``law_refinements`` passes whose law comes from the previous pass, and
-    is bitwise equal to that sequence of :func:`psi_map` calls. Nodes are
-    factored once, through ``operators`` or a table owned by this call.
+    is bitwise equal to that sequence of :func:`psi_map` calls. The call
+    builds each window node's operator once, from ``operators`` (a
+    :class:`mfbsde.condexp.FactorTable`) or from a table of its own, and
+    every pass and BMO norm of the call shares them.
     """
     if k_hi is None:
         k_hi = grid.steps
@@ -410,8 +414,8 @@ def solve_local(
     if opts.z_clip is None:
         clip = 4.0 * math.sqrt(k2) if math.isfinite(k2) else None
         opts = replace(opts, z_clip=clip)
-    if operators is None:
-        operators = OperatorTable(engine.basis, paths.brownian_at)
+    table = FactorTable(engine.basis, paths.brownian_at) if operators is None else operators
+    operators = {k: table[k] for k in range(k_lo, k_hi)}
     current = _flat_solution(terminal, grid, span, spec.d, k_lo, offset=opts.init_offset)
     # the first node visit reads only the terminal, the same on every pass
     dw_head = paths.increments[:, k_hi - 1, :]
@@ -498,8 +502,9 @@ def solve_global(
 
     Windows are quantized to whole grid steps with a one-step floor (the
     certified length is often far below the grid resolution); a window that
-    fails to contract is halved up to six times before giving up, reusing
-    the window's node operators. Seam values are shared arrays, so
+    fails to contract is halved up to six times before giving up. One
+    :class:`mfbsde.condexp.FactorTable` serves every window and retry, so
+    each node is factored once per solve. Seam values are shared arrays, so
     stitching is exact by construction.
     """
     gconsts = global_ode(cert, spec.n, grid.horizon)
@@ -520,10 +525,10 @@ def solve_global(
     full_y[:, grid.steps, :] = terminal
     clips = 0
     k_hi = grid.steps
+    operators = FactorTable(engine.basis, paths.brownian_at)
     while k_hi > 0:
         size = min(spw, k_hi)
         halvings = 0
-        operators = OperatorTable(engine.basis, paths.brownian_at)
         while True:
             k_lo = k_hi - size
             try:
@@ -616,14 +621,16 @@ def solve_theta(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
-    operators: OperatorTable | None = None,
+    operators: FactorTable | dict[int, NodeOperator] | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Picard scheme for unbounded terminals, from the zero pair: sweep m+1
     is one backward pass with Y, the other Z rows and the law frozen at
     sweep m's iterate. Each sweep records its exponential moments of the
     path supremum and of the theta-interpolated difference (theta = 1/2).
-    Nodes are factored once, through ``operators`` or a
-    :class:`mfbsde.condexp.FactorTable` owned by this call.
+    ``operators[k]`` is node k's operator: a
+    :class:`mfbsde.condexp.FactorTable` (a fresh operator per sweep from a
+    kept factor) or a dict of built operators; without it a table owned by
+    this call factors each node once.
     """
     terminal = _terminal_block(terminal, paths.particles, spec.n)
     n, d, m = spec.n, spec.d, grid.steps
@@ -678,14 +685,16 @@ def solve_volterra(
 
         Y^{r+1}_k = Y'_k + sum_{j >= k} E_k[ g(j, Y^r, Z', law_j) ] dt,
 
-    using one projection of the tail sum per node. Each node is factored
-    once per solve: one operator table serves the inner solve and every
-    outer sweep. Convergence is tracked in the exp(beta t)-weighted squared
-    sup norm with beta = 32 C^2 T, and iteration stops when the unweighted
-    sup difference drops below tol.
+    using one projection of the tail sum per node; g is evaluated on nodes
+    0..M-1, the only ones a tail sum reads. Each node's operator is built
+    once per solve, into a dict that the inner solve and every outer sweep
+    share. Convergence is tracked in the exp(beta t)-weighted squared sup
+    norm with beta = 32 C^2 T, and iteration stops when the unweighted sup
+    difference drops below tol.
     """
-    operators = OperatorTable(engine.basis, paths.brownian_at)
-    inner_sol, inner_trace = solve_theta(spec, ccert, terminal, grid, paths, engine, opts, operators)
+    table = FactorTable(engine.basis, paths.brownian_at)
+    operators = {k: table[k] for k in range(grid.steps)}
+    inner_sol, _ = solve_theta(spec, ccert, terminal, grid, paths, engine, opts, operators)
     m = grid.steps
     beta = volterra_weight(vcert.C, grid.horizon)
     weights = np.exp(beta * grid.nodes)
@@ -693,10 +702,10 @@ def solve_volterra(
     y_prev = np.zeros_like(inner_sol.Y)
     if opts.init_offset:
         y_prev += opts.init_offset
-    trace = PicardTrace(note=f"inner sweeps: {inner_trace.iterations}")
+    trace = PicardTrace()
     for it in range(1, opts.max_iter + 1):
-        g_vals = np.empty((m + 1, paths.particles, n))  # node-major
-        for j in range(m + 1):
+        g_vals = np.empty((m, paths.particles, n))  # node-major
+        for j in range(m):
             law = MeasureView(y_prev[:, j])
             g_vals[j] = g(j, y_prev, inner_sol.Z, law)
         tails = np.zeros((paths.particles, n))
@@ -751,9 +760,10 @@ def run_scheme(
 ):
     """Dispatch a fixture to a scheme; returns (Solution, trace, extras).
 
-    ``extras`` holds the window constants for ``local``, the stitching
-    report for ``global`` and, for ``theta``, the solve's node-factor table
-    under ``"operators"`` (which :func:`export_csv` takes). Raises
+    ``extras`` holds the stitching report for ``global`` under
+    ``"report"`` and, for ``theta``, the solve's node-factor table under
+    ``"operators"`` (which :func:`export_csv` takes); it is empty for
+    ``local`` and ``volterra``. Raises
     ``ValueError`` when the fixture's terminal is not (particles, n), when
     it lacks the scheme's certificate, and for an unknown scheme."""
     terminal = _terminal_block(bundle.terminal(paths), paths.particles, bundle.spec.n)
@@ -767,7 +777,7 @@ def run_scheme(
         if bundle.local is None:
             raise ValueError(f"fixture {bundle.name} has no local certificate")
         sol, trace = solve_local(bundle.spec, bundle.local, terminal, grid, paths, engine, opts)
-        return sol, trace, {"window": local_window(bundle.local, bundle.spec.n)}
+        return sol, trace, {}
     if scheme == "global":
         if bundle.global_ is None:
             raise ValueError(f"fixture {bundle.name} has no global certificate")

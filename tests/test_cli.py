@@ -211,6 +211,26 @@ def test_bad_solver_or_basis_option_exits_config(capsys, tmp_path, block, values
     assert next(iter(values)) in err
 
 
+_BAD_GRID_OR_ENSEMBLE = [
+    ("steps", {"grid": {"horizon": 1.0, "steps": 16.7}}),
+    ("horizon", {"grid": {"horizon": "1.0", "steps": "16"}}),
+    ("horizon", {"grid": {"horizon": True, "steps": 16}}),
+    ("seed", {"seed": True}),
+    ("particles", {"particles": True}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, overrides", _BAD_GRID_OR_ENSEMBLE, ids=[f"{k}={v!r}" for _, o in _BAD_GRID_OR_ENSEMBLE for k, v in o.items()]
+)
+def test_uncoerced_grid_or_ensemble_value_exits_config(capsys, tmp_path, name, overrides):
+    # config values are taken as written: no float(), int() or bool counts
+    cfg = write_config(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, "solve", cfg)
+    assert code == EXIT_CONFIG and out == ""
+    assert name in err
+
+
 def test_integers_for_float_solver_options_solve(capsys, tmp_path):
     cfg = write_config(tmp_path, particles=256, solver={"tol": 1, "z_clip": 5, "init_offset": 0})
     code, out, _ = run_cli(capsys, "solve", cfg)

@@ -4,7 +4,6 @@ import pytest
 from mfbsde.condexp import (
     FactorTable,
     NodeOperator,
-    OperatorTable,
     RegressionBasis,
     RegressionEngine,
     RegressionError,
@@ -213,17 +212,14 @@ def test_operator_table_factors_each_node_once(monkeypatch):
     real_qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or real_qr(a, *args, **kw))
     values = rng.standard_normal(300)
-    for table_type in (OperatorTable, FactorTable):
-        calls.clear()
-        table = table_type(ENGINE.basis, states.__getitem__)
-        for _ in range(3):
-            for k in (3, 1, 3, 0):
-                assert np.array_equal(table[k].apply(values), _one_shot_fit(values, states[k], ENGINE.basis))
-        # an operator table hands out the operator it keeps, a factor table
-        # a fresh one built from the factor it keeps
-        assert (table[1] is table[1]) == (table_type is OperatorTable)
-        # three distinct nodes factored once each, plus one QR per reference fit
-        assert len(calls) == 3 + 12
+    table = FactorTable(ENGINE.basis, states.__getitem__)
+    for _ in range(3):
+        for k in (3, 1, 3, 0):
+            assert np.array_equal(table[k].apply(values), _one_shot_fit(values, states[k], ENGINE.basis))
+    # every access builds a fresh operator from the factor the table keeps
+    assert table[1] is not table[1] and table[1].factor is table[1].factor
+    # three distinct nodes factored once each, plus one QR per reference fit
+    assert len(calls) == 3 + 12
 
 
 @pytest.mark.parametrize("kind", ["qr", "ridge", "node0"])

@@ -103,7 +103,7 @@ def test_envelope_closed_form_hand_value():
 
 
 def test_envelope_matches_rk4_integration():
-    cert = CertificateGlobal(L=1.0, gamma=2.0, M1=1.0, M3=0.5, psi=MonomialFn(1.0, 1.0, 1.0))
+    cert = CertificateGlobal(L=1.0, gamma=2.0, M1=1.0, M3=0.5)
     n, horizon = 2, 0.8
     g = global_ode(cert, n, horizon)
     c = cert.M1**2 + cert.M3 + 3.0 * cert.L**2 + 2.0
@@ -130,7 +130,7 @@ def test_envelope_matches_rk4_integration():
 def test_global_ode_terminal_always_feasible():
     # the envelope constant dominates M1^2 by construction, so any
     # terminal within the certificate bound fits under kappa
-    cert = CertificateGlobal(L=1.0, gamma=2.0, M1=3.0, M3=0.5, psi=MonomialFn(1.0, 1.0, 1.0))
+    cert = CertificateGlobal(L=1.0, gamma=2.0, M1=3.0, M3=0.5)
     n = 2
     g = global_ode(cert, n, 1.0)
     c = cert.M1**2 + cert.M3 + 3.0 + 2.0
@@ -141,7 +141,7 @@ def test_global_ode_terminal_always_feasible():
 
 
 def test_kappa_certificate_conversion():
-    cert = CertificateGlobal(L=1.5, gamma=2.0, M1=1.0, M3=4.0, psi=MonomialFn(1.0, 1.0, 1.0))
+    cert = CertificateGlobal(L=1.5, gamma=2.0, M1=1.0, M3=4.0)
     local = kappa_local_certificate(cert, kappa=9.0, horizon=0.25)
     assert local.gamma == cert.gamma
     assert local.M1 == pytest.approx(3.0)

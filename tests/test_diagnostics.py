@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfbsde.condexp import OperatorTable, RegressionBasis, RegressionEngine
+from mfbsde.condexp import FactorTable, RegressionBasis, RegressionEngine
 from mfbsde.constants import global_ode, local_window
 from mfbsde.diagnostics import (
     bmo_norm,
@@ -14,7 +14,7 @@ from mfbsde.diagnostics import (
     john_nirenberg,
     theta_gap,
 )
-from mfbsde.generators import CertificateGlobal, MonomialFn, fixture
+from mfbsde.generators import CertificateGlobal, fixture
 from mfbsde.paths import build_grid, sample_brownian
 from mfbsde.solvers import SolverOptions, solve_local
 
@@ -35,13 +35,13 @@ def test_bmo_of_unit_integrand_is_sqrt_horizon():
 
 def test_bmo_pair_in_one_pass_matches_separate_calls():
     # the Picard loop takes both norms from one (N, 2) block per node, on a
-    # window that starts inside the grid and through a shared operator table
+    # window that starts inside the grid and through a shared factor table
     grid = build_grid(1.0, 12)
     paths = sample_brownian(grid, 512, 2, seed=4)
     rng = np.random.default_rng(4)
     z_a = rng.standard_normal((512, 5, 2, 2))
     z_b = 0.1 * rng.standard_normal((512, 5, 2, 2)) + np.sin(paths.brownian_at(7))[:, None, None, :]
-    table = OperatorTable(ENGINE.basis, paths.brownian_at)
+    table = FactorTable(ENGINE.basis, paths.brownian_at)
     pair = bmo_norm((z_a, z_b), grid, paths, ENGINE, k_lo=7, operators=table)
     single = (bmo_norm(z_a, grid, paths, ENGINE, k_lo=7), bmo_norm(z_b, grid, paths, ENGINE, k_lo=7))
     assert isinstance(pair, tuple) and len(pair) == 2
@@ -102,7 +102,7 @@ def test_apriori_reports_on_window_solve():
 
 
 def test_envelope_check_flags_violation():
-    cert = CertificateGlobal(L=1.0, gamma=2.0, M1=1.0, M3=1.0, psi=MonomialFn(1.0, 1.0, 1.0))
+    cert = CertificateGlobal(L=1.0, gamma=2.0, M1=1.0, M3=1.0)
     gconsts = global_ode(cert, 1, 1.0)
 
     class Shell:

@@ -550,16 +550,59 @@ def _count_qr(monkeypatch):
     return calls
 
 
+def _count_operator_builds(monkeypatch):
+    builds = []
+    real_init = NodeOperator.__init__
+    monkeypatch.setattr(NodeOperator, "__init__", lambda op, *args: builds.append(1) or real_init(op, *args))
+    return builds
+
+
 def test_global_factors_each_node_once(monkeypatch):
     # every Picard iteration, law query and BMO norm of a window shares the
-    # window's operators, so the whole stitched solve factors each node once
+    # operators its local solve builds, so the whole stitched solve factors
+    # each node once and builds each node's operator once
     bundle = fixture("eq41", n=2)
     grid = build_grid(0.5, 16)
     paths = sample_brownian(grid, 1024, 2, seed=9)
     calls = _count_qr(monkeypatch)
+    builds = _count_operator_builds(monkeypatch)
     sol, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE)
     assert sum(w.halvings for w in report.windows) == 0
     assert sum(w.iterations for w in report.windows) > 2 * report.window_count
+    assert len(calls) == len(builds) == grid.steps
+
+
+def test_global_halves_a_failing_window_and_factors_each_node_once(monkeypatch):
+    # windows of 4 steps are solved in full and then refused, so each is
+    # retried at 2 steps on operators rebuilt from the solve's kept factors
+    bundle = fixture("eq41", n=2)
+    grid = build_grid(1.0, 16)
+    paths = sample_brownian(grid, 2**10, 2, seed=9)
+    terminal = bundle.terminal(paths)
+    real_ode, real_local = solvers.global_ode, solvers.solve_local
+
+    def solve_with_windows_of(steps):
+        monkeypatch.setattr(solvers, "global_ode", lambda *args: replace(real_ode(*args), delta_kappa=steps * grid.dt))
+        return solve_global(bundle.spec, bundle.global_, terminal, grid, paths, ENGINE)
+
+    ref, ref_report = solve_with_windows_of(2)
+    assert [w.halvings for w in ref_report.windows] == [0] * 8
+
+    def refuse_long_windows(*args, k_lo, k_hi, **kwargs):
+        sol, trace = real_local(*args, k_lo=k_lo, k_hi=k_hi, **kwargs)
+        if k_hi - k_lo > 2:
+            raise SolverDivergence("refused", trace)
+        return sol, trace
+
+    monkeypatch.setattr(solvers, "solve_local", refuse_long_windows)
+    calls = _count_qr(monkeypatch)
+    sol, report = solve_with_windows_of(4)
+    # the last window is capped at the 2 steps left, so it never halves
+    assert [w.halvings for w in report.windows] == [1] * 7 + [0]
+    edges = [(w.k_lo, w.k_hi) for w in report.windows]
+    assert edges == [(k - 2, k) for k in range(grid.steps, 0, -2)]
+    assert edges == [(w.k_lo, w.k_hi) for w in ref_report.windows]
+    assert np.array_equal(sol.Y, ref.Y) and np.array_equal(sol.Z, ref.Z)
     assert len(calls) == grid.steps
 
 
@@ -606,8 +649,11 @@ def test_theta_with_kept_factors_equals_fresh_factoring_bitwise(monkeypatch, nam
 
 def test_volterra_factors_outer_nodes_once(monkeypatch):
     # the inner theta solve keeps one factor per node; the volterra solve
-    # hands its inner theta solve the operator table every outer sweep shares
+    # hands its inner theta solve the operators every outer sweep shares,
+    # and each sweep evaluates g on the nodes 0..M-1 its tail sums read
     bundle = fixture("volterra_demo")
+    g_calls = []
+    bundle = replace(bundle, g=lambda *args, _g=bundle.g: g_calls.append(args[0]) or _g(*args))
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 1024, 1, seed=3)
     calls = _count_qr(monkeypatch)
@@ -618,6 +664,7 @@ def test_volterra_factors_outer_nodes_once(monkeypatch):
     _, outer, _ = run_scheme(bundle, "volterra", grid, paths, ENGINE, SolverOptions())
     assert outer.iterations > 2
     assert len(calls) == grid.steps
+    assert g_calls == list(range(grid.steps)) * outer.iterations
 
 
 def test_global_eq41_pinned_small_solve():
