@@ -6,7 +6,9 @@ rows (N, n, d), it returns driver values (N, n). Diagonal structure means
 component i is quadratic in its own Z row only; certificates carry the
 constants that make that quantitative. Component i reads its own row from
 the Z cloud and every other row from ``others``, so one call evaluates all
-n components with their own rows free and the other rows frozen.
+n components with their own rows free and the other rows frozen. A
+registry driver splits off its Z stage, what it computes from Z alone, so a
+caller whose Z arguments stay fixed computes that stage once.
 """
 from __future__ import annotations
 
@@ -26,11 +28,19 @@ class Evaluator(Protocol):
     Component i takes its own row from ``z[:, i]`` and every row j != i
     from ``others[:, j]`` (N, n, d); ``others=None`` takes them from ``z``,
     so ``evaluate(t, y, z, law)`` is the full driver. Row i of ``others``
-    and rows j != i of ``z`` do not enter component i.
+    and rows j != i of ``z`` do not enter component i. ``stage``, when
+    given, is the spec's ``z_stage(t, z, law, others)`` and is read in its
+    place; the values are bitwise equal either way.
     """
 
     def __call__(
-        self, t: float, y: np.ndarray, z: np.ndarray, law: MeasureView | None, others: np.ndarray | None = None
+        self,
+        t: float,
+        y: np.ndarray,
+        z: np.ndarray,
+        law: MeasureView | None,
+        others: np.ndarray | None = None,
+        stage: tuple | None = None,
     ) -> np.ndarray: ...
 
 
@@ -147,7 +157,10 @@ class GeneratorSpec:
 
     ``evaluate`` follows :class:`Evaluator`: one call gives all n
     components, each with its own Z row from the Z argument and the other
-    rows from ``others``.
+    rows from ``others``. ``z_stage(t, z, law, others)``, when given, returns
+    the tuple of arrays and scalars that ``evaluate`` computes from Z alone:
+    the own rows, ``others`` and the law's Z cloud. A driver without it takes
+    no ``stage``.
 
     ``law_dependence`` is one of "joint" (needs Y and Z clouds), "y_only",
     or "none". ``zeta_level`` is the pointwise bound of the absorbing
@@ -159,6 +172,7 @@ class GeneratorSpec:
     evaluate: Evaluator
     law_dependence: str = "joint"
     zeta_level: float = 0.0
+    z_stage: Callable[..., tuple] | None = None
 
     def __post_init__(self) -> None:
         _require(self.n >= 1 and self.d >= 1, "n and d must be positive")
@@ -234,6 +248,16 @@ def _others_sum(values: np.ndarray) -> np.ndarray:
     return values @ (np.ones((n, n)) - np.eye(n))
 
 
+def _rows_stage(t, z, law, others=None) -> tuple:
+    """The Z stage of a driver that reads Z through its own row norms only."""
+    return (sum_squares(z),)
+
+
+def _no_stage(t, z, law, others=None) -> tuple:
+    """The Z stage of a driver that reads no Z."""
+    return ()
+
+
 def _terminal_brownian():
     def terminal(paths) -> np.ndarray:
         return paths.terminal().copy()
@@ -264,10 +288,11 @@ def _fixture_pure_quadratic(
 ) -> FixtureBundle:
     """f(t, y, z, mu) = (gamma/2) |z|^2 in one dimension."""
 
-    def evaluate(t, y, z, law, others=None):
-        return 0.5 * gamma * sum_squares(z)
+    def evaluate(t, y, z, law, others=None, stage=None):
+        (rows_sq,) = stage or _rows_stage(t, z, law, others)
+        return 0.5 * gamma * rows_sq
 
-    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none")
+    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none", z_stage=_rows_stage)
     if terminal == "brownian":
         term, local = _terminal_brownian(), None
     elif terminal == "tanh":
@@ -290,11 +315,11 @@ def _fixture_pure_quadratic(
 def _fixture_linear_mf(a: float = 0.0, b: float = 1.0, terminal: str = "const", value: float = 1.0) -> FixtureBundle:
     """f = a y + b E[Y], scalar and z-free; matched by a closed-form ODE."""
 
-    def evaluate(t, y, z, law, others=None):
+    def evaluate(t, y, z, law, others=None, stage=None):
         mean = law.mean_y()[0] if law is not None else 0.0
         return a * y + b * mean
 
-    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="y_only")
+    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="y_only", z_stage=_no_stage)
     big = max(abs(a), abs(b))
     convex = CertificateConvex(K=big, gamma=1.0)
     if terminal == "const":
@@ -335,23 +360,22 @@ def _fixture_remark31(n: int = 2, M1: float = 0.5, horizon: float = 0.25) -> Fix
     psi(x) = 2n + (2n - 1) x^8, psi0(x) = x^3, gamma0 = 1, zeta = n^(1/3).
     """
 
-    def evaluate(t, y, z, law, others=None):
+    def z_stage(t, z, law, others=None):
         rows_sq = sum_squares(z)  # (N, n)
         other_sq = rows_sq if others is None else sum_squares(others)
         full = np.sqrt(rows_sq + _others_sum(other_sq))  # |z| for each component i
+        w2 = law.w_z(2) if law is not None and law.has_z else 0.0
+        return rows_sq, np.sin(np.sqrt(rows_sq)), full, full ** (4.0 / 3.0), w2
+
+    def evaluate(t, y, z, law, others=None, stage=None):
+        rows_sq, sin_rows, full, full_pow, w2 = stage or z_stage(t, z, law, others)
         ynorm_sq = sum_squares(y)[:, None]
         w1 = law.w_y(2) if law is not None else 0.0
-        w2 = law.w_z(2) if law is not None and law.has_z else 0.0
         coupling = w1**3 * math.cos(w2) + w2 ** (4.0 / 3.0)
-        return (
-            (ynorm_sq + np.sin(np.sqrt(rows_sq))) * full
-            + full ** (4.0 / 3.0)
-            + rows_sq
-            + coupling
-        )
+        return (ynorm_sq + sin_rows) * full + full_pow + rows_sq + coupling
 
     croot = n ** (1.0 / 3.0)
-    spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="joint", zeta_level=croot)
+    spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="joint", zeta_level=croot, z_stage=z_stage)
     local = CertificateLocal(
         gamma=3.0 + 2.0 * croot,
         lam=0.75 + croot,
@@ -377,16 +401,20 @@ def _fixture_eq41(n: int = 2, M1: float = 1.0, horizon: float = 1.0) -> FixtureB
     f^i = 1 + |y| + |z^i|^2 + sum_{j != i} sin|z^j| + W2(mu1, d0) cos(W2(mu2, d0)).
     """
 
-    def evaluate(t, y, z, law, others=None):
+    def z_stage(t, z, law, others=None):
         rows_sq = sum_squares(z)
         other_sq = rows_sq if others is None else sum_squares(others)
-        ynorm = np.sqrt(sum_squares(y))[:, None]
         cross = _others_sum(np.sin(np.sqrt(other_sq)))
-        w1 = law.w_y(2) if law is not None else 0.0
         w2 = law.w_z(2) if law is not None and law.has_z else 0.0
+        return rows_sq, cross, w2
+
+    def evaluate(t, y, z, law, others=None, stage=None):
+        rows_sq, cross, w2 = stage or z_stage(t, z, law, others)
+        ynorm = np.sqrt(sum_squares(y))[:, None]
+        w1 = law.w_y(2) if law is not None else 0.0
         return 1.0 + ynorm + rows_sq + cross + w1 * math.cos(w2)
 
-    spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="joint", zeta_level=float(n))
+    spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="joint", zeta_level=float(n), z_stage=z_stage)
     global_ = CertificateGlobal(
         L=1.0,
         gamma=2.0,
@@ -426,11 +454,12 @@ def _fixture_bounded_sine_mf(
     the Y marginal, as the Picard scheme requires.
     """
 
-    def evaluate(t, y, z, law, others=None):
+    def evaluate(t, y, z, law, others=None, stage=None):
+        (rows_sq,) = stage or _rows_stage(t, z, law, others)
         w1 = law.w_y(1) if law is not None else 0.0
-        return 0.5 * gamma * sum_squares(z) + K * math.sin(w1)
+        return 0.5 * gamma * rows_sq + K * math.sin(w1)
 
-    spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="y_only")
+    spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="y_only", z_stage=_rows_stage)
     convex = CertificateConvex(K=K, gamma=gamma)
     if terminal == "brownian":
         term, local = _terminal_brownian(), None
@@ -463,14 +492,15 @@ def _fixture_volterra_demo(gamma: float = 1.0, clamp: float = 10.0) -> FixtureBu
     f = (gamma/2)|z|^2 and g(s, y-history, z, mu) = clamp(E[Y_s], +-clamp).
     """
 
-    def evaluate(t, y, z, law, others=None):
-        return 0.5 * gamma * sum_squares(z)
+    def evaluate(t, y, z, law, others=None, stage=None):
+        (rows_sq,) = stage or _rows_stage(t, z, law, others)
+        return 0.5 * gamma * rows_sq
 
     def g(k, y_hist, z, law):
         mean = float(y_hist[:, k, 0].mean())
         return np.full((y_hist.shape[0], 1), np.clip(mean, -clamp, clamp))
 
-    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none")
+    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none", z_stage=_rows_stage)
     return FixtureBundle(
         name="volterra_demo",
         spec=spec,

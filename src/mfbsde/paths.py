@@ -13,6 +13,7 @@ memory beyond these two buffers. Both file formats are particle-major.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import struct
 from dataclasses import dataclass, field
@@ -31,6 +32,15 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _is_finite(value: numbers.Real) -> bool:
+    """Whether the real number is finite as a float; an int beyond float
+    range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid 0 = t_0 < ... < t_M = T.
@@ -44,11 +54,11 @@ class TimeGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not _is_number(self.horizon, numbers.Real) or not np.isfinite(self.horizon) or self.horizon <= 0.0:
+        if not _is_number(self.horizon, numbers.Real) or not _is_finite(self.horizon) or self.horizon <= 0.0:
             raise PathsError(f"horizon must be a finite positive number, got {self.horizon!r}")
         if not _is_number(self.steps, numbers.Integral) or self.steps < 1:
             raise PathsError(f"steps must be an integer >= 1, got {self.steps!r}")
-        nodes = np.linspace(0.0, self.horizon, self.steps + 1)
+        nodes = np.linspace(0.0, float(self.horizon), self.steps + 1)
         if not np.all(np.diff(nodes) > 0.0):
             raise PathsError("grid nodes are not strictly increasing at this resolution")
         nodes.setflags(write=False)

@@ -23,6 +23,13 @@ argument is frozen at the scheme's input iterate at the same node (see
 - ``local`` and ``global``: Y, the other rows and the law come from the
   input iterate; during law refinements the law comes from the latest pass.
 
+A ``local`` or ``global`` window computes once what its Picard iterations
+cannot change: the head node's projections of the terminal and, with one
+inner sweep, from iteration 2 on the terminal driver value and the head
+node's driver Z stage; on a one-node window also its BMO pair, as the Z
+difference is then 0 and the QV iteration 1's. Every value is bitwise equal
+to a plain Picard loop over :func:`psi_map` and ``bmo_norm``.
+
 Every entry point takes its terminal through :func:`_terminal_block`, so a
 terminal that is not (particles, n) raises ``ValueError``.
 """
@@ -250,9 +257,12 @@ def _backward(
     :class:`mfbsde.condexp.FactorTable` or a dict of built operators.
     ``head``, when given, is what the first visit would compute from the
     terminal: (E_{k_hi-1}[Y_{k_hi}], the clipped Z_{k_hi-1}, its clip
-    events, and the terminal driver value or None to evaluate it); the
-    result is then bitwise equal to a run without it. Returns (Y (N, K+1, n),
-    Z (N, K, n, d), clip events) as views of node-major buffers.
+    events, the terminal driver value or None to evaluate it, and a tuple
+    that holds the driver's Z stage at node k_hi - 1 for that Z or is
+    empty); the first driver call at that node then passes the stage on as
+    ``driver(k, t, z, stage)``. The result is bitwise equal to a run without
+    ``head``. Returns (Y (N, K+1, n), Z (N, K, n, d), clip events) as views of
+    node-major buffers.
     """
     if not 0 <= k_lo < k_hi <= grid.steps:
         raise ValueError(f"bad node range [{k_lo}, {k_hi}]")
@@ -269,14 +279,15 @@ def _backward(
         op = operators[k]
         dw = paths.increments[:, k, :]
         y_next = y[j + 1]
+        stage = ()
         if k == k_hi - 1 and head is not None:
-            fit_next, z_k, clips, f_next = head
+            fit_next, z_k, clips, f_next, stage = head
         else:
             fit_next, z_k, c = _node_fit(op, y_next, dw, dt, opts.z_clip)
             clips += c
         if f_next is None:  # terminal quadrature point
             f_next = driver(k + 1, grid.nodes[k + 1], z_k)
-        f_here = driver(k, grid.nodes[k], z_k)
+        f_here = driver(k, grid.nodes[k], z_k, *stage)
         for _ in range(opts.inner_sweeps - 1):
             _, z_k, c = _node_fit(op, y_next + 0.5 * (f_here + f_next) * dt, dw, dt, opts.z_clip)
             clips += c
@@ -326,16 +337,18 @@ def _law_at(spec: GeneratorSpec, y: np.ndarray, z: np.ndarray, j: int) -> Measur
 
 
 def _own_rows(
-    spec: GeneratorSpec, y: np.ndarray, z: np.ndarray, laws: tuple, k_lo: int, k: int, t: float, rows: np.ndarray
+    spec: GeneratorSpec, y: np.ndarray, z: np.ndarray, laws: tuple, k_lo: int, k: int, t: float, rows: np.ndarray, *stage
 ) -> np.ndarray:
     """Driver values (N, n) at node k with component i free in rows[:, i].
 
     Y (N, K+1, n), the other Z rows of z (N, K, n, d) and the law of the
     clouds ``laws`` = (Y, Z) are frozen at j = k - k_lo; the terminal node
-    takes the last Z slice. One driver call gives all n components.
+    takes the last Z slice. One driver call gives all n components. A
+    ``stage`` argument, the spec's Z stage of these Z arguments, reaches
+    ``spec.evaluate`` as its sixth.
     """
     j = k - k_lo
-    return spec.evaluate(t, y[:, j], rows, _law_at(spec, *laws, j), z[:, min(j, z.shape[1] - 1)])
+    return spec.evaluate(t, y[:, j], rows, _law_at(spec, *laws, j), z[:, min(j, z.shape[1] - 1)], *stage)
 
 
 def _flat_solution(terminal: np.ndarray, grid: TimeGrid, span: int, d: int, k_lo: int, offset: float = 0.0) -> Solution:
@@ -399,7 +412,8 @@ def solve_local(
     :class:`SolverDivergence` when the empirical ratios stop contracting.
     Every iteration is a :func:`psi_map` pass followed by
     ``law_refinements`` passes whose law comes from the previous pass, and
-    is bitwise equal to that sequence of :func:`psi_map` calls. The call
+    is bitwise equal to that sequence of :func:`psi_map` calls, and each
+    step's BMO pair to ``bmo_norm`` of its Z difference and Z. The call
     builds each window node's operator once, from ``operators`` (a
     :class:`mfbsde.condexp.FactorTable`) or from a table of its own, and
     every pass and BMO norm of the call shares them.
@@ -420,22 +434,30 @@ def solve_local(
     # the first node visit reads only the terminal, the same on every pass
     dw_head = paths.increments[:, k_hi - 1, :]
     fit_head, z_head, clips_head = _node_fit(operators[k_hi - 1], current.Y[:, span], dw_head, grid.dt, opts.z_clip)
-    f_terminal = None
+    f_terminal, stage = None, ()
+    # with one inner sweep every pass writes z_head, so from iteration 2 on
+    # each Z the head node reads is z_head, and a one-node window's Z is fixed
+    fixed_z = opts.inner_sweeps == 1
     trace = PicardTrace()
     floor = 1e-13 * max(1.0, float(np.abs(terminal).max()))
     for it in range(1, opts.max_iter + 1):
         laws = (current.Y, current.Z)
-        if it == 2 and opts.inner_sweeps == 1:
-            # every pass from here on writes z_head, so the terminal driver value is fixed
+        if it == 2 and fixed_z:
             f_terminal = _own_rows(spec, current.Y, current.Z, laws, k_lo, k_hi, grid.nodes[k_hi], z_head)
-        head = (fit_head, z_head, clips_head, f_terminal)
+            if spec.z_stage is not None:
+                law = _law_at(spec, *laws, span - 1)
+                stage = (spec.z_stage(grid.nodes[k_hi - 1], z_head, law, current.Z[:, span - 1]),)
+        head = (fit_head, z_head, clips_head, f_terminal, stage)
         for _ in range(opts.law_refinements + 1):
             driver = partial(_own_rows, spec, current.Y, current.Z, laws, k_lo)
             y, z, clips = _backward(grid, paths, driver, terminal, operators, opts, k_lo, k_hi, head)
             laws = (y, z)
         out = Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, clip_events=clips)
         dy = float(np.abs(out.Y - current.Y).max())
-        dz, qv_norm = bmo_norm((out.Z - current.Z, out.Z), grid, paths, engine, k_lo=k_lo, operators=operators)
+        if it == 1 or span > 1 or not fixed_z:
+            dz, qv_norm = bmo_norm((out.Z - current.Z, out.Z), grid, paths, engine, k_lo=k_lo, operators=operators)
+        else:  # out.Z and current.Z are both z_head: dz is 0 and the QV is iteration 1's
+            dz = 0.0
         combined = _combined_norm(dy, dz)
         max_y = float(np.abs(out.Y).max())
         qv = qv_norm**2

@@ -231,6 +231,13 @@ def test_uncoerced_grid_or_ensemble_value_exits_config(capsys, tmp_path, name, o
     assert name in err
 
 
+def test_horizon_beyond_float_range_exits_config(capsys, tmp_path):
+    cfg = write_config(tmp_path, grid={"horizon": 10**400, "steps": 4})
+    code, out, err = run_cli(capsys, "solve", cfg)
+    assert code == EXIT_CONFIG and out == ""
+    assert "horizon" in err
+
+
 def test_integers_for_float_solver_options_solve(capsys, tmp_path):
     cfg = write_config(tmp_path, particles=256, solver={"tol": 1, "z_clip": 5, "init_offset": 0})
     code, out, _ = run_cli(capsys, "solve", cfg)

@@ -195,3 +195,20 @@ def test_drivers_match_norm_reference(name):
     reference = _reference_driver(name, bundle.params, y, z, law_y, law_z)
     assert values.shape == reference.shape == (257, spec.n)
     assert np.abs(values - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("with_others", [False, True])
+def test_z_stage_is_read_in_place_of_the_z_arguments_bitwise(name, with_others):
+    spec = fixture(name).spec
+    rng = np.random.default_rng(13)
+    y = rng.standard_normal((65, spec.n))
+    z, moved = rng.standard_normal((2, 65, spec.n, spec.d))
+    others = rng.standard_normal((65, spec.n, spec.d)) if with_others else None
+    law_y, law_z = rng.standard_normal((65, spec.n)), rng.standard_normal((65, spec.n, spec.d))
+    law = {"none": None, "y_only": MeasureView(law_y), "joint": MeasureView(law_y, law_z)}[spec.law_dependence]
+    values = spec.evaluate(0.6, y, z, law, others)
+    assert np.array_equal(spec.evaluate(0.6, y, z, law, others, spec.z_stage(0.6, z, law, others)), values)
+    # Z reaches the values only through the stage
+    staged = spec.evaluate(0.6, y, z, law, others, spec.z_stage(0.6, moved, law, others))
+    assert np.array_equal(staged, spec.evaluate(0.6, y, moved, law, others))

@@ -34,6 +34,12 @@ def test_grid_rejects_bad_inputs():
         build_grid(1.0, 0)
 
 
+def test_grid_takes_an_integer_horizon_within_float_range_only():
+    assert TimeGrid(10**20, 4).nodes[-1] == 1e20
+    with pytest.raises(PathsError, match="horizon must be a finite positive number"):
+        TimeGrid(10**400, 4)
+
+
 def test_increment_statistics():
     grid = build_grid(1.0, 16)
     ens = sample_brownian(grid, 60_000, 2, seed=123)

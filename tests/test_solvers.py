@@ -827,13 +827,15 @@ def test_increment_fit_equals_the_einsum_formula_bitwise(n, d):
 
 # A window computes once what no Picard iteration of it can change: the first
 # node visit's projections, and from the second iteration on, with one inner
-# sweep, the terminal driver value. A plain Picard loop over the public
-# psi_map, which recomputes both on every pass, is the reference.
+# sweep, the terminal driver value, the head node's Z stage and, on one node,
+# the BMO pair. A plain Picard loop over the public psi_map and bmo_norm,
+# which recomputes all of them on every pass, is the reference.
 
 
 def _reference_picard(spec, terminal, grid, paths, opts, k_lo, k_hi, iterations):
     """``iterations`` passes of psi_map, each with its law refinements, from
-    the flat start; returns the last iterate and each pass's sup difference."""
+    the flat start; returns the last iterate and each pass's sup difference,
+    BMO norm of the Z difference and squared BMO norm of Z."""
     span = k_hi - k_lo
     y = np.empty((span + 1, len(terminal), spec.n))  # node-major, as the solvers store it
     y[:] = terminal
@@ -841,14 +843,17 @@ def _reference_picard(spec, terminal, grid, paths, opts, k_lo, k_hi, iterations)
         y[:span] += opts.init_offset
     z = np.zeros((span, len(terminal), spec.n, spec.d))
     current = Solution(Y=y.swapaxes(0, 1), Z=z.swapaxes(0, 1), grid=grid, k_lo=k_lo)
-    dy_sup = []
+    dy_sup, dz_norm, qv_sq = [], [], []
     for _ in range(iterations):
         out = psi_map(spec, current, grid, paths, ENGINE, opts, k_lo, k_hi)
         for _ in range(opts.law_refinements):
             out = psi_map(spec, current, grid, paths, ENGINE, opts, k_lo, k_hi, law_source=out)
         dy_sup.append(float(np.abs(out.Y - current.Y).max()))
+        dz, qv = solvers.bmo_norm((out.Z - current.Z, out.Z), grid, paths, ENGINE, k_lo=k_lo)
+        dz_norm.append(dz)
+        qv_sq.append(qv**2)
         current = out
-    return current, dy_sup
+    return current, dy_sup, dz_norm, qv_sq
 
 
 def _with_window_clip(opts, k2):
@@ -883,24 +888,40 @@ def test_local_equals_a_plain_picard_loop_over_psi_map_bitwise(options):
     assert trace.converged and trace.iterations >= 3
     assert (sol.clip_events > 0) == (options["z_clip"] is not None)
     opts = _with_window_clip(opts, solvers.local_window(bundle.local, spec.n).K2)
-    ref, dy_sup = _reference_picard(spec, terminal, grid, paths, opts, k_lo, k_hi, trace.iterations)
+    ref, dy_sup, dz_norm, qv_sq = _reference_picard(spec, terminal, grid, paths, opts, k_lo, k_hi, trace.iterations)
     assert np.array_equal(sol.Y, ref.Y) and np.array_equal(sol.Z, ref.Z)
     assert sol.clip_events == ref.clip_events
     assert [step.dy_sup for step in trace.steps] == dy_sup
+    assert [step.dz_norm for step in trace.steps] == dz_norm
+    assert [step.qv_sq for step in trace.steps] == qv_sq
 
 
-def test_global_windows_equal_plain_picard_loops_over_psi_map_bitwise():
+def test_global_windows_equal_plain_picard_loops_over_psi_map_bitwise(monkeypatch):
     bundle = fixture("eq41", n=2)
     spec = bundle.spec
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 2**10, 2, seed=9)
+    traces = []
+    real_local = solvers.solve_local
+
+    def recording_local(*args, **kwargs):
+        window, trace = real_local(*args, **kwargs)
+        traces.append(trace)
+        return window, trace
+
+    monkeypatch.setattr(solvers, "solve_local", recording_local)
     sol, report = solve_global(spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE)
-    assert sum(w.halvings for w in report.windows) == 0
+    assert sum(w.halvings for w in report.windows) == 0 and len(traces) == report.window_count
     opts = _with_window_clip(SolverOptions(), solvers.global_ode(bundle.global_, spec.n, grid.horizon).window.K2)
-    for w in report.windows:
-        ref, _ = _reference_picard(spec, sol.Y[:, w.k_hi], grid, paths, opts, w.k_lo, w.k_hi, w.iterations)
+    for w, trace in zip(report.windows, traces):
+        ref, dy_sup, dz_norm, qv_sq = _reference_picard(
+            spec, sol.Y[:, w.k_hi], grid, paths, opts, w.k_lo, w.k_hi, w.iterations
+        )
         assert np.array_equal(sol.Y[:, w.k_lo : w.k_hi + 1], ref.Y)
         assert np.array_equal(sol.Z[:, w.k_lo : w.k_hi], ref.Z)
+        assert [step.dy_sup for step in trace.steps] == dy_sup
+        assert [step.dz_norm for step in trace.steps] == dz_norm
+        assert [step.qv_sq for step in trace.steps] == qv_sq
 
 
 @pytest.mark.parametrize("inner_sweeps, total", [(1, 135), (2, 336)])
@@ -924,19 +945,22 @@ def test_global_window_evaluates_its_terminal_driver_value_once(inner_sweeps, to
 
 
 def test_global_window_projects_its_terminal_once(monkeypatch):
-    # the fit of the terminal and its increment fit once per 1-node window;
-    # every iteration then projects only its BMO tail sums
+    # a 1-node window fits its terminal and the increment products once, and
+    # projects its BMO tail sums once: from iteration 2 on its only Z is the
+    # head Z, so the Z difference is 0 and the QV is iteration 1's
     bundle = fixture("eq41", n=2)
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 2**10, 2, seed=9)
-    widths = []
-    real_apply = NodeOperator.apply
+    widths, bmo_calls = [], []
+    real_apply, real_bmo = NodeOperator.apply, solvers.bmo_norm
     monkeypatch.setattr(NodeOperator, "apply", lambda op, v: widths.append(v.shape[1:]) or real_apply(op, v))
+    monkeypatch.setattr(solvers, "bmo_norm", lambda *a, **kw: bmo_calls.append(1) or real_bmo(*a, **kw))
     _, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE)
     assert all(w.k_hi - w.k_lo == 1 for w in report.windows)
-    iterations = sum(w.iterations for w in report.windows)
+    assert sum(w.iterations for w in report.windows) == 103
+    assert len(bmo_calls) == report.window_count
     assert widths.count((4,)) == report.window_count  # the n d increment products
-    assert len(widths) == 2 * report.window_count + iterations == 135
+    assert len(widths) == 3 * report.window_count == 48
 
 
 @pytest.mark.parametrize("gamma", [20.0, 30.0])
