@@ -3,8 +3,10 @@
 The conditioning state at node k is the Brownian value W_{t_k}. A fit
 solves the normal equations through a thin QR factorization; a trace-scaled
 ridge fallback (penalty 1e-10 * tr(A^T A)/p) catches rank deficiency, and
-columns with no sample variance are dropped first, so a constant state
-reduces to a plain mean.
+constant columns (min == max, an exact test) are dropped first, so a
+constant state, whatever its value, reduces to a plain mean with rank 1.
+A polynomial design is column-major: the (N, p) transpose of a (p, N)
+buffer whose rows are its columns.
 
 A :class:`NodeFactor` holds the p x p part of one state's factorization, a
 :class:`NodeOperator` combines it with the state's design, and its
@@ -67,15 +69,18 @@ class ProjectionInfo:
 
 def _design_polynomial(state: np.ndarray, degree: int) -> np.ndarray:
     # Column (a, ..., c) is column (a, ...) times x_c: the same products, in
-    # the same order, as multiplying 1 by x_a, ..., x_c one at a time.
+    # the same order, as multiplying 1 by x_a, ..., x_c one at a time. Each
+    # column is a contiguous row of a (p, N) buffer; the design is its
+    # (N, p) transpose.
     n, s = state.shape
     combos = [()] + [c for deg in range(1, degree + 1) for c in combinations_with_replacement(range(s), deg)]
     column = {combo: i for i, combo in enumerate(combos)}
-    design = np.empty((n, len(combos)))
-    design[:, 0] = 1.0
+    coords = np.ascontiguousarray(state.T)
+    columns = np.empty((len(combos), n))
+    columns[0] = 1.0
     for i, combo in enumerate(combos[1:], start=1):
-        np.multiply(design[:, column[combo[:-1]]], state[:, combo[-1]], out=design[:, i])
-    return design
+        np.multiply(columns[column[combo[:-1]]], coords[combo[-1]], out=columns[i])
+    return columns.T
 
 
 def _design_piecewise(state: np.ndarray, bins: int) -> np.ndarray:
@@ -114,9 +119,10 @@ def _design(state: np.ndarray, basis: RegressionBasis) -> np.ndarray:
 class NodeFactor:
     """The p x p part of one state's projection, factored once.
 
-    ``keep`` lists the design columns with sample variance (the constant
-    always stays). On the QR path ``rinv`` is R^{-1} of the thin QR of the
-    kept columns; when R is numerically singular ``system`` is the ridge
+    ``keep`` lists the design columns that are not constant (the
+    intercept always stays). On the QR path ``rinv`` is R^{-1} of the thin
+    QR of the kept columns, which are the design itself, uncopied, when
+    none is dropped; when R is numerically singular ``system`` is the ridge
     system instead. No array here has a particle axis.
     """
 
@@ -127,10 +133,10 @@ class NodeFactor:
 
     @classmethod
     def of(cls, design: np.ndarray) -> "NodeFactor":
-        """Variance filter, R of the thin QR, the ridge test on diag(R),
-        then R^{-1} or the ridge system."""
-        keep = (0,) + tuple(j for j in range(1, design.shape[1]) if design[:, j].std() > 0.0)
-        a = design[:, keep]
+        """Constant-column test, R of the thin QR, the ridge test on
+        diag(R), then R^{-1} or the ridge system."""
+        keep = (0,) + tuple(j for j in range(1, design.shape[1]) if design[:, j].min() < design[:, j].max())
+        a = design if len(keep) == design.shape[1] else design[:, keep]
         r = np.linalg.qr(a, mode="r")
         diag = np.abs(np.diag(r))
         ridge = bool(diag.min() <= 1e-12 * max(diag.max(), 1.0))
@@ -149,7 +155,7 @@ class NodeOperator:
     here unless one is given. On the QR path the operator holds only
     Q = A R^{-1}, with A the kept design columns (the design itself,
     uncopied, when every column is kept), and fits v as Q (Q^T v). A given
-    factor skips the variance filter and the QR, and since a fresh
+    factor skips the constant-column test and the QR, and since a fresh
     factor forms Q the same way, a rebuilt operator is bitwise equal to a
     fresh one. On the ridge path it holds A and solves the ridge system.
     """

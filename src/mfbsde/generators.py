@@ -29,7 +29,7 @@ class Evaluator(Protocol):
     from ``others[:, j]`` (N, n, d); ``others=None`` takes them from ``z``,
     so ``evaluate(t, y, z, law)`` is the full driver. Row i of ``others``
     and rows j != i of ``z`` do not enter component i. ``stage``, when
-    given, is the spec's ``z_stage(t, z, law, others)`` and is read in its
+    given, is the spec's ``z_stage(z, law, others)`` and is read in its
     place; the values are bitwise equal either way.
     """
 
@@ -157,10 +157,11 @@ class GeneratorSpec:
 
     ``evaluate`` follows :class:`Evaluator`: one call gives all n
     components, each with its own Z row from the Z argument and the other
-    rows from ``others``. ``z_stage(t, z, law, others)``, when given, returns
+    rows from ``others``. ``z_stage(z, law, others)``, when given, returns
     the tuple of arrays and scalars that ``evaluate`` computes from Z alone:
-    the own rows, ``others`` and the law's Z cloud. A driver without it takes
-    no ``stage``.
+    the own rows, ``others`` and the law's Z cloud. It takes no time and no
+    Y, so calls with the same Z arguments share one stage whatever their
+    time, Y or Y law. A driver without it takes no ``stage``.
 
     ``law_dependence`` is one of "joint" (needs Y and Z clouds), "y_only",
     or "none". ``zeta_level`` is the pointwise bound of the absorbing
@@ -248,12 +249,12 @@ def _others_sum(values: np.ndarray) -> np.ndarray:
     return values @ (np.ones((n, n)) - np.eye(n))
 
 
-def _rows_stage(t, z, law, others=None) -> tuple:
+def _rows_stage(z, law, others=None) -> tuple:
     """The Z stage of a driver that reads Z through its own row norms only."""
     return (sum_squares(z),)
 
 
-def _no_stage(t, z, law, others=None) -> tuple:
+def _no_stage(z, law, others=None) -> tuple:
     """The Z stage of a driver that reads no Z."""
     return ()
 
@@ -289,7 +290,7 @@ def _fixture_pure_quadratic(
     """f(t, y, z, mu) = (gamma/2) |z|^2 in one dimension."""
 
     def evaluate(t, y, z, law, others=None, stage=None):
-        (rows_sq,) = stage or _rows_stage(t, z, law, others)
+        (rows_sq,) = stage or _rows_stage(z, law, others)
         return 0.5 * gamma * rows_sq
 
     spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none", z_stage=_rows_stage)
@@ -360,7 +361,7 @@ def _fixture_remark31(n: int = 2, M1: float = 0.5, horizon: float = 0.25) -> Fix
     psi(x) = 2n + (2n - 1) x^8, psi0(x) = x^3, gamma0 = 1, zeta = n^(1/3).
     """
 
-    def z_stage(t, z, law, others=None):
+    def z_stage(z, law, others=None):
         rows_sq = sum_squares(z)  # (N, n)
         other_sq = rows_sq if others is None else sum_squares(others)
         full = np.sqrt(rows_sq + _others_sum(other_sq))  # |z| for each component i
@@ -368,7 +369,7 @@ def _fixture_remark31(n: int = 2, M1: float = 0.5, horizon: float = 0.25) -> Fix
         return rows_sq, np.sin(np.sqrt(rows_sq)), full, full ** (4.0 / 3.0), w2
 
     def evaluate(t, y, z, law, others=None, stage=None):
-        rows_sq, sin_rows, full, full_pow, w2 = stage or z_stage(t, z, law, others)
+        rows_sq, sin_rows, full, full_pow, w2 = stage or z_stage(z, law, others)
         ynorm_sq = sum_squares(y)[:, None]
         w1 = law.w_y(2) if law is not None else 0.0
         coupling = w1**3 * math.cos(w2) + w2 ** (4.0 / 3.0)
@@ -401,7 +402,7 @@ def _fixture_eq41(n: int = 2, M1: float = 1.0, horizon: float = 1.0) -> FixtureB
     f^i = 1 + |y| + |z^i|^2 + sum_{j != i} sin|z^j| + W2(mu1, d0) cos(W2(mu2, d0)).
     """
 
-    def z_stage(t, z, law, others=None):
+    def z_stage(z, law, others=None):
         rows_sq = sum_squares(z)
         other_sq = rows_sq if others is None else sum_squares(others)
         cross = _others_sum(np.sin(np.sqrt(other_sq)))
@@ -409,7 +410,7 @@ def _fixture_eq41(n: int = 2, M1: float = 1.0, horizon: float = 1.0) -> FixtureB
         return rows_sq, cross, w2
 
     def evaluate(t, y, z, law, others=None, stage=None):
-        rows_sq, cross, w2 = stage or z_stage(t, z, law, others)
+        rows_sq, cross, w2 = stage or z_stage(z, law, others)
         ynorm = np.sqrt(sum_squares(y))[:, None]
         w1 = law.w_y(2) if law is not None else 0.0
         return 1.0 + ynorm + rows_sq + cross + w1 * math.cos(w2)
@@ -455,7 +456,7 @@ def _fixture_bounded_sine_mf(
     """
 
     def evaluate(t, y, z, law, others=None, stage=None):
-        (rows_sq,) = stage or _rows_stage(t, z, law, others)
+        (rows_sq,) = stage or _rows_stage(z, law, others)
         w1 = law.w_y(1) if law is not None else 0.0
         return 0.5 * gamma * rows_sq + K * math.sin(w1)
 
@@ -493,7 +494,7 @@ def _fixture_volterra_demo(gamma: float = 1.0, clamp: float = 10.0) -> FixtureBu
     """
 
     def evaluate(t, y, z, law, others=None, stage=None):
-        (rows_sq,) = stage or _rows_stage(t, z, law, others)
+        (rows_sq,) = stage or _rows_stage(z, law, others)
         return 0.5 * gamma * rows_sq
 
     def g(k, y_hist, z, law):

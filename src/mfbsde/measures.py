@@ -55,6 +55,12 @@ def column_max(x: np.ndarray) -> np.ndarray:
     return np.array([x[:, c].max() for c in range(x.shape[1])])
 
 
+def _flat_rows(z: np.ndarray) -> np.ndarray:
+    """A Z cloud (N, n, d) as its (N, n d) rows; any other shape as given."""
+    z = np.asarray(z, dtype=np.float64)
+    return z.reshape(z.shape[0], -1) if z.ndim == 3 else z
+
+
 def _as_cloud(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -127,21 +133,29 @@ class MeasureView:
     """Law of one time-slice of the particle system, as drivers see it.
 
     Wraps the Y cloud (R^n marginal), optionally the Z cloud (rows flattened
-    to R^{n d}), and the joint pairing; both are checked finite when the
-    view is built, and only then. Distances to the point mass use the
-    arithmetic of :func:`wasserstein_to_delta` on the checked points.
+    to R^{n d}), and the joint pairing. ``MeasureView(y, z)`` checks both
+    clouds finite when the view is built, and only then, raising
+    :class:`MeasureError`; :meth:`of_checked` builds the same view over
+    clouds the caller has already found finite, without that scan. Distances
+    to the point mass use the arithmetic of :func:`wasserstein_to_delta`.
     """
 
     def __init__(self, y: np.ndarray, z: np.ndarray | None = None) -> None:
-        self._y = _as_cloud(y)
-        self._z: np.ndarray | None = None
-        if z is not None:
-            zc = np.asarray(z, dtype=np.float64)
-            if zc.ndim == 3:
-                zc = zc.reshape(zc.shape[0], -1)
-            self._z = _as_cloud(zc)
-            if self._z.shape[0] != self._y.shape[0]:
-                raise MeasureError("Y and Z clouds must pair particle by particle")
+        self._pair(_as_cloud(y), None if z is None else _as_cloud(_flat_rows(z)))
+
+    @classmethod
+    def of_checked(cls, y: np.ndarray, z: np.ndarray | None = None) -> "MeasureView":
+        """The view of float64 clouds Y (N, n) and Z (N, n, d) or (N, m)
+        known to be finite, built without the finiteness scan; its queries
+        equal those of ``MeasureView(y, z)``."""
+        view = cls.__new__(cls)
+        view._pair(y, None if z is None else _flat_rows(z))
+        return view
+
+    def _pair(self, y: np.ndarray, z: np.ndarray | None) -> None:
+        if z is not None and z.shape[0] != y.shape[0]:
+            raise MeasureError("Y and Z clouds must pair particle by particle")
+        self._y, self._z = y, z
 
     @property
     def z_points(self) -> np.ndarray:

@@ -24,14 +24,20 @@ argument is frozen at the scheme's input iterate at the same node (see
   input iterate; during law refinements the law comes from the latest pass.
 
 A ``local`` or ``global`` window computes once what its Picard iterations
-cannot change: the head node's projections of the terminal and, with one
-inner sweep, from iteration 2 on the terminal driver value and the head
-node's driver Z stage; on a one-node window also its BMO pair, as the Z
-difference is then 0 and the QV iteration 1's. Every value is bitwise equal
-to a plain Picard loop over :func:`psi_map` and ``bmo_norm``.
+cannot change: the head node's projections of the terminal; per pass one
+driver Z stage, which the terminal point and the head node share; with one
+inner sweep, from iteration 2 on, the terminal driver value and that stage;
+on a one-node window also its BMO pair, as the Z difference is then 0 and
+the QV iteration 1's. Every value is bitwise equal to a plain Picard loop
+over :func:`psi_map` and ``bmo_norm``.
 
-Every entry point takes its terminal through :func:`_terminal_block`, so a
-terminal that is not (particles, n) raises ``ValueError``.
+Every scheme takes its terminal through :func:`_terminal_block`: a terminal
+that is not (particles, n) raises ``ValueError``, and a non-finite one
+raises :class:`SolverDivergence` naming the terminal node and component.
+The kernel checks every node it writes, so ``local``, ``global`` and
+``theta`` build their law views over checked iterates without scanning
+them again; :func:`psi_map` and ``volterra`` take iterates from outside
+and scan each law view.
 """
 from __future__ import annotations
 
@@ -209,10 +215,12 @@ def _increment_fit(values: np.ndarray, fit: np.ndarray, op: NodeOperator, dw: np
     return op.apply(products).reshape(n_part, n, d)
 
 
-def _check_finite(k: int, t: float, y: np.ndarray, z: np.ndarray) -> None:
+def _check_finite(k: int, t: float, z: np.ndarray | None, y: np.ndarray | None = None) -> None:
     """Raise SolverDivergence naming node k and the first component whose
-    Y (N, n) or Z (N, n, d) holds a non-finite value."""
+    Z (N, n, d), else Y (N, n), holds a non-finite value; None is skipped."""
     for name, values in (("Z", z), ("Y", y)):
+        if values is None:
+            continue
         finite = np.isfinite(values)
         if not finite.all():
             i = int(np.argmin(finite.reshape(len(values), values.shape[1], -1).all(axis=(0, 2))))
@@ -226,14 +234,19 @@ def _node_fit(op: NodeOperator, values: np.ndarray, dw: np.ndarray, dt: float, r
     return fit, z, clips
 
 
-def _terminal_block(terminal, particles: int, n: int) -> np.ndarray:
-    """The terminal values as float64 (particles, n); a 1-D array is one
-    column. Raises ``ValueError`` for any other shape."""
+def _terminal_block(terminal, particles: int, n: int, k: int) -> np.ndarray:
+    """The terminal values at node k as float64 (particles, n); a 1-D array
+    is one column. Raises ``ValueError`` for any other shape, and
+    :class:`SolverDivergence` naming node k and the first component that
+    holds a non-finite value."""
     terminal = np.asarray(terminal, dtype=np.float64)
     if terminal.ndim == 1:
         terminal = terminal[:, None]
     if terminal.shape != (particles, n):
         raise ValueError(f"terminal has shape {terminal.shape}; expected ({particles}, {n})")
+    finite = np.isfinite(terminal)
+    if not finite.all():
+        raise SolverDivergence(f"non-finite terminal at node {k} in component {int(np.argmin(finite.all(axis=0)))}")
     return terminal
 
 
@@ -256,13 +269,14 @@ def _backward(
     driver-corrected target. Node k's operator is ``operators[k]``, from a
     :class:`mfbsde.condexp.FactorTable` or a dict of built operators.
     ``head``, when given, is what the first visit would compute from the
-    terminal: (E_{k_hi-1}[Y_{k_hi}], the clipped Z_{k_hi-1}, its clip
-    events, the terminal driver value or None to evaluate it, and a tuple
-    that holds the driver's Z stage at node k_hi - 1 for that Z or is
-    empty); the first driver call at that node then passes the stage on as
+    terminal: (E_{k_hi-1}[Y_{k_hi}], the clipped Z_{k_hi-1}, already found
+    finite, its clip events, the terminal driver value or None to evaluate
+    it, and a tuple that holds the driver's Z stage of the node's first
+    driver calls or is empty). The terminal point and node k_hi - 1 read the
+    same Z arguments, so both first calls get the stage as
     ``driver(k, t, z, stage)``. The result is bitwise equal to a run without
-    ``head``. Returns (Y (N, K+1, n), Z (N, K, n, d), clip events) as views of
-    node-major buffers.
+    ``head``. Returns (Y (N, K+1, n), Z (N, K, n, d), clip events) as views
+    of node-major buffers; a one-node Z is the node's Z itself, uncopied.
     """
     if not 0 <= k_lo < k_hi <= grid.steps:
         raise ValueError(f"bad node range [{k_lo}, {k_hi}]")
@@ -271,9 +285,9 @@ def _backward(
         raise ValueError("terminal values must have one entry per particle")
     span, dt = k_hi - k_lo, grid.dt
     y = np.empty((span + 1, n_part, n))
-    z = np.empty((span, n_part, n, paths.dimension))
+    z = np.empty((span, n_part, n, paths.dimension)) if span > 1 else None
     y[span] = terminal
-    clips, f_next = 0, None
+    clips, f_next, checked = 0, None, None
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
         op = operators[k]
@@ -282,19 +296,23 @@ def _backward(
         stage = ()
         if k == k_hi - 1 and head is not None:
             fit_next, z_k, clips, f_next, stage = head
+            checked = z_k
         else:
             fit_next, z_k, c = _node_fit(op, y_next, dw, dt, opts.z_clip)
             clips += c
         if f_next is None:  # terminal quadrature point
-            f_next = driver(k + 1, grid.nodes[k + 1], z_k)
+            f_next = driver(k + 1, grid.nodes[k + 1], z_k, *stage)
         f_here = driver(k, grid.nodes[k], z_k, *stage)
         for _ in range(opts.inner_sweeps - 1):
             _, z_k, c = _node_fit(op, y_next + 0.5 * (f_here + f_next) * dt, dw, dt, opts.z_clip)
             clips += c
             f_here = driver(k, grid.nodes[k], z_k)
         y[j] = fit_next + 0.5 * (f_here + f_next) * dt
-        z[j] = z_k
-        _check_finite(k, grid.nodes[k], y[j], z_k)
+        _check_finite(k, grid.nodes[k], None if z_k is checked else z_k, y[j])
+        if z is None:
+            z = z_k[None]
+        else:
+            z[j] = z_k
         f_next = f_here
     return _by_particle(y), _by_particle(z), clips
 
@@ -317,8 +335,8 @@ def solve_scalar(
     terminal-side quadrature point. Returns (Y (N, K+1), Z (N, K, d), clip
     events).
     """
-    terminal = _terminal_block(terminal, paths.particles, 1)
     k_hi = grid.steps if k_hi is None else k_hi
+    terminal = _terminal_block(terminal, paths.particles, 1, k_hi)
     operators = FactorTable(engine.basis, paths.brownian_at)
     y, z, clips = _backward(
         grid, paths, lambda k, t, rows: driver(k, t, rows[:, 0])[:, None], terminal, operators, opts, k_lo, k_hi
@@ -326,14 +344,18 @@ def solve_scalar(
     return y[:, :, 0], z[:, :, 0], clips
 
 
-def _law_at(spec: GeneratorSpec, y: np.ndarray, z: np.ndarray, j: int) -> MeasureView | None:
+def _law_at(
+    spec: GeneratorSpec, j: int, y: np.ndarray, z: np.ndarray, view: Callable = MeasureView
+) -> MeasureView | None:
     """Law view of node j of the clouds Y (N, K+1, n) and Z (N, K, n, d), as
-    far as the driver reads it; the terminal node pairs with the last Z slice."""
+    far as the driver reads it, built by ``view``: ``MeasureView``, which
+    scans the clouds, or ``MeasureView.of_checked`` for kernel-checked
+    iterates. The terminal node pairs with the last Z slice."""
     if spec.law_dependence == "none":
         return None
     if spec.law_dependence == "y_only":
-        return MeasureView(y[:, j])
-    return MeasureView(y[:, j], z[:, min(j, z.shape[1] - 1)])
+        return view(y[:, j])
+    return view(y[:, j], z[:, min(j, z.shape[1] - 1)])
 
 
 def _own_rows(
@@ -342,13 +364,22 @@ def _own_rows(
     """Driver values (N, n) at node k with component i free in rows[:, i].
 
     Y (N, K+1, n), the other Z rows of z (N, K, n, d) and the law of the
-    clouds ``laws`` = (Y, Z) are frozen at j = k - k_lo; the terminal node
-    takes the last Z slice. One driver call gives all n components. A
-    ``stage`` argument, the spec's Z stage of these Z arguments, reaches
-    ``spec.evaluate`` as its sixth.
+    clouds ``laws`` = (Y, Z) or (Y, Z, view) (see :func:`_law_at`) are
+    frozen at j = k - k_lo; the terminal node takes the last Z slice. One
+    driver call gives all n components. A ``stage`` argument, the spec's Z
+    stage of these Z arguments, reaches ``spec.evaluate`` as its sixth.
     """
     j = k - k_lo
-    return spec.evaluate(t, y[:, j], rows, _law_at(spec, *laws, j), z[:, min(j, z.shape[1] - 1)], *stage)
+    return spec.evaluate(t, y[:, j], rows, _law_at(spec, j, *laws), z[:, min(j, z.shape[1] - 1)], *stage)
+
+
+def _head_stage(spec: GeneratorSpec, laws: tuple, span: int, rows: np.ndarray, others: np.ndarray) -> tuple:
+    """The Z stage that the terminal point and node span - 1 of a window
+    share: own rows ``rows``, other rows ``others`` and the law's Z cloud
+    at span - 1; empty for a spec without ``z_stage``."""
+    if spec.z_stage is None:
+        return ()
+    return (spec.z_stage(rows, _law_at(spec, span - 1, *laws), others),)
 
 
 def _flat_solution(terminal: np.ndarray, grid: TimeGrid, span: int, d: int, k_lo: int, offset: float = 0.0) -> Solution:
@@ -421,7 +452,7 @@ def solve_local(
     if k_hi is None:
         k_hi = grid.steps
     span = k_hi - k_lo
-    terminal = _terminal_block(terminal, paths.particles, spec.n)
+    terminal = _terminal_block(terminal, paths.particles, spec.n, k_hi)
     if consts is None:
         consts = local_window(cert, spec.n)
     k1, k2 = consts.K1, consts.K2
@@ -434,32 +465,37 @@ def solve_local(
     # the first node visit reads only the terminal, the same on every pass
     dw_head = paths.increments[:, k_hi - 1, :]
     fit_head, z_head, clips_head = _node_fit(operators[k_hi - 1], current.Y[:, span], dw_head, grid.dt, opts.z_clip)
+    _check_finite(k_hi - 1, grid.nodes[k_hi - 1], z_head)
     f_terminal, stage = None, ()
     # with one inner sweep every pass writes z_head, so from iteration 2 on
     # each Z the head node reads is z_head, and a one-node window's Z is fixed
     fixed_z = opts.inner_sweeps == 1
     trace = PicardTrace()
-    floor = 1e-13 * max(1.0, float(np.abs(terminal).max()))
+    terminal_max = float(np.abs(terminal).max())
+    floor = 1e-13 * max(1.0, terminal_max)
     for it in range(1, opts.max_iter + 1):
-        laws = (current.Y, current.Z)
+        laws = (current.Y, current.Z, MeasureView.of_checked)
+        others = current.Z[:, span - 1]
         if it == 2 and fixed_z:
-            f_terminal = _own_rows(spec, current.Y, current.Z, laws, k_lo, k_hi, grid.nodes[k_hi], z_head)
-            if spec.z_stage is not None:
-                law = _law_at(spec, *laws, span - 1)
-                stage = (spec.z_stage(grid.nodes[k_hi - 1], z_head, law, current.Z[:, span - 1]),)
-        head = (fit_head, z_head, clips_head, f_terminal, stage)
+            stage = _head_stage(spec, laws, span, z_head, others)
+            f_terminal = _own_rows(spec, current.Y, current.Z, laws, k_lo, k_hi, grid.nodes[k_hi], z_head, *stage)
         for _ in range(opts.law_refinements + 1):
+            if it == 1 or not fixed_z:
+                stage = _head_stage(spec, laws, span, z_head, others)
+            head = (fit_head, z_head, clips_head, f_terminal, stage)
             driver = partial(_own_rows, spec, current.Y, current.Z, laws, k_lo)
             y, z, clips = _backward(grid, paths, driver, terminal, operators, opts, k_lo, k_hi, head)
-            laws = (y, z)
+            laws = (y, z, MeasureView.of_checked)
         out = Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, clip_events=clips)
-        dy = float(np.abs(out.Y - current.Y).max())
+        # node-major slices of the nodes a pass writes; the terminal node stays
+        moved = y.swapaxes(0, 1)[:span]
+        dy = float(np.abs(moved - current.Y.swapaxes(0, 1)[:span]).max())
         if it == 1 or span > 1 or not fixed_z:
             dz, qv_norm = bmo_norm((out.Z - current.Z, out.Z), grid, paths, engine, k_lo=k_lo, operators=operators)
         else:  # out.Z and current.Z are both z_head: dz is 0 and the QV is iteration 1's
             dz = 0.0
         combined = _combined_norm(dy, dz)
-        max_y = float(np.abs(out.Y).max())
+        max_y = max(float(np.abs(moved).max()), terminal_max)
         qv = qv_norm**2
         trace.steps.append(
             PicardStep(
@@ -530,7 +566,7 @@ def solve_global(
     stitching is exact by construction.
     """
     gconsts = global_ode(cert, spec.n, grid.horizon)
-    terminal = _terminal_block(terminal, paths.particles, spec.n)
+    terminal = _terminal_block(terminal, paths.particles, spec.n, grid.steps)
     feasible = bool(np.max(sum_squares(terminal)) <= spec.n * gconsts.c_tilde)
     report = GlobalReport(constants=gconsts, terminal_feasible=feasible)
     dt = grid.dt
@@ -654,7 +690,7 @@ def solve_theta(
     kept factor) or a dict of built operators; without it a table owned by
     this call factors each node once.
     """
-    terminal = _terminal_block(terminal, paths.particles, spec.n)
+    terminal = _terminal_block(terminal, paths.particles, spec.n, grid.steps)
     n, d, m = spec.n, spec.d, grid.steps
     y_prev = _by_particle(np.zeros((m + 1, paths.particles, n)))
     z_prev = _by_particle(np.zeros((m, paths.particles, n, d)))
@@ -666,7 +702,7 @@ def solve_theta(
     if operators is None:
         operators = FactorTable(engine.basis, paths.brownian_at)
     for it in range(1, opts.max_iter + 1):
-        driver = partial(_own_rows, spec, y_prev, z_prev, (y_prev, z_prev), 0)
+        driver = partial(_own_rows, spec, y_prev, z_prev, (y_prev, z_prev, MeasureView.of_checked), 0)
         y_new, z_new, c = _backward(grid, paths, driver, terminal, operators, opts, 0, m)
         clips += c
         step = _theta_step(it, gamma, y_new, y_prev, z_new, z_prev)
@@ -787,8 +823,9 @@ def run_scheme(
     ``"operators"`` (which :func:`export_csv` takes); it is empty for
     ``local`` and ``volterra``. Raises
     ``ValueError`` when the fixture's terminal is not (particles, n), when
-    it lacks the scheme's certificate, and for an unknown scheme."""
-    terminal = _terminal_block(bundle.terminal(paths), paths.particles, bundle.spec.n)
+    it lacks the scheme's certificate, and for an unknown scheme, and
+    :class:`SolverDivergence` when the terminal is not finite."""
+    terminal = _terminal_block(bundle.terminal(paths), paths.particles, bundle.spec.n, grid.steps)
     if scheme == "theta":
         if bundle.convex is None:
             raise ValueError(f"fixture {bundle.name} has no Picard certificate")

@@ -98,6 +98,16 @@ def test_constant_state_falls_back_to_mean():
     op = NodeOperator(state, ENGINE.basis)
     np.testing.assert_allclose(op.apply(values), np.full(4, 2.5), atol=1e-13)
     assert op.info.dropped_columns > 0
+    # a constant that is no power of two: its columns' std() rounds to about
+    # 1e-17, so only an exact test drops them
+    values = np.random.default_rng(4).standard_normal(8192)
+    for constant in (0.1, 0.3, 1.0 / 3.0):
+        for coords in (1, 2):
+            op = NodeOperator(np.full((8192, coords), constant), ENGINE.basis)
+            assert op.info.rank == 1 and not op.info.ridge_used
+            assert op.info.dropped_columns == _design(np.zeros((1, coords)), ENGINE.basis).shape[1] - 1
+            fit = op.apply(values)
+            assert np.abs(fit - values.mean()).max() <= 1e-14 * abs(values.mean())
 
 
 def test_ridge_fallback_reported():

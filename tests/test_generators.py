@@ -208,7 +208,7 @@ def test_z_stage_is_read_in_place_of_the_z_arguments_bitwise(name, with_others):
     law_y, law_z = rng.standard_normal((65, spec.n)), rng.standard_normal((65, spec.n, spec.d))
     law = {"none": None, "y_only": MeasureView(law_y), "joint": MeasureView(law_y, law_z)}[spec.law_dependence]
     values = spec.evaluate(0.6, y, z, law, others)
-    assert np.array_equal(spec.evaluate(0.6, y, z, law, others, spec.z_stage(0.6, z, law, others)), values)
+    assert np.array_equal(spec.evaluate(0.6, y, z, law, others, spec.z_stage(z, law, others)), values)
     # Z reaches the values only through the stage
-    staged = spec.evaluate(0.6, y, z, law, others, spec.z_stage(0.6, moved, law, others))
+    staged = spec.evaluate(0.6, y, z, law, others, spec.z_stage(moved, law, others))
     assert np.array_equal(staged, spec.evaluate(0.6, y, moved, law, others))

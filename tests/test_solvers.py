@@ -707,6 +707,35 @@ def test_non_finite_terminal_names_its_component():
         psi_map(spec, iterate, grid, paths, ENGINE, SolverOptions(), 4, 8)
 
 
+def _solve_eq41_local(terminal, grid, paths):
+    bundle = fixture("eq41", n=2)
+    return solve_local(bundle.spec, bundle.local, terminal, grid, paths, ENGINE, SolverOptions(), 7, 8)
+
+
+def _solve_eq41_global(terminal, grid, paths):
+    bundle = fixture("eq41", n=2)
+    return solve_global(bundle.spec, bundle.global_, terminal, grid, paths, ENGINE)
+
+
+def _solve_bounded_sine_theta(terminal, grid, paths):
+    bundle = fixture("bounded_sine_mf", n=2)
+    return solve_theta(bundle.spec, bundle.convex, terminal, grid, paths, ENGINE)
+
+
+@pytest.mark.parametrize(
+    "solve", [_solve_eq41_local, _solve_eq41_global, _solve_bounded_sine_theta], ids=["local", "global", "theta"]
+)
+def test_non_finite_terminal_is_a_divergence_at_intake(solve):
+    # the terminal is checked once, when a scheme takes it in; law views over
+    # the iterates do not scan again, so no scheme reports it as a bad cloud
+    grid = build_grid(1.0, 8)
+    paths = sample_brownian(grid, 512, 2, seed=3)
+    terminal = np.tanh(paths.terminal())
+    terminal[100, 1] = np.nan
+    with pytest.raises(SolverDivergence, match=r"non-finite terminal at node 8 in component 1"):
+        solve(terminal, grid, paths)
+
+
 # Node-major storage: the solvers keep each iterate in a (K, N, ...) buffer
 # and hand it out as its (N, K, ...) view.
 
@@ -942,6 +971,46 @@ def test_global_window_evaluates_its_terminal_driver_value_once(inner_sweeps, to
     assert min(iterations) >= 2 and all(w.k_hi - w.k_lo == 1 for w in report.windows)
     expected = sum(i + 2 for i in iterations) if inner_sweeps == 1 else sum(3 * i for i in iterations)
     assert len(calls) == expected == total
+
+
+def _staged_eq41(calls):
+    """eq41 with n = 2, recording each driver call as whether it computed its
+    own Z stage, and each direct ``z_stage`` call as True."""
+    spec = fixture("eq41", n=2).spec
+
+    def evaluate(*args, _f=spec.evaluate):
+        calls.append(len(args) < 6 or args[5] is None)
+        return _f(*args)
+
+    return replace(spec, evaluate=evaluate, z_stage=lambda *args, _g=spec.z_stage: calls.append(True) or _g(*args))
+
+
+@pytest.mark.parametrize("inner_sweeps, law_refinements", [(1, 0), (1, 1), (2, 0)])
+def test_global_window_shares_its_head_z_stage(monkeypatch, inner_sweeps, law_refinements):
+    # the terminal point and the head node read the same Z arguments, so
+    # each pass computes one stage for both; with one inner sweep that stage
+    # is fixed from iteration 2 on, and an extra inner sweep computes its own
+    import mfbsde.measures as measures
+
+    bundle, calls, scans = fixture("eq41", n=2), [], []
+    real_cloud = measures._as_cloud
+    monkeypatch.setattr(measures, "_as_cloud", lambda pts: scans.append(1) or real_cloud(pts))
+    grid = build_grid(1.0, 16)
+    paths = sample_brownian(grid, 2**10, 2, seed=9)
+    opts = SolverOptions(inner_sweeps=inner_sweeps, law_refinements=law_refinements)
+    _, report = solve_global(_staged_eq41(calls), bundle.global_, bundle.terminal(paths), grid, paths, ENGINE, opts)
+    iterations = [w.iterations for w in report.windows]
+    assert min(iterations) >= 2 and all(w.k_hi - w.k_lo == 1 for w in report.windows)
+    passes = law_refinements + 1
+    if inner_sweeps == 1:
+        expected = sum(passes + 1 for _ in iterations)  # every pass of iteration 1, then once per window
+    else:
+        expected = sum(2 * passes * i for i in iterations)  # the shared stage and the inner sweep's
+    assert sum(calls) == expected
+    assert (sum(calls), sum(iterations)) == {(1, 0): (32, 103), (1, 1): (48, 96), (2, 0): (224, 112)}[
+        (inner_sweeps, law_refinements)
+    ]
+    assert not scans  # every law view is built over kernel-checked iterates
 
 
 def test_global_window_projects_its_terminal_once(monkeypatch):
