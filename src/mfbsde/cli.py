@@ -88,7 +88,7 @@ def _build(cfg: dict):
     basis = RegressionBasis(**cfg.get("basis", {}))
     opts = SolverOptions(**cfg.get("solver", {}))
     paths = sample_brownian(grid, cfg["particles"], bundle.spec.d, seed=cfg["seed"])
-    return bundle, grid, RegressionEngine(basis), paths, opts
+    return bundle, RegressionEngine(basis), paths, opts
 
 
 def _emit(report: dict, stream=None) -> None:
@@ -103,9 +103,9 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _solve_results(cfg: dict, bundle, grid, engine, paths, opts) -> tuple[dict, dict]:
+def _solve_results(cfg: dict, bundle, engine, paths, opts) -> tuple[dict, dict]:
     t0 = time.perf_counter()
-    sol, trace, extras = run_scheme(bundle, cfg["scheme"], grid, paths, engine, opts)
+    sol, trace, extras = run_scheme(bundle, cfg["scheme"], paths.grid, paths, engine, opts)
     elapsed = time.perf_counter() - t0
     results = {
         "y0": sol.y0().tolist(),
@@ -171,10 +171,10 @@ def _reference_for(bundle: FixtureBundle, horizon: float):
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    bundle, grid, engine, paths, opts = _build(cfg)
-    reference = _reference_for(bundle, grid.horizon)
+    bundle, engine, paths, opts = _build(cfg)
+    reference = _reference_for(bundle, paths.grid.horizon)
     try:
-        results, timings = _solve_results(cfg, bundle, grid, engine, paths, opts)
+        results, timings = _solve_results(cfg, bundle, engine, paths, opts)
     except SolverDivergence as exc:
         _emit({"schema_version": 1, "command": "verify", "config": cfg, "error": str(exc), "results": {}, "timings": {}})
         return EXIT_DIVERGED
@@ -249,13 +249,13 @@ def cmd_refine(args) -> int:
     from .oracles import dense_reference
 
     cfg = load_config(args.config)
-    bundle, grid, engine, paths, opts = _build(cfg)
+    bundle, engine, paths, opts = _build(cfg)
     t0 = time.perf_counter()
     try:
-        sol, trace, extras = run_scheme(bundle, cfg["scheme"], grid, paths, engine, opts)
+        sol, trace, extras = run_scheme(bundle, cfg["scheme"], paths.grid, paths, engine, opts)
         ref = dense_reference(
             bundle,
-            grid,
+            paths.grid,
             cfg["particles"],
             cfg["seed"],
             refine=args.factor,

@@ -5,6 +5,8 @@ solves the normal equations through a thin QR factorization; a trace-scaled
 ridge fallback (penalty 1e-10 * tr(A^T A)/p) catches rank deficiency, and
 constant columns (min == max, an exact test) are dropped first, so a
 constant state, whatever its value, reduces to a plain mean with rank 1.
+An ensemble with fewer particles than kept columns is refused with a
+:class:`RegressionError`.
 A polynomial design is column-major: the (N, p) transpose of a (p, N)
 buffer whose rows are its columns.
 
@@ -134,8 +136,15 @@ class NodeFactor:
     @classmethod
     def of(cls, design: np.ndarray) -> "NodeFactor":
         """Constant-column test, R of the thin QR, the ridge test on
-        diag(R), then R^{-1} or the ridge system."""
+        diag(R), then R^{-1} or the ridge system. Raises
+        :class:`RegressionError` naming both counts when more columns are
+        kept than there are particles."""
         keep = (0,) + tuple(j for j in range(1, design.shape[1]) if design[:, j].min() < design[:, j].max())
+        if len(keep) > design.shape[0]:
+            raise RegressionError(
+                f"{len(keep)} basis columns kept but only {design.shape[0]} particles: "
+                "a fit needs at least as many particles as columns"
+            )
         a = design if len(keep) == design.shape[1] else design[:, keep]
         r = np.linalg.qr(a, mode="r")
         diag = np.abs(np.diag(r))

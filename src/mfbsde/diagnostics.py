@@ -2,7 +2,9 @@
 
 Checks never gate a solve; they return reports that callers (tests and the
 command line) interpret. Monte Carlo comparisons use a 5 percent slack,
-exact identities use none.
+exact identities use none. The BMO estimators take the time grid from
+their ensemble, and :func:`check_apriori_local` refuses a solution whose
+grid is not its ensemble's.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from .condexp import FactorTable
 from .constants import GlobalConstants, LocalConstants
 from .generators import CertificateLocal
 from .measures import ExpMoment, column_max, exp_moment, max_abs, sum_squares
+from .paths import require_grid
 
 MC_SLACK = 0.05
 
@@ -48,7 +51,7 @@ def _tail_sums(z_values: np.ndarray, dt: float) -> np.ndarray:
     return tails.T
 
 
-def bmo_profile(z_values, grid, paths, engine, k_lo: int = 0, operators=None) -> np.ndarray:
+def bmo_profile(z_values, paths, engine, k_lo: int = 0, operators=None) -> np.ndarray:
     """Per-node conditional remaining quadratic variation, particle maximum.
 
     Entry k estimates max_omega E[ sum_{j>=k} |Z_j|^2 dt | F_{t_k} ] by
@@ -59,11 +62,13 @@ def bmo_profile(z_values, grid, paths, engine, k_lo: int = 0, operators=None) ->
     (:func:`mfbsde.measures.column_max`). ``operators[k]`` is node k's
     operator, k a global node index; without it a
     :class:`mfbsde.condexp.FactorTable` of ``engine`` factors each node.
+    The step dt is that of the ensemble's grid.
     """
+    dt = paths.grid.dt
     if isinstance(z_values, tuple):
-        tails = np.stack([_tail_sums(z, grid.dt).T for z in z_values], axis=2)  # (K, N, m)
+        tails = np.stack([_tail_sums(z, dt).T for z in z_values], axis=2)  # (K, N, m)
     else:
-        tails = _tail_sums(z_values, grid.dt).T  # (K, N)
+        tails = _tail_sums(z_values, dt).T  # (K, N)
     if operators is None:
         operators = FactorTable(engine.basis, paths.brownian_at)
     profile = np.empty(tails.shape[:1] + tails.shape[2:])
@@ -72,21 +77,21 @@ def bmo_profile(z_values, grid, paths, engine, k_lo: int = 0, operators=None) ->
     return profile
 
 
-def bmo_norm(z_values, grid, paths, engine, k_lo: int = 0, operators=None):
+def bmo_norm(z_values, paths, engine, k_lo: int = 0, operators=None):
     """BMO norm of Z on its nodes; a tuple of Z arrays gives a tuple of
     norms from one pass over the nodes (see :func:`bmo_profile`)."""
-    profile = bmo_profile(z_values, grid, paths, engine, k_lo=k_lo, operators=operators)
+    profile = bmo_profile(z_values, paths, engine, k_lo=k_lo, operators=operators)
     norms = [float(math.sqrt(max(col.max(), 0.0))) for col in np.atleast_2d(profile.T)]
     return tuple(norms) if isinstance(z_values, tuple) else norms[0]
 
 
-def john_nirenberg(z_values: np.ndarray, grid, paths, engine, k_lo: int = 0) -> BoundReport:
+def john_nirenberg(z_values: np.ndarray, paths, engine, k_lo: int = 0) -> BoundReport:
     """Exponential-moment comparison E[exp(QV_tail)] <= 1/(1 - bmo^2).
 
     Only meaningful below the unit BMO threshold; above it the report is
     marked skipped rather than failed.
     """
-    norm = bmo_norm(z_values, grid, paths, engine, k_lo=k_lo)
+    norm = bmo_norm(z_values, paths, engine, k_lo=k_lo)
     if norm >= 1.0:
         return BoundReport(
             name="john_nirenberg",
@@ -95,7 +100,7 @@ def john_nirenberg(z_values: np.ndarray, grid, paths, engine, k_lo: int = 0) -> 
             satisfied=True,
             note="skipped: BMO norm not below the unit threshold",
         )
-    tails = _tail_sums(z_values, grid.dt)
+    tails = _tail_sums(z_values, paths.grid.dt)
     observed = float(np.exp(tails).mean(axis=0).max())
     bound = 1.0 / (1.0 - norm**2)
     return _compare("john_nirenberg", observed, bound, MC_SLACK, note=f"bmo={norm:.6g}")
@@ -115,8 +120,10 @@ def check_apriori_local(
 
     ``input_sup`` and ``input_qv`` are the sup norm of the frozen Y input
     and the squared BMO norm of the frozen Z input; at a Picard fixed point
-    these are the solution's own norms.
+    these are the solution's own norms. Raises ``ValueError`` naming both
+    grids when the solution's grid is not the ensemble's.
     """
+    require_grid(sol.grid, paths, "solution")
     g, a = cert.gamma, cert.alpha
     length = (sol.Y.shape[1] - 1) * sol.grid.dt
     psum = cert.psi(input_sup) + cert.psi0(input_sup)
@@ -130,7 +137,7 @@ def check_apriori_local(
         + n * g ** ((1.0 + a) / (1.0 - a)) * consts.m_nla * v_hi * length
     )
     y_obs = float(np.abs(sol.Y).max())
-    z_obs = bmo_norm(sol.Z, sol.grid, paths, engine, k_lo=sol.k_lo) ** 2
+    z_obs = bmo_norm(sol.Z, paths, engine, k_lo=sol.k_lo) ** 2
     z_bound = (n / g) * math.exp(min(2.0 * g * y_obs, 700.0)) * (
         1.0
         + 2.0 * cert.M2

@@ -15,6 +15,7 @@ import numpy as np
 
 from .condexp import RegressionBasis, RegressionEngine
 from .generators import FixtureBundle
+from .measures import exp_moment
 from .paths import TimeGrid, build_grid, sample_brownian
 from .solvers import SolverOptions, run_scheme
 
@@ -55,11 +56,6 @@ def _integrability_screen(terminal_fn: TerminalFn, gamma: float, horizon: float)
                 "terminal grows too fast for the exponential moment: "
                 f"tail exponent moves {s[-1] - s[0]:+.3g} instead of decaying"
             )
-
-
-def _log_mean_exp(log_terms: np.ndarray) -> float:
-    m = float(np.max(log_terms))
-    return m + math.log(float(np.mean(np.exp(log_terms - m))))
 
 
 def _gauss_value(terminal_fn: TerminalFn, gamma: float, mean: float, var: float, nodes: int) -> float:
@@ -103,11 +99,11 @@ def cole_hopf(
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xC01E)))
         x = math.sqrt(horizon) * rng.standard_normal(samples)
         log_terms = gamma * np.asarray(terminal_fn(x), dtype=np.float64)
-        value = _log_mean_exp(log_terms) / gamma
+        value = exp_moment(log_terms).log_value / gamma
         boots = np.empty(200)
         for b in range(200):
             idx = rng.integers(0, samples, samples)
-            boots[b] = _log_mean_exp(log_terms[idx]) / gamma
+            boots[b] = exp_moment(log_terms[idx]).log_value / gamma
         return OracleResult(
             value=value,
             half_width=3.0 * float(boots.std()),

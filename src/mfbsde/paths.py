@@ -74,6 +74,14 @@ def build_grid(horizon: float, steps: int) -> TimeGrid:
     return TimeGrid(horizon, steps)
 
 
+def require_grid(grid: TimeGrid, ensemble: "PathEnsemble", owner: str) -> None:
+    """Raise ``ValueError`` naming both grids unless ``grid`` equals the
+    ensemble's (the same horizon and step count); ``owner`` says whose grid
+    it is."""
+    if grid != ensemble.grid:
+        raise ValueError(f"{owner} grid {grid!r} is not the ensemble's grid {ensemble.grid!r}")
+
+
 class PathEnsemble:
     """N Brownian paths on a grid: per-step increments and their sums.
 

@@ -31,13 +31,21 @@ on a one-node window also its BMO pair, as the Z difference is then 0 and
 the QV iteration 1's. Every value is bitwise equal to a plain Picard loop
 over :func:`psi_map` and ``bmo_norm``.
 
+Every solver and diagnostic reads the time grid from its ensemble,
+``paths.grid``, and every :class:`Solution` a solver builds carries that
+grid object. :func:`run_scheme` keeps a ``grid`` argument and raises
+``ValueError`` naming both grids when it is not the ensemble's;
+:func:`summarize_nodes` and :func:`export_csv` refuse a solution whose
+grid is not its ensemble's the same way.
+
 Every scheme takes its terminal through :func:`_terminal_block`: a terminal
 that is not (particles, n) raises ``ValueError``, and a non-finite one
 raises :class:`SolverDivergence` naming the terminal node and component.
-The kernel checks every node it writes, so ``local``, ``global`` and
-``theta`` build their law views over checked iterates without scanning
-them again; :func:`psi_map` and ``volterra`` take iterates from outside
-and scan each law view.
+The kernel checks every node it writes, and ``volterra`` every g block it
+evaluates and every outer node it writes, so ``local``, ``global``,
+``theta`` and ``volterra`` build their law views over checked iterates
+without scanning them again; only :func:`psi_map`, which takes its iterate
+from outside, scans each law view.
 """
 from __future__ import annotations
 
@@ -67,7 +75,7 @@ from .generators import (
     GSpec,
 )
 from .measures import MeasureView, exp_moment, max_abs, sum_squares
-from .paths import PathEnsemble, TimeGrid
+from .paths import PathEnsemble, TimeGrid, require_grid
 
 NodeDriver = Callable[[int, float, np.ndarray], np.ndarray]
 
@@ -215,10 +223,11 @@ def _increment_fit(values: np.ndarray, fit: np.ndarray, op: NodeOperator, dw: np
     return op.apply(products).reshape(n_part, n, d)
 
 
-def _check_finite(k: int, t: float, z: np.ndarray | None, y: np.ndarray | None = None) -> None:
-    """Raise SolverDivergence naming node k and the first component whose
-    Z (N, n, d), else Y (N, n), holds a non-finite value; None is skipped."""
-    for name, values in (("Z", z), ("Y", y)):
+def _check_finite(k: int, t: float, **blocks: np.ndarray | None) -> None:
+    """Raise SolverDivergence naming node k, the block and the first
+    component of the first block, in the order given, that holds a
+    non-finite value; a block is (N, n) or (N, n, d), and None is skipped."""
+    for name, values in blocks.items():
         if values is None:
             continue
         finite = np.isfinite(values)
@@ -251,7 +260,6 @@ def _terminal_block(terminal, particles: int, n: int, k: int) -> np.ndarray:
 
 
 def _backward(
-    grid: TimeGrid,
     paths: PathEnsemble,
     driver: NodeDriver,
     terminal: np.ndarray,
@@ -277,7 +285,9 @@ def _backward(
     ``driver(k, t, z, stage)``. The result is bitwise equal to a run without
     ``head``. Returns (Y (N, K+1, n), Z (N, K, n, d), clip events) as views
     of node-major buffers; a one-node Z is the node's Z itself, uncopied.
+    The time grid is the ensemble's.
     """
+    grid = paths.grid
     if not 0 <= k_lo < k_hi <= grid.steps:
         raise ValueError(f"bad node range [{k_lo}, {k_hi}]")
     n_part, n = terminal.shape
@@ -308,7 +318,7 @@ def _backward(
             clips += c
             f_here = driver(k, grid.nodes[k], z_k)
         y[j] = fit_next + 0.5 * (f_here + f_next) * dt
-        _check_finite(k, grid.nodes[k], None if z_k is checked else z_k, y[j])
+        _check_finite(k, grid.nodes[k], Z=None if z_k is checked else z_k, Y=y[j])
         if z is None:
             z = z_k[None]
         else:
@@ -318,7 +328,6 @@ def _backward(
 
 
 def solve_scalar(
-    grid: TimeGrid,
     paths: PathEnsemble,
     driver: NodeDriver,
     terminal: np.ndarray,
@@ -335,11 +344,11 @@ def solve_scalar(
     terminal-side quadrature point. Returns (Y (N, K+1), Z (N, K, d), clip
     events).
     """
-    k_hi = grid.steps if k_hi is None else k_hi
+    k_hi = paths.grid.steps if k_hi is None else k_hi
     terminal = _terminal_block(terminal, paths.particles, 1, k_hi)
     operators = FactorTable(engine.basis, paths.brownian_at)
     y, z, clips = _backward(
-        grid, paths, lambda k, t, rows: driver(k, t, rows[:, 0])[:, None], terminal, operators, opts, k_lo, k_hi
+        paths, lambda k, t, rows: driver(k, t, rows[:, 0])[:, None], terminal, operators, opts, k_lo, k_hi
     )
     return y[:, :, 0], z[:, :, 0], clips
 
@@ -395,7 +404,6 @@ def _flat_solution(terminal: np.ndarray, grid: TimeGrid, span: int, d: int, k_lo
 def psi_map(
     spec: GeneratorSpec,
     input_sol: Solution,
-    grid: TimeGrid,
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
@@ -410,13 +418,13 @@ def psi_map(
     node is factored for this pass alone.
     """
     if k_hi is None:
-        k_hi = grid.steps
+        k_hi = paths.grid.steps
     laws = law_source if law_source is not None else input_sol
     driver = partial(_own_rows, spec, input_sol.Y, input_sol.Z, (laws.Y, laws.Z), k_lo)
     terminal = input_sol.Y[:, k_hi - k_lo, :]
     operators = FactorTable(engine.basis, paths.brownian_at)
-    y, z, clips = _backward(grid, paths, driver, terminal, operators, opts, k_lo, k_hi)
-    return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, clip_events=clips)
+    y, z, clips = _backward(paths, driver, terminal, operators, opts, k_lo, k_hi)
+    return Solution(Y=y, Z=z, grid=paths.grid, k_lo=k_lo, clip_events=clips)
 
 
 def _combined_norm(dy_sup: float, dz_bmo: float) -> float:
@@ -427,7 +435,6 @@ def solve_local(
     spec: GeneratorSpec,
     cert: CertificateLocal,
     terminal: np.ndarray,
-    grid: TimeGrid,
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
@@ -449,6 +456,7 @@ def solve_local(
     :class:`mfbsde.condexp.FactorTable`) or from a table of its own, and
     every pass and BMO norm of the call shares them.
     """
+    grid = paths.grid
     if k_hi is None:
         k_hi = grid.steps
     span = k_hi - k_lo
@@ -465,7 +473,7 @@ def solve_local(
     # the first node visit reads only the terminal, the same on every pass
     dw_head = paths.increments[:, k_hi - 1, :]
     fit_head, z_head, clips_head = _node_fit(operators[k_hi - 1], current.Y[:, span], dw_head, grid.dt, opts.z_clip)
-    _check_finite(k_hi - 1, grid.nodes[k_hi - 1], z_head)
+    _check_finite(k_hi - 1, grid.nodes[k_hi - 1], Z=z_head)
     f_terminal, stage = None, ()
     # with one inner sweep every pass writes z_head, so from iteration 2 on
     # each Z the head node reads is z_head, and a one-node window's Z is fixed
@@ -484,14 +492,14 @@ def solve_local(
                 stage = _head_stage(spec, laws, span, z_head, others)
             head = (fit_head, z_head, clips_head, f_terminal, stage)
             driver = partial(_own_rows, spec, current.Y, current.Z, laws, k_lo)
-            y, z, clips = _backward(grid, paths, driver, terminal, operators, opts, k_lo, k_hi, head)
+            y, z, clips = _backward(paths, driver, terminal, operators, opts, k_lo, k_hi, head)
             laws = (y, z, MeasureView.of_checked)
         out = Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, clip_events=clips)
         # node-major slices of the nodes a pass writes; the terminal node stays
         moved = y.swapaxes(0, 1)[:span]
         dy = float(np.abs(moved - current.Y.swapaxes(0, 1)[:span]).max())
         if it == 1 or span > 1 or not fixed_z:
-            dz, qv_norm = bmo_norm((out.Z - current.Z, out.Z), grid, paths, engine, k_lo=k_lo, operators=operators)
+            dz, qv_norm = bmo_norm((out.Z - current.Z, out.Z), paths, engine, k_lo=k_lo, operators=operators)
         else:  # out.Z and current.Z are both z_head: dz is 0 and the QV is iteration 1's
             dz = 0.0
         combined = _combined_norm(dy, dz)
@@ -551,7 +559,6 @@ def solve_global(
     spec: GeneratorSpec,
     cert,
     terminal: np.ndarray,
-    grid: TimeGrid,
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
@@ -565,6 +572,7 @@ def solve_global(
     each node is factored once per solve. Seam values are shared arrays, so
     stitching is exact by construction.
     """
+    grid = paths.grid
     gconsts = global_ode(cert, spec.n, grid.horizon)
     terminal = _terminal_block(terminal, paths.particles, spec.n, grid.steps)
     feasible = bool(np.max(sum_squares(terminal)) <= spec.n * gconsts.c_tilde)
@@ -594,7 +602,6 @@ def solve_global(
                     spec,
                     local_cert,
                     full_y[:, k_hi, :],
-                    grid,
                     paths,
                     engine,
                     opts,
@@ -675,7 +682,6 @@ def solve_theta(
     spec: GeneratorSpec,
     cert: CertificateConvex,
     terminal: np.ndarray,
-    grid: TimeGrid,
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
@@ -690,6 +696,7 @@ def solve_theta(
     kept factor) or a dict of built operators; without it a table owned by
     this call factors each node once.
     """
+    grid = paths.grid
     terminal = _terminal_block(terminal, paths.particles, spec.n, grid.steps)
     n, d, m = spec.n, spec.d, grid.steps
     y_prev = _by_particle(np.zeros((m + 1, paths.particles, n)))
@@ -703,7 +710,7 @@ def solve_theta(
         operators = FactorTable(engine.basis, paths.brownian_at)
     for it in range(1, opts.max_iter + 1):
         driver = partial(_own_rows, spec, y_prev, z_prev, (y_prev, z_prev, MeasureView.of_checked), 0)
-        y_new, z_new, c = _backward(grid, paths, driver, terminal, operators, opts, 0, m)
+        y_new, z_new, c = _backward(paths, driver, terminal, operators, opts, 0, m)
         clips += c
         step = _theta_step(it, gamma, y_new, y_prev, z_new, z_prev)
         trace.steps.append(step)
@@ -732,7 +739,6 @@ def solve_volterra(
     vcert: CertificateVolterra,
     ccert: CertificateConvex,
     terminal: np.ndarray,
-    grid: TimeGrid,
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
@@ -748,11 +754,15 @@ def solve_volterra(
     once per solve, into a dict that the inner solve and every outer sweep
     share. Convergence is tracked in the exp(beta t)-weighted squared sup
     norm with beta = 32 C^2 T, and iteration stops when the unweighted sup
-    difference drops below tol.
+    difference drops below tol. A non-finite g block, or an outer node
+    whose new Y is not finite, raises :class:`SolverDivergence` naming the
+    node and the component before any projection reads it, so the law views
+    are built over checked clouds.
     """
+    grid = paths.grid
     table = FactorTable(engine.basis, paths.brownian_at)
     operators = {k: table[k] for k in range(grid.steps)}
-    inner_sol, _ = solve_theta(spec, ccert, terminal, grid, paths, engine, opts, operators)
+    inner_sol, _ = solve_theta(spec, ccert, terminal, paths, engine, opts, operators)
     m = grid.steps
     beta = volterra_weight(vcert.C, grid.horizon)
     weights = np.exp(beta * grid.nodes)
@@ -764,14 +774,15 @@ def solve_volterra(
     for it in range(1, opts.max_iter + 1):
         g_vals = np.empty((m, paths.particles, n))  # node-major
         for j in range(m):
-            law = MeasureView(y_prev[:, j])
-            g_vals[j] = g(j, y_prev, inner_sol.Z, law)
+            g_vals[j] = g(j, y_prev, inner_sol.Z, MeasureView.of_checked(y_prev[:, j]))
+            _check_finite(j, grid.nodes[j], g=g_vals[j])
         tails = np.zeros((paths.particles, n))
         y_new = np.empty_like(y_prev)
         y_new[:, m, :] = inner_sol.Y[:, m, :]
         for k in range(m - 1, -1, -1):
             tails = tails + g_vals[k] * grid.dt
             y_new[:, k] = inner_sol.Y[:, k] + operators[k].apply(tails)
+            _check_finite(k, grid.nodes[k], Y=y_new[:, k])
         diff = y_new - y_prev
         dy = float(np.abs(diff).max())
         weighted = float(np.mean(np.max(weights[None, :] * sum_squares(diff), axis=1)))
@@ -821,33 +832,34 @@ def run_scheme(
     ``extras`` holds the stitching report for ``global`` under
     ``"report"`` and, for ``theta``, the solve's node-factor table under
     ``"operators"`` (which :func:`export_csv` takes); it is empty for
-    ``local`` and ``volterra``. Raises
-    ``ValueError`` when the fixture's terminal is not (particles, n), when
-    it lacks the scheme's certificate, and for an unknown scheme, and
-    :class:`SolverDivergence` when the terminal is not finite."""
+    ``local`` and ``volterra``. The scheme runs on the ensemble's grid,
+    ``paths.grid``; ``grid`` must equal it. Raises ``ValueError`` naming
+    both grids when it does not, when the fixture's terminal is not
+    (particles, n), when it lacks the scheme's certificate, and for an
+    unknown scheme, and :class:`SolverDivergence` when the terminal is not
+    finite."""
+    require_grid(grid, paths, "scheme")
     terminal = _terminal_block(bundle.terminal(paths), paths.particles, bundle.spec.n, grid.steps)
     if scheme == "theta":
         if bundle.convex is None:
             raise ValueError(f"fixture {bundle.name} has no Picard certificate")
         operators = FactorTable(engine.basis, paths.brownian_at)
-        sol, trace = solve_theta(bundle.spec, bundle.convex, terminal, grid, paths, engine, opts, operators)
+        sol, trace = solve_theta(bundle.spec, bundle.convex, terminal, paths, engine, opts, operators)
         return sol, trace, {"operators": operators}
     if scheme == "local":
         if bundle.local is None:
             raise ValueError(f"fixture {bundle.name} has no local certificate")
-        sol, trace = solve_local(bundle.spec, bundle.local, terminal, grid, paths, engine, opts)
+        sol, trace = solve_local(bundle.spec, bundle.local, terminal, paths, engine, opts)
         return sol, trace, {}
     if scheme == "global":
         if bundle.global_ is None:
             raise ValueError(f"fixture {bundle.name} has no global certificate")
-        sol, report = solve_global(bundle.spec, bundle.global_, terminal, grid, paths, engine, opts)
+        sol, report = solve_global(bundle.spec, bundle.global_, terminal, paths, engine, opts)
         return sol, None, {"report": report}
     if scheme == "volterra":
         if bundle.volterra is None or bundle.g is None:
             raise ValueError(f"fixture {bundle.name} has no Volterra data")
-        sol, trace = solve_volterra(
-            bundle.spec, bundle.g, bundle.volterra, bundle.convex, terminal, grid, paths, engine, opts
-        )
+        sol, trace = solve_volterra(bundle.spec, bundle.g, bundle.volterra, bundle.convex, terminal, paths, engine, opts)
         return sol, trace, {}
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -856,10 +868,13 @@ def summarize_nodes(sol: Solution, paths: PathEnsemble, engine: RegressionEngine
     """Per-node summary rows: time, mean |Y| per component, max |Y|, and a
     running estimate of the conditional tail quadratic variation. Node
     operators come from ``operators``, the solve's table (see
-    :func:`run_scheme`), when given, else each node is factored here."""
+    :func:`run_scheme`), when given, else each node is factored here.
+    Raises ``ValueError`` naming both grids when the solution's grid is not
+    the ensemble's."""
+    require_grid(sol.grid, paths, "solution")
     times = sol.node_times()
     span = sol.Z.shape[1]
-    profile = bmo_profile(sol.Z, sol.grid, paths, engine, k_lo=sol.k_lo, operators=operators) if span else np.array([])
+    profile = bmo_profile(sol.Z, paths, engine, k_lo=sol.k_lo, operators=operators) if span else np.array([])
     rows = []
     for j, t in enumerate(times):
         row = {"node": sol.k_lo + j, "time": float(t), "max_abs_y": float(np.abs(sol.Y[:, j]).max())}
@@ -871,6 +886,7 @@ def summarize_nodes(sol: Solution, paths: PathEnsemble, engine: RegressionEngine
 
 
 def export_csv(sol: Solution, paths: PathEnsemble, engine: RegressionEngine, path: str, operators=None) -> None:
+    """Write the :func:`summarize_nodes` rows to ``path`` as CSV."""
     import csv
 
     rows = summarize_nodes(sol, paths, engine, operators)

@@ -85,7 +85,7 @@ def test_criterion_03_martingale_recovery():
     grid = build_grid(1.0, 64)
     paths = sample_brownian(grid, 2**14, 1, seed=SEED)
     term = paths.terminal()[:, 0]
-    y, z, _ = solve_scalar(grid, paths, lambda k, t, r: np.zeros(r.shape[0]), term, ENGINE)
+    y, z, _ = solve_scalar(paths, lambda k, t, r: np.zeros(r.shape[0]), term, ENGINE)
     y0 = abs(float(y[:, 0].mean()))
     z_rms = float(np.sqrt(np.mean((z - 1.0) ** 2)))
     print(f"criterion 3: |Y0|={y0:.5f} (<=0.02)  RMS(Z-1)={z_rms:.5f} (<=0.05)")
@@ -175,7 +175,7 @@ def test_criterion_06_degenerate_window_ball_containment():
     paths = sample_brownian(grid, 2**12, bundle.spec.d, seed=SEED)
     term = bundle.terminal(paths)
     sol, trace = solve_local(
-        bundle.spec, bundle.local, term, grid, paths, ENGINE,
+        bundle.spec, bundle.local, term, paths, ENGINE,
         SolverOptions(tol=1e-8), consts=win,
     )
     in_sup = all(s.in_ball_sup for s in trace.steps)
@@ -202,7 +202,7 @@ def test_criterion_07_contraction_trace_on_half_window():
     paths = sample_brownian(grid, 2**12, bundle.spec.d, seed=SEED)
     term = bundle.terminal(paths)
     sol, trace = solve_local(
-        bundle.spec, bundle.local, term, grid, paths, ENGINE,
+        bundle.spec, bundle.local, term, paths, ENGINE,
         SolverOptions(tol=1e-6, max_iter=25),
     )
     diffs = trace.differences()
@@ -246,9 +246,9 @@ def test_criterion_09_bmo_and_john_nirenberg():
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 2**10, 1, seed=SEED)
     unit = np.ones((2**10, 16, 1))
-    norm = bmo_norm(unit, grid, paths, ENGINE)
+    norm = bmo_norm(unit, paths, ENGINE)
     half = np.full((2**10, 16, 1), 0.5)
-    report = john_nirenberg(half, grid, paths, ENGINE)
+    report = john_nirenberg(half, paths, ENGINE)
     print(
         f"criterion 9: bmo={norm:.10f} (sqrt(T)={1.0}) "
         f"jn observed={report.observed:.6f} bound={report.bound:.6f} ok={report.satisfied}"
@@ -267,14 +267,14 @@ def test_criterion_10_volterra_contraction_and_limits():
     ratios = weighted_ratios(trace)[1:]
     term = bundle.terminal(paths)
     opts = SolverOptions(tol=1e-8)
-    inner, _ = solve_theta(bundle.spec, bundle.convex, term, grid, paths, ENGINE, opts)
+    inner, _ = solve_theta(bundle.spec, bundle.convex, term, paths, ENGINE, opts)
     zero_sol, zero_trace = solve_volterra(
         bundle.spec, lambda j, y, z, law: np.zeros((y.shape[0], 1)),
-        bundle.volterra, bundle.convex, term, grid, paths, ENGINE, opts,
+        bundle.volterra, bundle.convex, term, paths, ENGINE, opts,
     )
     one_sol, _ = solve_volterra(
         bundle.spec, lambda j, y, z, law: np.ones((y.shape[0], 1)),
-        bundle.volterra, bundle.convex, term, grid, paths, ENGINE, opts,
+        bundle.volterra, bundle.convex, term, paths, ENGINE, opts,
     )
     bitwise = bool(np.array_equal(zero_sol.Y, inner.Y))
     shift = one_sol.Y[:, :, 0] - inner.Y[:, :, 0]
@@ -315,9 +315,9 @@ def test_criterion_11_uniqueness_probes():
     wgrid = build_grid(win.eps / 2.0, 8)
     paths = sample_brownian(wgrid, 2**10, 2, seed=SEED)
     term = bundle.terminal(paths)
-    base, _ = solve_local(bundle.spec, bundle.local, term, wgrid, paths, ENGINE, SolverOptions(tol=tol))
+    base, _ = solve_local(bundle.spec, bundle.local, term, paths, ENGINE, SolverOptions(tol=tol))
     probe, _ = solve_local(
-        bundle.spec, bundle.local, term, wgrid, paths, ENGINE,
+        bundle.spec, bundle.local, term, paths, ENGINE,
         SolverOptions(tol=tol, init_offset=0.5),
     )
     gaps["bounded_sine_mf"] = float(np.abs(base.y0() - probe.y0()).max())
@@ -335,9 +335,9 @@ def test_criterion_11_uniqueness_probes():
     wgrid = build_grid(win.eps, 8)
     paths = sample_brownian(wgrid, 2**10, bundle.spec.d, seed=SEED)
     term = bundle.terminal(paths)
-    base, _ = solve_local(bundle.spec, bundle.local, term, wgrid, paths, ENGINE, SolverOptions(tol=tol))
+    base, _ = solve_local(bundle.spec, bundle.local, term, paths, ENGINE, SolverOptions(tol=tol))
     probe, _ = solve_local(
-        bundle.spec, bundle.local, term, wgrid, paths, ENGINE,
+        bundle.spec, bundle.local, term, paths, ENGINE,
         SolverOptions(tol=tol, init_offset=0.5),
     )
     gaps["remark31"] = float(np.abs(base.y0() - probe.y0()).max())

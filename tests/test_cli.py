@@ -353,3 +353,18 @@ def test_refine_on_a_diverging_solve_exits_diverged(capsys, tmp_path):
     report = json.loads(out)
     assert report["command"] == "refine" and report["results"] == {}
     assert "non-finite Y at node 1" in report["error"]
+
+
+def test_ensemble_smaller_than_its_basis_exits_config(capsys, tmp_path):
+    cfg = write_config(
+        tmp_path,
+        fixture="bounded_sine_mf",
+        params={"terminal": "tanh"},
+        scheme="local",
+        grid={"horizon": 0.05, "steps": 4},
+        particles=5,
+    )
+    code, _, err = run_cli(capsys, "solve", cfg)
+    assert code == EXIT_CONFIG
+    assert "10 basis columns" in err and "5 particles" in err
+

@@ -278,3 +278,16 @@ def test_operator_rejects_mismatched_values():
         op.apply(np.ones(5))
     with pytest.raises(RegressionError):
         op.apply(np.ones((4, 2, 2)))
+
+
+def test_more_kept_columns_than_particles_is_refused_before_the_qr():
+    # degree 3 in two coordinates keeps ten columns; five particles cannot fit them
+    state = np.random.default_rng(3).standard_normal((5, 2))
+    with pytest.raises(RegressionError, match=r"10 basis columns kept but only 5 particles"):
+        NodeOperator(state, ENGINE.basis)
+
+
+def test_a_constant_state_keeps_one_column_on_a_tiny_ensemble():
+    op = NodeOperator(np.full((3, 2), 0.7), ENGINE.basis)
+    assert op.info.rank == 1
+    np.testing.assert_allclose(op.apply(np.array([1.0, 2.0, 6.0])), np.full(3, 3.0), rtol=1e-15)

@@ -27,8 +27,8 @@ def test_bmo_of_unit_integrand_is_sqrt_horizon():
     z = np.ones((256, 16, 1))
     # conditional tail quadratic variation is deterministic, so the
     # regression is exact and the norm hits sqrt(T) to rounding
-    assert bmo_norm(z, grid, paths, ENGINE) == pytest.approx(math.sqrt(0.64), abs=1e-12)
-    profile = bmo_profile(z, grid, paths, ENGINE)
+    assert bmo_norm(z, paths, ENGINE) == pytest.approx(math.sqrt(0.64), abs=1e-12)
+    profile = bmo_profile(z, paths, ENGINE)
     expected = 0.64 - grid.nodes[:-1]
     np.testing.assert_allclose(profile, expected, atol=1e-12)
 
@@ -42,21 +42,21 @@ def test_bmo_pair_in_one_pass_matches_separate_calls():
     z_a = rng.standard_normal((512, 5, 2, 2))
     z_b = 0.1 * rng.standard_normal((512, 5, 2, 2)) + np.sin(paths.brownian_at(7))[:, None, None, :]
     table = FactorTable(ENGINE.basis, paths.brownian_at)
-    pair = bmo_norm((z_a, z_b), grid, paths, ENGINE, k_lo=7, operators=table)
-    single = (bmo_norm(z_a, grid, paths, ENGINE, k_lo=7), bmo_norm(z_b, grid, paths, ENGINE, k_lo=7))
+    pair = bmo_norm((z_a, z_b), paths, ENGINE, k_lo=7, operators=table)
+    single = (bmo_norm(z_a, paths, ENGINE, k_lo=7), bmo_norm(z_b, paths, ENGINE, k_lo=7))
     assert isinstance(pair, tuple) and len(pair) == 2
     np.testing.assert_allclose(pair, single, rtol=1e-12, atol=0)
-    profile = bmo_profile((z_a, z_b), grid, paths, ENGINE, k_lo=7, operators=table)
+    profile = bmo_profile((z_a, z_b), paths, ENGINE, k_lo=7, operators=table)
     assert profile.shape == (5, 2)
-    np.testing.assert_allclose(profile[:, 1], bmo_profile(z_b, grid, paths, ENGINE, k_lo=7), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(profile[:, 1], bmo_profile(z_b, paths, ENGINE, k_lo=7), rtol=1e-12, atol=0)
 
 
 def test_bmo_accepts_component_stacked_z():
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 128, 2, seed=2)
     z4 = np.random.default_rng(0).standard_normal((128, 8, 3, 2))
-    v4 = bmo_norm(z4, grid, paths, ENGINE)
-    v3 = bmo_norm(z4.reshape(128, 8, 6), grid, paths, ENGINE)
+    v4 = bmo_norm(z4, paths, ENGINE)
+    v3 = bmo_norm(z4.reshape(128, 8, 6), paths, ENGINE)
     assert v4 == pytest.approx(v3, rel=1e-12)
 
 
@@ -64,7 +64,7 @@ def test_john_nirenberg_below_unit_threshold():
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 512, 1, seed=3)
     z = np.full((512, 16, 1), 0.5)
-    report = john_nirenberg(z, grid, paths, ENGINE)
+    report = john_nirenberg(z, paths, ENGINE)
     assert report.name == "john_nirenberg"
     # tail mass exp(0.25) against the geometric bound 1/(1 - 0.25)
     assert report.observed == pytest.approx(math.exp(0.25), rel=1e-10)
@@ -76,7 +76,7 @@ def test_john_nirenberg_skips_above_threshold():
     grid = build_grid(4.0, 8)
     paths = sample_brownian(grid, 128, 1, seed=4)
     z = np.ones((128, 8, 1))  # bmo = 2 > 1
-    report = john_nirenberg(z, grid, paths, ENGINE)
+    report = john_nirenberg(z, paths, ENGINE)
     assert not math.isfinite(report.bound)
     assert report.satisfied  # vacuous: no finite bound to violate
     assert "skipped" in report.note
@@ -88,7 +88,7 @@ def test_apriori_reports_on_window_solve():
     grid = build_grid(win.eps / 2.0, 8)
     paths = sample_brownian(grid, 512, 2, seed=5)
     term = bundle.terminal(paths)
-    sol, trace = solve_local(bundle.spec, bundle.local, term, grid, paths, ENGINE, SolverOptions(tol=1e-8))
+    sol, trace = solve_local(bundle.spec, bundle.local, term, paths, ENGINE, SolverOptions(tol=1e-8))
     last = trace.steps[-1]
     reports = check_apriori_local(
         sol, bundle.local, win, bundle.spec.n,
@@ -169,3 +169,14 @@ def test_contraction_trace_handles_exact_zeros():
     summary = contraction_trace(np.array([1.0, 1e-3, 0.0, 0.0]))
     assert summary.contracting
     assert summary.monotone_from_second
+
+
+def test_apriori_refuses_a_solution_from_another_grid():
+    bundle = fixture("bounded_sine_mf", terminal="tanh")
+    win = local_window(bundle.local, bundle.spec.n)
+    paths = sample_brownian(build_grid(win.eps / 2.0, 8), 256, 2, seed=5)
+    sol, trace = solve_local(bundle.spec, bundle.local, bundle.terminal(paths), paths, ENGINE, SolverOptions(tol=1e-8))
+    other = sample_brownian(build_grid(win.eps, 8), 256, 2, seed=5)
+    with pytest.raises(ValueError) as exc:
+        check_apriori_local(sol, bundle.local, win, 2, 1.0, 1.0, paths=other, engine=ENGINE)
+    assert repr(sol.grid) in str(exc.value) and repr(other.grid) in str(exc.value)

@@ -5,6 +5,7 @@ import pytest
 
 from mfbsde.condexp import RegressionBasis, RegressionEngine
 from mfbsde.generators import fixture
+from mfbsde.measures import MeasureError
 from mfbsde.oracles import (
     OracleBudgetError,
     OracleRefusal,
@@ -119,3 +120,9 @@ def test_dense_reference_engine_passthrough():
         opts=SolverOptions(tol=1e-9, max_iter=60),
     )
     assert ref.value == pytest.approx(math.e, rel=0.01)
+
+
+def test_monte_carlo_transform_refuses_a_non_finite_term():
+    # the terminal is finite far out, so the integrability screen passes
+    with pytest.raises(MeasureError, match="finite"):
+        cole_hopf(lambda w: np.where(np.abs(w) < 0.5, np.nan, 0.0), 1.0, 1.0, method="mc", samples=1000)

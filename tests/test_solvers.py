@@ -39,7 +39,7 @@ def test_scalar_zero_driver_is_martingale():
     grid = build_grid(1.0, 32)
     paths = sample_brownian(grid, 4096, 1, seed=7)
     term = paths.terminal()[:, 0]
-    y, z, clips = solve_scalar(grid, paths, _zero_driver, term, ENGINE)
+    y, z, clips = solve_scalar(paths, _zero_driver, term, ENGINE)
     assert clips == 0
     assert abs(y[:, 0].mean()) < 0.03
     assert np.sqrt(np.mean((z - 1.0) ** 2)) < 0.08
@@ -48,7 +48,7 @@ def test_scalar_zero_driver_is_martingale():
 def test_scalar_constant_driver_shifts_exactly():
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 512, 1, seed=3)
-    y, _, _ = solve_scalar(grid, paths, lambda k, t, r: np.full(r.shape[0], 2.5), np.ones(512), ENGINE)
+    y, _, _ = solve_scalar(paths, lambda k, t, r: np.full(r.shape[0], 2.5), np.ones(512), ENGINE)
     # trapezoid weights sum to dt per step for a constant integrand
     assert y[:, 0].mean() == pytest.approx(1.0 + 2.5, abs=1e-12)
 
@@ -57,9 +57,9 @@ def test_scalar_range_validation():
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 16, 1, seed=1)
     with pytest.raises(ValueError):
-        solve_scalar(grid, paths, _zero_driver, np.ones(16), ENGINE, k_lo=5, k_hi=3)
+        solve_scalar(paths, _zero_driver, np.ones(16), ENGINE, k_lo=5, k_hi=3)
     with pytest.raises(ValueError):
-        solve_scalar(grid, paths, _zero_driver, np.ones(8), ENGINE)
+        solve_scalar(paths, _zero_driver, np.ones(8), ENGINE)
 
 
 def test_quadratic_initial_value():
@@ -97,7 +97,7 @@ def test_psi_map_keeps_terminal_bitwise():
     grid = build_grid(0.05, 4)
     paths = sample_brownian(grid, 128, 2, seed=5)
     term = bundle.terminal(paths)
-    sol, trace = solve_local(bundle.spec, bundle.local, term, grid, paths, ENGINE, SolverOptions())
+    sol, trace = solve_local(bundle.spec, bundle.local, term, paths, ENGINE, SolverOptions())
     np.testing.assert_array_equal(sol.Y[:, -1, :], term)
 
 
@@ -106,7 +106,7 @@ def test_local_contracts_and_reports_ball():
     grid = build_grid(0.059, 12)
     paths = sample_brownian(grid, 1024, 2, seed=5)
     term = bundle.terminal(paths)
-    sol, trace = solve_local(bundle.spec, bundle.local, term, grid, paths, ENGINE, SolverOptions(tol=1e-8))
+    sol, trace = solve_local(bundle.spec, bundle.local, term, paths, ENGINE, SolverOptions(tol=1e-8))
     assert trace.converged
     diffs = trace.differences()
     assert len(diffs) >= 3
@@ -120,9 +120,9 @@ def test_local_uniqueness_probe_same_fixed_point():
     paths = sample_brownian(grid, 512, 2, seed=8)
     term = bundle.terminal(paths)
     tol = 1e-9
-    base, _ = solve_local(bundle.spec, bundle.local, term, grid, paths, ENGINE, SolverOptions(tol=tol))
+    base, _ = solve_local(bundle.spec, bundle.local, term, paths, ENGINE, SolverOptions(tol=tol))
     probe, _ = solve_local(
-        bundle.spec, bundle.local, term, grid, paths, ENGINE, SolverOptions(tol=tol, init_offset=0.5)
+        bundle.spec, bundle.local, term, paths, ENGINE, SolverOptions(tol=tol, init_offset=0.5)
     )
     assert np.abs(base.y0() - probe.y0()).max() <= 10 * tol
 
@@ -136,7 +136,7 @@ def test_local_divergence_reports_trace():
     term = bundle.terminal(paths)
     with pytest.raises(SolverDivergence) as exc:
         solve_local(
-            bundle.spec, bundle.local, term, grid, paths, ENGINE,
+            bundle.spec, bundle.local, term, paths, ENGINE,
             SolverOptions(tol=1e-10, max_iter=12),
         )
     assert exc.value.trace is not None
@@ -177,7 +177,7 @@ def test_determinism_bitwise():
 
     def once():
         paths = sample_brownian(grid, 512, 2, seed=77)
-        sol, _ = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE)
+        sol, _ = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), paths, ENGINE)
         return sol
 
     a, b = once(), once()
@@ -193,8 +193,8 @@ def test_discrete_residual_after_convergence():
     paths = sample_brownian(grid, 512, 2, seed=6)
     term = bundle.terminal(paths)
     tol = 1e-8
-    sol, trace = solve_local(bundle.spec, bundle.local, term, grid, paths, ENGINE, SolverOptions(tol=tol))
-    again = psi_map(bundle.spec, sol, grid, paths, ENGINE, SolverOptions())
+    sol, trace = solve_local(bundle.spec, bundle.local, term, paths, ENGINE, SolverOptions(tol=tol))
+    again = psi_map(bundle.spec, sol, paths, ENGINE, SolverOptions())
     assert np.abs(again.Y - sol.Y).max() <= 2 * tol
 
 
@@ -217,7 +217,7 @@ def test_global_windows_partition_and_seams():
     grid = build_grid(0.5, 16)
     paths = sample_brownian(grid, 1024, 2, seed=9)
     term = bundle.terminal(paths)
-    sol, report = solve_global(bundle.spec, bundle.global_, term, grid, paths, ENGINE)
+    sol, report = solve_global(bundle.spec, bundle.global_, term, paths, ENGINE)
     assert report.terminal_feasible
     # windows tile the grid back to front without gaps
     edges = sorted((w.k_lo, w.k_hi) for w in report.windows)
@@ -236,9 +236,9 @@ def test_volterra_zero_delay_equals_inner():
     paths = sample_brownian(grid, 512, 1, seed=3)
     term = bundle.terminal(paths)
     zero_g = lambda j, y, z, law: np.zeros((y.shape[0], 1))
-    inner, _ = solve_theta(bundle.spec, bundle.convex, term, grid, paths, ENGINE, SolverOptions())
+    inner, _ = solve_theta(bundle.spec, bundle.convex, term, paths, ENGINE, SolverOptions())
     vol, trace = solve_volterra(
-        bundle.spec, zero_g, bundle.volterra, bundle.convex, term, grid, paths, ENGINE, SolverOptions()
+        bundle.spec, zero_g, bundle.volterra, bundle.convex, term, paths, ENGINE, SolverOptions()
     )
     np.testing.assert_array_equal(vol.Y, inner.Y)
     assert trace.iterations == 2
@@ -250,9 +250,9 @@ def test_volterra_unit_delay_shifts_by_time_to_go():
     paths = sample_brownian(grid, 512, 1, seed=3)
     term = bundle.terminal(paths)
     one_g = lambda j, y, z, law: np.ones((y.shape[0], 1))
-    inner, _ = solve_theta(bundle.spec, bundle.convex, term, grid, paths, ENGINE, SolverOptions())
+    inner, _ = solve_theta(bundle.spec, bundle.convex, term, paths, ENGINE, SolverOptions())
     vol, _ = solve_volterra(
-        bundle.spec, one_g, bundle.volterra, bundle.convex, term, grid, paths, ENGINE, SolverOptions()
+        bundle.spec, one_g, bundle.volterra, bundle.convex, term, paths, ENGINE, SolverOptions()
     )
     shift = vol.Y[:, :, 0] - inner.Y[:, :, 0]
     expected = grid.horizon - grid.nodes
@@ -360,7 +360,7 @@ def _law_reference(spec, y, z, j):
     return MeasureView(y[:, j], z[:, min(j, z.shape[1] - 1)])
 
 
-def _per_component(spec, y_frozen, z_frozen, laws, terminal, grid, paths, opts, k_lo, k_hi):
+def _per_component(spec, y_frozen, z_frozen, laws, terminal, paths, opts, k_lo, k_hi):
     span = k_hi - k_lo
     n_part = paths.particles
     out_y = np.empty((n_part, span + 1, spec.n))
@@ -371,7 +371,7 @@ def _per_component(spec, y_frozen, z_frozen, laws, terminal, grid, paths, opts, 
             other = np.zeros((n_part, spec.n, spec.d)) if z_frozen is None else z_frozen[:, min(j, span - 1)]
             return freeze_rows(spec, i, y_frozen[:, j], other, _law_reference(spec, *laws, j))(t, rows)
 
-        out_y[:, :, i], out_z[:, :, i, :], _ = solve_scalar(grid, paths, driver, terminal[:, i], ENGINE, opts, k_lo, k_hi)
+        out_y[:, :, i], out_z[:, :, i, :], _ = solve_scalar(paths, driver, terminal[:, i], ENGINE, opts, k_lo, k_hi)
     return out_y, out_z
 
 
@@ -394,8 +394,8 @@ def test_psi_map_matches_per_component_sweeps():
     z_in = 0.3 * rng.standard_normal((512, span, 2, 2))
     iterate = Solution(Y=y_in, Z=z_in, grid=grid, k_lo=k_lo)
     opts = SolverOptions()
-    out = psi_map(spec, iterate, grid, paths, ENGINE, opts, k_lo, k_hi)
-    ref_y, ref_z = _per_component(spec, y_in, z_in, (y_in, z_in), terminal, grid, paths, opts, k_lo, k_hi)
+    out = psi_map(spec, iterate, paths, ENGINE, opts, k_lo, k_hi)
+    ref_y, ref_z = _per_component(spec, y_in, z_in, (y_in, z_in), terminal, paths, opts, k_lo, k_hi)
     _assert_rel_close(out.Y, ref_y)
     _assert_rel_close(out.Z, ref_z)
 
@@ -407,13 +407,13 @@ def test_theta_matches_per_component_sweeps():
     paths = sample_brownian(grid, 512, 2, seed=32)
     terminal = bundle.terminal(paths)
     opts = SolverOptions(tol=1e-8)
-    sol, trace = solve_theta(spec, bundle.convex, terminal, grid, paths, ENGINE, opts)
+    sol, trace = solve_theta(spec, bundle.convex, terminal, paths, ENGINE, opts)
     assert trace.converged and trace.iterations >= 3
     y_prev = np.zeros((512, grid.steps + 1, 2))
     z_prev = np.zeros((512, grid.steps, 2, 2))
     for _ in range(trace.iterations):
         y_prev, z_prev = _per_component(
-            spec, y_prev, None, (y_prev, z_prev), terminal, grid, paths, opts, 0, grid.steps
+            spec, y_prev, None, (y_prev, z_prev), terminal, paths, opts, 0, grid.steps
         )
     _assert_rel_close(sol.Y, y_prev)
     _assert_rel_close(sol.Z, z_prev)
@@ -427,13 +427,13 @@ def test_theta_freezes_the_other_rows_at_the_previous_sweep():
     paths = sample_brownian(grid, 512, 2, seed=34)
     terminal = bundle.terminal(paths)
     opts = SolverOptions(tol=1e-8)
-    sol, trace = solve_theta(spec, CertificateConvex(K=1.0, gamma=2.0), terminal, grid, paths, ENGINE, opts)
+    sol, trace = solve_theta(spec, CertificateConvex(K=1.0, gamma=2.0), terminal, paths, ENGINE, opts)
     assert trace.converged and trace.iterations >= 3
     y_prev = np.zeros((512, grid.steps + 1, 2))
     z_prev = np.zeros((512, grid.steps, 2, 2))
     for _ in range(trace.iterations):
         y_prev, z_prev = _per_component(
-            spec, y_prev, z_prev, (y_prev, z_prev), terminal, grid, paths, opts, 0, grid.steps
+            spec, y_prev, z_prev, (y_prev, z_prev), terminal, paths, opts, 0, grid.steps
         )
     _assert_rel_close(sol.Y, y_prev)
     _assert_rel_close(sol.Z, z_prev)
@@ -453,26 +453,26 @@ def _bad_terminal_calls():
     lin, lin_grid, lin_paths = on("linear_mf")
     opts = SolverOptions(tol=1e-8)
     return [
-        ("scalar", lambda t: solve_scalar(lin_grid, lin_paths, _zero_driver, t, ENGINE), [(64, 2), (63,), (63, 1)]),
+        ("scalar", lambda t: solve_scalar(lin_paths, _zero_driver, t, ENGINE), [(64, 2), (63,), (63, 1)]),
         (
             "local",
-            lambda t: solve_local(eq41.spec, eq41.local, t, eq_grid, eq_paths, ENGINE, opts, 3, 4),
+            lambda t: solve_local(eq41.spec, eq41.local, t, eq_paths, ENGINE, opts, 3, 4),
             [(64, 3), (64,), (63, 2)],
         ),
         (
             "theta",
-            lambda t: solve_theta(sine.spec, sine.convex, t, sine_grid, sine_paths, ENGINE, opts),
+            lambda t: solve_theta(sine.spec, sine.convex, t, sine_paths, ENGINE, opts),
             [(64, 1), (64, 3), (63, 2)],
         ),
         (
             "global",
-            lambda t: solve_global(eq41.spec, eq41.global_, t, eq_grid, eq_paths, ENGINE),
+            lambda t: solve_global(eq41.spec, eq41.global_, t, eq_paths, ENGINE),
             [(64, 3), (64,), (63, 2)],
         ),
         (
             "volterra",
             lambda t: solve_volterra(
-                volt.spec, volt.g, volt.volterra, volt.convex, t, volt_grid, volt_paths, ENGINE, opts
+                volt.spec, volt.g, volt.volterra, volt.convex, t, volt_paths, ENGINE, opts
             ),
             [(64, 2), (63,)],
         ),
@@ -539,7 +539,7 @@ def test_psi_map_makes_one_driver_call_per_node():
     iterate = Solution(
         Y=np.repeat(terminal[:, None, :], 6, axis=1), Z=np.zeros((256, 5, 3, 3)), grid=grid, k_lo=k_lo
     )
-    psi_map(spec, iterate, grid, paths, ENGINE, SolverOptions(), k_lo, k_hi)
+    psi_map(spec, iterate, paths, ENGINE, SolverOptions(), k_lo, k_hi)
     assert calls == [(256, 3, 3)] * (k_hi - k_lo + 1)
 
 
@@ -566,7 +566,7 @@ def test_global_factors_each_node_once(monkeypatch):
     paths = sample_brownian(grid, 1024, 2, seed=9)
     calls = _count_qr(monkeypatch)
     builds = _count_operator_builds(monkeypatch)
-    sol, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE)
+    sol, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), paths, ENGINE)
     assert sum(w.halvings for w in report.windows) == 0
     assert sum(w.iterations for w in report.windows) > 2 * report.window_count
     assert len(calls) == len(builds) == grid.steps
@@ -583,7 +583,7 @@ def test_global_halves_a_failing_window_and_factors_each_node_once(monkeypatch):
 
     def solve_with_windows_of(steps):
         monkeypatch.setattr(solvers, "global_ode", lambda *args: replace(real_ode(*args), delta_kappa=steps * grid.dt))
-        return solve_global(bundle.spec, bundle.global_, terminal, grid, paths, ENGINE)
+        return solve_global(bundle.spec, bundle.global_, terminal, paths, ENGINE)
 
     ref, ref_report = solve_with_windows_of(2)
     assert [w.halvings for w in ref_report.windows] == [0] * 8
@@ -673,7 +673,7 @@ def test_global_eq41_pinned_small_solve():
     bundle = fixture("eq41", n=2)
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 2**10, 2, seed=9)
-    sol, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE)
+    sol, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), paths, ENGINE)
     _assert_rel_close(sol.y0(), np.array([7.580996396792982, 7.5816648246167695]))
     assert sum(w.iterations for w in report.windows) == 103
     assert report.window_count == 16
@@ -689,7 +689,7 @@ def test_non_finite_values_stop_the_kernel_at_their_node():
         return np.full(len(z), np.inf if k == 5 else 0.0)
 
     with pytest.raises(SolverDivergence, match=r"non-finite Y at node 5 \(t=0.625\) in component 0"):
-        solve_scalar(grid, paths, blows_up_at_node_5, np.zeros(256), ENGINE)
+        solve_scalar(paths, blows_up_at_node_5, np.zeros(256), ENGINE)
 
 
 def test_non_finite_terminal_names_its_component():
@@ -704,22 +704,22 @@ def test_non_finite_terminal_names_its_component():
     )
     iterate.Y[3, -1, 1] = np.nan
     with pytest.raises(SolverDivergence, match="non-finite Z at node 7 .* in component 1"):
-        psi_map(spec, iterate, grid, paths, ENGINE, SolverOptions(), 4, 8)
+        psi_map(spec, iterate, paths, ENGINE, SolverOptions(), 4, 8)
 
 
 def _solve_eq41_local(terminal, grid, paths):
     bundle = fixture("eq41", n=2)
-    return solve_local(bundle.spec, bundle.local, terminal, grid, paths, ENGINE, SolverOptions(), 7, 8)
+    return solve_local(bundle.spec, bundle.local, terminal, paths, ENGINE, SolverOptions(), 7, 8)
 
 
 def _solve_eq41_global(terminal, grid, paths):
     bundle = fixture("eq41", n=2)
-    return solve_global(bundle.spec, bundle.global_, terminal, grid, paths, ENGINE)
+    return solve_global(bundle.spec, bundle.global_, terminal, paths, ENGINE)
 
 
 def _solve_bounded_sine_theta(terminal, grid, paths):
     bundle = fixture("bounded_sine_mf", n=2)
-    return solve_theta(bundle.spec, bundle.convex, terminal, grid, paths, ENGINE)
+    return solve_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE)
 
 
 @pytest.mark.parametrize(
@@ -874,11 +874,11 @@ def _reference_picard(spec, terminal, grid, paths, opts, k_lo, k_hi, iterations)
     current = Solution(Y=y.swapaxes(0, 1), Z=z.swapaxes(0, 1), grid=grid, k_lo=k_lo)
     dy_sup, dz_norm, qv_sq = [], [], []
     for _ in range(iterations):
-        out = psi_map(spec, current, grid, paths, ENGINE, opts, k_lo, k_hi)
+        out = psi_map(spec, current, paths, ENGINE, opts, k_lo, k_hi)
         for _ in range(opts.law_refinements):
-            out = psi_map(spec, current, grid, paths, ENGINE, opts, k_lo, k_hi, law_source=out)
+            out = psi_map(spec, current, paths, ENGINE, opts, k_lo, k_hi, law_source=out)
         dy_sup.append(float(np.abs(out.Y - current.Y).max()))
-        dz, qv = solvers.bmo_norm((out.Z - current.Z, out.Z), grid, paths, ENGINE, k_lo=k_lo)
+        dz, qv = solvers.bmo_norm((out.Z - current.Z, out.Z), paths, ENGINE, k_lo=k_lo)
         dz_norm.append(dz)
         qv_sq.append(qv**2)
         current = out
@@ -913,7 +913,7 @@ def test_local_equals_a_plain_picard_loop_over_psi_map_bitwise(options):
     k_lo, k_hi = 1, 6
     terminal = bundle.terminal(paths)
     opts = SolverOptions(tol=1e-8, **options)
-    sol, trace = solve_local(spec, bundle.local, terminal, grid, paths, ENGINE, opts, k_lo, k_hi)
+    sol, trace = solve_local(spec, bundle.local, terminal, paths, ENGINE, opts, k_lo, k_hi)
     assert trace.converged and trace.iterations >= 3
     assert (sol.clip_events > 0) == (options["z_clip"] is not None)
     opts = _with_window_clip(opts, solvers.local_window(bundle.local, spec.n).K2)
@@ -939,7 +939,7 @@ def test_global_windows_equal_plain_picard_loops_over_psi_map_bitwise(monkeypatc
         return window, trace
 
     monkeypatch.setattr(solvers, "solve_local", recording_local)
-    sol, report = solve_global(spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE)
+    sol, report = solve_global(spec, bundle.global_, bundle.terminal(paths), paths, ENGINE)
     assert sum(w.halvings for w in report.windows) == 0 and len(traces) == report.window_count
     opts = _with_window_clip(SolverOptions(), solvers.global_ode(bundle.global_, spec.n, grid.horizon).window.K2)
     for w, trace in zip(report.windows, traces):
@@ -966,7 +966,7 @@ def test_global_window_evaluates_its_terminal_driver_value_once(inner_sweeps, to
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 2**10, 2, seed=9)
     opts = SolverOptions(inner_sweeps=inner_sweeps)
-    _, report = solve_global(spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE, opts)
+    _, report = solve_global(spec, bundle.global_, bundle.terminal(paths), paths, ENGINE, opts)
     iterations = [w.iterations for w in report.windows]
     assert min(iterations) >= 2 and all(w.k_hi - w.k_lo == 1 for w in report.windows)
     expected = sum(i + 2 for i in iterations) if inner_sweeps == 1 else sum(3 * i for i in iterations)
@@ -998,7 +998,7 @@ def test_global_window_shares_its_head_z_stage(monkeypatch, inner_sweeps, law_re
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 2**10, 2, seed=9)
     opts = SolverOptions(inner_sweeps=inner_sweeps, law_refinements=law_refinements)
-    _, report = solve_global(_staged_eq41(calls), bundle.global_, bundle.terminal(paths), grid, paths, ENGINE, opts)
+    _, report = solve_global(_staged_eq41(calls), bundle.global_, bundle.terminal(paths), paths, ENGINE, opts)
     iterations = [w.iterations for w in report.windows]
     assert min(iterations) >= 2 and all(w.k_hi - w.k_lo == 1 for w in report.windows)
     passes = law_refinements + 1
@@ -1024,7 +1024,7 @@ def test_global_window_projects_its_terminal_once(monkeypatch):
     real_apply, real_bmo = NodeOperator.apply, solvers.bmo_norm
     monkeypatch.setattr(NodeOperator, "apply", lambda op, v: widths.append(v.shape[1:]) or real_apply(op, v))
     monkeypatch.setattr(solvers, "bmo_norm", lambda *a, **kw: bmo_calls.append(1) or real_bmo(*a, **kw))
-    _, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), grid, paths, ENGINE)
+    _, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), paths, ENGINE)
     assert all(w.k_hi - w.k_lo == 1 for w in report.windows)
     assert sum(w.iterations for w in report.windows) == 103
     assert len(bmo_calls) == report.window_count
@@ -1041,4 +1041,57 @@ def test_overflowing_theta_monitors_raise_divergence_naming_the_sweep(gamma):
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 2**10, 1, seed=4)
     with pytest.raises(SolverDivergence, match=r"sweep 1: max \|Y\| = .* overflows the sweep monitors"):
-        solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), grid, paths, ENGINE, SolverOptions(tol=1e-7))
+        solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), paths, ENGINE, SolverOptions(tol=1e-7))
+
+
+# One grid per solve: every solver reads the grid from its ensemble, and
+# run_scheme refuses a grid argument that is not the ensemble's.
+
+_REFUSAL_FIXTURES = [
+    ("theta", "pure_quadratic", {"gamma": 1.0, "terminal": "brownian"}),
+    ("local", "bounded_sine_mf", {"terminal": "tanh"}),
+    ("global", "eq41", {"n": 2}),
+    ("volterra", "volterra_demo", {}),
+]
+
+
+@pytest.mark.parametrize("scheme, name, params", _REFUSAL_FIXTURES, ids=[c[0] for c in _REFUSAL_FIXTURES])
+@pytest.mark.parametrize("horizon, steps", [(2.0, 16), (1.0, 8), (0.5, 8)])
+def test_run_scheme_refuses_a_grid_that_is_not_the_ensembles(scheme, name, params, horizon, steps):
+    bundle = fixture(name, **params)
+    paths = sample_brownian(build_grid(1.0, 16), 64, bundle.spec.d, seed=3)
+    other = build_grid(horizon, steps)
+    with pytest.raises(ValueError) as exc:
+        run_scheme(bundle, scheme, other, paths, ENGINE)
+    assert repr(other) in str(exc.value) and repr(paths.grid) in str(exc.value)
+
+
+@pytest.mark.parametrize("scheme, name, params, horizon, steps", _SCHEME_CASES, ids=[c[0] for c in _SCHEME_CASES])
+def test_run_scheme_accepts_an_equal_grid_and_returns_the_ensembles(scheme, name, params, horizon, steps):
+    bundle = fixture(name, **params)
+    paths = sample_brownian(build_grid(horizon, steps), 256, bundle.spec.d, seed=4)
+    equal = build_grid(horizon, steps)
+    assert equal == paths.grid and equal is not paths.grid
+    sol, _, _ = run_scheme(bundle, scheme, equal, paths, ENGINE, SolverOptions(tol=1e-8))
+    assert sol.grid is paths.grid
+
+
+def test_export_csv_refuses_a_solution_from_another_grid(tmp_path):
+    bundle = fixture("linear_mf")
+    paths = sample_brownian(build_grid(1.0, 16), 256, 1, seed=3)
+    sol, _, _ = run_scheme(bundle, "theta", paths.grid, paths, ENGINE)
+    other = sample_brownian(build_grid(2.0, 16), 256, 1, seed=3)
+    with pytest.raises(ValueError, match=r"solution grid TimeGrid\(horizon=1.0, steps=16\) is not the ensemble's"):
+        export_csv(sol, other, ENGINE, str(tmp_path / "nodes.csv"))
+    assert not (tmp_path / "nodes.csv").exists()
+
+
+def test_non_finite_volterra_value_stops_at_its_node():
+    bundle = fixture("volterra_demo")
+    paths = sample_brownian(build_grid(1.0, 8), 256, 1, seed=6)
+
+    def g(k, y_hist, z, law):
+        return np.full((y_hist.shape[0], 1), np.inf if k == 5 else 0.0)
+
+    with pytest.raises(SolverDivergence, match="node 5"):
+        run_scheme(replace(bundle, g=g), "volterra", paths.grid, paths, ENGINE)

@@ -32,10 +32,10 @@ def _assert_rel_close(actual, reference, rel=1e-12):
 def _solve(scheme, bundle, grid, paths):
     terminal = bundle.terminal(paths)
     if scheme == "global":
-        sol, report = solve_global(bundle.spec, bundle.global_, terminal, grid, paths, ENGINE)
+        sol, report = solve_global(bundle.spec, bundle.global_, terminal, paths, ENGINE)
         return sol, [(w.k_lo, w.k_hi, w.iterations, w.halvings) for w in report.windows]
     opts = SolverOptions(tol=1e-8, law_refinements=1)
-    sol, trace = solve_local(bundle.spec, bundle.local, terminal, grid, paths, ENGINE, opts)
+    sol, trace = solve_local(bundle.spec, bundle.local, terminal, paths, ENGINE, opts)
     return sol, trace.iterations
 
 
