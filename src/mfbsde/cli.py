@@ -5,7 +5,11 @@ echoed config, a ``results`` block, and wall-clock numbers isolated under
 ``timings`` so byte comparisons of reports can simply drop that key.
 
 Exit codes: 0 success, 2 bad config or usage, 3 solver divergence,
-4 reference mismatch.
+4 reference mismatch. :func:`main` is the one exit-code map: it loads the
+config, runs a subcommand that returns ``(exit code, results, timings)``,
+prints the one report envelope, and turns :class:`SolverDivergence` into
+the error report and exit 3 and a bad config, parameter or reference
+request into a message on stderr and exit 2.
 """
 from __future__ import annotations
 
@@ -20,8 +24,8 @@ import numpy as np
 from .condexp import RegressionBasis, RegressionEngine
 from .constants import global_ode, local_window, theta_consts, volterra_weight
 from .generators import FixtureBundle, FixtureError, fixture, fixture_names
-from .oracles import OracleRefusal, cole_hopf, linear_mf_oracle
-from .paths import build_grid, sample_brownian
+from .oracles import cole_hopf, linear_mf_oracle
+from .paths import build_grid, is_finite_real, sample_brownian
 from .solvers import (
     SolverDivergence,
     SolverOptions,
@@ -91,18 +95,6 @@ def _build(cfg: dict):
     return bundle, RegressionEngine(basis), paths, opts
 
 
-def _emit(report: dict, stream=None) -> None:
-    print(json.dumps(report, sort_keys=True, default=_json_default), file=stream or sys.stdout)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _solve_results(cfg: dict, bundle, engine, paths, opts) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     sol, trace, extras = run_scheme(bundle, cfg["scheme"], paths.grid, paths, engine, opts)
@@ -137,24 +129,8 @@ def _solve_results(cfg: dict, bundle, engine, paths, opts) -> tuple[dict, dict]:
     return results, {"solve_seconds": elapsed}
 
 
-def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    try:
-        results, timings = _solve_results(cfg, *_build(cfg))
-    except SolverDivergence as exc:
-        _emit(
-            {
-                "schema_version": 1,
-                "command": "solve",
-                "config": cfg,
-                "error": str(exc),
-                "results": {"converged": False},
-                "timings": {},
-            }
-        )
-        return EXIT_DIVERGED
-    _emit({"schema_version": 1, "command": "solve", "config": cfg, "results": results, "timings": timings})
-    return EXIT_OK
+def cmd_solve(cfg: dict, args) -> tuple[int, dict, dict]:
+    return (EXIT_OK, *_solve_results(cfg, *_build(cfg)))
 
 
 def _reference_for(bundle: FixtureBundle, horizon: float):
@@ -169,15 +145,12 @@ def _reference_for(bundle: FixtureBundle, horizon: float):
     raise ConfigError(f"no closed-form reference for fixture {bundle.name!r}")
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
+def cmd_verify(cfg: dict, args) -> tuple[int, dict, dict]:
+    if not (is_finite_real(args.tolerance) and args.tolerance >= 0.0):
+        raise ConfigError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
     bundle, engine, paths, opts = _build(cfg)
     reference = _reference_for(bundle, paths.grid.horizon)
-    try:
-        results, timings = _solve_results(cfg, bundle, engine, paths, opts)
-    except SolverDivergence as exc:
-        _emit({"schema_version": 1, "command": "verify", "config": cfg, "error": str(exc), "results": {}, "timings": {}})
-        return EXIT_DIVERGED
+    results, timings = _solve_results(cfg, bundle, engine, paths, opts)
     y0 = results["y0"][0]
     gap = abs(y0 - reference.value)
     allowed = args.tolerance * max(1.0, abs(reference.value)) + reference.half_width
@@ -191,11 +164,12 @@ def cmd_verify(args) -> int:
             "match": bool(gap <= allowed),
         }
     )
-    _emit({"schema_version": 1, "command": "verify", "config": cfg, "results": results, "timings": timings})
-    return EXIT_OK if gap <= allowed else EXIT_MISMATCH
+    return (EXIT_OK if gap <= allowed else EXIT_MISMATCH), results, timings
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(cfg: None, args) -> tuple[int, dict, dict]:
+    if not (is_finite_real(args.horizon) and args.horizon > 0.0):
+        raise ConfigError(f"--horizon must be a finite number > 0, got {args.horizon!r}")
     params = {}
     for item in args.param or []:
         if "=" not in item:
@@ -241,31 +215,25 @@ def cmd_constants(args) -> int:
         }
     if bundle.volterra is not None:
         results["volterra_weight"] = volterra_weight(bundle.volterra.C, args.horizon)
-    _emit({"schema_version": 1, "command": "constants", "config": None, "results": results, "timings": {}})
-    return EXIT_OK
+    return EXIT_OK, results, {}
 
 
-def cmd_refine(args) -> int:
+def cmd_refine(cfg: dict, args) -> tuple[int, dict, dict]:
     from .oracles import dense_reference
 
-    cfg = load_config(args.config)
     bundle, engine, paths, opts = _build(cfg)
     t0 = time.perf_counter()
-    try:
-        sol, trace, extras = run_scheme(bundle, cfg["scheme"], paths.grid, paths, engine, opts)
-        ref = dense_reference(
-            bundle,
-            paths.grid,
-            cfg["particles"],
-            cfg["seed"],
-            refine=args.factor,
-            scheme=cfg["scheme"],
-            engine=engine,
-            opts=opts,
-        )
-    except SolverDivergence as exc:
-        _emit({"schema_version": 1, "command": "refine", "config": cfg, "error": str(exc), "results": {}, "timings": {}})
-        return EXIT_DIVERGED
+    sol, trace, extras = run_scheme(bundle, cfg["scheme"], paths.grid, paths, engine, opts)
+    ref = dense_reference(
+        bundle,
+        paths.grid,
+        cfg["particles"],
+        cfg["seed"],
+        refine=args.factor,
+        scheme=cfg["scheme"],
+        engine=engine,
+        opts=opts,
+    )
     elapsed = time.perf_counter() - t0
     base = sol.y0()
     fine = ref.extras["value_vector"]
@@ -277,8 +245,7 @@ def cmd_refine(args) -> int:
         "refine_factor": args.factor,
         "bootstrap_half_width": ref.half_width,
     }
-    _emit({"schema_version": 1, "command": "refine", "config": cfg, "results": results, "timings": {"seconds": elapsed}})
-    return EXIT_OK
+    return EXIT_OK, results, {"seconds": elapsed}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,13 +279,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    report = {"schema_version": 1, "command": args.command, "config": None}
     try:
-        return args.func(args)
-    except (ConfigError, FixtureError, OracleRefusal, ValueError) as exc:
+        if "config" in vars(args):  # every subcommand but constants reads one
+            report["config"] = load_config(args.config)
+        code, results, timings = args.func(report["config"], args)
+    except SolverDivergence as exc:
+        code, timings = EXIT_DIVERGED, {}
+        results = {"converged": False} if args.command == "solve" else {}
+        report["error"] = str(exc)
+    except (FixtureError, ValueError) as exc:  # ConfigError, OracleRefusal, ... are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    report.update(results=results, timings=timings)
+    print(json.dumps(report, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

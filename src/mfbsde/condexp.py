@@ -19,12 +19,13 @@ builds a fresh operator at every access.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable
 
 import numpy as np
+
+from .paths import is_count
 
 RIDGE_SCALE = 1e-10
 
@@ -41,8 +42,8 @@ class RegressionBasis:
     kind="piecewise": indicator columns of per-coordinate equal-width bins
     (their span contains constants, so the tower property is preserved).
     Raises :class:`RegressionError` (a ``ValueError``) for an unknown kind,
-    a degree or bin count that is not an int (a bool is none), a negative
-    degree or a bin count below 1.
+    or unless the degree is an int >= 0 and the bin count an int >= 1,
+    whatever the kind; a bool is neither.
     """
 
     kind: str = "polynomial"
@@ -50,16 +51,12 @@ class RegressionBasis:
     bins: int = 50
 
     def __post_init__(self) -> None:
-        for name in ("degree", "bins"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise RegressionError(f"basis {name} must be an integer, got {value!r}")
         if self.kind not in ("polynomial", "piecewise"):
             raise RegressionError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "polynomial" and self.degree < 0:
-            raise RegressionError("polynomial degree must be >= 0")
-        if self.kind == "piecewise" and self.bins < 1:
-            raise RegressionError("bin count must be >= 1")
+        counts = {"degree": (self.degree, 0), "bins": (self.bins, 1)}
+        bad = [f"{k}={v!r}" for k, (v, least) in counts.items() if not is_count(v, least)]
+        if bad:
+            raise RegressionError(f"bad basis option(s): {', '.join(bad)}")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ value once the linear one saturates.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,7 @@ import numpy as np
 from .generators import CertificateGlobal, CertificateLocal, MonomialFn
 
 _LOG_HUGE = 709.0  # exp overflows just above this
+_ROOT_RESIDUAL = 1e-10  # a window root with a larger relative residual is unresolved
 
 
 class ConstantsError(ValueError):
@@ -22,7 +24,22 @@ class ConstantsError(ValueError):
 
 
 class WindowEquationError(ConstantsError):
-    """The window equation has no positive root (degenerate certificate)."""
+    """The window equation has no positive root (degenerate certificate),
+    or none that float64 resolves."""
+
+
+def _overflow_is_bad_input(fn):
+    """Raise :class:`ConstantsError` naming ``fn`` and its arguments where
+    its float arithmetic overflows."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise ConstantsError(f"{fn.__name__}{args!r} overflows float64 ({exc})") from None
+
+    return checked
 
 
 def m_const(n: int, lam: float, alpha: float) -> float:
@@ -35,6 +52,7 @@ def m_const(n: int, lam: float, alpha: float) -> float:
     return ((1.0 - a) / 2.0) * (1.0 + a) ** ((1.0 + a) / (1.0 - a)) * (n * lam) ** (2.0 / (1.0 - a))
 
 
+@_overflow_is_bad_input
 def local_radii(cert: CertificateLocal, n: int) -> tuple[float, float]:
     """Sup radius K1 and quadratic-variation radius K2 of the invariant ball."""
     k1, _, k2 = _radii_with_log(cert, n)
@@ -73,9 +91,12 @@ def _solve_power_equation(log_lin: float, log_pow: float, s: float, rhs_log: flo
 
     Coefficients live in log scale so envelope-level certificates cannot
     overflow. The left side is strictly increasing from zero, so a
-    log-domain bisection always converges; the returned residual is
-    relative to the right side (which matches the absolute residual for
-    order-one scales).
+    log-domain bisection always converges. The bracket grows by steps of
+    at least its own magnitude, so the search ends even where a fixed step
+    would be lost to rounding. The returned residual is relative to the
+    right side (which matches the absolute residual for order-one scales);
+    a root that leaves float64 range, or whose residual is not below
+    ``_ROOT_RESIDUAL``, raises :class:`WindowEquationError`.
     """
     has_lin = math.isfinite(log_lin)
     has_pow = math.isfinite(log_pow)
@@ -98,9 +119,9 @@ def _solve_power_equation(log_lin: float, log_pow: float, s: float, rhs_log: flo
         lo = min(rhs_log - log_lin, (rhs_log - log_pow) / s) - 5.0
         hi = max(rhs_log - log_lin, (rhs_log - log_pow) / s) + 5.0
         while log_lhs(lo) > rhs_log:
-            lo -= 50.0
+            lo -= max(50.0, abs(lo))
         while log_lhs(hi) < rhs_log:
-            hi += 50.0
+            hi += max(50.0, abs(hi))
         for _ in range(500):
             mid = 0.5 * (lo + hi)
             if log_lhs(mid) < rhs_log:
@@ -111,9 +132,13 @@ def _solve_power_equation(log_lin: float, log_pow: float, s: float, rhs_log: flo
                 break
         u = 0.5 * (lo + hi)
     residual = abs(math.expm1(log_lhs(u) - rhs_log))
-    return math.exp(u), residual
+    root = math.exp(u) if u < _LOG_HUGE else math.inf
+    if not (0.0 < root < math.inf and residual < _ROOT_RESIDUAL):
+        raise WindowEquationError(f"window equation has no resolved root: x = {root!r} with relative residual {residual!r}")
+    return root, residual
 
 
+@_overflow_is_bad_input
 def local_window(cert: CertificateLocal, n: int) -> LocalConstants:
     """Certified window length: eps = min(x1, x2) from the two budgets.
 
@@ -221,6 +246,7 @@ def kappa_local_certificate(cert: CertificateGlobal, kappa: float, horizon: floa
     )
 
 
+@_overflow_is_bad_input
 def global_ode(cert: CertificateGlobal, n: int, horizon: float) -> GlobalConstants:
     """Envelope ODE in closed form plus the stitching window at level kappa.
 
@@ -315,6 +341,7 @@ def _step_count(rate: float, horizon: float) -> int:
     return max(1, m)
 
 
+@_overflow_is_bad_input
 def theta_consts(K: float, n: int, horizon: float, q: float = 2.0) -> ThetaConstants:
     """Stage counts for the Picard scheme; K = 0 skips the windowing."""
     if K < 0 or n < 1 or horizon <= 0:

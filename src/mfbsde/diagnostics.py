@@ -20,6 +20,7 @@ from .measures import ExpMoment, column_max, exp_moment, max_abs, sum_squares
 from .paths import require_grid
 
 MC_SLACK = 0.05
+CONTRACTION_FLOOR = 1e-15  # contraction_trace floors exact zeros here before the log fit
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ class ContractionSummary:
     count: int
 
 
-def contraction_trace(differences: np.ndarray, floor: float = 1e-15) -> ContractionSummary:
+def contraction_trace(differences: np.ndarray) -> ContractionSummary:
     """Geometric-rate fit of successive Picard differences.
 
     Fits log d_i against i by least squares after flooring exact zeros;
@@ -214,12 +215,12 @@ def contraction_trace(differences: np.ndarray, floor: float = 1e-15) -> Contract
     d = np.asarray(differences, dtype=np.float64).ravel()
     if d.size < 3:
         raise ValueError("need at least three Picard differences to fit a rate")
-    floored = np.maximum(d, floor)
+    floored = np.maximum(d, CONTRACTION_FLOOR)
     idx = np.arange(d.size)
     slope = np.polyfit(idx, np.log(floored), 1)[0]
     rate = float(np.exp(slope))
     tail = d[1:]
-    monotone = bool(np.all(np.diff(tail) <= 1e-12 * np.maximum(tail[:-1], floor)))
+    monotone = bool(np.all(np.diff(tail) <= 1e-12 * np.maximum(tail[:-1], CONTRACTION_FLOOR)))
     return ContractionSummary(
         rate=rate,
         monotone_from_second=monotone,

@@ -20,6 +20,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .measures import MeasureView, sum_squares
+from .paths import is_count, is_finite_real
 
 
 class Evaluator(Protocol):
@@ -527,15 +528,22 @@ def fixture_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-# Values each builder annotation accepts; bool is an int subclass but no number here.
-_PARAM_TYPES = {float: (int, float), int: (int,), str: (str,)}
+def _param_ok(kind: type, value) -> bool:
+    if kind is float:
+        return is_finite_real(value)
+    if kind is int:  # every int parameter is a component count
+        return is_count(value, 1)
+    return isinstance(value, kind)
 
 
 def fixture(name: str, **params) -> FixtureBundle:
     """Build a registered fixture with certificate-compatible parameters.
 
     Each parameter must be one the builder takes, of the type its annotation
-    names; anything else raises :class:`FixtureError` naming the parameter.
+    names: a ``float`` parameter a finite real (an int will do, an int beyond
+    float range will not), an ``int`` one an int >= 1, a ``str`` one a
+    string; a bool is no number. Anything else raises :class:`FixtureError`
+    naming the parameter and its value.
     """
     try:
         builder = _REGISTRY[name]
@@ -548,14 +556,17 @@ def fixture(name: str, **params) -> FixtureBundle:
         raise FixtureError(f"fixture {name!r}: {exc}") from None
     for key, value in params.items():
         kind = signature.parameters[key].annotation
-        if isinstance(value, bool) or not isinstance(value, _PARAM_TYPES[kind]):
-            raise FixtureError(f"fixture {name!r}: parameter {key!r} must be of type {kind.__name__}, got {value!r}")
+        if not _param_ok(kind, value):
+            need = {float: "a finite float", int: "an int >= 1"}.get(kind, f"of type {kind.__name__}")
+            raise FixtureError(f"fixture {name!r}: parameter {key!r} must be {need}, got {value!r}")
     return builder(**params)
 
 
 # ---------------------------------------------------------------------------
 # Growth audit
 # ---------------------------------------------------------------------------
+
+GROWTH_RADIUS = 5.0  # largest scale of the (y, z) samples and laws check_growth draws
 
 
 @dataclass(frozen=True)
@@ -599,7 +610,6 @@ def check_growth(
     cert,
     budget: int = 10_000,
     seed: int = 20260814,
-    radius: float = 5.0,
 ) -> GrowthReport:
     """Random-sampling audit of the certificate's growth bound.
 
@@ -615,7 +625,7 @@ def check_growth(
     w1_order = 1 if isinstance(cert, CertificateConvex) else 2
     for b in range(batches):
         t = float(gen.uniform(0.0, 1.0))
-        scale = float(gen.uniform(0.05, radius))
+        scale = float(gen.uniform(0.05, GROWTH_RADIUS))
         y = gen.uniform(-scale, scale, size=(per, spec.n))
         z = gen.uniform(-scale, scale, size=(per, spec.n, spec.d))
         law_y = gen.normal(0.0, scale, size=(64, spec.n))

@@ -21,6 +21,11 @@ from .solvers import SolverOptions, run_scheme
 
 TerminalFn = Callable[[np.ndarray], np.ndarray]
 
+GAUSS_NODES = 64  # Gauss-Hermite nodes of cole_hopf; its half width compares them with 16 more
+PATH_NODES = 80  # Gauss-Hermite nodes of cole_hopf_path
+BOOTSTRAP_RESAMPLES = 20  # particle-index resamples behind dense_reference's width
+REFINE_BUDGET = 2**23  # path nodes (particles x fine steps) dense_reference may sample
+
 
 class OracleRefusal(ValueError):
     """The requested expectation fails the integrability screen."""
@@ -72,7 +77,6 @@ def cole_hopf(
     gamma: float,
     horizon: float,
     method: str = "gauss",
-    nodes: int = 64,
     samples: int = 200_000,
     seed: int = 0,
 ) -> OracleResult:
@@ -85,15 +89,15 @@ def cole_hopf(
         raise ValueError("gamma must be positive")
     _integrability_screen(terminal_fn, gamma, horizon)
     if method == "gauss":
-        v1 = _gauss_value(terminal_fn, gamma, 0.0, horizon, nodes)
-        v2 = _gauss_value(terminal_fn, gamma, 0.0, horizon, nodes + 16)
+        v1 = _gauss_value(terminal_fn, gamma, 0.0, horizon, GAUSS_NODES)
+        v2 = _gauss_value(terminal_fn, gamma, 0.0, horizon, GAUSS_NODES + 16)
         value = v2 / gamma
         # node-doubling differences underestimate the error on kinked
         # terminals, hence the safety factor on the reported width
         return OracleResult(
             value=value,
             half_width=5.0 * abs(v2 - v1) / gamma + 1e-12,
-            method=f"gauss-hermite-{nodes + 16}",
+            method=f"gauss-hermite-{GAUSS_NODES + 16}",
         )
     if method == "mc":
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xC01E)))
@@ -119,7 +123,6 @@ def cole_hopf_path(
     terminal_fn: TerminalFn,
     gamma: float,
     horizon: float,
-    nodes: int = 80,
 ) -> float:
     """Conditional value Y_t on the event W_t = w, same transform."""
     if not 0.0 <= t <= horizon:
@@ -127,7 +130,7 @@ def cole_hopf_path(
     if t == horizon:
         return float(np.asarray(terminal_fn(np.array([w])))[0])
     _integrability_screen(terminal_fn, gamma, horizon - t)
-    return _gauss_value(terminal_fn, gamma, w, horizon - t, nodes) / gamma
+    return _gauss_value(terminal_fn, gamma, w, horizon - t, PATH_NODES) / gamma
 
 
 def linear_mf_oracle(a: float, b: float, horizon: float, terminal: str = "const", value: float = 1.0) -> OracleResult:
@@ -167,8 +170,6 @@ def dense_reference(
     scheme: str = "theta",
     engine: RegressionEngine | None = None,
     opts: SolverOptions | None = None,
-    resamples: int = 20,
-    budget: int = 2**23,
 ) -> OracleResult:
     """Reference Y_0 from a re-solve on a refine-times finer grid.
 
@@ -181,9 +182,9 @@ def dense_reference(
     if refine < 1:
         raise ValueError("refine must be at least 1")
     fine_steps = base_grid.steps * refine
-    if particles * fine_steps > budget:
+    if particles * fine_steps > REFINE_BUDGET:
         raise OracleBudgetError(
-            f"{particles} particles x {fine_steps} steps exceeds the budget of {budget} path nodes"
+            f"{particles} particles x {fine_steps} steps exceeds the budget of {REFINE_BUDGET} path nodes"
         )
     fine_grid = build_grid(base_grid.horizon, fine_steps)
     fine_seed = int(np.random.SeedSequence((int(seed), int(refine))).generate_state(1)[0])
@@ -194,8 +195,8 @@ def dense_reference(
         opts = SolverOptions()
     sol, trace, _ = run_scheme(bundle, scheme, fine_grid, paths, engine, opts)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xB007)))
-    boots = np.empty((resamples, sol.components))
-    for r in range(resamples):
+    boots = np.empty((BOOTSTRAP_RESAMPLES, sol.components))
+    for r in range(BOOTSTRAP_RESAMPLES):
         idx = rng.integers(0, particles, particles)
         boots[r] = sol.Y[idx, 0, :].mean(axis=0)
     value = sol.y0()

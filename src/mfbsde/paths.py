@@ -28,17 +28,21 @@ class PathsError(ValueError):
     """Invalid grid or ensemble construction."""
 
 
-def _is_number(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _is_finite(value: numbers.Real) -> bool:
-    """Whether the real number is finite as a float; an int beyond float
-    range is not."""
+def is_finite_real(value) -> bool:
+    """Whether a number from outside is a real, not a bool, and finite as a
+    float64; an int beyond float range is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def is_count(value, least: int) -> bool:
+    """Whether a number from outside is an int, not a bool, of at least
+    ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,9 @@ class TimeGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not _is_number(self.horizon, numbers.Real) or not _is_finite(self.horizon) or self.horizon <= 0.0:
+        if not is_finite_real(self.horizon) or self.horizon <= 0.0:
             raise PathsError(f"horizon must be a finite positive number, got {self.horizon!r}")
-        if not _is_number(self.steps, numbers.Integral) or self.steps < 1:
+        if not is_count(self.steps, 1):
             raise PathsError(f"steps must be an integer >= 1, got {self.steps!r}")
         nodes = np.linspace(0.0, float(self.horizon), self.steps + 1)
         if not np.all(np.diff(nodes) > 0.0):
@@ -163,10 +167,8 @@ def sample_brownian(
     ``standard_normal((N, M, d)) * sqrt(dt)`` from the seed's Philox stream,
     in blocks of particles. Raises :class:`PathsError` unless particles and
     dimension are ints >= 1 and the seed an int >= 0; a bool is none."""
-    counts = {"particles": particles, "dimension": dimension}
-    bad = [f"{k}={v!r}" for k, v in counts.items() if not _is_number(v, numbers.Integral) or v < 1]
-    if not _is_number(seed, numbers.Integral) or seed < 0:
-        bad.append(f"seed={seed!r}")
+    counts = {"particles": (particles, 1), "dimension": (dimension, 1), "seed": (seed, 0)}
+    bad = [f"{k}={v!r}" for k, (v, least) in counts.items() if not is_count(v, least)]
     if bad:
         raise PathsError(f"bad ensemble argument(s): {', '.join(bad)}")
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))

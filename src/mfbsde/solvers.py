@@ -50,7 +50,6 @@ from outside, scans each law view.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -75,7 +74,7 @@ from .generators import (
     GSpec,
 )
 from .measures import MeasureView, exp_moment, max_abs, sum_squares
-from .paths import PathEnsemble, TimeGrid, require_grid
+from .paths import PathEnsemble, TimeGrid, is_count, is_finite_real, require_grid
 
 NodeDriver = Callable[[int, float, np.ndarray], np.ndarray]
 
@@ -86,14 +85,6 @@ class SolverDivergence(RuntimeError):
     def __init__(self, message: str, trace: "PicardTrace | None" = None):
         super().__init__(message)
         self.trace = trace
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _is_count(value, least: int) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
@@ -114,12 +105,12 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         checks = {
-            "tol": _is_real(self.tol) and self.tol >= 0,
-            "init_offset": _is_real(self.init_offset),
-            "max_iter": _is_count(self.max_iter, 1),
-            "inner_sweeps": _is_count(self.inner_sweeps, 1),
-            "law_refinements": _is_count(self.law_refinements, 0),
-            "z_clip": self.z_clip is None or (_is_real(self.z_clip) and self.z_clip > 0),
+            "tol": is_finite_real(self.tol) and self.tol >= 0,
+            "init_offset": is_finite_real(self.init_offset),
+            "max_iter": is_count(self.max_iter, 1),
+            "inner_sweeps": is_count(self.inner_sweeps, 1),
+            "law_refinements": is_count(self.law_refinements, 0),
+            "z_clip": self.z_clip is None or (is_finite_real(self.z_clip) and self.z_clip > 0),
         }
         bad = [name for name, ok in checks.items() if not ok]
         if bad:

@@ -166,8 +166,11 @@ def test_unknown_fixture_parameter_rejected(capsys, tmp_path):
         ("pure_quadratic", {"gamma": None}),
         ("pure_quadratic", {"gamma": [1]}),
         ("eq41", {"n": "2"}),
+        ("pure_quadratic", {"gamma": 10**400}),
+        ("pure_quadratic", {"gamma": float("inf")}),
+        ("pure_quadratic", {"gamma": float("nan")}),
     ],
-    ids=["gamma-str", "gamma-null", "gamma-list", "n-str"],
+    ids=["gamma-str", "gamma-null", "gamma-list", "n-str", "gamma-10**400", "gamma-inf", "gamma-nan"],
 )
 def test_fixture_parameter_of_wrong_type_rejected(capsys, tmp_path, fixture_name, params):
     cfg = write_config(tmp_path, fixture=fixture_name, params=params)
@@ -195,6 +198,9 @@ _BAD_OPTIONS = [
     ("solver", {"tol": -1e-6}),
     ("solver", {"tol": float("inf")}),
     ("solver", {"init_offset": "0.5"}),
+    ("solver", {"tol": 10**400}),
+    ("solver", {"init_offset": 10**400}),
+    ("solver", {"z_clip": 10**400}),
     ("basis", {"degree": "3"}),
     ("basis", {"degree": 2.0}),
     ("basis", {"bins": True}),
@@ -209,6 +215,16 @@ def test_bad_solver_or_basis_option_exits_config(capsys, tmp_path, block, values
     code, out, err = run_cli(capsys, "solve", cfg)
     assert code == EXIT_CONFIG and out == ""
     assert next(iter(values)) in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_verify_tolerance_must_be_finite_and_not_negative(capsys, tmp_path, tolerance):
+    # nan and -1 used to report a mismatch, inf a match whatever y0 was
+    cfg = write_config(tmp_path, particles=256, grid={"horizon": 1.0, "steps": 4})
+    code, out, err = run_cli(capsys, "verify", cfg, "--tolerance", tolerance)
+    assert code == EXIT_CONFIG and out == ""
+    assert f"--tolerance must be a finite number >= 0, got {float(tolerance)!r}" in err
+    assert "Traceback" not in err
 
 
 _BAD_GRID_OR_ENSEMBLE = [
@@ -368,3 +384,83 @@ def test_ensemble_smaller_than_its_basis_exits_config(capsys, tmp_path):
     assert code == EXIT_CONFIG
     assert "10 basis columns" in err and "5 particles" in err
 
+
+
+def test_solve_global_reports_its_windows_and_envelope(capsys, tmp_path):
+    cfg = write_config(
+        tmp_path, fixture="eq41", params={"n": 2}, scheme="global", grid={"horizon": 1.0, "steps": 8}, particles=512, seed=3
+    )
+    code, out, _ = run_cli(capsys, "solve", cfg)
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    assert sorted(results) == [
+        "clip_events", "components", "delta_kappa", "kappa", "max_abs_y", "terminal_feasible", "windows", "y0"
+    ]
+    assert results["windows"] == 8 and results["terminal_feasible"] is True
+    assert results["kappa"] == 1.7236318993918118e25
+    assert results["delta_kappa"] == 7.526627755348638e-14
+    assert results["y0"] == pytest.approx([7.745838722885272, 7.698584786122009], rel=1e-9)
+
+
+def test_verify_on_a_diverging_solve_exits_diverged(capsys, tmp_path):
+    cfg = write_config(
+        tmp_path,
+        params={"gamma": 40.0, "terminal": "tanh", "M1": 5.0},
+        grid={"horizon": 1.0, "steps": 8},
+        particles=256,
+        seed=4,
+    )
+    code, out, _ = run_cli(capsys, "verify", cfg)
+    assert code == EXIT_DIVERGED
+    report = json.loads(out)
+    assert report["command"] == "verify" and report["results"] == {} and report["timings"] == {}
+    assert report["error"] == "sweep 1: max |Y| = 2.27e+175 overflows the sweep monitors"
+    assert report["config"] == json.loads(open(cfg).read())
+
+
+def test_constants_for_global_and_volterra_fixtures(capsys):
+    code, out, _ = run_cli(capsys, "constants", "--fixture", "eq41")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["config"] is None and report["timings"] == {}
+    assert report["results"]["global"] == {
+        "J1": 4151664605181.6514,
+        "c_tilde": 11.0,
+        "delta_kappa": 7.526627755348638e-14,
+        "kappa": 1.7236318993918118e25,
+        "log_J2": 8303329210393.743,
+    }
+    code, out, _ = run_cli(capsys, "constants", "--fixture", "volterra_demo")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"] == {"components": 1, "fixture": "volterra_demo", "volterra_weight": 32.0}
+
+
+@pytest.mark.parametrize(
+    "fixture_name, params, message",
+    [
+        ("pure_quadratic", ["gamma=1e400"], "parameter 'gamma' must be a finite float, got inf"),
+        ("pure_quadratic", ['terminal="tanh"', "M1=1e200"], "window equation has no resolved root"),
+        ("pure_quadratic", ['terminal="tanh"', "gamma=1e308"], "overflows float64"),
+        ("eq41", ["M1=1e200"], "window equation has no resolved root"),
+        ("bounded_sine_mf", ["K=1e308"], "theta_consts(1e+308, 2, 1.0) overflows float64"),
+    ],
+    ids=["gamma-inf", "M1-1e200-hang", "gamma-1e308-overflow", "eq41-M1-1e200", "K-1e308-overflow"],
+)
+def test_constants_of_an_out_of_range_certificate_exit_config(capsys, fixture_name, params, message):
+    # M1 = 1e200 used to loop forever in the window-equation bracket, and
+    # gamma = 1e308 to crash with an OverflowError
+    argv = ["constants", "--fixture", fixture_name]
+    for item in params:
+        argv += ["--param", item]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf", "0", "-1"])
+def test_constants_horizon_must_be_finite_and_positive(capsys, horizon):
+    # nan and inf used to reach the constants as a wrong certificate message
+    # or an unconverted ValueError
+    code, out, err = run_cli(capsys, "constants", "--fixture", "eq41", "--horizon", horizon)
+    assert code == EXIT_CONFIG and out == ""
+    assert f"--horizon must be a finite number > 0, got {float(horizon)!r}" in err

@@ -146,6 +146,14 @@ def test_shape_validation():
         RegressionBasis(kind="fourier")
 
 
+@pytest.mark.parametrize(
+    "options", [{"degree": -1}, {"kind": "piecewise", "degree": -1}, {"bins": 0}, {"kind": "piecewise", "bins": 0}]
+)
+def test_basis_counts_are_checked_whatever_the_kind(options):
+    with pytest.raises(RegressionError, match="bad basis option"):
+        RegressionBasis(**options)
+
+
 @pytest.mark.parametrize("duplicated", [False, True], ids=["qr", "ridge"])
 def test_block_projection_equals_columnwise_fits(duplicated):
     # an (N, 3) block is fitted against one factorization; each column must

@@ -5,6 +5,7 @@ import pytest
 
 from mfbsde.constants import (
     ConstantsError,
+    WindowEquationError,
     EnvelopeRecord,
     global_ode,
     kappa_local_certificate,
@@ -202,3 +203,28 @@ def test_window_rejects_nonpositive_inputs():
     cert = CertificateLocal(gamma=1.0, lam=0.0, gamma0=0.0, alpha=0.0, M1=0.0, M2=0.0)
     with pytest.raises(ConstantsError):
         local_window(cert, 0)
+
+
+def test_window_equation_with_an_unresolvable_root_is_refused():
+    # at M1 = 1e200 the bracket sits near -4e200, where a fixed step of 50
+    # is lost to rounding and the loop never ended; a bracket that grows
+    # with its magnitude ends, on a root that underflows to 0
+    cert = CertificateLocal(gamma=1.0, lam=0.1, gamma0=0.1, alpha=0.0, M1=1e200, M2=0.0)
+    with pytest.raises(WindowEquationError, match="no resolved root: x = 0.0"):
+        local_window(cert, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: local_radii(CertificateLocal(gamma=1e308, lam=0.1, gamma0=0.1, alpha=0.0, M1=1.0, M2=0.0), 1),
+        lambda: local_window(CertificateLocal(gamma=1e308, lam=0.1, gamma0=0.1, alpha=0.0, M1=1.0, M2=0.0), 1),
+        lambda: global_ode(CertificateGlobal(L=1.0, gamma=2.0, M1=1e200, M3=4.0), 2, 1.0),
+        lambda: theta_consts(1e308, 1, 1.0),
+        lambda: theta_consts(1.0, 1, 1e308),
+    ],
+    ids=["radii-gamma-1e308", "window-gamma-1e308", "global-M1-1e200", "theta-K-1e308", "theta-horizon-1e308"],
+)
+def test_overflowing_certificate_raises_constants_error(build):
+    with pytest.raises(ConstantsError, match="overflows float64"):
+        build()

@@ -14,6 +14,8 @@ from mfbsde.paths import (
     build_grid,
     coarsen,
     dump_ensemble,
+    is_count,
+    is_finite_real,
     load_ensemble,
     sample_brownian,
 )
@@ -236,3 +238,18 @@ def test_sampling_keeps_no_extra_ensemble_sized_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * bound
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, np.float64(1e300), 10**300])
+def test_finite_real_accepts_ints_and_finite_floats(value):
+    assert is_finite_real(value)
+
+
+@pytest.mark.parametrize("value", [True, float("inf"), float("nan"), 10**400, -(10**400), "1.0", None, 1j])
+def test_finite_real_refuses_bools_non_finite_and_ints_beyond_float_range(value):
+    assert not is_finite_real(value)
+
+
+def test_count_is_an_int_of_at_least_its_bound():
+    assert is_count(0, 0) and is_count(10**400, 1) and is_count(np.int64(3), 3)
+    assert not any(is_count(v, 1) for v in (0, True, 1.0, "1", None))

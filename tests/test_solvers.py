@@ -6,7 +6,7 @@ import pytest
 
 from mfbsde import solvers
 from mfbsde.condexp import NodeOperator, RegressionBasis, RegressionEngine
-from mfbsde.generators import CertificateConvex, GeneratorSpec, fixture, fixture_names, freeze_rows
+from mfbsde.generators import CertificateConvex, CertificateGlobal, GeneratorSpec, fixture, fixture_names, freeze_rows
 from mfbsde.measures import MeasureView, exp_moment, sum_squares
 from mfbsde.paths import build_grid, coarsen, sample_brownian
 from mfbsde.solvers import (
@@ -1095,3 +1095,58 @@ def test_non_finite_volterra_value_stops_at_its_node():
 
     with pytest.raises(SolverDivergence, match="node 5"):
         run_scheme(replace(bundle, g=g), "volterra", paths.grid, paths, ENGINE)
+
+
+# A stiff linear driver f = 50 y on a constant terminal: the Picard map of a
+# one-window solve expands, so each scheme's divergence rule must stop it.
+def _stiff_linear():
+    bundle = fixture("linear_mf", a=50.0, b=0.0, terminal="const")
+    return bundle, sample_brownian(build_grid(1.0, 8), 256, 1, seed=4)
+
+
+def test_local_ratio_rule_stops_an_expanding_window():
+    bundle, paths = _stiff_linear()
+    with pytest.raises(SolverDivergence, match=r"Picard ratios \[25\.\s+16\.796875\] not contracting") as exc:
+        run_scheme(bundle, "local", paths.grid, paths, ENGINE)
+    assert "window of length 1.000e+00" in str(exc.value)
+    assert exc.value.trace.iterations == 3
+
+
+def test_theta_stops_growing_sweep_differences():
+    bundle, paths = _stiff_linear()
+    with pytest.raises(SolverDivergence, match="^Picard sweeps diverging$") as exc:
+        run_scheme(bundle, "theta", paths.grid, paths, ENGINE)
+    d = exc.value.trace.differences()
+    assert exc.value.trace.iterations == 4
+    assert np.all(np.diff(d[-3:]) > 0) and d[-1] > 1e3
+
+
+def test_volterra_outer_loop_reports_its_own_failure():
+    # two sweeps converge the inner theta solve but not the outer loop
+    bundle = fixture("volterra_demo")
+    paths = sample_brownian(build_grid(1.0, 8), 256, 1, seed=4)
+    opts = SolverOptions(max_iter=2)
+    _, inner = solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), paths, ENGINE, opts)
+    assert inner.converged and inner.iterations == 2
+    with pytest.raises(SolverDivergence, match="^outer sweeps did not converge within 2$") as exc:
+        run_scheme(bundle, "volterra", paths.grid, paths, ENGINE, opts)
+    assert exc.value.trace.iterations == 2 and not exc.value.trace.converged
+
+
+def test_global_halves_a_failing_window_to_one_step_then_raises(monkeypatch):
+    # f = 2000 y expands even on one step of 1.25e-3; the certified window
+    # covers the whole grid, so the first window is tried at 8, 4, 2, 1 steps
+    bundle = fixture("linear_mf", a=2000.0, b=0.0, terminal="const")
+    paths = sample_brownian(build_grid(0.01, 8), 256, 1, seed=4)
+    cert = CertificateGlobal(L=1.0, gamma=1.0, M1=1.0, M3=0.0)
+    spans = []
+    real = solvers.solve_local
+
+    def spy(*args, k_lo, k_hi, **kw):
+        spans.append(k_hi - k_lo)
+        return real(*args, k_lo=k_lo, k_hi=k_hi, **kw)
+
+    monkeypatch.setattr(solvers, "solve_local", spy)
+    with pytest.raises(SolverDivergence, match=r"not contracting on window of length 1\.250e-03"):
+        solve_global(bundle.spec, cert, np.ones((256, 1)), paths, ENGINE)
+    assert spans == [8, 4, 2, 1]
