@@ -23,7 +23,7 @@ import numpy as np
 
 from .condexp import RegressionBasis, RegressionEngine
 from .constants import global_ode, local_window, theta_consts, volterra_weight
-from .generators import FixtureBundle, FixtureError, fixture, fixture_names
+from .generators import FixtureBundle, fixture, fixture_names
 from .oracles import cole_hopf, linear_mf_oracle
 from .paths import build_grid, is_finite_real, sample_brownian
 from .solvers import (
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
         code, timings = EXIT_DIVERGED, {}
         results = {"converged": False} if args.command == "solve" else {}
         report["error"] = str(exc)
-    except (FixtureError, ValueError) as exc:  # ConfigError, OracleRefusal, ... are ValueErrors
+    except ValueError as exc:  # ConfigError, FixtureError, OracleRefusal, ... are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     report.update(results=results, timings=timings)

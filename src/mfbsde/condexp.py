@@ -15,10 +15,12 @@ A :class:`NodeFactor` holds the p x p part of one state's factorization, a
 ``apply`` fits an (N,) vector or an (N, m) block of right-hand sides. An
 operator rebuilt from a kept factor is bitwise equal to a fresh one. A
 :class:`FactorTable` keys factors by node index, factors each node once and
-builds a fresh operator at every access.
+builds a fresh operator at every access, every polynomial design into the
+one (p, N) buffer it keeps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable
@@ -66,16 +68,17 @@ class ProjectionInfo:
     rank: int
 
 
-def _design_polynomial(state: np.ndarray, degree: int) -> np.ndarray:
+def _design_polynomial(state: np.ndarray, degree: int, columns: np.ndarray | None = None) -> np.ndarray:
     # Column (a, ..., c) is column (a, ...) times x_c: the same products, in
     # the same order, as multiplying 1 by x_a, ..., x_c one at a time. Each
-    # column is a contiguous row of a (p, N) buffer; the design is its
-    # (N, p) transpose.
+    # column is a contiguous row of a (p, N) buffer, ``columns`` when given;
+    # the design is its (N, p) transpose.
     n, s = state.shape
     combos = [()] + [c for deg in range(1, degree + 1) for c in combinations_with_replacement(range(s), deg)]
     column = {combo: i for i, combo in enumerate(combos)}
     coords = np.ascontiguousarray(state.T)
-    columns = np.empty((len(combos), n))
+    if columns is None:
+        columns = np.empty((len(combos), n))
     columns[0] = 1.0
     for i, combo in enumerate(combos[1:], start=1):
         np.multiply(columns[column[combo[:-1]]], coords[combo[-1]], out=columns[i])
@@ -103,14 +106,14 @@ def _design_piecewise(state: np.ndarray, bins: int) -> np.ndarray:
     return np.column_stack([np.ones(n)] + pieces)
 
 
-def _design(state: np.ndarray, basis: RegressionBasis) -> np.ndarray:
+def _design(state: np.ndarray, basis: RegressionBasis, columns: np.ndarray | None = None) -> np.ndarray:
     state = np.asarray(state, dtype=np.float64)
     if state.ndim == 1:
         state = state[:, None]
     if state.ndim != 2:
         raise RegressionError(f"state must be (N, s), got shape {state.shape}")
     if basis.kind == "polynomial":
-        return _design_polynomial(state, basis.degree)
+        return _design_polynomial(state, basis.degree, columns)
     return _design_piecewise(state, basis.bins)
 
 
@@ -164,10 +167,18 @@ class NodeOperator:
     factor skips the constant-column test and the QR, and since a fresh
     factor forms Q the same way, a rebuilt operator is bitwise equal to a
     fresh one. On the ridge path it holds A and solves the ridge system.
+    ``columns``, a (p, N) buffer, takes a polynomial design in place of a
+    fresh one; the operator keeps no reference to it.
     """
 
-    def __init__(self, state: np.ndarray, basis: RegressionBasis, factor: NodeFactor | None = None) -> None:
-        design = _design(state, basis)
+    def __init__(
+        self,
+        state: np.ndarray,
+        basis: RegressionBasis,
+        factor: NodeFactor | None = None,
+        columns: np.ndarray | None = None,
+    ) -> None:
+        design = _design(state, basis, columns)
         if factor is None:
             factor = NodeFactor.of(design)
         self.factor = factor
@@ -194,17 +205,24 @@ class NodeOperator:
 
 class FactorTable:
     """Node factors of one ensemble and basis, keyed by node index.
-    ``state_at(k)`` gives the conditioning state of node k. Every access
-    builds a fresh operator from node k's state and its factor, factored on
-    first use, so the table holds no particle-sized array."""
+    ``state_at(k)`` gives the (N, s) conditioning state of node k. Every
+    access builds a fresh operator from node k's state and its factor,
+    factored on first use. The table holds one particle-sized array: the
+    (p, N) buffer that every polynomial node design is built into, as a
+    design is dead once its operator exists."""
 
     def __init__(self, basis: RegressionBasis, state_at: Callable[[int], np.ndarray]) -> None:
         self._basis = basis
         self._state_at = state_at
         self._kept: dict = {}
+        self._columns = None
 
     def __getitem__(self, k: int) -> NodeOperator:
-        op = NodeOperator(self._state_at(k), self._basis, self._kept.get(k))
+        state = self._state_at(k)
+        if self._columns is None and self._basis.kind == "polynomial":
+            n, s = state.shape
+            self._columns = np.empty((math.comb(s + self._basis.degree, s), n))
+        op = NodeOperator(state, self._basis, self._kept.get(k), self._columns)
         self._kept[k] = op.factor
         return op
 

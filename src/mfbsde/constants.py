@@ -361,8 +361,13 @@ def theta_consts(K: float, n: int, horizon: float, q: float = 2.0) -> ThetaConst
     )
 
 
+@_overflow_is_bad_input
 def volterra_weight(C: float, horizon: float) -> float:
-    """Weight exponent beta = 32 C^2 T of the contraction norm."""
+    """Weight exponent beta = 32 C^2 T of the contraction norm; raises
+    :class:`ConstantsError` naming C and T when it is not finite."""
     if C < 0 or horizon <= 0:
         raise ConstantsError("need C >= 0 and horizon > 0")
-    return 32.0 * C**2 * horizon
+    beta = 32.0 * C**2 * horizon
+    if not math.isfinite(beta):
+        raise ConstantsError(f"volterra weight 32 C^2 T is not finite for C={C!r}, T={horizon!r}")
+    return beta

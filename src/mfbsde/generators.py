@@ -45,7 +45,7 @@ class Evaluator(Protocol):
     ) -> np.ndarray: ...
 
 
-class FixtureError(KeyError):
+class FixtureError(ValueError):
     pass
 
 

@@ -19,7 +19,9 @@ components: the kernel's Z goes in as the own rows, and every other
 argument is frozen at the scheme's input iterate at the same node (see
 :func:`_own_rows`):
 
-- ``theta``: Y, the other rows and the law come from the previous sweep.
+- ``theta``: Y, the other rows and the law come from the previous sweep,
+  the one iterate the solve holds, which the kernel overwrites node by node
+  after those reads.
 - ``local`` and ``global``: Y, the other rows and the law come from the
   input iterate; during law refinements the law comes from the latest pass.
 
@@ -259,6 +261,7 @@ def _backward(
     k_lo: int,
     k_hi: int,
     head: tuple | None = None,
+    into: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The backward kernel on nodes [k_lo, k_hi] for terminal values (N, n).
 
@@ -277,6 +280,14 @@ def _backward(
     ``head``. Returns (Y (N, K+1, n), Z (N, K, n, d), clip events) as views
     of node-major buffers; a one-node Z is the node's Z itself, uncopied.
     The time grid is the ensemble's.
+
+    ``into`` = (Y, Z, visit) runs the pass in place over the node-major
+    (K+1, N, n) and (K, N, n, d) buffers of the iterate the driver reads, and
+    returns their views: node j is written only after the node's driver
+    calls, and the terminal row after the terminal point's, so every frozen
+    read sees the input iterate; the first fit reads ``terminal`` itself.
+    ``visit(j, y, z)`` gets each node's new values (z is None for the
+    terminal row) just before they overwrite the old ones.
     """
     grid = paths.grid
     if not 0 <= k_lo < k_hi <= grid.steps:
@@ -285,15 +296,18 @@ def _backward(
     if n_part != paths.particles:
         raise ValueError("terminal values must have one entry per particle")
     span, dt = k_hi - k_lo, grid.dt
-    y = np.empty((span + 1, n_part, n))
-    z = np.empty((span, n_part, n, paths.dimension)) if span > 1 else None
-    y[span] = terminal
+    if into is None:
+        y = np.empty((span + 1, n_part, n))
+        z = np.empty((span, n_part, n, paths.dimension)) if span > 1 else None
+        y[span] = terminal
+        y_next, visit = y[span], None
+    else:
+        (y, z, visit), y_next = into, terminal
     clips, f_next, checked = 0, None, None
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
         op = operators[k]
         dw = paths.increments[:, k, :]
-        y_next = y[j + 1]
         stage = ()
         if k == k_hi - 1 and head is not None:
             fit_next, z_k, clips, f_next, stage = head
@@ -303,13 +317,20 @@ def _backward(
             clips += c
         if f_next is None:  # terminal quadrature point
             f_next = driver(k + 1, grid.nodes[k + 1], z_k, *stage)
+        if visit is not None and j + 1 == span:  # the terminal point has read the old row
+            visit(span, terminal, None)
+            y[span] = terminal
         f_here = driver(k, grid.nodes[k], z_k, *stage)
         for _ in range(opts.inner_sweeps - 1):
             _, z_k, c = _node_fit(op, y_next + 0.5 * (f_here + f_next) * dt, dw, dt, opts.z_clip)
             clips += c
             f_here = driver(k, grid.nodes[k], z_k)
-        y[j] = fit_next + 0.5 * (f_here + f_next) * dt
-        _check_finite(k, grid.nodes[k], Z=None if z_k is checked else z_k, Y=y[j])
+        y_k = fit_next + 0.5 * (f_here + f_next) * dt
+        _check_finite(k, grid.nodes[k], Z=None if z_k is checked else z_k, Y=y_k)
+        if visit is not None:
+            visit(j, y_k, z_k)
+        y[j] = y_k
+        y_next = y[j]
         if z is None:
             z = z_k[None]
         else:
@@ -621,52 +642,64 @@ def solve_global(
     return solution, report
 
 
-def _theta_step(
-    it: int, gamma: float, y_new: np.ndarray, y_prev: np.ndarray, z_new: np.ndarray, z_prev: np.ndarray
-) -> PicardStep:
-    """Sweep ``it``'s record: the sup and mean-square differences, max |Y|,
-    and the log exponential moments of gamma sup_t |Y_t| (q = 1, 2) and,
-    from the second sweep, of the theta = 1/2 interpolated difference.
+class _SweepMonitor:
+    """Sweep ``it``'s record, gathered node by node as the sweep overwrites
+    the node-major iterate Y (K+1, N, n), Z (K, N, n, d): the sup and
+    mean-square differences, max |Y|, and the log exponential moments of
+    gamma sup_t |Y_t| (q = 1, 2) and, from the second sweep, of the
+    theta = 1/2 interpolated difference.
 
-    Every monitor is reduced node by node over contiguous slices; per-particle
-    maxima of |Y_k|^2 get one square root at the end, which equals the
-    maximum of the norms bitwise. The squared Z difference is summed node by
-    node too, so ``dz_norm`` matches the whole-array mean to rounding.
+    :meth:`visit` reduces one node's new values against the old ones it is
+    about to replace. Per-particle maxima of |Y_k|^2 get one square root at
+    the end, which equals the maximum of the norms bitwise, and the squared
+    Z differences are summed in increasing node order, so ``dz_norm``
+    matches the whole-array mean to rounding.
 
     A finite Y can be too large for these monitors (|Y|^2 overflows above
     about 1e154); an overflowing monitor raises :class:`SolverDivergence`
     naming the sweep.
     """
+
     theta = 0.5
-    dy = max_y = 0.0
-    sup_sq = np.zeros(len(y_new))  # per particle: max over nodes of |Y_k|^2
-    delta = np.zeros(len(y_new))  # per particle: max over nodes of |Delta_k|
-    dz_sq = 0.0
-    with np.errstate(over="ignore"):  # an overflow is reported below as divergence
-        for j in range(z_new.shape[1]):
-            dz_j = (z_new[:, j] - z_prev[:, j]).ravel()
-            dz_sq += float(np.dot(dz_j, dz_j))
-        for j in range(y_new.shape[1]):
-            y_j, prev_j = y_new[:, j], y_prev[:, j]
-            dy = max(dy, float(np.abs(y_j - prev_j).max()))
-            max_y = max(max_y, float(np.abs(y_j).max()))
-            np.maximum(sup_sq, sum_squares(y_j), out=sup_sq)
-            if it >= 2:
-                np.maximum(delta, max_abs((y_j - theta * prev_j) / (1.0 - theta)), out=delta)
-        g_sup, g_delta = gamma * np.sqrt(sup_sq), gamma * delta  # the exponents' samples
-    if not np.isfinite([dy, dz_sq, g_sup.max(), g_delta.max()]).all():
-        raise SolverDivergence(f"sweep {it}: max |Y| = {max_y:.3g} overflows the sweep monitors")
-    monitors = {f"exp_sup_q{q}_log": exp_moment(g_sup, q=q).log_value for q in (1, 2)}
-    if it >= 2:
-        monitors["theta_delta_sup_log"] = exp_moment(g_delta, q=1).log_value
-    return PicardStep(
-        iteration=it,
-        dy_sup=dy,
-        dz_norm=math.sqrt(dz_sq / z_new.size),
-        combined=dy,
-        max_abs_y=max_y,
-        monitors=monitors,
-    )
+
+    def __init__(self, it: int, y: np.ndarray, z: np.ndarray) -> None:
+        self.it, self._y, self._z = it, y, z
+        self.dy = self.max_y = 0.0
+        self._sup_sq = np.zeros(y.shape[1])  # per particle: max over nodes of |Y_k|^2
+        self._delta = np.zeros(y.shape[1])  # per particle: max over nodes of |Delta_k|
+        self._dz_sq = [0.0] * len(z)  # per node: squared Z difference
+
+    def visit(self, j: int, y_new: np.ndarray, z_new: np.ndarray | None) -> None:
+        theta, prev = self.theta, self._y[j]
+        with np.errstate(over="ignore"):  # an overflow is reported by step() as divergence
+            if z_new is not None:
+                dz = (z_new - self._z[j]).ravel()
+                self._dz_sq[j] = float(np.dot(dz, dz))
+            self.dy = max(self.dy, float(np.abs(y_new - prev).max()))
+            self.max_y = max(self.max_y, float(np.abs(y_new).max()))
+            np.maximum(self._sup_sq, sum_squares(y_new), out=self._sup_sq)
+            if self.it >= 2:
+                np.maximum(self._delta, max_abs((y_new - theta * prev) / (1.0 - theta)), out=self._delta)
+
+    def step(self, gamma: float) -> PicardStep:
+        dz_sq = 0.0
+        for part in self._dz_sq:
+            dz_sq += part
+        with np.errstate(over="ignore"):
+            g_sup, g_delta = gamma * np.sqrt(self._sup_sq), gamma * self._delta  # the exponents' samples
+        if not np.isfinite([self.dy, dz_sq, g_sup.max(), g_delta.max()]).all():
+            raise SolverDivergence(f"sweep {self.it}: max |Y| = {self.max_y:.3g} overflows the sweep monitors")
+        monitors = {f"exp_sup_q{q}_log": exp_moment(g_sup, q=q).log_value for q in (1, 2)}
+        if self.it >= 2:
+            monitors["theta_delta_sup_log"] = exp_moment(g_delta, q=1).log_value
+        return PicardStep(
+            iteration=self.it,
+            dy_sup=self.dy,
+            dz_norm=math.sqrt(dz_sq / self._z.size),
+            combined=self.dy,
+            max_abs_y=self.max_y,
+            monitors=monitors,
+        )
 
 
 def solve_theta(
@@ -680,7 +713,9 @@ def solve_theta(
 ) -> tuple[Solution, PicardTrace]:
     """Picard scheme for unbounded terminals, from the zero pair: sweep m+1
     is one backward pass with Y, the other Z rows and the law frozen at
-    sweep m's iterate. Each sweep records its exponential moments of the
+    sweep m's iterate. The solve holds one node-major iterate, and each
+    sweep overwrites a node only after the node's frozen reads (see
+    :func:`_backward`). Each sweep records its exponential moments of the
     path supremum and of the theta-interpolated difference (theta = 1/2).
     ``operators[k]`` is node k's operator: a
     :class:`mfbsde.condexp.FactorTable` (a fresh operator per sweep from a
@@ -690,24 +725,23 @@ def solve_theta(
     grid = paths.grid
     terminal = _terminal_block(terminal, paths.particles, spec.n, grid.steps)
     n, d, m = spec.n, spec.d, grid.steps
-    y_prev = _by_particle(np.zeros((m + 1, paths.particles, n)))
-    z_prev = _by_particle(np.zeros((m, paths.particles, n, d)))
+    y_nodes = np.zeros((m + 1, paths.particles, n))
+    z_nodes = np.zeros((m, paths.particles, n, d))
     if opts.init_offset:
-        y_prev += opts.init_offset
+        y_nodes += opts.init_offset
+    y, z = _by_particle(y_nodes), _by_particle(z_nodes)
+    driver = partial(_own_rows, spec, y, z, (y, z, MeasureView.of_checked), 0)
     trace = PicardTrace()
-    gamma = cert.gamma
     clips = 0
     if operators is None:
         operators = FactorTable(engine.basis, paths.brownian_at)
     for it in range(1, opts.max_iter + 1):
-        driver = partial(_own_rows, spec, y_prev, z_prev, (y_prev, z_prev, MeasureView.of_checked), 0)
-        y_new, z_new, c = _backward(paths, driver, terminal, operators, opts, 0, m)
+        monitor = _SweepMonitor(it, y_nodes, z_nodes)
+        _, _, c = _backward(paths, driver, terminal, operators, opts, 0, m, into=(y_nodes, z_nodes, monitor.visit))
         clips += c
-        step = _theta_step(it, gamma, y_new, y_prev, z_new, z_prev)
+        step = monitor.step(cert.gamma)
         trace.steps.append(step)
-        converged = step.dy_sup <= opts.tol
-        y_prev, z_prev = y_new, z_new
-        if converged:
+        if step.dy_sup <= opts.tol:
             trace.converged = True
             break
         d_all = trace.differences()
@@ -715,13 +749,7 @@ def solve_theta(
             raise SolverDivergence("Picard sweeps diverging", trace)
     if not trace.converged:
         raise SolverDivergence(f"no convergence within {opts.max_iter} sweeps", trace)
-    sol = Solution(
-        Y=y_prev,
-        Z=z_prev,
-        grid=grid,
-        clip_events=clips,
-    )
-    return sol, trace
+    return Solution(Y=y, Z=z, grid=grid, clip_events=clips), trace
 
 
 def solve_volterra(
@@ -751,11 +779,11 @@ def solve_volterra(
     are built over checked clouds.
     """
     grid = paths.grid
+    beta = volterra_weight(vcert.C, grid.horizon)
     table = FactorTable(engine.basis, paths.brownian_at)
     operators = {k: table[k] for k in range(grid.steps)}
     inner_sol, _ = solve_theta(spec, ccert, terminal, paths, engine, opts, operators)
     m = grid.steps
-    beta = volterra_weight(vcert.C, grid.horizon)
     weights = np.exp(beta * grid.nodes)
     n = spec.n
     y_prev = np.zeros_like(inner_sol.Y)

@@ -457,6 +457,26 @@ def test_constants_of_an_out_of_range_certificate_exit_config(capsys, fixture_na
     assert message in err
 
 
+def test_a_fixture_error_prints_unquoted(capsys):
+    # a FixtureError used to be a KeyError, whose message str() wraps in quotes
+    code, out, err = run_cli(capsys, "constants", "--fixture", "pure_quadratic", "--param", "gamma=1e400")
+    assert code == EXIT_CONFIG and out == ""
+    assert err == "error: fixture 'pure_quadratic': parameter 'gamma' must be a finite float, got inf\n"
+
+
+def test_an_infinite_volterra_weight_exits_config(capsys, tmp_path):
+    # constants used to exit 0 with "volterra_weight": Infinity, and a solve
+    # to diverge in the inner theta solve before the weight was formed
+    message = "error: volterra weight 32 C^2 T is not finite for C=1.0, T=1e+308\n"
+    code, out, err = run_cli(capsys, "constants", "--fixture", "volterra_demo", "--horizon", "1e308")
+    assert (code, out, err) == (EXIT_CONFIG, "", message)
+    cfg = write_config(
+        tmp_path, fixture="volterra_demo", params={}, scheme="volterra", grid={"horizon": 1e308, "steps": 4}, particles=64
+    )
+    code, out, err = run_cli(capsys, "solve", cfg)
+    assert (code, out, err) == (EXIT_CONFIG, "", message)
+
+
 @pytest.mark.parametrize("horizon", ["nan", "inf", "0", "-1"])
 def test_constants_horizon_must_be_finite_and_positive(capsys, horizon):
     # nan and inf used to reach the constants as a wrong certificate message

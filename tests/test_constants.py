@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,16 @@ def test_volterra_weight():
     assert volterra_weight(0.5, 2.0) == pytest.approx(16.0)
     with pytest.raises(ConstantsError):
         volterra_weight(-1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "C, horizon, message",
+    [(1.0, 1e308, "not finite for C=1.0, T=1e+308"), (1e200, 1.0, "overflows float64")],
+    ids=["product-inf", "square-overflow"],
+)
+def test_volterra_weight_refuses_an_infinite_weight(C, horizon, message):
+    with pytest.raises(ConstantsError, match=re.escape(message)):
+        volterra_weight(C, horizon)
 
 
 def test_phi_family_basic_relations():

@@ -803,21 +803,26 @@ _MONITOR_CASES = pytest.mark.parametrize(
 
 def _recorded_theta_sweeps(monkeypatch, bundle):
     """A theta solve's sweep records, each with the iterate pair it was
-    computed from (previous and new, as particle-major copies)."""
+    computed from (previous and new, as particle-major copies). A sweep
+    overwrites the one iterate it reads, so the pair is copied before and
+    after each sweep."""
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 1024, bundle.spec.d, seed=12)
-    iterates = []
+    previous, iterates = [], []
     real_backward = solvers._backward
 
-    def recording(*args):
-        y, z, clips = real_backward(*args)
-        iterates.append((np.ascontiguousarray(y), np.ascontiguousarray(z)))
+    def particle_major(y_nodes, z_nodes):
+        return np.ascontiguousarray(y_nodes.swapaxes(0, 1)), np.ascontiguousarray(z_nodes.swapaxes(0, 1))
+
+    def recording(*args, into):
+        previous.append(particle_major(*into[:2]))
+        y, z, clips = real_backward(*args, into=into)
+        iterates.append(particle_major(*into[:2]))
         return y, z, clips
 
     monkeypatch.setattr(solvers, "_backward", recording)
     _, trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions(tol=1e-10, max_iter=60))
     assert trace.iterations == len(iterates) > 2
-    previous = [(np.zeros_like(iterates[0][0]), np.zeros_like(iterates[0][1]))] + iterates[:-1]
     return [(step, prev, new) for step, prev, new in zip(trace.steps, previous, iterates)]
 
 

@@ -1,0 +1,161 @@
+"""A theta solve overwrites one (Y, Z) iterate in place. The reference here
+is the two-buffer loop it replaced: each sweep's kernel pass allocates a new
+iterate, and the sweep record is reduced from the new and the previous
+iterate after the pass. The in-place solve must equal it bitwise."""
+import math
+import tracemalloc
+from functools import partial
+
+import numpy as np
+import pytest
+
+from mfbsde import solvers
+from mfbsde.condexp import FactorTable, RegressionBasis, RegressionEngine
+from mfbsde.generators import CertificateConvex, fixture
+from mfbsde.measures import MeasureView, exp_moment, max_abs, sum_squares
+from mfbsde.paths import build_grid, sample_brownian
+from mfbsde.solvers import PicardStep, PicardTrace, Solution, SolverDivergence, SolverOptions, run_scheme, solve_theta
+
+ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
+
+
+def _two_buffer_step(it, gamma, y_new, y_prev, z_new, z_prev):
+    theta = 0.5
+    dy = max_y = 0.0
+    sup_sq = np.zeros(len(y_new))
+    delta = np.zeros(len(y_new))
+    dz_sq = 0.0
+    with np.errstate(over="ignore"):
+        for j in range(z_new.shape[1]):
+            dz_j = (z_new[:, j] - z_prev[:, j]).ravel()
+            dz_sq += float(np.dot(dz_j, dz_j))
+        for j in range(y_new.shape[1]):
+            y_j, prev_j = y_new[:, j], y_prev[:, j]
+            dy = max(dy, float(np.abs(y_j - prev_j).max()))
+            max_y = max(max_y, float(np.abs(y_j).max()))
+            np.maximum(sup_sq, sum_squares(y_j), out=sup_sq)
+            if it >= 2:
+                np.maximum(delta, max_abs((y_j - theta * prev_j) / (1.0 - theta)), out=delta)
+        g_sup, g_delta = gamma * np.sqrt(sup_sq), gamma * delta
+    if not np.isfinite([dy, dz_sq, g_sup.max(), g_delta.max()]).all():
+        raise SolverDivergence(f"sweep {it}: max |Y| = {max_y:.3g} overflows the sweep monitors")
+    monitors = {f"exp_sup_q{q}_log": exp_moment(g_sup, q=q).log_value for q in (1, 2)}
+    if it >= 2:
+        monitors["theta_delta_sup_log"] = exp_moment(g_delta, q=1).log_value
+    return PicardStep(
+        iteration=it,
+        dy_sup=dy,
+        dz_norm=math.sqrt(dz_sq / z_new.size),
+        combined=dy,
+        max_abs_y=max_y,
+        monitors=monitors,
+    )
+
+
+def _two_buffer_theta(spec, cert, terminal, paths, engine, opts=SolverOptions(), operators=None):
+    """The theta solve with a previous and a new iterate alive in every sweep."""
+    grid = paths.grid
+    terminal = solvers._terminal_block(terminal, paths.particles, spec.n, grid.steps)
+    n, d, m = spec.n, spec.d, grid.steps
+    y_prev = np.zeros((m + 1, paths.particles, n)).swapaxes(0, 1)
+    z_prev = np.zeros((m, paths.particles, n, d)).swapaxes(0, 1)
+    if opts.init_offset:
+        y_prev += opts.init_offset
+    trace = PicardTrace()
+    clips = 0
+    if operators is None:
+        operators = FactorTable(engine.basis, paths.brownian_at)
+    for it in range(1, opts.max_iter + 1):
+        driver = partial(solvers._own_rows, spec, y_prev, z_prev, (y_prev, z_prev, MeasureView.of_checked), 0)
+        y_new, z_new, c = solvers._backward(paths, driver, terminal, operators, opts, 0, m)
+        clips += c
+        step = _two_buffer_step(it, cert.gamma, y_new, y_prev, z_new, z_prev)
+        trace.steps.append(step)
+        converged = step.dy_sup <= opts.tol
+        y_prev, z_prev = y_new, z_new
+        if converged:
+            trace.converged = True
+            break
+        d_all = trace.differences()
+        if it >= 4 and np.all(np.diff(d_all[-3:]) > 0) and d_all[-1] > 1e3:
+            raise SolverDivergence("Picard sweeps diverging", trace)
+    if not trace.converged:
+        raise SolverDivergence(f"no convergence within {opts.max_iter} sweeps", trace)
+    return Solution(Y=y_prev, Z=z_prev, grid=grid, clip_events=clips), trace
+
+
+def _assert_same_solve(got, ref):
+    (sol, trace), (ref_sol, ref_trace) = got, ref
+    assert np.array_equal(sol.Y, ref_sol.Y) and np.array_equal(sol.Z, ref_sol.Z)
+    assert sol.clip_events == ref_sol.clip_events
+    assert trace.converged == ref_trace.converged
+    assert trace.steps == ref_trace.steps
+
+
+# (fixture, fixture params, certificate or None for the fixture's, horizon, steps, particles, options)
+_CASES = {
+    "pure_quadratic": ("pure_quadratic", {"terminal": "brownian"}, None, 1.0, 16, 1024, {"z_clip": 0.8}),
+    # sweep 1's terminal point reads the offset terminal row, not the terminal
+    "linear_mf_offset": ("linear_mf", {}, None, 1.0, 8, 1024, {"init_offset": 0.3}),
+    "bounded_sine_mf_inner": ("bounded_sine_mf", {"n": 2}, None, 1.0, 8, 1024, {"inner_sweeps": 2}),
+    # eq41 reads the other Z rows and the joint law of the previous sweep
+    "eq41": ("eq41", {"n": 2}, CertificateConvex(K=1.0, gamma=2.0), 0.1, 8, 512, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_in_place_theta_equals_the_two_buffer_loop_bitwise(case):
+    name, params, cert, horizon, steps, particles, options = _CASES[case]
+    bundle = fixture(name, **params)
+    cert = bundle.convex if cert is None else cert
+    paths = sample_brownian(build_grid(horizon, steps), particles, bundle.spec.d, seed=21)
+    terminal = bundle.terminal(paths)
+    opts = SolverOptions(tol=1e-10, max_iter=60, **options)
+    got = solve_theta(bundle.spec, cert, terminal, paths, ENGINE, opts)
+    ref = _two_buffer_theta(bundle.spec, cert, terminal, paths, ENGINE, opts)
+    assert got[1].iterations >= 2
+    if options.get("z_clip"):
+        assert got[0].clip_events > 0
+    _assert_same_solve(got, ref)
+
+
+def test_volterra_inner_in_place_theta_equals_the_two_buffer_loop_bitwise(monkeypatch):
+    bundle = fixture("volterra_demo")
+    grid = build_grid(1.0, 16)
+    paths = sample_brownian(grid, 1024, 1, seed=3)
+    opts = SolverOptions(tol=1e-10, max_iter=60)
+    got = run_scheme(bundle, "volterra", grid, paths, ENGINE, opts)[:2]
+    monkeypatch.setattr(solvers, "solve_theta", _two_buffer_theta)
+    ref = run_scheme(bundle, "volterra", grid, paths, ENGINE, opts)[:2]
+    assert got[1].iterations > 2
+    _assert_same_solve(got, ref)
+
+
+def test_in_place_theta_overflows_its_monitors_as_the_two_buffer_loop_does():
+    bundle = fixture("pure_quadratic", gamma=20.0, terminal="brownian")
+    paths = sample_brownian(build_grid(1.0, 16), 1024, 1, seed=4)
+    terminal = bundle.terminal(paths)
+    opts = SolverOptions(tol=1e-7)
+    errors = []
+    for solve in (solve_theta, _two_buffer_theta):
+        with pytest.raises(SolverDivergence, match="overflows the sweep monitors") as info:
+            solve(bundle.spec, bundle.convex, terminal, paths, ENGINE, opts)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_theta_solve_holds_one_iterate():
+    # the parent's two-buffer loop peaked at about 2.3 iterates
+    bundle = fixture("pure_quadratic", terminal="brownian")
+    grid = build_grid(1.0, 32)
+    paths = sample_brownian(grid, 4096, 1, seed=8)
+    terminal = bundle.terminal(paths)
+    iterate_bytes = 8 * paths.particles * ((grid.steps + 1) + grid.steps)
+    tracemalloc.start()
+    try:
+        _, trace = solve_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE, SolverOptions(tol=1e-8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.converged and trace.iterations == 2
+    assert peak < 1.75 * iterate_bytes
