@@ -18,12 +18,13 @@ import dataclasses
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from .condexp import RegressionBasis, RegressionEngine
 from .constants import global_ode, local_window, theta_consts, volterra_weight
-from .generators import FixtureBundle, fixture, fixture_names
+from .generators import TERMINALS, FixtureBundle, fixture, fixture_names
 from .oracles import cole_hopf, linear_mf_oracle
 from .paths import build_grid, is_finite_real, sample_brownian
 from .solvers import (
@@ -137,8 +138,7 @@ def _reference_for(bundle: FixtureBundle, horizon: float):
     """The closed form the fixture is tagged with, at its resolved parameters."""
     params = bundle.params
     if bundle.oracle == "cole_hopf":
-        scale = params["M1"]
-        terminal = (lambda w: scale * np.tanh(w)) if params["terminal"] == "tanh" else (lambda w: w)
+        terminal = partial(TERMINALS[params["terminal"]], level=params["M1"])
         return cole_hopf(terminal, params["gamma"], horizon)
     if bundle.oracle == "linear_mf":
         return linear_mf_oracle(params["a"], params["b"], horizon, params["terminal"], params["value"])

@@ -252,6 +252,8 @@ def global_ode(cert: CertificateGlobal, n: int, horizon: float) -> GlobalConstan
 
     C = M1^2 + M3 + 3 L^2 + 2; eta solves eta' = -C(2n+1) eta - n C with
     eta(T) = n C, and kappa = eta(0). Feasibility requires ||xi||^2 <= n C.
+    A kappa beyond float64 range raises :class:`ConstantsError` naming C, n
+    and T.
     """
     if horizon <= 0:
         raise ConstantsError("horizon must be positive")
@@ -259,7 +261,12 @@ def global_ode(cert: CertificateGlobal, n: int, horizon: float) -> GlobalConstan
     a = c * (2.0 * n + 1.0)
     b = n * c
     eta = EnvelopeRecord(a=a, b=b, terminal=n * c, horizon=horizon)
-    kappa = float(eta(0.0))
+    with np.errstate(over="ignore"):
+        kappa = float(eta(0.0))
+    if not math.isfinite(kappa):
+        raise ConstantsError(
+            f"envelope level kappa = eta(0) is not finite for C={c!r}, n={n!r}, T={horizon!r} (C(2n+1)T = {a * horizon:.6g})"
+        )
     if cert.M1**2 > n * c:
         raise ConstantsError("terminal bound exceeds the envelope at T")
     window = local_window(kappa_local_certificate(cert, kappa, horizon), n)

@@ -7,14 +7,16 @@ component i is quadratic in its own Z row only; certificates carry the
 constants that make that quantitative. Component i reads its own row from
 the Z cloud and every other row from ``others``, so one call evaluates all
 n components with their own rows free and the other rows frozen. A
-registry driver splits off its Z stage, what it computes from Z alone, so a
-caller whose Z arguments stay fixed computes that stage once.
+registry driver that computes from Z splits off its Z stage, what it
+computes from Z alone, so a caller whose Z arguments stay fixed computes
+that stage once. :func:`fixture` fills each bundle's ``name`` and
+``params``; the builders state only the driver, terminal and certificates.
 """
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol
 
 import numpy as np
@@ -162,7 +164,8 @@ class GeneratorSpec:
     the tuple of arrays and scalars that ``evaluate`` computes from Z alone:
     the own rows, ``others`` and the law's Z cloud. It takes no time and no
     Y, so calls with the same Z arguments share one stage whatever their
-    time, Y or Y law. A driver without it takes no ``stage``.
+    time, Y or Y law. A driver that reads no Z has none and takes no
+    ``stage``.
 
     ``law_dependence`` is one of "joint" (needs Y and Z clouds), "y_only",
     or "none". ``zeta_level`` is the pointwise bound of the absorbing
@@ -191,9 +194,14 @@ GSpec = Callable[[int, np.ndarray, np.ndarray, MeasureView], np.ndarray]
 
 @dataclass(frozen=True)
 class FixtureBundle:
-    name: str
+    """A registry fixture: driver, terminal sampler ``paths -> (N, n)``,
+    certificates and oracle tag. :func:`fixture` sets ``name`` to the
+    registry key and ``params`` to the builder's arguments, defaults
+    included."""
+
     spec: GeneratorSpec
     terminal: Callable
+    name: str = ""
     local: CertificateLocal | None = None
     global_: CertificateGlobal | None = None
     convex: CertificateConvex | None = None
@@ -255,30 +263,21 @@ def _rows_stage(z, law, others=None) -> tuple:
     return (sum_squares(z),)
 
 
-def _no_stage(z, law, others=None) -> tuple:
-    """The Z stage of a driver that reads no Z."""
-    return ()
+# Terminal functions of W_T (N, d) by kind; ``level`` is M1 for "tanh" and
+# the value for "const", and "brownian" ignores it.
+TERMINALS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
+    "brownian": lambda w, level: w.copy(),
+    "tanh": lambda w, level: level * np.tanh(w),
+    "const": lambda w, level: np.full(w.shape, level),
+}
 
 
-def _terminal_brownian():
-    def terminal(paths) -> np.ndarray:
-        return paths.terminal().copy()
-
-    return terminal
-
-
-def _terminal_tanh(scale: float):
-    def terminal(paths) -> np.ndarray:
-        return scale * np.tanh(paths.terminal())
-
-    return terminal
-
-
-def _terminal_const(value: float, n: int):
-    def terminal(paths) -> np.ndarray:
-        return np.full((paths.particles, n), value)
-
-    return terminal
+def _sampler(kind: str, level: float = 0.0, takes=TERMINALS) -> Callable:
+    """The terminal sampler ``paths -> TERMINALS[kind](W_T, level)`` of a
+    builder that takes the terminal kinds ``takes``."""
+    if kind not in takes:
+        raise FixtureError(f"unknown terminal kind {kind!r}")
+    return lambda paths: TERMINALS[kind](paths.terminal(), level)
 
 
 def _fixture_pure_quadratic(
@@ -295,23 +294,11 @@ def _fixture_pure_quadratic(
         return 0.5 * gamma * rows_sq
 
     spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none", z_stage=_rows_stage)
-    if terminal == "brownian":
-        term, local = _terminal_brownian(), None
-    elif terminal == "tanh":
-        term = _terminal_tanh(M1)
+    term, local = _sampler(terminal, M1, ("brownian", "tanh")), None
+    if terminal == "tanh":
         local = CertificateLocal(gamma=gamma, lam=lam, gamma0=gamma0, alpha=0.0, M1=M1, M2=0.0)
-    else:
-        raise FixtureError(f"unknown terminal kind {terminal!r}")
     convex = CertificateConvex(K=0.0, gamma=gamma)
-    return FixtureBundle(
-        name="pure_quadratic",
-        spec=spec,
-        terminal=term,
-        local=local,
-        convex=convex,
-        oracle="cole_hopf",
-        params={"gamma": gamma, "terminal": terminal, "M1": M1, "lam": lam, "gamma0": gamma0},
-    )
+    return FixtureBundle(spec=spec, terminal=term, local=local, convex=convex, oracle="cole_hopf")
 
 
 def _fixture_linear_mf(a: float = 0.0, b: float = 1.0, terminal: str = "const", value: float = 1.0) -> FixtureBundle:
@@ -321,11 +308,11 @@ def _fixture_linear_mf(a: float = 0.0, b: float = 1.0, terminal: str = "const", 
         mean = law.mean_y()[0] if law is not None else 0.0
         return a * y + b * mean
 
-    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="y_only", z_stage=_no_stage)
+    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="y_only")
     big = max(abs(a), abs(b))
     convex = CertificateConvex(K=big, gamma=1.0)
+    term, local = _sampler(terminal, value, ("const", "brownian")), None
     if terminal == "const":
-        term = _terminal_const(value, 1)
         local = CertificateLocal(
             gamma=1.0,
             lam=0.0,
@@ -336,19 +323,7 @@ def _fixture_linear_mf(a: float = 0.0, b: float = 1.0, terminal: str = "const", 
             psi=MonomialFn(0.0, abs(a), 1.0),
             psi0=MonomialFn(0.0, abs(b), 1.0),
         )
-    elif terminal == "brownian":
-        term, local = _terminal_brownian(), None
-    else:
-        raise FixtureError(f"unknown terminal kind {terminal!r}")
-    return FixtureBundle(
-        name="linear_mf",
-        spec=spec,
-        terminal=term,
-        local=local,
-        convex=convex,
-        oracle="linear_mf",
-        params={"a": a, "b": b, "terminal": terminal, "value": value},
-    )
+    return FixtureBundle(spec=spec, terminal=term, local=local, convex=convex, oracle="linear_mf")
 
 
 def _fixture_remark31(n: int = 2, M1: float = 0.5, horizon: float = 0.25) -> FixtureBundle:
@@ -388,13 +363,7 @@ def _fixture_remark31(n: int = 2, M1: float = 0.5, horizon: float = 0.25) -> Fix
         psi=MonomialFn(2.0 * n, 2.0 * n - 1.0, 8.0),
         psi0=MonomialFn(0.0, 1.0, 3.0),
     )
-    return FixtureBundle(
-        name="remark31",
-        spec=spec,
-        terminal=_terminal_tanh(M1),
-        local=local,
-        params={"n": n, "M1": M1, "horizon": horizon},
-    )
+    return FixtureBundle(spec=spec, terminal=_sampler("tanh", M1), local=local)
 
 
 def _fixture_eq41(n: int = 2, M1: float = 1.0, horizon: float = 1.0) -> FixtureBundle:
@@ -433,14 +402,7 @@ def _fixture_eq41(n: int = 2, M1: float = 1.0, horizon: float = 1.0) -> FixtureB
         psi=MonomialFn(0.0, 1.0, 1.0),
         psi0=MonomialFn(0.0, 1.0, 1.0),
     )
-    return FixtureBundle(
-        name="eq41",
-        spec=spec,
-        terminal=_terminal_tanh(M1),
-        local=local,
-        global_=global_,
-        params={"n": n, "M1": M1, "horizon": horizon},
-    )
+    return FixtureBundle(spec=spec, terminal=_sampler("tanh", M1), local=local, global_=global_)
 
 
 def _fixture_bounded_sine_mf(
@@ -463,10 +425,8 @@ def _fixture_bounded_sine_mf(
 
     spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="y_only", z_stage=_rows_stage)
     convex = CertificateConvex(K=K, gamma=gamma)
-    if terminal == "brownian":
-        term, local = _terminal_brownian(), None
-    elif terminal == "tanh":
-        term = _terminal_tanh(M1)
+    term, local = _sampler(terminal, M1, ("brownian", "tanh")), None
+    if terminal == "tanh":
         local = CertificateLocal(
             gamma=gamma,
             lam=0.0,
@@ -476,41 +436,26 @@ def _fixture_bounded_sine_mf(
             M2=0.0,
             psi0=MonomialFn(0.0, K, 1.0),
         )
-    else:
-        raise FixtureError(f"unknown terminal kind {terminal!r}")
-    return FixtureBundle(
-        name="bounded_sine_mf",
-        spec=spec,
-        terminal=term,
-        convex=convex,
-        local=local,
-        params={"n": n, "gamma": gamma, "K": K, "terminal": terminal, "M1": M1},
-    )
+    return FixtureBundle(spec=spec, terminal=term, convex=convex, local=local)
 
 
 def _fixture_volterra_demo(gamma: float = 1.0, clamp: float = 10.0) -> FixtureBundle:
     """Inner quadratic driver plus a clamped delayed mean term.
 
-    f = (gamma/2)|z|^2 and g(s, y-history, z, mu) = clamp(E[Y_s], +-clamp).
+    f = (gamma/2)|z|^2, the pure_quadratic driver, and
+    g(s, y-history, z, mu) = clamp(E[Y_s], +-clamp).
     """
-
-    def evaluate(t, y, z, law, others=None, stage=None):
-        (rows_sq,) = stage or _rows_stage(z, law, others)
-        return 0.5 * gamma * rows_sq
 
     def g(k, y_hist, z, law):
         mean = float(y_hist[:, k, 0].mean())
         return np.full((y_hist.shape[0], 1), np.clip(mean, -clamp, clamp))
 
-    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none", z_stage=_rows_stage)
     return FixtureBundle(
-        name="volterra_demo",
-        spec=spec,
-        terminal=_terminal_brownian(),
+        spec=_fixture_pure_quadratic(gamma).spec,
+        terminal=_sampler("brownian"),
         convex=CertificateConvex(K=0.0, gamma=gamma),
         volterra=CertificateVolterra(C=1.0, gamma=gamma),
         g=g,
-        params={"gamma": gamma, "clamp": clamp},
     )
 
 
@@ -543,7 +488,8 @@ def fixture(name: str, **params) -> FixtureBundle:
     names: a ``float`` parameter a finite real (an int will do, an int beyond
     float range will not), an ``int`` one an int >= 1, a ``str`` one a
     string; a bool is no number. Anything else raises :class:`FixtureError`
-    naming the parameter and its value.
+    naming the parameter and its value. The bundle's ``name`` is ``name``
+    and its ``params`` every builder argument, defaults included.
     """
     try:
         builder = _REGISTRY[name]
@@ -551,7 +497,7 @@ def fixture(name: str, **params) -> FixtureBundle:
         raise FixtureError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
     signature = inspect.signature(builder, eval_str=True)
     try:
-        signature.bind(**params)
+        bound = signature.bind(**params)
     except TypeError as exc:
         raise FixtureError(f"fixture {name!r}: {exc}") from None
     for key, value in params.items():
@@ -559,7 +505,8 @@ def fixture(name: str, **params) -> FixtureBundle:
         if not _param_ok(kind, value):
             need = {float: "a finite float", int: "an int >= 1"}.get(kind, f"of type {kind.__name__}")
             raise FixtureError(f"fixture {name!r}: parameter {key!r} must be {need}, got {value!r}")
-    return builder(**params)
+    bound.apply_defaults()
+    return replace(builder(**bound.arguments), name=name, params=bound.arguments)
 
 
 # ---------------------------------------------------------------------------

@@ -72,20 +72,6 @@ def _as_cloud(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
-class ParticleCloud:
-    """Uniform empirical measure on N points of R^m."""
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _as_cloud(self.points))
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-
 def _check_order(p: float) -> float:
     if p not in (1, 2):
         raise MeasureError(f"Wasserstein order must be 1 or 2, got {p}")
@@ -93,14 +79,10 @@ def _check_order(p: float) -> float:
 
 
 def _distance_to_delta(points: np.ndarray, p: float) -> float:
+    """W_p distance of the cloud to the point mass at the origin: a p-th
+    moment root, sqrt(mean |x|^2) for p = 2 and mean |x| for p = 1."""
     sq = sum_squares(points)
     return float(np.sqrt(np.mean(sq)) if p == 2 else np.mean(np.sqrt(sq)))
-
-
-def wasserstein_to_delta(cloud: ParticleCloud, p: float = 2) -> float:
-    """W_p distance to the point mass at the origin: a p-th moment root,
-    sqrt(mean |x|^2) for p = 2 and mean |x| for p = 1."""
-    return _distance_to_delta(cloud.points, _check_order(p))
 
 
 @dataclass(frozen=True)
@@ -137,7 +119,7 @@ class MeasureView:
     clouds finite when the view is built, and only then, raising
     :class:`MeasureError`; :meth:`of_checked` builds the same view over
     clouds the caller has already found finite, without that scan. Distances
-    to the point mass use the arithmetic of :func:`wasserstein_to_delta`.
+    to the point mass are p-th moment roots of the per-particle norms.
     """
 
     def __init__(self, y: np.ndarray, z: np.ndarray | None = None) -> None:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -484,3 +485,17 @@ def test_constants_horizon_must_be_finite_and_positive(capsys, horizon):
     code, out, err = run_cli(capsys, "constants", "--fixture", "eq41", "--horizon", horizon)
     assert code == EXIT_CONFIG and out == ""
     assert f"--horizon must be a finite number > 0, got {float(horizon)!r}" in err
+
+
+def test_an_infinite_envelope_level_exits_config_without_a_warning(capsys, tmp_path):
+    # eq41 at T = 13 has C(2n+1)T = 55 * 13 = 715 > 709; constants and a
+    # global solve used to print numpy's overflow warning and then blame the
+    # window equation's coefficients
+    message = "error: envelope level kappa = eta(0) is not finite for C=11.0, n=2, T=13.0 (C(2n+1)T = 715)\n"
+    cfg = write_config(tmp_path, fixture="eq41", params={}, scheme="global", grid={"horizon": 13.0, "steps": 4}, particles=64)
+    for argv in (("constants", "--fixture", "eq41", "--horizon", "13"), ("solve", cfg)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_CONFIG, "", message)
+        assert not caught

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,16 @@ def test_window_equation_with_an_unresolvable_root_is_refused():
     cert = CertificateLocal(gamma=1.0, lam=0.1, gamma0=0.1, alpha=0.0, M1=1e200, M2=0.0)
     with pytest.raises(WindowEquationError, match="no resolved root: x = 0.0"):
         local_window(cert, 1)
+
+
+def test_global_ode_refuses_an_infinite_envelope_level():
+    # C(2n+1)T = 10 * 5 * 15 = 750 > 709: eta(0) used to overflow with a
+    # RuntimeWarning and reach the window equation as an infinite radius
+    cert = CertificateGlobal(L=1.0, gamma=2.0, M1=1.0, M3=4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstantsError, match=re.escape("eta(0) is not finite for C=10.0, n=2, T=15.0")):
+            global_ode(cert, 2, 15.0)
 
 
 @pytest.mark.parametrize(

@@ -3,30 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from mfbsde.measures import (
-    MeasureError,
-    MeasureView,
-    ParticleCloud,
-    exp_moment,
-    wasserstein_to_delta,
-)
-
-
-def cloud(*rows):
-    return ParticleCloud(np.array(rows, dtype=float))
+from mfbsde.measures import MeasureError, MeasureView, exp_moment
 
 
 def test_distance_to_point_mass_is_moment_root():
-    c = cloud([3.0], [4.0])
-    assert wasserstein_to_delta(c, p=1) == pytest.approx(3.5)
-    assert wasserstein_to_delta(c, p=2) == pytest.approx(math.sqrt(12.5))
+    points = np.array([[3.0], [4.0]])
+    view = MeasureView(points, points[:, :, None])
+    for w in (view.w_y, view.w_z):
+        assert w(p=1) == pytest.approx(3.5)
+        assert w(p=2) == pytest.approx(math.sqrt(12.5))
 
 
 def test_distance_scaling():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((50, 2))
-    base = wasserstein_to_delta(ParticleCloud(pts), p=2)
-    scaled = wasserstein_to_delta(ParticleCloud(3.0 * pts), p=2)
+    base = MeasureView(pts).w_y(p=2)
+    scaled = MeasureView(3.0 * pts).w_y(p=2)
     assert scaled == pytest.approx(3.0 * base)
 
 
@@ -75,7 +67,7 @@ def test_measure_view_distances_reuse_the_checked_points(monkeypatch):
     assert len(checks) == 2
     for (tag, p), value in values.items():
         points = y if tag == "w_y" else z.reshape(64, -1)
-        assert value == wasserstein_to_delta(ParticleCloud(points), p)
+        assert value == MeasureView(points).w_y(p)
 
 
 def test_measure_view_without_z():
@@ -86,5 +78,8 @@ def test_measure_view_without_z():
 
 
 def test_rejects_non_finite_points():
-    with pytest.raises(MeasureError):
-        ParticleCloud(np.array([[np.nan]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(MeasureError, match="non-finite"):
+            MeasureView(np.array([[bad]]))
+        with pytest.raises(MeasureError, match="non-finite"):
+            MeasureView(np.zeros((1, 1)), np.array([[[bad]]]))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mfbsde.measures import ParticleCloud, column_max, max_abs, sum_squares, wasserstein_to_delta
+from mfbsde.measures import MeasureView, column_max, max_abs, sum_squares
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -72,7 +72,7 @@ def test_distance_to_point_mass_matches_moment_root_of_norms(data):
     norms = np.linalg.norm(pts, axis=1)
     for p in (1, 2):
         reference = float(np.mean(norms**p) ** (1.0 / p))
-        assert abs(wasserstein_to_delta(ParticleCloud(pts), p) - reference) <= 1e-14 * reference
+        assert abs(MeasureView(pts).w_y(p) - reference) <= 1e-14 * reference
 
 
 @SETTINGS

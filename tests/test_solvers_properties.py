@@ -4,6 +4,15 @@ Particle permutation: the particles of an ensemble are exchangeable, so
 solving on a permuted ensemble must give the permuted Y and Z. Every
 regression, law query and clip treats the particles alike; only rounding
 in the least-squares fits depends on their order.
+
+Cole-Hopf scaling: for the driver (gamma/2)|z|^2, Y' = 2 Y and Z' = 2 Z
+solve the problem with gamma / 2 and terminal 2 xi. Doubling is exact in
+floating point and every fit is linear in its values, so the scaled theta
+solve equals the doubled one bitwise.
+
+Terminal shift: for a driver that reads neither Y nor the law, xi + c gives
+Y + c and the same Z, while the basis holds constants: the fit of a shifted
+value is the shifted fit, and the centered increment products do not see c.
 """
 import numpy as np
 import pytest
@@ -20,6 +29,7 @@ from mfbsde import (
     sample_brownian,
     solve_global,
     solve_local,
+    solve_theta,
 )
 
 ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
@@ -66,3 +76,32 @@ def test_a_permuted_ensemble_gives_the_permuted_solution(scheme, log2_particles,
     assert counts_p == counts
     _assert_rel_close(sol_p.Y, sol.Y[order])
     _assert_rel_close(sol_p.Z, sol.Z[order])
+
+
+def _theta_pure_quadratic(gamma, terminal, paths):
+    bundle = fixture("pure_quadratic", gamma=gamma)
+    sol, trace = solve_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE)
+    assert trace.converged
+    return sol
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_cole_hopf_scaling_holds_bitwise(seed):
+    paths = sample_brownian(build_grid(1.0, 16), 2048, 1, seed=seed)
+    xi = np.tanh(paths.terminal())
+    sol = _theta_pure_quadratic(2.0, xi, paths)
+    scaled = _theta_pure_quadratic(1.0, 2.0 * xi, paths)
+    assert np.array_equal(2.0 * sol.Y, scaled.Y)
+    assert np.array_equal(2.0 * sol.Z, scaled.Z)
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16), shift=st.floats(-1.0, 1.0))
+def test_a_terminal_shift_moves_y_alone(seed, shift):
+    paths = sample_brownian(build_grid(1.0, 16), 2048, 1, seed=seed)
+    xi = np.tanh(paths.terminal())
+    sol = _theta_pure_quadratic(1.0, xi, paths)
+    shifted = _theta_pure_quadratic(1.0, xi + shift, paths)
+    assert np.abs(shifted.Y - (sol.Y + shift)).max() <= 1e-12
+    assert np.abs(shifted.Z - sol.Z).max() <= 1e-12

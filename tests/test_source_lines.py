@@ -39,3 +39,20 @@ def test_a_string_statement_that_opens_no_scope_is_code():
 def test_main_without_directories_is_a_usage_error(capsys):
     assert source_lines.main([]) == 2
     assert "Usage" in capsys.readouterr().err
+
+
+def test_a_py_file_counts_as_itself(tmp_path, capsys):
+    (tmp_path / "one.py").write_text('"""Doc."""\nx = 1\n\n# note\n')
+    (tmp_path / "two.py").write_text("y = 2\n")
+    assert source_lines.main([str(tmp_path / "one.py")]) == 0
+    assert capsys.readouterr().out.splitlines() == ["code: 1", "docstring: 1", "comment: 1", "blank: 1", "total: 4"]
+    assert source_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total: 5"
+
+
+def test_a_missing_path_is_refused_by_name(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    assert source_lines.main([str(tmp_path), str(missing)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert str(missing) in out.err

@@ -1,12 +1,14 @@
 """Count the lines of Python sources by kind: code, docstring, comment, blank.
 
-Usage: python3 tools/source_lines.py DIR [DIR ...]
+Usage: python3 tools/source_lines.py PATH [PATH ...]
 
 Docstrings are the string statements that open a module, class or
 function; every line they span counts as a docstring line. A comment line
 holds only a comment, and a blank line only whitespace; every other line
-is code. Prints one ``kind: count`` line per kind and the total. Uses the
-standard library only.
+is code. A PATH is a directory, whose ``.py`` files are counted at any
+depth, or a ``.py`` file; any other PATH is refused with exit status 2.
+Prints one ``kind: count`` line per kind and the total. Uses the standard
+library only.
 """
 from __future__ import annotations
 
@@ -41,11 +43,19 @@ def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
+    files = []
+    for root in map(Path, argv):
+        if root.is_dir():
+            files += sorted(root.rglob("*.py"))
+        elif root.is_file() and root.suffix == ".py":
+            files.append(root)
+        else:
+            print(f"error: {root} is neither a directory nor a .py file", file=sys.stderr)
+            return 2
     total = {"code": 0, "docstring": 0, "comment": 0, "blank": 0}
-    for root in argv:
-        for path in sorted(Path(root).rglob("*.py")):
-            for kind, n in count(path.read_text()).items():
-                total[kind] += n
+    for path in files:
+        for kind, n in count(path.read_text()).items():
+            total[kind] += n
     for kind, n in total.items():
         print(f"{kind}: {n}")
     print(f"total: {sum(total.values())}")
