@@ -168,14 +168,17 @@ class GeneratorSpec:
     ``stage``.
 
     ``law_dependence`` is one of "joint" (needs Y and Z clouds), "y_only",
-    or "none". ``zeta_level`` is the pointwise bound of the absorbing
-    process zeta_t used by growth audits; fixtures here model it constant.
+    or "none". ``reads_y`` may be False only for a driver whose values are
+    the same for every Y, bitwise, as ``pure_quadratic``'s. ``zeta_level``
+    is the pointwise bound of the absorbing process zeta_t used by growth
+    audits; fixtures here model it constant.
     """
 
     n: int
     d: int
     evaluate: Evaluator
     law_dependence: str = "joint"
+    reads_y: bool = True
     zeta_level: float = 0.0
     z_stage: Callable[..., tuple] | None = None
 
@@ -293,7 +296,7 @@ def _fixture_pure_quadratic(
         (rows_sq,) = stage or _rows_stage(z, law, others)
         return 0.5 * gamma * rows_sq
 
-    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none", z_stage=_rows_stage)
+    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none", reads_y=False, z_stage=_rows_stage)
     term, local = _sampler(terminal, M1, ("brownian", "tanh")), None
     if terminal == "tanh":
         local = CertificateLocal(gamma=gamma, lam=lam, gamma0=gamma0, alpha=0.0, M1=M1, M2=0.0)

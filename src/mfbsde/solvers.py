@@ -653,7 +653,9 @@ class _SweepMonitor:
     about to replace. Per-particle maxima of |Y_k|^2 get one square root at
     the end, which equals the maximum of the norms bitwise, and the squared
     Z differences are summed in increasing node order, so ``dz_norm``
-    matches the whole-array mean to rounding.
+    matches the whole-array mean to rounding. A sweep that repeats the one
+    of monitor ``held`` bitwise is recorded without visits: no difference,
+    ``held``'s max |Y| and sup_t |Y_t|, and the theta difference of Y and Y.
 
     A finite Y can be too large for these monitors (|Y|^2 overflows above
     about 1e154); an overflowing monitor raises :class:`SolverDivergence`
@@ -662,12 +664,16 @@ class _SweepMonitor:
 
     theta = 0.5
 
-    def __init__(self, it: int, y: np.ndarray, z: np.ndarray) -> None:
+    def __init__(self, it: int, y: np.ndarray, z: np.ndarray, held: "_SweepMonitor | None" = None) -> None:
         self.it, self._y, self._z = it, y, z
         self.dy = self.max_y = 0.0
         self._sup_sq = np.zeros(y.shape[1])  # per particle: max over nodes of |Y_k|^2
         self._delta = np.zeros(y.shape[1])  # per particle: max over nodes of |Delta_k|
         self._dz_sq = [0.0] * len(z)  # per node: squared Z difference
+        if held is not None:
+            self.max_y, self._sup_sq = held.max_y, held._sup_sq
+            for y_j in y:
+                np.maximum(self._delta, max_abs((y_j - self.theta * y_j) / (1.0 - self.theta)), out=self._delta)
 
     def visit(self, j: int, y_new: np.ndarray, z_new: np.ndarray | None) -> None:
         theta, prev = self.theta, self._y[j]
@@ -720,7 +726,9 @@ def solve_theta(
     ``operators[k]`` is node k's operator: a
     :class:`mfbsde.condexp.FactorTable` (a fresh operator per sweep from a
     kept factor) or a dict of built operators; without it a table owned by
-    this call factors each node once.
+    this call factors each node once. A scalar driver that reads no Y
+    (``spec.reads_y`` False) and no law freezes nothing, so later sweeps
+    repeat the first bitwise and run no kernel pass (:class:`_SweepMonitor`).
     """
     grid = paths.grid
     terminal = _terminal_block(terminal, paths.particles, spec.n, grid.steps)
@@ -735,9 +743,12 @@ def solve_theta(
     clips = 0
     if operators is None:
         operators = FactorTable(engine.basis, paths.brownian_at)
+    replay = spec.n == 1 and spec.law_dependence == "none" and not spec.reads_y
     for it in range(1, opts.max_iter + 1):
-        monitor = _SweepMonitor(it, y_nodes, z_nodes)
-        _, _, c = _backward(paths, driver, terminal, operators, opts, 0, m, into=(y_nodes, z_nodes, monitor.visit))
+        held = monitor if replay and it >= 2 else None  # c stays the previous sweep's clip count
+        monitor = _SweepMonitor(it, y_nodes, z_nodes, held)
+        if held is None:
+            _, _, c = _backward(paths, driver, terminal, operators, opts, 0, m, into=(y_nodes, z_nodes, monitor.visit))
         clips += c
         step = monitor.step(cert.gamma)
         trace.steps.append(step)
@@ -774,9 +785,9 @@ def solve_volterra(
     share. Convergence is tracked in the exp(beta t)-weighted squared sup
     norm with beta = 32 C^2 T, and iteration stops when the unweighted sup
     difference drops below tol. A non-finite g block, or an outer node
-    whose new Y is not finite, raises :class:`SolverDivergence` naming the
-    node and the component before any projection reads it, so the law views
-    are built over checked clouds.
+    whose new Y is not finite (an overflowing tail fit too), raises
+    :class:`SolverDivergence` naming the node and the component before any
+    projection reads it, so the law views are built over checked clouds.
     """
     grid = paths.grid
     beta = volterra_weight(vcert.C, grid.horizon)
@@ -800,7 +811,8 @@ def solve_volterra(
         y_new[:, m, :] = inner_sol.Y[:, m, :]
         for k in range(m - 1, -1, -1):
             tails = tails + g_vals[k] * grid.dt
-            y_new[:, k] = inner_sol.Y[:, k] + operators[k].apply(tails)
+            with np.errstate(over="ignore"):  # an overflowing fit is caught below as non-finite Y
+                y_new[:, k] = inner_sol.Y[:, k] + operators[k].apply(tails)
             _check_finite(k, grid.nodes[k], Y=y_new[:, k])
         diff = y_new - y_prev
         dy = float(np.abs(diff).max())

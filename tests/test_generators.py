@@ -215,3 +215,21 @@ def test_z_stage_is_read_in_place_of_the_z_arguments_bitwise(name, with_others):
     # Z reaches the values only through the stage
     staged = spec.evaluate(0.6, y, z, law, others, spec.z_stage(moved, law, others))
     assert np.array_equal(staged, spec.evaluate(0.6, y, moved, law, others))
+
+
+_READS_NO_Y = [name for name in fixture_names() if not fixture(name).spec.reads_y]
+
+
+def test_pure_quadratic_and_its_reusers_declare_they_read_no_y():
+    assert _READS_NO_Y == ["pure_quadratic", "volterra_demo"]
+
+
+@pytest.mark.parametrize("name", _READS_NO_Y)
+def test_a_driver_declared_to_read_no_y_gives_the_same_values_for_any_y(name):
+    spec = fixture(name).spec
+    rng = np.random.default_rng(29)
+    y, other_y = 4.0 * rng.standard_normal((2, 129, spec.n))
+    z = rng.standard_normal((129, spec.n, spec.d))
+    law_y, law_z = rng.standard_normal((129, spec.n)), rng.standard_normal((129, spec.n, spec.d))
+    law = {"none": None, "y_only": MeasureView(law_y), "joint": MeasureView(law_y, law_z)}[spec.law_dependence]
+    assert np.array_equal(spec.evaluate(0.3, y, z, law), spec.evaluate(0.3, other_y, z, law))

@@ -1102,6 +1102,19 @@ def test_non_finite_volterra_value_stops_at_its_node():
         run_scheme(replace(bundle, g=g), "volterra", paths.grid, paths, ENGINE)
 
 
+def test_an_overflowing_volterra_tail_fit_stops_at_its_node():
+    # the node-7 tail, 1.25e307, is finite; its projection overflows in the
+    # matmul, which must surface as non-finite Y, not as a RuntimeWarning
+    bundle = fixture("volterra_demo")
+    paths = sample_brownian(build_grid(1.0, 8), 256, 1, seed=6)
+
+    def g(k, y_hist, z, law):
+        return np.full((y_hist.shape[0], 1), 1e308)
+
+    with pytest.raises(SolverDivergence, match=r"^non-finite Y at node 7 \(t=0\.875\) in component 0$"):
+        run_scheme(replace(bundle, g=g), "volterra", paths.grid, paths, ENGINE)
+
+
 # A stiff linear driver f = 50 y on a constant terminal: the Picard map of a
 # one-window solve expands, so each scheme's divergence rule must stop it.
 def _stiff_linear():

@@ -13,6 +13,12 @@ solve equals the doubled one bitwise.
 Terminal shift: for a driver that reads neither Y nor the law, xi + c gives
 Y + c and the same Z, while the basis holds constants: the fit of a shifted
 value is the shifted fit, and the centered increment products do not see c.
+
+Component permutation: for a driver symmetric in its components, whose
+terminal is the Brownian endpoint, swapping the noise coordinates swaps the
+terminal's components, so Y and Z come out with their components and noise
+axes swapped. A polynomial basis spans the same functions in either
+coordinate order; only rounding in the fits sees the order.
 """
 import numpy as np
 import pytest
@@ -105,3 +111,18 @@ def test_a_terminal_shift_moves_y_alone(seed, shift):
     shifted = _theta_pure_quadratic(1.0, xi + shift, paths)
     assert np.abs(shifted.Y - (sol.Y + shift)).max() <= 1e-12
     assert np.abs(shifted.Z - sol.Z).max() <= 1e-12
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_swapped_noise_coordinates_swap_the_components(seed):
+    bundle = fixture("bounded_sine_mf", n=2)
+    grid = build_grid(1.0, 8)
+    paths = sample_brownian(grid, 1024, 2, seed=seed)
+    swapped = PathEnsemble(grid, paths.increments[:, :, ::-1], seed=seed)
+    opts = SolverOptions(tol=1e-10)
+    sol, trace = solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), paths, ENGINE, opts)
+    sol_s, trace_s = solve_theta(bundle.spec, bundle.convex, bundle.terminal(swapped), swapped, ENGINE, opts)
+    assert trace.converged and trace_s.iterations == trace.iterations
+    _assert_rel_close(sol_s.Y, sol.Y[:, :, ::-1])
+    _assert_rel_close(sol_s.Z, sol.Z[:, :, ::-1, ::-1])

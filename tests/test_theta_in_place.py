@@ -1,9 +1,14 @@
 """A theta solve overwrites one (Y, Z) iterate in place. The reference here
 is the two-buffer loop it replaced: each sweep's kernel pass allocates a new
 iterate, and the sweep record is reduced from the new and the previous
-iterate after the pass. The in-place solve must equal it bitwise."""
+iterate after the pass. The in-place solve must equal it bitwise.
+
+A scalar driver that reads neither Y nor the law replays its sweeps from
+the second on instead of running the kernel again; the replayed solve must
+equal the same solve with the driver declared to read Y, bitwise."""
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -159,3 +164,39 @@ def test_theta_solve_holds_one_iterate():
         tracemalloc.stop()
     assert trace.converged and trace.iterations == 2
     assert peak < 1.75 * iterate_bytes
+
+
+def _count_kernel_passes(monkeypatch) -> list:
+    passes, kernel = [], solvers._backward
+
+    def counted(*args, **kwargs):
+        passes.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_backward", counted)
+    return passes
+
+
+@pytest.mark.parametrize("z_clip", [None, 0.8])
+def test_a_driver_that_freezes_nothing_replays_its_confirming_sweep(monkeypatch, z_clip):
+    bundle = fixture("pure_quadratic", terminal="brownian")
+    paths = sample_brownian(build_grid(1.0, 16), 1024, 1, seed=21)
+    terminal = bundle.terminal(paths)
+    opts = SolverOptions(tol=1e-10, z_clip=z_clip)
+    passes = _count_kernel_passes(monkeypatch)
+    got = solve_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE, opts)
+    assert len(passes) == 1 and got[1].iterations == 2
+    ref = solve_theta(replace(bundle.spec, reads_y=True), bundle.convex, terminal, paths, ENGINE, opts)
+    assert len(passes) == 3 and ref[1].steps[1].dy_sup == 0.0
+    if z_clip:
+        assert got[0].clip_events > 0
+    _assert_same_solve(got, ref)
+
+
+def test_a_replaying_solve_still_needs_its_confirming_sweep(monkeypatch):
+    bundle = fixture("pure_quadratic", terminal="brownian")
+    paths = sample_brownian(build_grid(1.0, 8), 512, 1, seed=5)
+    passes = _count_kernel_passes(monkeypatch)
+    with pytest.raises(SolverDivergence, match="^no convergence within 1 sweeps$") as exc:
+        solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), paths, ENGINE, SolverOptions(max_iter=1))
+    assert len(passes) == 1 and exc.value.trace.iterations == 1
