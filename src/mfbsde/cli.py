@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="solve and compare with a closed-form reference")
     p_verify.add_argument("config")
-    p_verify.add_argument("--tolerance", type=float, default=0.05, help="relative gap allowed on top of the reference width")
+    tolerance_help = "gap allowed beyond the reference width: tolerance * max(1, |reference|), absolute below 1"
+    p_verify.add_argument("--tolerance", type=float, default=0.05, help=tolerance_help)
     p_verify.set_defaults(func=cmd_verify)
 
     p_const = sub.add_parser("constants", help="print certificate-derived constants for a fixture")

@@ -22,7 +22,6 @@ from .solvers import SolverOptions, run_scheme
 TerminalFn = Callable[[np.ndarray], np.ndarray]
 
 GAUSS_NODES = 64  # Gauss-Hermite nodes of cole_hopf; its half width compares them with 16 more
-PATH_NODES = 80  # Gauss-Hermite nodes of cole_hopf_path
 BOOTSTRAP_RESAMPLES = 20  # particle-index resamples behind dense_reference's width
 REFINE_BUDGET = 2**23  # path nodes (particles x fine steps) dense_reference may sample
 
@@ -63,10 +62,10 @@ def _integrability_screen(terminal_fn: TerminalFn, gamma: float, horizon: float)
             )
 
 
-def _gauss_value(terminal_fn: TerminalFn, gamma: float, mean: float, var: float, nodes: int) -> float:
-    """log E[exp(gamma g(X))] for X ~ N(mean, var) by Gauss-Hermite."""
+def _gauss_value(terminal_fn: TerminalFn, gamma: float, var: float, nodes: int) -> float:
+    """log E[exp(gamma g(X))] for X ~ N(0, var) by Gauss-Hermite."""
     x, w = np.polynomial.hermite.hermgauss(nodes)
-    pts = mean + math.sqrt(2.0 * var) * x
+    pts = math.sqrt(2.0 * var) * x
     log_terms = np.log(w) + gamma * np.asarray(terminal_fn(pts), dtype=np.float64)
     m = float(np.max(log_terms))
     return m + math.log(float(np.sum(np.exp(log_terms - m)))) - 0.5 * math.log(math.pi)
@@ -89,8 +88,8 @@ def cole_hopf(
         raise ValueError("gamma must be positive")
     _integrability_screen(terminal_fn, gamma, horizon)
     if method == "gauss":
-        v1 = _gauss_value(terminal_fn, gamma, 0.0, horizon, GAUSS_NODES)
-        v2 = _gauss_value(terminal_fn, gamma, 0.0, horizon, GAUSS_NODES + 16)
+        v1 = _gauss_value(terminal_fn, gamma, horizon, GAUSS_NODES)
+        v2 = _gauss_value(terminal_fn, gamma, horizon, GAUSS_NODES + 16)
         value = v2 / gamma
         # node-doubling differences underestimate the error on kinked
         # terminals, hence the safety factor on the reported width
@@ -115,22 +114,6 @@ def cole_hopf(
             note="half width is three bootstrap standard errors",
         )
     raise ValueError(f"unknown method {method!r}")
-
-
-def cole_hopf_path(
-    t: float,
-    w: float,
-    terminal_fn: TerminalFn,
-    gamma: float,
-    horizon: float,
-) -> float:
-    """Conditional value Y_t on the event W_t = w, same transform."""
-    if not 0.0 <= t <= horizon:
-        raise ValueError("t outside the horizon")
-    if t == horizon:
-        return float(np.asarray(terminal_fn(np.array([w])))[0])
-    _integrability_screen(terminal_fn, gamma, horizon - t)
-    return _gauss_value(terminal_fn, gamma, w, horizon - t, PATH_NODES) / gamma
 
 
 def linear_mf_oracle(a: float, b: float, horizon: float, terminal: str = "const", value: float = 1.0) -> OracleResult:

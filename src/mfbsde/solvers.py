@@ -33,12 +33,14 @@ on a one-node window also its BMO pair, as the Z difference is then 0 and
 the QV iteration 1's. Every value is bitwise equal to a plain Picard loop
 over :func:`psi_map` and ``bmo_norm``.
 
+Every scheme iterates through one loop, :func:`_picard`: it records the
+steps that the scheme's passes yield in a :class:`PicardTrace`, the one
+record of a solve, and stops at the scheme's threshold, on its divergence
+rule or after max_iter passes. A ``global`` record holds its windows'.
+
 Every solver and diagnostic reads the time grid from its ensemble,
 ``paths.grid``, and every :class:`Solution` a solver builds carries that
-grid object. :func:`run_scheme` keeps a ``grid`` argument and raises
-``ValueError`` naming both grids when it is not the ensemble's;
-:func:`summarize_nodes` and :func:`export_csv` refuse a solution whose
-grid is not its ensemble's the same way.
+grid object.
 
 Every scheme takes its terminal through :func:`_terminal_block`: a terminal
 that is not (particles, n) raises ``ValueError``, and a non-finite one
@@ -166,8 +168,18 @@ class PicardStep:
 
 @dataclass
 class PicardTrace:
+    """The record of a solve on nodes [k_lo, k_hi]: its steps and whether
+    they converged. A ``global`` record has no steps; ``windows`` holds each
+    window's record with the ``halvings`` it took. It holds no arrays."""
+
     steps: list[PicardStep] = field(default_factory=list)
     converged: bool = False
+    k_lo: int = 0
+    k_hi: int = 0
+    halvings: int = 0
+    windows: list["PicardTrace"] = field(default_factory=list)
+    constants: GlobalConstants | None = None
+    terminal_feasible: bool | None = None
 
     def differences(self) -> np.ndarray:
         return np.array([s.combined for s in self.steps])
@@ -181,6 +193,32 @@ class PicardTrace:
     @property
     def iterations(self) -> int:
         return len(self.steps)
+
+    @property
+    def window_count(self) -> int:
+        return len(self.windows)
+
+
+def _picard(passes, trace: PicardTrace, stop: float, diverging: Callable, exhausted: str):
+    """The one Picard loop: append the step of each (step, state) pair that
+    ``passes`` yields to ``trace``; return the state once a step's
+    ``combined`` is at most ``stop``. Any :class:`SolverDivergence` carries
+    the trace: the message ``diverging(trace)`` returns after a step, if
+    any, ``exhausted`` when the passes run out, or a pass's own."""
+    try:
+        for step, state in passes:
+            trace.steps.append(step)
+            if step.combined <= stop:
+                trace.converged = True
+                return state
+            message = diverging(trace)
+            if message:
+                raise SolverDivergence(message, trace)
+    except SolverDivergence as exc:
+        if exc.trace is None:
+            exc.trace = trace
+        raise
+    raise SolverDivergence(exhausted, trace)
 
 
 def _clip_rows(z: np.ndarray, radius: float | None) -> tuple[np.ndarray, int]:
@@ -315,17 +353,18 @@ def _backward(
         else:
             fit_next, z_k, c = _node_fit(op, y_next, dw, dt, opts.z_clip)
             clips += c
-        if f_next is None:  # terminal quadrature point
-            f_next = driver(k + 1, grid.nodes[k + 1], z_k, *stage)
-        if visit is not None and j + 1 == span:  # the terminal point has read the old row
-            visit(span, terminal, None)
-            y[span] = terminal
-        f_here = driver(k, grid.nodes[k], z_k, *stage)
-        for _ in range(opts.inner_sweeps - 1):
-            _, z_k, c = _node_fit(op, y_next + 0.5 * (f_here + f_next) * dt, dw, dt, opts.z_clip)
-            clips += c
-            f_here = driver(k, grid.nodes[k], z_k)
-        y_k = fit_next + 0.5 * (f_here + f_next) * dt
+        with np.errstate(over="ignore"):  # an overflow is caught below as non-finite Y or Z
+            if f_next is None:  # terminal quadrature point
+                f_next = driver(k + 1, grid.nodes[k + 1], z_k, *stage)
+            if visit is not None and j + 1 == span:  # the terminal point has read the old row
+                visit(span, terminal, None)
+                y[span] = terminal
+            f_here = driver(k, grid.nodes[k], z_k, *stage)
+            for _ in range(opts.inner_sweeps - 1):
+                _, z_k, c = _node_fit(op, y_next + 0.5 * (f_here + f_next) * dt, dw, dt, opts.z_clip)
+                clips += c
+                f_here = driver(k, grid.nodes[k], z_k)
+            y_k = fit_next + 0.5 * (f_here + f_next) * dt
         _check_finite(k, grid.nodes[k], Z=None if z_k is checked else z_k, Y=y_k)
         if visit is not None:
             visit(j, y_k, z_k)
@@ -439,10 +478,6 @@ def psi_map(
     return Solution(Y=y, Z=z, grid=paths.grid, k_lo=k_lo, clip_events=clips)
 
 
-def _combined_norm(dy_sup: float, dz_bmo: float) -> float:
-    return math.sqrt(dy_sup**2 + dz_bmo**2)
-
-
 def solve_local(
     spec: GeneratorSpec,
     cert: CertificateLocal,
@@ -486,85 +521,60 @@ def solve_local(
     dw_head = paths.increments[:, k_hi - 1, :]
     fit_head, z_head, clips_head = _node_fit(operators[k_hi - 1], current.Y[:, span], dw_head, grid.dt, opts.z_clip)
     _check_finite(k_hi - 1, grid.nodes[k_hi - 1], Z=z_head)
-    f_terminal, stage = None, ()
     # with one inner sweep every pass writes z_head, so from iteration 2 on
     # each Z the head node reads is z_head, and a one-node window's Z is fixed
     fixed_z = opts.inner_sweeps == 1
-    trace = PicardTrace()
     terminal_max = float(np.abs(terminal).max())
-    floor = 1e-13 * max(1.0, terminal_max)
-    for it in range(1, opts.max_iter + 1):
-        laws = (current.Y, current.Z, MeasureView.of_checked)
-        others = current.Z[:, span - 1]
-        if it == 2 and fixed_z:
-            stage = _head_stage(spec, laws, span, z_head, others)
-            f_terminal = _own_rows(spec, current.Y, current.Z, laws, k_lo, k_hi, grid.nodes[k_hi], z_head, *stage)
-        for _ in range(opts.law_refinements + 1):
-            if it == 1 or not fixed_z:
+
+    def passes(current):
+        f_terminal, stage = None, ()
+        for it in range(1, opts.max_iter + 1):
+            laws = (current.Y, current.Z, MeasureView.of_checked)
+            others = current.Z[:, span - 1]
+            if it == 2 and fixed_z:
                 stage = _head_stage(spec, laws, span, z_head, others)
-            head = (fit_head, z_head, clips_head, f_terminal, stage)
-            driver = partial(_own_rows, spec, current.Y, current.Z, laws, k_lo)
-            y, z, clips = _backward(paths, driver, terminal, operators, opts, k_lo, k_hi, head)
-            laws = (y, z, MeasureView.of_checked)
-        out = Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, clip_events=clips)
-        # node-major slices of the nodes a pass writes; the terminal node stays
-        moved = y.swapaxes(0, 1)[:span]
-        dy = float(np.abs(moved - current.Y.swapaxes(0, 1)[:span]).max())
-        if it == 1 or span > 1 or not fixed_z:
-            dz, qv_norm = bmo_norm((out.Z - current.Z, out.Z), paths, engine, k_lo=k_lo, operators=operators)
-        else:  # out.Z and current.Z are both z_head: dz is 0 and the QV is iteration 1's
-            dz = 0.0
-        combined = _combined_norm(dy, dz)
-        max_y = max(float(np.abs(moved).max()), terminal_max)
-        qv = qv_norm**2
-        trace.steps.append(
-            PicardStep(
+                f_terminal = _own_rows(spec, current.Y, current.Z, laws, k_lo, k_hi, grid.nodes[k_hi], z_head, *stage)
+            for _ in range(opts.law_refinements + 1):
+                if it == 1 or not fixed_z:
+                    stage = _head_stage(spec, laws, span, z_head, others)
+                head = (fit_head, z_head, clips_head, f_terminal, stage)
+                driver = partial(_own_rows, spec, current.Y, current.Z, laws, k_lo)
+                y, z, clips = _backward(paths, driver, terminal, operators, opts, k_lo, k_hi, head)
+                laws = (y, z, MeasureView.of_checked)
+            out = Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, clip_events=clips)
+            # node-major slices of the nodes a pass writes; the terminal node stays
+            moved = y.swapaxes(0, 1)[:span]
+            dy = float(np.abs(moved - current.Y.swapaxes(0, 1)[:span]).max())
+            if it == 1 or span > 1 or not fixed_z:
+                dz, qv_norm = bmo_norm((out.Z - current.Z, out.Z), paths, engine, k_lo=k_lo, operators=operators)
+            else:  # out.Z and current.Z are both z_head: dz is 0 and the QV is iteration 1's
+                dz = 0.0
+            max_y = max(float(np.abs(moved).max()), terminal_max)
+            qv = qv_norm**2
+            yield PicardStep(
                 iteration=it,
                 dy_sup=dy,
                 dz_norm=dz,
-                combined=combined,
+                combined=math.sqrt(dy**2 + dz**2),
                 max_abs_y=max_y,
                 qv_sq=qv,
                 in_ball_sup=bool(max_y <= k1),
                 in_ball_qv=bool(qv <= k2),
-            )
-        )
-        current = out
-        if combined <= max(opts.tol, floor):
-            trace.converged = True
-            break
+            ), out
+            current = out
+
+    def diverging(trace):
         ratios = trace.ratios()
-        if it >= 3 and np.all(ratios[-2:] > 0.9) and combined > 100.0 * opts.tol:
-            raise SolverDivergence(
+        if trace.iterations >= 3 and np.all(ratios[-2:] > 0.9) and trace.steps[-1].combined > 100.0 * opts.tol:
+            return (
                 f"Picard ratios {ratios[-2:]} not contracting on window of length "
-                f"{span * grid.dt:.3e}; retry with a shorter window",
-                trace,
+                f"{span * grid.dt:.3e}; retry with a shorter window"
             )
-    if not trace.converged:
-        raise SolverDivergence(
-            f"no convergence to tol={opts.tol:g} within {opts.max_iter} iterations",
-            trace,
-        )
-    return current, trace
 
-
-@dataclass(frozen=True)
-class WindowRecord:
-    k_lo: int
-    k_hi: int
-    iterations: int
-    halvings: int
-
-
-@dataclass
-class GlobalReport:
-    constants: GlobalConstants
-    windows: list[WindowRecord] = field(default_factory=list)
-    terminal_feasible: bool = True
-
-    @property
-    def window_count(self) -> int:
-        return len(self.windows)
+    trace = PicardTrace(k_lo=k_lo, k_hi=k_hi)
+    stop = max(opts.tol, 1e-13 * max(1.0, terminal_max))
+    exhausted = f"no convergence to tol={opts.tol:g} within {opts.max_iter} iterations"
+    return _picard(passes(current), trace, stop, diverging, exhausted), trace
 
 
 def solve_global(
@@ -574,7 +584,7 @@ def solve_global(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
-) -> tuple[Solution, GlobalReport]:
+) -> tuple[Solution, PicardTrace]:
     """Backward stitching of local solves on windows of length delta_kappa.
 
     Windows are quantized to whole grid steps with a one-step floor (the
@@ -582,13 +592,13 @@ def solve_global(
     fails to contract is halved up to six times before giving up. One
     :class:`mfbsde.condexp.FactorTable` serves every window and retry, so
     each node is factored once per solve. Seam values are shared arrays, so
-    stitching is exact by construction.
+    stitching is exact by construction. The returned record holds each
+    window's :func:`solve_local` trace with its ``halvings``; a divergence
+    carries the failing window's trace.
     """
     grid = paths.grid
     gconsts = global_ode(cert, spec.n, grid.horizon)
     terminal = _terminal_block(terminal, paths.particles, spec.n, grid.steps)
-    feasible = bool(np.max(sum_squares(terminal)) <= spec.n * gconsts.c_tilde)
-    report = GlobalReport(constants=gconsts, terminal_feasible=feasible)
     dt = grid.dt
     spw = max(1, int(gconsts.delta_kappa / dt))
     # honor the certified window count even when flooring to whole steps
@@ -604,6 +614,7 @@ def solve_global(
     clips = 0
     k_hi = grid.steps
     operators = FactorTable(engine.basis, paths.brownian_at)
+    windows = []
     while k_hi > 0:
         size = min(spw, k_hi)
         halvings = 0
@@ -623,7 +634,8 @@ def solve_global(
                     operators=operators,
                 )
                 break
-            except SolverDivergence:
+            except SolverDivergence as exc:
+                exc.trace.halvings = halvings
                 if size == 1 or halvings >= 6:
                     raise
                 size = max(1, size // 2)
@@ -631,13 +643,18 @@ def solve_global(
         full_y[:, k_lo:k_hi, :] = sol.Y[:, :-1, :]
         full_z[:, k_lo:k_hi, :, :] = sol.Z
         clips += sol.clip_events
-        report.windows.append(WindowRecord(k_lo=k_lo, k_hi=k_hi, iterations=trace.iterations, halvings=halvings))
+        trace.halvings = halvings
+        windows.append(trace)
         k_hi = k_lo
     solution = Solution(
         Y=full_y,
         Z=full_z,
         grid=grid,
         clip_events=clips,
+    )
+    feasible = bool(np.max(sum_squares(terminal)) <= spec.n * gconsts.c_tilde)
+    report = PicardTrace(
+        converged=True, k_hi=grid.steps, windows=windows, constants=gconsts, terminal_feasible=feasible
     )
     return solution, report
 
@@ -739,27 +756,28 @@ def solve_theta(
         y_nodes += opts.init_offset
     y, z = _by_particle(y_nodes), _by_particle(z_nodes)
     driver = partial(_own_rows, spec, y, z, (y, z, MeasureView.of_checked), 0)
-    trace = PicardTrace()
-    clips = 0
     if operators is None:
         operators = FactorTable(engine.basis, paths.brownian_at)
     replay = spec.n == 1 and spec.law_dependence == "none" and not spec.reads_y
-    for it in range(1, opts.max_iter + 1):
-        held = monitor if replay and it >= 2 else None  # c stays the previous sweep's clip count
-        monitor = _SweepMonitor(it, y_nodes, z_nodes, held)
-        if held is None:
-            _, _, c = _backward(paths, driver, terminal, operators, opts, 0, m, into=(y_nodes, z_nodes, monitor.visit))
-        clips += c
-        step = monitor.step(cert.gamma)
-        trace.steps.append(step)
-        if step.dy_sup <= opts.tol:
-            trace.converged = True
-            break
+
+    def sweeps():
+        clips, monitor = 0, None
+        for it in range(1, opts.max_iter + 1):
+            held = monitor if replay and it >= 2 else None  # c stays the previous sweep's clip count
+            monitor = _SweepMonitor(it, y_nodes, z_nodes, held)
+            if held is None:
+                into = (y_nodes, z_nodes, monitor.visit)
+                _, _, c = _backward(paths, driver, terminal, operators, opts, 0, m, into=into)
+            clips += c
+            yield monitor.step(cert.gamma), clips
+
+    def diverging(trace):
         d_all = trace.differences()
-        if it >= 4 and np.all(np.diff(d_all[-3:]) > 0) and d_all[-1] > 1e3:
-            raise SolverDivergence("Picard sweeps diverging", trace)
-    if not trace.converged:
-        raise SolverDivergence(f"no convergence within {opts.max_iter} sweeps", trace)
+        if trace.iterations >= 4 and np.all(np.diff(d_all[-3:]) > 0) and d_all[-1] > 1e3:
+            return "Picard sweeps diverging"
+
+    trace = PicardTrace(k_hi=m)
+    clips = _picard(sweeps(), trace, opts.tol, diverging, f"no convergence within {opts.max_iter} sweeps")
     return Solution(Y=y, Z=z, grid=grid, clip_events=clips), trace
 
 
@@ -800,41 +818,38 @@ def solve_volterra(
     y_prev = np.zeros_like(inner_sol.Y)
     if opts.init_offset:
         y_prev += opts.init_offset
-    trace = PicardTrace()
-    for it in range(1, opts.max_iter + 1):
-        g_vals = np.empty((m, paths.particles, n))  # node-major
-        for j in range(m):
-            g_vals[j] = g(j, y_prev, inner_sol.Z, MeasureView.of_checked(y_prev[:, j]))
-            _check_finite(j, grid.nodes[j], g=g_vals[j])
-        tails = np.zeros((paths.particles, n))
-        y_new = np.empty_like(y_prev)
-        y_new[:, m, :] = inner_sol.Y[:, m, :]
-        for k in range(m - 1, -1, -1):
-            tails = tails + g_vals[k] * grid.dt
-            with np.errstate(over="ignore"):  # an overflowing fit is caught below as non-finite Y
-                y_new[:, k] = inner_sol.Y[:, k] + operators[k].apply(tails)
-            _check_finite(k, grid.nodes[k], Y=y_new[:, k])
-        diff = y_new - y_prev
-        dy = float(np.abs(diff).max())
-        weighted = float(np.mean(np.max(weights[None, :] * sum_squares(diff), axis=1)))
-        trace.steps.append(
-            PicardStep(
+
+    def sweeps(y_prev):
+        for it in range(1, opts.max_iter + 1):
+            g_vals = np.empty((m, paths.particles, n))  # node-major
+            for j in range(m):
+                g_vals[j] = g(j, y_prev, inner_sol.Z, MeasureView.of_checked(y_prev[:, j]))
+                _check_finite(j, grid.nodes[j], g=g_vals[j])
+            tails = np.zeros((paths.particles, n))
+            y_new = np.empty_like(y_prev)
+            y_new[:, m, :] = inner_sol.Y[:, m, :]
+            for k in range(m - 1, -1, -1):
+                tails = tails + g_vals[k] * grid.dt
+                with np.errstate(over="ignore"):  # an overflowing fit is caught below as non-finite Y
+                    y_new[:, k] = inner_sol.Y[:, k] + operators[k].apply(tails)
+                _check_finite(k, grid.nodes[k], Y=y_new[:, k])
+            diff = y_new - y_prev
+            dy = float(np.abs(diff).max())
+            weighted = float(np.mean(np.max(weights[None, :] * sum_squares(diff), axis=1)))
+            yield PicardStep(
                 iteration=it,
                 dy_sup=dy,
                 dz_norm=0.0,
                 combined=dy,
                 max_abs_y=float(np.abs(y_new).max()),
                 monitors={"weighted_sq": weighted},
-            )
-        )
-        y_prev = y_new
-        if dy <= opts.tol:
-            trace.converged = True
-            break
-    if not trace.converged:
-        raise SolverDivergence(f"outer sweeps did not converge within {opts.max_iter}", trace)
+            ), y_new
+            y_prev = y_new
+
+    trace = PicardTrace(k_hi=m)
+    exhausted = f"outer sweeps did not converge within {opts.max_iter}"
     sol = Solution(
-        Y=y_prev,
+        Y=_picard(sweeps(y_prev), trace, opts.tol, lambda trace: None, exhausted),
         Z=inner_sol.Z,
         grid=grid,
         clip_events=inner_sol.clip_events,
@@ -860,8 +875,8 @@ def run_scheme(
 ):
     """Dispatch a fixture to a scheme; returns (Solution, trace, extras).
 
-    ``extras`` holds the stitching report for ``global`` under
-    ``"report"`` and, for ``theta``, the solve's node-factor table under
+    ``extras`` holds the stitching record for ``global`` (whose trace is
+    None) under ``"report"`` and, for ``theta``, the solve's node-factor table under
     ``"operators"`` (which :func:`export_csv` takes); it is empty for
     ``local`` and ``volterra``. The scheme runs on the ensemble's grid,
     ``paths.grid``; ``grid`` must equal it. Raises ``ValueError`` naming

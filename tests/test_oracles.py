@@ -10,7 +10,6 @@ from mfbsde.oracles import (
     OracleBudgetError,
     OracleRefusal,
     cole_hopf,
-    cole_hopf_path,
     dense_reference,
     linear_mf_oracle,
 )
@@ -66,15 +65,6 @@ def test_invalid_inputs():
         cole_hopf(lambda w: w, 0.0, 1.0)
     with pytest.raises(ValueError):
         cole_hopf(lambda w: w, 1.0, 1.0, method="magic")
-
-
-def test_pathwise_values():
-    # terminal time returns the terminal function itself
-    assert cole_hopf_path(1.0, 0.7, lambda w: w, 1.0, 1.0) == pytest.approx(0.7)
-    # linear terminal: Y_t = w + gamma (T - t) / 2
-    assert cole_hopf_path(0.25, -0.3, lambda w: w, 1.0, 1.0) == pytest.approx(-0.3 + 0.375, abs=1e-10)
-    with pytest.raises(ValueError):
-        cole_hopf_path(2.0, 0.0, lambda w: w, 1.0, 1.0)
 
 
 def test_linear_oracle_const_terminal():

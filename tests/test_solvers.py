@@ -930,32 +930,24 @@ def test_local_equals_a_plain_picard_loop_over_psi_map_bitwise(options):
     assert [step.qv_sq for step in trace.steps] == qv_sq
 
 
-def test_global_windows_equal_plain_picard_loops_over_psi_map_bitwise(monkeypatch):
+def test_global_windows_equal_plain_picard_loops_over_psi_map_bitwise():
     bundle = fixture("eq41", n=2)
     spec = bundle.spec
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 2**10, 2, seed=9)
-    traces = []
-    real_local = solvers.solve_local
-
-    def recording_local(*args, **kwargs):
-        window, trace = real_local(*args, **kwargs)
-        traces.append(trace)
-        return window, trace
-
-    monkeypatch.setattr(solvers, "solve_local", recording_local)
     sol, report = solve_global(spec, bundle.global_, bundle.terminal(paths), paths, ENGINE)
-    assert sum(w.halvings for w in report.windows) == 0 and len(traces) == report.window_count
+    assert sum(w.halvings for w in report.windows) == 0 and report.window_count == grid.steps
     opts = _with_window_clip(SolverOptions(), solvers.global_ode(bundle.global_, spec.n, grid.horizon).window.K2)
-    for w, trace in zip(report.windows, traces):
+    for w in report.windows:
         ref, dy_sup, dz_norm, qv_sq = _reference_picard(
             spec, sol.Y[:, w.k_hi], grid, paths, opts, w.k_lo, w.k_hi, w.iterations
         )
+        assert w.converged
         assert np.array_equal(sol.Y[:, w.k_lo : w.k_hi + 1], ref.Y)
         assert np.array_equal(sol.Z[:, w.k_lo : w.k_hi], ref.Z)
-        assert [step.dy_sup for step in trace.steps] == dy_sup
-        assert [step.dz_norm for step in trace.steps] == dz_norm
-        assert [step.qv_sq for step in trace.steps] == qv_sq
+        assert [step.dy_sup for step in w.steps] == dy_sup
+        assert [step.dz_norm for step in w.steps] == dz_norm
+        assert [step.qv_sq for step in w.steps] == qv_sq
 
 
 @pytest.mark.parametrize("inner_sweeps, total", [(1, 135), (2, 336)])
@@ -1165,6 +1157,32 @@ def test_global_halves_a_failing_window_to_one_step_then_raises(monkeypatch):
         return real(*args, k_lo=k_lo, k_hi=k_hi, **kw)
 
     monkeypatch.setattr(solvers, "solve_local", spy)
-    with pytest.raises(SolverDivergence, match=r"not contracting on window of length 1\.250e-03"):
+    with pytest.raises(SolverDivergence, match=r"not contracting on window of length 1\.250e-03") as exc:
         solve_global(bundle.spec, cert, np.ones((256, 1)), paths, ENGINE)
     assert spans == [8, 4, 2, 1]
+    # the error carries the failing window's record: its span, halvings and steps
+    trace = exc.value.trace
+    assert (trace.k_lo, trace.k_hi, trace.halvings, trace.iterations) == (7, 8, 3, 3)
+    assert not trace.converged
+
+
+def test_an_overflowing_driver_stops_theta_at_its_node():
+    # 0.5 gamma |z|^2 overflows at node 4; pytest turns a RuntimeWarning
+    # that leaks out of the kernel into an error, so none may escape
+    bundle = fixture("pure_quadratic", gamma=30.0, terminal="brownian")
+    paths = sample_brownian(build_grid(1.0, 16), 2**12, 1, seed=6)
+    with pytest.raises(SolverDivergence, match=r"^non-finite Y at node 4 \(t=0\.25\) in component 0$"):
+        run_scheme(bundle, "theta", paths.grid, paths, ENGINE)
+
+
+def test_a_non_finite_global_window_carries_its_record():
+    # the driver is infinite from t = 0.25 down, so the one-node window
+    # [4, 5] fails in its first pass; the kernel's error gets its record
+    bundle = fixture("eq41", n=2)
+    real = bundle.spec.evaluate
+    spec = replace(bundle.spec, evaluate=lambda t, *args: real(t, *args) + (np.inf if t <= 0.25 else 0.0))
+    paths = sample_brownian(build_grid(1.0, 16), 2**10, 2, seed=9)
+    with pytest.raises(SolverDivergence, match=r"^non-finite Y at node 4 \(t=0\.25\) in component 0$") as exc:
+        solve_global(spec, bundle.global_, bundle.terminal(paths), paths, ENGINE)
+    trace = exc.value.trace
+    assert (trace.k_lo, trace.k_hi, trace.halvings, trace.iterations) == (4, 5, 0, 0)

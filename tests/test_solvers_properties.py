@@ -15,10 +15,11 @@ Y + c and the same Z, while the basis holds constants: the fit of a shifted
 value is the shifted fit, and the centered increment products do not see c.
 
 Component permutation: for a driver symmetric in its components, whose
-terminal is the Brownian endpoint, swapping the noise coordinates swaps the
-terminal's components, so Y and Z come out with their components and noise
-axes swapped. A polynomial basis spans the same functions in either
-coordinate order; only rounding in the fits sees the order.
+terminal maps each coordinate of the Brownian endpoint alike, swapping the
+noise coordinates swaps the terminal's components, so Y and Z come out with
+their components and noise axes swapped, under ``theta`` and under
+``global``'s windows alike. A polynomial basis spans the same functions in
+either coordinate order; only rounding in the fits sees the order.
 """
 import numpy as np
 import pytest
@@ -124,5 +125,20 @@ def test_swapped_noise_coordinates_swap_the_components(seed):
     sol, trace = solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), paths, ENGINE, opts)
     sol_s, trace_s = solve_theta(bundle.spec, bundle.convex, bundle.terminal(swapped), swapped, ENGINE, opts)
     assert trace.converged and trace_s.iterations == trace.iterations
+    _assert_rel_close(sol_s.Y, sol.Y[:, :, ::-1])
+    _assert_rel_close(sol_s.Z, sol.Z[:, :, ::-1, ::-1])
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_swapped_noise_coordinates_swap_the_global_components(seed):
+    # eq41 with n = 2: cross rows and a joint law, 16 one-node windows
+    bundle = fixture("eq41", n=2)
+    grid = build_grid(1.0, 16)
+    paths = sample_brownian(grid, 1024, 2, seed=seed)
+    swapped = PathEnsemble(grid, paths.increments[:, :, ::-1], seed=seed)
+    sol, windows = _solve("global", bundle, grid, paths)
+    sol_s, windows_s = _solve("global", bundle, grid, swapped)
+    assert windows_s == windows
     _assert_rel_close(sol_s.Y, sol.Y[:, :, ::-1])
     _assert_rel_close(sol_s.Z, sol.Z[:, :, ::-1, ::-1])
