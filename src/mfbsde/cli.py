@@ -9,13 +9,15 @@ Exit codes: 0 success, 2 bad config or usage, 3 solver divergence,
 config, runs a subcommand that returns ``(exit code, results, timings)``,
 prints the one report envelope, and turns :class:`SolverDivergence` into
 the error report and exit 3 and a bad config, parameter or reference
-request into a message on stderr and exit 2.
+request, or an output it cannot write, into a message on stderr and exit 2.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import math
+import os
 import sys
 import time
 from functools import partial
@@ -78,6 +80,9 @@ def load_config(path: str) -> dict:
     _check_keys(cfg.get("basis", {}), _BASIS_KEYS, "basis")
     _check_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver")
     _check_keys(cfg.get("outputs", {}), _OUTPUT_KEYS, "outputs")
+    for key, target in cfg.get("outputs", {}).items():
+        if not isinstance(target, str) or not os.path.isdir(os.path.dirname(os.path.abspath(target))):
+            raise ConfigError(f"outputs.{key} must be a file path in an existing directory, got {target!r}")
     if not isinstance(cfg.get("params", {}), dict):
         raise ConfigError("params must be an object")
     if cfg["scheme"] not in _SCHEMES:
@@ -186,7 +191,7 @@ def cmd_constants(cfg: None, args) -> tuple[int, dict, dict]:
         win = local_window(bundle.local, n)
         results["local"] = {
             "K1": win.K1,
-            "K2": win.K2,
+            "K2": win.K2 if math.isfinite(win.K2) else None,  # saturated: log_K2 holds it
             "log_K2": win.log_K2,
             "m": win.m_nla,
             "x1": win.x1,
@@ -290,7 +295,7 @@ def main(argv=None) -> int:
         code, timings = EXIT_DIVERGED, {}
         results = {"converged": False} if args.command == "solve" else {}
         report["error"] = str(exc)
-    except ValueError as exc:  # ConfigError, FixtureError, OracleRefusal, ... are ValueErrors
+    except (ValueError, OSError) as exc:  # ConfigError, FixtureError, ...; OSError: an output write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     report.update(results=results, timings=timings)

@@ -16,7 +16,7 @@ import numpy as np
 from .condexp import FactorTable
 from .constants import GlobalConstants, LocalConstants
 from .generators import CertificateLocal
-from .measures import ExpMoment, column_max, exp_moment, max_abs, sum_squares
+from .measures import ExpMoment, exp_moment, max_abs, sum_squares
 from .paths import require_grid
 
 MC_SLACK = 0.05
@@ -55,35 +55,23 @@ def _tail_sums(z_values: np.ndarray, dt: float) -> np.ndarray:
 def bmo_profile(z_values, paths, engine, k_lo: int = 0, operators=None) -> np.ndarray:
     """Per-node conditional remaining quadratic variation, particle maximum.
 
-    Entry k estimates max_omega E[ sum_{j>=k} |Z_j|^2 dt | F_{t_k} ] by
-    projecting the tail sum onto the node-k state. The BMO norm is the
-    square root of the profile maximum. A tuple of m Z arrays over the same
-    nodes gives a (K, m) profile: their tail sums are projected as one
-    (N, m) block per node, whose particle maxima are taken column by column
-    (:func:`mfbsde.measures.column_max`). ``operators[k]`` is node k's
-    operator, k a global node index; without it a
-    :class:`mfbsde.condexp.FactorTable` of ``engine`` factors each node.
-    The step dt is that of the ensemble's grid.
+    Entry k of the (K,) profile of one Z array estimates
+    max_omega E[ sum_{j>=k} |Z_j|^2 dt | F_{t_k} ] by projecting the tail
+    sum onto the node-k state. ``operators[k]`` is node k's operator, k a
+    global node index; without it a :class:`mfbsde.condexp.FactorTable` of
+    ``engine`` factors each node. The step dt is that of the ensemble's grid.
     """
-    dt = paths.grid.dt
-    if isinstance(z_values, tuple):
-        tails = np.stack([_tail_sums(z, dt).T for z in z_values], axis=2)  # (K, N, m)
-    else:
-        tails = _tail_sums(z_values, dt).T  # (K, N)
+    tails = _tail_sums(z_values, paths.grid.dt).T  # (K, N)
     if operators is None:
         operators = FactorTable(engine.basis, paths.brownian_at)
-    profile = np.empty(tails.shape[:1] + tails.shape[2:])
-    for k in range(tails.shape[0]):
-        profile[k] = column_max(operators[k_lo + k].apply(tails[k]))
-    return profile
+    return np.array([operators[k_lo + k].apply(tail).max() for k, tail in enumerate(tails)])
 
 
-def bmo_norm(z_values, paths, engine, k_lo: int = 0, operators=None):
-    """BMO norm of Z on its nodes; a tuple of Z arrays gives a tuple of
-    norms from one pass over the nodes (see :func:`bmo_profile`)."""
+def bmo_norm(z_values, paths, engine, k_lo: int = 0, operators=None) -> float:
+    """BMO norm of one Z array on its nodes: the square root of the
+    :func:`bmo_profile` maximum."""
     profile = bmo_profile(z_values, paths, engine, k_lo=k_lo, operators=operators)
-    norms = [float(math.sqrt(max(col.max(), 0.0))) for col in np.atleast_2d(profile.T)]
-    return tuple(norms) if isinstance(z_values, tuple) else norms[0]
+    return float(math.sqrt(max(profile.max(), 0.0)))
 
 
 def john_nirenberg(z_values: np.ndarray, paths, engine, k_lo: int = 0) -> BoundReport:

@@ -46,15 +46,6 @@ def max_abs(x: np.ndarray) -> np.ndarray:
     return top
 
 
-def column_max(x: np.ndarray) -> np.ndarray:
-    """Largest entry of each column of an (N, m) block, with one pass per
-    column, or the maximum of an (N,) vector; bitwise equal to
-    ``np.max(x, axis=0)``, NaN included."""
-    if x.ndim == 1:
-        return x.max()
-    return np.array([x[:, c].max() for c in range(x.shape[1])])
-
-
 def _flat_rows(z: np.ndarray) -> np.ndarray:
     """A Z cloud (N, n, d) as its (N, n d) rows; any other shape as given."""
     z = np.asarray(z, dtype=np.float64)

@@ -90,9 +90,9 @@ class PathEnsemble:
     """N Brownian paths on a grid: per-step increments and their sums.
 
     ``increments`` has shape (N, M, d) and is a view of a node-major
-    (M, N, d) buffer, so ``increments[:, k]`` is C-contiguous. Any (N, M, d)
-    array is accepted; it is copied into a node-major buffer unless it
-    already is a view of one. The read-only node-major (M+1, N, d) Brownian
+    (M, N, d) buffer, so ``increments[:, k]`` is C-contiguous. Any finite
+    (N, M, d) array with N, d >= 1 is accepted; it is copied into a
+    node-major buffer unless it already is a view of one. The read-only node-major (M+1, N, d) Brownian
     values are built here, with the additions of a cumulative sum in its
     order; ``brownian_at(k)`` returns row k.
     """
@@ -104,8 +104,8 @@ class PathEnsemble:
         seed: int,
     ) -> None:
         increments = np.asarray(increments, dtype=np.float64)
-        if increments.ndim != 3:
-            raise PathsError(f"increments must be (N, M, d), got shape {increments.shape}")
+        if increments.ndim != 3 or min(increments.shape[0], increments.shape[2]) < 1:
+            raise PathsError(f"increments must be (N, M, d) with N, d >= 1, got shape {increments.shape}")
         if increments.shape[1] != grid.steps:
             raise PathsError(
                 f"increment count {increments.shape[1]} does not match grid steps {grid.steps}"
@@ -215,14 +215,15 @@ def dump_ensemble(ensemble: PathEnsemble, path: str) -> None:
 
 def load_ensemble(path: str, grid: TimeGrid) -> PathEnsemble:
     """Read an ensemble dumped by :func:`dump_ensemble` onto ``grid``,
-    checking the header (sizes >= 0, the grid's step count) and that the
-    payload holds exactly the increments it announces."""
+    checking the header (at least one particle and dimension, the grid's
+    step count) and that the payload holds exactly the increments it
+    announces."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise PathsError("truncated ensemble header")
         n, m, d, seed = _HEADER.unpack(head)
-        if min(n, m, d) < 0:
+        if min(n, d) < 1:
             raise PathsError(f"corrupt ensemble header: particles={n} steps={m} dimension={d}")
         if m != grid.steps:
             raise PathsError(f"file has {m} steps, grid has {grid.steps}")

@@ -30,8 +30,9 @@ cannot change: the head node's projections of the terminal; per pass one
 driver Z stage, which the terminal point and the head node share; with one
 inner sweep, from iteration 2 on, the terminal driver value and that stage;
 on a one-node window also its BMO pair, as the Z difference is then 0 and
-the QV iteration 1's. Every value is bitwise equal to a plain Picard loop
-over :func:`psi_map` and ``bmo_norm``.
+the QV iteration 1's. Iteration 1 starts from Z = 0, so its Z difference
+is its Z and takes its BMO norm from its QV. Every value is bitwise equal
+to a plain Picard loop over :func:`psi_map` and ``bmo_norm``.
 
 Every scheme iterates through one loop, :func:`_picard`: it records the
 steps that the scheme's passes yield in a :class:`PicardTrace`, the one
@@ -290,6 +291,11 @@ def _terminal_block(terminal, particles: int, n: int, k: int) -> np.ndarray:
     return terminal
 
 
+def _require_range(k_lo: int, k_hi: int, steps: int) -> None:
+    if not 0 <= k_lo < k_hi <= steps:
+        raise ValueError(f"bad node range [{k_lo}, {k_hi}]")
+
+
 def _backward(
     paths: PathEnsemble,
     driver: NodeDriver,
@@ -328,8 +334,7 @@ def _backward(
     terminal row) just before they overwrite the old ones.
     """
     grid = paths.grid
-    if not 0 <= k_lo < k_hi <= grid.steps:
-        raise ValueError(f"bad node range [{k_lo}, {k_hi}]")
+    _require_range(k_lo, k_hi, grid.steps)
     n_part, n = terminal.shape
     if n_part != paths.particles:
         raise ValueError("terminal values must have one entry per particle")
@@ -498,14 +503,15 @@ def solve_local(
     Every iteration is a :func:`psi_map` pass followed by
     ``law_refinements`` passes whose law comes from the previous pass, and
     is bitwise equal to that sequence of :func:`psi_map` calls, and each
-    step's BMO pair to ``bmo_norm`` of its Z difference and Z. The call
-    builds each window node's operator once, from ``operators`` (a
+    step's BMO norms to ``bmo_norm`` of its Z difference and of its Z. The
+    call builds each window node's operator once, from ``operators`` (a
     :class:`mfbsde.condexp.FactorTable`) or from a table of its own, and
     every pass and BMO norm of the call shares them.
     """
     grid = paths.grid
     if k_hi is None:
         k_hi = grid.steps
+    _require_range(k_lo, k_hi, grid.steps)
     span = k_hi - k_lo
     terminal = _terminal_block(terminal, paths.particles, spec.n, k_hi)
     if consts is None:
@@ -546,7 +552,8 @@ def solve_local(
             moved = y.swapaxes(0, 1)[:span]
             dy = float(np.abs(moved - current.Y.swapaxes(0, 1)[:span]).max())
             if it == 1 or span > 1 or not fixed_z:
-                dz, qv_norm = bmo_norm((out.Z - current.Z, out.Z), paths, engine, k_lo=k_lo, operators=operators)
+                qv_norm = bmo_norm(out.Z, paths, engine, k_lo=k_lo, operators=operators)
+                dz = qv_norm if it == 1 else bmo_norm(out.Z - current.Z, paths, engine, k_lo=k_lo, operators=operators)
             else:  # out.Z and current.Z are both z_head: dz is 0 and the QV is iteration 1's
                 dz = 0.0
             max_y = max(float(np.abs(moved).max()), terminal_max)
@@ -603,8 +610,7 @@ def solve_global(
     spw = max(1, int(gconsts.delta_kappa / dt))
     # honor the certified window count even when flooring to whole steps
     cap = math.ceil(grid.horizon / gconsts.delta_kappa) + 6
-    if math.isfinite(cap) and cap > 0:
-        spw = max(spw, math.ceil(grid.steps / cap))
+    spw = max(spw, math.ceil(grid.steps / cap))
     local_cert = kappa_local_certificate(cert, gconsts.kappa, grid.horizon)
     window_consts = gconsts.window
     n, d = spec.n, spec.d
@@ -952,7 +958,7 @@ def dump_solution(sol: Solution, path: str) -> None:
     import struct
 
     n_part, kp1, n = sol.Y.shape
-    d = sol.Z.shape[3] if sol.Z.size else 1
+    d = sol.Z.shape[3]
     with open(path, "wb") as fh:
         fh.write(_SOL_MAGIC)
         fh.write(struct.pack("<qqqqqq", n_part, kp1 - 1, n, d, sol.k_lo, sol.grid.steps))
@@ -963,9 +969,10 @@ def dump_solution(sol: Solution, path: str) -> None:
 
 def load_solution(path: str) -> Solution:
     """Read a file written by :func:`dump_solution`, checking the header
-    (sizes >= 0, the span inside the grid, a finite positive horizon) and
-    that the payload holds exactly the Y and Z it announces. The arrays are
-    copied into node-major buffers, as the solvers store them."""
+    (at least one particle, component and noise dimension, the span inside
+    the grid, a finite positive horizon) and that the payload holds exactly
+    the Y and Z it announces. The arrays are copied into node-major buffers,
+    as the solvers store them."""
     import struct
 
     with open(path, "rb") as fh:
@@ -977,7 +984,8 @@ def load_solution(path: str) -> Solution:
             raise ValueError("truncated solution header")
         n_part, span, n, d, k_lo, steps, horizon = struct.unpack("<qqqqqqd", head)
         payload = fh.read()
-    if min(n_part, span, n, d, k_lo) < 0 or k_lo + span > steps or not (math.isfinite(horizon) and horizon > 0.0):
+    sizes_ok = min(n_part, n, d) >= 1 and min(span, k_lo) >= 0 and k_lo + span <= steps
+    if not (sizes_ok and math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(
             f"corrupt solution header: particles={n_part} span={span} components={n} "
             f"noise_dim={d} start_node={k_lo} grid_steps={steps} horizon={horizon}"

@@ -11,6 +11,7 @@ from mfbsde.cli import (
     load_config,
     main,
 )
+from mfbsde.generators import fixture_names
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -499,3 +500,44 @@ def test_an_infinite_envelope_level_exits_config_without_a_warning(capsys, tmp_p
             code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (EXIT_CONFIG, "", message)
         assert not caught
+
+
+@pytest.mark.parametrize("key", ["csv", "solution"])
+def test_an_output_in_a_missing_directory_exits_config_before_the_solve(capsys, tmp_path, monkeypatch, key):
+    # such a config used to solve and then exit 1 with a FileNotFoundError
+    import mfbsde.cli
+
+    solves = []
+    monkeypatch.setattr(mfbsde.cli, "run_scheme", lambda *a, **kw: solves.append(1))
+    target = str(tmp_path / "missing" / "out")
+    code, out, err = run_cli(capsys, "solve", write_config(tmp_path, particles=64, outputs={key: target}))
+    assert (code, out, solves) == (EXIT_CONFIG, "", [])
+    assert err == f"error: outputs.{key} must be a file path in an existing directory, got {target!r}\n"
+
+
+@pytest.mark.parametrize("key", ["csv", "solution"])
+def test_an_output_that_cannot_be_written_exits_config(capsys, tmp_path, key):
+    # a path that is a directory passes the config check and fails the write
+    code, out, err = run_cli(capsys, "solve", write_config(tmp_path, particles=64, outputs={key: str(tmp_path)}))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _refuse_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--fixture", name] for name in fixture_names()]
+    + [["--fixture", "pure_quadratic", "--param", 'terminal="tanh"', "--param", "lam=0", "--param", "M1=177"]],
+    ids=[*fixture_names(), "pure_quadratic-M1-177"],
+)
+def test_every_constants_report_is_strict_json(capsys, argv):
+    # M1 = 177 saturates K2, which used to print as the token Infinity
+    code, out, _ = run_cli(capsys, "constants", *argv)
+    assert code == EXIT_OK
+    report = json.loads(out, parse_constant=_refuse_constant)
+    local = report["results"].get("local")
+    if "M1=177" in argv:
+        assert local["K2"] is None and local["log_K2"] > 709.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfbsde.condexp import FactorTable, RegressionBasis, RegressionEngine
+from mfbsde.condexp import RegressionBasis, RegressionEngine
 from mfbsde.constants import global_ode, local_window
 from mfbsde.diagnostics import (
     bmo_norm,
@@ -31,24 +31,6 @@ def test_bmo_of_unit_integrand_is_sqrt_horizon():
     profile = bmo_profile(z, paths, ENGINE)
     expected = 0.64 - grid.nodes[:-1]
     np.testing.assert_allclose(profile, expected, atol=1e-12)
-
-
-def test_bmo_pair_in_one_pass_matches_separate_calls():
-    # the Picard loop takes both norms from one (N, 2) block per node, on a
-    # window that starts inside the grid and through a shared factor table
-    grid = build_grid(1.0, 12)
-    paths = sample_brownian(grid, 512, 2, seed=4)
-    rng = np.random.default_rng(4)
-    z_a = rng.standard_normal((512, 5, 2, 2))
-    z_b = 0.1 * rng.standard_normal((512, 5, 2, 2)) + np.sin(paths.brownian_at(7))[:, None, None, :]
-    table = FactorTable(ENGINE.basis, paths.brownian_at)
-    pair = bmo_norm((z_a, z_b), paths, ENGINE, k_lo=7, operators=table)
-    single = (bmo_norm(z_a, paths, ENGINE, k_lo=7), bmo_norm(z_b, paths, ENGINE, k_lo=7))
-    assert isinstance(pair, tuple) and len(pair) == 2
-    np.testing.assert_allclose(pair, single, rtol=1e-12, atol=0)
-    profile = bmo_profile((z_a, z_b), paths, ENGINE, k_lo=7, operators=table)
-    assert profile.shape == (5, 2)
-    np.testing.assert_allclose(profile[:, 1], bmo_profile(z_b, paths, ENGINE, k_lo=7), rtol=1e-12, atol=0)
 
 
 def test_bmo_accepts_component_stacked_z():

@@ -126,6 +126,19 @@ def test_load_rejects_negative_header_sizes(tmp_path):
         load_ensemble(str(target), build_grid(1.0, 4))
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 2), (3, 4, 0)])
+def test_an_empty_ensemble_is_refused(tmp_path, shape):
+    # it used to load, and a theta solve on it then died inside numpy
+    import struct
+
+    with pytest.raises(PathsError, match="N, d >= 1"):
+        PathEnsemble(build_grid(1.0, 4), np.zeros(shape), 0)
+    target = tmp_path / "paths.bin"
+    target.write_bytes(struct.pack("<qqqq", *shape, 0))
+    with pytest.raises(PathsError, match="corrupt ensemble header"):
+        load_ensemble(str(target), build_grid(1.0, 4))
+
+
 def test_load_reports_long_and_short_payloads(tmp_path):
     grid = build_grid(0.5, 6)
     target = tmp_path / "paths.bin"

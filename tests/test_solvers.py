@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +61,16 @@ def test_scalar_range_validation():
         solve_scalar(paths, _zero_driver, np.ones(16), ENGINE, k_lo=5, k_hi=3)
     with pytest.raises(ValueError):
         solve_scalar(paths, _zero_driver, np.ones(8), ENGINE)
+
+
+@pytest.mark.parametrize("k_lo, k_hi", [(5, 5), (6, 5), (0, 9), (-1, 3)])
+def test_local_refuses_a_bad_node_range_before_any_fit(k_lo, k_hi):
+    # these used to fail inside the head fit: KeyError, a negative dimension,
+    # an IndexError
+    bundle = fixture("eq41", n=2)
+    paths = sample_brownian(build_grid(1.0, 8), 256, 2, seed=1)
+    with pytest.raises(ValueError, match=re.escape(f"bad node range [{k_lo}, {k_hi}]")):
+        solve_local(bundle.spec, bundle.local, bundle.terminal(paths), paths, ENGINE, k_lo=k_lo, k_hi=k_hi)
 
 
 def test_quadratic_initial_value():
@@ -377,6 +388,31 @@ def _per_component(spec, y_frozen, z_frozen, laws, terminal, paths, opts, k_lo, 
 
 def _assert_rel_close(actual, reference, rel=1e-12):
     assert np.abs(actual - reference).max() <= rel * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("field", ["particles", "components", "noise_dim"])
+def test_solution_load_refuses_an_empty_header(tmp_path, field):
+    # a file announcing zero particles, components or noise dimension used to
+    # load, and y0() then warned "Mean of empty slice"
+    import struct
+
+    sizes = {"particles": 4, "components": 2, "noise_dim": 3}
+    sizes[field] = 0
+    n_part, n, d = sizes.values()
+    span, steps = 2, 2
+    payload = np.zeros(n_part * (span + 1) * n + n_part * span * n * d).tobytes()
+    target = tmp_path / "sol.bin"
+    target.write_bytes(b"MFBS0001" + struct.pack("<qqqqqqd", n_part, span, n, d, 0, steps, 1.0) + payload)
+    with pytest.raises(ValueError, match="corrupt solution header"):
+        load_solution(str(target))
+
+
+def test_a_span_zero_solution_keeps_its_noise_dimension(tmp_path):
+    # dump_solution used to write d = 1 for an empty Z
+    sol = Solution(Y=np.ones((4, 1, 2)), Z=np.zeros((4, 0, 2, 3)), grid=build_grid(1.0, 4), k_lo=4)
+    dump_solution(sol, str(tmp_path / "sol.bin"))
+    back = load_solution(str(tmp_path / "sol.bin"))
+    assert back.Z.shape == (4, 0, 2, 3) and np.array_equal(back.Y, sol.Y)
 
 
 def test_psi_map_matches_per_component_sweeps():
@@ -883,9 +919,8 @@ def _reference_picard(spec, terminal, grid, paths, opts, k_lo, k_hi, iterations)
         for _ in range(opts.law_refinements):
             out = psi_map(spec, current, paths, ENGINE, opts, k_lo, k_hi, law_source=out)
         dy_sup.append(float(np.abs(out.Y - current.Y).max()))
-        dz, qv = solvers.bmo_norm((out.Z - current.Z, out.Z), paths, ENGINE, k_lo=k_lo)
-        dz_norm.append(dz)
-        qv_sq.append(qv**2)
+        dz_norm.append(solvers.bmo_norm(out.Z - current.Z, paths, ENGINE, k_lo=k_lo))
+        qv_sq.append(solvers.bmo_norm(out.Z, paths, ENGINE, k_lo=k_lo) ** 2)
         current = out
     return current, dy_sup, dz_norm, qv_sq
 

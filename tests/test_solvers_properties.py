@@ -20,6 +20,11 @@ noise coordinates swaps the terminal's components, so Y and Z come out with
 their components and noise axes swapped, under ``theta`` and under
 ``global``'s windows alike. A polynomial basis spans the same functions in
 either coordinate order; only rounding in the fits sees the order.
+
+Global stitching: the windows of a ``global`` solve tile [0, T] backward
+from T, node K of the stitched Y is the terminal itself, and the window
+that ends at K, re-solved alone with ``solve_local``, gives the stitched
+Y and Z on its span bitwise.
 """
 import numpy as np
 import pytest
@@ -38,6 +43,7 @@ from mfbsde import (
     solve_local,
     solve_theta,
 )
+from mfbsde.constants import kappa_local_certificate
 
 ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
 
@@ -142,3 +148,27 @@ def test_swapped_noise_coordinates_swap_the_global_components(seed):
     assert windows_s == windows
     _assert_rel_close(sol_s.Y, sol.Y[:, :, ::-1])
     _assert_rel_close(sol_s.Z, sol.Z[:, :, ::-1, ::-1])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16), steps=st.sampled_from([8, 16]))
+def test_global_windows_tile_the_grid_and_repeat_as_local_solves(seed, steps):
+    bundle = fixture("eq41", n=2)
+    grid = build_grid(1.0, steps)
+    paths = sample_brownian(grid, 512, 2, seed=seed)
+    terminal = bundle.terminal(paths)
+    sol, report = solve_global(bundle.spec, bundle.global_, terminal, paths, ENGINE)
+    edges = [(w.k_hi, w.k_lo) for w in report.windows]  # backward from T
+    assert edges[0][0] == steps and edges[-1][1] == 0
+    assert all(hi > lo for hi, lo in edges) and all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+    assert _same_bits(sol.Y[:, steps], np.asarray(terminal, dtype=np.float64))
+    first, consts = report.windows[0], report.constants
+    cert = kappa_local_certificate(bundle.global_, consts.kappa, grid.horizon)
+    window, _ = solve_local(
+        bundle.spec, cert, sol.Y[:, steps], paths, ENGINE, k_lo=first.k_lo, k_hi=first.k_hi, consts=consts.window
+    )
+    assert _same_bits(window.Y, sol.Y[:, first.k_lo :]) and _same_bits(window.Z, sol.Z[:, first.k_lo :])
