@@ -224,9 +224,10 @@ def cmd_constants(cfg: None, args) -> tuple[int, dict, dict]:
 
 
 def cmd_refine(cfg: dict, args) -> tuple[int, dict, dict]:
-    from .oracles import dense_reference
+    from .oracles import dense_reference, refined_grid
 
     bundle, engine, paths, opts = _build(cfg)
+    refined_grid(paths.grid, cfg["particles"], args.factor)  # refuse a bad factor before the base solve
     t0 = time.perf_counter()
     sol, trace, extras = run_scheme(bundle, cfg["scheme"], paths.grid, paths, engine, opts)
     ref = dense_reference(

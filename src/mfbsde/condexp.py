@@ -1,22 +1,20 @@
 """Least-squares conditional expectations on a particle ensemble.
 
-The conditioning state at node k is the Brownian value W_{t_k}. A fit
-solves the normal equations through a thin QR factorization; a trace-scaled
-ridge fallback (penalty 1e-10 * tr(A^T A)/p) catches rank deficiency, and
-constant columns (min == max, an exact test) are dropped first, so a
-constant state, whatever its value, reduces to a plain mean with rank 1.
-An ensemble with fewer particles than kept columns is refused with a
-:class:`RegressionError`.
+The conditioning state at node k is the Brownian value W_{t_k}. Constant
+design columns (min == max, an exact test) are dropped first, so a constant
+state, whatever its value, fits a plain mean with rank 1; an ensemble with
+fewer particles than kept columns is refused with a :class:`RegressionError`.
 A polynomial design is column-major: the (N, p) transpose of a (p, N)
 buffer whose rows are its columns.
 
-A :class:`NodeFactor` holds the p x p part of one state's factorization, a
-:class:`NodeOperator` combines it with the state's design, and its
-``apply`` fits an (N,) vector or an (N, m) block of right-hand sides. An
-operator rebuilt from a kept factor is bitwise equal to a fresh one. A
-:class:`FactorTable` keys factors by node index, factors each node once and
-builds a fresh operator at every access, every polynomial design into the
-one (p, N) buffer it keeps.
+A :class:`NodeFactor` holds R^{-1}, with R from the thin QR of the kept
+columns A or, when that R is numerically singular, the Cholesky factor of
+the ridged Gram matrix A^T A + lam I, lam = 1e-10 tr(A^T A)/p. A
+:class:`NodeOperator` holds Q = A R^{-1} and fits an (N,) vector or an
+(N, m) block v as Q (Q^T v); one rebuilt from a kept factor is bitwise equal
+to a fresh one. A :class:`FactorTable` keys factors by node index, factors
+each node once and builds a fresh operator at every access, every polynomial
+design into the one (p, N) buffer it keeps.
 """
 from __future__ import annotations
 
@@ -117,58 +115,58 @@ def _design(state: np.ndarray, basis: RegressionBasis, columns: np.ndarray | Non
     return _design_piecewise(state, basis.bins)
 
 
+def _kept(design: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """The kept columns A; the design itself, uncopied, when all are kept."""
+    return design if len(keep) == design.shape[1] else design[:, keep]
+
+
 @dataclass(frozen=True, eq=False)
 class NodeFactor:
     """The p x p part of one state's projection, factored once.
 
-    ``keep`` lists the design columns that are not constant (the
-    intercept always stays). On the QR path ``rinv`` is R^{-1} of the thin
-    QR of the kept columns, which are the design itself, uncopied, when
-    none is dropped; when R is numerically singular ``system`` is the ridge
-    system instead. No array here has a particle axis.
+    ``keep`` lists the design columns that are not constant (the intercept
+    always stays); ``rinv`` is R^{-1}, R the QR's or, on a ridge node, with
+    R^T R = A^T A + lam I, so A (A^T A [+ lam I])^{-1} A^T = Q Q^T with
+    Q = A R^{-1} either way. No array here has a particle axis.
     """
 
     keep: tuple[int, ...]
     info: ProjectionInfo
-    rinv: np.ndarray | None = None
-    system: np.ndarray | None = None
+    rinv: np.ndarray
 
     @classmethod
     def of(cls, design: np.ndarray) -> "NodeFactor":
         """Constant-column test, R of the thin QR, the ridge test on
-        diag(R), then R^{-1} or the ridge system. Raises
-        :class:`RegressionError` naming both counts when more columns are
-        kept than there are particles."""
+        diag(R), then R^{-1}. Raises :class:`RegressionError` naming both
+        counts when more columns are kept than there are particles."""
         keep = (0,) + tuple(j for j in range(1, design.shape[1]) if design[:, j].min() < design[:, j].max())
         if len(keep) > design.shape[0]:
             raise RegressionError(
                 f"{len(keep)} basis columns kept but only {design.shape[0]} particles: "
                 "a fit needs at least as many particles as columns"
             )
-        a = design if len(keep) == design.shape[1] else design[:, keep]
+        a = _kept(design, keep)
         r = np.linalg.qr(a, mode="r")
         diag = np.abs(np.diag(r))
         ridge = bool(diag.min() <= 1e-12 * max(diag.max(), 1.0))
         info = ProjectionInfo(ridge_used=ridge, dropped_columns=design.shape[1] - len(keep), rank=len(keep))
-        if not ridge:
-            return cls(keep, info, rinv=np.linalg.inv(r))
-        gram = a.T @ a
-        lam = RIDGE_SCALE * np.trace(gram) / gram.shape[0]
-        return cls(keep, info, system=gram + lam * np.eye(gram.shape[0]))
+        if ridge:
+            gram = a.T @ a
+            lam = RIDGE_SCALE * np.trace(gram) / gram.shape[0]
+            r = np.linalg.cholesky(gram + lam * np.eye(gram.shape[0])).T
+        return cls(keep, info, np.linalg.inv(r))
 
 
 class NodeOperator:
     """E[. | state] for one conditioning state.
 
     Built from the state's design and its :class:`NodeFactor`, factored
-    here unless one is given. On the QR path the operator holds only
-    Q = A R^{-1}, with A the kept design columns (the design itself,
-    uncopied, when every column is kept), and fits v as Q (Q^T v). A given
-    factor skips the constant-column test and the QR, and since a fresh
-    factor forms Q the same way, a rebuilt operator is bitwise equal to a
-    fresh one. On the ridge path it holds A and solves the ridge system.
-    ``columns``, a (p, N) buffer, takes a polynomial design in place of a
-    fresh one; the operator keeps no reference to it.
+    here unless one is given. The operator holds only Q = A R^{-1} and fits
+    v as Q (Q^T v). A given factor skips the constant-column test and the
+    factorization, and since a fresh factor forms Q the same way, a rebuilt
+    operator is bitwise equal to a fresh one. ``columns``, a (p, N) buffer,
+    takes a polynomial design in place of a fresh one; the operator keeps no
+    reference to it.
     """
 
     def __init__(
@@ -179,16 +177,9 @@ class NodeOperator:
         columns: np.ndarray | None = None,
     ) -> None:
         design = _design(state, basis, columns)
-        if factor is None:
-            factor = NodeFactor.of(design)
-        self.factor = factor
-        self.info = factor.info
-        if factor.info.ridge_used:
-            self._cols = design[:, factor.keep]  # A
-        elif len(factor.keep) == design.shape[1]:
-            self._cols = design @ factor.rinv  # Q, with no copy of the design
-        else:
-            self._cols = design[:, factor.keep] @ factor.rinv  # Q
+        self.factor = NodeFactor.of(design) if factor is None else factor
+        self.info = self.factor.info
+        self._cols = _kept(design, self.factor.keep) @ self.factor.rinv  # Q
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Fitted E[values | state] at each particle; ``values`` is (N,) or an
@@ -198,9 +189,7 @@ class NodeOperator:
             raise RegressionError(f"values must be (N,) or (N, m), got shape {values.shape}")
         if values.shape[0] != self._cols.shape[0]:
             raise RegressionError("values and state must share the particle axis")
-        if not self.info.ridge_used:
-            return self._cols @ (self._cols.T @ values)
-        return self._cols @ np.linalg.solve(self.factor.system, self._cols.T @ values)
+        return self._cols @ (self._cols.T @ values)
 
 
 class FactorTable:

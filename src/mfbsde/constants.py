@@ -98,6 +98,9 @@ def _solve_power_equation(log_lin: float, log_pow: float, s: float, rhs_log: flo
     a root that leaves float64 range, or whose residual is not below
     ``_ROOT_RESIDUAL``, raises :class:`WindowEquationError`.
     """
+    for log_coef in (log_lin, log_pow):  # -inf marks an absent term; +inf or nan is out of range
+        if log_coef != -math.inf and not math.isfinite(log_coef):
+            raise OverflowError(f"window-equation coefficient exp({log_coef!r}) is out of float64 range")
     has_lin = math.isfinite(log_lin)
     has_pow = math.isfinite(log_pow)
     if not has_lin and not has_pow:
@@ -156,7 +159,7 @@ def local_window(cert: CertificateLocal, n: int) -> LocalConstants:
     mnla = m_const(n, cert.lam, a)
     s = (1.0 - a) / 2.0
     exp_hi = (1.0 + a) / (1.0 - a)
-    psi_k1 = cert.psi(k1) + cert.psi0(k1)
+    psi_k1 = float(cert.psi(k1)) + float(cert.psi0(k1))
 
     def pow_coef_log(front: float) -> float:
         # front * gamma0 * K2^((1+a)/2)
@@ -174,7 +177,7 @@ def local_window(cert: CertificateLocal, n: int) -> LocalConstants:
         return log_c
 
     def lin_log(front: float, with_gamma_power: bool) -> float:
-        drift = math.log(front * psi_k1) if psi_k1 > 0.0 else -math.inf
+        drift = -math.inf if psi_k1 == 0.0 else math.log(front * psi_k1)
         return float(np.logaddexp(drift, quad_coef_log(front, with_gamma_power)))
 
     rhs1_log = math.log(k1 / 2.0)

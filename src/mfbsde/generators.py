@@ -55,6 +55,11 @@ class CertificateError(ValueError):
     pass
 
 
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise CertificateError(msg)
+
+
 @dataclass(frozen=True)
 class MonomialFn:
     """Increasing map x -> c0 + c1 * x**r on [0, inf), with c0, c1 >= 0."""
@@ -64,21 +69,20 @@ class MonomialFn:
     r: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.c0 < 0 or self.c1 < 0:
-            raise CertificateError("monomial coefficients must be nonnegative")
-        if self.r < 1:
-            raise CertificateError("monomial exponent must be >= 1")
+        finite = all(is_finite_real(v) for v in (self.c0, self.c1, self.r))
+        _require(finite, f"monomial values must be finite reals: {self!r}")
+        _require(self.c0 >= 0 and self.c1 >= 0, "monomial coefficients must be nonnegative")
+        _require(self.r >= 1, "monomial exponent must be >= 1")
 
     def __call__(self, x):
-        return self.c0 + self.c1 * np.abs(x) ** self.r
+        """The value, inf past float64 range; c1 = 0 is absent at any x."""
+        if self.c1 == 0:
+            return self.c0 + np.zeros_like(x, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            return self.c0 + self.c1 * np.abs(x) ** self.r
 
 
 ZERO_FN = MonomialFn(0.0, 0.0, 1.0)
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise CertificateError(msg)
 
 
 @dataclass(frozen=True)
@@ -219,34 +223,6 @@ class FixtureBundle:
             if cert is not None:
                 return cert
         raise CertificateError(f"fixture {self.name} carries no certificate")
-
-
-def freeze_rows(
-    spec: GeneratorSpec,
-    component: int,
-    y_values: np.ndarray,
-    z_values: np.ndarray,
-    law: MeasureView | None,
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Scalar driver in the own Z row, all other arguments frozen.
-
-    ``y_values`` is (N, n) and ``z_values`` (N, n, d); the returned callable
-    maps (t, rows (N, d)) to component values (N,). The frozen rows reach
-    the driver as its ``others``, so evaluating the callable at the frozen
-    row i reproduces the full driver component.
-    """
-    if not 0 <= component < spec.n:
-        raise CertificateError(f"component {component} outside 0..{spec.n - 1}")
-    y_values = np.asarray(y_values, dtype=np.float64)
-    z_values = np.asarray(z_values, dtype=np.float64)
-
-    def frozen(t: float, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.float64)
-        z_mod = z_values.copy()
-        z_mod[:, component, :] = rows
-        return spec.evaluate(t, y_values, z_mod, law, z_values)[:, component]
-
-    return frozen
 
 
 # ---------------------------------------------------------------------------

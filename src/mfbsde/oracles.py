@@ -16,7 +16,7 @@ import numpy as np
 from .condexp import RegressionBasis, RegressionEngine
 from .generators import FixtureBundle
 from .measures import exp_moment
-from .paths import TimeGrid, build_grid, sample_brownian
+from .paths import TimeGrid, build_grid, is_count, sample_brownian
 from .solvers import SolverOptions, run_scheme
 
 TerminalFn = Callable[[np.ndarray], np.ndarray]
@@ -144,6 +144,19 @@ def linear_mf_oracle(a: float, b: float, horizon: float, terminal: str = "const"
     raise ValueError(f"no closed form for terminal {terminal!r}")
 
 
+def refined_grid(base_grid: TimeGrid, particles: int, refine: int) -> TimeGrid:
+    """The refine-times finer grid, checked: ``refine`` an int >= 1 and
+    within ``REFINE_BUDGET`` (:class:`OracleBudgetError`)."""
+    if not is_count(refine, 1):
+        raise ValueError(f"refine must be an int >= 1, got {refine!r}")
+    fine_steps = base_grid.steps * refine
+    if particles * fine_steps > REFINE_BUDGET:
+        raise OracleBudgetError(
+            f"{particles} particles x {fine_steps} steps exceeds the budget of {REFINE_BUDGET} path nodes"
+        )
+    return build_grid(base_grid.horizon, fine_steps)
+
+
 def dense_reference(
     bundle: FixtureBundle,
     base_grid: TimeGrid,
@@ -151,8 +164,8 @@ def dense_reference(
     seed: int,
     refine: int = 4,
     scheme: str = "theta",
-    engine: RegressionEngine | None = None,
-    opts: SolverOptions | None = None,
+    engine: RegressionEngine = RegressionEngine(RegressionBasis()),
+    opts: SolverOptions = SolverOptions(),
 ) -> OracleResult:
     """Reference Y_0 from a re-solve on a refine-times finer grid.
 
@@ -162,20 +175,9 @@ def dense_reference(
     average (the final projection conditions on a constant state, so the
     root fit is exactly that average).
     """
-    if refine < 1:
-        raise ValueError("refine must be at least 1")
-    fine_steps = base_grid.steps * refine
-    if particles * fine_steps > REFINE_BUDGET:
-        raise OracleBudgetError(
-            f"{particles} particles x {fine_steps} steps exceeds the budget of {REFINE_BUDGET} path nodes"
-        )
-    fine_grid = build_grid(base_grid.horizon, fine_steps)
+    fine_grid = refined_grid(base_grid, particles, refine)
     fine_seed = int(np.random.SeedSequence((int(seed), int(refine))).generate_state(1)[0])
     paths = sample_brownian(fine_grid, particles, bundle.spec.d, seed=fine_seed)
-    if engine is None:
-        engine = RegressionEngine(RegressionBasis())
-    if opts is None:
-        opts = SolverOptions()
     sol, trace, _ = run_scheme(bundle, scheme, fine_grid, paths, engine, opts)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xB007)))
     boots = np.empty((BOOTSTRAP_RESAMPLES, sol.components))

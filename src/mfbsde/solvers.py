@@ -16,8 +16,8 @@ factors each node once. A non-finite Y or Z raises
 
 Component i is free only in its own Z row. One driver call gives all n
 components: the kernel's Z goes in as the own rows, and every other
-argument is frozen at the scheme's input iterate at the same node (see
-:func:`_own_rows`):
+argument is frozen at the scheme's input iterate at the same node by
+:func:`_own_rows`, the package's one freezing policy:
 
 - ``theta``: Y, the other rows and the law come from the previous sweep,
   the one iterate the solve holds, which the kernel overwrites node by node
@@ -224,7 +224,7 @@ def _picard(passes, trace: PicardTrace, stop: float, diverging: Callable, exhaus
 
 def _clip_rows(z: np.ndarray, radius: float | None) -> tuple[np.ndarray, int]:
     """Rescale rows whose norm exceeds the radius; count the events."""
-    if radius is None or not math.isfinite(radius):
+    if radius is None:
         return z, 0
     norms = np.sqrt(sum_squares(z))[..., None]
     over = norms > radius

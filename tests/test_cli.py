@@ -354,6 +354,26 @@ def test_refine_subcommand(capsys, tmp_path):
     assert report["results"]["gap"] < 0.1
 
 
+@pytest.mark.parametrize("factor, message", [("0", "refine must be an int >= 1, got 0"), ("4096", "exceeds the budget")])
+def test_refine_refuses_a_bad_factor_before_any_solve(capsys, tmp_path, monkeypatch, factor, message):
+    # a bad factor used to be refused only after the base solve had run
+    import mfbsde.cli
+    import mfbsde.oracles
+
+    calls = []
+
+    def run_scheme(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("solve stubbed out")
+
+    for module in (mfbsde.cli, mfbsde.oracles):
+        monkeypatch.setattr(module, "run_scheme", run_scheme)
+    cfg = write_config(tmp_path, particles=4096, grid={"horizon": 1.0, "steps": 16})
+    code, out, err = run_cli(capsys, "refine", cfg, "--factor", factor)
+    assert code == EXIT_CONFIG and out == "" and message in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("gamma", [20.0, 30.0])
 def test_overflowing_theta_monitors_exit_diverged(capsys, tmp_path, gamma):
     # finite Y too large for the exponential-moment monitors is a divergence,
@@ -445,12 +465,14 @@ def test_constants_for_global_and_volterra_fixtures(capsys):
         ("pure_quadratic", ['terminal="tanh"', "gamma=1e308"], "overflows float64"),
         ("eq41", ["M1=1e200"], "window equation has no resolved root"),
         ("bounded_sine_mf", ["K=1e308"], "theta_consts(1e+308, 2, 1.0) overflows float64"),
+        ("remark31", ["n=10000000000000000000000000"], "overflows float64"),
     ],
-    ids=["gamma-inf", "M1-1e200-hang", "gamma-1e308-overflow", "eq41-M1-1e200", "K-1e308-overflow"],
+    ids=["gamma-inf", "M1-1e200-hang", "gamma-1e308-overflow", "eq41-M1-1e200", "K-1e308-overflow", "n-1e25-overflow"],
 )
 def test_constants_of_an_out_of_range_certificate_exit_config(capsys, fixture_name, params, message):
-    # M1 = 1e200 used to loop forever in the window-equation bracket, and
-    # gamma = 1e308 to crash with an OverflowError
+    # M1 = 1e200 used to loop forever in the window-equation bracket,
+    # gamma = 1e308 to crash with an OverflowError, and n = 1e25 to warn
+    # and report an unresolved root after dropping an infinite drift term
     argv = ["constants", "--fixture", fixture_name]
     for item in params:
         argv += ["--param", item]

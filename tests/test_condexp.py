@@ -179,22 +179,26 @@ def test_projection_rejects_three_axis_values():
 
 def _one_shot_fit(values, state, basis, householder=False):
     # The single-call fit: design, variance filter, QR (or ridge) and fit,
-    # all redone for every right-hand side. The QR path fits Q (Q^T v) with
-    # Q = A R^{-1}, as node operators do; ``householder`` gives the formula
-    # they replaced, A R^{-1} (Q^T v) with Q from the QR itself.
+    # all redone for every right-hand side. Both paths fit Q (Q^T v) with
+    # Q = A R^{-1}, as node operators do, R from the ridged Gram matrix on
+    # the ridge path; ``householder`` gives the formulas they replaced,
+    # A R^{-1} (Q^T v) with Q from the QR itself, or the ridge solve.
     design = _design(state, basis)
     keep = [0] + [j for j in range(1, design.shape[1]) if design[:, j].std() > 0.0]
     a = design[:, keep]
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
-    if not diag.min() <= 1e-12 * max(diag.max(), 1.0):
+    ridge = diag.min() <= 1e-12 * max(diag.max(), 1.0)
+    if householder and not ridge:
+        return a @ np.linalg.solve(r, q.T @ values)
+    if ridge:
+        gram = a.T @ a
+        system = gram + 1e-10 * np.trace(gram) / gram.shape[0] * np.eye(gram.shape[0])
         if householder:
-            return a @ np.linalg.solve(r, q.T @ values)
-        q = a @ np.linalg.inv(r)
-        return q @ (q.T @ values)
-    gram = a.T @ a
-    lam = 1e-10 * np.trace(gram) / gram.shape[0]
-    return a @ np.linalg.solve(gram + lam * np.eye(gram.shape[0]), a.T @ values)
+            return a @ np.linalg.solve(system, a.T @ values)
+        r = np.linalg.cholesky(system).T
+    q = a @ np.linalg.inv(r)
+    return q @ (q.T @ values)
 
 
 def _state(kind, rng, n):
@@ -252,7 +256,7 @@ def test_rebuilt_operator_equals_fresh_one_bitwise(kind):
         assert np.array_equal(rebuilt.apply(values), fresh.apply(values))
     # what a factor table keeps per node is p x p at most: no particle axis
     arrays = [v for v in vars(fresh.factor).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 1 and (arrays[0] is fresh.factor.system) == (kind == "ridge")
+    assert len(arrays) == 1 and arrays[0] is fresh.factor.rinv
     rank = fresh.info.rank
     assert len(fresh.factor.keep) == rank and all(a.shape == (rank, rank) for a in arrays)
 

@@ -9,6 +9,7 @@ from mfbsde.constants import (
     ConstantsError,
     WindowEquationError,
     EnvelopeRecord,
+    _solve_power_equation,
     global_ode,
     kappa_local_certificate,
     local_radii,
@@ -234,6 +235,31 @@ def test_global_ode_refuses_an_infinite_envelope_level():
         warnings.simplefilter("error")
         with pytest.raises(ConstantsError, match=re.escape("eta(0) is not finite for C=10.0, n=2, T=15.0")):
             global_ode(cert, 2, 15.0)
+
+
+def test_an_overflowing_drift_bound_is_refused_not_dropped():
+    # psi(K1) past float64 range used to drop the drift term from the window
+    # equation, so a larger bound certified a longer window
+    def window(c1):
+        cert = CertificateLocal(gamma=1.0, lam=0.1, gamma0=0.1, alpha=0.0, M1=1.0, M2=0.0, psi=MonomialFn(0.0, c1, 8.0))
+        return local_window(cert, 1).eps
+
+    eps = [window(c1) for c1 in (0.0, 1.0, 1e300)]
+    assert eps == sorted(eps, reverse=True) and eps[-1] > 0.0
+    for c1 in (1e305, 1e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstantsError, match="overflows float64"):
+                window(c1)
+
+
+@pytest.mark.parametrize("log_coef", [math.inf, math.nan])
+def test_a_non_finite_window_coefficient_is_refused(log_coef):
+    # -inf marks an absent term; +inf or nan used to be read as absent too
+    with pytest.raises(OverflowError, match="out of float64 range"):
+        _solve_power_equation(log_coef, 0.0, 0.5, 0.0)
+    with pytest.raises(OverflowError, match="out of float64 range"):
+        _solve_power_equation(0.0, log_coef, 0.5, 0.0)
 
 
 @pytest.mark.parametrize(

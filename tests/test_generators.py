@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from mfbsde.generators import (
     check_growth,
     fixture,
     fixture_names,
-    freeze_rows,
 )
 from mfbsde.measures import MeasureView
 
@@ -31,6 +32,18 @@ def test_monomial_fn():
         MonomialFn(0.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("coefs", [(0.0, math.inf, 8.0), (0.0, math.nan, 8.0), (math.inf, 0.0, 1.0), (0.0, 1.0, math.inf)])
+def test_monomial_fn_refuses_non_finite_values(coefs):
+    with pytest.raises(CertificateError, match="finite reals"):
+        MonomialFn(*coefs)
+
+
+def test_monomial_fn_saturates_quietly_and_an_absent_term_stays_absent():
+    assert MonomialFn(0.0, 1e305, 8.0)(10.0) == math.inf
+    assert MonomialFn(2.0, 0.0, 3.0)(math.inf) == 2.0
+    np.testing.assert_array_equal(MonomialFn(2.0, 0.0, 3.0)(np.array([0.0, 1e200, math.inf])), 2.0)
+
+
 def test_certificate_validation():
     ok = CertificateLocal(gamma=1.0, lam=1.0, gamma0=0.0, alpha=0.5, M1=1.0, M2=0.0)
     assert ok.alpha == 0.5
@@ -38,19 +51,6 @@ def test_certificate_validation():
         CertificateLocal(gamma=0.0, lam=1.0, gamma0=0.0, alpha=0.5, M1=1.0, M2=0.0)
     with pytest.raises(CertificateError):
         CertificateLocal(gamma=1.0, lam=1.0, gamma0=0.0, alpha=1.0, M1=1.0, M2=0.0)
-
-
-def test_freeze_rows_reproduces_full_component():
-    bundle = fixture("eq41", n=3)
-    spec = bundle.spec
-    rng = np.random.default_rng(0)
-    y = rng.standard_normal((40, 3))
-    z = rng.standard_normal((40, 3, 3))
-    law = MeasureView(y)
-    full = spec.evaluate(0.3, y, z, law)
-    for i in range(3):
-        frozen = freeze_rows(spec, i, y, z, law)
-        np.testing.assert_allclose(frozen(0.3, z[:, i, :]), full[:, i], atol=1e-14)
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -72,12 +72,6 @@ def test_component_reads_own_row_from_z_and_the_others_from_others(name):
         scrambled_z, scrambled_others = 3.0 * z, others.copy()
         scrambled_z[:, i], scrambled_others[:, i] = z[:, i], 5.0
         assert np.array_equal(spec.evaluate(0.2, y, scrambled_z, law, scrambled_others)[:, i], values[:, i])
-
-
-def test_freeze_rows_component_range():
-    bundle = fixture("pure_quadratic")
-    with pytest.raises(CertificateError):
-        freeze_rows(bundle.spec, 1, np.zeros((2, 1)), np.zeros((2, 1, 1)), None)
 
 
 @pytest.mark.parametrize("name", fixture_names())

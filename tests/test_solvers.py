@@ -7,7 +7,7 @@ import pytest
 
 from mfbsde import solvers
 from mfbsde.condexp import NodeOperator, RegressionBasis, RegressionEngine
-from mfbsde.generators import CertificateConvex, CertificateGlobal, GeneratorSpec, fixture, fixture_names, freeze_rows
+from mfbsde.generators import CertificateConvex, CertificateGlobal, GeneratorSpec, fixture, fixture_names
 from mfbsde.measures import MeasureView, exp_moment, sum_squares
 from mfbsde.paths import build_grid, coarsen, sample_brownian
 from mfbsde.solvers import (
@@ -360,7 +360,7 @@ def test_solution_load_rejects_corrupt_header(tmp_path):
 
 
 # Reference for the component-vectorized kernel: one scalar sweep per
-# component, each with its own freeze_rows driver.
+# component, each driving the full driver with the other rows frozen.
 
 
 def _law_reference(spec, y, z, j):
@@ -380,7 +380,7 @@ def _per_component(spec, y_frozen, z_frozen, laws, terminal, paths, opts, k_lo, 
         def driver(k, t, rows, i=i):
             j = k - k_lo
             other = np.zeros((n_part, spec.n, spec.d)) if z_frozen is None else z_frozen[:, min(j, span - 1)]
-            return freeze_rows(spec, i, y_frozen[:, j], other, _law_reference(spec, *laws, j))(t, rows)
+            return _frozen_full_driver(spec, i, y_frozen[:, j], other, _law_reference(spec, *laws, j), t, rows)
 
         out_y[:, :, i], out_z[:, :, i, :], _ = solve_scalar(paths, driver, terminal[:, i], ENGINE, opts, k_lo, k_hi)
     return out_y, out_z
@@ -552,8 +552,6 @@ def test_own_rows_match_per_component_freezing(name):
         other = z[:, min(j, span - 1)]
         law = _law_reference(spec, y, z, j)
         values = _own_rows(spec, y, z, (y, z), k_lo, k, 0.3, rows)
-        frozen = np.column_stack([freeze_rows(spec, i, y[:, j], other, law)(0.3, rows[:, i]) for i in range(n)])
-        assert np.array_equal(values, frozen)
         full = np.column_stack([_frozen_full_driver(spec, i, y[:, j], other, law, 0.3, rows[:, i]) for i in range(n)])
         if name == "remark31":  # |z| adds the own and the other squares in another order
             _assert_rel_close(values, full, rel=1e-14)
