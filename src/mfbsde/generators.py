@@ -1,50 +1,27 @@
 """Driver specifications, growth certificates, and the fixture registry.
 
-A driver evaluates vectorized over particles: given a time, the Y cloud
-(N, n), the Z cloud (N, n, d), the shared law view and optionally the other
-rows (N, n, d), it returns driver values (N, n). Diagonal structure means
-component i is quadratic in its own Z row only; certificates carry the
-constants that make that quantitative. Component i reads its own row from
-the Z cloud and every other row from ``others``, so one call evaluates all
-n components with their own rows free and the other rows frozen. A
-registry driver that computes from Z splits off its Z stage, what it
-computes from Z alone, so a caller whose Z arguments stay fixed computes
-that stage once. :func:`fixture` fills each bundle's ``name`` and
-``params``; the builders state only the driver, terminal and certificates.
+A driver evaluates vectorized over particles, all n components in one
+call. Diagonal structure means component i is quadratic in its own Z row
+only; certificates carry the constants that make that quantitative. Each
+spec states its driver in one form: ``z_stage(z, law, others)`` computes
+what the driver reads of Z, with component i's own row from ``z`` and every
+other row from ``others``, and ``evaluate(t, y, law, stage)`` reads Z only
+through that stage. ``spec(t, y, z, law)`` is the full driver. A caller
+whose Z arguments stay fixed computes the stage once. :func:`fixture` fills
+each bundle's ``name`` and ``params``; the builders state only the driver,
+terminal and certificates.
 """
 from __future__ import annotations
 
 import inspect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
 from .measures import MeasureView, sum_squares
 from .paths import is_count, is_finite_real
-
-
-class Evaluator(Protocol):
-    """Driver values (N, n) at time t for Y (N, n) and Z (N, n, d).
-
-    Component i takes its own row from ``z[:, i]`` and every row j != i
-    from ``others[:, j]`` (N, n, d); ``others=None`` takes them from ``z``,
-    so ``evaluate(t, y, z, law)`` is the full driver. Row i of ``others``
-    and rows j != i of ``z`` do not enter component i. ``stage``, when
-    given, is the spec's ``z_stage(z, law, others)`` and is read in its
-    place; the values are bitwise equal either way.
-    """
-
-    def __call__(
-        self,
-        t: float,
-        y: np.ndarray,
-        z: np.ndarray,
-        law: MeasureView | None,
-        others: np.ndarray | None = None,
-        stage: tuple | None = None,
-    ) -> np.ndarray: ...
 
 
 class FixtureError(ValueError):
@@ -160,31 +137,33 @@ class CertificateVolterra:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Vectorized driver with structural metadata.
+    """Vectorized driver with structural metadata, in one form.
 
-    ``evaluate`` follows :class:`Evaluator`: one call gives all n
-    components, each with its own Z row from the Z argument and the other
-    rows from ``others``. ``z_stage(z, law, others)``, when given, returns
-    the tuple of arrays and scalars that ``evaluate`` computes from Z alone:
-    the own rows, ``others`` and the law's Z cloud. It takes no time and no
-    Y, so calls with the same Z arguments share one stage whatever their
-    time, Y or Y law. A driver that reads no Z has none and takes no
-    ``stage``.
+    ``z_stage(z, law, others)`` returns the tuple of arrays and scalars that
+    the driver computes from Z (N, n, d): component i's own row from
+    ``z[:, i]``, every row j != i from ``others[:, j]``, and the law's Z
+    cloud. It takes no time and no Y, so calls with the same Z arguments
+    share one stage whatever their time, Y or Y law; a driver that reads no
+    Z uses :func:`_no_stage`. ``evaluate(t, y, law, stage)`` gives the
+    values (N, n) of all n components at time t for Y (N, n), reading Z only
+    through ``stage``. Calling the spec, ``spec(t, y, z, law)``, is the full
+    driver: every row from ``z``.
 
     ``law_dependence`` is one of "joint" (needs Y and Z clouds), "y_only",
-    or "none". ``reads_y`` may be False only for a driver whose values are
-    the same for every Y, bitwise, as ``pure_quadratic``'s. ``zeta_level``
-    is the pointwise bound of the absorbing process zeta_t used by growth
-    audits; fixtures here model it constant.
+    or "none"; a driver reads only the law it declares. ``reads_y`` may be
+    False only for a driver whose values are the same for every Y, bitwise,
+    as ``pure_quadratic``'s. ``zeta_level`` is the pointwise bound of the
+    absorbing process zeta_t used by growth audits; fixtures here model it
+    constant.
     """
 
     n: int
     d: int
-    evaluate: Evaluator
+    evaluate: Callable[..., np.ndarray]
+    z_stage: Callable[..., tuple]
     law_dependence: str = "joint"
     reads_y: bool = True
     zeta_level: float = 0.0
-    z_stage: Callable[..., tuple] | None = None
 
     def __post_init__(self) -> None:
         _require(self.n >= 1 and self.d >= 1, "n and d must be positive")
@@ -192,6 +171,9 @@ class GeneratorSpec:
             self.law_dependence in ("joint", "y_only", "none"),
             "law_dependence must be joint, y_only, or none",
         )
+
+    def __call__(self, t: float, y: np.ndarray, z: np.ndarray, law: MeasureView | None) -> np.ndarray:
+        return self.evaluate(t, y, law, self.z_stage(z, law, z))
 
 
 # Delayed-term specification for Volterra-type systems: maps (node index,
@@ -237,7 +219,12 @@ def _others_sum(values: np.ndarray) -> np.ndarray:
     return values @ (np.ones((n, n)) - np.eye(n))
 
 
-def _rows_stage(z, law, others=None) -> tuple:
+def _no_stage(z, law, others) -> tuple:
+    """The Z stage of a driver that reads no Z."""
+    return ()
+
+
+def _rows_stage(z, law, others) -> tuple:
     """The Z stage of a driver that reads Z through its own row norms only."""
     return (sum_squares(z),)
 
@@ -268,11 +255,11 @@ def _fixture_pure_quadratic(
 ) -> FixtureBundle:
     """f(t, y, z, mu) = (gamma/2) |z|^2 in one dimension."""
 
-    def evaluate(t, y, z, law, others=None, stage=None):
-        (rows_sq,) = stage or _rows_stage(z, law, others)
+    def evaluate(t, y, law, stage):
+        (rows_sq,) = stage
         return 0.5 * gamma * rows_sq
 
-    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="none", reads_y=False, z_stage=_rows_stage)
+    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, z_stage=_rows_stage, law_dependence="none", reads_y=False)
     term, local = _sampler(terminal, M1, ("brownian", "tanh")), None
     if terminal == "tanh":
         local = CertificateLocal(gamma=gamma, lam=lam, gamma0=gamma0, alpha=0.0, M1=M1, M2=0.0)
@@ -283,11 +270,10 @@ def _fixture_pure_quadratic(
 def _fixture_linear_mf(a: float = 0.0, b: float = 1.0, terminal: str = "const", value: float = 1.0) -> FixtureBundle:
     """f = a y + b E[Y], scalar and z-free; matched by a closed-form ODE."""
 
-    def evaluate(t, y, z, law, others=None, stage=None):
-        mean = law.mean_y()[0] if law is not None else 0.0
-        return a * y + b * mean
+    def evaluate(t, y, law, stage):
+        return a * y + b * law.mean_y()[0]
 
-    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, law_dependence="y_only")
+    spec = GeneratorSpec(n=1, d=1, evaluate=evaluate, z_stage=_no_stage, law_dependence="y_only")
     big = max(abs(a), abs(b))
     convex = CertificateConvex(K=big, gamma=1.0)
     term, local = _sampler(terminal, value, ("const", "brownian")), None
@@ -316,22 +302,20 @@ def _fixture_remark31(n: int = 2, M1: float = 0.5, horizon: float = 0.25) -> Fix
     psi(x) = 2n + (2n - 1) x^8, psi0(x) = x^3, gamma0 = 1, zeta = n^(1/3).
     """
 
-    def z_stage(z, law, others=None):
+    def z_stage(z, law, others):
         rows_sq = sum_squares(z)  # (N, n)
-        other_sq = rows_sq if others is None else sum_squares(others)
-        full = np.sqrt(rows_sq + _others_sum(other_sq))  # |z| for each component i
-        w2 = law.w_z(2) if law is not None and law.has_z else 0.0
-        return rows_sq, np.sin(np.sqrt(rows_sq)), full, full ** (4.0 / 3.0), w2
+        full = np.sqrt(rows_sq + _others_sum(sum_squares(others)))  # |z| for each component i
+        return rows_sq, np.sin(np.sqrt(rows_sq)), full, full ** (4.0 / 3.0), law.w_z(2)
 
-    def evaluate(t, y, z, law, others=None, stage=None):
-        rows_sq, sin_rows, full, full_pow, w2 = stage or z_stage(z, law, others)
+    def evaluate(t, y, law, stage):
+        rows_sq, sin_rows, full, full_pow, w2 = stage
         ynorm_sq = sum_squares(y)[:, None]
-        w1 = law.w_y(2) if law is not None else 0.0
+        w1 = law.w_y(2)
         coupling = w1**3 * math.cos(w2) + w2 ** (4.0 / 3.0)
         return (ynorm_sq + sin_rows) * full + full_pow + rows_sq + coupling
 
     croot = n ** (1.0 / 3.0)
-    spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="joint", zeta_level=croot, z_stage=z_stage)
+    spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, z_stage=z_stage, law_dependence="joint", zeta_level=croot)
     local = CertificateLocal(
         gamma=3.0 + 2.0 * croot,
         lam=0.75 + croot,
@@ -351,20 +335,16 @@ def _fixture_eq41(n: int = 2, M1: float = 1.0, horizon: float = 1.0) -> FixtureB
     f^i = 1 + |y| + |z^i|^2 + sum_{j != i} sin|z^j| + W2(mu1, d0) cos(W2(mu2, d0)).
     """
 
-    def z_stage(z, law, others=None):
-        rows_sq = sum_squares(z)
-        other_sq = rows_sq if others is None else sum_squares(others)
-        cross = _others_sum(np.sin(np.sqrt(other_sq)))
-        w2 = law.w_z(2) if law is not None and law.has_z else 0.0
-        return rows_sq, cross, w2
+    def z_stage(z, law, others):
+        cross = _others_sum(np.sin(np.sqrt(sum_squares(others))))
+        return sum_squares(z), cross, law.w_z(2)
 
-    def evaluate(t, y, z, law, others=None, stage=None):
-        rows_sq, cross, w2 = stage or z_stage(z, law, others)
+    def evaluate(t, y, law, stage):
+        rows_sq, cross, w2 = stage
         ynorm = np.sqrt(sum_squares(y))[:, None]
-        w1 = law.w_y(2) if law is not None else 0.0
-        return 1.0 + ynorm + rows_sq + cross + w1 * math.cos(w2)
+        return 1.0 + ynorm + rows_sq + cross + law.w_y(2) * math.cos(w2)
 
-    spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="joint", zeta_level=float(n), z_stage=z_stage)
+    spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, z_stage=z_stage, law_dependence="joint", zeta_level=float(n))
     global_ = CertificateGlobal(
         L=1.0,
         gamma=2.0,
@@ -397,12 +377,11 @@ def _fixture_bounded_sine_mf(
     the Y marginal, as the Picard scheme requires.
     """
 
-    def evaluate(t, y, z, law, others=None, stage=None):
-        (rows_sq,) = stage or _rows_stage(z, law, others)
-        w1 = law.w_y(1) if law is not None else 0.0
-        return 0.5 * gamma * rows_sq + K * math.sin(w1)
+    def evaluate(t, y, law, stage):
+        (rows_sq,) = stage
+        return 0.5 * gamma * rows_sq + K * math.sin(law.w_y(1))
 
-    spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, law_dependence="y_only", z_stage=_rows_stage)
+    spec = GeneratorSpec(n=n, d=n, evaluate=evaluate, z_stage=_rows_stage, law_dependence="y_only")
     convex = CertificateConvex(K=K, gamma=gamma)
     term, local = _sampler(terminal, M1, ("brownian", "tanh")), None
     if terminal == "tanh":
@@ -467,8 +446,10 @@ def fixture(name: str, **params) -> FixtureBundle:
     names: a ``float`` parameter a finite real (an int will do, an int beyond
     float range will not), an ``int`` one an int >= 1, a ``str`` one a
     string; a bool is no number. Anything else raises :class:`FixtureError`
-    naming the parameter and its value. The bundle's ``name`` is ``name``
-    and its ``params`` every builder argument, defaults included.
+    naming the parameter and its value, and so does a parameter whose
+    certificate constants overflow float64, naming the fixture and its
+    parameters. The bundle's ``name`` is ``name`` and its ``params`` every
+    builder argument, defaults included.
     """
     try:
         builder = _REGISTRY[name]
@@ -485,7 +466,11 @@ def fixture(name: str, **params) -> FixtureBundle:
             need = {float: "a finite float", int: "an int >= 1"}.get(kind, f"of type {kind.__name__}")
             raise FixtureError(f"fixture {name!r}: parameter {key!r} must be {need}, got {value!r}")
     bound.apply_defaults()
-    return replace(builder(**bound.arguments), name=name, params=bound.arguments)
+    try:
+        bundle = builder(**bound.arguments)
+    except OverflowError:
+        raise FixtureError(f"fixture {name!r}: parameters {bound.arguments} overflow float64") from None
+    return replace(bundle, name=name, params=bound.arguments)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +542,7 @@ def check_growth(
         law_y = gen.normal(0.0, scale, size=(64, spec.n))
         law_z = gen.normal(0.0, scale, size=(64, spec.n * spec.d))
         law = MeasureView(law_y, law_z)
-        vals = spec.evaluate(t, y, z, law)
+        vals = spec(t, y, z, law)
         z_rows = np.sqrt(sum_squares(z))
         y_norm = np.sqrt(sum_squares(y))
         w1 = law.w_y(w1_order)

@@ -136,10 +136,6 @@ class MeasureView:
             raise MeasureError("this view carries no Z marginal")
         return self._z
 
-    @property
-    def has_z(self) -> bool:
-        return self._z is not None
-
     def mean_y(self) -> np.ndarray:
         return self._y.mean(axis=0)
 

@@ -186,9 +186,13 @@ def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
 
     The coarse ensemble visits exactly the same Brownian values at shared
     nodes, so solver output across resolutions differs only by the scheme.
+    Raises :class:`PathsError` naming the factor unless it is an int >= 1,
+    not a bool, that divides the step count.
     """
+    if not is_count(factor, 1):
+        raise PathsError(f"factor must be an integer >= 1, got {factor!r}")
     m = ensemble.grid.steps
-    if factor < 1 or m % factor != 0:
+    if m % factor != 0:
         raise PathsError(f"factor {factor} does not divide step count {m}")
     if factor == 1:
         return ensemble

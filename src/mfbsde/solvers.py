@@ -25,6 +25,10 @@ argument is frozen at the scheme's input iterate at the same node by
 - ``local`` and ``global``: Y, the other rows and the law come from the
   input iterate; during law refinements the law comes from the latest pass.
 
+Z reaches the driver only through its stage: :func:`_own_rows` builds one
+law view and calls ``spec.evaluate(t, y, law, stage)`` with the stage
+``spec.z_stage(rows, law, others)``, computed unless it is given.
+
 A ``local`` or ``global`` window computes once what its Picard iterations
 cannot change: the head node's projections of the terminal; per pass one
 driver Z stage, which the terminal point and the head node share; with one
@@ -317,11 +321,10 @@ def _backward(
     ``head``, when given, is what the first visit would compute from the
     terminal: (E_{k_hi-1}[Y_{k_hi}], the clipped Z_{k_hi-1}, already found
     finite, its clip events, the terminal driver value or None to evaluate
-    it, and a tuple that holds the driver's Z stage of the node's first
-    driver calls or is empty). The terminal point and node k_hi - 1 read the
-    same Z arguments, so both first calls get the stage as
-    ``driver(k, t, z, stage)``. The result is bitwise equal to a run without
-    ``head``. Returns (Y (N, K+1, n), Z (N, K, n, d), clip events) as views
+    it, and the driver's Z stage of the node's first driver calls). The
+    terminal point and node k_hi - 1 read the same Z arguments, so both
+    first calls get the stage as ``driver(k, t, z, stage)``. The result is
+    bitwise equal to a run without ``head``. Returns (Y (N, K+1, n), Z (N, K, n, d), clip events) as views
     of node-major buffers; a one-node Z is the node's Z itself, uncopied.
     The time grid is the ensemble's.
 
@@ -353,8 +356,8 @@ def _backward(
         dw = paths.increments[:, k, :]
         stage = ()
         if k == k_hi - 1 and head is not None:
-            fit_next, z_k, clips, f_next, stage = head
-            checked = z_k
+            fit_next, z_k, clips, f_next, shared = head
+            stage, checked = (shared,), z_k
         else:
             fit_next, z_k, c = _node_fit(op, y_next, dw, dt, opts.z_clip)
             clips += c
@@ -424,27 +427,22 @@ def _law_at(
 
 
 def _own_rows(
-    spec: GeneratorSpec, y: np.ndarray, z: np.ndarray, laws: tuple, k_lo: int, k: int, t: float, rows: np.ndarray, *stage
+    spec: GeneratorSpec, y: np.ndarray, z: np.ndarray, laws: tuple, k_lo: int, k: int, t: float, rows: np.ndarray, stage=None
 ) -> np.ndarray:
     """Driver values (N, n) at node k with component i free in rows[:, i].
 
     Y (N, K+1, n), the other Z rows of z (N, K, n, d) and the law of the
     clouds ``laws`` = (Y, Z) or (Y, Z, view) (see :func:`_law_at`) are
     frozen at j = k - k_lo; the terminal node takes the last Z slice. One
-    driver call gives all n components. A ``stage`` argument, the spec's Z
-    stage of these Z arguments, reaches ``spec.evaluate`` as its sixth.
+    driver call gives all n components: ``spec.evaluate`` of one law view
+    and of ``stage``, the spec's ``z_stage`` of ``rows``, that view and the
+    frozen rows, computed here unless it is given.
     """
     j = k - k_lo
-    return spec.evaluate(t, y[:, j], rows, _law_at(spec, j, *laws), z[:, min(j, z.shape[1] - 1)], *stage)
-
-
-def _head_stage(spec: GeneratorSpec, laws: tuple, span: int, rows: np.ndarray, others: np.ndarray) -> tuple:
-    """The Z stage that the terminal point and node span - 1 of a window
-    share: own rows ``rows``, other rows ``others`` and the law's Z cloud
-    at span - 1; empty for a spec without ``z_stage``."""
-    if spec.z_stage is None:
-        return ()
-    return (spec.z_stage(rows, _law_at(spec, span - 1, *laws), others),)
+    law = _law_at(spec, j, *laws)
+    if stage is None:
+        stage = spec.z_stage(rows, law, z[:, min(j, z.shape[1] - 1)])
+    return spec.evaluate(t, y[:, j], law, stage)
 
 
 def _flat_solution(terminal: np.ndarray, grid: TimeGrid, span: int, d: int, k_lo: int, offset: float = 0.0) -> Solution:
@@ -533,16 +531,16 @@ def solve_local(
     terminal_max = float(np.abs(terminal).max())
 
     def passes(current):
-        f_terminal, stage = None, ()
+        f_terminal = None
         for it in range(1, opts.max_iter + 1):
             laws = (current.Y, current.Z, MeasureView.of_checked)
             others = current.Z[:, span - 1]
             if it == 2 and fixed_z:
-                stage = _head_stage(spec, laws, span, z_head, others)
-                f_terminal = _own_rows(spec, current.Y, current.Z, laws, k_lo, k_hi, grid.nodes[k_hi], z_head, *stage)
+                stage = spec.z_stage(z_head, _law_at(spec, span - 1, *laws), others)
+                f_terminal = _own_rows(spec, current.Y, current.Z, laws, k_lo, k_hi, grid.nodes[k_hi], z_head, stage)
             for _ in range(opts.law_refinements + 1):
                 if it == 1 or not fixed_z:
-                    stage = _head_stage(spec, laws, span, z_head, others)
+                    stage = spec.z_stage(z_head, _law_at(spec, span - 1, *laws), others)
                 head = (fit_head, z_head, clips_head, f_terminal, stage)
                 driver = partial(_own_rows, spec, current.Y, current.Z, laws, k_lo)
                 y, z, clips = _backward(paths, driver, terminal, operators, opts, k_lo, k_hi, head)

@@ -481,6 +481,19 @@ def test_constants_of_an_out_of_range_certificate_exit_config(capsys, fixture_na
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "fixture_name, n, scheme", [("eq41", 10**160, "global"), ("remark31", 10**400, "local")], ids=["eq41", "remark31"]
+)
+def test_a_fixture_whose_constants_overflow_exits_config(capsys, tmp_path, fixture_name, n, scheme):
+    # the builders' float arithmetic used to escape as an OverflowError, exit 1
+    message = f"error: fixture {fixture_name!r}: parameters {{'n': {n}"
+    code, out, err = run_cli(capsys, "constants", "--fixture", fixture_name, "--param", f"n={n}")
+    assert (code, out) == (EXIT_CONFIG, "") and err.startswith(message) and err.endswith("overflow float64\n")
+    cfg = write_config(tmp_path, fixture=fixture_name, params={"n": n}, scheme=scheme, particles=64)
+    code, out, err = run_cli(capsys, "solve", cfg)
+    assert (code, out) == (EXIT_CONFIG, "") and err.startswith(message)
+
+
 def test_a_fixture_error_prints_unquoted(capsys):
     # a FixtureError used to be a KeyError, whose message str() wraps in quotes
     code, out, err = run_cli(capsys, "constants", "--fixture", "pure_quadratic", "--param", "gamma=1e400")

@@ -123,6 +123,12 @@ def test_theta_gap_equal_iterates():
     np.testing.assert_allclose(gap.delta_tilde, y, atol=1e-13)
 
 
+def test_theta_gap_refuses_iterates_of_different_shapes():
+    # the two iterates used to broadcast into a (4, 3, 1) difference
+    with pytest.raises(ValueError, match=r"one shape, got \(4, 3, 1\) and \(4, 1, 1\)"):
+        theta_gap(np.zeros((4, 3, 1)), np.ones((4, 1, 1)), 0.5)
+
+
 def test_contraction_trace_geometric():
     diffs = 3.0 * 0.2 ** np.arange(6)
     summary = contraction_trace(diffs)
@@ -145,6 +151,16 @@ def test_contraction_trace_flags_growth():
 def test_contraction_trace_needs_three_points():
     with pytest.raises(ValueError):
         contraction_trace(np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "diffs, bad",
+    [([1.0, np.inf, 0.1], "1 is inf"), ([1.0, np.nan, 0.5], "1 is nan"), ([1.0, 0.5, np.nan, np.inf], "2 is nan")],
+)
+def test_contraction_trace_refuses_a_non_finite_difference(diffs, bad):
+    # these used to fit rate=nan, and the inf to report a monotone tail
+    with pytest.raises(ValueError, match=f"Picard difference {bad}"):
+        contraction_trace(np.array(diffs))
 
 
 def test_contraction_trace_handles_exact_zeros():

@@ -8,6 +8,7 @@ from mfbsde.generators import (
     CertificateLocal,
     FixtureError,
     MonomialFn,
+    _no_stage,
     check_growth,
     fixture,
     fixture_names,
@@ -61,17 +62,18 @@ def test_component_reads_own_row_from_z_and_the_others_from_others(name):
     z = rng.standard_normal((50, spec.n, spec.d))
     others = rng.standard_normal((50, spec.n, spec.d))
     law = MeasureView(rng.standard_normal((50, spec.n)), rng.standard_normal((50, spec.n, spec.d)))
-    values = spec.evaluate(0.2, y, z, law, others)
+    values = spec.evaluate(0.2, y, law, spec.z_stage(z, law, others))
     assert values.shape == (50, spec.n)
     for i in range(spec.n):
         # the full driver at z with row i own and every other row from others
         z_i = others.copy()
         z_i[:, i] = z[:, i]
-        np.testing.assert_allclose(values[:, i], spec.evaluate(0.2, y, z_i, law)[:, i], rtol=1e-14)
+        np.testing.assert_allclose(values[:, i], spec(0.2, y, z_i, law)[:, i], rtol=1e-14)
         # row i of others and the other rows of z do not enter component i
         scrambled_z, scrambled_others = 3.0 * z, others.copy()
         scrambled_z[:, i], scrambled_others[:, i] = z[:, i], 5.0
-        assert np.array_equal(spec.evaluate(0.2, y, scrambled_z, law, scrambled_others)[:, i], values[:, i])
+        scrambled = spec.evaluate(0.2, y, law, spec.z_stage(scrambled_z, law, scrambled_others))
+        assert np.array_equal(scrambled[:, i], values[:, i])
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -102,8 +104,8 @@ def test_diagonal_fixtures_ignore_or_damp_other_rows():
     rng = np.random.default_rng(1)
     y = rng.standard_normal((30, 1))
     z = rng.standard_normal((30, 1, 1))
-    f1 = b1.spec.evaluate(0.0, y, z, None)
-    f2 = b1.spec.evaluate(0.0, y, 5.0 * z, None)
+    f1 = b1.spec(0.0, y, z, None)
+    f2 = b1.spec(0.0, y, 5.0 * z, None)
     # scaling the own row changes the value quadratically, as it should
     np.testing.assert_allclose(f2, 25.0 * f1, atol=1e-12)
 
@@ -111,12 +113,12 @@ def test_diagonal_fixtures_ignore_or_damp_other_rows():
     b2 = fixture("eq41", n=2)
     y2 = rng.standard_normal((30, 2))
     z2 = rng.standard_normal((30, 2, 2))
-    law = MeasureView(y2)
-    base = b2.spec.evaluate(0.0, y2, z2, law)[:, 0]
+    law = MeasureView(y2, z2)
+    base = b2.spec(0.0, y2, z2, law)[:, 0]
     bumped = z2.copy()
     h = 0.7
     bumped[:, 1, :] += h / np.sqrt(2)
-    moved = b2.spec.evaluate(0.0, y2, bumped, law)[:, 0]
+    moved = b2.spec(0.0, y2, bumped, law)[:, 0]
     assert np.abs(moved - base).max() <= h + 1e-12
 
 
@@ -140,8 +142,8 @@ def test_bounded_sine_law_coupling():
     z = rng.standard_normal((20, 2, 2))
     near = MeasureView(np.zeros((20, 2)))
     far = MeasureView(np.full((20, 2), 1.0))
-    f_near = bundle.spec.evaluate(0.0, y, z, near)
-    f_far = bundle.spec.evaluate(0.0, y, z, far)
+    f_near = bundle.spec(0.0, y, z, near)
+    f_far = bundle.spec(0.0, y, z, far)
     assert np.abs(f_near - f_far).max() > 1e-3
 
 
@@ -185,7 +187,7 @@ def test_drivers_match_norm_reference(name):
     law_y = rng.standard_normal((257, spec.n))
     law_z = rng.standard_normal((257, spec.n * spec.d))
     law = MeasureView(law_y, law_z)
-    values = spec.evaluate(0.4, y, z, law)
+    values = spec(0.4, y, z, law)
     reference = _reference_driver(name, bundle.params, y, z, law_y, law_z)
     assert values.shape == reference.shape == (257, spec.n)
     assert np.abs(values - reference).max() <= 1e-14 * np.abs(reference).max()
@@ -198,17 +200,15 @@ def test_z_stage_is_read_in_place_of_the_z_arguments_bitwise(name, with_others):
     rng = np.random.default_rng(13)
     y = rng.standard_normal((65, spec.n))
     z, moved = rng.standard_normal((2, 65, spec.n, spec.d))
-    others = rng.standard_normal((65, spec.n, spec.d)) if with_others else None
+    others = rng.standard_normal((65, spec.n, spec.d)) if with_others else z
     law_y, law_z = rng.standard_normal((65, spec.n)), rng.standard_normal((65, spec.n, spec.d))
     law = {"none": None, "y_only": MeasureView(law_y), "joint": MeasureView(law_y, law_z)}[spec.law_dependence]
-    values = spec.evaluate(0.6, y, z, law, others)
-    if spec.z_stage is None:  # a driver without a stage reads no Z
-        assert np.array_equal(spec.evaluate(0.6, y, moved, law, others), values)
-        return
-    assert np.array_equal(spec.evaluate(0.6, y, z, law, others, spec.z_stage(z, law, others)), values)
-    # Z reaches the values only through the stage
-    staged = spec.evaluate(0.6, y, z, law, others, spec.z_stage(moved, law, others))
-    assert np.array_equal(staged, spec.evaluate(0.6, y, moved, law, others))
+    values = spec.evaluate(0.6, y, law, spec.z_stage(z, law, others))
+    if not with_others:  # the full driver takes every row from z
+        assert np.array_equal(spec(0.6, y, z, law), values)
+    # Z reaches the values only through the stage, which only a driver that reads no Z leaves empty
+    moved_values = spec.evaluate(0.6, y, law, spec.z_stage(moved, law, others))
+    assert np.array_equal(moved_values, values) == (spec.z_stage is _no_stage)
 
 
 _READS_NO_Y = [name for name in fixture_names() if not fixture(name).spec.reads_y]
@@ -226,4 +226,4 @@ def test_a_driver_declared_to_read_no_y_gives_the_same_values_for_any_y(name):
     z = rng.standard_normal((129, spec.n, spec.d))
     law_y, law_z = rng.standard_normal((129, spec.n)), rng.standard_normal((129, spec.n, spec.d))
     law = {"none": None, "y_only": MeasureView(law_y), "joint": MeasureView(law_y, law_z)}[spec.law_dependence]
-    assert np.array_equal(spec.evaluate(0.3, y, z, law), spec.evaluate(0.3, other_y, z, law))
+    assert np.array_equal(spec(0.3, y, z, law), spec(0.3, other_y, z, law))

@@ -43,7 +43,6 @@ def test_measure_view_caches_and_flattens():
     y = np.arange(6, dtype=float).reshape(3, 2)
     z = np.arange(12, dtype=float).reshape(3, 2, 2)
     view = MeasureView(y, z)
-    assert view.has_z
     assert view.z_points.shape == (3, 4)
     np.testing.assert_allclose(view.mean_y(), y.mean(axis=0))
     assert view.w_y() == view.w_y()  # cached, deterministic
@@ -72,7 +71,6 @@ def test_measure_view_distances_reuse_the_checked_points(monkeypatch):
 
 def test_measure_view_without_z():
     view = MeasureView(np.ones((4, 1)))
-    assert not view.has_z
     with pytest.raises(MeasureError):
         view.w_z()
 

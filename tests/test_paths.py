@@ -96,6 +96,14 @@ def test_coarsen_requires_divisible_factor():
         coarsen(ens, 3)
 
 
+@pytest.mark.parametrize("factor", [True, 2.0, 0, -2])
+def test_coarsen_names_a_factor_that_is_no_count(factor):
+    # True used to coarsen as factor 1, and 2.0 to blame the coarse grid
+    ens = sample_brownian(build_grid(1.0, 8), 4, 1, seed=1)
+    with pytest.raises(PathsError, match=rf"^factor must be an integer >= 1, got {factor!r}$"):
+        coarsen(ens, factor)
+
+
 def test_dump_load_roundtrip(tmp_path):
     grid = build_grid(0.5, 6)
     ens = sample_brownian(grid, 20, 2, seed=42)

@@ -7,7 +7,7 @@ import pytest
 
 from mfbsde import solvers
 from mfbsde.condexp import NodeOperator, RegressionBasis, RegressionEngine
-from mfbsde.generators import CertificateConvex, CertificateGlobal, GeneratorSpec, fixture, fixture_names
+from mfbsde.generators import CertificateConvex, CertificateGlobal, GeneratorSpec, _no_stage, fixture, fixture_names
 from mfbsde.measures import MeasureView, exp_moment, sum_squares
 from mfbsde.paths import build_grid, coarsen, sample_brownian
 from mfbsde.solvers import (
@@ -536,7 +536,7 @@ def _frozen_full_driver(spec, i, y, other, law, t, rows):
     ``rows``: what freezing a component means, without ``others``."""
     z_mod = other.copy()
     z_mod[:, i] = rows
-    return spec.evaluate(t, y, z_mod, law)[:, i]
+    return spec(t, y, z_mod, law)[:, i]
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -564,7 +564,7 @@ def test_psi_map_makes_one_driver_call_per_node():
     bundle = fixture("eq41", n=3)
     calls = []
     spec = replace(
-        bundle.spec, evaluate=lambda *args, _f=bundle.spec.evaluate: calls.append(args[2].shape) or _f(*args)
+        bundle.spec, evaluate=lambda *args, _f=bundle.spec.evaluate: calls.append(args[1].shape) or _f(*args)
     )
     grid = build_grid(0.5, 8)
     paths = sample_brownian(grid, 256, 3, seed=33)
@@ -574,7 +574,7 @@ def test_psi_map_makes_one_driver_call_per_node():
         Y=np.repeat(terminal[:, None, :], 6, axis=1), Z=np.zeros((256, 5, 3, 3)), grid=grid, k_lo=k_lo
     )
     psi_map(spec, iterate, paths, ENGINE, SolverOptions(), k_lo, k_hi)
-    assert calls == [(256, 3, 3)] * (k_hi - k_lo + 1)
+    assert calls == [(256, 3)] * (k_hi - k_lo + 1)
 
 
 def _count_qr(monkeypatch):
@@ -729,7 +729,9 @@ def test_non_finite_values_stop_the_kernel_at_their_node():
 def test_non_finite_terminal_names_its_component():
     # a law-free two-component driver, so the NaN in component 1 reaches
     # the kernel's check rather than a law query
-    spec = GeneratorSpec(n=2, d=2, evaluate=lambda t, y, z, law, others=None: np.zeros(y.shape), law_dependence="none")
+    spec = GeneratorSpec(
+        n=2, d=2, evaluate=lambda t, y, law, stage: np.zeros(y.shape), z_stage=_no_stage, law_dependence="none"
+    )
     grid = build_grid(0.5, 8)
     paths = sample_brownian(grid, 512, 2, seed=7)
     terminal = paths.terminal().copy()
@@ -991,7 +993,7 @@ def test_global_window_evaluates_its_terminal_driver_value_once(inner_sweeps, to
     bundle = fixture("eq41", n=2)
     calls = []
     spec = replace(
-        bundle.spec, evaluate=lambda *args, _f=bundle.spec.evaluate: calls.append(args[2].shape) or _f(*args)
+        bundle.spec, evaluate=lambda *args, _f=bundle.spec.evaluate: calls.append(args[1].shape) or _f(*args)
     )
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 2**10, 2, seed=9)
@@ -1004,15 +1006,9 @@ def test_global_window_evaluates_its_terminal_driver_value_once(inner_sweeps, to
 
 
 def _staged_eq41(calls):
-    """eq41 with n = 2, recording each driver call as whether it computed its
-    own Z stage, and each direct ``z_stage`` call as True."""
+    """eq41 with n = 2, recording each ``z_stage`` call as True."""
     spec = fixture("eq41", n=2).spec
-
-    def evaluate(*args, _f=spec.evaluate):
-        calls.append(len(args) < 6 or args[5] is None)
-        return _f(*args)
-
-    return replace(spec, evaluate=evaluate, z_stage=lambda *args, _g=spec.z_stage: calls.append(True) or _g(*args))
+    return replace(spec, z_stage=lambda *args, _g=spec.z_stage: calls.append(True) or _g(*args))
 
 
 @pytest.mark.parametrize("inner_sweeps, law_refinements", [(1, 0), (1, 1), (2, 0)])
