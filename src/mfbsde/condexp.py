@@ -7,13 +7,17 @@ fewer particles than kept columns is refused with a :class:`RegressionError`.
 A polynomial design is column-major: the (N, p) transpose of a (p, N)
 buffer whose rows are its columns.
 
-A :class:`NodeFactor` holds R^{-1}, with R from the thin QR of the kept
-columns A or, when that R is numerically singular, the Cholesky factor of
-the ridged Gram matrix A^T A + lam I, lam = 1e-10 tr(A^T A)/p. A
-:class:`NodeOperator` holds Q = A R^{-1} and fits an (N,) vector or an
-(N, m) block v as Q (Q^T v); one rebuilt from a kept factor is bitwise equal
-to a fresh one. A :class:`FactorTable` keys factors by node index, factors
-each node once and builds a fresh operator at every access, every polynomial
+A :class:`NodeFactor` holds R^{-1}, R^T R = A^T A for the kept columns A.
+R comes from the Gram matrix G = A^T A: with column scales s = sqrt(diag G),
+R = L^T diag(s), L the Cholesky factor of G / (s s^T), when L is well
+conditioned; else from the thin Householder QR of A; and, when that R is
+numerically singular, from the Cholesky factor of the ridged Gram matrix
+G + lam I, lam = 1e-10 tr(G)/p. A non-finite conditioning state is refused
+when its node is first factored. A :class:`NodeOperator` holds Q^T, the
+C-contiguous (p, N) array R^{-T} A^T, and fits an (N,) vector or an (N, m)
+block v as Q (Q^T v); one rebuilt from a kept factor is bitwise equal to a
+fresh one. A :class:`FactorTable` keys factors by node index, factors each
+node once and builds a fresh operator at every access, every polynomial
 design into the one (p, N) buffer it keeps.
 """
 from __future__ import annotations
@@ -28,6 +32,10 @@ import numpy as np
 from .paths import is_count
 
 RIDGE_SCALE = 1e-10
+# Largest sqrt(k_1(L) k_inf(L)), an upper bound on the 2-norm condition
+# number of L, for which R comes from the scaled Gram matrix; a Cholesky R
+# then loses at most about two digits to Householder's.
+CHOLESKY_CONDITION = 10.0
 
 
 class RegressionError(ValueError):
@@ -120,14 +128,50 @@ def _kept(design: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return design if len(keep) == design.shape[1] else design[:, keep]
 
 
+def _gram(at: np.ndarray) -> np.ndarray:
+    """A^T A from the (p, N) array A^T. numpy hands the product of an array
+    with its own transpose to BLAS syrk, which one-thread OpenBLAS runs about
+    five times slower than gemm at p = 4, N = 16384; so gemm forms the
+    p x (p - 1) block G[:, 1:], and symmetry and one dot product fill in
+    column 0."""
+    cross = at @ at[1:].T
+    gram = np.empty((len(at), len(at)))
+    gram[:, 1:] = cross
+    gram[1:, 0] = cross[0]
+    gram[0, 0] = at[0] @ at[0]
+    return gram
+
+
+def _gram_r(gram: np.ndarray) -> np.ndarray | None:
+    """R = L^T diag(s) with L L^T = G / (s s^T), s = sqrt(diag G), or None
+    when that Cholesky fails or L is worse conditioned than
+    ``CHOLESKY_CONDITION`` allows. The estimate comes from L and L^{-1}."""
+    scale = np.sqrt(np.diag(gram))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a NaN fails the Cholesky
+        scaled = gram / np.outer(scale, scale)
+    try:
+        lower = np.linalg.cholesky(scaled)
+        inverse = np.linalg.inv(lower)
+    except np.linalg.LinAlgError:
+        return None
+    # ||M||_1 ||M||_inf for M = L and L^{-1}: largest column sum times
+    # largest row sum of |M|; sqrt(k_1 k_inf) bounds the 2-norm k_2 above
+    absolute = np.abs(np.stack([lower, inverse]))
+    norms = absolute.sum(axis=1).max(axis=1) * absolute.sum(axis=2).max(axis=1)
+    if not math.sqrt(norms.prod()) <= CHOLESKY_CONDITION:
+        return None
+    return lower.T * scale
+
+
 @dataclass(frozen=True, eq=False)
 class NodeFactor:
     """The p x p part of one state's projection, factored once.
 
     ``keep`` lists the design columns that are not constant (the intercept
-    always stays); ``rinv`` is R^{-1}, R the QR's or, on a ridge node, with
-    R^T R = A^T A + lam I, so A (A^T A [+ lam I])^{-1} A^T = Q Q^T with
-    Q = A R^{-1} either way. No array here has a particle axis.
+    always stays); ``rinv`` is R^{-1}, R from the scaled Gram matrix or the
+    QR with R^T R = A^T A or, on a ridge node, with R^T R = A^T A + lam I, so
+    A (A^T A [+ lam I])^{-1} A^T = Q Q^T with Q = A R^{-1} on every path. No
+    array here has a particle axis.
     """
 
     keep: tuple[int, ...]
@@ -136,22 +180,27 @@ class NodeFactor:
 
     @classmethod
     def of(cls, design: np.ndarray) -> "NodeFactor":
-        """Constant-column test, R of the thin QR, the ridge test on
-        diag(R), then R^{-1}. Raises :class:`RegressionError` naming both
-        counts when more columns are kept than there are particles."""
-        keep = (0,) + tuple(j for j in range(1, design.shape[1]) if design[:, j].min() < design[:, j].max())
+        """Constant-column test, R from the scaled Gram matrix (the thin QR's
+        when that is ill conditioned), the ridge test on diag(R), then
+        R^{-1}. Raises :class:`RegressionError` naming both counts when more
+        columns are kept than there are particles."""
+        # the initial values make an empty ensemble vary in no column
+        varies = design.min(axis=0, initial=np.inf) < design.max(axis=0, initial=-np.inf)
+        keep = (0,) + tuple(j for j in range(1, design.shape[1]) if varies[j])
         if len(keep) > design.shape[0]:
             raise RegressionError(
                 f"{len(keep)} basis columns kept but only {design.shape[0]} particles: "
                 "a fit needs at least as many particles as columns"
             )
         a = _kept(design, keep)
-        r = np.linalg.qr(a, mode="r")
+        gram = _gram(a.T)
+        r = _gram_r(gram)
+        if r is None:
+            r = np.linalg.qr(a, mode="r")
         diag = np.abs(np.diag(r))
         ridge = bool(diag.min() <= 1e-12 * max(diag.max(), 1.0))
         info = ProjectionInfo(ridge_used=ridge, dropped_columns=design.shape[1] - len(keep), rank=len(keep))
         if ridge:
-            gram = a.T @ a
             lam = RIDGE_SCALE * np.trace(gram) / gram.shape[0]
             r = np.linalg.cholesky(gram + lam * np.eye(gram.shape[0])).T
         return cls(keep, info, np.linalg.inv(r))
@@ -161,12 +210,14 @@ class NodeOperator:
     """E[. | state] for one conditioning state.
 
     Built from the state's design and its :class:`NodeFactor`, factored
-    here unless one is given. The operator holds only Q = A R^{-1} and fits
-    v as Q (Q^T v). A given factor skips the constant-column test and the
-    factorization, and since a fresh factor forms Q the same way, a rebuilt
-    operator is bitwise equal to a fresh one. ``columns``, a (p, N) buffer,
-    takes a polynomial design in place of a fresh one; the operator keeps no
-    reference to it.
+    here unless one is given; a state that holds a non-finite value is then
+    refused with a :class:`RegressionError`. The operator holds only Q^T =
+    R^{-T} A^T, a C-contiguous (p, N) array, and fits v as Q (Q^T v). A
+    given factor skips the finiteness check, the constant-column test and
+    the factorization, and since a fresh factor forms Q^T the same way, a
+    rebuilt operator is bitwise equal to a fresh one. ``columns``, a (p, N)
+    buffer, takes a polynomial design in place of a fresh one; the operator
+    keeps no reference to it.
     """
 
     def __init__(
@@ -176,10 +227,12 @@ class NodeOperator:
         factor: NodeFactor | None = None,
         columns: np.ndarray | None = None,
     ) -> None:
+        if factor is None and not np.isfinite(state).all():
+            raise RegressionError("the conditioning state holds a non-finite value")
         design = _design(state, basis, columns)
         self.factor = NodeFactor.of(design) if factor is None else factor
         self.info = self.factor.info
-        self._cols = _kept(design, self.factor.keep) @ self.factor.rinv  # Q
+        self._qt = self.factor.rinv.T @ _kept(design, self.factor.keep).T  # Q^T
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Fitted E[values | state] at each particle; ``values`` is (N,) or an
@@ -187,9 +240,9 @@ class NodeOperator:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim not in (1, 2):
             raise RegressionError(f"values must be (N,) or (N, m), got shape {values.shape}")
-        if values.shape[0] != self._cols.shape[0]:
+        if values.shape[0] != self._qt.shape[1]:
             raise RegressionError("values and state must share the particle axis")
-        return self._cols @ (self._cols.T @ values)
+        return self._qt.T @ (self._qt @ values)
 
 
 class FactorTable:

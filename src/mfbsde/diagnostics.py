@@ -167,7 +167,7 @@ def theta_gap(y_m: np.ndarray, y_mp: np.ndarray, theta: float, gamma: float = 1.
 
     The identity (1-th) Delta + th Y^m = Y^{m+p} holds by construction and
     is what the exactness test checks. Raises ``ValueError`` unless theta
-    lies in (0, 1) and the two iterates have one shape.
+    lies in (0, 1) and the two iterates have one (N, K, ...) shape, K >= 1.
     """
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
@@ -175,6 +175,8 @@ def theta_gap(y_m: np.ndarray, y_mp: np.ndarray, theta: float, gamma: float = 1.
     y_mp = np.asarray(y_mp, dtype=np.float64)
     if y_m.shape != y_mp.shape:
         raise ValueError(f"iterates must have one shape, got {y_m.shape} and {y_mp.shape}")
+    if y_m.ndim < 2 or y_m.shape[1] < 1:
+        raise ValueError(f"iterates must be (N, K, ...) with K >= 1 nodes, got shape {y_m.shape}")
     delta = (y_mp - theta * y_m) / (1.0 - theta)
     delta_tilde = (y_m - theta * y_mp) / (1.0 - theta)
     moments: dict[str, ExpMoment] = {}
@@ -202,15 +204,16 @@ def contraction_trace(differences: np.ndarray) -> ContractionSummary:
     Fits log d_i against i by least squares after flooring exact zeros;
     ``monotone_from_second`` ignores the first difference, which measures
     the initializer rather than the contraction. Raises ``ValueError`` for
-    fewer than three differences and, naming the first, for a non-finite one.
+    fewer than three differences and, naming the first, for one that is not
+    finite or is negative: a Picard difference is a norm.
     """
     d = np.asarray(differences, dtype=np.float64).ravel()
     if d.size < 3:
         raise ValueError("need at least three Picard differences to fit a rate")
-    finite = np.isfinite(d)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(f"Picard difference {bad} is {d[bad]}; a rate needs finite differences")
+    valid = np.isfinite(d) & (d >= 0.0)
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        raise ValueError(f"Picard difference {bad} is {d[bad]}; a rate needs finite, non-negative differences")
     floored = np.maximum(d, CONTRACTION_FLOOR)
     idx = np.arange(d.size)
     slope = np.polyfit(idx, np.log(floored), 1)[0]

@@ -298,11 +298,11 @@ def test_constants_rejects_bad_param(capsys):
 def test_verify_factors_each_node_once(capsys, tmp_path, monkeypatch):
     # theta factors each node once per solve, and the CSV's BMO profile
     # rebuilds its operators from the solve's factors
-    import numpy as np
+    from mfbsde.condexp import NodeFactor
 
     calls = []
-    real_qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or real_qr(a, *args, **kw))
+    real_of = NodeFactor.of
+    monkeypatch.setattr(NodeFactor, "of", lambda design: calls.append(design.shape) or real_of(design))
     cfg = write_config(
         tmp_path,
         fixture="linear_mf",

@@ -3,11 +3,13 @@ import pytest
 
 from mfbsde.condexp import (
     FactorTable,
+    NodeFactor,
     NodeOperator,
     RegressionBasis,
     RegressionEngine,
     RegressionError,
     _design,
+    _gram,
 )
 from mfbsde.paths import build_grid, sample_brownian
 from mfbsde.solvers import _increment_fit
@@ -178,27 +180,37 @@ def test_projection_rejects_three_axis_values():
 
 
 def _one_shot_fit(values, state, basis, householder=False):
-    # The single-call fit: design, variance filter, QR (or ridge) and fit,
-    # all redone for every right-hand side. Both paths fit Q (Q^T v) with
-    # Q = A R^{-1}, as node operators do, R from the ridged Gram matrix on
-    # the ridge path; ``householder`` gives the formulas they replaced,
-    # A R^{-1} (Q^T v) with Q from the QR itself, or the ridge solve.
+    # The single-call fit: design, variance filter, factor and fit, all
+    # redone for every right-hand side. Both paths fit Q (Q^T v) from
+    # Q^T = R^{-T} A^T, as node operators do: R = L^T diag(s) from the
+    # Cholesky factor L of the Gram matrix scaled by its column norms s when
+    # sqrt(k_1(L) k_inf(L)) <= 10, else the QR's, and R from the ridged Gram
+    # matrix on the ridge path; ``householder`` gives the formulas they
+    # replaced, A R^{-1} (Q^T v) with Q and R from the QR, or the ridge solve.
     design = _design(state, basis)
     keep = [0] + [j for j in range(1, design.shape[1]) if design[:, j].std() > 0.0]
-    a = design[:, keep]
+    a = design if len(keep) == design.shape[1] else design[:, keep]
     q, r = np.linalg.qr(a)
+    gram = _gram(a.T)
+    if not householder:
+        s = np.sqrt(np.diag(gram))
+        try:
+            lower = np.linalg.cholesky(gram / np.outer(s, s))
+        except np.linalg.LinAlgError:
+            lower = None
+        if lower is not None and np.sqrt(np.linalg.cond(lower, 1) * np.linalg.cond(lower, np.inf)) <= 10.0:
+            r = lower.T * s
     diag = np.abs(np.diag(r))
     ridge = diag.min() <= 1e-12 * max(diag.max(), 1.0)
     if householder and not ridge:
         return a @ np.linalg.solve(r, q.T @ values)
     if ridge:
-        gram = a.T @ a
         system = gram + 1e-10 * np.trace(gram) / gram.shape[0] * np.eye(gram.shape[0])
         if householder:
             return a @ np.linalg.solve(system, a.T @ values)
         r = np.linalg.cholesky(system).T
-    q = a @ np.linalg.inv(r)
-    return q @ (q.T @ values)
+    qt = np.linalg.inv(r).T @ a.T
+    return qt.T @ (qt @ values)
 
 
 def _state(kind, rng, n):
@@ -231,8 +243,8 @@ def test_operator_table_factors_each_node_once(monkeypatch):
     rng = np.random.default_rng(11)
     states = {k: rng.standard_normal((300, 1)) for k in range(4)}
     calls = []
-    real_qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or real_qr(a, *args, **kw))
+    real_of = NodeFactor.of
+    monkeypatch.setattr(NodeFactor, "of", lambda design: calls.append(design.shape) or real_of(design))
     values = rng.standard_normal(300)
     table = FactorTable(ENGINE.basis, states.__getitem__)
     for _ in range(3):
@@ -240,8 +252,8 @@ def test_operator_table_factors_each_node_once(monkeypatch):
             assert np.array_equal(table[k].apply(values), _one_shot_fit(values, states[k], ENGINE.basis))
     # every access builds a fresh operator from the factor the table keeps
     assert table[1] is not table[1] and table[1].factor is table[1].factor
-    # three distinct nodes factored once each, plus one QR per reference fit
-    assert len(calls) == 3 + 12
+    # three distinct nodes factored once each
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("kind", ["qr", "ridge", "node0"])
@@ -273,15 +285,48 @@ def test_operator_fit_matches_householder_formula(kind):
     assert np.abs(fitted - householder).max() <= 1e-12 * np.abs(fitted).max()
 
 
-@pytest.mark.parametrize("d, steps", [(1, 32), (2, 64)])
-def test_operator_columns_orthonormal_at_every_node(d, steps):
+@pytest.mark.parametrize("d, steps, degree", [(1, 32, 3), (2, 64, 3), (2, 16, 5)])
+def test_operator_columns_orthonormal_at_every_node(monkeypatch, d, steps, degree):
+    # degree 3 takes R from the scaled Gram matrix at every node; degree 5 in
+    # two coordinates is too ill conditioned for that and falls back to the
+    # QR at every node but the constant node 0
+    qr_calls = []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: qr_calls.append(a.shape) or real_qr(a, *args, **kw))
+    basis = RegressionBasis(degree=degree)
     grid = build_grid(1.0, steps)
     paths = sample_brownian(grid, 2**13, d, seed=14)
     for k in range(steps + 1):
-        op = NodeOperator(paths.brownian_at(k), ENGINE.basis)
+        op = NodeOperator(paths.brownian_at(k), basis)
         assert not op.info.ridge_used
-        q = op._cols
-        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12, k
+        qt = op._qt
+        assert qt.flags.c_contiguous and qt.shape == (op.info.rank, 2**13)
+        assert np.abs(qt @ qt.T - np.eye(qt.shape[0])).max() <= 1e-12, k
+    assert len(qr_calls) == (steps if degree == 5 else 0)
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "piecewise"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_state_is_refused_when_first_factored(kind, bad):
+    # a NaN used to fail every min < max test, so all columns but the
+    # intercept were dropped and the fit was the plain mean of the values
+    basis = RegressionBasis(kind=kind, degree=3, bins=8)
+    rng = np.random.default_rng(15)
+    state = rng.standard_normal((200, 2))
+    values = rng.standard_normal(200)
+    state[17, 1] = bad
+    with pytest.raises(RegressionError, match="non-finite"):
+        RegressionEngine(basis).project(values, state)
+
+
+@pytest.mark.parametrize("p, layout", [(1, "C"), (4, "C"), (10, "C"), (10, "F")])
+def test_gram_is_the_symmetric_product_of_the_columns(p, layout):
+    # a design with dropped columns hands over the (p, N) transpose of a
+    # row-major copy, so A^T comes in either layout
+    at = np.asarray(np.random.default_rng(16).standard_normal((p, 3000)), order=layout)
+    gram = _gram(at)
+    np.testing.assert_allclose(gram, at @ at.T, rtol=0, atol=1e-14 * np.abs(gram).max())
+    assert np.array_equal(gram[:, 0], gram[0])
 
 
 def test_operator_rejects_mismatched_values():
@@ -297,6 +342,12 @@ def test_more_kept_columns_than_particles_is_refused_before_the_qr():
     state = np.random.default_rng(3).standard_normal((5, 2))
     with pytest.raises(RegressionError, match=r"10 basis columns kept but only 5 particles"):
         NodeOperator(state, ENGINE.basis)
+
+
+@pytest.mark.parametrize("degree", [0, 3])
+def test_an_empty_ensemble_is_refused(degree):
+    with pytest.raises(RegressionError, match=r"1 basis columns kept but only 0 particles"):
+        NodeOperator(np.zeros((0, 2)), RegressionBasis(degree=degree))
 
 
 def test_a_constant_state_keeps_one_column_on_a_tiny_ensemble():

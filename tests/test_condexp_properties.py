@@ -1,11 +1,12 @@
 """Property tests of the node operator: idempotence, linearity, the tower
-property over nested conditioning states, exactness on the design span, and
-the ridge fit on rank-deficient designs."""
+property over nested conditioning states, exactness on the design span, the
+ridge fit on rank-deficient designs, and the node factor against a
+Householder-only one."""
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from mfbsde.condexp import RIDGE_SCALE, NodeOperator, RegressionBasis, _design
+from mfbsde.condexp import RIDGE_SCALE, NodeFactor, NodeOperator, ProjectionInfo, RegressionBasis, _design, _gram
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -98,3 +99,77 @@ def test_ridge_fit_matches_the_ridge_solve(problem):
     assert np.abs(fitted - solved).max() <= 1e-11 * np.abs(solved).max()
     columns = np.column_stack([op.apply(values[:, j]) for j in range(values.shape[1])])
     assert np.abs(columns - fitted).max() <= 1e-12 * np.abs(fitted).max()
+
+
+@st.composite
+def factor_problems(draw):
+    # one or two coordinates of their own scale, and maybe a third that is
+    # another scale, nearly or exactly a copy of the first: degrees 3 to 7
+    # reach well and ill conditioned designs, so both the scaled-Gram factor
+    # and the Householder fallback run, and some nodes take the ridge
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(300, 1500))
+    width = draw(st.integers(1, 2))
+    scales = [draw(st.sampled_from([1e-2, 1.0, 1e2])) for _ in range(width)]
+    state = rng.standard_normal((n, width)) * scales
+    extra = draw(st.sampled_from(["none", "scaled", "near", "duplicate"]))
+    if extra == "scaled":
+        state = np.column_stack([state, draw(st.sampled_from([1e-3, 1e3])) * rng.standard_normal(n)])
+    elif extra == "near":
+        noise = draw(st.sampled_from([1e-2, 1e-5, 1e-9]))
+        state = np.column_stack([state, state[:, 0] + noise * scales[0] * rng.standard_normal(n)])
+    elif extra == "duplicate":
+        state = np.column_stack([state, state[:, 0]])
+    values = np.column_stack([np.sin(state[:, 0] / scales[0]), rng.standard_normal(n)])
+    return state, RegressionBasis(degree=draw(st.integers(3, 7))), values
+
+
+def _householder_factor(design):
+    """(ProjectionInfo, R^{-1}, Q, R) of the Householder QR alone, ridged
+    Gram Cholesky on a ridge node: the factor the scaled Gram one replaced."""
+    keep = [0] + [j for j in range(1, design.shape[1]) if design[:, j].min() < design[:, j].max()]
+    a = design if len(keep) == design.shape[1] else design[:, keep]
+    q, r = np.linalg.qr(a)
+    diag = np.abs(np.diag(r))
+    ridge = bool(diag.min() <= 1e-12 * max(diag.max(), 1.0))
+    info = ProjectionInfo(ridge_used=ridge, dropped_columns=design.shape[1] - len(keep), rank=len(keep))
+    rinv = np.linalg.inv(np.linalg.qr(a, mode="r"))
+    if ridge:
+        gram = _gram(a.T)
+        rinv = np.linalg.inv(np.linalg.cholesky(gram + RIDGE_SCALE * np.trace(gram) / len(keep) * np.eye(len(keep))).T)
+    return info, rinv, q, r
+
+
+def _scaled_gram_is_well_conditioned(a):
+    gram = a.T @ a
+    s = np.sqrt(np.diag(gram))
+    try:
+        lower = np.linalg.cholesky(gram / np.outer(s, s))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.sqrt(np.linalg.cond(lower, 1) * np.linalg.cond(lower, np.inf)) <= 10.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(factor_problems())
+def test_node_factor_agrees_with_householder(problem):
+    # every node reports the Householder factor's ProjectionInfo; a node the
+    # scaled Gram matrix factors fits within 1e-12 of the Householder formula
+    # with an orthonormal Q, and any other node keeps the Householder (or
+    # ridge) factor itself, bitwise
+    state, basis, values = problem
+    design = _design(state, basis)
+    factor = NodeFactor.of(design)
+    info, rinv, q, r = _householder_factor(design)
+    assert factor.info == info
+    a = design[:, list(factor.keep)]
+    cholesky = _scaled_gram_is_well_conditioned(a)
+    event("ridge" if info.ridge_used else "scaled Gram" if cholesky else "Householder fallback")
+    if info.ridge_used or not cholesky:
+        assert np.array_equal(factor.rinv, rinv)
+        return
+    qt = NodeOperator(state, basis, factor)._qt
+    assert np.abs(qt @ qt.T - np.eye(len(factor.keep))).max() <= 1e-12
+    fitted = qt.T @ (qt @ values)
+    householder = a @ np.linalg.solve(r, q.T @ values)
+    assert np.abs(fitted - householder).max() <= 1e-12 * np.abs(fitted).max()

@@ -129,6 +129,14 @@ def test_theta_gap_refuses_iterates_of_different_shapes():
         theta_gap(np.zeros((4, 3, 1)), np.ones((4, 1, 1)), 0.5)
 
 
+@pytest.mark.parametrize("shape", [(4,), (4, 0, 1), (4, 0)])
+def test_theta_gap_refuses_iterates_without_a_node_axis(shape):
+    # 1-D iterates used to raise IndexError, and zero-node ones to report
+    # log moments of 0, as if the iterates were equal
+    with pytest.raises(ValueError, match=r"\(N, K, \.\.\.\) with K >= 1 nodes"):
+        theta_gap(np.zeros(shape), np.ones(shape), 0.5)
+
+
 def test_contraction_trace_geometric():
     diffs = 3.0 * 0.2 ** np.arange(6)
     summary = contraction_trace(diffs)
@@ -160,6 +168,13 @@ def test_contraction_trace_needs_three_points():
 def test_contraction_trace_refuses_a_non_finite_difference(diffs, bad):
     # these used to fit rate=nan, and the inf to report a monotone tail
     with pytest.raises(ValueError, match=f"Picard difference {bad}"):
+        contraction_trace(np.array(diffs))
+
+
+@pytest.mark.parametrize("diffs, bad", [([1.0, -5.0, -6.0, -7.0], "1 is -5.0"), ([1.0, 0.5, 0.0, -1e-300], "3 is -1e-300")])
+def test_contraction_trace_refuses_a_negative_difference(diffs, bad):
+    # the first used to be floored to an exact zero and read as contracting
+    with pytest.raises(ValueError, match=f"Picard difference {bad}; a rate needs finite, non-negative"):
         contraction_trace(np.array(diffs))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mfbsde import solvers
-from mfbsde.condexp import NodeOperator, RegressionBasis, RegressionEngine
+from mfbsde.condexp import NodeFactor, NodeOperator, RegressionBasis, RegressionEngine
 from mfbsde.generators import CertificateConvex, CertificateGlobal, GeneratorSpec, _no_stage, fixture, fixture_names
 from mfbsde.measures import MeasureView, exp_moment, sum_squares
 from mfbsde.paths import build_grid, coarsen, sample_brownian
@@ -577,10 +577,10 @@ def test_psi_map_makes_one_driver_call_per_node():
     assert calls == [(256, 3)] * (k_hi - k_lo + 1)
 
 
-def _count_qr(monkeypatch):
+def _count_factors(monkeypatch):
     calls = []
-    real_qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or real_qr(a, *args, **kw))
+    real_of = NodeFactor.of
+    monkeypatch.setattr(NodeFactor, "of", lambda design: calls.append(design.shape) or real_of(design))
     return calls
 
 
@@ -598,7 +598,7 @@ def test_global_factors_each_node_once(monkeypatch):
     bundle = fixture("eq41", n=2)
     grid = build_grid(0.5, 16)
     paths = sample_brownian(grid, 1024, 2, seed=9)
-    calls = _count_qr(monkeypatch)
+    calls = _count_factors(monkeypatch)
     builds = _count_operator_builds(monkeypatch)
     sol, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), paths, ENGINE)
     assert sum(w.halvings for w in report.windows) == 0
@@ -629,7 +629,7 @@ def test_global_halves_a_failing_window_and_factors_each_node_once(monkeypatch):
         return sol, trace
 
     monkeypatch.setattr(solvers, "solve_local", refuse_long_windows)
-    calls = _count_qr(monkeypatch)
+    calls = _count_factors(monkeypatch)
     sol, report = solve_with_windows_of(4)
     # the last window is capped at the 2 steps left, so it never halves
     assert [w.halvings for w in report.windows] == [1] * 7 + [0]
@@ -647,7 +647,7 @@ def test_theta_factors_each_node_once_per_solve(monkeypatch, inner_sweeps):
     bundle = fixture("pure_quadratic", gamma=1.0, terminal="brownian")
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 1024, 1, seed=5)
-    calls = _count_qr(monkeypatch)
+    calls = _count_factors(monkeypatch)
     opts = SolverOptions(tol=1e-8, inner_sweeps=inner_sweeps)
     _, trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
     assert trace.iterations > 1
@@ -673,7 +673,7 @@ def test_theta_with_kept_factors_equals_fresh_factoring_bitwise(monkeypatch, nam
     paths = sample_brownian(grid, 1024, bundle.spec.d, seed=15)
     opts = SolverOptions(tol=1e-10, max_iter=60)
     kept, kept_trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
-    calls = _count_qr(monkeypatch)
+    calls = _count_factors(monkeypatch)
     monkeypatch.setattr(solvers, "FactorTable", _FreshEachVisit)
     fresh, fresh_trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
     assert len(calls) == fresh_trace.iterations * grid.steps > grid.steps
@@ -690,7 +690,7 @@ def test_volterra_factors_outer_nodes_once(monkeypatch):
     bundle = replace(bundle, g=lambda *args, _g=bundle.g: g_calls.append(args[0]) or _g(*args))
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 1024, 1, seed=3)
-    calls = _count_qr(monkeypatch)
+    calls = _count_factors(monkeypatch)
     _, inner, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions())
     assert inner.iterations > 1
     assert len(calls) == grid.steps
@@ -816,7 +816,7 @@ def test_csv_from_the_solve_factors_equals_fresh_factoring_bytewise(tmp_path, mo
     paths = sample_brownian(grid, 512, 1, seed=6)
     sol, _, extras = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions(tol=1e-10, max_iter=60))
     export_csv(sol, paths, ENGINE, str(tmp_path / "fresh.csv"))
-    calls = _count_qr(monkeypatch)
+    calls = _count_factors(monkeypatch)
     export_csv(sol, paths, ENGINE, str(tmp_path / "kept.csv"), operators=extras["operators"])
     assert calls == []
     assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
