@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 bad config or usage, 3 solver divergence,
 config, runs a subcommand that returns ``(exit code, results, timings)``,
 prints the one report envelope, and turns :class:`SolverDivergence` into
 the error report and exit 3 and a bad config, parameter or reference
-request, or an output it cannot write, into a message on stderr and exit 2.
+request, an output it cannot write, or an allocation that fails (an
+ensemble or grid too large for memory), into a message on stderr and exit 2.
 """
 from __future__ import annotations
 
@@ -80,9 +81,14 @@ def load_config(path: str) -> dict:
     _check_keys(cfg.get("basis", {}), _BASIS_KEYS, "basis")
     _check_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver")
     _check_keys(cfg.get("outputs", {}), _OUTPUT_KEYS, "outputs")
+    named = {os.path.realpath(path): "the config file"}
     for key, target in cfg.get("outputs", {}).items():
         if not isinstance(target, str) or not os.path.isdir(os.path.dirname(os.path.abspath(target))):
             raise ConfigError(f"outputs.{key} must be a file path in an existing directory, got {target!r}")
+        real = os.path.realpath(target)
+        if real in named:
+            raise ConfigError(f"outputs.{key} names the same file as {named[real]}: {target!r}")
+        named[real] = f"outputs.{key}"
     if not isinstance(cfg.get("params", {}), dict):
         raise ConfigError("params must be an object")
     if cfg["scheme"] not in _SCHEMES:
@@ -298,6 +304,9 @@ def main(argv=None) -> int:
         report["error"] = str(exc)
     except (ValueError, OSError) as exc:  # ConfigError, FixtureError, ...; OSError: an output write
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an ensemble, grid or solve buffer too large for memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     report.update(results=results, timings=timings)
     print(json.dumps(report, sort_keys=True))

@@ -13,12 +13,12 @@ R = L^T diag(s), L the Cholesky factor of G / (s s^T), when L is well
 conditioned; else from the thin Householder QR of A; and, when that R is
 numerically singular, from the Cholesky factor of the ridged Gram matrix
 G + lam I, lam = 1e-10 tr(G)/p. A non-finite conditioning state is refused
-when its node is first factored. A :class:`NodeOperator` holds Q^T, the
-C-contiguous (p, N) array R^{-T} A^T, and fits an (N,) vector or an (N, m)
-block v as Q (Q^T v); one rebuilt from a kept factor is bitwise equal to a
-fresh one. A :class:`FactorTable` keys factors by node index, factors each
-node once and builds a fresh operator at every access, every polynomial
-design into the one (p, N) buffer it keeps.
+when its node is first factored. A :class:`NodeOperator` holds two things:
+its kept design A^T, a C-contiguous (p, N) array, and its factor; it fits an
+(N,) vector or an (N, m) block v as A (R^{-1} (R^{-T} (A^T v))), one
+triangle after the other, and one rebuilt from a kept factor is bitwise
+equal to a fresh one. A :class:`FactorTable` keys factors by node index,
+factors each node once and builds a fresh operator at every access.
 """
 from __future__ import annotations
 
@@ -74,17 +74,16 @@ class ProjectionInfo:
     rank: int
 
 
-def _design_polynomial(state: np.ndarray, degree: int, columns: np.ndarray | None = None) -> np.ndarray:
+def _design_polynomial(state: np.ndarray, degree: int) -> np.ndarray:
     # Column (a, ..., c) is column (a, ...) times x_c: the same products, in
     # the same order, as multiplying 1 by x_a, ..., x_c one at a time. Each
-    # column is a contiguous row of a (p, N) buffer, ``columns`` when given;
-    # the design is its (N, p) transpose.
+    # column is a contiguous row of a (p, N) buffer; the design is its (N, p)
+    # transpose.
     n, s = state.shape
     combos = [()] + [c for deg in range(1, degree + 1) for c in combinations_with_replacement(range(s), deg)]
     column = {combo: i for i, combo in enumerate(combos)}
     coords = np.ascontiguousarray(state.T)
-    if columns is None:
-        columns = np.empty((len(combos), n))
+    columns = np.empty((len(combos), n))
     columns[0] = 1.0
     for i, combo in enumerate(combos[1:], start=1):
         np.multiply(columns[column[combo[:-1]]], coords[combo[-1]], out=columns[i])
@@ -112,14 +111,14 @@ def _design_piecewise(state: np.ndarray, bins: int) -> np.ndarray:
     return np.column_stack([np.ones(n)] + pieces)
 
 
-def _design(state: np.ndarray, basis: RegressionBasis, columns: np.ndarray | None = None) -> np.ndarray:
+def _design(state: np.ndarray, basis: RegressionBasis) -> np.ndarray:
     state = np.asarray(state, dtype=np.float64)
     if state.ndim == 1:
         state = state[:, None]
     if state.ndim != 2:
         raise RegressionError(f"state must be (N, s), got shape {state.shape}")
     if basis.kind == "polynomial":
-        return _design_polynomial(state, basis.degree, columns)
+        return _design_polynomial(state, basis.degree)
     return _design_piecewise(state, basis.bins)
 
 
@@ -211,28 +210,21 @@ class NodeOperator:
 
     Built from the state's design and its :class:`NodeFactor`, factored
     here unless one is given; a state that holds a non-finite value is then
-    refused with a :class:`RegressionError`. The operator holds only Q^T =
-    R^{-T} A^T, a C-contiguous (p, N) array, and fits v as Q (Q^T v). A
-    given factor skips the finiteness check, the constant-column test and
-    the factorization, and since a fresh factor forms Q^T the same way, a
-    rebuilt operator is bitwise equal to a fresh one. ``columns``, a (p, N)
-    buffer, takes a polynomial design in place of a fresh one; the operator
-    keeps no reference to it.
+    refused with a :class:`RegressionError`. The operator holds only its
+    kept design A^T, a C-contiguous (p, N) array, and its factor, and fits
+    v as A (R^{-1} (R^{-T} (A^T v))), the two triangles applied in turn
+    rather than formed into (A^T A)^{-1}. A given factor skips the
+    finiteness check, the constant-column test and the factorization, so a
+    rebuilt operator is bitwise equal to a fresh one.
     """
 
-    def __init__(
-        self,
-        state: np.ndarray,
-        basis: RegressionBasis,
-        factor: NodeFactor | None = None,
-        columns: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, state: np.ndarray, basis: RegressionBasis, factor: NodeFactor | None = None) -> None:
         if factor is None and not np.isfinite(state).all():
             raise RegressionError("the conditioning state holds a non-finite value")
-        design = _design(state, basis, columns)
+        design = _design(state, basis)
         self.factor = NodeFactor.of(design) if factor is None else factor
         self.info = self.factor.info
-        self._qt = self.factor.rinv.T @ _kept(design, self.factor.keep).T  # Q^T
+        self._at = np.ascontiguousarray(_kept(design, self.factor.keep).T)  # A^T
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Fitted E[values | state] at each particle; ``values`` is (N,) or an
@@ -240,31 +232,25 @@ class NodeOperator:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim not in (1, 2):
             raise RegressionError(f"values must be (N,) or (N, m), got shape {values.shape}")
-        if values.shape[0] != self._qt.shape[1]:
+        if values.shape[0] != self._at.shape[1]:
             raise RegressionError("values and state must share the particle axis")
-        return self._qt.T @ (self._qt @ values)
+        return self._at.T @ (self.factor.rinv @ (self.factor.rinv.T @ (self._at @ values)))
 
 
 class FactorTable:
     """Node factors of one ensemble and basis, keyed by node index.
     ``state_at(k)`` gives the (N, s) conditioning state of node k. Every
-    access builds a fresh operator from node k's state and its factor,
-    factored on first use. The table holds one particle-sized array: the
-    (p, N) buffer that every polynomial node design is built into, as a
-    design is dead once its operator exists."""
+    access builds a fresh operator, one design, from node k's state and its
+    factor, factored on first use; the table itself holds no array with a
+    particle axis."""
 
     def __init__(self, basis: RegressionBasis, state_at: Callable[[int], np.ndarray]) -> None:
         self._basis = basis
         self._state_at = state_at
         self._kept: dict = {}
-        self._columns = None
 
     def __getitem__(self, k: int) -> NodeOperator:
-        state = self._state_at(k)
-        if self._columns is None and self._basis.kind == "polynomial":
-            n, s = state.shape
-            self._columns = np.empty((math.comb(s + self._basis.degree, s), n))
-        op = NodeOperator(state, self._basis, self._kept.get(k), self._columns)
+        op = NodeOperator(self._state_at(k), self._basis, self._kept.get(k))
         self._kept[k] = op.factor
         return op
 

@@ -9,9 +9,11 @@ per node. With E_k the regression projection at node k,
 
 a trapezoidal driver quadrature whose O(dt^2) bias is what the acceptance
 tolerances assume. Node k's operator is ``operators[k]``: a
-:class:`mfbsde.condexp.FactorTable`, or a dict of operators built once for
-the nodes a call revisits (``local`` windows and ``volterra``). A solve
-factors each node once. A non-finite Y or Z raises
+:class:`mfbsde.condexp.FactorTable`, which rebuilds it from the node's kept
+factor at every access, or the dict of operators a ``local`` window builds
+once for the nodes its passes revisit. :func:`run_scheme` builds one table
+per solve, hands it down to the scheme and returns it, so a solve and its
+CSV export factor each node once. A non-finite Y or Z raises
 :class:`SolverDivergence` naming the node.
 
 Component i is free only in its own Z row. One driver call gives all n
@@ -317,7 +319,8 @@ def _backward(
     it must accept k = k_hi, where the terminal-side quadrature point takes
     the Z of node k_hi - 1. Extra inner sweeps re-extract Z from the
     driver-corrected target. Node k's operator is ``operators[k]``, from a
-    :class:`mfbsde.condexp.FactorTable` or a dict of built operators.
+    :class:`mfbsde.condexp.FactorTable` or a ``local`` window's dict of
+    built operators.
     ``head``, when given, is what the first visit would compute from the
     terminal: (E_{k_hi-1}[Y_{k_hi}], the clipped Z_{k_hi-1}, already found
     finite, its clip events, the terminal driver value or None to evaluate
@@ -589,17 +592,19 @@ def solve_global(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
+    operators: FactorTable | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Backward stitching of local solves on windows of length delta_kappa.
 
     Windows are quantized to whole grid steps with a one-step floor (the
     certified length is often far below the grid resolution); a window that
     fails to contract is halved up to six times before giving up. One
-    :class:`mfbsde.condexp.FactorTable` serves every window and retry, so
-    each node is factored once per solve. Seam values are shared arrays, so
-    stitching is exact by construction. The returned record holds each
-    window's :func:`solve_local` trace with its ``halvings``; a divergence
-    carries the failing window's trace.
+    :class:`mfbsde.condexp.FactorTable`, ``operators`` or else one owned by
+    this call, serves every window and retry, so each node is factored once
+    per solve. Seam values are shared arrays, so stitching is exact by
+    construction. The returned record holds each window's
+    :func:`solve_local` trace with its ``halvings``; a divergence carries
+    the failing window's trace.
     """
     grid = paths.grid
     gconsts = global_ode(cert, spec.n, grid.horizon)
@@ -617,7 +622,7 @@ def solve_global(
     full_y[:, grid.steps, :] = terminal
     clips = 0
     k_hi = grid.steps
-    operators = FactorTable(engine.basis, paths.brownian_at)
+    operators = FactorTable(engine.basis, paths.brownian_at) if operators is None else operators
     windows = []
     while k_hi > 0:
         size = min(spw, k_hi)
@@ -736,7 +741,7 @@ def solve_theta(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
-    operators: FactorTable | dict[int, NodeOperator] | None = None,
+    operators: FactorTable | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Picard scheme for unbounded terminals, from the zero pair: sweep m+1
     is one backward pass with Y, the other Z rows and the law frozen at
@@ -744,12 +749,12 @@ def solve_theta(
     sweep overwrites a node only after the node's frozen reads (see
     :func:`_backward`). Each sweep records its exponential moments of the
     path supremum and of the theta-interpolated difference (theta = 1/2).
-    ``operators[k]`` is node k's operator: a
-    :class:`mfbsde.condexp.FactorTable` (a fresh operator per sweep from a
-    kept factor) or a dict of built operators; without it a table owned by
-    this call factors each node once. A scalar driver that reads no Y
-    (``spec.reads_y`` False) and no law freezes nothing, so later sweeps
-    repeat the first bitwise and run no kernel pass (:class:`_SweepMonitor`).
+    ``operators`` is the solve's :class:`mfbsde.condexp.FactorTable`, which
+    builds a fresh operator per sweep from each node's kept factor; without
+    it a table owned by this call factors each node once. A scalar driver
+    that reads no Y (``spec.reads_y`` False) and no law freezes nothing, so
+    later sweeps repeat the first bitwise and run no kernel pass
+    (:class:`_SweepMonitor`).
     """
     grid = paths.grid
     terminal = _terminal_block(terminal, paths.particles, spec.n, grid.steps)
@@ -760,8 +765,7 @@ def solve_theta(
         y_nodes += opts.init_offset
     y, z = _by_particle(y_nodes), _by_particle(z_nodes)
     driver = partial(_own_rows, spec, y, z, (y, z, MeasureView.of_checked), 0)
-    if operators is None:
-        operators = FactorTable(engine.basis, paths.brownian_at)
+    operators = FactorTable(engine.basis, paths.brownian_at) if operators is None else operators
     replay = spec.n == 1 and spec.law_dependence == "none" and not spec.reads_y
 
     def sweeps():
@@ -794,6 +798,7 @@ def solve_volterra(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
+    operators: FactorTable | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Two-level scheme for a delayed (Volterra-type) mean-field term.
 
@@ -802,19 +807,20 @@ def solve_volterra(
         Y^{r+1}_k = Y'_k + sum_{j >= k} E_k[ g(j, Y^r, Z', law_j) ] dt,
 
     using one projection of the tail sum per node; g is evaluated on nodes
-    0..M-1, the only ones a tail sum reads. Each node's operator is built
-    once per solve, into a dict that the inner solve and every outer sweep
-    share. Convergence is tracked in the exp(beta t)-weighted squared sup
-    norm with beta = 32 C^2 T, and iteration stops when the unweighted sup
-    difference drops below tol. A non-finite g block, or an outer node
-    whose new Y is not finite (an overflowing tail fit too), raises
+    0..M-1, the only ones a tail sum reads. One
+    :class:`mfbsde.condexp.FactorTable`, ``operators`` or else one owned by
+    this call, serves the inner solve and every outer sweep, so each node
+    is factored once per solve. Convergence is tracked in the
+    exp(beta t)-weighted squared sup norm with beta = 32 C^2 T, and
+    iteration stops when the unweighted sup difference drops below tol. A
+    non-finite g block, or an outer node whose new Y is not finite (an
+    overflowing tail fit too), raises
     :class:`SolverDivergence` naming the node and the component before any
     projection reads it, so the law views are built over checked clouds.
     """
     grid = paths.grid
     beta = volterra_weight(vcert.C, grid.horizon)
-    table = FactorTable(engine.basis, paths.brownian_at)
-    operators = {k: table[k] for k in range(grid.steps)}
+    operators = FactorTable(engine.basis, paths.brownian_at) if operators is None else operators
     inner_sol, _ = solve_theta(spec, ccert, terminal, paths, engine, opts, operators)
     m = grid.steps
     weights = np.exp(beta * grid.nodes)
@@ -834,7 +840,8 @@ def solve_volterra(
             y_new[:, m, :] = inner_sol.Y[:, m, :]
             for k in range(m - 1, -1, -1):
                 tails = tails + g_vals[k] * grid.dt
-                with np.errstate(over="ignore"):  # an overflowing fit is caught below as non-finite Y
+                # an overflowing fit, inf - inf inside the product too, is caught below as non-finite Y
+                with np.errstate(over="ignore", invalid="ignore"):
                     y_new[:, k] = inner_sol.Y[:, k] + operators[k].apply(tails)
                 _check_finite(k, grid.nodes[k], Y=y_new[:, k])
             diff = y_new - y_prev
@@ -879,38 +886,41 @@ def run_scheme(
 ):
     """Dispatch a fixture to a scheme; returns (Solution, trace, extras).
 
-    ``extras`` holds the stitching record for ``global`` (whose trace is
-    None) under ``"report"`` and, for ``theta``, the solve's node-factor table under
-    ``"operators"`` (which :func:`export_csv` takes); it is empty for
-    ``local`` and ``volterra``. The scheme runs on the ensemble's grid,
-    ``paths.grid``; ``grid`` must equal it. Raises ``ValueError`` naming
-    both grids when it does not, when the fixture's terminal is not
-    (particles, n), when it lacks the scheme's certificate, and for an
-    unknown scheme, and :class:`SolverDivergence` when the terminal is not
-    finite."""
+    One :class:`mfbsde.condexp.FactorTable` serves the whole solve, and
+    ``extras["operators"]`` returns it for every scheme, so
+    :func:`export_csv` rebuilds each node's operator from the solve's
+    factor. ``extras`` also holds the stitching record for ``global``
+    (whose trace is None) under ``"report"``. The scheme runs on the
+    ensemble's grid, ``paths.grid``; ``grid`` must equal it. Raises
+    ``ValueError`` naming both grids when it does not, when the fixture's
+    terminal is not (particles, n), when it lacks the scheme's certificate,
+    and for an unknown scheme, and :class:`SolverDivergence` when the
+    terminal is not finite."""
     require_grid(grid, paths, "scheme")
     terminal = _terminal_block(bundle.terminal(paths), paths.particles, bundle.spec.n, grid.steps)
+    operators = FactorTable(engine.basis, paths.brownian_at)
     if scheme == "theta":
         if bundle.convex is None:
             raise ValueError(f"fixture {bundle.name} has no Picard certificate")
-        operators = FactorTable(engine.basis, paths.brownian_at)
         sol, trace = solve_theta(bundle.spec, bundle.convex, terminal, paths, engine, opts, operators)
         return sol, trace, {"operators": operators}
     if scheme == "local":
         if bundle.local is None:
             raise ValueError(f"fixture {bundle.name} has no local certificate")
-        sol, trace = solve_local(bundle.spec, bundle.local, terminal, paths, engine, opts)
-        return sol, trace, {}
+        sol, trace = solve_local(bundle.spec, bundle.local, terminal, paths, engine, opts, operators=operators)
+        return sol, trace, {"operators": operators}
     if scheme == "global":
         if bundle.global_ is None:
             raise ValueError(f"fixture {bundle.name} has no global certificate")
-        sol, report = solve_global(bundle.spec, bundle.global_, terminal, paths, engine, opts)
-        return sol, None, {"report": report}
+        sol, report = solve_global(bundle.spec, bundle.global_, terminal, paths, engine, opts, operators)
+        return sol, None, {"operators": operators, "report": report}
     if scheme == "volterra":
         if bundle.volterra is None or bundle.g is None:
             raise ValueError(f"fixture {bundle.name} has no Volterra data")
-        sol, trace = solve_volterra(bundle.spec, bundle.g, bundle.volterra, bundle.convex, terminal, paths, engine, opts)
-        return sol, trace, {}
+        sol, trace = solve_volterra(
+            bundle.spec, bundle.g, bundle.volterra, bundle.convex, terminal, paths, engine, opts, operators
+        )
+        return sol, trace, {"operators": operators}
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

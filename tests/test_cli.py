@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import mfbsde
 from mfbsde.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -315,6 +321,88 @@ def test_verify_factors_each_node_once(capsys, tmp_path, monkeypatch):
     assert code == EXIT_OK
     assert json.loads(out)["results"]["iterations"] > 1
     assert len(calls) == 8
+
+
+@pytest.mark.parametrize(
+    "scheme, overrides",
+    [
+        ("theta", {}),
+        ("local", {"params": {"gamma": 1.0, "terminal": "tanh"}, "grid": {"horizon": 0.05, "steps": 8}}),
+        ("global", {"fixture": "eq41", "params": {"n": 2}, "seed": 3}),
+        ("volterra", {"fixture": "volterra_demo", "params": {}}),
+    ],
+)
+def test_solve_with_a_csv_factors_each_node_once(capsys, tmp_path, monkeypatch, scheme, overrides):
+    # every scheme hands its solve's factor table to the CSV export, whose
+    # BMO profile rebuilds each node's operator from the solve's factor
+    from mfbsde.condexp import NodeFactor
+
+    calls = []
+    real_of = NodeFactor.of
+    monkeypatch.setattr(NodeFactor, "of", lambda design: calls.append(design.shape) or real_of(design))
+    overrides = {"grid": {"horizon": 1.0, "steps": 8}, **overrides}
+    outputs = {"csv": str(tmp_path / "nodes.csv")}
+    cfg = write_config(tmp_path, scheme=scheme, particles=512, outputs=outputs, **overrides)
+    code, _, _ = run_cli(capsys, "solve", cfg)
+    assert code == EXIT_OK
+    assert len((tmp_path / "nodes.csv").read_text().splitlines()) == 1 + 9
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("case", ["dot", "symlink", "csv_is_config", "solution_is_config"])
+def test_outputs_that_name_one_file_exit_config_before_the_solve(capsys, tmp_path, monkeypatch, case):
+    # two outputs on one file used to exit 0, the solution file silently
+    # overwriting the CSV; an output on the config file overwrote the config
+    import mfbsde.cli
+
+    solves = []
+    monkeypatch.setattr(mfbsde.cli, "run_scheme", lambda *a, **kw: solves.append(1))
+    (tmp_path / "d").mkdir()
+    target = str(tmp_path / "d" / "out.bin")
+    config = str(tmp_path / "cfg.json")
+    outputs = {
+        "dot": {"csv": target, "solution": str(tmp_path / "d" / "." / "out.bin")},
+        "symlink": {"csv": target, "solution": str(tmp_path / "link" / "out.bin")},
+        "csv_is_config": {"csv": config},
+        "solution_is_config": {"solution": str(tmp_path / "d" / ".." / "cfg.json")},
+    }[case]
+    (tmp_path / "link").symlink_to(tmp_path / "d")
+    cfg = write_config(tmp_path, particles=64, outputs=outputs)
+    code, out, err = run_cli(capsys, "solve", cfg)
+    assert (code, out, solves) == (EXIT_CONFIG, "", [])
+    assert err.startswith("error: outputs.") and "names the same file as" in err and err.count("\n") == 1
+    assert json.loads(open(cfg).read())["outputs"] == outputs
+
+
+def _capped_solve(tmp_path, name, **overrides):
+    """Exit code, stdout and stderr of ``mfbsde solve`` in a child process
+    whose address space is capped at 2 GiB, so that an oversized allocation
+    fails at once rather than on a machine that overcommits."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(mfbsde.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    cfg = write_config(tmp_path, name=name, **overrides)
+    argv = [sys.executable, "-m", "mfbsde.cli", "solve", cfg]
+    child = subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+    return child.returncode, child.stdout, child.stderr
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"grid": {"horizon": 1.0, "steps": 10**12}}, {"particles": 10**12}],
+    ids=["steps", "particles"],
+)
+def test_an_allocation_failure_exits_config(tmp_path, overrides):
+    # such a config used to exit 1 with numpy's "Unable to allocate" traceback
+    code, out, err = _capped_solve(tmp_path, "huge.json", **overrides)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    # the cap leaves room for a small solve
+    code, out, _ = _capped_solve(tmp_path, "small.json", particles=256, grid={"horizon": 1.0, "steps": 8})
+    assert code == EXIT_OK and json.loads(out)["results"]["converged"]
 
 
 def test_outputs_written(capsys, tmp_path):

@@ -181,12 +181,13 @@ def test_projection_rejects_three_axis_values():
 
 def _one_shot_fit(values, state, basis, householder=False):
     # The single-call fit: design, variance filter, factor and fit, all
-    # redone for every right-hand side. Both paths fit Q (Q^T v) from
-    # Q^T = R^{-T} A^T, as node operators do: R = L^T diag(s) from the
-    # Cholesky factor L of the Gram matrix scaled by its column norms s when
-    # sqrt(k_1(L) k_inf(L)) <= 10, else the QR's, and R from the ridged Gram
-    # matrix on the ridge path; ``householder`` gives the formulas they
-    # replaced, A R^{-1} (Q^T v) with Q and R from the QR, or the ridge solve.
+    # redone for every right-hand side. Both paths fit
+    # A (R^{-1} (R^{-T} (A^T v))) from the C-contiguous A^T, as node
+    # operators do: R = L^T diag(s) from the Cholesky factor L of the Gram
+    # matrix scaled by its column norms s when sqrt(k_1(L) k_inf(L)) <= 10,
+    # else the QR's, and R from the ridged Gram matrix on the ridge path;
+    # ``householder`` gives the formulas they replaced, A R^{-1} (Q^T v) with
+    # Q and R from the QR, or the ridge solve.
     design = _design(state, basis)
     keep = [0] + [j for j in range(1, design.shape[1]) if design[:, j].std() > 0.0]
     a = design if len(keep) == design.shape[1] else design[:, keep]
@@ -209,8 +210,8 @@ def _one_shot_fit(values, state, basis, householder=False):
         if householder:
             return a @ np.linalg.solve(system, a.T @ values)
         r = np.linalg.cholesky(system).T
-    qt = np.linalg.inv(r).T @ a.T
-    return qt.T @ (qt @ values)
+    rinv, at = np.linalg.inv(r), np.ascontiguousarray(a.T)
+    return at.T @ (rinv @ (rinv.T @ (at @ values)))
 
 
 def _state(kind, rng, n):
@@ -299,8 +300,8 @@ def test_operator_columns_orthonormal_at_every_node(monkeypatch, d, steps, degre
     for k in range(steps + 1):
         op = NodeOperator(paths.brownian_at(k), basis)
         assert not op.info.ridge_used
-        qt = op._qt
-        assert qt.flags.c_contiguous and qt.shape == (op.info.rank, 2**13)
+        assert op._at.flags.c_contiguous and op._at.shape == (op.info.rank, 2**13)
+        qt = op.factor.rinv.T @ op._at  # Q^T = R^{-T} A^T
         assert np.abs(qt @ qt.T - np.eye(qt.shape[0])).max() <= 1e-12, k
     assert len(qr_calls) == (steps if degree == 5 else 0)
 

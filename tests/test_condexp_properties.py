@@ -168,8 +168,9 @@ def test_node_factor_agrees_with_householder(problem):
     if info.ridge_used or not cholesky:
         assert np.array_equal(factor.rinv, rinv)
         return
-    qt = NodeOperator(state, basis, factor)._qt
+    op = NodeOperator(state, basis, factor)
+    qt = factor.rinv.T @ op._at  # Q^T = R^{-T} A^T
     assert np.abs(qt @ qt.T - np.eye(len(factor.keep))).max() <= 1e-12
-    fitted = qt.T @ (qt @ values)
+    fitted = op.apply(values)
     householder = a @ np.linalg.solve(r, q.T @ values)
     assert np.abs(fitted - householder).max() <= 1e-12 * np.abs(fitted).max()
