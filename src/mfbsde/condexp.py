@@ -1,24 +1,31 @@
 """Least-squares conditional expectations on a particle ensemble.
 
-The conditioning state at node k is the Brownian value W_{t_k}. Constant
-design columns (min == max, an exact test) are dropped first, so a constant
-state, whatever its value, fits a plain mean with rank 1; an ensemble with
-fewer particles than kept columns is refused with a :class:`RegressionError`.
-A polynomial design is column-major: the (N, p) transpose of a (p, N)
-buffer whose rows are its columns.
+The conditioning state at node k is the Brownian value W_{t_k}. A polynomial
+design is built on the whitened state z = M^T (x - m): m is the state's mean
+and M holds the eigenvectors of its s x s covariance, each scaled by its
+eigenvalue^{-1/2}. A direction whose eigenvalue is at most ``_RANK_FLOOR``
+times the largest one, or ``_RANK_FLOOR``^2 |m|^2, is constant or an affine
+copy of another and is dropped, so a constant state fits a plain mean with
+rank 1. The design's columns are the probabilists' Hermite products
+He_a(z) of total degree at most the basis degree; total-degree polynomials
+are invariant under affine maps, so they span what the monomials of the
+state span. A piecewise design holds the indicators of each coordinate's
+nonempty bins. Either is built as its (p, N) transpose A^T, whose rows are
+its columns.
 
-A :class:`NodeFactor` holds R^{-1}, R^T R = A^T A for the kept columns A.
-R comes from the Gram matrix G = A^T A: with column scales s = sqrt(diag G),
-R = L^T diag(s), L the Cholesky factor of G / (s s^T), when L is well
-conditioned; else from the thin Householder QR of A; and, when that R is
-numerically singular, from the Cholesky factor of the ridged Gram matrix
-G + lam I, lam = 1e-10 tr(G)/p. A non-finite conditioning state is refused
-when its node is first factored. A :class:`NodeOperator` holds two things:
-its kept design A^T, a C-contiguous (p, N) array, and its factor; it fits an
-(N,) vector or an (N, m) block v as A (R^{-1} (R^{-T} (A^T v))), one
-triangle after the other, and one rebuilt from a kept factor is bitwise
-equal to a fresh one. A :class:`FactorTable` keys factors by node index,
-factors each node once and builds a fresh operator at every access.
+A :class:`NodeFactor` holds the whitening and R^{-1}, R^T R = A^T A from
+one Cholesky factorization of the Gram matrix G. When that factorization
+fails or a column's angle to the span of the others has a sine of at most
+``_PIVOT_FLOOR``, R comes from the ridged Gram matrix G + lam I,
+lam = 1e-10 tr(G)/p, instead. An ensemble with fewer particles than design
+columns is refused with a :class:`RegressionError`, and so is a non-finite
+conditioning state when its node is first factored. A :class:`NodeOperator`
+holds two things: its design A^T, a C-contiguous (p, N) array, and its
+factor; it fits an (N,) vector or an (N, m) block v as
+A (R^{-1} (R^{-T} (A^T v))), one triangle after the other, and one rebuilt
+from a kept factor is bitwise equal to a fresh one. A :class:`FactorTable`
+keys factors by node index, factors each node once and builds a fresh
+operator at every access.
 """
 from __future__ import annotations
 
@@ -32,10 +39,19 @@ import numpy as np
 from .paths import is_count
 
 RIDGE_SCALE = 1e-10
-# Largest sqrt(k_1(L) k_inf(L)), an upper bound on the 2-norm condition
-# number of L, for which R comes from the scaled Gram matrix; a Cholesky R
-# then loses at most about two digits to Householder's.
-CHOLESKY_CONDITION = 10.0
+# sin_j = 1 / sqrt(G_jj (G^{-1})_jj) is the sine of the angle between design
+# column j and the span of the other columns: the Cholesky pivot R_jj /
+# sqrt(G_jj) that column j would have if it came last. Whitened designs of
+# continuous states read at least 2.5e-3 (Brownian states up to degree 9 on
+# 300 to 8192 particles, uniform ones at degree 7 on 300, (x, x + 0.01 noise)
+# at degree 7). Singular Gram matrices whose Cholesky factorization still
+# succeeded read at most 1e-7 (states with a coordinate of 2 to 5 values,
+# alone, paired or beside a normal one, at degrees 3 to 7); their smallest
+# pivot R_jj / sqrt(G_jj) read up to 7.6e-3, so only the sine tells them apart.
+_PIVOT_FLOOR = 1e-6
+# Covariance eigenvalues are accurate to about 1e-16 of the largest one, and
+# centring a constant coordinate of value c leaves about 1e-15 |c|.
+_RANK_FLOOR = 1e-12
 
 
 class RegressionError(ValueError):
@@ -46,7 +62,7 @@ class RegressionError(ValueError):
 class RegressionBasis:
     """Finite-dimensional regression family.
 
-    kind="polynomial": all monomials of total degree <= degree.
+    kind="polynomial": all polynomials of total degree <= degree.
     kind="piecewise": indicator columns of per-coordinate equal-width bins
     (their span contains constants, so the tower property is preserved).
     Raises :class:`RegressionError` (a ``ValueError``) for an unknown kind,
@@ -74,57 +90,76 @@ class ProjectionInfo:
     rank: int
 
 
-def _design_polynomial(state: np.ndarray, degree: int) -> np.ndarray:
-    # Column (a, ..., c) is column (a, ...) times x_c: the same products, in
-    # the same order, as multiplying 1 by x_a, ..., x_c one at a time. Each
-    # column is a contiguous row of a (p, N) buffer; the design is its (N, p)
-    # transpose.
+def _design_polynomial(
+    state: np.ndarray, degree: int, whitening: tuple[np.ndarray, np.ndarray] | None
+) -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray]]:
+    # The state is gathered once as contiguous (s, N) rows and centred in
+    # place; a given whitening skips the mean, the covariance and its
+    # eigenvectors. The whitened coordinates are the design's degree-1 rows.
+    # Every later row is one product of two earlier ones, (a, ...) times
+    # (c^k) or, for a pure power, (c^{k-1}) times (c), and a pure power then
+    # takes off its Hermite term: He_k(z) = z He_{k-1}(z) - (k - 1) He_{k-2}(z),
+    # He_0 = 1. Once rotated, the centred state's first row is scratch.
     n, s = state.shape
-    combos = [()] + [c for deg in range(1, degree + 1) for c in combinations_with_replacement(range(s), deg)]
-    column = {combo: i for i, combo in enumerate(combos)}
-    coords = np.ascontiguousarray(state.T)
-    columns = np.empty((len(combos), n))
-    columns[0] = 1.0
-    for i, combo in enumerate(combos[1:], start=1):
-        np.multiply(columns[column[combo[:-1]]], coords[combo[-1]], out=columns[i])
-    return columns.T
+    coords = np.array(state.T, order="C")
+    mean = coords.sum(axis=1) / max(n, 1) if whitening is None else whitening[0]
+    coords -= mean[:, None]
+    if whitening is None:
+        w, v = np.linalg.eigh(_gram(coords) / max(n, 1))
+        kept = w > _RANK_FLOOR * max(w[-1], _RANK_FLOOR * (mean @ mean))
+        whitening = (mean, v[:, kept] / np.sqrt(w[kept]))
+    r = whitening[1].shape[1]
+    combos = [()] + [c for deg in range(1, degree + 1) for c in combinations_with_replacement(range(r), deg)]
+    row = {combo: i for i, combo in enumerate(combos)}
+    at = np.empty((len(combos), n))
+    at[0] = 1.0
+    # over an inner dimension of 1, np.matmul ran about 6x slower than np.multiply (N = 16384)
+    if degree:
+        (np.multiply if s == 1 else np.matmul)(whitening[1].T, coords, out=at[1 : r + 1])
+    spare = coords[0]
+    for i, combo in enumerate(combos[r + 1 :], start=r + 1):
+        k = combo.count(combo[-1])
+        split = len(combo) - (k if k < len(combo) else 1)
+        np.multiply(at[row[combo[:split]]], at[row[combo[split:]]], out=at[i])
+        if k == len(combo):
+            at[i] -= 1.0 if k == 2 else np.multiply(at[row[combo[2:]]], k - 1, out=spare)
+    return at, math.comb(s + degree, degree) - len(combos), whitening
 
 
-def _design_piecewise(state: np.ndarray, bins: int) -> np.ndarray:
+def _design_piecewise(state: np.ndarray, bins: int) -> tuple[np.ndarray, int]:
+    # Indicator rows of each coordinate's nonempty equal-width bins. One
+    # coordinate's bins span the constants; more coordinates add up as blocks
+    # after an intercept row (product bins would explode), and a constant
+    # one, whose single bin repeats the intercept, adds no row.
     n, s = state.shape
-    pieces = []
-    for j in range(s):
-        x = state[:, j]
-        lo, hi = float(x.min()), float(x.max())
-        if hi <= lo:
-            pieces.append(np.ones((n, 1)))
-            continue
-        edges = np.linspace(lo, hi, bins + 1)
+    rows, dropped = [np.ones((1, n))] if s > 1 else [], 0
+    for x in state.T:
+        edges = np.linspace(float(x.min()), float(x.max()), bins + 1)
         idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, bins - 1)
-        block = np.zeros((n, bins))
-        block[np.arange(n), idx] = 1.0
-        pieces.append(block)
-    if s == 1:
-        return pieces[0]
-    # product bins across coordinates would explode; use additive blocks
-    # plus an intercept, which still spans constants.
-    return np.column_stack([np.ones(n)] + pieces)
+        filled, bin_of = np.unique(idx, return_inverse=True)
+        if s > 1 and len(filled) == 1:
+            dropped += bins
+            continue
+        block = np.zeros((len(filled), n))
+        block[bin_of, np.arange(n)] = 1.0
+        rows.append(block)
+        dropped += bins - len(filled)
+    return np.concatenate(rows), dropped
 
 
-def _design(state: np.ndarray, basis: RegressionBasis) -> np.ndarray:
+def _design(
+    state: np.ndarray, basis: RegressionBasis, whitening: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray] | None]:
+    """(A^T, columns dropped, the polynomial design's whitening): the
+    whitening is found from the state unless one is given."""
     state = np.asarray(state, dtype=np.float64)
     if state.ndim == 1:
         state = state[:, None]
     if state.ndim != 2:
         raise RegressionError(f"state must be (N, s), got shape {state.shape}")
     if basis.kind == "polynomial":
-        return _design_polynomial(state, basis.degree)
-    return _design_piecewise(state, basis.bins)
-
-
-def _kept(design: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """The kept columns A; the design itself, uncopied, when all are kept."""
-    return design if len(keep) == design.shape[1] else design[:, keep]
+        return _design_polynomial(state, basis.degree, whitening)
+    return *_design_piecewise(state, basis.bins), None
 
 
 def _gram(at: np.ndarray) -> np.ndarray:
@@ -141,68 +176,41 @@ def _gram(at: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _gram_r(gram: np.ndarray) -> np.ndarray | None:
-    """R = L^T diag(s) with L L^T = G / (s s^T), s = sqrt(diag G), or None
-    when that Cholesky fails or L is worse conditioned than
-    ``CHOLESKY_CONDITION`` allows. The estimate comes from L and L^{-1}."""
-    scale = np.sqrt(np.diag(gram))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a NaN fails the Cholesky
-        scaled = gram / np.outer(scale, scale)
-    try:
-        lower = np.linalg.cholesky(scaled)
-        inverse = np.linalg.inv(lower)
-    except np.linalg.LinAlgError:
-        return None
-    # ||M||_1 ||M||_inf for M = L and L^{-1}: largest column sum times
-    # largest row sum of |M|; sqrt(k_1 k_inf) bounds the 2-norm k_2 above
-    absolute = np.abs(np.stack([lower, inverse]))
-    norms = absolute.sum(axis=1).max(axis=1) * absolute.sum(axis=2).max(axis=1)
-    if not math.sqrt(norms.prod()) <= CHOLESKY_CONDITION:
-        return None
-    return lower.T * scale
-
-
 @dataclass(frozen=True, eq=False)
 class NodeFactor:
     """The p x p part of one state's projection, factored once.
 
-    ``keep`` lists the design columns that are not constant (the intercept
-    always stays); ``rinv`` is R^{-1}, R from the scaled Gram matrix or the
-    QR with R^T R = A^T A or, on a ridge node, with R^T R = A^T A + lam I, so
-    A (A^T A [+ lam I])^{-1} A^T = Q Q^T with Q = A R^{-1} on every path. No
-    array here has a particle axis.
+    ``whitening`` is the polynomial design's (mean, M), None for a piecewise
+    one; ``rinv`` is R^{-1}, with R^T R = A^T A or, on a ridge node,
+    A^T A + lam I, so A (A^T A [+ lam I])^{-1} A^T = Q Q^T with Q = A R^{-1}.
+    No array here has a particle axis.
     """
 
-    keep: tuple[int, ...]
+    whitening: tuple[np.ndarray, np.ndarray] | None
     info: ProjectionInfo
     rinv: np.ndarray
 
     @classmethod
-    def of(cls, design: np.ndarray) -> "NodeFactor":
-        """Constant-column test, R from the scaled Gram matrix (the thin QR's
-        when that is ill conditioned), the ridge test on diag(R), then
-        R^{-1}. Raises :class:`RegressionError` naming both counts when more
-        columns are kept than there are particles."""
-        # the initial values make an empty ensemble vary in no column
-        varies = design.min(axis=0, initial=np.inf) < design.max(axis=0, initial=-np.inf)
-        keep = (0,) + tuple(j for j in range(1, design.shape[1]) if varies[j])
-        if len(keep) > design.shape[0]:
+    def of(cls, at: np.ndarray, dropped: int, whitening: tuple[np.ndarray, np.ndarray] | None) -> "NodeFactor":
+        """R^{-1} from one Cholesky factorization of A^T A, or from the
+        ridged one when that fails or a sine is at most ``_PIVOT_FLOOR``. Raises
+        :class:`RegressionError` naming both counts when the design has more
+        columns than there are particles."""
+        p, n = at.shape
+        if p > n:
             raise RegressionError(
-                f"{len(keep)} basis columns kept but only {design.shape[0]} particles: "
-                "a fit needs at least as many particles as columns"
+                f"{p} basis columns kept but only {n} particles: a fit needs at least as many particles as columns"
             )
-        a = _kept(design, keep)
-        gram = _gram(a.T)
-        r = _gram_r(gram)
-        if r is None:
-            r = np.linalg.qr(a, mode="r")
-        diag = np.abs(np.diag(r))
-        ridge = bool(diag.min() <= 1e-12 * max(diag.max(), 1.0))
-        info = ProjectionInfo(ridge_used=ridge, dropped_columns=design.shape[1] - len(keep), rank=len(keep))
+        gram = _gram(at)
+        try:
+            rinv = np.linalg.inv(np.linalg.cholesky(gram).T)
+            # (G^{-1})_jj is the squared norm of row j of R^{-1}
+            ridge = not (1.0 / np.sqrt(np.diag(gram) * (rinv**2).sum(axis=1))).min() > _PIVOT_FLOOR
+        except np.linalg.LinAlgError:
+            ridge = True
         if ridge:
-            lam = RIDGE_SCALE * np.trace(gram) / gram.shape[0]
-            r = np.linalg.cholesky(gram + lam * np.eye(gram.shape[0])).T
-        return cls(keep, info, np.linalg.inv(r))
+            rinv = np.linalg.inv(np.linalg.cholesky(gram + RIDGE_SCALE * np.trace(gram) / p * np.eye(p)).T)
+        return cls(whitening, ProjectionInfo(ridge_used=ridge, dropped_columns=dropped, rank=p), rinv)
 
 
 class NodeOperator:
@@ -211,20 +219,20 @@ class NodeOperator:
     Built from the state's design and its :class:`NodeFactor`, factored
     here unless one is given; a state that holds a non-finite value is then
     refused with a :class:`RegressionError`. The operator holds only its
-    kept design A^T, a C-contiguous (p, N) array, and its factor, and fits
-    v as A (R^{-1} (R^{-T} (A^T v))), the two triangles applied in turn
-    rather than formed into (A^T A)^{-1}. A given factor skips the
-    finiteness check, the constant-column test and the factorization, so a
-    rebuilt operator is bitwise equal to a fresh one.
+    design A^T, a C-contiguous (p, N) array, and its factor, and fits v as
+    A (R^{-1} (R^{-T} (A^T v))), the two triangles applied in turn rather
+    than formed into (A^T A)^{-1}. A given factor skips the finiteness
+    check, the covariance and its eigenvectors, and the factorization: its
+    whitening rebuilds the design, so a rebuilt operator is bitwise equal to
+    a fresh one.
     """
 
     def __init__(self, state: np.ndarray, basis: RegressionBasis, factor: NodeFactor | None = None) -> None:
         if factor is None and not np.isfinite(state).all():
             raise RegressionError("the conditioning state holds a non-finite value")
-        design = _design(state, basis)
-        self.factor = NodeFactor.of(design) if factor is None else factor
+        self._at, dropped, whitening = _design(state, basis, None if factor is None else factor.whitening)
+        self.factor = NodeFactor.of(self._at, dropped, whitening) if factor is None else factor
         self.info = self.factor.info
-        self._at = np.ascontiguousarray(_kept(design, self.factor.keep).T)  # A^T
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Fitted E[values | state] at each particle; ``values`` is (N,) or an
@@ -247,11 +255,11 @@ class FactorTable:
     def __init__(self, basis: RegressionBasis, state_at: Callable[[int], np.ndarray]) -> None:
         self._basis = basis
         self._state_at = state_at
-        self._kept: dict = {}
+        self._factors: dict = {}
 
     def __getitem__(self, k: int) -> NodeOperator:
-        op = NodeOperator(self._state_at(k), self._basis, self._kept.get(k))
-        self._kept[k] = op.factor
+        op = NodeOperator(self._state_at(k), self._basis, self._factors.get(k))
+        self._factors[k] = op.factor
         return op
 
 

@@ -308,7 +308,7 @@ def test_verify_factors_each_node_once(capsys, tmp_path, monkeypatch):
 
     calls = []
     real_of = NodeFactor.of
-    monkeypatch.setattr(NodeFactor, "of", lambda design: calls.append(design.shape) or real_of(design))
+    monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
     cfg = write_config(
         tmp_path,
         fixture="linear_mf",
@@ -339,7 +339,7 @@ def test_solve_with_a_csv_factors_each_node_once(capsys, tmp_path, monkeypatch, 
 
     calls = []
     real_of = NodeFactor.of
-    monkeypatch.setattr(NodeFactor, "of", lambda design: calls.append(design.shape) or real_of(design))
+    monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
     overrides = {"grid": {"horizon": 1.0, "steps": 8}, **overrides}
     outputs = {"csv": str(tmp_path / "nodes.csv")}
     cfg = write_config(tmp_path, scheme=scheme, particles=512, outputs=outputs, **overrides)

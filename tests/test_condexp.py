@@ -1,3 +1,6 @@
+from itertools import combinations_with_replacement
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from mfbsde.condexp import (
     FactorTable,
     NodeFactor,
     NodeOperator,
+    ProjectionInfo,
     RegressionBasis,
     RegressionEngine,
     RegressionError,
@@ -100,14 +104,14 @@ def test_constant_state_falls_back_to_mean():
     op = NodeOperator(state, ENGINE.basis)
     np.testing.assert_allclose(op.apply(values), np.full(4, 2.5), atol=1e-13)
     assert op.info.dropped_columns > 0
-    # a constant that is no power of two: its columns' std() rounds to about
-    # 1e-17, so only an exact test drops them
+    # a constant that is no power of two: centring it leaves about 1e-17,
+    # which the rank test drops with the constant's own directions
     values = np.random.default_rng(4).standard_normal(8192)
     for constant in (0.1, 0.3, 1.0 / 3.0):
         for coords in (1, 2):
             op = NodeOperator(np.full((8192, coords), constant), ENGINE.basis)
             assert op.info.rank == 1 and not op.info.ridge_used
-            assert op.info.dropped_columns == _design(np.zeros((1, coords)), ENGINE.basis).shape[1] - 1
+            assert op.info.dropped_columns == comb(coords + 3, 3) - 1
             fit = op.apply(values)
             assert np.abs(fit - values.mean()).max() <= 1e-14 * abs(values.mean())
 
@@ -156,19 +160,17 @@ def test_basis_counts_are_checked_whatever_the_kind(options):
         RegressionBasis(**options)
 
 
-@pytest.mark.parametrize("duplicated", [False, True], ids=["qr", "ridge"])
-def test_block_projection_equals_columnwise_fits(duplicated):
+@pytest.mark.parametrize("kind", ["cholesky", "ridge"])
+def test_block_projection_equals_columnwise_fits(kind):
     # an (N, 3) block is fitted against one factorization; each column must
-    # match its own fit, on the QR path and on the ridge path that a
-    # duplicated state coordinate forces
+    # match its own fit, on the Cholesky path and on the ridge path
     rng = np.random.default_rng(9)
-    x = rng.standard_normal(2000)
-    other = x if duplicated else rng.standard_normal(2000)
-    state = np.column_stack([x, other])
+    state = _state(kind, rng, 2000)
+    x = state[:, 0]
     block = np.column_stack([np.sin(x), x**2 + rng.standard_normal(2000), rng.standard_normal(2000)])
     op = NodeOperator(state, ENGINE.basis)
     fitted = op.apply(block)
-    assert op.info.ridge_used == duplicated
+    assert op.info.ridge_used == (kind == "ridge")
     assert fitted.shape == block.shape
     for j in range(3):
         np.testing.assert_allclose(fitted[:, j], ENGINE.project(block[:, j], state), rtol=0, atol=1e-13)
@@ -179,57 +181,63 @@ def test_projection_rejects_three_axis_values():
         ENGINE.project(np.ones((4, 2, 2)), np.ones((4, 1)))
 
 
-def _one_shot_fit(values, state, basis, householder=False):
-    # The single-call fit: design, variance filter, factor and fit, all
-    # redone for every right-hand side. Both paths fit
-    # A (R^{-1} (R^{-T} (A^T v))) from the C-contiguous A^T, as node
-    # operators do: R = L^T diag(s) from the Cholesky factor L of the Gram
-    # matrix scaled by its column norms s when sqrt(k_1(L) k_inf(L)) <= 10,
-    # else the QR's, and R from the ridged Gram matrix on the ridge path;
-    # ``householder`` gives the formulas they replaced, A R^{-1} (Q^T v) with
-    # Q and R from the QR, or the ridge solve.
-    design = _design(state, basis)
-    keep = [0] + [j for j in range(1, design.shape[1]) if design[:, j].std() > 0.0]
-    a = design if len(keep) == design.shape[1] else design[:, keep]
-    q, r = np.linalg.qr(a)
-    gram = _gram(a.T)
-    if not householder:
-        s = np.sqrt(np.diag(gram))
-        try:
-            lower = np.linalg.cholesky(gram / np.outer(s, s))
-        except np.linalg.LinAlgError:
-            lower = None
-        if lower is not None and np.sqrt(np.linalg.cond(lower, 1) * np.linalg.cond(lower, np.inf)) <= 10.0:
-            r = lower.T * s
-    diag = np.abs(np.diag(r))
-    ridge = diag.min() <= 1e-12 * max(diag.max(), 1.0)
-    if householder and not ridge:
-        return a @ np.linalg.solve(r, q.T @ values)
+def _one_shot_fit(values, state, basis):
+    # The single-call fit: design, factor and fit, all redone for every
+    # right-hand side, as node operators fit: A (R^{-1} (R^{-T} (A^T v)))
+    # from the C-contiguous A^T, R from one Cholesky factorization of the
+    # Gram matrix G, or of the ridged one when that fails or some column's
+    # 1 / sqrt(G_jj (G^{-1})_jj) is at most 1e-6.
+    at, _, _ = _design(state, basis)
+    gram = _gram(at)
+    try:
+        rinv = np.linalg.inv(np.linalg.cholesky(gram).T)
+        ridge = (1.0 / np.sqrt(np.diag(gram) * np.diag(np.linalg.inv(gram)))).min() <= 1e-6
+    except np.linalg.LinAlgError:
+        ridge = True
     if ridge:
-        system = gram + 1e-10 * np.trace(gram) / gram.shape[0] * np.eye(gram.shape[0])
-        if householder:
-            return a @ np.linalg.solve(system, a.T @ values)
-        r = np.linalg.cholesky(system).T
-    rinv, at = np.linalg.inv(r), np.ascontiguousarray(a.T)
+        rinv = np.linalg.inv(np.linalg.cholesky(gram + 1e-10 * np.trace(gram) / len(gram) * np.eye(len(gram))).T)
     return at.T @ (rinv @ (rinv.T @ (at @ values)))
+
+
+def _monomials(state, degree):
+    """The raw monomial design of ``state``: 1, x_a, x_a x_b, ... up to
+    total degree ``degree``, one column each."""
+    combos = [c for deg in range(degree + 1) for c in combinations_with_replacement(range(state.shape[1]), deg)]
+    return np.column_stack([np.prod(state[:, list(c)], axis=1) for c in combos])
+
+
+def _householder_fit(values, state, degree):
+    """A R^{-1} (Q^T v), Q and R from the Householder QR of the raw
+    monomial design of ``state``: the projection onto the span a node with
+    this state fits on."""
+    a = _monomials(state, degree)
+    q, r = np.linalg.qr(a)
+    return a @ np.linalg.solve(r, q.T @ values)
+
+
+KINDS = ["cholesky", "ridge", "copy", "node0"]
 
 
 def _state(kind, rng, n):
     x = rng.standard_normal(n)
-    if kind == "qr":
+    if kind == "cholesky":
         return np.column_stack([x, rng.standard_normal(n)])
-    if kind == "ridge":  # a duplicated coordinate makes R singular
-        return np.column_stack([x, x])
+    if kind == "copy":  # an affine copy of x drops a direction
+        return np.column_stack([x, 0.5 - 2.0 * x])
+    if kind == "ridge":  # and on 3 values, He_3 is in the span of the lower degrees
+        x = rng.integers(0, 3, n).astype(float)
+        return np.column_stack([x, 0.5 - 2.0 * x])
     return np.zeros((n, 2))  # node 0: W_0 = 0 leaves only the constant
 
 
-@pytest.mark.parametrize("kind", ["qr", "ridge", "node0"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_operator_apply_equals_one_shot_fit_bitwise(kind):
     rng = np.random.default_rng(10)
     state = _state(kind, rng, 1500)
     op = NodeOperator(state, ENGINE.basis)
     assert op.info.ridge_used == (kind == "ridge")
-    assert (op.info.rank == 1) == (kind == "node0")
+    assert op.info.rank == {"copy": 4, "ridge": 4, "node0": 1}.get(kind, 10)
+    assert op.info.rank + op.info.dropped_columns == 10
     block = np.column_stack([np.sin(state[:, 0]), rng.standard_normal(1500), state[:, 1] ** 2])
     # several applies on one operator, vector and block, in either order
     for values in (block[:, 1], block, block[:, 0], np.ascontiguousarray(block[:, :2])):
@@ -245,7 +253,7 @@ def test_operator_table_factors_each_node_once(monkeypatch):
     states = {k: rng.standard_normal((300, 1)) for k in range(4)}
     calls = []
     real_of = NodeFactor.of
-    monkeypatch.setattr(NodeFactor, "of", lambda design: calls.append(design.shape) or real_of(design))
+    monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
     values = rng.standard_normal(300)
     table = FactorTable(ENGINE.basis, states.__getitem__)
     for _ in range(3):
@@ -257,7 +265,7 @@ def test_operator_table_factors_each_node_once(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("kind", ["qr", "ridge", "node0"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_rebuilt_operator_equals_fresh_one_bitwise(kind):
     rng = np.random.default_rng(12)
     state = _state(kind, rng, 1500)
@@ -267,30 +275,39 @@ def test_rebuilt_operator_equals_fresh_one_bitwise(kind):
     block = np.column_stack([np.sin(state[:, 0]), rng.standard_normal(1500)])
     for values in (block, block[:, 1]):
         assert np.array_equal(rebuilt.apply(values), fresh.apply(values))
-    # what a factor table keeps per node is p x p at most: no particle axis
+    # what a factor table keeps per node is R^{-1}, p x p, and the state's
+    # mean and whitening map, s and s x r: no particle axis
+    mean, whiten = fresh.factor.whitening
     arrays = [v for v in vars(fresh.factor).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 1 and arrays[0] is fresh.factor.rinv
-    rank = fresh.info.rank
-    assert len(fresh.factor.keep) == rank and all(a.shape == (rank, rank) for a in arrays)
+    rank, r = fresh.info.rank, {"copy": 1, "ridge": 1, "node0": 0}.get(kind, 2)
+    assert (arrays[0].shape, mean.shape, whiten.shape) == ((rank, rank), (2,), (2, r))
 
 
-@pytest.mark.parametrize("kind", ["qr", "ridge", "node0"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_operator_fit_matches_householder_formula(kind):
-    # Q (Q^T v) with Q = A R^{-1} against the A R^{-1} (Q^T v) it replaced:
-    # the same projection, rounded differently
+    # Q (Q^T v) on the whitened Hermite design against A R^{-1} (Q^T v) from
+    # the Householder QR of the raw monomials that span the same space: of
+    # the state's independent coordinates, of none at node 0; a ridge node
+    # against A (A^T A + lam I)^{-1} A^T v solved on its own design
     rng = np.random.default_rng(13)
     state = _state(kind, rng, 1500)
     block = np.column_stack([np.sin(state[:, 0]), rng.standard_normal(1500), state[:, 1] ** 2])
-    fitted = NodeOperator(state, ENGINE.basis).apply(block)
-    householder = _one_shot_fit(block, state, ENGINE.basis, householder=True)
-    assert np.abs(fitted - householder).max() <= 1e-12 * np.abs(fitted).max()
+    op = NodeOperator(state, ENGINE.basis)
+    fitted = op.apply(block)
+    if kind == "ridge":
+        a = op._at.T
+        gram = a.T @ a
+        reference = a @ np.linalg.solve(gram + 1e-10 * np.trace(gram) / len(gram) * np.eye(len(gram)), a.T @ block)
+    else:
+        reference = _householder_fit(block, state[:, : {"copy": 1, "node0": 0}.get(kind, 2)], 3)
+    assert np.abs(fitted - reference).max() <= 1e-12 * np.abs(fitted).max()
 
 
-@pytest.mark.parametrize("d, steps, degree", [(1, 32, 3), (2, 64, 3), (2, 16, 5)])
+@pytest.mark.parametrize("d, steps, degree", [(1, 32, 3), (2, 64, 3), (2, 16, 5), (2, 16, 7)])
 def test_operator_columns_orthonormal_at_every_node(monkeypatch, d, steps, degree):
-    # degree 3 takes R from the scaled Gram matrix at every node; degree 5 in
-    # two coordinates is too ill conditioned for that and falls back to the
-    # QR at every node but the constant node 0
+    # one Cholesky factorization of the whitened Hermite design's Gram matrix
+    # gives orthonormal columns Q = A R^{-1} at every node, with no QR
     qr_calls = []
     real_qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: qr_calls.append(a.shape) or real_qr(a, *args, **kw))
@@ -303,7 +320,56 @@ def test_operator_columns_orthonormal_at_every_node(monkeypatch, d, steps, degre
         assert op._at.flags.c_contiguous and op._at.shape == (op.info.rank, 2**13)
         qt = op.factor.rinv.T @ op._at  # Q^T = R^{-T} A^T
         assert np.abs(qt @ qt.T - np.eye(qt.shape[0])).max() <= 1e-12, k
-    assert len(qr_calls) == (steps if degree == 5 else 0)
+    assert qr_calls == []
+
+
+def test_a_singular_design_that_cholesky_factors_takes_the_ridge():
+    # beside a normal coordinate, a 3-valued one makes the degree-3 design
+    # singular, yet the rotation spreads the dependence over the cubic
+    # columns: the Cholesky factorization succeeds and no pivot
+    # R_jj / sqrt(G_jj) is below 3e-3, while the smallest sine of a column's
+    # angle to the other columns is about 1e-8. A scratch copy that tests the
+    # pivots instead of the sines misses this ridge.
+    rng = np.random.default_rng(9)
+    state = np.column_stack([rng.standard_normal(2000), rng.integers(0, 3, 2000)])
+    at, _, _ = _design(state, ENGINE.basis)
+    gram = _gram(at)
+    r = np.linalg.cholesky(gram).T
+    assert (np.diag(r) / np.sqrt(np.diag(gram))).min() > 3e-3
+    op = NodeOperator(state, ENGINE.basis)
+    assert op.info == ProjectionInfo(ridge_used=True, dropped_columns=0, rank=10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_nearly_collinear_state_is_projected_exactly(seed):
+    # (x, x + 0.01 noise) makes the raw monomials of degree 5 about 1e12
+    # ill conditioned; whitened, the state's Hermite columns stay
+    # orthonormal through one Cholesky factorization and the fit is a
+    # projection
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(2000)
+    state = np.column_stack([x, x + 0.01 * rng.standard_normal(2000)])
+    op = NodeOperator(state, RegressionBasis(degree=5))
+    assert op.info == ProjectionInfo(ridge_used=False, dropped_columns=0, rank=21)
+    qt = op.factor.rinv.T @ op._at
+    assert np.abs(qt @ qt.T - np.eye(21)).max() <= 1e-12
+    fit = op.apply(np.column_stack([np.sin(3.0 * x), rng.standard_normal(2000)]))
+    assert np.abs(op.apply(fit) - fit).max() <= 1e-12 * np.abs(fit).max()
+
+
+@pytest.mark.parametrize(
+    "s, info", [(1, (False, 2, 48)), (2, (True, 4, 97)), (3, (True, 13, 138))], ids=["s1", "s2", "s3"]
+)
+def test_piecewise_design_drops_its_empty_bins(s, info):
+    # 4000 normal particles in 50 bins a coordinate leave some tail bins
+    # empty; additive blocks after an intercept are collinear, so s >= 2
+    # takes the ridge
+    state = np.random.default_rng(1).standard_normal((4000, s))
+    op = NodeOperator(state, RegressionBasis(kind="piecewise", bins=50))
+    assert op.info == ProjectionInfo(*info)
+    values = np.random.default_rng(2).standard_normal(4000)
+    fit = op.apply(values)
+    assert np.abs(op.apply(fit) - fit).max() <= 1e-7 * np.abs(fit).max()
 
 
 @pytest.mark.parametrize("kind", ["polynomial", "piecewise"])
@@ -338,7 +404,7 @@ def test_operator_rejects_mismatched_values():
         op.apply(np.ones((4, 2, 2)))
 
 
-def test_more_kept_columns_than_particles_is_refused_before_the_qr():
+def test_more_columns_than_particles_is_refused_before_factoring():
     # degree 3 in two coordinates keeps ten columns; five particles cannot fit them
     state = np.random.default_rng(3).standard_normal((5, 2))
     with pytest.raises(RegressionError, match=r"10 basis columns kept but only 5 particles"):

@@ -1,12 +1,15 @@
 """Property tests of the node operator: idempotence, linearity, the tower
 property over nested conditioning states, exactness on the design span, the
-ridge fit on rank-deficient designs, and the node factor against a
-Householder-only one."""
+direction an affine copy drops, the ridge fit on discrete states, and the
+node factor against Householder fits."""
+from math import comb
+
 import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from mfbsde.condexp import RIDGE_SCALE, NodeFactor, NodeOperator, ProjectionInfo, RegressionBasis, _design, _gram
+from mfbsde.condexp import RIDGE_SCALE, NodeOperator, ProjectionInfo, RegressionBasis, _design
+from test_condexp import _householder_fit, _monomials
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -68,30 +71,68 @@ def test_apply_is_exact_on_the_design_span(problem):
 
 
 @st.composite
-def rank_deficient_problems(draw):
-    # a state coordinate that repeats an earlier one, exactly or up to noise
-    # far below the ridge test's resolution, makes R of the QR singular
+def copied_coordinate_problems(draw):
+    # a state coordinate that repeats an earlier one up to an affine map,
+    # exactly or up to noise far below the rank test's resolution
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(60, 200))  # degree 5 in three coordinates has 56 columns
     width = draw(st.integers(2, 3))
     state = rng.standard_normal((n, width))
     copy = draw(st.integers(1, width - 1))
     noise = draw(st.sampled_from([0.0, 1e-15, 1e-13]))
-    state[:, copy] = state[:, draw(st.integers(0, copy - 1))] + noise * rng.standard_normal(n)
-    values = rng.standard_normal((n, 3))
+    shift, scale = draw(st.floats(-3.0, 3.0)), draw(st.sampled_from([-2.0, 0.5, 1.0]))
+    state[:, copy] = shift + scale * state[:, draw(st.integers(0, copy - 1))] + noise * rng.standard_normal(n)
+    values = rng.standard_normal((n, 2))
     values[:, 0] = np.sin(state[:, 0])
-    return state, RegressionBasis(degree=draw(st.integers(1, 5))), values
+    return state, copy, RegressionBasis(degree=draw(st.integers(1, 5))), values
 
 
 @SETTINGS
-@given(rank_deficient_problems())
+@given(copied_coordinate_problems())
+def test_an_affine_copy_drops_its_direction(problem):
+    # the copy adds nothing to the span, so the fit is the Householder fit
+    # on the raw monomials of the other coordinates; a scratch copy whose
+    # rank test keeps every positive eigenvalue fails here
+    state, copy, basis, values = problem
+    op = NodeOperator(state, basis)
+    width, degree = state.shape[1], basis.degree
+    rank = comb(width - 1 + degree, degree)
+    assert op.info == ProjectionInfo(ridge_used=False, dropped_columns=comb(width + degree, degree) - rank, rank=rank)
+    householder = _householder_fit(values, np.delete(state, copy, axis=1), degree)
+    assert np.abs(op.apply(values) - householder).max() <= 1e-10 * np.abs(householder).max()
+
+
+@st.composite
+def discrete_problems(draw):
+    # one coordinate of 2 to 5 evenly spaced values, maybe beside an affine
+    # copy of it; at a degree of at least the value count the design is
+    # singular. Evenly spaced values keep its nonzero singular values far
+    # above the ridge's sqrt(lam); values drawn at random can nearly
+    # coincide, and then the ridged system itself is too ill conditioned for
+    # any two float64 solves of it to agree to 1e-11.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(60, 400))
+    count = draw(st.integers(2, 5))
+    x = draw(st.floats(-3.0, 3.0)) + draw(st.floats(0.1, 3.0)) * rng.integers(0, count, n)
+    state = np.column_stack([x, 1.0 - 0.5 * x]) if draw(st.booleans()) else x[:, None]
+    values = rng.standard_normal((n, 3))
+    values[:, 0] = np.sin(x)
+    return state, RegressionBasis(degree=draw(st.integers(max(3, count), 7))), values
+
+
+@SETTINGS
+@given(discrete_problems())
 def test_ridge_fit_matches_the_ridge_solve(problem):
     # the Q (Q^T v) a ridge node fits, with R from the Cholesky factor of
-    # A^T A + lam I, against A (A^T A + lam I)^{-1} A^T v solved directly
+    # A^T A + lam I, against A (A^T A + lam I)^{-1} A^T v solved directly. A
+    # Cholesky factorization of the singular Gram matrix sometimes succeeds,
+    # so a scratch copy that takes the ridge only when diag(R).min() <=
+    # 1e-12 max(diag(R).max(), 1) fails here.
     state, basis, values = problem
     op = NodeOperator(state, basis)
     assert op.info.ridge_used
-    a = _design(state, basis)[:, list(op.factor.keep)]
+    a, _, _ = _design(state, basis)
+    a = a.T
     gram = a.T @ a
     lam = RIDGE_SCALE * np.trace(gram) / gram.shape[0]
     solved = a @ np.linalg.solve(gram + lam * np.eye(gram.shape[0]), a.T @ values)
@@ -105,8 +146,8 @@ def test_ridge_fit_matches_the_ridge_solve(problem):
 def factor_problems(draw):
     # one or two coordinates of their own scale, and maybe a third that is
     # another scale, nearly or exactly a copy of the first: degrees 3 to 7
-    # reach well and ill conditioned designs, so both the scaled-Gram factor
-    # and the Householder fallback run, and some nodes take the ridge
+    # reach raw monomial designs from well to hopelessly conditioned, and
+    # near copies whose direction the rank test keeps or drops
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(300, 1500))
     width = draw(st.integers(1, 2))
@@ -124,53 +165,37 @@ def factor_problems(draw):
     return state, RegressionBasis(degree=draw(st.integers(3, 7))), values
 
 
-def _householder_factor(design):
-    """(ProjectionInfo, R^{-1}, Q, R) of the Householder QR alone, ridged
-    Gram Cholesky on a ridge node: the factor the scaled Gram one replaced."""
-    keep = [0] + [j for j in range(1, design.shape[1]) if design[:, j].min() < design[:, j].max()]
-    a = design if len(keep) == design.shape[1] else design[:, keep]
-    q, r = np.linalg.qr(a)
-    diag = np.abs(np.diag(r))
-    ridge = bool(diag.min() <= 1e-12 * max(diag.max(), 1.0))
-    info = ProjectionInfo(ridge_used=ridge, dropped_columns=design.shape[1] - len(keep), rank=len(keep))
-    rinv = np.linalg.inv(np.linalg.qr(a, mode="r"))
-    if ridge:
-        gram = _gram(a.T)
-        rinv = np.linalg.inv(np.linalg.cholesky(gram + RIDGE_SCALE * np.trace(gram) / len(keep) * np.eye(len(keep))).T)
-    return info, rinv, q, r
-
-
-def _scaled_gram_is_well_conditioned(a):
-    gram = a.T @ a
-    s = np.sqrt(np.diag(gram))
-    try:
-        lower = np.linalg.cholesky(gram / np.outer(s, s))
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.sqrt(np.linalg.cond(lower, 1) * np.linalg.cond(lower, np.inf)) <= 10.0)
-
-
 @settings(max_examples=80, deadline=None)
 @given(factor_problems())
 def test_node_factor_agrees_with_householder(problem):
-    # every node reports the Householder factor's ProjectionInfo; a node the
-    # scaled Gram matrix factors fits within 1e-12 of the Householder formula
-    # with an orthonormal Q, and any other node keeps the Householder (or
-    # ridge) factor itself, bitwise
+    # every node keeps as many directions as the centred state has singular
+    # values above 1e-6 of the largest and takes no ridge; its whitened
+    # design A is conditioned to 1e4 or better, and one Cholesky pass loses
+    # about u k(A)^2, so its columns Q = A R^{-1} are orthonormal and its fit
+    # agrees with the Householder fit on its own design to 100 u k(A)^2, or
+    # to 1e-12 where that is larger. Where the column-scaled raw monomials
+    # of the state are conditioned to 10 or better, Q is orthonormal to 1e-12
+    # and the fit agrees with the Householder fit on those monomials to 1e-12.
     state, basis, values = problem
-    design = _design(state, basis)
-    factor = NodeFactor.of(design)
-    info, rinv, q, r = _householder_factor(design)
-    assert factor.info == info
-    a = design[:, list(factor.keep)]
-    cholesky = _scaled_gram_is_well_conditioned(a)
-    event("ridge" if info.ridge_used else "scaled Gram" if cholesky else "Householder fallback")
-    if info.ridge_used or not cholesky:
-        assert np.array_equal(factor.rinv, rinv)
-        return
-    op = NodeOperator(state, basis, factor)
-    qt = factor.rinv.T @ op._at  # Q^T = R^{-T} A^T
-    assert np.abs(qt @ qt.T - np.eye(len(factor.keep))).max() <= 1e-12
+    op = NodeOperator(state, basis)
+    singular = np.linalg.svd(state - state.mean(axis=0), compute_uv=False)
+    rank = comb(int((singular > 1e-6 * singular[0]).sum()) + basis.degree, basis.degree)
+    full = comb(state.shape[1] + basis.degree, basis.degree)
+    assert op.info == ProjectionInfo(ridge_used=False, dropped_columns=full - rank, rank=rank)
+    a = op._at.T
+    kappa = np.linalg.cond(a / np.linalg.norm(a, axis=0))
+    assert kappa <= 1e4
+    qt = op.factor.rinv.T @ op._at  # Q^T = R^{-T} A^T
+    loss = np.abs(qt @ qt.T - np.eye(rank)).max()
     fitted = op.apply(values)
-    householder = a @ np.linalg.solve(r, q.T @ values)
-    assert np.abs(fitted - householder).max() <= 1e-12 * np.abs(fitted).max()
+    q, r = np.linalg.qr(a)
+    own = a @ np.linalg.solve(r, q.T @ values)
+    bound = max(1e-12, 100 * np.finfo(float).eps * kappa**2)
+    assert loss <= bound and np.abs(fitted - own).max() <= bound * np.abs(fitted).max()
+    raw = _monomials(state, basis.degree)
+    conditioned = rank == full and np.linalg.cond(raw / np.linalg.norm(raw, axis=0)) <= 10.0
+    event("raw monomials conditioned to 10" if conditioned else "raw monomials worse conditioned")
+    if conditioned:
+        assert loss <= 1e-12
+        householder = _householder_fit(values, state, basis.degree)
+        assert np.abs(fitted - householder).max() <= 1e-12 * np.abs(fitted).max()

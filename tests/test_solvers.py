@@ -580,7 +580,7 @@ def test_psi_map_makes_one_driver_call_per_node():
 def _count_factors(monkeypatch):
     calls = []
     real_of = NodeFactor.of
-    monkeypatch.setattr(NodeFactor, "of", lambda design: calls.append(design.shape) or real_of(design))
+    monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
     return calls
 
 
