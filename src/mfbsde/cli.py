@@ -133,7 +133,7 @@ def _solve_results(cfg: dict, bundle, engine, paths, opts) -> tuple[dict, dict]:
         results["delta_kappa"] = rep.constants.delta_kappa
     outputs = cfg.get("outputs", {})
     if "csv" in outputs:
-        export_csv(sol, paths, engine, outputs["csv"], operators=extras.get("operators"))
+        export_csv(sol, paths, engine, outputs["csv"])
         results["csv"] = outputs["csv"]
     if "solution" in outputs:
         dump_solution(sol, outputs["solution"])

@@ -19,12 +19,13 @@ fails or a column's angle to the span of the others has a sine of at most
 ``_PIVOT_FLOOR``, R comes from the ridged Gram matrix G + lam I,
 lam = 1e-10 tr(G)/p, instead. An ensemble with fewer particles than design
 columns is refused with a :class:`RegressionError`, and so is a non-finite
-conditioning state when its node is first factored. A :class:`NodeOperator`
+conditioning state, whenever its node is visited. A :class:`NodeOperator`
 holds two things: its design A^T, a C-contiguous (p, N) array, and its
 factor; it fits an (N,) vector or an (N, m) block v as
 A (R^{-1} (R^{-T} (A^T v))), one triangle after the other, and one rebuilt
-from a kept factor is bitwise equal to a fresh one. A :class:`FactorTable`
-keys factors by node index, factors each node once and builds a fresh
+from a kept factor is bitwise equal to a fresh one. An ensemble's
+:class:`FactorTable` for a basis, ``FactorTable.of(paths, basis)``, factors
+each node once for every solve and diagnostic on it and builds a fresh
 operator at every access.
 """
 from __future__ import annotations
@@ -32,11 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable
 
 import numpy as np
 
-from .paths import is_count
+from .paths import PathEnsemble, is_count
 
 RIDGE_SCALE = 1e-10
 # sin_j = 1 / sqrt(G_jj (G^{-1})_jj) is the sine of the angle between design
@@ -247,18 +247,30 @@ class NodeOperator:
 
 class FactorTable:
     """Node factors of one ensemble and basis, keyed by node index.
-    ``state_at(k)`` gives the (N, s) conditioning state of node k. Every
-    access builds a fresh operator, one design, from node k's state and its
-    factor, factored on first use; the table itself holds no array with a
-    particle axis."""
+    ``states[k]`` is the (N, s) conditioning state of node k. Every access
+    builds a fresh operator, one design, from node k's state and its
+    factor, factored on first use; nothing is kept for a refused state. The
+    table holds no array with a particle axis beyond ``states``."""
 
-    def __init__(self, basis: RegressionBasis, state_at: Callable[[int], np.ndarray]) -> None:
+    def __init__(self, basis: RegressionBasis, states) -> None:
         self._basis = basis
-        self._state_at = state_at
+        self._states = states
         self._factors: dict = {}
 
+    @classmethod
+    def of(cls, paths: PathEnsemble, basis: RegressionBasis) -> "FactorTable":
+        """The ensemble's one table for ``basis``, kept on the ensemble. It
+        indexes the ensemble's read-only Brownian array, never the ensemble,
+        so a dropped ensemble is freed by reference counting."""
+        table = paths._factor_tables.get(basis)
+        if table is None:
+            table = paths._factor_tables[basis] = cls(basis, paths._w)
+        return table
+
     def __getitem__(self, k: int) -> NodeOperator:
-        op = NodeOperator(self._state_at(k), self._basis, self._factors.get(k))
+        if k < 0:  # an array of states would wrap it round
+            raise IndexError(f"node index {k} is negative")
+        op = NodeOperator(self._states[k], self._basis, self._factors.get(k))
         self._factors[k] = op.factor
         return op
 

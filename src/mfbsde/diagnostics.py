@@ -3,8 +3,9 @@
 Checks never gate a solve; they return reports that callers (tests and the
 command line) interpret. Monte Carlo comparisons use a 5 percent slack,
 exact identities use none. The BMO estimators take the time grid from
-their ensemble, and :func:`check_apriori_local` refuses a solution whose
-grid is not its ensemble's.
+their ensemble and their node factors from its factor table, and
+:func:`check_apriori_local` refuses a solution whose grid is not its
+ensemble's.
 """
 from __future__ import annotations
 
@@ -57,13 +58,14 @@ def bmo_profile(z_values, paths, engine, k_lo: int = 0, operators=None) -> np.nd
 
     Entry k of the (K,) profile of one Z array estimates
     max_omega E[ sum_{j>=k} |Z_j|^2 dt | F_{t_k} ] by projecting the tail
-    sum onto the node-k state. ``operators[k]`` is node k's operator, k a
-    global node index; without it a :class:`mfbsde.condexp.FactorTable` of
-    ``engine`` factors each node. The step dt is that of the ensemble's grid.
+    sum onto the node-k state. Node k's operator, k a global node index,
+    comes from the ensemble's :class:`mfbsde.condexp.FactorTable` for
+    ``engine``'s basis, or from ``operators``, a ``local`` window's dict of
+    built operators. The step dt is that of the ensemble's grid.
     """
     tails = _tail_sums(z_values, paths.grid.dt).T  # (K, N)
     if operators is None:
-        operators = FactorTable(engine.basis, paths.brownian_at)
+        operators = FactorTable.of(paths, engine.basis)
     return np.array([operators[k_lo + k].apply(tail).max() for k, tail in enumerate(tails)])
 
 

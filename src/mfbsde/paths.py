@@ -92,9 +92,11 @@ class PathEnsemble:
     ``increments`` has shape (N, M, d) and is a view of a node-major
     (M, N, d) buffer, so ``increments[:, k]`` is C-contiguous. Any finite
     (N, M, d) array with N, d >= 1 is accepted; it is copied into a
-    node-major buffer unless it already is a view of one. The read-only node-major (M+1, N, d) Brownian
-    values are built here, with the additions of a cumulative sum in its
-    order; ``brownian_at(k)`` returns row k.
+    node-major buffer unless it already is a view of one. The read-only
+    node-major (M+1, N, d) Brownian values are built here, with the
+    additions of a cumulative sum in its order; ``brownian_at(k)`` returns
+    row k. The ensemble also keeps its node-factor table per regression
+    basis (see ``mfbsde.condexp.FactorTable.of``).
     """
 
     def __init__(
@@ -123,6 +125,7 @@ class PathEnsemble:
             np.add(w[k], node_major[k], out=w[k + 1])
         w.setflags(write=False)
         self._w = w
+        self._factor_tables: dict = {}  # filled by condexp.FactorTable.of
 
     @property
     def particles(self) -> int:

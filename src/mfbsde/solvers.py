@@ -8,13 +8,13 @@ per node. With E_k the regression projection at node k,
     Y_k = E_k[Y_{k+1}] + (dt/2) (f(t_k, Z_k) + f(t_{k+1}, Z_{k+1})),
 
 a trapezoidal driver quadrature whose O(dt^2) bias is what the acceptance
-tolerances assume. Node k's operator is ``operators[k]``: a
-:class:`mfbsde.condexp.FactorTable`, which rebuilds it from the node's kept
-factor at every access, or the dict of operators a ``local`` window builds
-once for the nodes its passes revisit. :func:`run_scheme` builds one table
-per solve, hands it down to the scheme and returns it, so a solve and its
-CSV export factor each node once. A non-finite Y or Z raises
-:class:`SolverDivergence` naming the node.
+tolerances assume. Node k's operator is ``operators[k]``: the ensemble's
+table ``FactorTable.of(paths, engine.basis)``, which rebuilds it from the
+node's kept factor at every access, or the dict of operators a ``local``
+window builds once for the nodes its passes revisit. So each node of an
+ensemble is factored once across every solve, CSV export and diagnostic
+with one basis. A non-finite Y or Z raises :class:`SolverDivergence`
+naming the node.
 
 Component i is free only in its own Z row. One driver call gives all n
 components: the kernel's Z goes in as the own rows, and every other
@@ -403,12 +403,12 @@ def solve_scalar(
 
     ``terminal`` is (N,) or (N, 1). ``driver(k, t, z)`` maps the Z values
     (N, d) at node k to driver values (N,); it must accept k = k_hi for the
-    terminal-side quadrature point. Returns (Y (N, K+1), Z (N, K, d), clip
-    events).
+    terminal-side quadrature point. Node operators come from the ensemble's
+    factor table. Returns (Y (N, K+1), Z (N, K, d), clip events).
     """
     k_hi = paths.grid.steps if k_hi is None else k_hi
     terminal = _terminal_block(terminal, paths.particles, 1, k_hi)
-    operators = FactorTable(engine.basis, paths.brownian_at)
+    operators = FactorTable.of(paths, engine.basis)
     y, z, clips = _backward(
         paths, lambda k, t, rows: driver(k, t, rows[:, 0])[:, None], terminal, operators, opts, k_lo, k_hi
     )
@@ -471,16 +471,15 @@ def psi_map(
     """Frozen-coefficient map: one backward pass on nodes [k_lo, k_hi] from
     the input iterate's node-k_hi values, in which component i has its own
     Z row free while Y, the other rows and the law come from the input
-    iterate (the law from ``law_source`` when given) at the same node. Each
-    node is factored for this pass alone.
+    iterate (the law from ``law_source`` when given) at the same node. Node
+    operators come from the ensemble's factor table.
     """
     if k_hi is None:
         k_hi = paths.grid.steps
     laws = law_source if law_source is not None else input_sol
     driver = partial(_own_rows, spec, input_sol.Y, input_sol.Z, (laws.Y, laws.Z), k_lo)
     terminal = input_sol.Y[:, k_hi - k_lo, :]
-    operators = FactorTable(engine.basis, paths.brownian_at)
-    y, z, clips = _backward(paths, driver, terminal, operators, opts, k_lo, k_hi)
+    y, z, clips = _backward(paths, driver, terminal, FactorTable.of(paths, engine.basis), opts, k_lo, k_hi)
     return Solution(Y=y, Z=z, grid=paths.grid, k_lo=k_lo, clip_events=clips)
 
 
@@ -494,7 +493,6 @@ def solve_local(
     k_lo: int = 0,
     k_hi: int | None = None,
     consts=None,
-    operators: FactorTable | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Picard iteration of the frozen-coefficient map on one window.
 
@@ -505,9 +503,8 @@ def solve_local(
     ``law_refinements`` passes whose law comes from the previous pass, and
     is bitwise equal to that sequence of :func:`psi_map` calls, and each
     step's BMO norms to ``bmo_norm`` of its Z difference and of its Z. The
-    call builds each window node's operator once, from ``operators`` (a
-    :class:`mfbsde.condexp.FactorTable`) or from a table of its own, and
-    every pass and BMO norm of the call shares them.
+    call builds each window node's operator once, from the ensemble's
+    factor table, and every pass and BMO norm of the call shares them.
     """
     grid = paths.grid
     if k_hi is None:
@@ -521,7 +518,7 @@ def solve_local(
     if opts.z_clip is None:
         clip = 4.0 * math.sqrt(k2) if math.isfinite(k2) else None
         opts = replace(opts, z_clip=clip)
-    table = FactorTable(engine.basis, paths.brownian_at) if operators is None else operators
+    table = FactorTable.of(paths, engine.basis)
     operators = {k: table[k] for k in range(k_lo, k_hi)}
     current = _flat_solution(terminal, grid, span, spec.d, k_lo, offset=opts.init_offset)
     # the first node visit reads only the terminal, the same on every pass
@@ -592,19 +589,17 @@ def solve_global(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
-    operators: FactorTable | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Backward stitching of local solves on windows of length delta_kappa.
 
     Windows are quantized to whole grid steps with a one-step floor (the
     certified length is often far below the grid resolution); a window that
-    fails to contract is halved up to six times before giving up. One
-    :class:`mfbsde.condexp.FactorTable`, ``operators`` or else one owned by
-    this call, serves every window and retry, so each node is factored once
-    per solve. Seam values are shared arrays, so stitching is exact by
-    construction. The returned record holds each window's
-    :func:`solve_local` trace with its ``halvings``; a divergence carries
-    the failing window's trace.
+    fails to contract is halved up to six times before giving up. Every
+    window and retry takes its operators from the ensemble's factor table,
+    so no retry factors a node again. Seam values are shared arrays, so
+    stitching is exact by construction. The returned record holds each
+    window's :func:`solve_local` trace with its ``halvings``; a divergence
+    carries the failing window's trace.
     """
     grid = paths.grid
     gconsts = global_ode(cert, spec.n, grid.horizon)
@@ -622,7 +617,6 @@ def solve_global(
     full_y[:, grid.steps, :] = terminal
     clips = 0
     k_hi = grid.steps
-    operators = FactorTable(engine.basis, paths.brownian_at) if operators is None else operators
     windows = []
     while k_hi > 0:
         size = min(spw, k_hi)
@@ -640,7 +634,6 @@ def solve_global(
                     k_lo=k_lo,
                     k_hi=k_hi,
                     consts=window_consts,
-                    operators=operators,
                 )
                 break
             except SolverDivergence as exc:
@@ -741,7 +734,6 @@ def solve_theta(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
-    operators: FactorTable | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Picard scheme for unbounded terminals, from the zero pair: sweep m+1
     is one backward pass with Y, the other Z rows and the law frozen at
@@ -749,12 +741,10 @@ def solve_theta(
     sweep overwrites a node only after the node's frozen reads (see
     :func:`_backward`). Each sweep records its exponential moments of the
     path supremum and of the theta-interpolated difference (theta = 1/2).
-    ``operators`` is the solve's :class:`mfbsde.condexp.FactorTable`, which
-    builds a fresh operator per sweep from each node's kept factor; without
-    it a table owned by this call factors each node once. A scalar driver
-    that reads no Y (``spec.reads_y`` False) and no law freezes nothing, so
-    later sweeps repeat the first bitwise and run no kernel pass
-    (:class:`_SweepMonitor`).
+    Every sweep rebuilds each node's operator from the factor the
+    ensemble's factor table keeps. A scalar driver that reads no Y
+    (``spec.reads_y`` False) and no law freezes nothing, so later sweeps
+    repeat the first bitwise and run no kernel pass (:class:`_SweepMonitor`).
     """
     grid = paths.grid
     terminal = _terminal_block(terminal, paths.particles, spec.n, grid.steps)
@@ -765,7 +755,7 @@ def solve_theta(
         y_nodes += opts.init_offset
     y, z = _by_particle(y_nodes), _by_particle(z_nodes)
     driver = partial(_own_rows, spec, y, z, (y, z, MeasureView.of_checked), 0)
-    operators = FactorTable(engine.basis, paths.brownian_at) if operators is None else operators
+    operators = FactorTable.of(paths, engine.basis)
     replay = spec.n == 1 and spec.law_dependence == "none" and not spec.reads_y
 
     def sweeps():
@@ -798,7 +788,6 @@ def solve_volterra(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
-    operators: FactorTable | None = None,
 ) -> tuple[Solution, PicardTrace]:
     """Two-level scheme for a delayed (Volterra-type) mean-field term.
 
@@ -807,21 +796,19 @@ def solve_volterra(
         Y^{r+1}_k = Y'_k + sum_{j >= k} E_k[ g(j, Y^r, Z', law_j) ] dt,
 
     using one projection of the tail sum per node; g is evaluated on nodes
-    0..M-1, the only ones a tail sum reads. One
-    :class:`mfbsde.condexp.FactorTable`, ``operators`` or else one owned by
-    this call, serves the inner solve and every outer sweep, so each node
-    is factored once per solve. Convergence is tracked in the
-    exp(beta t)-weighted squared sup norm with beta = 32 C^2 T, and
-    iteration stops when the unweighted sup difference drops below tol. A
-    non-finite g block, or an outer node whose new Y is not finite (an
-    overflowing tail fit too), raises
+    0..M-1, the only ones a tail sum reads. The inner solve and every outer
+    sweep take their operators from the ensemble's factor table.
+    Convergence is tracked in the exp(beta t)-weighted squared sup norm
+    with beta = 32 C^2 T, and iteration stops when the unweighted sup
+    difference drops below tol. A non-finite g block, or an outer node
+    whose new Y is not finite (an overflowing tail fit too), raises
     :class:`SolverDivergence` naming the node and the component before any
     projection reads it, so the law views are built over checked clouds.
     """
     grid = paths.grid
     beta = volterra_weight(vcert.C, grid.horizon)
-    operators = FactorTable(engine.basis, paths.brownian_at) if operators is None else operators
-    inner_sol, _ = solve_theta(spec, ccert, terminal, paths, engine, opts, operators)
+    operators = FactorTable.of(paths, engine.basis)
+    inner_sol, _ = solve_theta(spec, ccert, terminal, paths, engine, opts)
     m = grid.steps
     weights = np.exp(beta * grid.nodes)
     n = spec.n
@@ -886,55 +873,51 @@ def run_scheme(
 ):
     """Dispatch a fixture to a scheme; returns (Solution, trace, extras).
 
-    One :class:`mfbsde.condexp.FactorTable` serves the whole solve, and
-    ``extras["operators"]`` returns it for every scheme, so
-    :func:`export_csv` rebuilds each node's operator from the solve's
-    factor. ``extras`` also holds the stitching record for ``global``
-    (whose trace is None) under ``"report"``. The scheme runs on the
-    ensemble's grid, ``paths.grid``; ``grid`` must equal it. Raises
-    ``ValueError`` naming both grids when it does not, when the fixture's
-    terminal is not (particles, n), when it lacks the scheme's certificate,
-    and for an unknown scheme, and :class:`SolverDivergence` when the
-    terminal is not finite."""
+    The scheme takes its node factors from the ensemble's factor table for
+    the engine's basis, so a re-solve on the same ensemble, such as a
+    probe from a shifted start, and :func:`export_csv` factor no node
+    again. ``extras`` holds the stitching record for ``global`` (whose
+    trace is None) under ``"report"`` and is empty otherwise. The scheme
+    runs on the ensemble's grid, ``paths.grid``; ``grid`` must equal it.
+    Raises ``ValueError`` naming both grids when it does not, when the
+    fixture's terminal is not (particles, n), when it lacks the scheme's
+    certificate, and for an unknown scheme, and :class:`SolverDivergence`
+    when the terminal is not finite."""
     require_grid(grid, paths, "scheme")
     terminal = _terminal_block(bundle.terminal(paths), paths.particles, bundle.spec.n, grid.steps)
-    operators = FactorTable(engine.basis, paths.brownian_at)
     if scheme == "theta":
         if bundle.convex is None:
             raise ValueError(f"fixture {bundle.name} has no Picard certificate")
-        sol, trace = solve_theta(bundle.spec, bundle.convex, terminal, paths, engine, opts, operators)
-        return sol, trace, {"operators": operators}
+        sol, trace = solve_theta(bundle.spec, bundle.convex, terminal, paths, engine, opts)
+        return sol, trace, {}
     if scheme == "local":
         if bundle.local is None:
             raise ValueError(f"fixture {bundle.name} has no local certificate")
-        sol, trace = solve_local(bundle.spec, bundle.local, terminal, paths, engine, opts, operators=operators)
-        return sol, trace, {"operators": operators}
+        sol, trace = solve_local(bundle.spec, bundle.local, terminal, paths, engine, opts)
+        return sol, trace, {}
     if scheme == "global":
         if bundle.global_ is None:
             raise ValueError(f"fixture {bundle.name} has no global certificate")
-        sol, report = solve_global(bundle.spec, bundle.global_, terminal, paths, engine, opts, operators)
-        return sol, None, {"operators": operators, "report": report}
+        sol, report = solve_global(bundle.spec, bundle.global_, terminal, paths, engine, opts)
+        return sol, None, {"report": report}
     if scheme == "volterra":
         if bundle.volterra is None or bundle.g is None:
             raise ValueError(f"fixture {bundle.name} has no Volterra data")
-        sol, trace = solve_volterra(
-            bundle.spec, bundle.g, bundle.volterra, bundle.convex, terminal, paths, engine, opts, operators
-        )
-        return sol, trace, {"operators": operators}
+        sol, trace = solve_volterra(bundle.spec, bundle.g, bundle.volterra, bundle.convex, terminal, paths, engine, opts)
+        return sol, trace, {}
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def summarize_nodes(sol: Solution, paths: PathEnsemble, engine: RegressionEngine, operators=None) -> list[dict]:
+def summarize_nodes(sol: Solution, paths: PathEnsemble, engine: RegressionEngine) -> list[dict]:
     """Per-node summary rows: time, mean |Y| per component, max |Y|, and a
-    running estimate of the conditional tail quadratic variation. Node
-    operators come from ``operators``, the solve's table (see
-    :func:`run_scheme`), when given, else each node is factored here.
-    Raises ``ValueError`` naming both grids when the solution's grid is not
-    the ensemble's."""
+    running estimate of the conditional tail quadratic variation, whose
+    node operators come from the ensemble's factor table. Raises
+    ``ValueError`` naming both grids when the solution's grid is not the
+    ensemble's."""
     require_grid(sol.grid, paths, "solution")
     times = sol.node_times()
     span = sol.Z.shape[1]
-    profile = bmo_profile(sol.Z, paths, engine, k_lo=sol.k_lo, operators=operators) if span else np.array([])
+    profile = bmo_profile(sol.Z, paths, engine, k_lo=sol.k_lo) if span else np.array([])
     rows = []
     for j, t in enumerate(times):
         row = {"node": sol.k_lo + j, "time": float(t), "max_abs_y": float(np.abs(sol.Y[:, j]).max())}
@@ -945,11 +928,11 @@ def summarize_nodes(sol: Solution, paths: PathEnsemble, engine: RegressionEngine
     return rows
 
 
-def export_csv(sol: Solution, paths: PathEnsemble, engine: RegressionEngine, path: str, operators=None) -> None:
+def export_csv(sol: Solution, paths: PathEnsemble, engine: RegressionEngine, path: str) -> None:
     """Write the :func:`summarize_nodes` rows to ``path`` as CSV."""
     import csv
 
-    rows = summarize_nodes(sol, paths, engine, operators)
+    rows = summarize_nodes(sol, paths, engine)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -971,8 +954,8 @@ def dump_solution(sol: Solution, path: str) -> None:
         fh.write(_SOL_MAGIC)
         fh.write(struct.pack("<qqqqqq", n_part, kp1 - 1, n, d, sol.k_lo, sol.grid.steps))
         fh.write(struct.pack("<d", sol.grid.horizon))
-        fh.write(np.ascontiguousarray(sol.Y, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(sol.Z, dtype="<f8").tobytes())
+        np.ascontiguousarray(sol.Y, dtype="<f8").tofile(fh)
+        np.ascontiguousarray(sol.Z, dtype="<f8").tofile(fh)
 
 
 def load_solution(path: str) -> Solution:

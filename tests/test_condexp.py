@@ -15,7 +15,7 @@ from mfbsde.condexp import (
     _design,
     _gram,
 )
-from mfbsde.paths import build_grid, sample_brownian
+from mfbsde.paths import PathEnsemble, build_grid, sample_brownian
 from mfbsde.solvers import _increment_fit
 
 ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
@@ -255,7 +255,7 @@ def test_operator_table_factors_each_node_once(monkeypatch):
     real_of = NodeFactor.of
     monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
     values = rng.standard_normal(300)
-    table = FactorTable(ENGINE.basis, states.__getitem__)
+    table = FactorTable(ENGINE.basis, states)
     for _ in range(3):
         for k in (3, 1, 3, 0):
             assert np.array_equal(table[k].apply(values), _one_shot_fit(values, states[k], ENGINE.basis))
@@ -263,6 +263,49 @@ def test_operator_table_factors_each_node_once(monkeypatch):
     assert table[1] is not table[1] and table[1].factor is table[1].factor
     # three distinct nodes factored once each
     assert len(calls) == 3
+
+
+def test_an_ensemble_keeps_one_table_per_basis(monkeypatch):
+    paths = sample_brownian(build_grid(1.0, 4), 300, 2, seed=13)
+    calls = []
+    real_of = NodeFactor.of
+    monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
+    table = FactorTable.of(paths, ENGINE.basis)
+    assert FactorTable.of(paths, RegressionBasis(kind="polynomial", degree=3)) is table
+    other = FactorTable.of(paths, RegressionBasis(degree=2))
+    assert other is not table and FactorTable.of(paths, RegressionBasis(degree=2)) is other
+    values = np.sin(paths.brownian_at(4)[:, 0])
+    for _ in range(2):
+        for k in range(1, 5):
+            assert np.array_equal(table[k].apply(values), _one_shot_fit(values, paths.brownian_at(k), ENGINE.basis))
+            other[k].apply(values)
+    # the second basis factors each node once too: (10, N) and (6, N) designs
+    assert sorted(calls) == [(6, 300)] * 4 + [(10, 300)] * 4
+    # a sampled ensemble built again from its seed has a table of its own
+    assert FactorTable.of(sample_brownian(build_grid(1.0, 4), 300, 2, seed=13), ENGINE.basis) is not table
+
+
+def test_a_non_finite_state_is_refused_at_every_access(monkeypatch):
+    # Brownian values can overflow though every increment is finite; no
+    # factor is kept for such a node, so every access refuses it again
+    grid = build_grid(1.0, 3)
+    increments = np.full((50, 3, 1), 1e308)
+    increments[:, 0, 0] = np.random.default_rng(14).standard_normal(50)
+    with np.errstate(over="ignore"):
+        paths = PathEnsemble(grid, increments, seed=0)
+    calls = []
+    real_of = NodeFactor.of
+    monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
+    table = FactorTable.of(paths, ENGINE.basis)
+    for _ in range(3):
+        with pytest.raises(RegressionError, match="non-finite"):
+            table[3]
+    assert calls == []
+    assert FactorTable.of(paths, ENGINE.basis) is table
+    table[1]
+    with pytest.raises(IndexError, match="negative"):
+        table[-1]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)

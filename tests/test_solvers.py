@@ -1,12 +1,16 @@
+import gc
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mfbsde import solvers
-from mfbsde.condexp import NodeFactor, NodeOperator, RegressionBasis, RegressionEngine
+from mfbsde.condexp import FactorTable, NodeFactor, NodeOperator, RegressionBasis, RegressionEngine
+from mfbsde.constants import local_window
+from mfbsde.diagnostics import bmo_norm, check_apriori_local, john_nirenberg
 from mfbsde.generators import CertificateConvex, CertificateGlobal, GeneratorSpec, _no_stage, fixture, fixture_names
 from mfbsde.measures import MeasureView, exp_moment, sum_squares
 from mfbsde.paths import build_grid, coarsen, sample_brownian
@@ -608,18 +612,20 @@ def test_global_factors_each_node_once(monkeypatch):
 
 def test_global_halves_a_failing_window_and_factors_each_node_once(monkeypatch):
     # windows of 4 steps are solved in full and then refused, so each is
-    # retried at 2 steps on operators rebuilt from the solve's kept factors
+    # retried at 2 steps on operators rebuilt from the factors kept on the
+    # ensemble; the refused solve runs on the same draw sampled again, an
+    # ensemble with no factors yet
     bundle = fixture("eq41", n=2)
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 2**10, 2, seed=9)
     terminal = bundle.terminal(paths)
     real_ode, real_local = solvers.global_ode, solvers.solve_local
 
-    def solve_with_windows_of(steps):
+    def solve_with_windows_of(steps, paths):
         monkeypatch.setattr(solvers, "global_ode", lambda *args: replace(real_ode(*args), delta_kappa=steps * grid.dt))
         return solve_global(bundle.spec, bundle.global_, terminal, paths, ENGINE)
 
-    ref, ref_report = solve_with_windows_of(2)
+    ref, ref_report = solve_with_windows_of(2, paths)
     assert [w.halvings for w in ref_report.windows] == [0] * 8
 
     def refuse_long_windows(*args, k_lo, k_hi, **kwargs):
@@ -630,7 +636,7 @@ def test_global_halves_a_failing_window_and_factors_each_node_once(monkeypatch):
 
     monkeypatch.setattr(solvers, "solve_local", refuse_long_windows)
     calls = _count_factors(monkeypatch)
-    sol, report = solve_with_windows_of(4)
+    sol, report = solve_with_windows_of(4, sample_brownian(grid, 2**10, 2, seed=9))
     # the last window is capped at the 2 steps left, so it never halves
     assert [w.halvings for w in report.windows] == [1] * 7 + [0]
     edges = [(w.k_lo, w.k_hi) for w in report.windows]
@@ -657,11 +663,15 @@ def test_theta_factors_each_node_once_per_solve(monkeypatch, inner_sweeps):
 class _FreshEachVisit:
     """A factor table that forgets: every access factors node k afresh."""
 
-    def __init__(self, basis, state_at):
-        self.basis, self.state_at = basis, state_at
+    def __init__(self, basis, paths):
+        self.basis, self.paths = basis, paths
 
     def __getitem__(self, k):
-        return NodeOperator(self.state_at(k), self.basis)
+        return NodeOperator(self.paths.brownian_at(k), self.basis)
+
+    @classmethod
+    def of(cls, paths, basis):
+        return cls(basis, paths)
 
 
 @pytest.mark.parametrize(
@@ -672,33 +682,93 @@ def test_theta_with_kept_factors_equals_fresh_factoring_bitwise(monkeypatch, nam
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 1024, bundle.spec.d, seed=15)
     opts = SolverOptions(tol=1e-10, max_iter=60)
-    kept, kept_trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
+    # the first solve factors each node once; the re-solve factors none
     calls = _count_factors(monkeypatch)
+    kept, kept_trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
+    assert len(calls) == grid.steps
+    again, again_trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
+    assert len(calls) == grid.steps
+    calls.clear()
     monkeypatch.setattr(solvers, "FactorTable", _FreshEachVisit)
     fresh, fresh_trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
     assert len(calls) == fresh_trace.iterations * grid.steps > grid.steps
-    assert kept_trace.iterations == fresh_trace.iterations
-    assert np.array_equal(kept.Y, fresh.Y) and np.array_equal(kept.Z, fresh.Z)
+    for sol, trace in ((kept, kept_trace), (again, again_trace)):
+        assert trace.steps == fresh_trace.steps
+        assert np.array_equal(sol.Y, fresh.Y) and np.array_equal(sol.Z, fresh.Z)
 
 
 def test_volterra_factors_outer_nodes_once(monkeypatch):
-    # the inner theta solve keeps one factor per node; the volterra solve
-    # hands its inner theta solve the operators every outer sweep shares,
-    # and each sweep evaluates g on the nodes 0..M-1 its tail sums read
+    # the volterra solve's inner theta solve and every outer sweep share the
+    # ensemble's factors: on a fresh ensemble each node is factored once,
+    # and after a theta solve on the ensemble none is; each sweep evaluates
+    # g on the nodes 0..M-1 its tail sums read
     bundle = fixture("volterra_demo")
     g_calls = []
     bundle = replace(bundle, g=lambda *args, _g=bundle.g: g_calls.append(args[0]) or _g(*args))
     grid = build_grid(1.0, 16)
-    paths = sample_brownian(grid, 1024, 1, seed=3)
     calls = _count_factors(monkeypatch)
+    fresh, outer, _ = run_scheme(bundle, "volterra", grid, sample_brownian(grid, 1024, 1, seed=3), ENGINE)
+    assert outer.iterations > 2
+    assert len(calls) == grid.steps
+    assert g_calls == list(range(grid.steps)) * outer.iterations
+    paths = sample_brownian(grid, 1024, 1, seed=3)
+    calls.clear()
     _, inner, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions())
     assert inner.iterations > 1
     assert len(calls) == grid.steps
     calls.clear()
-    _, outer, _ = run_scheme(bundle, "volterra", grid, paths, ENGINE, SolverOptions())
-    assert outer.iterations > 2
+    kept, kept_outer, _ = run_scheme(bundle, "volterra", grid, paths, ENGINE, SolverOptions())
+    assert calls == []
+    assert kept_outer.steps == outer.steps
+    assert np.array_equal(kept.Y, fresh.Y) and np.array_equal(kept.Z, fresh.Z)
+
+
+def test_a_solved_ensemble_factors_no_node_again(monkeypatch):
+    # the ensemble keeps one factor table per basis: after a solve, a
+    # re-solve, a uniqueness probe from a shifted start, the diagnostics,
+    # the CSV rows and a psi_map pass all rebuild their operators from it
+    bundle = fixture("eq41", n=2)
+    grid = build_grid(0.5, 16)
+    paths = sample_brownian(grid, 1024, 2, seed=9)
+    calls = _count_factors(monkeypatch)
+    sol, _, extras = run_scheme(bundle, "global", grid, paths, ENGINE)
     assert len(calls) == grid.steps
-    assert g_calls == list(range(grid.steps)) * outer.iterations
+    calls.clear()
+    again, _, again_extras = run_scheme(bundle, "global", grid, paths, ENGINE)
+    assert np.array_equal(again.Y, sol.Y) and np.array_equal(again.Z, sol.Z)
+    assert again_extras["report"] == extras["report"]
+    probe, _, _ = run_scheme(bundle, "global", grid, paths, ENGINE, SolverOptions(init_offset=0.5))
+    assert np.abs(probe.y0() - sol.y0()).max() <= 1e-5
+    norm = bmo_norm(sol.Z, paths, ENGINE)
+    john_nirenberg(sol.Z, paths, ENGINE)
+    last = extras["report"].windows[-1].steps[-1]
+    consts = local_window(bundle.local, bundle.spec.n)
+    check_apriori_local(sol, bundle.local, consts, bundle.spec.n, last.max_abs_y, last.qv_sq, paths, ENGINE)
+    rows = summarize_nodes(sol, paths, ENGINE)
+    psi_map(bundle.spec, sol, paths, ENGINE)
+    assert calls == []
+    assert norm > 0.0 and len(rows) == grid.steps + 1
+
+
+@pytest.mark.parametrize("name, params, scheme", [("linear_mf", {}, "theta"), ("eq41", {"n": 2}, "global")])
+def test_a_dropped_ensemble_is_freed_by_reference_counting(name, params, scheme):
+    # the factor tables an ensemble keeps index its Brownian values, never
+    # the ensemble, so no reference cycle outlives the last reference
+    bundle = fixture(name, **params)
+    grid = build_grid(0.5, 8)
+    paths = sample_brownian(grid, 256, bundle.spec.d, seed=4)
+    sol, _, _ = run_scheme(bundle, scheme, grid, paths, ENGINE)
+    summarize_nodes(sol, paths, ENGINE)
+    table = FactorTable.of(paths, ENGINE.basis)
+    gc.disable()
+    try:
+        dropped = weakref.ref(paths)
+        del paths
+        assert dropped() is None
+    finally:
+        gc.enable()
+    # the table outlives its ensemble and still builds operators
+    assert table[3].info.rank == (10 if bundle.spec.d == 2 else 4)
 
 
 def test_global_eq41_pinned_small_solve():
@@ -814,11 +884,13 @@ def test_csv_from_the_solve_factors_equals_fresh_factoring_bytewise(tmp_path, mo
     bundle = fixture("linear_mf")
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 512, 1, seed=6)
-    sol, _, extras = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions(tol=1e-10, max_iter=60))
-    export_csv(sol, paths, ENGINE, str(tmp_path / "fresh.csv"))
+    sol, _, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions(tol=1e-10, max_iter=60))
     calls = _count_factors(monkeypatch)
-    export_csv(sol, paths, ENGINE, str(tmp_path / "kept.csv"), operators=extras["operators"])
+    export_csv(sol, paths, ENGINE, str(tmp_path / "kept.csv"))
     assert calls == []
+    # the same draw sampled again is an ensemble with no factors yet
+    export_csv(sol, sample_brownian(grid, 512, 1, seed=6), ENGINE, str(tmp_path / "fresh.csv"))
+    assert len(calls) == grid.steps
     assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 

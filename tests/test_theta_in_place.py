@@ -57,7 +57,7 @@ def _two_buffer_step(it, gamma, y_new, y_prev, z_new, z_prev):
     )
 
 
-def _two_buffer_theta(spec, cert, terminal, paths, engine, opts=SolverOptions(), operators=None):
+def _two_buffer_theta(spec, cert, terminal, paths, engine, opts=SolverOptions()):
     """The theta solve with a previous and a new iterate alive in every sweep."""
     grid = paths.grid
     terminal = solvers._terminal_block(terminal, paths.particles, spec.n, grid.steps)
@@ -68,8 +68,8 @@ def _two_buffer_theta(spec, cert, terminal, paths, engine, opts=SolverOptions(),
         y_prev += opts.init_offset
     trace = PicardTrace()
     clips = 0
-    if operators is None:
-        operators = FactorTable(engine.basis, paths.brownian_at)
+    # a table of its own, so the reference factors every node independently
+    operators = FactorTable(engine.basis, [paths.brownian_at(k) for k in range(m + 1)])
     for it in range(1, opts.max_iter + 1):
         driver = partial(solvers._own_rows, spec, y_prev, z_prev, (y_prev, z_prev, MeasureView.of_checked), 0)
         y_new, z_new, c = solvers._backward(paths, driver, terminal, operators, opts, 0, m)
