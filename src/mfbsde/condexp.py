@@ -102,12 +102,19 @@ def _design_polynomial(
     # He_0 = 1. Once rotated, the centred state's first row is scratch.
     n, s = state.shape
     coords = np.array(state.T, order="C")
-    mean = coords.sum(axis=1) / max(n, 1) if whitening is None else whitening[0]
-    coords -= mean[:, None]
     if whitening is None:
-        w, v = np.linalg.eigh(_gram(coords) / max(n, 1))
-        kept = w > _RANK_FLOOR * max(w[-1], _RANK_FLOOR * (mean @ mean))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            mean = coords.sum(axis=1) / max(n, 1)
+            coords -= mean[:, None]
+            cov = _gram(coords) / max(n, 1)
+            floor = _RANK_FLOOR * (mean @ mean)
+        if not (np.isfinite(cov).all() and math.isfinite(floor)):
+            raise RegressionError("the mean, squared mean or covariance of the conditioning state overflows float64")
+        w, v = np.linalg.eigh(cov)
+        kept = w > _RANK_FLOOR * max(w[-1], floor)
         whitening = (mean, v[:, kept] / np.sqrt(w[kept]))
+    else:
+        coords -= whitening[0][:, None]
     r = whitening[1].shape[1]
     combos = [()] + [c for deg in range(1, degree + 1) for c in combinations_with_replacement(range(r), deg)]
     row = {combo: i for i, combo in enumerate(combos)}
@@ -217,8 +224,9 @@ class NodeOperator:
     """E[. | state] for one conditioning state.
 
     Built from the state's design and its :class:`NodeFactor`, factored
-    here unless one is given; a state that holds a non-finite value is then
-    refused with a :class:`RegressionError`. The operator holds only its
+    here unless one is given; a state that holds a non-finite value, or
+    whose mean, squared mean or covariance overflows, is then refused with
+    a :class:`RegressionError`. The operator holds only its
     design A^T, a C-contiguous (p, N) array, and its factor, and fits v as
     A (R^{-1} (R^{-T} (A^T v))), the two triangles applied in turn rather
     than formed into (A^T A)^{-1}. A given factor skips the finiteness

@@ -1,9 +1,10 @@
 """Explicit constants: radii, window lengths, envelopes, Picard parameters.
 
-Everything here is a closed form or a monotone scalar root. Quantities
-that can exceed float64 range (the quadratic-variation radius K2 and the
-envelope-level J2) carry a log-scale companion which is the authoritative
-value once the linear one saturates.
+Everything here is a closed form or the root of a window equation, found
+by a Newton iteration in log x. Quantities that can exceed float64 range
+(the quadratic-variation radius K2 and the envelope-level J2) carry a
+log-scale companion which is the authoritative value once the linear one
+saturates.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ def _radii_with_log(cert: CertificateLocal, n: int) -> tuple[float, float, float
 
 @dataclass(frozen=True)
 class LocalConstants:
-    """Window data: radii, both root lengths, and bisection residuals."""
+    """Window data: radii, both root lengths, and their relative residuals."""
 
     K1: float
     K2: float
@@ -90,51 +91,35 @@ def _solve_power_equation(log_lin: float, log_pow: float, s: float, rhs_log: flo
     """Root of exp(log_lin) * x + exp(log_pow) * x^s = exp(rhs_log), x > 0.
 
     Coefficients live in log scale so envelope-level certificates cannot
-    overflow. The left side is strictly increasing from zero, so a
-    log-domain bisection always converges. The bracket grows by steps of
-    at least its own magnitude, so the search ends even where a fixed step
-    would be lost to rounding. The returned residual is relative to the
-    right side (which matches the absolute residual for order-one scales);
-    a root that leaves float64 range, or whose residual is not below
-    ``_ROOT_RESIDUAL``, raises :class:`WindowEquationError`.
+    overflow; -inf marks an absent term. In u = log x the equation reads
+    F(u) = logaddexp(log_lin + u, log_pow + s u) - rhs_log = 0, and F, a
+    log-sum-exp of two affine maps, is convex and increasing with slope in
+    [s, 1]. Either term alone reaches the right side at its one-term root,
+    so F >= 0 at the smaller one, u0, which is the root itself when the
+    other term is absent. From any point right of the root, a Newton step
+    on a convex increasing function lands between the root and that point,
+    so the iterates from u0 fall to the root monotonically, quadratically
+    near it; the loop ends once F is not positive or a step no longer moves
+    u. The returned residual is relative to the right side (which matches
+    the absolute residual for order-one scales); a root that leaves float64
+    range, or whose residual is not below ``_ROOT_RESIDUAL``, raises
+    :class:`WindowEquationError`.
     """
     for log_coef in (log_lin, log_pow):  # -inf marks an absent term; +inf or nan is out of range
         if log_coef != -math.inf and not math.isfinite(log_coef):
             raise OverflowError(f"window-equation coefficient exp({log_coef!r}) is out of float64 range")
-    has_lin = math.isfinite(log_lin)
-    has_pow = math.isfinite(log_pow)
-    if not has_lin and not has_pow:
+    if log_lin == log_pow == -math.inf:
         raise WindowEquationError("all window-equation coefficients vanish")
-
-    def log_lhs(u: float) -> float:
-        if not has_pow:
-            return log_lin + u
-        if not has_lin:
-            return log_pow + s * u
-        return float(np.logaddexp(log_lin + u, log_pow + s * u))
-
-    # Closed forms when only one term survives.
-    if not has_pow:
-        u = rhs_log - log_lin
-    elif not has_lin:
-        u = (rhs_log - log_pow) / s
-    else:
-        lo = min(rhs_log - log_lin, (rhs_log - log_pow) / s) - 5.0
-        hi = max(rhs_log - log_lin, (rhs_log - log_pow) / s) + 5.0
-        while log_lhs(lo) > rhs_log:
-            lo -= max(50.0, abs(lo))
-        while log_lhs(hi) < rhs_log:
-            hi += max(50.0, abs(hi))
-        for _ in range(500):
-            mid = 0.5 * (lo + hi)
-            if log_lhs(mid) < rhs_log:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-16 * max(1.0, abs(mid)):
-                break
-        u = 0.5 * (lo + hi)
-    residual = abs(math.expm1(log_lhs(u) - rhs_log))
+    u = min(rhs_log - log_lin, (rhs_log - log_pow) / s)
+    while True:
+        lin, power = log_lin + u, log_pow + s * u
+        log_lhs = max(lin, power) + math.log1p(math.exp(-abs(lin - power)))
+        # F / F', with F' = s + (1 - s) * (the linear term's share of the left side)
+        step = (log_lhs - rhs_log) / (s + (1.0 - s) * math.exp(lin - log_lhs))
+        if not (step > 0.0 and u - step < u):
+            break
+        u -= step
+    residual = abs(math.expm1(log_lhs - rhs_log))
     root = math.exp(u) if u < _LOG_HUGE else math.inf
     if not (0.0 < root < math.inf and residual < _ROOT_RESIDUAL):
         raise WindowEquationError(f"window equation has no resolved root: x = {root!r} with relative residual {residual!r}")
@@ -146,12 +131,16 @@ def local_window(cert: CertificateLocal, n: int) -> LocalConstants:
     """Certified window length: eps = min(x1, x2) from the two budgets.
 
     x1 keeps the drift contribution inside K1/2, x2 keeps the quadratic
-    variation contribution inside K2/2:
+    variation contribution inside K2/2. Divided by their front factors n
+    and 2, the budgets share the power term:
 
-      n(psi+psi0)(K1) x1 + n g0 K2^((1+a)/2) x1^((1-a)/2)
-          + n g^((1+a)/(1-a)) M K2^((1+a)/(1-a)) x1 = K1 / 2,
-      2(psi+psi0)(K1) x2 + 2 g0 K2^((1+a)/2) x2^((1-a)/2)
-          + 2 M K2^((1+a)/(1-a)) x2 = (g K2 / 2n) exp(-2 g K1).
+      (psi+psi0)(K1) x1 + g0 K2^((1+a)/2) x1^((1-a)/2)
+          + g^((1+a)/(1-a)) M K2^((1+a)/(1-a)) x1 = K1 / 2n,
+      (psi+psi0)(K1) x2 + g0 K2^((1+a)/2) x2^((1-a)/2)
+          + M K2^((1+a)/(1-a)) x2 = (g K2 / 4n) exp(-2 g K1).
+
+    The second right side is (exp(2 g (M1 - K1)) / g + 1 + 2 M2) / 2, from
+    the two terms of K2, so no difference of large logs enters it.
     """
     a = cert.alpha
     g = cert.gamma
@@ -160,31 +149,16 @@ def local_window(cert: CertificateLocal, n: int) -> LocalConstants:
     s = (1.0 - a) / 2.0
     exp_hi = (1.0 + a) / (1.0 - a)
     psi_k1 = float(cert.psi(k1)) + float(cert.psi0(k1))
+    # -inf marks an absent term
+    log_pow = math.log(cert.gamma0) + 0.5 * (1.0 + a) * log_k2 if cert.gamma0 > 0.0 else -math.inf
+    log_drift = math.log(psi_k1) if psi_k1 > 0.0 else -math.inf
+    log_quad = math.log(mnla) + exp_hi * log_k2 if mnla > 0.0 else -math.inf
 
-    def pow_coef_log(front: float) -> float:
-        # front * gamma0 * K2^((1+a)/2)
-        if front <= 0.0 or cert.gamma0 <= 0.0:
-            return -math.inf
-        return math.log(front * cert.gamma0) + 0.5 * (1.0 + a) * log_k2
+    log_lin1 = float(np.logaddexp(log_drift, log_quad + exp_hi * math.log(g)))
+    x1, res1 = _solve_power_equation(log_lin1, log_pow, s, math.log(k1 / (2.0 * n)))
 
-    def quad_coef_log(front: float, with_gamma_power: bool) -> float:
-        # front * [gamma^exp_hi] * M * K2^exp_hi
-        if front <= 0.0 or mnla == 0.0:
-            return -math.inf
-        log_c = math.log(front * mnla) + exp_hi * log_k2
-        if with_gamma_power:
-            log_c += exp_hi * math.log(g)
-        return log_c
-
-    def lin_log(front: float, with_gamma_power: bool) -> float:
-        drift = -math.inf if psi_k1 == 0.0 else math.log(front * psi_k1)
-        return float(np.logaddexp(drift, quad_coef_log(front, with_gamma_power)))
-
-    rhs1_log = math.log(k1 / 2.0)
-    x1, res1 = _solve_power_equation(lin_log(float(n), True), pow_coef_log(float(n)), s, rhs1_log)
-
-    rhs2_log = math.log(g / (2.0 * n)) + log_k2 - 2.0 * g * k1
-    x2, res2 = _solve_power_equation(lin_log(2.0, False), pow_coef_log(2.0), s, rhs2_log)
+    rhs2_log = float(np.logaddexp(2.0 * g * (cert.M1 - k1) - math.log(g), math.log1p(2.0 * cert.M2))) - math.log(2.0)
+    x2, res2 = _solve_power_equation(float(np.logaddexp(log_drift, log_quad)), log_pow, s, rhs2_log)
 
     return LocalConstants(
         K1=k1,

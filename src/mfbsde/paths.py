@@ -94,7 +94,8 @@ class PathEnsemble:
     (N, M, d) array with N, d >= 1 is accepted; it is copied into a
     node-major buffer unless it already is a view of one. The read-only
     node-major (M+1, N, d) Brownian values are built here, with the
-    additions of a cumulative sum in its order; ``brownian_at(k)`` returns
+    additions of a cumulative sum in its order, and a sum that overflows
+    raises :class:`PathsError` naming its node; ``brownian_at(k)`` returns
     row k. The ensemble also keeps its node-factor table per regression
     basis (see ``mfbsde.condexp.FactorTable.of``).
     """
@@ -121,8 +122,12 @@ class PathEnsemble:
         w = np.empty((grid.steps + 1,) + node_major.shape[1:])
         w[0] = 0.0
         w[1] = node_major[0]
-        for k in range(1, grid.steps):
-            np.add(w[k], node_major[k], out=w[k + 1])
+        with np.errstate(over="raise"):
+            for k in range(1, grid.steps):
+                try:
+                    np.add(w[k], node_major[k], out=w[k + 1])
+                except FloatingPointError:
+                    raise PathsError(f"the Brownian values at node {k + 1} overflow float64") from None
         w.setflags(write=False)
         self._w = w
         self._factor_tables: dict = {}  # filled by condexp.FactorTable.of

@@ -126,7 +126,7 @@ def test_criterion_04_explicit_constants():
 
 
 def test_criterion_05_window_equation_residuals():
-    # bisection roots satisfy both window equations to 1e-10, for every
+    # Newton roots satisfy both window equations to 1e-10, for every
     # fixture certificate including the extreme-constant ones
     worst = 0.0
     for name in fixture_names():

@@ -508,7 +508,7 @@ def test_solve_global_reports_its_windows_and_envelope(capsys, tmp_path):
     ]
     assert results["windows"] == 8 and results["terminal_feasible"] is True
     assert results["kappa"] == 1.7236318993918118e25
-    assert results["delta_kappa"] == 7.526627755348638e-14
+    assert results["delta_kappa"] == 7.527101288716701e-14
     assert results["y0"] == pytest.approx([7.745838722885272, 7.698584786122009], rel=1e-9)
 
 
@@ -536,7 +536,7 @@ def test_constants_for_global_and_volterra_fixtures(capsys):
     assert report["results"]["global"] == {
         "J1": 4151664605181.6514,
         "c_tilde": 11.0,
-        "delta_kappa": 7.526627755348638e-14,
+        "delta_kappa": 7.527101288716701e-14,
         "kappa": 1.7236318993918118e25,
         "log_J2": 8303329210393.743,
     }

@@ -15,7 +15,7 @@ from mfbsde.condexp import (
     _design,
     _gram,
 )
-from mfbsde.paths import PathEnsemble, build_grid, sample_brownian
+from mfbsde.paths import build_grid, sample_brownian
 from mfbsde.solvers import _increment_fit
 
 ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
@@ -286,22 +286,20 @@ def test_an_ensemble_keeps_one_table_per_basis(monkeypatch):
 
 
 def test_a_non_finite_state_is_refused_at_every_access(monkeypatch):
-    # Brownian values can overflow though every increment is finite; no
-    # factor is kept for such a node, so every access refuses it again
-    grid = build_grid(1.0, 3)
-    increments = np.full((50, 3, 1), 1e308)
-    increments[:, 0, 0] = np.random.default_rng(14).standard_normal(50)
-    with np.errstate(over="ignore"):
-        paths = PathEnsemble(grid, increments, seed=0)
+    # no factor is kept for a node whose state holds a non-finite value, so
+    # every access refuses it again; an ensemble refuses Brownian sums that
+    # overflow when it is built, so the table here indexes given states
+    states = np.zeros((4, 50, 1))
+    states[1:] = np.random.default_rng(14).standard_normal((50, 1))
+    states[3, 7, 0] = np.inf
     calls = []
     real_of = NodeFactor.of
     monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
-    table = FactorTable.of(paths, ENGINE.basis)
+    table = FactorTable(ENGINE.basis, states)
     for _ in range(3):
         with pytest.raises(RegressionError, match="non-finite"):
             table[3]
     assert calls == []
-    assert FactorTable.of(paths, ENGINE.basis) is table
     table[1]
     with pytest.raises(IndexError, match="negative"):
         table[-1]
@@ -427,6 +425,16 @@ def test_a_non_finite_state_is_refused_when_first_factored(kind, bad):
     state[17, 1] = bad
     with pytest.raises(RegressionError, match="non-finite"):
         RegressionEngine(basis).project(values, state)
+
+
+@pytest.mark.parametrize("scale, shift", [(1.7e308 / 63, 0.0), (1e200, 0.0), (1e150, 1e160)])
+def test_a_state_whose_mean_or_covariance_overflows_is_refused(scale, shift):
+    # values 0..63 scaled up to 1.7e308 overflowed the mean, and shifted by
+    # 1e160 the squared mean of the rank floor; each was fit as a constant
+    # (rank 1, two columns dropped), 31.5 off at the ends
+    values = np.arange(64.0)
+    with pytest.raises(RegressionError, match="squared mean or covariance of the conditioning state overflows float64"):
+        RegressionEngine(RegressionBasis(degree=2)).project(values, shift + values * scale)
 
 
 @pytest.mark.parametrize("p, layout", [(1, "C"), (4, "C"), (10, "C"), (10, "F")])

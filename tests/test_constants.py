@@ -144,6 +144,23 @@ def test_global_ode_terminal_always_feasible():
     assert g.J1 == pytest.approx(math.sqrt(g.kappa))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_kappa_window_matches_its_closed_form(n):
+    # eq41's kappa-window has lam = gamma0 = 0 and psi = psi0 = L x, so the
+    # second budget is linear, 4 L K1 x2 = exp(2 g (M1 - K1)) / g + 1 + 2 M2;
+    # its right side once came from log K2 - 2 g K1, two numbers near 6.6e13
+    # at n = 2 and 1.2e28 at n = 3, which kept four digits of x2 at n = 2
+    # and none at n = 3
+    cert = fixture("eq41", n=n).global_
+    g = global_ode(cert, n, 1.0)
+    local = kappa_local_certificate(cert, g.kappa, 1.0)
+    gam = local.gamma
+    k1 = (2.0 * n / gam) * math.log(2.0) + 2.0 * n * (local.M1 + local.M2)
+    x2 = (math.exp(2.0 * gam * (local.M1 - k1)) / gam + 1.0 + 2.0 * local.M2) / (4.0 * cert.L * k1)
+    assert g.window.x2 < g.window.x1
+    assert abs(g.delta_kappa - x2) <= 1e-12 * x2
+
+
 def test_kappa_certificate_conversion():
     cert = CertificateGlobal(L=1.5, gamma=2.0, M1=1.0, M3=4.0)
     local = kappa_local_certificate(cert, kappa=9.0, horizon=0.25)

@@ -147,6 +147,24 @@ def test_an_empty_ensemble_is_refused(tmp_path, shape):
         load_ensemble(str(target), build_grid(1.0, 4))
 
 
+def test_a_brownian_sum_that_overflows_is_refused_at_its_first_node(tmp_path):
+    # finite increments whose sum overflows used to give W = inf with only a
+    # RuntimeWarning; the solve was refused later, at that node's factoring
+    import struct
+
+    grid = build_grid(1.0, 4)
+    with pytest.raises(PathsError, match="^the Brownian values at node 2 overflow float64$"):
+        PathEnsemble(grid, np.full((3, 4, 1), 1e308), 0)
+    increments = np.zeros((3, 4, 2))
+    increments[1, 2:, 1] = 1e308
+    with pytest.raises(PathsError, match="^the Brownian values at node 4 overflow float64$"):
+        PathEnsemble(grid, increments, 0)
+    target = tmp_path / "paths.bin"
+    target.write_bytes(struct.pack("<qqqq", 3, 4, 2, 0) + increments.astype("<f8").tobytes())
+    with pytest.raises(PathsError, match="node 4 overflow"):
+        load_ensemble(str(target), grid)
+
+
 def test_load_reports_long_and_short_payloads(tmp_path):
     grid = build_grid(0.5, 6)
     target = tmp_path / "paths.bin"
