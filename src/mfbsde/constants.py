@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .generators import CertificateGlobal, CertificateLocal, MonomialFn
 
-_LOG_HUGE = 709.0  # exp overflows just above this
+_LOG_HUGE = math.log(sys.float_info.max)  # exp overflows just above this
 _ROOT_RESIDUAL = 1e-10  # a window root with a larger relative residual is unresolved
 
 

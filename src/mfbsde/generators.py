@@ -82,7 +82,7 @@ class CertificateLocal:
     psi0: MonomialFn = ZERO_FN
 
     def __post_init__(self) -> None:
-        _require(self.gamma > 0, "gamma must be positive")
+        _require(0 < self.gamma < math.inf, "gamma must be positive and finite")
         _require(self.lam >= 0 and self.gamma0 >= 0, "lam and gamma0 must be nonnegative")
         _require(0 <= self.alpha < 1, "alpha must lie in [0, 1)")
         _require(self.M1 >= 0 and self.M2 >= 0, "M1 and M2 must be nonnegative")
@@ -102,7 +102,7 @@ class CertificateGlobal:
     M3: float
 
     def __post_init__(self) -> None:
-        _require(self.gamma > 0, "gamma must be positive")
+        _require(0 < self.gamma < math.inf, "gamma must be positive and finite")
         _require(self.L >= 0, "L must be nonnegative")
         _require(self.M1 >= 0 and self.M3 >= 0, "M1 and M3 must be nonnegative")
 
@@ -119,7 +119,7 @@ class CertificateConvex:
     gamma: float
 
     def __post_init__(self) -> None:
-        _require(self.gamma > 0, "gamma must be positive")
+        _require(0 < self.gamma < math.inf, "gamma must be positive and finite")
         _require(self.K >= 0, "K must be nonnegative")
 
 
@@ -132,7 +132,7 @@ class CertificateVolterra:
 
     def __post_init__(self) -> None:
         _require(self.C >= 0, "C must be nonnegative")
-        _require(self.gamma > 0, "gamma must be positive")
+        _require(0 < self.gamma < math.inf, "gamma must be positive and finite")
 
 
 @dataclass(frozen=True)

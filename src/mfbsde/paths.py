@@ -222,7 +222,7 @@ def dump_ensemble(ensemble: PathEnsemble, path: str) -> None:
     n, m, d = ensemble.increments.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(n, m, d, ensemble.seed))
-        fh.write(np.ascontiguousarray(ensemble.increments, dtype="<f8").tobytes())
+        np.ascontiguousarray(ensemble.increments, dtype="<f8").tofile(fh)
 
 
 def load_ensemble(path: str, grid: TimeGrid) -> PathEnsemble:

@@ -301,14 +301,9 @@ def test_constants_rejects_bad_param(capsys):
     assert code == EXIT_CONFIG
 
 
-def test_verify_factors_each_node_once(capsys, tmp_path, monkeypatch):
+def test_verify_factors_each_node_once(capsys, tmp_path, factor_calls):
     # theta factors each node once per solve, and the CSV's BMO profile
     # rebuilds its operators from the solve's factors
-    from mfbsde.condexp import NodeFactor
-
-    calls = []
-    real_of = NodeFactor.of
-    monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
     cfg = write_config(
         tmp_path,
         fixture="linear_mf",
@@ -320,7 +315,7 @@ def test_verify_factors_each_node_once(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", cfg, "--tolerance", "0.05")
     assert code == EXIT_OK
     assert json.loads(out)["results"]["iterations"] > 1
-    assert len(calls) == 8
+    assert len(factor_calls) == 8
 
 
 @pytest.mark.parametrize(
@@ -332,21 +327,16 @@ def test_verify_factors_each_node_once(capsys, tmp_path, monkeypatch):
         ("volterra", {"fixture": "volterra_demo", "params": {}}),
     ],
 )
-def test_solve_with_a_csv_factors_each_node_once(capsys, tmp_path, monkeypatch, scheme, overrides):
+def test_solve_with_a_csv_factors_each_node_once(capsys, tmp_path, factor_calls, scheme, overrides):
     # every scheme hands its solve's factor table to the CSV export, whose
     # BMO profile rebuilds each node's operator from the solve's factor
-    from mfbsde.condexp import NodeFactor
-
-    calls = []
-    real_of = NodeFactor.of
-    monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
     overrides = {"grid": {"horizon": 1.0, "steps": 8}, **overrides}
     outputs = {"csv": str(tmp_path / "nodes.csv")}
     cfg = write_config(tmp_path, scheme=scheme, particles=512, outputs=outputs, **overrides)
     code, _, _ = run_cli(capsys, "solve", cfg)
     assert code == EXIT_OK
     assert len((tmp_path / "nodes.csv").read_text().splitlines()) == 1 + 9
-    assert len(calls) == 8
+    assert len(factor_calls) == 8
 
 
 @pytest.mark.parametrize("case", ["dot", "symlink", "csv_is_config", "solution_is_config"])

@@ -6,7 +6,6 @@ import pytest
 
 from mfbsde.condexp import (
     FactorTable,
-    NodeFactor,
     NodeOperator,
     ProjectionInfo,
     RegressionBasis,
@@ -248,12 +247,9 @@ def test_operator_apply_equals_one_shot_fit_bitwise(kind):
         assert np.array_equal(ENGINE.project(values, state), expected)
 
 
-def test_operator_table_factors_each_node_once(monkeypatch):
+def test_operator_table_factors_each_node_once(factor_calls):
     rng = np.random.default_rng(11)
     states = {k: rng.standard_normal((300, 1)) for k in range(4)}
-    calls = []
-    real_of = NodeFactor.of
-    monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
     values = rng.standard_normal(300)
     table = FactorTable(ENGINE.basis, states)
     for _ in range(3):
@@ -262,14 +258,11 @@ def test_operator_table_factors_each_node_once(monkeypatch):
     # every access builds a fresh operator from the factor the table keeps
     assert table[1] is not table[1] and table[1].factor is table[1].factor
     # three distinct nodes factored once each
-    assert len(calls) == 3
+    assert len(factor_calls) == 3
 
 
-def test_an_ensemble_keeps_one_table_per_basis(monkeypatch):
+def test_an_ensemble_keeps_one_table_per_basis(factor_calls):
     paths = sample_brownian(build_grid(1.0, 4), 300, 2, seed=13)
-    calls = []
-    real_of = NodeFactor.of
-    monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
     table = FactorTable.of(paths, ENGINE.basis)
     assert FactorTable.of(paths, RegressionBasis(kind="polynomial", degree=3)) is table
     other = FactorTable.of(paths, RegressionBasis(degree=2))
@@ -280,30 +273,27 @@ def test_an_ensemble_keeps_one_table_per_basis(monkeypatch):
             assert np.array_equal(table[k].apply(values), _one_shot_fit(values, paths.brownian_at(k), ENGINE.basis))
             other[k].apply(values)
     # the second basis factors each node once too: (10, N) and (6, N) designs
-    assert sorted(calls) == [(6, 300)] * 4 + [(10, 300)] * 4
+    assert sorted(factor_calls) == [(6, 300)] * 4 + [(10, 300)] * 4
     # a sampled ensemble built again from its seed has a table of its own
     assert FactorTable.of(sample_brownian(build_grid(1.0, 4), 300, 2, seed=13), ENGINE.basis) is not table
 
 
-def test_a_non_finite_state_is_refused_at_every_access(monkeypatch):
+def test_a_non_finite_state_is_refused_at_every_access(factor_calls):
     # no factor is kept for a node whose state holds a non-finite value, so
     # every access refuses it again; an ensemble refuses Brownian sums that
     # overflow when it is built, so the table here indexes given states
     states = np.zeros((4, 50, 1))
     states[1:] = np.random.default_rng(14).standard_normal((50, 1))
     states[3, 7, 0] = np.inf
-    calls = []
-    real_of = NodeFactor.of
-    monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
     table = FactorTable(ENGINE.basis, states)
     for _ in range(3):
         with pytest.raises(RegressionError, match="non-finite"):
             table[3]
-    assert calls == []
+    assert factor_calls == []
     table[1]
     with pytest.raises(IndexError, match="negative"):
         table[-1]
-    assert len(calls) == 1
+    assert len(factor_calls) == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -270,6 +270,15 @@ def test_an_overflowing_drift_bound_is_refused_not_dropped():
                 window(c1)
 
 
+def test_a_root_below_the_float64_limit_resolves():
+    # x = e^709.5 = 1.35e308 is finite, yet a cut at 709.0 read it as inf
+    root, residual = _solve_power_equation(0.0, -math.inf, 0.5, 709.5)
+    assert root == pytest.approx(math.exp(709.5), rel=1e-12)
+    assert residual < 1e-10
+    with pytest.raises(WindowEquationError, match="no resolved root: x = inf"):
+        _solve_power_equation(0.0, -math.inf, 0.5, 709.8)
+
+
 @pytest.mark.parametrize("log_coef", [math.inf, math.nan])
 def test_a_non_finite_window_coefficient_is_refused(log_coef):
     # -inf marks an absent term; +inf or nan used to be read as absent too

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from mfbsde.generators import (
+    CertificateConvex,
     CertificateError,
+    CertificateGlobal,
     CertificateLocal,
+    CertificateVolterra,
     FixtureError,
     MonomialFn,
     _no_stage,
@@ -52,6 +55,25 @@ def test_certificate_validation():
         CertificateLocal(gamma=0.0, lam=1.0, gamma0=0.0, alpha=0.5, M1=1.0, M2=0.0)
     with pytest.raises(CertificateError):
         CertificateLocal(gamma=1.0, lam=1.0, gamma0=0.0, alpha=1.0, M1=1.0, M2=0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: CertificateLocal(gamma=g, lam=0.1, gamma0=0.0, alpha=0.0, M1=1.0, M2=0.0),
+        lambda g: CertificateGlobal(L=1.0, gamma=g, M1=1.0, M3=0.0),
+        lambda g: CertificateConvex(K=0.0, gamma=g),
+        lambda g: CertificateVolterra(C=0.0, gamma=g),
+    ],
+    ids=["local", "global", "convex", "volterra"],
+)
+def test_certificates_refuse_a_non_finite_gamma(build):
+    # an infinite gamma used to reach local_window as a bare "math domain
+    # error", and the theta monitors as an overflow
+    assert build(1.0).gamma == 1.0
+    for gamma in (math.inf, math.nan, -math.inf):
+        with pytest.raises(CertificateError, match="gamma must be positive and finite"):
+            build(gamma)
 
 
 @pytest.mark.parametrize("name", fixture_names())

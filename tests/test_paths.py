@@ -253,6 +253,23 @@ def test_dump_writes_particle_major_bytes(tmp_path):
     assert payload[32:] == np.ascontiguousarray(ens.increments).astype("<f8").tobytes()
 
 
+def test_dump_writes_the_tobytes_layout_from_one_copy(tmp_path):
+    # the payload used to go through tobytes(), a second full copy of the
+    # increments next to the particle-major one
+    grid = build_grid(1.0, 32)
+    ens = sample_brownian(grid, 4000, 2, seed=8)
+    particle_major = np.ascontiguousarray(ens.increments, dtype="<f8")
+    tracemalloc.start()
+    try:
+        dump_ensemble(ens, str(tmp_path / "paths.bin"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * particle_major.nbytes
+    header = paths_module._HEADER.pack(4000, 32, 2, 8)
+    assert (tmp_path / "paths.bin").read_bytes() == header + particle_major.tobytes()
+
+
 @pytest.mark.parametrize("dimension, factor", [(1, 2), (1, 8), (2, 4), (3, 16)])
 def test_coarsen_equals_the_particle_major_reduction_bitwise(dimension, factor):
     # d = 1 with factor >= 8 sums pairwise in numpy, not in sequence

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mfbsde import solvers
-from mfbsde.condexp import FactorTable, NodeFactor, NodeOperator, RegressionBasis, RegressionEngine
+from mfbsde.condexp import FactorTable, NodeOperator, RegressionBasis, RegressionEngine
 from mfbsde.constants import local_window
 from mfbsde.diagnostics import bmo_norm, check_apriori_local, john_nirenberg
 from mfbsde.generators import CertificateConvex, CertificateGlobal, GeneratorSpec, _no_stage, fixture, fixture_names
@@ -581,13 +581,6 @@ def test_psi_map_makes_one_driver_call_per_node():
     assert calls == [(256, 3)] * (k_hi - k_lo + 1)
 
 
-def _count_factors(monkeypatch):
-    calls = []
-    real_of = NodeFactor.of
-    monkeypatch.setattr(NodeFactor, "of", lambda at, *args: calls.append(at.shape) or real_of(at, *args))
-    return calls
-
-
 def _count_operator_builds(monkeypatch):
     builds = []
     real_init = NodeOperator.__init__
@@ -595,22 +588,21 @@ def _count_operator_builds(monkeypatch):
     return builds
 
 
-def test_global_factors_each_node_once(monkeypatch):
+def test_global_factors_each_node_once(monkeypatch, factor_calls):
     # every Picard iteration, law query and BMO norm of a window shares the
     # operators its local solve builds, so the whole stitched solve factors
     # each node once and builds each node's operator once
     bundle = fixture("eq41", n=2)
     grid = build_grid(0.5, 16)
     paths = sample_brownian(grid, 1024, 2, seed=9)
-    calls = _count_factors(monkeypatch)
     builds = _count_operator_builds(monkeypatch)
     sol, report = solve_global(bundle.spec, bundle.global_, bundle.terminal(paths), paths, ENGINE)
     assert sum(w.halvings for w in report.windows) == 0
     assert sum(w.iterations for w in report.windows) > 2 * report.window_count
-    assert len(calls) == len(builds) == grid.steps
+    assert len(factor_calls) == len(builds) == grid.steps
 
 
-def test_global_halves_a_failing_window_and_factors_each_node_once(monkeypatch):
+def test_global_halves_a_failing_window_and_factors_each_node_once(monkeypatch, factor_calls):
     # windows of 4 steps are solved in full and then refused, so each is
     # retried at 2 steps on operators rebuilt from the factors kept on the
     # ensemble; the refused solve runs on the same draw sampled again, an
@@ -635,7 +627,7 @@ def test_global_halves_a_failing_window_and_factors_each_node_once(monkeypatch):
         return sol, trace
 
     monkeypatch.setattr(solvers, "solve_local", refuse_long_windows)
-    calls = _count_factors(monkeypatch)
+    factor_calls.clear()
     sol, report = solve_with_windows_of(4, sample_brownian(grid, 2**10, 2, seed=9))
     # the last window is capped at the 2 steps left, so it never halves
     assert [w.halvings for w in report.windows] == [1] * 7 + [0]
@@ -643,21 +635,20 @@ def test_global_halves_a_failing_window_and_factors_each_node_once(monkeypatch):
     assert edges == [(k - 2, k) for k in range(grid.steps, 0, -2)]
     assert edges == [(w.k_lo, w.k_hi) for w in ref_report.windows]
     assert np.array_equal(sol.Y, ref.Y) and np.array_equal(sol.Z, ref.Z)
-    assert len(calls) == grid.steps
+    assert len(factor_calls) == grid.steps
 
 
 @pytest.mark.parametrize("inner_sweeps", [1, 3])
-def test_theta_factors_each_node_once_per_solve(monkeypatch, inner_sweeps):
+def test_theta_factors_each_node_once_per_solve(factor_calls, inner_sweeps):
     # every sweep and inner sweep rebuilds a node's operator from the factor
     # the solve keeps
     bundle = fixture("pure_quadratic", gamma=1.0, terminal="brownian")
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 1024, 1, seed=5)
-    calls = _count_factors(monkeypatch)
     opts = SolverOptions(tol=1e-8, inner_sweeps=inner_sweeps)
     _, trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
     assert trace.iterations > 1
-    assert len(calls) == grid.steps
+    assert len(factor_calls) == grid.steps
 
 
 class _FreshEachVisit:
@@ -677,27 +668,26 @@ class _FreshEachVisit:
 @pytest.mark.parametrize(
     "name, params", [("linear_mf", {}), ("bounded_sine_mf", {"n": 2})], ids=["linear_mf", "bounded_sine_mf"]
 )
-def test_theta_with_kept_factors_equals_fresh_factoring_bitwise(monkeypatch, name, params):
+def test_theta_with_kept_factors_equals_fresh_factoring_bitwise(monkeypatch, factor_calls, name, params):
     bundle = fixture(name, **params)
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 1024, bundle.spec.d, seed=15)
     opts = SolverOptions(tol=1e-10, max_iter=60)
     # the first solve factors each node once; the re-solve factors none
-    calls = _count_factors(monkeypatch)
     kept, kept_trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
-    assert len(calls) == grid.steps
+    assert len(factor_calls) == grid.steps
     again, again_trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
-    assert len(calls) == grid.steps
-    calls.clear()
+    assert len(factor_calls) == grid.steps
+    factor_calls.clear()
     monkeypatch.setattr(solvers, "FactorTable", _FreshEachVisit)
     fresh, fresh_trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
-    assert len(calls) == fresh_trace.iterations * grid.steps > grid.steps
+    assert len(factor_calls) == fresh_trace.iterations * grid.steps > grid.steps
     for sol, trace in ((kept, kept_trace), (again, again_trace)):
         assert trace.steps == fresh_trace.steps
         assert np.array_equal(sol.Y, fresh.Y) and np.array_equal(sol.Z, fresh.Z)
 
 
-def test_volterra_factors_outer_nodes_once(monkeypatch):
+def test_volterra_factors_outer_nodes_once(factor_calls):
     # the volterra solve's inner theta solve and every outer sweep share the
     # ensemble's factors: on a fresh ensemble each node is factored once,
     # and after a theta solve on the ensemble none is; each sweep evaluates
@@ -706,34 +696,32 @@ def test_volterra_factors_outer_nodes_once(monkeypatch):
     g_calls = []
     bundle = replace(bundle, g=lambda *args, _g=bundle.g: g_calls.append(args[0]) or _g(*args))
     grid = build_grid(1.0, 16)
-    calls = _count_factors(monkeypatch)
     fresh, outer, _ = run_scheme(bundle, "volterra", grid, sample_brownian(grid, 1024, 1, seed=3), ENGINE)
     assert outer.iterations > 2
-    assert len(calls) == grid.steps
+    assert len(factor_calls) == grid.steps
     assert g_calls == list(range(grid.steps)) * outer.iterations
     paths = sample_brownian(grid, 1024, 1, seed=3)
-    calls.clear()
+    factor_calls.clear()
     _, inner, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions())
     assert inner.iterations > 1
-    assert len(calls) == grid.steps
-    calls.clear()
+    assert len(factor_calls) == grid.steps
+    factor_calls.clear()
     kept, kept_outer, _ = run_scheme(bundle, "volterra", grid, paths, ENGINE, SolverOptions())
-    assert calls == []
+    assert factor_calls == []
     assert kept_outer.steps == outer.steps
     assert np.array_equal(kept.Y, fresh.Y) and np.array_equal(kept.Z, fresh.Z)
 
 
-def test_a_solved_ensemble_factors_no_node_again(monkeypatch):
+def test_a_solved_ensemble_factors_no_node_again(factor_calls):
     # the ensemble keeps one factor table per basis: after a solve, a
     # re-solve, a uniqueness probe from a shifted start, the diagnostics,
     # the CSV rows and a psi_map pass all rebuild their operators from it
     bundle = fixture("eq41", n=2)
     grid = build_grid(0.5, 16)
     paths = sample_brownian(grid, 1024, 2, seed=9)
-    calls = _count_factors(monkeypatch)
     sol, _, extras = run_scheme(bundle, "global", grid, paths, ENGINE)
-    assert len(calls) == grid.steps
-    calls.clear()
+    assert len(factor_calls) == grid.steps
+    factor_calls.clear()
     again, _, again_extras = run_scheme(bundle, "global", grid, paths, ENGINE)
     assert np.array_equal(again.Y, sol.Y) and np.array_equal(again.Z, sol.Z)
     assert again_extras["report"] == extras["report"]
@@ -746,7 +734,7 @@ def test_a_solved_ensemble_factors_no_node_again(monkeypatch):
     check_apriori_local(sol, bundle.local, consts, bundle.spec.n, last.max_abs_y, last.qv_sq, paths, ENGINE)
     rows = summarize_nodes(sol, paths, ENGINE)
     psi_map(bundle.spec, sol, paths, ENGINE)
-    assert calls == []
+    assert factor_calls == []
     assert norm > 0.0 and len(rows) == grid.steps + 1
 
 
@@ -880,17 +868,17 @@ def test_dump_writes_particle_major_bytes_and_load_keeps_the_layout(tmp_path):
     assert back.Y[:, 3].flags.c_contiguous and back.Z[:, 3].flags.c_contiguous
 
 
-def test_csv_from_the_solve_factors_equals_fresh_factoring_bytewise(tmp_path, monkeypatch):
+def test_csv_from_the_solve_factors_equals_fresh_factoring_bytewise(tmp_path, factor_calls):
     bundle = fixture("linear_mf")
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 512, 1, seed=6)
     sol, _, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions(tol=1e-10, max_iter=60))
-    calls = _count_factors(monkeypatch)
+    factor_calls.clear()
     export_csv(sol, paths, ENGINE, str(tmp_path / "kept.csv"))
-    assert calls == []
+    assert factor_calls == []
     # the same draw sampled again is an ensemble with no factors yet
     export_csv(sol, sample_brownian(grid, 512, 1, seed=6), ENGINE, str(tmp_path / "fresh.csv"))
-    assert len(calls) == grid.steps
+    assert len(factor_calls) == grid.steps
     assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
