@@ -56,7 +56,8 @@ def m_const(n: int, lam: float, alpha: float) -> float:
 
 @_overflow_is_bad_input
 def local_radii(cert: CertificateLocal, n: int) -> tuple[float, float]:
-    """Sup radius K1 and quadratic-variation radius K2 of the invariant ball."""
+    """Sup radius K1 and quadratic-variation radius K2 of the invariant ball:
+    the one public route to them when :func:`local_window` finds no root."""
     k1, _, k2 = _radii_with_log(cert, n)
     return k1, k2
 

@@ -654,3 +654,19 @@ def test_every_constants_report_is_strict_json(capsys, argv):
     local = report["results"].get("local")
     if "M1=177" in argv:
         assert local["K2"] is None and local["log_K2"] > 709.0
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"solver": [1e-6]}, "solver must be an object"),
+        ({"grid": 1.0}, "grid must be an object"),
+        ({"params": [1.0]}, "params must be an object"),
+        ({"fixture": "no_such_fixture"}, "unknown fixture 'no_such_fixture'"),
+    ],
+    ids=["solver-block", "grid-block", "params", "fixture"],
+)
+def test_a_block_that_is_no_object_or_an_unknown_fixture_exits_config(capsys, tmp_path, overrides, message):
+    code, out, err = run_cli(capsys, "solve", write_config(tmp_path, **overrides))
+    assert code == EXIT_CONFIG and out == ""
+    assert message in err

@@ -462,3 +462,22 @@ def test_a_constant_state_keeps_one_column_on_a_tiny_ensemble():
     op = NodeOperator(np.full((3, 2), 0.7), ENGINE.basis)
     assert op.info.rank == 1
     np.testing.assert_allclose(op.apply(np.array([1.0, 2.0, 6.0])), np.full(3, 3.0), rtol=1e-15)
+
+
+def test_a_constant_coordinate_adds_no_piecewise_row():
+    # next to a varying coordinate, a constant one's single bin would repeat
+    # the intercept, so all its bins count as dropped
+    x = np.random.default_rng(3).standard_normal((2000, 1))
+    basis = RegressionBasis(kind="piecewise", bins=20)
+    alone = NodeOperator(x, basis)
+    paired = NodeOperator(np.column_stack([x[:, 0], np.full(2000, 0.7)]), basis)
+    assert paired.info.dropped_columns == alone.info.dropped_columns + 20
+    assert paired.info.rank == alone.info.rank + 1  # the intercept row
+    values = np.random.default_rng(4).standard_normal(2000)
+    assert np.abs(paired.apply(values) - alone.apply(values)).max() <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "piecewise"])
+def test_a_three_axis_state_is_refused(kind):
+    with pytest.raises(RegressionError, match=r"state must be \(N, s\), got shape \(8, 2, 1\)"):
+        NodeOperator(np.zeros((8, 2, 1)), RegressionBasis(kind=kind))

@@ -302,3 +302,33 @@ def test_a_non_finite_window_coefficient_is_refused(log_coef):
 def test_overflowing_certificate_raises_constants_error(build):
     with pytest.raises(ConstantsError, match="overflows float64"):
         build()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: m_const(1, 1.0, 1.0), r"alpha must lie in \[0, 1\)"),
+        (lambda: m_const(1, 1.0, -0.1), r"alpha must lie in \[0, 1\)"),
+        (lambda: m_const(0, 1.0, 0.5), "need n >= 1 and lam >= 0"),
+        (lambda: m_const(1, -1.0, 0.5), "need n >= 1 and lam >= 0"),
+        (lambda: global_ode(CertificateGlobal(L=1.0, gamma=2.0, M1=1.0, M3=4.0), 2, 0.0), "horizon must be positive"),
+        (lambda: theta_consts(-1.0, 1, 1.0), "need K >= 0, n >= 1, horizon > 0"),
+        (lambda: theta_consts(1.0, 0, 1.0), "need K >= 0, n >= 1, horizon > 0"),
+        (lambda: theta_consts(1.0, 1, 0.0), "need K >= 0, n >= 1, horizon > 0"),
+    ],
+    ids=["m-alpha-1", "m-alpha-negative", "m-n-0", "m-lam-negative", "global-horizon-0", "theta-K", "theta-n", "theta-horizon"],
+)
+def test_constants_refuse_arguments_out_of_range(call, message):
+    with pytest.raises(ConstantsError, match=message):
+        call()
+
+
+def test_local_radii_reach_a_certificate_whose_window_equation_has_no_root():
+    # criterion 4's certificate: both window-equation coefficients vanish, so
+    # local_window has no window to give, while the radii stay well defined
+    cert = CertificateLocal(gamma=1.0, lam=0.0, gamma0=0.0, alpha=0.0, M1=0.0, M2=0.0)
+    with pytest.raises(WindowEquationError, match="all window-equation coefficients vanish"):
+        local_window(cert, 1)
+    k1, k2 = local_radii(cert, 1)
+    assert k1 == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+    assert k2 == pytest.approx(2.0 + 2.0 * 16.0, rel=1e-14)  # 2n/gamma^2 + (2n/gamma) e^(2 gamma K1)

@@ -193,3 +193,10 @@ def test_apriori_refuses_a_solution_from_another_grid():
     with pytest.raises(ValueError) as exc:
         check_apriori_local(sol, bundle.local, win, 2, 1.0, 1.0, paths=other, engine=ENGINE)
     assert repr(sol.grid) in str(exc.value) and repr(other.grid) in str(exc.value)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, -0.5, float("nan")])
+def test_theta_gap_refuses_a_theta_outside_the_open_unit_interval(theta):
+    y = np.zeros((8, 3, 1))
+    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\)"):
+        theta_gap(y, y, theta)

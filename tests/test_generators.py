@@ -9,6 +9,7 @@ from mfbsde.generators import (
     CertificateGlobal,
     CertificateLocal,
     CertificateVolterra,
+    FixtureBundle,
     FixtureError,
     MonomialFn,
     _no_stage,
@@ -249,3 +250,24 @@ def test_a_driver_declared_to_read_no_y_gives_the_same_values_for_any_y(name):
     law_y, law_z = rng.standard_normal((129, spec.n)), rng.standard_normal((129, spec.n, spec.d))
     law = {"none": None, "y_only": MeasureView(law_y), "joint": MeasureView(law_y, law_z)}[spec.law_dependence]
     assert np.array_equal(spec(0.3, y, z, law), spec(0.3, other_y, z, law))
+
+
+def test_a_fixture_without_certificates_has_no_certificate():
+    bare = FixtureBundle(spec=fixture("eq41").spec, terminal=lambda paths: None, name="bare")
+    with pytest.raises(CertificateError, match="fixture bare carries no certificate"):
+        bare.certificate()
+
+
+def test_growth_audit_of_the_global_certificate_holds():
+    # eq41's primary certificate is its local one, so the registry-wide audit
+    # never reaches the global bound
+    bundle = fixture("eq41", n=2)
+    report = check_growth(bundle.spec, bundle.global_, budget=4000, seed=20260814)
+    assert report.ok, report.violations[:3]
+    assert report.checked >= 4000
+
+
+def test_growth_audit_refuses_a_volterra_certificate():
+    bundle = fixture("volterra_demo")
+    with pytest.raises(CertificateError, match="no growth audit for certificate type CertificateVolterra"):
+        check_growth(bundle.spec, bundle.volterra, budget=100)

@@ -81,3 +81,24 @@ def test_rejects_non_finite_points():
             MeasureView(np.array([[bad]]))
         with pytest.raises(MeasureError, match="non-finite"):
             MeasureView(np.zeros((1, 1)), np.array([[[bad]]]))
+
+
+def test_a_one_axis_cloud_is_one_column():
+    assert MeasureView(np.array([3.0, 4.0])).w_y(2) == MeasureView(np.array([[3.0], [4.0]])).w_y(2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MeasureView(np.zeros((4, 2, 1))), r"cloud must be \(N, m\), got shape \(4, 2, 1\)"),
+        (lambda: MeasureView(np.zeros((0, 1))), r"cloud must be \(N, m\), got shape \(0, 1\)"),
+        (lambda: MeasureView(np.zeros((4, 1))).w_y(3), "order must be 1 or 2, got 3"),
+        (lambda: MeasureView(np.zeros((4, 1)), np.zeros((4, 1, 1))).w_z(0), "order must be 1 or 2, got 0"),
+        (lambda: MeasureView(np.zeros((4, 1)), np.zeros((3, 1, 1))), "Y and Z clouds must pair particle by particle"),
+        (lambda: MeasureView.of_checked(np.zeros((4, 1)), np.zeros((3, 2))), "must pair particle by particle"),
+    ],
+    ids=["three-axis", "empty", "w_y-order-3", "w_z-order-0", "unpaired", "unpaired-checked"],
+)
+def test_measure_view_refusals(call, message):
+    with pytest.raises(MeasureError, match=message):
+        call()

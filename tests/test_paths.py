@@ -309,3 +309,33 @@ def test_finite_real_refuses_bools_non_finite_and_ints_beyond_float_range(value)
 def test_count_is_an_int_of_at_least_its_bound():
     assert is_count(0, 0) and is_count(10**400, 1) and is_count(np.int64(3), 3)
     assert not any(is_count(v, 1) for v in (0, True, 1.0, "1", None))
+
+
+def test_a_horizon_too_small_to_split_is_refused():
+    with pytest.raises(PathsError, match="grid nodes are not strictly increasing at this resolution"):
+        build_grid(5e-324, 2)
+
+
+@pytest.mark.parametrize(
+    "increments, message",
+    [
+        (np.zeros((3, 5, 1)), "increment count 5 does not match grid steps 4"),
+        (np.where(np.arange(12).reshape(3, 4, 1) == 7, np.nan, 0.0), "increments contain non-finite values"),
+    ],
+    ids=["step-count", "non-finite"],
+)
+def test_an_ensemble_refuses_increments_that_do_not_fit_its_grid(increments, message):
+    with pytest.raises(PathsError, match=message):
+        PathEnsemble(build_grid(1.0, 4), increments, 0)
+
+
+def test_coarsen_by_one_returns_the_ensemble():
+    ens = sample_brownian(build_grid(1.0, 4), 8, 1, seed=1)
+    assert coarsen(ens, 1) is ens
+
+
+def test_load_refuses_a_truncated_header(tmp_path):
+    target = tmp_path / "paths.bin"
+    target.write_bytes(b"\x00" * 7)
+    with pytest.raises(PathsError, match="truncated ensemble header"):
+        load_ensemble(str(target), build_grid(1.0, 4))

@@ -12,7 +12,7 @@ from mfbsde.condexp import FactorTable, NodeOperator, RegressionBasis, Regressio
 from mfbsde.constants import local_window
 from mfbsde.diagnostics import bmo_norm, check_apriori_local, john_nirenberg
 from mfbsde.generators import CertificateConvex, CertificateGlobal, GeneratorSpec, _no_stage, fixture, fixture_names
-from mfbsde.measures import MeasureView, exp_moment, sum_squares
+from mfbsde.measures import MeasureError, MeasureView, exp_moment, sum_squares
 from mfbsde.paths import build_grid, coarsen, sample_brownian
 from mfbsde.solvers import (
     Solution,
@@ -26,7 +26,6 @@ from mfbsde.solvers import (
     run_scheme,
     solve_global,
     solve_local,
-    solve_scalar,
     solve_theta,
     solve_volterra,
     summarize_nodes,
@@ -36,35 +35,47 @@ from mfbsde.solvers import (
 ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
 
 
-def _zero_driver(k, t, rows):
-    return np.zeros(rows.shape[0])
+def _scalar_spec(value=lambda t, y: np.zeros(y.shape)):
+    """A one-component, law-free spec on one noise dimension whose driver
+    ``value(t, y)`` reads no Z."""
+    return GeneratorSpec(
+        n=1, d=1, evaluate=lambda t, y, law, stage: value(t, y), z_stage=_no_stage, law_dependence="none"
+    )
+
+
+def _flat_iterate(paths, terminal):
+    """The iterate with Y the terminal (N,) at every node and Z zero."""
+    steps = paths.grid.steps
+    y = np.repeat(np.asarray(terminal, dtype=np.float64)[:, None, None], steps + 1, axis=1)
+    return Solution(Y=y, Z=np.zeros((len(terminal), steps, 1, paths.dimension)), grid=paths.grid)
 
 
 def test_scalar_zero_driver_is_martingale():
     grid = build_grid(1.0, 32)
     paths = sample_brownian(grid, 4096, 1, seed=7)
     term = paths.terminal()[:, 0]
-    y, z, clips = solve_scalar(paths, _zero_driver, term, ENGINE)
-    assert clips == 0
-    assert abs(y[:, 0].mean()) < 0.03
-    assert np.sqrt(np.mean((z - 1.0) ** 2)) < 0.08
+    sol = psi_map(_scalar_spec(), _flat_iterate(paths, term), paths, ENGINE)
+    assert sol.clip_events == 0
+    assert abs(sol.Y[:, 0].mean()) < 0.03
+    assert np.sqrt(np.mean((sol.Z - 1.0) ** 2)) < 0.08
 
 
 def test_scalar_constant_driver_shifts_exactly():
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 512, 1, seed=3)
-    y, _, _ = solve_scalar(paths, lambda k, t, r: np.full(r.shape[0], 2.5), np.ones(512), ENGINE)
+    spec = _scalar_spec(lambda t, y: np.full(y.shape, 2.5))
+    sol = psi_map(spec, _flat_iterate(paths, np.ones(512)), paths, ENGINE)
     # trapezoid weights sum to dt per step for a constant integrand
-    assert y[:, 0].mean() == pytest.approx(1.0 + 2.5, abs=1e-12)
+    assert sol.Y[:, 0].mean() == pytest.approx(1.0 + 2.5, abs=1e-12)
 
 
 def test_scalar_range_validation():
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 16, 1, seed=1)
-    with pytest.raises(ValueError):
-        solve_scalar(paths, _zero_driver, np.ones(16), ENGINE, k_lo=5, k_hi=3)
-    with pytest.raises(ValueError):
-        solve_scalar(paths, _zero_driver, np.ones(8), ENGINE)
+    with pytest.raises(ValueError, match=re.escape("bad node range [5, 3]")):
+        psi_map(_scalar_spec(), _flat_iterate(paths, np.ones(16)), paths, ENGINE, k_lo=5, k_hi=3)
+    with pytest.raises(ValueError, match="one entry per particle"):
+        psi_map(_scalar_spec(), _flat_iterate(paths, np.ones(8)), paths, ENGINE)
 
 
 @pytest.mark.parametrize("k_lo, k_hi", [(5, 5), (6, 5), (0, 9), (-1, 3)])
@@ -380,13 +391,17 @@ def _per_component(spec, y_frozen, z_frozen, laws, terminal, paths, opts, k_lo, 
     n_part = paths.particles
     out_y = np.empty((n_part, span + 1, spec.n))
     out_z = np.empty((n_part, span, spec.n, spec.d))
+    operators = FactorTable.of(paths, ENGINE.basis)
     for i in range(spec.n):
         def driver(k, t, rows, i=i):
+            # component i alone through the kernel: its Z row is rows[:, 0]
             j = k - k_lo
             other = np.zeros((n_part, spec.n, spec.d)) if z_frozen is None else z_frozen[:, min(j, span - 1)]
-            return _frozen_full_driver(spec, i, y_frozen[:, j], other, _law_reference(spec, *laws, j), t, rows)
+            law = _law_reference(spec, *laws, j)
+            return _frozen_full_driver(spec, i, y_frozen[:, j], other, law, t, rows[:, 0])[:, None]
 
-        out_y[:, :, i], out_z[:, :, i, :], _ = solve_scalar(paths, driver, terminal[:, i], ENGINE, opts, k_lo, k_hi)
+        y, z, _ = solvers._backward(paths, driver, terminal[:, i : i + 1], operators, opts, k_lo, k_hi)
+        out_y[:, :, i], out_z[:, :, i, :] = y[:, :, 0], z[:, :, 0]
     return out_y, out_z
 
 
@@ -490,10 +505,8 @@ def _bad_terminal_calls():
     eq41, eq_grid, eq_paths = on("eq41", n=2)
     sine, sine_grid, sine_paths = on("bounded_sine_mf", n=2)
     volt, volt_grid, volt_paths = on("volterra_demo")
-    lin, lin_grid, lin_paths = on("linear_mf")
     opts = SolverOptions(tol=1e-8)
     return [
-        ("scalar", lambda t: solve_scalar(lin_paths, _zero_driver, t, ENGINE), [(64, 2), (63,), (63, 1)]),
         (
             "local",
             lambda t: solve_local(eq41.spec, eq41.local, t, eq_paths, ENGINE, opts, 3, 4),
@@ -777,11 +790,11 @@ def test_non_finite_values_stop_the_kernel_at_their_node():
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 256, 1, seed=6)
 
-    def blows_up_at_node_5(k, t, z):
-        return np.full(len(z), np.inf if k == 5 else 0.0)
+    def blows_up_at_node_5(t, y):
+        return np.full(y.shape, np.inf if t == grid.nodes[5] else 0.0)
 
     with pytest.raises(SolverDivergence, match=r"non-finite Y at node 5 \(t=0.625\) in component 0"):
-        solve_scalar(paths, blows_up_at_node_5, np.zeros(256), ENGINE)
+        psi_map(_scalar_spec(blows_up_at_node_5), _flat_iterate(paths, np.zeros(256)), paths, ENGINE)
 
 
 def test_non_finite_terminal_names_its_component():
@@ -1275,3 +1288,73 @@ def test_a_non_finite_global_window_carries_its_record():
         solve_global(spec, bundle.global_, bundle.terminal(paths), paths, ENGINE)
     trace = exc.value.trace
     assert (trace.k_lo, trace.k_hi, trace.halvings, trace.iterations) == (4, 5, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "name, scheme, message",
+    [
+        ("remark31", "theta", "fixture remark31 has no Picard certificate"),
+        ("linear_mf", "global", "fixture linear_mf has no global certificate"),
+        ("pure_quadratic", "volterra", "fixture pure_quadratic has no Volterra data"),
+    ],
+)
+def test_run_scheme_refuses_a_fixture_without_the_schemes_certificate(name, scheme, message):
+    bundle = fixture(name)
+    grid = build_grid(0.5, 4)
+    paths = sample_brownian(grid, 64, bundle.spec.d, seed=8)
+    with pytest.raises(ValueError, match=message):
+        run_scheme(bundle, scheme, grid, paths, ENGINE)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: b"MFBS9999" + raw[8:], "not a solution file"),
+        (lambda raw: raw[: 8 + 55], "truncated solution header"),
+        (lambda raw: raw + b"\x00" * 8, "solution payload has 8 bytes past the announced arrays"),
+    ],
+    ids=["magic", "header", "trailing-bytes"],
+)
+def test_solution_load_refuses_a_bad_magic_header_or_tail(tmp_path, edit, message):
+    grid = build_grid(1.0, 2)
+    sol = Solution(Y=np.zeros((4, 3, 1)), Z=np.zeros((4, 2, 1, 1)), grid=grid)
+    target = tmp_path / "sol.bin"
+    dump_solution(sol, str(target))
+    target.write_bytes(edit(target.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        load_solution(str(target))
+
+
+def _nan_iterate(law_dependence, cloud, calls):
+    """A two-component spec of the given law dependence that counts its
+    driver calls, and a flat iterate with a NaN at interior node 4 of
+    ``cloud`` ("Y" or "Z")."""
+    def evaluate(t, y, law, stage):
+        calls.append(t)
+        return 0.0 * y  # a NaN in Y reaches the driver values
+
+    spec = GeneratorSpec(n=2, d=2, evaluate=evaluate, z_stage=_no_stage, law_dependence=law_dependence)
+    grid = build_grid(0.5, 8)
+    paths = sample_brownian(grid, 256, 2, seed=7)
+    iterate = Solution(
+        Y=np.repeat(np.tanh(paths.terminal())[:, None, :], 9, axis=1), Z=np.zeros((256, 8, 2, 2)), grid=grid
+    )
+    getattr(iterate, cloud)[3, 4, 1] = np.nan
+    return spec, iterate, paths
+
+
+@pytest.mark.parametrize("law_dependence, cloud", [("y_only", "Y"), ("joint", "Y"), ("joint", "Z")])
+def test_psi_map_refuses_a_non_finite_law_cloud_before_any_driver_call(law_dependence, cloud):
+    calls = []
+    spec, iterate, paths = _nan_iterate(law_dependence, cloud, calls)
+    with pytest.raises(MeasureError, match="cloud contains non-finite points"):
+        psi_map(spec, iterate, paths, ENGINE)
+    assert calls == []
+
+
+def test_psi_map_lets_a_law_free_driver_reach_the_kernels_node_check():
+    calls = []
+    spec, iterate, paths = _nan_iterate("none", "Y", calls)
+    with pytest.raises(SolverDivergence, match=r"non-finite Y at node 4 \(t=0.25\) in component 1"):
+        psi_map(spec, iterate, paths, ENGINE)
+    assert len(calls) == 5  # the terminal point and nodes 7 to 4

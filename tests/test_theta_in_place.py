@@ -17,7 +17,7 @@ import pytest
 from mfbsde import solvers
 from mfbsde.condexp import FactorTable, RegressionBasis, RegressionEngine
 from mfbsde.generators import CertificateConvex, fixture
-from mfbsde.measures import MeasureView, exp_moment, max_abs, sum_squares
+from mfbsde.measures import exp_moment, max_abs, sum_squares
 from mfbsde.paths import build_grid, sample_brownian
 from mfbsde.solvers import PicardStep, PicardTrace, Solution, SolverDivergence, SolverOptions, run_scheme, solve_theta
 
@@ -71,7 +71,7 @@ def _two_buffer_theta(spec, cert, terminal, paths, engine, opts=SolverOptions())
     # a table of its own, so the reference factors every node independently
     operators = FactorTable(engine.basis, [paths.brownian_at(k) for k in range(m + 1)])
     for it in range(1, opts.max_iter + 1):
-        driver = partial(solvers._own_rows, spec, y_prev, z_prev, (y_prev, z_prev, MeasureView.of_checked), 0)
+        driver = partial(solvers._own_rows, spec, y_prev, z_prev, (y_prev, z_prev), 0)
         y_new, z_new, c = solvers._backward(paths, driver, terminal, operators, opts, 0, m)
         clips += c
         step = _two_buffer_step(it, cert.gamma, y_new, y_prev, z_new, z_prev)
