@@ -236,6 +236,8 @@ def global_ode(cert: CertificateGlobal, n: int, horizon: float) -> GlobalConstan
     """
     if horizon <= 0:
         raise ConstantsError("horizon must be positive")
+    if n < 1:
+        raise ConstantsError("need at least one component")
     c = cert.M1**2 + cert.M3 + 3.0 * cert.L**2 + 2.0
     a = c * (2.0 * n + 1.0)
     b = n * c
@@ -246,8 +248,6 @@ def global_ode(cert: CertificateGlobal, n: int, horizon: float) -> GlobalConstan
         raise ConstantsError(
             f"envelope level kappa = eta(0) is not finite for C={c!r}, n={n!r}, T={horizon!r} (C(2n+1)T = {a * horizon:.6g})"
         )
-    if cert.M1**2 > n * c:
-        raise ConstantsError("terminal bound exceeds the envelope at T")
     window = local_window(kappa_local_certificate(cert, kappa, horizon), n)
     j1 = math.sqrt(kappa)
     g = cert.gamma

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .condexp import FactorTable
-from .constants import GlobalConstants, LocalConstants
+from .constants import GlobalConstants, m_const
 from .generators import CertificateLocal
 from .measures import ExpMoment, exp_moment, max_abs, sum_squares
 from .paths import require_grid
@@ -100,8 +100,6 @@ def john_nirenberg(z_values: np.ndarray, paths, engine, k_lo: int = 0) -> BoundR
 def check_apriori_local(
     sol,
     cert: CertificateLocal,
-    consts: LocalConstants,
-    n: int,
     input_sup: float,
     input_qv: float,
     paths,
@@ -111,11 +109,13 @@ def check_apriori_local(
 
     ``input_sup`` and ``input_qv`` are the sup norm of the frozen Y input
     and the squared BMO norm of the frozen Z input; at a Picard fixed point
-    these are the solution's own norms. Raises ``ValueError`` naming both
-    grids when the solution's grid is not the ensemble's.
+    these are the solution's own norms, and n is its component count.
+    Raises ``ValueError`` naming both grids when the solution's grid is not
+    the ensemble's.
     """
     require_grid(sol.grid, paths, "solution")
-    g, a = cert.gamma, cert.alpha
+    n, g, a = sol.components, cert.gamma, cert.alpha
+    m_nla = m_const(n, cert.lam, a)
     length = (sol.Y.shape[1] - 1) * sol.grid.dt
     psum = cert.psi(input_sup) + cert.psi0(input_sup)
     v_pow = input_qv ** (0.5 * (1.0 + a))
@@ -125,7 +125,7 @@ def check_apriori_local(
         + n * (cert.M1 + cert.M2)
         + n * psum * length
         + n * cert.gamma0 * v_pow * length ** (0.5 * (1.0 - a))
-        + n * g ** ((1.0 + a) / (1.0 - a)) * consts.m_nla * v_hi * length
+        + n * g ** ((1.0 + a) / (1.0 - a)) * m_nla * v_hi * length
     )
     y_obs = float(np.abs(sol.Y).max())
     z_obs = bmo_norm(sol.Z, paths, engine, k_lo=sol.k_lo) ** 2
@@ -134,7 +134,7 @@ def check_apriori_local(
         + 2.0 * cert.M2
         + 2.0 * psum * length
         + 2.0 * cert.gamma0 * v_pow * length ** (0.5 * (1.0 - a))
-        + 2.0 * consts.m_nla * v_hi * length
+        + 2.0 * m_nla * v_hi * length
     ) + (n / g**2) * math.exp(min(2.0 * g * cert.M1, 700.0))
     return [
         _compare("apriori_sup", y_obs, y_bound, MC_SLACK),

@@ -45,9 +45,11 @@ steps that the scheme's passes yield in a :class:`PicardTrace`, the one
 record of a solve, and stops at the scheme's threshold, on its divergence
 rule or after max_iter passes. A ``global`` record holds its windows'.
 
-Every solver and diagnostic reads the time grid from its ensemble,
-``paths.grid``, and every :class:`Solution` a solver builds carries that
-grid object.
+Each public call takes a fact once. Every solver and diagnostic reads the
+time grid from its ensemble, ``paths.grid``, and every :class:`Solution` a
+solver builds carries that grid object; :func:`psi_map` reads its window
+from its iterate, and :func:`solve_local` derives its window constants
+from its certificate.
 
 Every scheme takes its terminal through :func:`_terminal_block`: a terminal
 that is not (particles, n) raises ``ValueError``, and a non-finite one
@@ -62,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -86,7 +88,11 @@ from .generators import (
 from .measures import MeasureError, MeasureView, exp_moment, max_abs, sum_squares
 from .paths import PathEnsemble, TimeGrid, is_count, is_finite_real, require_grid
 
-NodeDriver = Callable[[int, float, np.ndarray], np.ndarray]
+
+class NodeDriver(Protocol):
+    """Driver values (N, n) at node k for Z (N, n, d); a head visit adds the node's Z stage."""
+
+    def __call__(self, k: int, t: float, z: np.ndarray, stage=None) -> np.ndarray: ...
 
 
 class SolverDivergence(RuntimeError):
@@ -328,7 +334,8 @@ def _backward(
     first calls get the stage as ``driver(k, t, z, stage)``. The result is
     bitwise equal to a run without ``head``. Returns (Y (N, K+1, n), Z (N, K, n, d), clip events) as views
     of node-major buffers; a one-node Z is the node's Z itself, uncopied.
-    The time grid is the ensemble's.
+    The time grid is the ensemble's. The caller checks that the range lies
+    inside it and that the terminal is (particles, n).
 
     ``into`` = (Y, Z, visit) runs the pass in place over the node-major
     (K+1, N, n) and (K, N, n, d) buffers of the iterate the driver reads, and
@@ -339,10 +346,7 @@ def _backward(
     terminal row) just before they overwrite the old ones.
     """
     grid = paths.grid
-    _require_range(k_lo, k_hi, grid.steps)
     n_part, n = terminal.shape
-    if n_part != paths.particles:
-        raise ValueError("terminal values must have one entry per particle")
     span, dt = k_hi - k_lo, grid.dt
     if into is None:
         y = np.empty((span + 1, n_part, n))
@@ -433,27 +437,33 @@ def psi_map(
     paths: PathEnsemble,
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
-    k_lo: int = 0,
-    k_hi: int | None = None,
     law_source: Solution | None = None,
 ) -> Solution:
-    """Frozen-coefficient map: one backward pass on nodes [k_lo, k_hi] from
-    the input iterate's node-k_hi values, in which component i has its own
-    Z row free while Y, the other rows and the law come from the input
+    """Frozen-coefficient map: one backward pass on the iterate's nodes
+    [k_lo, k_lo + span] from its last row, in which component i has its
+    own Z row free while Y, the other rows and the law come from the input
     iterate (the law from ``law_source`` when given) at the same node. Node
-    operators come from the ensemble's factor table. Raises ``MeasureError``
-    before the pass when a cloud the law views read is not finite.
+    operators come from the ensemble's factor table. Before any driver call
+    it raises ``ValueError``, naming both shapes, unless the window lies in
+    the ensemble's grid and the iterate and ``law_source`` are (particles,
+    span+1, n) and (particles, span, n, d) on its nodes of that grid, and
+    ``MeasureError`` when a cloud the law views read is not finite.
     """
-    if k_hi is None:
-        k_hi = paths.grid.steps
+    grid, k_lo, span = paths.grid, input_sol.k_lo, input_sol.Y.shape[1] - 1
+    _require_range(k_lo, k_lo + span, grid.steps)
+    want = (grid, k_lo, (paths.particles, span + 1, spec.n), (paths.particles, span, spec.n, paths.dimension))
     laws = law_source if law_source is not None else input_sol
+    for name, sol in (("iterate", input_sol), ("law source", laws)):
+        got = (sol.grid, sol.k_lo, sol.Y.shape, sol.Z.shape)
+        if got != want:
+            raise ValueError(f"{name} has grid, first node, Y and Z shapes {got}; expected {want}")
     read = {"none": (), "y_only": (laws.Y,), "joint": (laws.Y, laws.Z)}[spec.law_dependence]
-    if not all(np.isfinite(cloud[:, : k_hi - k_lo + 1]).all() for cloud in read):
+    if not all(np.isfinite(cloud).all() for cloud in read):
         raise MeasureError("cloud contains non-finite points")
     driver = partial(_own_rows, spec, input_sol.Y, input_sol.Z, (laws.Y, laws.Z), k_lo)
-    terminal = input_sol.Y[:, k_hi - k_lo, :]
-    y, z, clips = _backward(paths, driver, terminal, FactorTable.of(paths, engine.basis), opts, k_lo, k_hi)
-    return Solution(Y=y, Z=z, grid=paths.grid, k_lo=k_lo, clip_events=clips)
+    table = FactorTable.of(paths, engine.basis)
+    y, z, clips = _backward(paths, driver, input_sol.Y[:, span, :], table, opts, k_lo, k_lo + span)
+    return Solution(Y=y, Z=z, grid=grid, k_lo=k_lo, clip_events=clips)
 
 
 def solve_local(
@@ -465,12 +475,12 @@ def solve_local(
     opts: SolverOptions = SolverOptions(),
     k_lo: int = 0,
     k_hi: int | None = None,
-    consts=None,
 ) -> tuple[Solution, PicardTrace]:
     """Picard iteration of the frozen-coefficient map on one window.
 
     Starts from the flat terminal propagation with zero Z (plus any probe
-    offset), records ball membership against (K1, K2), and raises
+    offset), records ball membership against the radii (K1, K2) of
+    ``local_window(cert, n)``, and raises
     :class:`SolverDivergence` when the empirical ratios stop contracting.
     Every iteration is a :func:`psi_map` pass followed by
     ``law_refinements`` passes whose law comes from the previous pass, and
@@ -485,8 +495,7 @@ def solve_local(
     _require_range(k_lo, k_hi, grid.steps)
     span = k_hi - k_lo
     terminal = _terminal_block(terminal, paths.particles, spec.n, k_hi)
-    if consts is None:
-        consts = local_window(cert, spec.n)
+    consts = local_window(cert, spec.n)
     k1, k2 = consts.K1, consts.K2
     if opts.z_clip is None:
         clip = 4.0 * math.sqrt(k2) if math.isfinite(k2) else None
@@ -570,9 +579,10 @@ def solve_global(
     fails to contract is halved up to six times before giving up. Every
     window and retry takes its operators from the ensemble's factor table,
     so no retry factors a node again. Seam values are shared arrays, so
-    stitching is exact by construction. The returned record holds each
-    window's :func:`solve_local` trace with its ``halvings``; a divergence
-    carries the failing window's trace.
+    stitching is exact by construction. Each window is a :func:`solve_local`
+    of the kappa-level certificate, whose constants are the record's
+    ``constants.window``. The record holds each window's trace with its
+    ``halvings``; a divergence carries the failing window's trace.
     """
     grid = paths.grid
     gconsts = global_ode(cert, spec.n, grid.horizon)
@@ -583,7 +593,6 @@ def solve_global(
     cap = math.ceil(grid.horizon / gconsts.delta_kappa) + 6
     spw = max(spw, math.ceil(grid.steps / cap))
     local_cert = kappa_local_certificate(cert, gconsts.kappa, grid.horizon)
-    window_consts = gconsts.window
     n, d = spec.n, spec.d
     full_y = _by_particle(np.empty((grid.steps + 1, paths.particles, n)))
     full_z = _by_particle(np.empty((grid.steps, paths.particles, n, d)))
@@ -597,17 +606,7 @@ def solve_global(
         while True:
             k_lo = k_hi - size
             try:
-                sol, trace = solve_local(
-                    spec,
-                    local_cert,
-                    full_y[:, k_hi, :],
-                    paths,
-                    engine,
-                    opts,
-                    k_lo=k_lo,
-                    k_hi=k_hi,
-                    consts=window_consts,
-                )
+                sol, trace = solve_local(spec, local_cert, full_y[:, k_hi, :], paths, engine, opts, k_lo=k_lo, k_hi=k_hi)
                 break
             except SolverDivergence as exc:
                 exc.trace.halvings = halvings

@@ -184,13 +184,13 @@ def test_criterion_06_degenerate_window_ball_containment():
     term = bundle.terminal(paths)
     sol, trace = solve_local(
         bundle.spec, bundle.local, term, paths, ENGINE,
-        SolverOptions(tol=1e-8), consts=win,
+        SolverOptions(tol=1e-8),
     )
     in_sup = all(s.in_ball_sup for s in trace.steps)
     in_qv = all(s.in_ball_qv for s in trace.steps)
     last = trace.steps[-1]
     reports = check_apriori_local(
-        sol, bundle.local, win, bundle.spec.n,
+        sol, bundle.local,
         input_sup=last.max_abs_y, input_qv=last.qv_sq, paths=paths, engine=ENGINE,
     )
     ok = all(r.satisfied for r in reports)

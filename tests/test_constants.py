@@ -254,6 +254,20 @@ def test_global_ode_refuses_an_infinite_envelope_level():
             global_ode(cert, 2, 15.0)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_global_ode_without_an_inner_term_takes_j2_from_the_terminal_alone(n):
+    # with M3 = 0 the inner term 2 L J1 T underflows to 0 at L = 1e-200 and
+    # T = 1e-130, so J2 = 2n phi(gamma, M1) exactly; L = M3 = 0 gives no
+    # window (all window-equation coefficients vanish)
+    cert = CertificateGlobal(L=1e-200, gamma=1.0, M1=1.0, M3=0.0)
+    g = global_ode(cert, n, 1e-130)
+    assert 2.0 * cert.L * g.J1 * 1e-130 == 0.0
+    assert g.log_J2 == math.log(2.0 * n * phi(1.0, 1.0))
+    assert math.isfinite(g.J2) and g.J2 == pytest.approx(2.0 * n * (math.e - 2.0), rel=1e-15)
+    with pytest.raises(WindowEquationError, match="all window-equation coefficients vanish"):
+        global_ode(CertificateGlobal(L=0.0, gamma=1.0, M1=1.0, M3=0.0), n, 1.0)
+
+
 def test_an_overflowing_drift_bound_is_refused_not_dropped():
     # psi(K1) past float64 range used to drop the drift term from the window
     # equation, so a larger bound certified a longer window
@@ -312,11 +326,13 @@ def test_overflowing_certificate_raises_constants_error(build):
         (lambda: m_const(0, 1.0, 0.5), "need n >= 1 and lam >= 0"),
         (lambda: m_const(1, -1.0, 0.5), "need n >= 1 and lam >= 0"),
         (lambda: global_ode(CertificateGlobal(L=1.0, gamma=2.0, M1=1.0, M3=4.0), 2, 0.0), "horizon must be positive"),
+        (lambda: global_ode(CertificateGlobal(L=1.0, gamma=2.0, M1=1.0, M3=4.0), 0, 1.0), "need at least one component"),
+        (lambda: global_ode(CertificateGlobal(L=1.0, gamma=2.0, M1=1.0, M3=4.0), -1, 1.0), "need at least one component"),
         (lambda: theta_consts(-1.0, 1, 1.0), "need K >= 0, n >= 1, horizon > 0"),
         (lambda: theta_consts(1.0, 0, 1.0), "need K >= 0, n >= 1, horizon > 0"),
         (lambda: theta_consts(1.0, 1, 0.0), "need K >= 0, n >= 1, horizon > 0"),
     ],
-    ids=["m-alpha-1", "m-alpha-negative", "m-n-0", "m-lam-negative", "global-horizon-0", "theta-K", "theta-n", "theta-horizon"],
+    ids=["m-alpha-1", "m-alpha-negative", "m-n-0", "m-lam-negative", "global-horizon-0", "global-n-0", "global-n-negative", "theta-K", "theta-n", "theta-horizon"],
 )
 def test_constants_refuse_arguments_out_of_range(call, message):
     with pytest.raises(ConstantsError, match=message):

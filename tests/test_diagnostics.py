@@ -73,7 +73,7 @@ def test_apriori_reports_on_window_solve():
     sol, trace = solve_local(bundle.spec, bundle.local, term, paths, ENGINE, SolverOptions(tol=1e-8))
     last = trace.steps[-1]
     reports = check_apriori_local(
-        sol, bundle.local, win, bundle.spec.n,
+        sol, bundle.local,
         input_sup=last.max_abs_y, input_qv=last.qv_sq, paths=paths, engine=ENGINE,
     )
     names = {r.name for r in reports}
@@ -191,7 +191,7 @@ def test_apriori_refuses_a_solution_from_another_grid():
     sol, trace = solve_local(bundle.spec, bundle.local, bundle.terminal(paths), paths, ENGINE, SolverOptions(tol=1e-8))
     other = sample_brownian(build_grid(win.eps, 8), 256, 2, seed=5)
     with pytest.raises(ValueError) as exc:
-        check_apriori_local(sol, bundle.local, win, 2, 1.0, 1.0, paths=other, engine=ENGINE)
+        check_apriori_local(sol, bundle.local, 1.0, 1.0, paths=other, engine=ENGINE)
     assert repr(sol.grid) in str(exc.value) and repr(other.grid) in str(exc.value)
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from mfbsde import solvers
 from mfbsde.condexp import FactorTable, NodeOperator, RegressionBasis, RegressionEngine
-from mfbsde.constants import local_window
 from mfbsde.diagnostics import bmo_norm, check_apriori_local, john_nirenberg
 from mfbsde.generators import CertificateConvex, CertificateGlobal, GeneratorSpec, _no_stage, fixture, fixture_names
 from mfbsde.measures import MeasureError, MeasureView, exp_moment, sum_squares
@@ -70,11 +69,18 @@ def test_scalar_constant_driver_shifts_exactly():
 
 
 def test_scalar_range_validation():
+    # psi_map reads its window from its iterate: a full-span iterate placed
+    # from node 5 runs past the 8-step grid, and 8 particles are not 16
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 16, 1, seed=1)
-    with pytest.raises(ValueError, match=re.escape("bad node range [5, 3]")):
-        psi_map(_scalar_spec(), _flat_iterate(paths, np.ones(16)), paths, ENGINE, k_lo=5, k_hi=3)
-    with pytest.raises(ValueError, match="one entry per particle"):
+    with pytest.raises(ValueError, match=re.escape("bad node range [5, 13]")):
+        psi_map(_scalar_spec(), replace(_flat_iterate(paths, np.ones(16)), k_lo=5), paths, ENGINE)
+    grid_repr = "TimeGrid(horizon=1.0, steps=8)"
+    expected = (
+        f"iterate has grid, first node, Y and Z shapes ({grid_repr}, 0, (8, 9, 1), (8, 8, 1, 1)); "
+        f"expected ({grid_repr}, 0, (16, 9, 1), (16, 8, 1, 1))"
+    )
+    with pytest.raises(ValueError, match=re.escape(expected)):
         psi_map(_scalar_spec(), _flat_iterate(paths, np.ones(8)), paths, ENGINE)
 
 
@@ -449,7 +455,7 @@ def test_psi_map_matches_per_component_sweeps():
     z_in = 0.3 * rng.standard_normal((512, span, 2, 2))
     iterate = Solution(Y=y_in, Z=z_in, grid=grid, k_lo=k_lo)
     opts = SolverOptions()
-    out = psi_map(spec, iterate, paths, ENGINE, opts, k_lo, k_hi)
+    out = psi_map(spec, iterate, paths, ENGINE, opts)
     ref_y, ref_z = _per_component(spec, y_in, z_in, (y_in, z_in), terminal, paths, opts, k_lo, k_hi)
     _assert_rel_close(out.Y, ref_y)
     _assert_rel_close(out.Z, ref_z)
@@ -590,7 +596,7 @@ def test_psi_map_makes_one_driver_call_per_node():
     iterate = Solution(
         Y=np.repeat(terminal[:, None, :], 6, axis=1), Z=np.zeros((256, 5, 3, 3)), grid=grid, k_lo=k_lo
     )
-    psi_map(spec, iterate, paths, ENGINE, SolverOptions(), k_lo, k_hi)
+    psi_map(spec, iterate, paths, ENGINE, SolverOptions())
     assert calls == [(256, 3)] * (k_hi - k_lo + 1)
 
 
@@ -743,8 +749,7 @@ def test_a_solved_ensemble_factors_no_node_again(factor_calls):
     norm = bmo_norm(sol.Z, paths, ENGINE)
     john_nirenberg(sol.Z, paths, ENGINE)
     last = extras["report"].windows[-1].steps[-1]
-    consts = local_window(bundle.local, bundle.spec.n)
-    check_apriori_local(sol, bundle.local, consts, bundle.spec.n, last.max_abs_y, last.qv_sq, paths, ENGINE)
+    check_apriori_local(sol, bundle.local, last.max_abs_y, last.qv_sq, paths, ENGINE)
     rows = summarize_nodes(sol, paths, ENGINE)
     psi_map(bundle.spec, sol, paths, ENGINE)
     assert factor_calls == []
@@ -811,7 +816,7 @@ def test_non_finite_terminal_names_its_component():
     )
     iterate.Y[3, -1, 1] = np.nan
     with pytest.raises(SolverDivergence, match="non-finite Z at node 7 .* in component 1"):
-        psi_map(spec, iterate, paths, ENGINE, SolverOptions(), 4, 8)
+        psi_map(spec, iterate, paths, ENGINE, SolverOptions())
 
 
 def _solve_eq41_local(terminal, grid, paths):
@@ -988,9 +993,9 @@ def _reference_picard(spec, terminal, grid, paths, opts, k_lo, k_hi, iterations)
     current = Solution(Y=y.swapaxes(0, 1), Z=z.swapaxes(0, 1), grid=grid, k_lo=k_lo)
     dy_sup, dz_norm, qv_sq = [], [], []
     for _ in range(iterations):
-        out = psi_map(spec, current, paths, ENGINE, opts, k_lo, k_hi)
+        out = psi_map(spec, current, paths, ENGINE, opts)
         for _ in range(opts.law_refinements):
-            out = psi_map(spec, current, paths, ENGINE, opts, k_lo, k_hi, law_source=out)
+            out = psi_map(spec, current, paths, ENGINE, opts, law_source=out)
         dy_sup.append(float(np.abs(out.Y - current.Y).max()))
         dz_norm.append(solvers.bmo_norm(out.Z - current.Z, paths, ENGINE, k_lo=k_lo))
         qv_sq.append(solvers.bmo_norm(out.Z, paths, ENGINE, k_lo=k_lo) ** 2)
@@ -1358,3 +1363,79 @@ def test_psi_map_lets_a_law_free_driver_reach_the_kernels_node_check():
     with pytest.raises(SolverDivergence, match=r"non-finite Y at node 4 \(t=0.25\) in component 1"):
         psi_map(spec, iterate, paths, ENGINE)
     assert len(calls) == 5  # the terminal point and nodes 7 to 4
+
+
+def _window_iterate(paths, k_lo, k_hi, particles=None, n=2):
+    """An iterate on nodes [k_lo, k_hi] whose Y at node k is k in every
+    particle and component, with Z zero."""
+    particles = paths.particles if particles is None else particles
+    y = np.broadcast_to(np.arange(k_lo, k_hi + 1.0)[None, :, None], (particles, k_hi - k_lo + 1, n)).copy()
+    return Solution(Y=y, Z=np.zeros((particles, k_hi - k_lo, n, paths.dimension)), grid=paths.grid, k_lo=k_lo)
+
+
+def _counting_spec(calls):
+    """A two-component spec with a joint law whose zero driver counts its calls."""
+    def evaluate(t, y, law, stage):
+        calls.append(t)
+        return np.zeros(y.shape)
+
+    return GeneratorSpec(n=2, d=2, evaluate=evaluate, z_stage=_no_stage, law_dependence="joint")
+
+
+@pytest.mark.parametrize("k_lo", [0, 4])
+def test_psi_map_solves_from_its_iterates_last_row(k_lo):
+    # Y at node k is k, so a pass from any row but node 8's would give a
+    # terminal row other than 8.0
+    calls = []
+    paths = sample_brownian(build_grid(0.5, 8), 256, 2, seed=7)
+    out = psi_map(_counting_spec(calls), _window_iterate(paths, k_lo, 8), paths, ENGINE)
+    assert out.k_lo == k_lo and out.Y.shape == (256, 9 - k_lo, 2)
+    assert np.all(out.Y[:, -1] == 8.0) and len(calls) == 9 - k_lo
+
+
+# iterates (and law sources) that do not fit an 8-step ensemble of 256
+# particles with n = d = 2, from the ensemble, and the refusal each gets
+_GRID = "TimeGrid(horizon=0.5, steps=8)"
+_HAS = "has grid, first node, Y and Z shapes"
+_FITTING = f"({_GRID}, 4, (256, 5, 2), (256, 4, 2, 2))"
+_MISFITS = {
+    "past the grid": (
+        lambda p: (replace(_window_iterate(p, 0, 4), k_lo=6), None),
+        "bad node range [6, 10]",
+    ),
+    "law on other nodes": (
+        lambda p: (_window_iterate(p, 4, 8), _window_iterate(p, 3, 7)),
+        f"law source {_HAS} ({_GRID}, 3, (256, 5, 2), (256, 4, 2, 2)); expected {_FITTING}",
+    ),
+    "law of another span": (
+        lambda p: (_window_iterate(p, 4, 8), _window_iterate(p, 4, 7)),
+        f"law source {_HAS} ({_GRID}, 4, (256, 4, 2), (256, 3, 2, 2)); expected {_FITTING}",
+    ),
+    "law on another grid": (
+        lambda p: (_window_iterate(p, 4, 8), replace(_window_iterate(p, 4, 8), grid=build_grid(1.0, 8))),
+        f"law source {_HAS} (TimeGrid(horizon=1.0, steps=8), 4, (256, 5, 2), (256, 4, 2, 2)); expected {_FITTING}",
+    ),
+    "iterate on another grid": (
+        lambda p: (replace(_window_iterate(p, 4, 8), grid=build_grid(1.0, 8)), None),
+        f"iterate {_HAS} (TimeGrid(horizon=1.0, steps=8), 4, (256, 5, 2), (256, 4, 2, 2)); expected {_FITTING}",
+    ),
+    "particles": (
+        lambda p: (_window_iterate(p, 4, 8, particles=128), None),
+        f"iterate {_HAS} ({_GRID}, 4, (128, 5, 2), (128, 4, 2, 2)); expected {_FITTING}",
+    ),
+    "components": (
+        lambda p: (_window_iterate(p, 4, 8, n=3), None),
+        f"iterate {_HAS} ({_GRID}, 4, (256, 5, 3), (256, 4, 3, 2)); expected {_FITTING}",
+    ),
+}
+
+
+@pytest.mark.parametrize("misfit", list(_MISFITS))
+def test_psi_map_refuses_an_iterate_that_does_not_fit_before_any_driver_call(misfit):
+    calls = []
+    paths = sample_brownian(build_grid(0.5, 8), 256, 2, seed=7)
+    build, message = _MISFITS[misfit]
+    iterate, law_source = build(paths)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        psi_map(_counting_spec(calls), iterate, paths, ENGINE, law_source=law_source)
+    assert calls == []

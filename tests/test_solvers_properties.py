@@ -168,7 +168,5 @@ def test_global_windows_tile_the_grid_and_repeat_as_local_solves(seed, steps):
     assert _same_bits(sol.Y[:, steps], np.asarray(terminal, dtype=np.float64))
     first, consts = report.windows[0], report.constants
     cert = kappa_local_certificate(bundle.global_, consts.kappa, grid.horizon)
-    window, _ = solve_local(
-        bundle.spec, cert, sol.Y[:, steps], paths, ENGINE, k_lo=first.k_lo, k_hi=first.k_hi, consts=consts.window
-    )
+    window, _ = solve_local(bundle.spec, cert, sol.Y[:, steps], paths, ENGINE, k_lo=first.k_lo, k_hi=first.k_hi)
     assert _same_bits(window.Y, sol.Y[:, first.k_lo :]) and _same_bits(window.Z, sol.Z[:, first.k_lo :])
