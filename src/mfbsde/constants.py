@@ -65,13 +65,20 @@ def local_radii(cert: CertificateLocal, n: int) -> tuple[float, float]:
 def _radii_with_log(cert: CertificateLocal, n: int) -> tuple[float, float, float]:
     if n < 1:
         raise ConstantsError("need at least one component")
+    k1, log_k2 = _radii_at(cert, n)
+    if log_k2 == math.inf:
+        raise OverflowError("log K2 is inf")
+    return k1, log_k2, math.exp(log_k2) if log_k2 < _LOG_HUGE else math.inf
+
+
+def _radii_at(cert: CertificateLocal, n: int, y: float | None = None) -> tuple[float, float]:
+    """K1 and log K2(y) of :func:`estimate_terms`, at y = K1 unless given."""
     g = cert.gamma
     k1 = (2.0 * n / g) * math.log(2.0) + 2.0 * n * (cert.M1 + cert.M2)
-    log_t1 = math.log(2.0 * n / g**2) + 2.0 * g * cert.M1
-    log_t2 = math.log((2.0 * n / g) * (1.0 + 2.0 * cert.M2)) + 2.0 * g * k1
-    log_k2 = float(np.logaddexp(log_t1, log_t2))
-    k2 = math.exp(log_k2) if log_k2 < _LOG_HUGE else math.inf
-    return k1, log_k2, k2
+    # log(2n/g^2) by parts where g^2 leaves float64's normal range
+    log_c = math.log(2.0 * n / g**2) if 1e-154 < g < 1e154 else math.log(2.0 * n) - 2.0 * math.log(g)
+    log_t2 = math.log((2.0 * n / g) * (1.0 + 2.0 * cert.M2)) + 2.0 * g * (k1 if y is None else y)
+    return k1, float(np.logaddexp(log_c + 2.0 * g * cert.M1, log_t2))
 
 
 @dataclass(frozen=True)
@@ -128,45 +135,50 @@ def _solve_power_equation(log_lin: float, log_pow: float, s: float, rhs_log: flo
     return root, residual
 
 
+def estimate_terms(cert: CertificateLocal, n: int, sup: float, log_qv: float) -> tuple[float, float, float, float, float]:
+    """The two a-priori estimates of a frozen-coefficient solve. With a
+    frozen input of sup norm ``sup`` and squared BMO norm v = exp(``log_qv``),
+    the output of a window of length l has
+      y = sup |Y| <= K1/2 + n (c_sup l + b l^s),
+      ||Z||^2_BMO <= K2(y)/2 + (2n/g) exp(2 g y) (c_qv l + b l^s),
+    where s = (1-a)/2, b = g0 v^((1+a)/2), c_qv = psi(sup) + psi0(sup) +
+    M v^((1+a)/(1-a)) with M = m_const(n, lam, a), c_sup is c_qv with M
+    times g^((1+a)/(1-a)), K1 = (2n/g) log 2 + 2n (M1 + M2) and K2(y) =
+    (2n/g^2) exp(2 g M1) + (2n/g)(1 + 2 M2) exp(2 g y). The ball's radii are
+    K1 and K2 = K2(K1): :func:`local_window` finds the lengths at which the
+    estimates at (sup, v, y) = (K1, K2, K1) reach them, and
+    :func:`mfbsde.diagnostics.check_apriori_local` evaluates them. Returns
+    log c_sup, log c_qv, log b (-inf marks an absent term), s and M."""
+    a = cert.alpha
+    m_nla = m_const(n, cert.lam, a)
+    exp_hi = (1.0 + a) / (1.0 - a)
+    psi = float(cert.psi(sup)) + float(cert.psi0(sup))
+    log_drift = math.log(psi) if psi > 0.0 else -math.inf
+    log_quad = math.log(m_nla) + exp_hi * log_qv if m_nla > 0.0 else -math.inf
+    log_b = math.log(cert.gamma0) + 0.5 * (1.0 + a) * log_qv if cert.gamma0 > 0.0 else -math.inf
+    log_c_sup = float(np.logaddexp(log_drift, log_quad + exp_hi * math.log(cert.gamma)))
+    return log_c_sup, float(np.logaddexp(log_drift, log_quad)), log_b, (1.0 - a) / 2.0, m_nla
+
+
 @_overflow_is_bad_input
 def local_window(cert: CertificateLocal, n: int) -> LocalConstants:
-    """Certified window length: eps = min(x1, x2) from the two budgets.
-
-    x1 keeps the drift contribution inside K1/2, x2 keeps the quadratic
-    variation contribution inside K2/2. Divided by their front factors n
-    and 2, the budgets share the power term:
-
-      (psi+psi0)(K1) x1 + g0 K2^((1+a)/2) x1^((1-a)/2)
-          + g^((1+a)/(1-a)) M K2^((1+a)/(1-a)) x1 = K1 / 2n,
-      (psi+psi0)(K1) x2 + g0 K2^((1+a)/2) x2^((1-a)/2)
-          + M K2^((1+a)/(1-a)) x2 = (g K2 / 4n) exp(-2 g K1).
-
-    The second right side is (exp(2 g (M1 - K1)) / g + 1 + 2 M2) / 2, from
-    the two terms of K2, so no difference of large logs enters it.
-    """
-    a = cert.alpha
-    g = cert.gamma
+    """Certified window length eps = min(x1, x2), where the estimates of
+    :func:`estimate_terms` reach K1 and K2. The second reaches K2 where its
+    terms sum to (exp(2 g (M1 - K1)) / g + 1 + 2 M2) / 2, formed from the
+    two terms of K2 with no difference of large logs. Raises
+    :class:`ConstantsError` for n < 1 or constants beyond float64 range and
+    :class:`WindowEquationError` for a root float64 does not resolve."""
     k1, log_k2, k2 = _radii_with_log(cert, n)
-    mnla = m_const(n, cert.lam, a)
-    s = (1.0 - a) / 2.0
-    exp_hi = (1.0 + a) / (1.0 - a)
-    psi_k1 = float(cert.psi(k1)) + float(cert.psi0(k1))
-    # -inf marks an absent term
-    log_pow = math.log(cert.gamma0) + 0.5 * (1.0 + a) * log_k2 if cert.gamma0 > 0.0 else -math.inf
-    log_drift = math.log(psi_k1) if psi_k1 > 0.0 else -math.inf
-    log_quad = math.log(mnla) + exp_hi * log_k2 if mnla > 0.0 else -math.inf
-
-    log_lin1 = float(np.logaddexp(log_drift, log_quad + exp_hi * math.log(g)))
-    x1, res1 = _solve_power_equation(log_lin1, log_pow, s, math.log(k1 / (2.0 * n)))
-
+    log_c_sup, log_c_qv, log_b, s, m_nla = estimate_terms(cert, n, k1, log_k2)
+    x1, res1 = _solve_power_equation(log_c_sup, log_b, s, math.log(k1 / (2.0 * n)))
+    g = cert.gamma
     rhs2_log = float(np.logaddexp(2.0 * g * (cert.M1 - k1) - math.log(g), math.log1p(2.0 * cert.M2))) - math.log(2.0)
-    x2, res2 = _solve_power_equation(float(np.logaddexp(log_drift, log_quad)), log_pow, s, rhs2_log)
-
+    x2, res2 = _solve_power_equation(log_c_qv, log_b, s, rhs2_log)
     return LocalConstants(
         K1=k1,
         K2=k2,
         log_K2=log_k2,
-        m_nla=mnla,
+        m_nla=m_nla,
         x1=x1,
         x2=x2,
         eps=min(x1, x2),

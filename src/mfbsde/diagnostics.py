@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .condexp import FactorTable
-from .constants import GlobalConstants, m_const
+from .constants import GlobalConstants, _radii_at, estimate_terms
 from .generators import CertificateLocal
 from .measures import ExpMoment, exp_moment, max_abs, sum_squares
 from .paths import require_grid
@@ -35,7 +35,7 @@ class BoundReport:
 
 
 def _compare(name: str, observed: float, bound: float, slack: float, note: str = "") -> BoundReport:
-    ok = bool(observed <= bound * (1.0 + slack)) if math.isfinite(bound) else True
+    ok = bool(observed <= bound * (1.0 + slack))
     return BoundReport(name=name, observed=float(observed), bound=float(bound), satisfied=ok, slack=slack, note=note)
 
 
@@ -84,66 +84,49 @@ def john_nirenberg(z_values: np.ndarray, paths, engine, k_lo: int = 0) -> BoundR
     """
     norm = bmo_norm(z_values, paths, engine, k_lo=k_lo)
     if norm >= 1.0:
-        return BoundReport(
-            name="john_nirenberg",
-            observed=norm,
-            bound=math.inf,
-            satisfied=True,
-            note="skipped: BMO norm not below the unit threshold",
-        )
+        return _compare("john_nirenberg", norm, math.inf, 0.0, note="skipped: BMO norm not below the unit threshold")
     tails = _tail_sums(z_values, paths.grid.dt)
     observed = float(np.exp(tails).mean(axis=0).max())
     bound = 1.0 / (1.0 - norm**2)
     return _compare("john_nirenberg", observed, bound, MC_SLACK, note=f"bmo={norm:.6g}")
 
 
-def check_apriori_local(
-    sol,
-    cert: CertificateLocal,
-    input_sup: float,
-    input_qv: float,
-    paths,
-    engine,
-) -> list[BoundReport]:
-    """Sup and quadratic-variation bounds of the frozen-coefficient solve.
-
-    ``input_sup`` and ``input_qv`` are the sup norm of the frozen Y input
-    and the squared BMO norm of the frozen Z input; at a Picard fixed point
-    these are the solution's own norms, and n is its component count.
-    Raises ``ValueError`` naming both grids when the solution's grid is not
-    the ensemble's.
-    """
+def check_apriori_local(sol, cert: CertificateLocal, input_sup: float, input_qv: float, paths, engine) -> list[BoundReport]:
+    """Sup and quadratic-variation bounds of the frozen-coefficient solve:
+    the estimates of :func:`mfbsde.constants.estimate_terms` at the inputs
+    ``input_sup`` and ``input_qv``, the sup norm of the frozen Y input and
+    the squared BMO norm of the frozen Z input (at a Picard fixed point, the
+    solution's own), with n the solution's component count. A bound beyond
+    float64 range reads inf. Raises ``ValueError`` naming the value unless
+    both inputs are >= 0 (inf is allowed), and naming both grids when the
+    solution's grid is not the ensemble's."""
+    for name, value in (("input_sup", input_sup), ("input_qv", input_qv)):
+        if not value >= 0.0:
+            raise ValueError(f"{name} must be >= 0 (inf is allowed), got {value!r}")
     require_grid(sol.grid, paths, "solution")
-    n, g, a = sol.components, cert.gamma, cert.alpha
-    m_nla = m_const(n, cert.lam, a)
-    length = (sol.Y.shape[1] - 1) * sol.grid.dt
-    psum = cert.psi(input_sup) + cert.psi0(input_sup)
-    v_pow = input_qv ** (0.5 * (1.0 + a))
-    v_hi = input_qv ** ((1.0 + a) / (1.0 - a))
-    y_bound = (
-        (n / g) * math.log(2.0)
-        + n * (cert.M1 + cert.M2)
-        + n * psum * length
-        + n * cert.gamma0 * v_pow * length ** (0.5 * (1.0 - a))
-        + n * g ** ((1.0 + a) / (1.0 - a)) * m_nla * v_hi * length
-    )
+    n, g = sol.components, cert.gamma
+    log_c_sup, log_c_qv, log_b, s, _ = estimate_terms(cert, n, input_sup, math.log(input_qv) if input_qv > 0.0 else -math.inf)
     y_obs = float(np.abs(sol.Y).max())
     z_obs = bmo_norm(sol.Z, paths, engine, k_lo=sol.k_lo) ** 2
-    z_bound = (n / g) * math.exp(min(2.0 * g * y_obs, 700.0)) * (
-        1.0
-        + 2.0 * cert.M2
-        + 2.0 * psum * length
-        + 2.0 * cert.gamma0 * v_pow * length ** (0.5 * (1.0 - a))
-        + 2.0 * m_nla * v_hi * length
-    ) + (n / g**2) * math.exp(min(2.0 * g * cert.M1, 700.0))
-    return [
-        _compare("apriori_sup", y_obs, y_bound, MC_SLACK),
-        _compare("apriori_qv", z_obs, z_bound, MC_SLACK),
-    ]
+    log_len = math.log((sol.Y.shape[1] - 1) * sol.grid.dt)
+    # log(c l + b l^s) for c = c_sup and c = c_qv
+    log_sup, log_qv = (np.logaddexp(c + log_len, log_b + s * log_len) for c in (log_c_sup, log_c_qv))
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN in Y gives a NaN bound, which no report satisfies
+        k1, log_k2_y = _radii_at(cert, n, y_obs)
+        y_bound = k1 / 2.0 + n * np.exp(log_sup)
+        log_front = math.log(4.0 * n) - math.log(g) + 2.0 * g * y_obs  # log 2 (2n/g) exp(2 g y)
+        z_bound = np.exp(np.logaddexp(log_k2_y, log_front + log_qv)) / 2.0
+    return [_compare("apriori_sup", y_obs, y_bound, MC_SLACK), _compare("apriori_qv", z_obs, z_bound, MC_SLACK)]
 
 
 def check_envelope(sol, gconsts: GlobalConstants, n: int) -> list[BoundReport]:
-    """Componentwise envelope |Y^i_t|^2 <= eta(t)/n plus the kappa cap."""
+    """Componentwise envelope |Y^i_t|^2 <= eta(t)/n plus the kappa cap;
+    ``ValueError`` naming both values for an n or a horizon (of the
+    constants) that is not the solution's."""
+    if n != sol.Y.shape[2]:
+        raise ValueError(f"n = {n!r} is not the solution's component count {sol.Y.shape[2]}")
+    if gconsts.eta.horizon != sol.grid.horizon:
+        raise ValueError(f"constants for horizon {gconsts.eta.horizon!r} on a grid of horizon {sol.grid.horizon!r}")
     times = sol.grid.nodes[sol.k_lo : sol.k_lo + sol.Y.shape[1]]
     eta_vals = gconsts.eta(times) / n
     comp_sq = np.max(np.abs(sol.Y), axis=(0, 2)) ** 2  # per node, worst component

@@ -934,8 +934,8 @@ def load_solution(path: str) -> Solution:
     """Read a file written by :func:`dump_solution`, checking the header
     (at least one particle, component and noise dimension, the span inside
     the grid, a finite positive horizon) and that the payload holds exactly
-    the Y and Z it announces. The arrays are copied into node-major buffers,
-    as the solvers store them."""
+    the finite Y and Z it announces. The arrays are copied into node-major
+    buffers, as the solvers store them."""
     import struct
 
     with open(path, "rb") as fh:
@@ -960,6 +960,9 @@ def load_solution(path: str) -> Solution:
     if len(payload) > expected:
         raise ValueError(f"solution payload has {len(payload) - expected} bytes past the announced arrays")
     raw = np.frombuffer(payload, dtype="<f8")
+    for name, values in (("Y", raw[:y_count]), ("Z", raw[y_count:])):
+        if not np.isfinite(values).all():
+            raise ValueError(f"solution payload holds a non-finite {name} value")
     grid = TimeGrid(horizon=horizon, steps=steps)
     y = np.ascontiguousarray(_by_particle(raw[:y_count].reshape(n_part, span + 1, n)), dtype=np.float64)
     z = np.ascontiguousarray(_by_particle(raw[y_count:].reshape(n_part, span, n, d)), dtype=np.float64)

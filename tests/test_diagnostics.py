@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from mfbsde.condexp import RegressionBasis, RegressionEngine
 from mfbsde.constants import global_ode, local_window
 from mfbsde.diagnostics import (
+    MC_SLACK,
+    _compare,
     bmo_norm,
     bmo_profile,
     check_apriori_local,
@@ -14,9 +17,9 @@ from mfbsde.diagnostics import (
     john_nirenberg,
     theta_gap,
 )
-from mfbsde.generators import CertificateGlobal, fixture
+from mfbsde.generators import CertificateGlobal, CertificateLocal, fixture
 from mfbsde.paths import build_grid, sample_brownian
-from mfbsde.solvers import SolverOptions, solve_local
+from mfbsde.solvers import Solution, SolverOptions, solve_local
 
 ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
 
@@ -200,3 +203,60 @@ def test_theta_gap_refuses_a_theta_outside_the_open_unit_interval(theta):
     y = np.zeros((8, 3, 1))
     with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\)"):
         theta_gap(y, y, theta)
+
+
+def _one_step_solution(length, y_value, n, particles=16):
+    """A one-step solution of ``length`` with Y equal to ``y_value`` and Z
+    zero, and an ensemble on its grid."""
+    grid = build_grid(length, 1)
+    sol = Solution(Y=np.full((particles, 2, n), y_value), Z=np.zeros((particles, 1, n, 1)), grid=grid)
+    return sol, sample_brownian(grid, particles, 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "cert, input_qv",
+    [(fixture("remark31").local, 1e200), (CertificateLocal(gamma=1e200, lam=0.5, gamma0=0.1, alpha=0.5, M1=1.0, M2=0.0), 1.0)],
+    ids=["input_qv-1e200", "gamma-1e200"],
+)
+def test_apriori_bounds_beyond_float64_read_inf(cert, input_qv):
+    # both used to raise OverflowError; a RuntimeWarning fails the test
+    sol, paths = _one_step_solution(1e-3, 0.5, 2)
+    reports = check_apriori_local(sol, cert, 1.0, input_qv, paths, ENGINE)
+    assert [r.bound for r in reports] == [math.inf, math.inf]
+    assert all(r.satisfied for r in reports)
+
+
+@pytest.mark.parametrize(
+    "input_sup, input_qv, bad",
+    [(-1.0, 1.0, "input_sup"), (math.nan, 1.0, "input_sup"), (1.0, -1.0, "input_qv"), (1.0, math.nan, "input_qv"), (1.0, -math.inf, "input_qv")],
+)
+def test_apriori_refuses_a_negative_or_nan_input(input_sup, input_qv, bad):
+    # input_qv = -1 used to pass through complex powers to a satisfied
+    # report, and a NaN input to NaN bounds marked satisfied
+    sol, paths = _one_step_solution(1e-3, 0.5, 2)
+    value = input_sup if bad == "input_sup" else input_qv
+    with pytest.raises(ValueError, match=re.escape(f"{bad} must be >= 0 (inf is allowed), got {value!r}")):
+        check_apriori_local(sol, fixture("remark31").local, input_sup, input_qv, paths, ENGINE)
+
+
+def test_a_nan_bound_or_observation_is_never_satisfied():
+    assert not _compare("x", 1.0, math.nan, 0.0).satisfied
+    assert not _compare("x", math.nan, 1.0, MC_SLACK).satisfied
+    assert _compare("x", 1e300, math.inf, MC_SLACK).satisfied  # inf is no bound
+    # a NaN in Y made the quadratic-variation bound NaN, which was read as satisfied
+    sol, paths = _one_step_solution(1e-3, 0.5, 2)
+    sol.Y[3, 1, 0] = math.nan
+    sup, qv = check_apriori_local(sol, fixture("bounded_sine_mf", terminal="tanh").local, 1.0, 1.0, paths, ENGINE)
+    assert math.isnan(qv.bound) and not qv.satisfied
+    assert math.isnan(sup.observed) and not sup.satisfied
+
+
+def test_envelope_check_refuses_another_component_count_or_horizon():
+    # both used to report satisfied
+    cert = fixture("eq41", n=2).global_
+    sol = Solution(Y=np.full((16, 5, 2), 0.5), Z=np.zeros((16, 4, 2, 2)), grid=build_grid(1.0, 4))
+    assert all(r.satisfied for r in check_envelope(sol, global_ode(cert, 2, 1.0), 2))
+    with pytest.raises(ValueError, match=re.escape("n = 3 is not the solution's component count 2")):
+        check_envelope(sol, global_ode(cert, 2, 1.0), 3)
+    with pytest.raises(ValueError, match=re.escape("constants for horizon 5.0 on a grid of horizon 1.0")):
+        check_envelope(sol, global_ode(cert, 2, 5.0), 2)

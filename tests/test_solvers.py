@@ -440,6 +440,17 @@ def test_a_span_zero_solution_keeps_its_noise_dimension(tmp_path):
     assert back.Z.shape == (4, 0, 2, 3) and np.array_equal(back.Y, sol.Y)
 
 
+@pytest.mark.parametrize("array, index, value", [("Y", (1, 2, 0), np.nan), ("Z", (3, 0, 1, 2), -np.inf)])
+def test_solution_load_refuses_a_non_finite_payload(tmp_path, array, index, value):
+    # a dumped solution with one NaN used to load silently; the solvers
+    # never write a non-finite value
+    sol = Solution(Y=np.ones((4, 3, 2)), Z=np.zeros((4, 2, 2, 3)), grid=build_grid(1.0, 2))
+    getattr(sol, array)[index] = value
+    dump_solution(sol, str(tmp_path / "sol.bin"))
+    with pytest.raises(ValueError, match=f"non-finite {array} value"):
+        load_solution(str(tmp_path / "sol.bin"))
+
+
 def test_psi_map_matches_per_component_sweeps():
     # eq41 with n = 2: cross rows and the joint law both enter the driver
     bundle = fixture("eq41", n=2)
