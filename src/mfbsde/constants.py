@@ -45,13 +45,16 @@ def _overflow_is_bad_input(fn):
 
 
 def m_const(n: int, lam: float, alpha: float) -> float:
-    """Young-inequality constant ((1-a)/2) (1+a)^((1+a)/(1-a)) (n lam)^(2/(1-a))."""
+    """Young-inequality constant ((1-a)/2) (1+a)^((1+a)/(1-a)) (n lam)^(2/(1-a)), or inf."""
     if not 0 <= alpha < 1:
         raise ConstantsError("alpha must lie in [0, 1)")
     if n < 1 or lam < 0:
         raise ConstantsError("need n >= 1 and lam >= 0")
     a = float(alpha)
-    return ((1.0 - a) / 2.0) * (1.0 + a) ** ((1.0 + a) / (1.0 - a)) * (n * lam) ** (2.0 / (1.0 - a))
+    try:
+        return ((1.0 - a) / 2.0) * (1.0 + a) ** ((1.0 + a) / (1.0 - a)) * (n * lam) ** (2.0 / (1.0 - a))
+    except OverflowError:  # a power beyond float64 range
+        return math.inf
 
 
 @_overflow_is_bad_input
@@ -148,13 +151,13 @@ def estimate_terms(cert: CertificateLocal, n: int, sup: float, log_qv: float) ->
     K1 and K2 = K2(K1): :func:`local_window` finds the lengths at which the
     estimates at (sup, v, y) = (K1, K2, K1) reach them, and
     :func:`mfbsde.diagnostics.check_apriori_local` evaluates them. Returns
-    log c_sup, log c_qv, log b (-inf marks an absent term), s and M."""
+    log c_sup, log c_qv, log b (-inf marks an absent term), s and M (or inf)."""
     a = cert.alpha
     m_nla = m_const(n, cert.lam, a)
     exp_hi = (1.0 + a) / (1.0 - a)
     psi = float(cert.psi(sup)) + float(cert.psi0(sup))
     log_drift = math.log(psi) if psi > 0.0 else -math.inf
-    log_quad = math.log(m_nla) + exp_hi * log_qv if m_nla > 0.0 else -math.inf
+    log_quad = math.log(m_nla) + exp_hi * log_qv if m_nla > 0.0 and log_qv > -math.inf else -math.inf  # a zero v takes an inf M out
     log_b = math.log(cert.gamma0) + 0.5 * (1.0 + a) * log_qv if cert.gamma0 > 0.0 else -math.inf
     log_c_sup = float(np.logaddexp(log_drift, log_quad + exp_hi * math.log(cert.gamma)))
     return log_c_sup, float(np.logaddexp(log_drift, log_quad)), log_b, (1.0 - a) / 2.0, m_nla

@@ -98,11 +98,13 @@ def check_apriori_local(sol, cert: CertificateLocal, input_sup: float, input_qv:
     the squared BMO norm of the frozen Z input (at a Picard fixed point, the
     solution's own), with n the solution's component count. A bound beyond
     float64 range reads inf. Raises ``ValueError`` naming the value unless
-    both inputs are >= 0 (inf is allowed), and naming both grids when the
-    solution's grid is not the ensemble's."""
+    both inputs are >= 0 (inf is allowed), and naming the span or both grids
+    for a solution of no step or on a grid that is not the ensemble's."""
     for name, value in (("input_sup", input_sup), ("input_qv", input_qv)):
         if not value >= 0.0:
             raise ValueError(f"{name} must be >= 0 (inf is allowed), got {value!r}")
+    if sol.Z.shape[1] == 0:
+        raise ValueError(f"solution spans {sol.Z.shape[1]} steps from node {sol.k_lo}; the a-priori bounds need at least one")
     require_grid(sol.grid, paths, "solution")
     n, g = sol.components, cert.gamma
     log_c_sup, log_c_qv, log_b, s, _ = estimate_terms(cert, n, input_sup, math.log(input_qv) if input_qv > 0.0 else -math.inf)

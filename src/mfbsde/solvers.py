@@ -45,6 +45,12 @@ steps that the scheme's passes yield in a :class:`PicardTrace`, the one
 record of a solve, and stops at the scheme's threshold, on its divergence
 rule or after max_iter passes. A ``global`` record holds its windows'.
 
+A ``theta`` answer is checked once against the estimate exp(g |Y_t|) <=
+E_t exp(g |xi|) (Briand and Hu, PTRF 2006, Prop. 3), for K > 0 its form
+exp(g |Y^i_t|) <= E_t exp(g e^{K(T-t)} |xi^i| + g int_t^T (zeta + K W1(mu_s, d0)) e^{K(s-t)} ds);
+a node's log-mean excess above ``APRIORI_EXCESS`` = 0.5, net of
+``APRIORI_SPREAD`` = 8 standard errors of the terminal side, diverges.
+
 Each public call takes a fact once. Every solver and diagnostic reads the
 time grid from its ensemble, ``paths.grid``, and every :class:`Solution` a
 solver builds carries that grid object; :func:`psi_map` reads its window
@@ -85,7 +91,7 @@ from .generators import (
     GeneratorSpec,
     GSpec,
 )
-from .measures import MeasureError, MeasureView, exp_moment, max_abs, sum_squares
+from .measures import MeasureError, MeasureView, sum_squares
 from .paths import PathEnsemble, TimeGrid, is_count, is_finite_real, require_grid
 
 
@@ -169,9 +175,9 @@ class Solution:
 class PicardStep:
     iteration: int
     dy_sup: float
-    dz_norm: float
     combined: float
     max_abs_y: float
+    dz_norm: float | None = None
     qv_sq: float | None = None
     in_ball_sup: bool | None = None
     in_ball_qv: bool | None = None
@@ -180,9 +186,9 @@ class PicardStep:
 
 @dataclass
 class PicardTrace:
-    """The record of a solve on nodes [k_lo, k_hi]: its steps and whether
-    they converged. A ``global`` record has no steps; ``windows`` holds each
-    window's record with the ``halvings`` it took. It holds no arrays."""
+    """The record of a solve on nodes [k_lo, k_hi]: its steps, whether they
+    converged and a ``theta`` answer's ``apriori_excess``. A ``global`` record
+    has no steps; ``windows`` holds each window's record with the ``halvings`` it took. It holds no arrays."""
 
     steps: list[PicardStep] = field(default_factory=list)
     converged: bool = False
@@ -192,6 +198,7 @@ class PicardTrace:
     windows: list["PicardTrace"] = field(default_factory=list)
     constants: GlobalConstants | None = None
     terminal_feasible: bool | None = None
+    apriori_excess: float | None = None
 
     def differences(self) -> np.ndarray:
         return np.array([s.combined for s in self.steps])
@@ -342,8 +349,7 @@ def _backward(
     returns their views: node j is written only after the node's driver
     calls, and the terminal row after the terminal point's, so every frozen
     read sees the input iterate; the first fit reads ``terminal`` itself.
-    ``visit(j, y, z)`` gets each node's new values (z is None for the
-    terminal row) just before they overwrite the old ones.
+    ``visit(j, y)`` gets each node's new Y just before it overwrites the old.
     """
     grid = paths.grid
     n_part, n = terminal.shape
@@ -371,7 +377,7 @@ def _backward(
             if f_next is None:  # terminal quadrature point
                 f_next = driver(k + 1, grid.nodes[k + 1], z_k, *stage)
             if visit is not None and j + 1 == span:  # the terminal point has read the old row
-                visit(span, terminal, None)
+                visit(span, terminal)
                 y[span] = terminal
             f_here = driver(k, grid.nodes[k], z_k, *stage)
             for _ in range(opts.inner_sweeps - 1):
@@ -381,7 +387,7 @@ def _backward(
             y_k = fit_next + 0.5 * (f_here + f_next) * dt
         _check_finite(k, grid.nodes[k], Z=None if z_k is checked else z_k, Y=y_k)
         if visit is not None:
-            visit(j, y_k, z_k)
+            visit(j, y_k)
         y[j] = y_k
         y_next = y[j]
         if z is None:
@@ -633,70 +639,35 @@ def solve_global(
     return solution, report
 
 
-class _SweepMonitor:
-    """Sweep ``it``'s record, gathered node by node as the sweep overwrites
-    the node-major iterate Y (K+1, N, n), Z (K, N, n, d): the sup and
-    mean-square differences, max |Y|, and the log exponential moments of
-    gamma sup_t |Y_t| (q = 1, 2) and, from the second sweep, of the
-    theta = 1/2 interpolated difference.
+APRIORI_EXCESS = 0.5  # solve_theta refuses an answer whose a-priori excess is larger
+APRIORI_SPREAD = 8.0  # standard errors of the terminal side that the excess is net of
 
-    :meth:`visit` reduces one node's new values against the old ones it is
-    about to replace. Per-particle maxima of |Y_k|^2 get one square root at
-    the end, which equals the maximum of the norms bitwise, and the squared
-    Z differences are summed in increasing node order, so ``dz_norm``
-    matches the whole-array mean to rounding. A sweep that repeats the one
-    of monitor ``held`` bitwise is recorded without visits: no difference,
-    ``held``'s max |Y| and sup_t |Y_t|, and the theta difference of Y and Y.
 
-    A finite Y can be too large for these monitors (|Y|^2 overflows above
-    about 1e154); an overflowing monitor raises :class:`SolverDivergence`
-    naming the sweep.
-    """
+def _apriori_excess(y_nodes: np.ndarray, cert: CertificateConvex, zeta: float, grid: TimeGrid) -> tuple[float, str]:
+    """The largest excess of :func:`solve_theta`'s estimate, net of ``APRIORI_SPREAD`` standard errors of its
+    terminal side, over nodes k < M and components i of the node-major Y (M+1, N, n), whose row M is the
+    terminal, and where it is first reached; a non-finite side reads inf."""
+    g, rate, t, m = cert.gamma, cert.K, grid.nodes, grid.steps
 
-    theta = 0.5
+    # log mean exp(x) per column of x (N, n), NaN where x is not finite; with spread, its standard error sd(w) / (sqrt(N) mean(w))
+    def log_mean_exp(x, spread=False):
+        top = x.max(axis=0)
+        w = np.exp(x - top)
+        return top + np.log(w.mean(axis=0)), w.std(axis=0) / (math.sqrt(len(x)) * w.mean(axis=0)) if spread else None
 
-    def __init__(self, it: int, y: np.ndarray, z: np.ndarray, held: "_SweepMonitor | None" = None) -> None:
-        self.it, self._y, self._z = it, y, z
-        self.dy = self.max_y = 0.0
-        self._sup_sq = np.zeros(y.shape[1])  # per particle: max over nodes of |Y_k|^2
-        self._delta = np.zeros(y.shape[1])  # per particle: max over nodes of |Delta_k|
-        self._dz_sq = [0.0] * len(z)  # per node: squared Z difference
-        if held is not None:
-            self.max_y, self._sup_sq = held.max_y, held._sup_sq
-            for y_j in y:
-                np.maximum(self._delta, max_abs((y_j - self.theta * y_j) / (1.0 - self.theta)), out=self._delta)
-
-    def visit(self, j: int, y_new: np.ndarray, z_new: np.ndarray | None) -> None:
-        theta, prev = self.theta, self._y[j]
-        with np.errstate(over="ignore"):  # an overflow is reported by step() as divergence
-            if z_new is not None:
-                dz = (z_new - self._z[j]).ravel()
-                self._dz_sq[j] = float(np.dot(dz, dz))
-            self.dy = max(self.dy, float(np.abs(y_new - prev).max()))
-            self.max_y = max(self.max_y, float(np.abs(y_new).max()))
-            np.maximum(self._sup_sq, sum_squares(y_new), out=self._sup_sq)
-            if self.it >= 2:
-                np.maximum(self._delta, max_abs((y_new - theta * prev) / (1.0 - theta)), out=self._delta)
-
-    def step(self, gamma: float) -> PicardStep:
-        dz_sq = 0.0
-        for part in self._dz_sq:
-            dz_sq += part
-        with np.errstate(over="ignore"):
-            g_sup, g_delta = gamma * np.sqrt(self._sup_sq), gamma * self._delta  # the exponents' samples
-        if not np.isfinite([self.dy, dz_sq, g_sup.max(), g_delta.max()]).all():
-            raise SolverDivergence(f"sweep {self.it}: max |Y| = {self.max_y:.3g} overflows the sweep monitors")
-        monitors = {f"exp_sup_q{q}_log": exp_moment(g_sup, q=q).log_value for q in (1, 2)}
-        if self.it >= 2:
-            monitors["theta_delta_sup_log"] = exp_moment(g_delta, q=1).log_value
-        return PicardStep(
-            iteration=self.it,
-            dy_sup=self.dy,
-            dz_norm=math.sqrt(dz_sq / self._z.size),
-            combined=self.dy,
-            max_abs_y=self.max_y,
-            monitors=monitors,
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        # W1(mu_s, d0) = mean |Y_s|, by hypot: no square to overflow
+        level = zeta + rate * np.array([np.hypot.reduce(y, axis=1, initial=0.0).mean() if rate else 0.0 for y in y_nodes])
+        # int_{t_k}^T level e^{K (s - t_k)} ds: e^{-K t_k} times the tail sum of the trapezoids of level e^{K s}
+        weighted = level * np.exp(rate * t)
+        integral = np.cumsum((0.5 * grid.dt * (weighted[:-1] + weighted[1:]))[::-1])[::-1] * np.exp(-rate * t[:m])
+        scales = g * np.exp(rate * (grid.horizon - t[:m])) if rate else [g]  # at K = 0 one for all nodes
+        log_xi, se_xi = np.array([log_mean_exp(s * np.abs(y_nodes[m]), spread=True) for s in scales]).transpose(1, 0, 2)
+        log_y = np.array([log_mean_exp(g * np.abs(y))[0] for y in y_nodes[:m]])
+        table = log_y - log_xi - APRIORI_SPREAD * se_xi - g * integral[:, None]
+    table[np.isnan(table) | ~np.isfinite(integral)[:, None]] = math.inf
+    k, i = np.unravel_index(np.argmax(table), table.shape)
+    return float(table[k, i]), f"node {k} (t={t[k]:.6g}) in component {i}"
 
 
 def solve_theta(
@@ -711,13 +682,18 @@ def solve_theta(
     is one backward pass with Y, the other Z rows and the law frozen at
     sweep m's iterate. The solve holds one node-major iterate, and each
     sweep overwrites a node only after the node's frozen reads (see
-    :func:`_backward`). Each sweep records its exponential moments of the
-    path supremum and of the theta-interpolated difference (theta = 1/2).
-    Every sweep rebuilds each node's operator from the factor the
-    ensemble's factor table keeps. A scalar driver that reads no Y
-    (``spec.reads_y`` False) and no law freezes nothing, so later sweeps
-    repeat the first bitwise and run no kernel pass (:class:`_SweepMonitor`).
-    """
+    :func:`_backward`); its step records the sup difference of Y and max |Y|.
+    Every sweep rebuilds each node's operator from the factor the ensemble's
+    factor table keeps. A scalar driver that reads no Y (``spec.reads_y``
+    False) and no law freezes nothing, so later sweeps repeat the first
+    bitwise: they run no kernel pass, and keep the first's max |Y|.
+
+    The answer is checked once against the estimate of the certificate
+    (K, g), zeta = ``spec.zeta_level``, in its K > 0 form:
+    exp(g |Y^i_t|) <= E_t exp(g e^{K(T-t)} |xi^i| + g int_t^T (zeta + K W1(mu_s, d0)) e^{K(s-t)} ds).
+    The trace's ``apriori_excess`` is the worst log-mean excess of the left
+    side over the right, net of 8 standard errors of the right side's
+    sample; above 0.5 it raises :class:`SolverDivergence` naming its node."""
     grid = paths.grid
     terminal = _terminal_block(terminal, paths.particles, spec.n, grid.steps)
     n, d, m = spec.n, spec.d, grid.steps
@@ -731,15 +707,21 @@ def solve_theta(
     replay = spec.n == 1 and spec.law_dependence == "none" and not spec.reads_y
 
     def sweeps():
-        clips, monitor = 0, None
+        clips = 0
+
+        def visit(j, y_new):  # node j's new Y, before it overwrites the old
+            nonlocal dy, max_y
+            with np.errstate(over="ignore"):  # an overflowing difference reads inf
+                dy = max(dy, float(np.abs(y_new - y_nodes[j]).max()))
+            max_y = max(max_y, float(np.abs(y_new).max()))
+
         for it in range(1, opts.max_iter + 1):
-            held = monitor if replay and it >= 2 else None  # c stays the previous sweep's clip count
-            monitor = _SweepMonitor(it, y_nodes, z_nodes, held)
-            if held is None:
-                into = (y_nodes, z_nodes, monitor.visit)
-                _, _, c = _backward(paths, driver, terminal, operators, opts, 0, m, into=into)
+            dy = 0.0
+            if not (replay and it >= 2):  # a replay keeps c, the previous sweep's clip count, and its max |Y|
+                max_y = 0.0
+                _, _, c = _backward(paths, driver, terminal, operators, opts, 0, m, into=(y_nodes, z_nodes, visit))
             clips += c
-            yield monitor.step(cert.gamma), clips
+            yield PicardStep(iteration=it, dy_sup=dy, combined=dy, max_abs_y=max_y), clips
 
     def diverging(trace):
         d_all = trace.differences()
@@ -748,6 +730,9 @@ def solve_theta(
 
     trace = PicardTrace(k_hi=m)
     clips = _picard(sweeps(), trace, opts.tol, diverging, f"no convergence within {opts.max_iter} sweeps")
+    trace.apriori_excess, where = _apriori_excess(y_nodes, cert, spec.zeta_level, grid)
+    if trace.apriori_excess > APRIORI_EXCESS:
+        raise SolverDivergence(f"a-priori estimate broken at {where}: exponential-moment excess {trace.apriori_excess:.3g} > {APRIORI_EXCESS}", trace)
     return Solution(Y=y, Z=z, grid=grid, clip_events=clips), trace
 
 
@@ -806,14 +791,8 @@ def solve_volterra(
             diff = y_new - y_prev
             dy = float(np.abs(diff).max())
             weighted = float(np.mean(np.max(weights[None, :] * sum_squares(diff), axis=1)))
-            yield PicardStep(
-                iteration=it,
-                dy_sup=dy,
-                dz_norm=0.0,
-                combined=dy,
-                max_abs_y=float(np.abs(y_new).max()),
-                monitors={"weighted_sq": weighted},
-            ), y_new
+            max_y = float(np.abs(y_new).max())
+            yield PicardStep(iteration=it, dy_sup=dy, combined=dy, max_abs_y=max_y, monitors={"weighted_sq": weighted}), y_new
             y_prev = y_new
 
     trace = PicardTrace(k_hi=m)

@@ -453,13 +453,23 @@ def test_refine_refuses_a_bad_factor_before_any_solve(capsys, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("gamma", [20.0, 30.0])
-def test_overflowing_theta_monitors_exit_diverged(capsys, tmp_path, gamma):
-    # finite Y too large for the exponential-moment monitors is a divergence,
-    # not a bad config
+def test_a_finite_theta_blow_up_exits_diverged(capsys, tmp_path, gamma):
+    # a finite Y far beyond the a-priori estimate (max |Y| about 2e234 and
+    # 2e305) is a divergence, not a bad config
     cfg = write_config(tmp_path, params={"gamma": gamma, "terminal": "brownian"}, seed=4, solver={"tol": 1e-7})
     code, out, _ = run_cli(capsys, "solve", cfg)
     assert code == EXIT_DIVERGED
-    assert "overflows the sweep monitors" in json.loads(out)["error"]
+    assert json.loads(out)["error"].startswith("a-priori estimate broken at node 0 (t=0) in component 0: ")
+
+
+def test_theta_apriori_excess_refusal_exits_diverged(capsys, tmp_path):
+    # the sweeps converge to y0 = 9.56e81 against a closed form of 2.5; the
+    # parent exited 0 with that y0
+    cfg = write_config(tmp_path, params={"gamma": 5.0, "terminal": "brownian"}, seed=5)
+    code, out, _ = run_cli(capsys, "solve", cfg)
+    report = json.loads(out)
+    assert code == EXIT_DIVERGED and report["results"] == {"converged": False}
+    assert report["error"] == "a-priori estimate broken at node 0 (t=0) in component 0: exponential-moment excess 4.78e+82 > 0.5"
 
 
 def test_refine_on_a_diverging_solve_exits_diverged(capsys, tmp_path):
@@ -514,7 +524,7 @@ def test_verify_on_a_diverging_solve_exits_diverged(capsys, tmp_path):
     assert code == EXIT_DIVERGED
     report = json.loads(out)
     assert report["command"] == "verify" and report["results"] == {} and report["timings"] == {}
-    assert report["error"] == "sweep 1: max |Y| = 2.27e+175 overflows the sweep monitors"
+    assert report["error"] == "a-priori estimate broken at node 0 (t=0) in component 0: exponential-moment excess 9.08e+176 > 0.5"
     assert report["config"] == json.loads(open(cfg).read())
 
 

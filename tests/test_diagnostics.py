@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfbsde.condexp import RegressionBasis, RegressionEngine
-from mfbsde.constants import global_ode, local_window
+from mfbsde.constants import global_ode, local_window, m_const
 from mfbsde.diagnostics import (
     MC_SLACK,
     _compare,
@@ -224,6 +224,26 @@ def test_apriori_bounds_beyond_float64_read_inf(cert, input_qv):
     reports = check_apriori_local(sol, cert, 1.0, input_qv, paths, ENGINE)
     assert [r.bound for r in reports] == [math.inf, math.inf]
     assert all(r.satisfied for r in reports)
+
+
+def test_apriori_bounds_with_an_m_const_beyond_float64_read_inf():
+    # m_const's power used to raise a bare OverflowError; its finite values
+    # are the formula's, bitwise
+    assert m_const(1, 1e200, 0.0) == math.inf
+    assert m_const(2, 0.75, 1.0 / 3.0) == 1.9999999999999996
+    cert = CertificateLocal(gamma=1.0, lam=1e200, gamma0=0.1, alpha=0.0, M1=1.0, M2=0.0)
+    sol, paths = _one_step_solution(1e-3, 0.5, 2)
+    assert [r.bound for r in check_apriori_local(sol, cert, 1.0, 1.0, paths, ENGINE)] == [math.inf, math.inf]
+    # a zero QV input takes M's term out, so the bounds stay finite
+    assert all(math.isfinite(r.bound) for r in check_apriori_local(sol, cert, 1.0, 0.0, paths, ENGINE))
+
+
+def test_apriori_refuses_a_zero_span_solution():
+    # numpy's "zero-size array to reduction operation maximum" used to escape
+    grid = build_grid(1.0, 4)
+    sol = Solution(Y=np.full((8, 1, 1), 0.5), Z=np.zeros((8, 0, 1, 1)), grid=grid, k_lo=4)
+    with pytest.raises(ValueError, match=re.escape("solution spans 0 steps from node 4")):
+        check_apriori_local(sol, fixture("bounded_sine_mf", terminal="tanh").local, 1.0, 1.0, sample_brownian(grid, 8, 1, seed=0), ENGINE)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from mfbsde import solvers
 from mfbsde.condexp import FactorTable, NodeOperator, RegressionBasis, RegressionEngine
 from mfbsde.diagnostics import bmo_norm, check_apriori_local, john_nirenberg
 from mfbsde.generators import CertificateConvex, CertificateGlobal, GeneratorSpec, _no_stage, fixture, fixture_names
-from mfbsde.measures import MeasureError, MeasureView, exp_moment, sum_squares
+from mfbsde.measures import MeasureError, MeasureView
 from mfbsde.paths import build_grid, coarsen, sample_brownian
 from mfbsde.solvers import (
     Solution,
@@ -911,17 +911,13 @@ def test_csv_from_the_solve_factors_equals_fresh_factoring_bytewise(tmp_path, fa
     assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
-def _old_theta_monitors(y_new, y_prev, z_new, z_prev, gamma, it):
-    """The monitors as full-array expressions over particle-major copies."""
-    sup_y = np.max(np.sqrt(sum_squares(y_new)), axis=1)
-    monitors = {f"exp_sup_q{q}_log": exp_moment(gamma * sup_y, q=q).log_value for q in (1, 2)}
-    if it >= 2:
-        delta = np.max(np.abs((y_new - 0.5 * y_prev) / 0.5), axis=(1, 2))
-        monitors["theta_delta_sup_log"] = exp_moment(gamma * delta, q=1).log_value
-    return float(np.abs(y_new - y_prev).max()), float(np.abs(y_new).max()), monitors
+def _whole_array_record(y_new, y_prev):
+    """A sweep's sup difference and max |Y| as full-array expressions over
+    particle-major copies."""
+    return float(np.abs(y_new - y_prev).max()), float(np.abs(y_new).max())
 
 
-_MONITOR_CASES = pytest.mark.parametrize(
+_SWEEP_CASES = pytest.mark.parametrize(
     "name, params", [("linear_mf", {}), ("bounded_sine_mf", {"n": 2})], ids=["linear_mf", "bounded_sine_mf"]
 )
 
@@ -951,24 +947,14 @@ def _recorded_theta_sweeps(monkeypatch, bundle):
     return [(step, prev, new) for step, prev, new in zip(trace.steps, previous, iterates)]
 
 
-@_MONITOR_CASES
-def test_theta_node_by_node_monitors_equal_full_array_expressions_bitwise(monkeypatch, name, params):
+@_SWEEP_CASES
+def test_theta_node_by_node_sweep_record_equals_full_array_expressions_bitwise(monkeypatch, name, params):
+    # a theta sweep measures no Z difference and keeps no monitors
     bundle = fixture(name, **params)
-    for step, (y_prev, z_prev), (y_new, z_new) in _recorded_theta_sweeps(monkeypatch, bundle):
-        dy, max_y, monitors = _old_theta_monitors(y_new, y_prev, z_new, z_prev, bundle.convex.gamma, step.iteration)
-        assert (step.dy_sup, step.max_abs_y) == (dy, max_y)
-        assert step.monitors == monitors
-
-
-@_MONITOR_CASES
-def test_theta_node_by_node_dz_norm_matches_the_whole_array_mean(monkeypatch, name, params):
-    # summed node by node, so equal to the whole-array formula up to the
-    # summation order
-    bundle = fixture(name, **params)
-    for step, (_, z_prev), (_, z_new) in _recorded_theta_sweeps(monkeypatch, bundle):
-        whole = float(np.sqrt(np.mean((z_new - z_prev) ** 2)))
-        assert whole > 0.0
-        assert abs(step.dz_norm - whole) <= 1e-12 * whole
+    for step, (y_prev, _), (y_new, _) in _recorded_theta_sweeps(monkeypatch, bundle):
+        dy, max_y = _whole_array_record(y_new, y_prev)
+        assert (step.dy_sup, step.combined, step.max_abs_y) == (dy, dy, max_y)
+        assert step.dz_norm is None and step.monitors == {}
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 2)])
@@ -1148,15 +1134,109 @@ def test_global_window_projects_its_terminal_once(monkeypatch):
 
 
 @pytest.mark.parametrize("gamma", [20.0, 30.0])
-def test_overflowing_theta_monitors_raise_divergence_naming_the_sweep(gamma):
+def test_a_finite_theta_blow_up_raises_divergence_naming_the_node(gamma):
     # Y stays finite (max |Y| about 2e234 and 2e305) but |Y|^2 overflows, and
     # at gamma = 30 so does the squared Z difference; pytest turns the
     # overflow RuntimeWarning into an error, so none may escape
     bundle = fixture("pure_quadratic", gamma=gamma, terminal="brownian")
     grid = build_grid(1.0, 16)
     paths = sample_brownian(grid, 2**10, 1, seed=4)
-    with pytest.raises(SolverDivergence, match=r"sweep 1: max \|Y\| = .* overflows the sweep monitors"):
+    with pytest.raises(SolverDivergence, match=r"^a-priori estimate broken at node 0 \(t=0\) in component 0: .* > 0.5$"):
         solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), paths, ENGINE, SolverOptions(tol=1e-7))
+
+
+def _excess_by_formula(y, cert, zeta, grid):
+    """The (K, n) table of the a-priori excesses from whole-array
+    expressions: plain means of exponentials and np.trapezoid, with the
+    terminal side's standard error sd / (sqrt(N) mean) of its exponentials."""
+    g, rate, t = cert.gamma, cert.K, grid.nodes
+    xi = np.abs(y[:, -1])
+    level = zeta + rate * np.sqrt((y**2).sum(axis=2)).mean(axis=0)
+    table = np.empty((grid.steps, y.shape[2]))
+    for k in range(grid.steps):
+        integral = np.trapezoid(level[k:] * np.exp(rate * (t[k:] - t[k])), t[k:])
+        lhs = np.log(np.mean(np.exp(g * np.abs(y[:, k])), axis=0))
+        terminal = np.exp(g * np.exp(rate * (grid.horizon - t[k])) * xi)
+        se = terminal.std(axis=0) / (math.sqrt(len(y)) * terminal.mean(axis=0))
+        table[k] = lhs - np.log(terminal.mean(axis=0)) - solvers.APRIORI_SPREAD * se - g * integral
+    return table
+
+
+@pytest.mark.parametrize("K, zeta", [(0.0, 0.0), (0.0, 0.4), (0.7, 0.0), (0.7, 0.4)])
+def test_theta_apriori_excess_equals_its_whole_array_formula(K, zeta):
+    grid = build_grid(1.0, 8)
+    y = np.random.default_rng(3).normal(0.0, 1.0, (256, grid.steps + 1, 2))
+    cert = CertificateConvex(K=K, gamma=1.3)
+    table = _excess_by_formula(y, cert, zeta, grid)
+    excess, where = solvers._apriori_excess(y.swapaxes(0, 1), cert, zeta, grid)
+    assert excess == pytest.approx(table.max(), rel=1e-12, abs=1e-12)
+    k, i = np.unravel_index(np.argmax(table), table.shape)
+    assert where == f"node {k} (t={grid.nodes[k]:.6g}) in component {i}"
+
+
+def test_theta_apriori_excess_reads_inf_for_a_y_beyond_float64():
+    # g |Y| overflows at node 3 in component 1; no RuntimeWarning may escape
+    grid = build_grid(1.0, 4)
+    y = np.zeros((grid.steps + 1, 64, 2))
+    y[3, 5, 1] = 1e307
+    excess = solvers._apriori_excess(y, CertificateConvex(K=0.5, gamma=100.0), 0.0, grid)
+    assert excess == (math.inf, "node 3 (t=0.75) in component 1")
+
+
+def test_theta_apriori_excess_reads_a_mean_field_level_beyond_float64_squares():
+    # |Y|^2 overflows at node 3 but g |Y| does not: the level W1 = mean |Y|
+    # stays finite, so the node's excess is about g |Y| / N, not -inf
+    grid = build_grid(1.0, 4)
+    y = np.zeros((grid.steps + 1, 64, 2))
+    y[3, 5, 1] = 1e200
+    cert = CertificateConvex(K=0.5, gamma=1.0)
+    excess, where = solvers._apriori_excess(y, cert, 0.0, grid)
+    assert excess > 1e199 and where == "node 3 (t=0.75) in component 1"
+    # a level whose mean overflows reads inf on the nodes its integral reaches
+    y[3] = 1e307
+    assert solvers._apriori_excess(y, cert, 0.0, grid) == (math.inf, "node 0 (t=0) in component 0")
+
+
+@pytest.mark.parametrize("gamma, seed, refused", [(5.0, 2, False), (5.0, 6, True), (2.0, 5, True)])
+def test_theta_apriori_excess_allows_for_the_terminal_sampling_error(gamma, seed, refused):
+    # closed form y0 = gamma / 2: gamma = 5, seed 2 reads 2.56 (+2.4%) with a
+    # raw excess of 2.63, all of it the short sampled terminal moment (5.1
+    # standard errors); seed 6 reads 4.74 (+89%) and gamma = 2, seed 5 1.50 (+50%)
+    bundle = fixture("pure_quadratic", gamma=gamma, terminal="brownian")
+    paths = sample_brownian(build_grid(1.0, 16), 2**10, 1, seed=seed)
+    args = (bundle.spec, bundle.convex, bundle.terminal(paths), paths, ENGINE)
+    if refused:
+        with pytest.raises(SolverDivergence, match=r"^a-priori estimate broken at node [12] "):
+            solve_theta(*args)
+    else:
+        sol, trace = solve_theta(*args)
+        assert sol.y0()[0] == pytest.approx(gamma / 2.0, rel=0.03) and trace.apriori_excess <= solvers.APRIORI_EXCESS
+
+
+def test_theta_apriori_excess_refuses_the_gamma_5_blow_up():
+    # the sweeps converge to y0 = 9.56e81 against a closed form of 2.5
+    bundle = fixture("pure_quadratic", gamma=5.0, terminal="brownian")
+    paths = sample_brownian(build_grid(1.0, 16), 2**10, 1, seed=5)
+    with pytest.raises(SolverDivergence, match=r"^a-priori estimate broken at node 0 \(t=0\) in component 0: ") as info:
+        solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), paths, ENGINE)
+    trace = info.value.trace
+    assert trace.converged and trace.apriori_excess > 1e82
+    assert str(info.value).endswith(f"exponential-moment excess {trace.apriori_excess:.3g} > {solvers.APRIORI_EXCESS}")
+
+
+@pytest.mark.parametrize(
+    "scheme, name, params",
+    [("theta", "bounded_sine_mf", {"terminal": "tanh"}), ("local", "bounded_sine_mf", {"terminal": "tanh"}), ("volterra", "volterra_demo", {})],
+)
+def test_theta_apriori_excess_is_recorded_by_theta_alone(scheme, name, params):
+    grid = build_grid(1.0, 8)
+    bundle = fixture(name, **params)
+    paths = sample_brownian(grid, 1024, bundle.spec.d, seed=2)
+    _, trace, _ = run_scheme(bundle, scheme, grid, paths, ENGINE, SolverOptions(tol=1e-8))
+    if scheme == "theta":
+        assert -1.0 < trace.apriori_excess <= 0.0
+    else:
+        assert trace.apriori_excess is None
 
 
 # One grid per solve: every solver reads the grid from its ensemble, and

@@ -25,7 +25,16 @@ Global stitching: the windows of a ``global`` solve tile [0, T] backward
 from T, node K of the stitched Y is the terminal itself, and the window
 that ends at K, re-solved alone with ``solve_local``, gives the stitched
 Y and Z on its span bitwise.
+
+One discrete equation across schemes: ``theta`` and whole-grid ``local``
+run the same Picard map, one backward pass with Y, the other Z rows and
+the law frozen at the previous iterate, so on one ensemble they converge to
+one discrete solution. ``theta``, given ``local``'s Z clip, and ``local``
+agree to 10 times the Picard tolerance in Y and Z at every node.
 """
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,7 +52,7 @@ from mfbsde import (
     solve_local,
     solve_theta,
 )
-from mfbsde.constants import kappa_local_certificate
+from mfbsde.constants import kappa_local_certificate, local_window
 
 ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
 
@@ -170,3 +179,29 @@ def test_global_windows_tile_the_grid_and_repeat_as_local_solves(seed, steps):
     cert = kappa_local_certificate(bundle.global_, consts.kappa, grid.horizon)
     window, _ = solve_local(bundle.spec, cert, sol.Y[:, steps], paths, ENGINE, k_lo=first.k_lo, k_hi=first.k_hi)
     assert _same_bits(window.Y, sol.Y[:, first.k_lo :]) and _same_bits(window.Z, sol.Z[:, first.k_lo :])
+
+
+# fixtures with a local and a convex certificate: (name, params)
+_CROSS_SCHEME = {
+    "pure_quadratic": ("pure_quadratic", {"terminal": "tanh"}),
+    "linear_mf": ("linear_mf", {"terminal": "const"}),
+    "bounded_sine_mf": ("bounded_sine_mf", {"terminal": "tanh"}),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_CROSS_SCHEME))
+@pytest.mark.parametrize("steps", [8, 16])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_theta_and_whole_grid_local_agree_at_every_node(row, steps, seed):
+    name, params = _CROSS_SCHEME[row]
+    bundle = fixture(name, **params)
+    paths = sample_brownian(build_grid(1.0, steps), 1024, bundle.spec.d, seed=seed)
+    terminal = bundle.terminal(paths)
+    opts = SolverOptions(tol=1e-9, max_iter=60)
+    local, _ = solve_local(bundle.spec, bundle.local, terminal, paths, ENGINE, opts)
+    k2 = local_window(bundle.local, bundle.spec.n).K2
+    clip = 4.0 * math.sqrt(k2) if math.isfinite(k2) else None  # solve_local's own
+    theta, _ = solve_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE, replace(opts, z_clip=clip))
+    assert np.abs(theta.Y - local.Y).max() <= 10 * opts.tol
+    assert np.abs(theta.Z - local.Z).max() <= 10 * opts.tol

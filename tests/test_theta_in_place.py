@@ -1,12 +1,12 @@
 """A theta solve overwrites one (Y, Z) iterate in place. The reference here
 is the two-buffer loop it replaced: each sweep's kernel pass allocates a new
-iterate, and the sweep record is reduced from the new and the previous
-iterate after the pass. The in-place solve must equal it bitwise.
+iterate, the sweep record is reduced from the new and the previous iterate
+after the pass, and the a-priori excess from the last iterate. The in-place
+solve must equal it bitwise.
 
 A scalar driver that reads neither Y nor the law replays its sweeps from
 the second on instead of running the kernel again; the replayed solve must
 equal the same solve with the driver declared to read Y, bitwise."""
-import math
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -17,44 +17,19 @@ import pytest
 from mfbsde import solvers
 from mfbsde.condexp import FactorTable, RegressionBasis, RegressionEngine
 from mfbsde.generators import CertificateConvex, fixture
-from mfbsde.measures import exp_moment, max_abs, sum_squares
 from mfbsde.paths import build_grid, sample_brownian
 from mfbsde.solvers import PicardStep, PicardTrace, Solution, SolverDivergence, SolverOptions, run_scheme, solve_theta
 
 ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
 
 
-def _two_buffer_step(it, gamma, y_new, y_prev, z_new, z_prev):
-    theta = 0.5
+def _two_buffer_step(it, y_new, y_prev):
     dy = max_y = 0.0
-    sup_sq = np.zeros(len(y_new))
-    delta = np.zeros(len(y_new))
-    dz_sq = 0.0
     with np.errstate(over="ignore"):
-        for j in range(z_new.shape[1]):
-            dz_j = (z_new[:, j] - z_prev[:, j]).ravel()
-            dz_sq += float(np.dot(dz_j, dz_j))
         for j in range(y_new.shape[1]):
-            y_j, prev_j = y_new[:, j], y_prev[:, j]
-            dy = max(dy, float(np.abs(y_j - prev_j).max()))
-            max_y = max(max_y, float(np.abs(y_j).max()))
-            np.maximum(sup_sq, sum_squares(y_j), out=sup_sq)
-            if it >= 2:
-                np.maximum(delta, max_abs((y_j - theta * prev_j) / (1.0 - theta)), out=delta)
-        g_sup, g_delta = gamma * np.sqrt(sup_sq), gamma * delta
-    if not np.isfinite([dy, dz_sq, g_sup.max(), g_delta.max()]).all():
-        raise SolverDivergence(f"sweep {it}: max |Y| = {max_y:.3g} overflows the sweep monitors")
-    monitors = {f"exp_sup_q{q}_log": exp_moment(g_sup, q=q).log_value for q in (1, 2)}
-    if it >= 2:
-        monitors["theta_delta_sup_log"] = exp_moment(g_delta, q=1).log_value
-    return PicardStep(
-        iteration=it,
-        dy_sup=dy,
-        dz_norm=math.sqrt(dz_sq / z_new.size),
-        combined=dy,
-        max_abs_y=max_y,
-        monitors=monitors,
-    )
+            dy = max(dy, float(np.abs(y_new[:, j] - y_prev[:, j]).max()))
+            max_y = max(max_y, float(np.abs(y_new[:, j]).max()))
+    return PicardStep(iteration=it, dy_sup=dy, combined=dy, max_abs_y=max_y)
 
 
 def _two_buffer_theta(spec, cert, terminal, paths, engine, opts=SolverOptions()):
@@ -74,7 +49,7 @@ def _two_buffer_theta(spec, cert, terminal, paths, engine, opts=SolverOptions())
         driver = partial(solvers._own_rows, spec, y_prev, z_prev, (y_prev, z_prev), 0)
         y_new, z_new, c = solvers._backward(paths, driver, terminal, operators, opts, 0, m)
         clips += c
-        step = _two_buffer_step(it, cert.gamma, y_new, y_prev, z_new, z_prev)
+        step = _two_buffer_step(it, y_new, y_prev)
         trace.steps.append(step)
         converged = step.dy_sup <= opts.tol
         y_prev, z_prev = y_new, z_new
@@ -86,6 +61,7 @@ def _two_buffer_theta(spec, cert, terminal, paths, engine, opts=SolverOptions())
             raise SolverDivergence("Picard sweeps diverging", trace)
     if not trace.converged:
         raise SolverDivergence(f"no convergence within {opts.max_iter} sweeps", trace)
+    trace.apriori_excess = solvers._apriori_excess(y_prev.swapaxes(0, 1), cert, spec.zeta_level, grid)[0]
     return Solution(Y=y_prev, Z=z_prev, grid=grid, clip_events=clips), trace
 
 
@@ -95,6 +71,7 @@ def _assert_same_solve(got, ref):
     assert sol.clip_events == ref_sol.clip_events
     assert trace.converged == ref_trace.converged
     assert trace.steps == ref_trace.steps
+    assert trace.apriori_excess == ref_trace.apriori_excess
 
 
 # (fixture, fixture params, certificate or None for the fixture's, horizon, steps, particles, options)
@@ -136,17 +113,20 @@ def test_volterra_inner_in_place_theta_equals_the_two_buffer_loop_bitwise(monkey
     _assert_same_solve(got, ref)
 
 
-def test_in_place_theta_overflows_its_monitors_as_the_two_buffer_loop_does():
+def test_in_place_theta_refuses_the_blow_up_the_two_buffer_loop_reaches():
+    # max |Y| is about 2e234: the sweeps converge, and the a-priori check
+    # refuses the answer with the excess of the two-buffer loop's iterate
     bundle = fixture("pure_quadratic", gamma=20.0, terminal="brownian")
     paths = sample_brownian(build_grid(1.0, 16), 1024, 1, seed=4)
     terminal = bundle.terminal(paths)
     opts = SolverOptions(tol=1e-7)
-    errors = []
-    for solve in (solve_theta, _two_buffer_theta):
-        with pytest.raises(SolverDivergence, match="overflows the sweep monitors") as info:
-            solve(bundle.spec, bundle.convex, terminal, paths, ENGINE, opts)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
+    with pytest.raises(SolverDivergence, match="^a-priori estimate broken at node 0 ") as info:
+        solve_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE, opts)
+    _, ref_trace = _two_buffer_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE, opts)
+    trace = info.value.trace
+    assert trace.converged and trace.steps == ref_trace.steps
+    assert trace.apriori_excess == ref_trace.apriori_excess > 1e235
+    assert str(info.value).endswith(f"excess {ref_trace.apriori_excess:.3g} > 0.5")
 
 
 def test_theta_solve_holds_one_iterate():
