@@ -152,9 +152,10 @@ class GeneratorSpec:
     ``law_dependence`` is one of "joint" (needs Y and Z clouds), "y_only",
     or "none"; a driver reads only the law it declares. ``reads_y`` may be
     False only for a driver whose values are the same for every Y, bitwise,
-    as ``pure_quadratic``'s. ``zeta_level`` is the pointwise bound of the
-    absorbing process zeta_t used by growth audits; fixtures here model it
-    constant.
+    as ``pure_quadratic``'s: ``solve_theta`` settles each node of a driver
+    that reads no Y and no law in one iteration (with inner sweeps, if
+    n = 1). ``zeta_level`` is the pointwise bound of the absorbing process
+    zeta_t used by growth audits; fixtures here model it constant.
     """
 
     n: int

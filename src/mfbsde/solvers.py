@@ -21,9 +21,9 @@ components: the kernel's Z goes in as the own rows, and every other
 argument is frozen at the scheme's input iterate at the same node by
 :func:`_own_rows`, the package's one freezing policy:
 
-- ``theta``: Y, the other rows and the law come from the previous sweep,
-  the one iterate the solve holds, which the kernel overwrites node by node
-  after those reads.
+- ``theta``: Y is the node's last iterate, and the other rows and the law
+  are the node's latest Z and its (Y, Z) clouds, in the one iterate the
+  solve holds, where the kernel settles each node before the node below.
 - ``local`` and ``global``: Y, the other rows and the law come from the
   input iterate; during law refinements the law comes from the latest pass.
 
@@ -40,10 +40,12 @@ the QV iteration 1's. Iteration 1 starts from Z = 0, so its Z difference
 is its Z and takes its BMO norm from its QV. Every value is bitwise equal
 to a plain Picard loop over :func:`psi_map` and ``bmo_norm``.
 
-Every scheme iterates through one loop, :func:`_picard`: it records the
-steps that the scheme's passes yield in a :class:`PicardTrace`, the one
-record of a solve, and stops at the scheme's threshold, on its divergence
-rule or after max_iter passes. A ``global`` record holds its windows'.
+``local`` and ``volterra`` iterate whole passes through :func:`_picard`,
+which records each pass's step in a :class:`PicardTrace`, the one record of
+a solve, and stops at the scheme's threshold, on its divergence rule or
+after max_iter passes. ``theta``'s node iterations run inside one kernel
+pass, out of its reach, so ``solve_theta`` states that rule again per node,
+with max_iter per node. A ``global`` record holds its windows'.
 
 A ``theta`` answer is checked once against the estimate exp(g |Y_t|) <=
 E_t exp(g |xi|) (Briand and Hu, PTRF 2006, Prop. 3), for K > 0 its form
@@ -67,6 +69,7 @@ pass; so every law view is built over checked clouds without a scan.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -219,11 +222,11 @@ class PicardTrace:
 
 
 def _picard(passes, trace: PicardTrace, stop: float, diverging: Callable, exhausted: str):
-    """The one Picard loop: append the step of each (step, state) pair that
-    ``passes`` yields to ``trace``; return the state once a step's
-    ``combined`` is at most ``stop``. Any :class:`SolverDivergence` carries
-    the trace: the message ``diverging(trace)`` returns after a step, if
-    any, ``exhausted`` when the passes run out, or a pass's own."""
+    """The Picard loop over whole passes: append the step of each (step,
+    state) pair that ``passes`` yields to ``trace``; return the state once a
+    step's ``combined`` is at most ``stop``. Any :class:`SolverDivergence`
+    carries the trace: the message ``diverging(trace)`` returns after a
+    step, if any, ``exhausted`` when the passes run out, or a pass's own."""
     try:
         for step, state in passes:
             trace.steps.append(step)
@@ -323,7 +326,7 @@ def _backward(
     k_lo: int,
     k_hi: int,
     head: tuple | None = None,
-    into: tuple | None = None,
+    settle: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The backward kernel on nodes [k_lo, k_hi] for terminal values (N, n).
 
@@ -344,57 +347,62 @@ def _backward(
     The time grid is the ensemble's. The caller checks that the range lies
     inside it and that the terminal is (particles, n).
 
-    ``into`` = (Y, Z, visit) runs the pass in place over the node-major
-    (K+1, N, n) and (K, N, n, d) buffers of the iterate the driver reads, and
-    returns their views: node j is written only after the node's driver
-    calls, and the terminal row after the terminal point's, so every frozen
-    read sees the input iterate; the first fit reads ``terminal`` itself.
-    ``visit(j, y)`` gets each node's new Y just before it overwrites the old.
+    ``settle`` = (Y, Z, settled) runs the pass in the node-major (K+1, N, n)
+    and (K, N, n, d) buffers of the iterate the driver reads, and returns
+    their views. Node k's fit, Z and terminal point come once from the
+    settled Y_{k+1}; its Z is written first and its Y starts at Y_{k+1} +
+    init_offset, then the driver calls, the trapezoid and the finite check
+    repeat until ``settled(k, iteration, y_old, y_new)``; with inner sweeps
+    each iteration writes its refit Z, which the next iteration and the
+    terminal point, evaluated again, read. The node's last driver value is
+    the terminal-side value of the node below.
     """
     grid = paths.grid
     n_part, n = terminal.shape
     span, dt = k_hi - k_lo, grid.dt
-    if into is None:
+    if settle is None:
         y = np.empty((span + 1, n_part, n))
         z = np.empty((span, n_part, n, paths.dimension)) if span > 1 else None
-        y[span] = terminal
-        y_next, visit = y[span], None
+        settled = None
     else:
-        (y, z, visit), y_next = into, terminal
-    clips, f_next, checked = 0, None, None
+        y, z, settled = settle
+    y[span] = terminal
+    y_next = y[span]
+    clips, f_next = 0, None
     for k in range(k_hi - 1, k_lo - 1, -1):
-        j = k - k_lo
-        op = operators[k]
-        dw = paths.increments[:, k, :]
-        stage = ()
+        j, t = k - k_lo, grid.nodes[k]
+        op, dw, stage = operators[k], paths.increments[:, k, :], ()
         if k == k_hi - 1 and head is not None:
-            fit_next, z_k, clips, f_next, shared = head
-            stage, checked = (shared,), z_k
+            fit_next, z_fit, clips, f_next, shared = head
+            stage = (shared,)
         else:
-            fit_next, z_k, c = _node_fit(op, y_next, dw, dt, opts.z_clip)
+            fit_next, z_fit, c = _node_fit(op, y_next, dw, dt, opts.z_clip)
             clips += c
-        with np.errstate(over="ignore"):  # an overflow is caught below as non-finite Y or Z
-            if f_next is None:  # terminal quadrature point
-                f_next = driver(k + 1, grid.nodes[k + 1], z_k, *stage)
-            if visit is not None and j + 1 == span:  # the terminal point has read the old row
-                visit(span, terminal)
-                y[span] = terminal
-            f_here = driver(k, grid.nodes[k], z_k, *stage)
-            for _ in range(opts.inner_sweeps - 1):
-                _, z_k, c = _node_fit(op, y_next + 0.5 * (f_here + f_next) * dt, dw, dt, opts.z_clip)
-                clips += c
-                f_here = driver(k, grid.nodes[k], z_k)
-            y_k = fit_next + 0.5 * (f_here + f_next) * dt
-        _check_finite(k, grid.nodes[k], Z=None if z_k is checked else z_k, Y=y_k)
-        if visit is not None:
-            visit(j, y_k)
-        y[j] = y_k
-        y_next = y[j]
+            _check_finite(k, t, Z=z_fit)
+        if settled is not None:
+            z[j], y[j] = z_fit, y_next + opts.init_offset
+        for it in itertools.count(1):
+            with np.errstate(over="ignore"):  # an overflow is caught below as non-finite Y or Z
+                # the terminal point; with inner sweeps it reads the node's latest Z
+                if f_next is None or (k == k_hi - 1 and it > 1 and opts.inner_sweeps > 1):
+                    f_next = driver(k + 1, grid.nodes[k + 1], z_fit, *stage)
+                z_k = z_fit
+                f_here = driver(k, t, z_k, *stage)
+                for _ in range(opts.inner_sweeps - 1):
+                    _, z_k, c = _node_fit(op, y_next + 0.5 * (f_here + f_next) * dt, dw, dt, opts.z_clip)
+                    clips += c
+                    f_here = driver(k, t, z_k)
+                y_k = fit_next + 0.5 * (f_here + f_next) * dt
+            _check_finite(k, t, Z=None if z_k is z_fit else z_k, Y=y_k)
+            done = settled is None or settled(k, it, y[j], y_k)
+            y[j] = y_k
+            if z is not None and (settled is None or z_k is not z_fit):  # the next iteration reads refit rows
+                z[j] = z_k
+            if done:
+                break
+        y_next, f_next = y[j], f_here
         if z is None:
             z = z_k[None]
-        else:
-            z[j] = z_k
-        f_next = f_here
     return _by_particle(y), _by_particle(z), clips
 
 
@@ -678,15 +686,15 @@ def solve_theta(
     engine: RegressionEngine,
     opts: SolverOptions = SolverOptions(),
 ) -> tuple[Solution, PicardTrace]:
-    """Picard scheme for unbounded terminals, from the zero pair: sweep m+1
-    is one backward pass with Y, the other Z rows and the law frozen at
-    sweep m's iterate. The solve holds one node-major iterate, and each
-    sweep overwrites a node only after the node's frozen reads (see
-    :func:`_backward`); its step records the sup difference of Y and max |Y|.
-    Every sweep rebuilds each node's operator from the factor the ensemble's
-    factor table keeps. A scalar driver that reads no Y (``spec.reads_y``
-    False) and no law freezes nothing, so later sweeps repeat the first
-    bitwise: they run no kernel pass, and keep the first's max |Y|.
+    """Node-wise Picard scheme for unbounded terminals: one kernel pass
+    that settles each node before the node below (see :func:`_backward`),
+    iterating Y_k alone from Y_{k+1} + ``init_offset`` until two iterates
+    differ by at most tol. A driver that reads no Y (``spec.reads_y``
+    False) and no law sees only the node's Z fit, so each node takes one
+    iteration, recorded as 0 (with inner sweeps, if n = 1). The trace holds
+    each node's iterations, counted from 1, in visit order, with the sup
+    difference and max |Y_k|; a node whose last three differences rise past
+    1e3, or that is unsettled after ``max_iter``, raises :class:`SolverDivergence` naming it.
 
     The answer is checked once against the estimate of the certificate
     (K, g), zeta = ``spec.zeta_level``, in its K > 0 form:
@@ -696,40 +704,30 @@ def solve_theta(
     sample; above 0.5 it raises :class:`SolverDivergence` naming its node."""
     grid = paths.grid
     terminal = _terminal_block(terminal, paths.particles, spec.n, grid.steps)
-    n, d, m = spec.n, spec.d, grid.steps
-    y_nodes = np.zeros((m + 1, paths.particles, n))
-    z_nodes = np.zeros((m, paths.particles, n, d))
-    if opts.init_offset:
-        y_nodes += opts.init_offset
+    y_nodes = np.empty((grid.steps + 1, paths.particles, spec.n))
+    z_nodes = np.empty((grid.steps, paths.particles, spec.n, spec.d))
     y, z = _by_particle(y_nodes), _by_particle(z_nodes)
     driver = partial(_own_rows, spec, y, z, (y, z), 0)
-    operators = FactorTable.of(paths, engine.basis)
-    replay = spec.n == 1 and spec.law_dependence == "none" and not spec.reads_y
+    once = spec.law_dependence == "none" and not spec.reads_y and (spec.n == 1 or opts.inner_sweeps == 1)
+    trace = PicardTrace(k_hi=grid.steps)
 
-    def sweeps():
-        clips = 0
+    def settled(k, it, y_old, y_new):  # the stop rule of _picard, per node
+        with np.errstate(over="ignore"):  # an overflowing difference reads inf
+            dy = 0.0 if once else float(np.abs(y_new - y_old).max())
+        trace.steps.append(PicardStep(iteration=it, dy_sup=dy, combined=dy, max_abs_y=float(np.abs(y_new).max())))
+        last = [s.combined for s in trace.steps[-3:]]
+        diverging = it >= 4 and last[0] < last[1] < last[2] and last[2] > 1e3
+        if dy > opts.tol and (diverging or it == opts.max_iter):
+            failure = "Picard iterations diverging" if diverging else f"no convergence within {opts.max_iter} iterations"
+            raise SolverDivergence(f"{failure} at node {k} (t={grid.nodes[k]:.6g})", trace)
+        return dy <= opts.tol
 
-        def visit(j, y_new):  # node j's new Y, before it overwrites the old
-            nonlocal dy, max_y
-            with np.errstate(over="ignore"):  # an overflowing difference reads inf
-                dy = max(dy, float(np.abs(y_new - y_nodes[j]).max()))
-            max_y = max(max_y, float(np.abs(y_new).max()))
-
-        for it in range(1, opts.max_iter + 1):
-            dy = 0.0
-            if not (replay and it >= 2):  # a replay keeps c, the previous sweep's clip count, and its max |Y|
-                max_y = 0.0
-                _, _, c = _backward(paths, driver, terminal, operators, opts, 0, m, into=(y_nodes, z_nodes, visit))
-            clips += c
-            yield PicardStep(iteration=it, dy_sup=dy, combined=dy, max_abs_y=max_y), clips
-
-    def diverging(trace):
-        d_all = trace.differences()
-        if trace.iterations >= 4 and np.all(np.diff(d_all[-3:]) > 0) and d_all[-1] > 1e3:
-            return "Picard sweeps diverging"
-
-    trace = PicardTrace(k_hi=m)
-    clips = _picard(sweeps(), trace, opts.tol, diverging, f"no convergence within {opts.max_iter} sweeps")
+    try:
+        _, _, clips = _backward(paths, driver, terminal, FactorTable.of(paths, engine.basis), opts, 0, grid.steps, settle=(y_nodes, z_nodes, settled))
+    except SolverDivergence as exc:  # a non-finite node
+        exc.trace = exc.trace or trace
+        raise
+    trace.converged = True
     trace.apriori_excess, where = _apriori_excess(y_nodes, cert, spec.zeta_level, grid)
     if trace.apriori_excess > APRIORI_EXCESS:
         raise SolverDivergence(f"a-priori estimate broken at {where}: exponential-moment excess {trace.apriori_excess:.3g} > {APRIORI_EXCESS}", trace)

@@ -112,6 +112,16 @@ def test_divergence_exit_code(capsys, tmp_path):
     assert "error" in report
 
 
+def test_theta_divergence_error_names_its_node(capsys, tmp_path):
+    # each node may take max_iter iterations; the top node needs more than 2
+    cfg = write_config(tmp_path, fixture="linear_mf", params={}, solver={"max_iter": 2})
+    code, out, _ = run_cli(capsys, "solve", cfg)
+    assert code == EXIT_DIVERGED
+    report = json.loads(out)
+    assert report["results"] == {"converged": False}
+    assert report["error"] == "no convergence within 2 iterations at node 15 (t=0.9375)"
+
+
 def test_non_finite_solve_exits_diverged(capsys, tmp_path):
     # gamma = 80 overflows the quadratic driver; the kernel stops at the
     # first non-finite node instead of handing inf on as a bad config
@@ -463,7 +473,7 @@ def test_a_finite_theta_blow_up_exits_diverged(capsys, tmp_path, gamma):
 
 
 def test_theta_apriori_excess_refusal_exits_diverged(capsys, tmp_path):
-    # the sweeps converge to y0 = 9.56e81 against a closed form of 2.5; the
+    # the nodes settle at y0 = 9.56e81 against a closed form of 2.5; the
     # parent exited 0 with that y0
     cfg = write_config(tmp_path, params={"gamma": 5.0, "terminal": "brownian"}, seed=5)
     code, out, _ = run_cli(capsys, "solve", cfg)

@@ -18,6 +18,7 @@ def test_quick_start_runs_and_matches_its_comments():
     exec(compile(_quick_start(), str(README), "exec"), namespace)
     sol, grid, paths = namespace["sol"], namespace["grid"], namespace["paths"]
     assert abs(sol.y0()[0] - 0.5) <= 0.02 * 0.5  # "~0.507 (exact transform value: 0.5)"
+    assert namespace["trace"].iterations == grid.steps  # "64: one iteration per node"
     n = sol.components
     # "(particles, steps + 1, components)" and "(particles, steps, components, noise_dim)"
     assert sol.Y.shape == (paths.particles, grid.steps + 1, n)

@@ -103,15 +103,15 @@ def test_quadratic_initial_value():
     assert sol.y0()[0] == pytest.approx(0.5, abs=0.03)
 
 
-def test_theta_law_free_driver_converges_second_sweep():
-    # the driver reads neither Y nor the law, so sweep two reproduces
-    # sweep one bitwise and the difference is exactly zero
+def test_theta_law_free_driver_takes_one_iteration_per_node():
+    # the driver reads neither Y nor the law, so a node's second iteration
+    # would reproduce its first bitwise: each node takes one, recorded as 0
     bundle = fixture("pure_quadratic", gamma=1.0, terminal="brownian")
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 256, 1, seed=2)
     sol, trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions(tol=1e-12))
-    assert trace.iterations == 2
-    assert trace.steps[-1].dy_sup == 0.0
+    assert trace.iterations == grid.steps
+    assert all((s.iteration, s.dy_sup, s.combined) == (1, 0.0, 0.0) for s in trace.steps)
 
 
 def test_theta_linear_mean_field_value():
@@ -472,6 +472,58 @@ def test_psi_map_matches_per_component_sweeps():
     _assert_rel_close(out.Z, ref_z)
 
 
+def _per_component_node_wise(spec, terminal, paths, opts):
+    """theta's discrete equation solved node by node with one driver call,
+    fit and Z fit per component: node k fits E_k[Y_{k+1}] and Z_k once, its
+    rows clipped to z_clip, then iterates Y_k from Y_{k+1} + init_offset,
+    the driver reading Y_k's last iterate, Z_k in the other rows and the law
+    of (Y_k, Z_k), until two iterates differ by at most tol. Each extra
+    inner sweep refits the own rows from Y_{k+1} + (dt/2) (f_k + f_{k+1})
+    and calls the driver again; each iteration's own rows are the node's Z,
+    which the next iteration's other rows and law read, and so does the
+    terminal point, with Z_{K-1}'s fit as its own rows. The node's last
+    driver value is the terminal-side value of the node below."""
+    grid, n_part, n = paths.grid, paths.particles, spec.n
+    m, dt = grid.steps, grid.dt
+    y = np.empty((n_part, m + 1, n))
+    z = np.empty((n_part, m, n, spec.d))
+    y[:, m] = terminal
+    operators = FactorTable.of(paths, ENGINE.basis)
+
+    def fits(op, values, dw):
+        fit = np.column_stack([op.apply(values[:, i]) for i in range(n)])
+        rows = np.stack([op.apply((values[:, i] - fit[:, i])[:, None] * dw / dt) for i in range(n)], axis=1)
+        if opts.z_clip is not None:
+            norms = np.sqrt((rows**2).sum(axis=2, keepdims=True))
+            rows = rows * np.where(norms > opts.z_clip, opts.z_clip / norms, 1.0)
+        return fit, rows
+
+    def driver(j, t, own):
+        law = _law_reference(spec, y, z, j)
+        rows = z[:, min(j, m - 1)]
+        return np.column_stack([_frozen_full_driver(spec, i, y[:, j], rows, law, t, own[:, i]) for i in range(n)])
+
+    for k in range(m - 1, -1, -1):
+        op, dw, t = operators[k], paths.increments[:, k, :], grid.nodes[k]
+        fit, z_fit = fits(op, y[:, k + 1], dw)
+        z[:, k], y[:, k] = z_fit, y[:, k + 1] + opts.init_offset
+        for _ in range(opts.max_iter):
+            if k == m - 1:
+                f_next = driver(m, grid.nodes[m], z_fit)
+            own = z_fit
+            f_here = driver(k, t, own)
+            for _ in range(opts.inner_sweeps - 1):
+                _, own = fits(op, y[:, k + 1] + 0.5 * dt * (f_here + f_next), dw)
+                f_here = driver(k, t, own)
+            new = fit + 0.5 * dt * (f_here + f_next)
+            settled = np.abs(new - y[:, k]).max() <= opts.tol
+            y[:, k], z[:, k] = new, own
+            if settled:
+                break
+        f_next = f_here
+    return y, z
+
+
 def test_theta_matches_per_component_sweeps():
     bundle = fixture("bounded_sine_mf", n=2)
     spec = bundle.spec
@@ -480,35 +532,39 @@ def test_theta_matches_per_component_sweeps():
     terminal = bundle.terminal(paths)
     opts = SolverOptions(tol=1e-8)
     sol, trace = solve_theta(spec, bundle.convex, terminal, paths, ENGINE, opts)
-    assert trace.converged and trace.iterations >= 3
-    y_prev = np.zeros((512, grid.steps + 1, 2))
-    z_prev = np.zeros((512, grid.steps, 2, 2))
-    for _ in range(trace.iterations):
-        y_prev, z_prev = _per_component(
-            spec, y_prev, None, (y_prev, z_prev), terminal, paths, opts, 0, grid.steps
-        )
-    _assert_rel_close(sol.Y, y_prev)
-    _assert_rel_close(sol.Z, z_prev)
+    assert trace.converged and trace.iterations >= 3 * grid.steps
+    ref_y, ref_z = _per_component_node_wise(spec, terminal, paths, opts)
+    _assert_rel_close(sol.Y, ref_y)
+    _assert_rel_close(sol.Z, ref_z)
 
 
-def test_theta_freezes_the_other_rows_at_the_previous_sweep():
-    # eq41 reads the other rows, so freezing them at zero would differ by about 0.09
-    bundle = fixture("eq41", n=2)
-    spec = bundle.spec
-    grid = build_grid(0.1, 8)
+@pytest.mark.parametrize(
+    "name, horizon, options",
+    [
+        ("eq41", 0.1, {}),
+        ("bounded_sine_mf", 1.0, {"init_offset": 0.3}),
+        ("bounded_sine_mf", 1.0, {"z_clip": 0.5}),
+        ("eq41", 0.1, {"inner_sweeps": 2}),
+    ],
+    ids=["other_rows", "offset", "clip", "inner"],
+)
+def test_theta_matches_the_node_wise_reference(name, horizon, options):
+    # eq41 reads the other rows, so reading them as zero would differ by
+    # about 0.06; each node starts at the settled Y above plus the offset,
+    # clips its one Z fit, and refits its own rows in every iteration's
+    # inner sweep, which the next iteration's other rows and law read
+    bundle = fixture(name, n=2)
+    grid = build_grid(horizon, 8)
     paths = sample_brownian(grid, 512, 2, seed=34)
     terminal = bundle.terminal(paths)
-    opts = SolverOptions(tol=1e-8)
-    sol, trace = solve_theta(spec, CertificateConvex(K=1.0, gamma=2.0), terminal, paths, ENGINE, opts)
-    assert trace.converged and trace.iterations >= 3
-    y_prev = np.zeros((512, grid.steps + 1, 2))
-    z_prev = np.zeros((512, grid.steps, 2, 2))
-    for _ in range(trace.iterations):
-        y_prev, z_prev = _per_component(
-            spec, y_prev, z_prev, (y_prev, z_prev), terminal, paths, opts, 0, grid.steps
-        )
-    _assert_rel_close(sol.Y, y_prev)
-    _assert_rel_close(sol.Z, z_prev)
+    opts = SolverOptions(tol=1e-8, **options)
+    cert = bundle.convex or CertificateConvex(K=1.0, gamma=2.0)  # eq41 has no convex certificate
+    sol, trace = solve_theta(bundle.spec, cert, terminal, paths, ENGINE, opts)
+    assert trace.converged and trace.iterations >= 3 * grid.steps
+    assert (sol.clip_events > 0) == ("z_clip" in options)
+    ref_y, ref_z = _per_component_node_wise(bundle.spec, terminal, paths, opts)
+    _assert_rel_close(sol.Y, ref_y)
+    _assert_rel_close(sol.Z, ref_z)
 
 
 def _bad_terminal_calls():
@@ -670,8 +726,8 @@ def test_global_halves_a_failing_window_and_factors_each_node_once(monkeypatch, 
 
 @pytest.mark.parametrize("inner_sweeps", [1, 3])
 def test_theta_factors_each_node_once_per_solve(factor_calls, inner_sweeps):
-    # every sweep and inner sweep rebuilds a node's operator from the factor
-    # the solve keeps
+    # the solve factors each node once, however many iterations and inner
+    # sweeps the node takes
     bundle = fixture("pure_quadratic", gamma=1.0, terminal="brownian")
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 1024, 1, seed=5)
@@ -711,7 +767,8 @@ def test_theta_with_kept_factors_equals_fresh_factoring_bitwise(monkeypatch, fac
     factor_calls.clear()
     monkeypatch.setattr(solvers, "FactorTable", _FreshEachVisit)
     fresh, fresh_trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, opts)
-    assert len(factor_calls) == fresh_trace.iterations * grid.steps > grid.steps
+    # every node reads its operator once, however many iterations it takes
+    assert len(factor_calls) == grid.steps < fresh_trace.iterations
     for sol, trace in ((kept, kept_trace), (again, again_trace)):
         assert trace.steps == fresh_trace.steps
         assert np.array_equal(sol.Y, fresh.Y) and np.array_equal(sol.Z, fresh.Z)
@@ -911,50 +968,49 @@ def test_csv_from_the_solve_factors_equals_fresh_factoring_bytewise(tmp_path, fa
     assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
-def _whole_array_record(y_new, y_prev):
-    """A sweep's sup difference and max |Y| as full-array expressions over
-    particle-major copies."""
-    return float(np.abs(y_new - y_prev).max()), float(np.abs(y_new).max())
-
-
-_SWEEP_CASES = pytest.mark.parametrize(
-    "name, params", [("linear_mf", {}), ("bounded_sine_mf", {"n": 2})], ids=["linear_mf", "bounded_sine_mf"]
-)
-
-
-def _recorded_theta_sweeps(monkeypatch, bundle):
-    """A theta solve's sweep records, each with the iterate pair it was
-    computed from (previous and new, as particle-major copies). A sweep
-    overwrites the one iterate it reads, so the pair is copied before and
-    after each sweep."""
+def _recorded_theta_iterations(monkeypatch, bundle):
+    """A theta solve, with each node iteration's node and the iterate pair
+    (previous and new Y at the node) it was judged on, copied as the kernel
+    hands them over."""
     grid = build_grid(1.0, 8)
     paths = sample_brownian(grid, 1024, bundle.spec.d, seed=12)
-    previous, iterates = [], []
-    real_backward = solvers._backward
+    pairs, real_backward = [], solvers._backward
 
-    def particle_major(y_nodes, z_nodes):
-        return np.ascontiguousarray(y_nodes.swapaxes(0, 1)), np.ascontiguousarray(z_nodes.swapaxes(0, 1))
+    def recording(*args, settle):
+        y, z, settled = settle
 
-    def recording(*args, into):
-        previous.append(particle_major(*into[:2]))
-        y, z, clips = real_backward(*args, into=into)
-        iterates.append(particle_major(*into[:2]))
-        return y, z, clips
+        def judged(k, it, y_old, y_new):
+            pairs.append((k, y_old.copy(), y_new.copy()))
+            return settled(k, it, y_old, y_new)
+
+        return real_backward(*args, settle=(y, z, judged))
 
     monkeypatch.setattr(solvers, "_backward", recording)
-    _, trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions(tol=1e-10, max_iter=60))
-    assert trace.iterations == len(iterates) > 2
-    return [(step, prev, new) for step, prev, new in zip(trace.steps, previous, iterates)]
+    sol, trace, _ = run_scheme(bundle, "theta", grid, paths, ENGINE, SolverOptions(tol=1e-10, max_iter=60))
+    assert trace.iterations == len(pairs) > 2 * grid.steps
+    return sol, trace, pairs
 
 
-@_SWEEP_CASES
-def test_theta_node_by_node_sweep_record_equals_full_array_expressions_bitwise(monkeypatch, name, params):
-    # a theta sweep measures no Z difference and keeps no monitors
-    bundle = fixture(name, **params)
-    for step, (y_prev, _), (y_new, _) in _recorded_theta_sweeps(monkeypatch, bundle):
-        dy, max_y = _whole_array_record(y_new, y_prev)
+@pytest.mark.parametrize(
+    "name, params", [("linear_mf", {}), ("bounded_sine_mf", {"n": 2})], ids=["linear_mf", "bounded_sine_mf"]
+)
+def test_theta_trace_holds_each_nodes_iterations_in_visit_order(monkeypatch, name, params):
+    # a node's step records the sup difference and max |Y| of its iterate
+    # pair, measures no Z difference and keeps no monitors; its iterations
+    # count from 1, start at the settled Y of the node above and stop at tol
+    sol, trace, pairs = _recorded_theta_iterations(monkeypatch, fixture(name, **params))
+    nodes = [k for k, _, _ in pairs]
+    assert sorted(set(nodes), reverse=True) == list(dict.fromkeys(nodes)) == list(range(7, -1, -1))
+    for step, (k, y_old, y_new), previous in zip(trace.steps, pairs, [None] + pairs):
+        dy, max_y = float(np.abs(y_new - y_old).max()), float(np.abs(y_new).max())
         assert (step.dy_sup, step.combined, step.max_abs_y) == (dy, dy, max_y)
         assert step.dz_norm is None and step.monitors == {}
+        first = previous is None or previous[0] != k
+        assert (step.iteration == 1) == first
+        if first:
+            assert np.array_equal(y_old, sol.Y[:, k + 1])
+    last_of_node = [s for s, after in zip(trace.steps, trace.steps[1:] + [None]) if after is None or after.iteration == 1]
+    assert len(last_of_node) == 8 and all(s.combined <= 1e-10 for s in last_of_node)
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 2)])
@@ -1214,7 +1270,7 @@ def test_theta_apriori_excess_allows_for_the_terminal_sampling_error(gamma, seed
 
 
 def test_theta_apriori_excess_refuses_the_gamma_5_blow_up():
-    # the sweeps converge to y0 = 9.56e81 against a closed form of 2.5
+    # the nodes settle at y0 = 9.56e81 against a closed form of 2.5
     bundle = fixture("pure_quadratic", gamma=5.0, terminal="brownian")
     paths = sample_brownian(build_grid(1.0, 16), 2**10, 1, seed=5)
     with pytest.raises(SolverDivergence, match=r"^a-priori estimate broken at node 0 \(t=0\) in component 0: ") as info:
@@ -1320,22 +1376,25 @@ def test_local_ratio_rule_stops_an_expanding_window():
     assert exc.value.trace.iterations == 3
 
 
-def test_theta_stops_growing_sweep_differences():
+def test_theta_stops_growing_node_differences():
+    # 50 dt / 2 = 3.125: the top node's differences grow by that factor
+    # from 6.25 and stop at the first past 1e3, its sixth
     bundle, paths = _stiff_linear()
-    with pytest.raises(SolverDivergence, match="^Picard sweeps diverging$") as exc:
+    with pytest.raises(SolverDivergence, match=r"^Picard iterations diverging at node 7 \(t=0\.875\)$") as exc:
         run_scheme(bundle, "theta", paths.grid, paths, ENGINE)
     d = exc.value.trace.differences()
-    assert exc.value.trace.iterations == 4
-    assert np.all(np.diff(d[-3:]) > 0) and d[-1] > 1e3
+    assert [s.iteration for s in exc.value.trace.steps] == [1, 2, 3, 4, 5, 6]
+    assert np.all(np.diff(d[-3:]) > 0) and d[-2] < 1e3 < d[-1]
 
 
 def test_volterra_outer_loop_reports_its_own_failure():
-    # two sweeps converge the inner theta solve but not the outer loop
+    # two iterations per node converge the inner theta solve (its driver
+    # reads no Y and no law, so it takes one) but not the outer loop
     bundle = fixture("volterra_demo")
     paths = sample_brownian(build_grid(1.0, 8), 256, 1, seed=4)
     opts = SolverOptions(max_iter=2)
     _, inner = solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), paths, ENGINE, opts)
-    assert inner.converged and inner.iterations == 2
+    assert inner.converged and inner.iterations == paths.grid.steps
     with pytest.raises(SolverDivergence, match="^outer sweeps did not converge within 2$") as exc:
         run_scheme(bundle, "volterra", paths.grid, paths, ENGINE, opts)
     assert exc.value.trace.iterations == 2 and not exc.value.trace.converged

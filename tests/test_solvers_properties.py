@@ -26,11 +26,21 @@ from T, node K of the stitched Y is the terminal itself, and the window
 that ends at K, re-solved alone with ``solve_local``, gives the stitched
 Y and Z on its span bitwise.
 
-One discrete equation across schemes: ``theta`` and whole-grid ``local``
-run the same Picard map, one backward pass with Y, the other Z rows and
-the law frozen at the previous iterate, so on one ensemble they converge to
-one discrete solution. ``theta``, given ``local``'s Z clip, and ``local``
-agree to 10 times the Picard tolerance in Y and Z at every node.
+One discrete equation across schemes: whole-grid ``local`` iterates one
+backward pass with Y, the other Z rows and the law frozen at the previous
+iterate, and ``theta`` settles each node before the node below, so on one
+ensemble both converge to one discrete solution. ``theta``, given
+``local``'s Z clip, and ``local`` agree to 10 times the Picard tolerance in
+Y and Z at every node. So do they with a second inner sweep on eq41, whose
+driver reads the other Z rows and the joint law: there each of ``theta``'s
+node iterations reads the node's latest refit Z.
+
+The discrete equation itself: a ``theta`` answer solves, at every node k,
+Y_k = E_k[Y_{k+1}] + (dt/2) (f(t_k, Y_k, Z_k) + f(t_{k+1}, Y_{k+1}, Z_{k+1}))
+with Z_k = E_k[(Y_{k+1} - E_k[Y_{k+1}]) dW_k^T] / dt, each law that of the
+node's own (Y, Z) clouds, and the terminal point's Z that of node K - 1.
+Recomputed from the answer alone through the ensemble's factor table, the
+residual is at most twice the Picard tolerance.
 """
 import math
 from dataclasses import replace
@@ -41,6 +51,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfbsde import (
+    CertificateConvex,
     PathEnsemble,
     RegressionBasis,
     RegressionEngine,
@@ -52,7 +63,9 @@ from mfbsde import (
     solve_local,
     solve_theta,
 )
+from mfbsde.condexp import FactorTable
 from mfbsde.constants import kappa_local_certificate, local_window
+from mfbsde.measures import MeasureView
 
 ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
 
@@ -205,3 +218,55 @@ def test_theta_and_whole_grid_local_agree_at_every_node(row, steps, seed):
     theta, _ = solve_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE, replace(opts, z_clip=clip))
     assert np.abs(theta.Y - local.Y).max() <= 10 * opts.tol
     assert np.abs(theta.Z - local.Z).max() <= 10 * opts.tol
+
+
+@pytest.mark.parametrize("steps", [8, 16])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_theta_and_whole_grid_local_agree_with_inner_sweeps(steps, seed):
+    # eq41 reads the other rows and the joint law of (Y, Z), so with a
+    # second inner sweep both must read the node's refit Z, as local's
+    # previous iterate does at its fixed point; eq41 has no convex
+    # certificate, and theta's iteration does not read one
+    bundle = fixture("eq41", n=2)
+    paths = sample_brownian(build_grid(0.1, steps), 1024, 2, seed=seed)
+    terminal = bundle.terminal(paths)
+    opts = SolverOptions(tol=1e-9, max_iter=60, inner_sweeps=2)
+    local, _ = solve_local(bundle.spec, bundle.local, terminal, paths, ENGINE, opts)
+    k2 = local_window(bundle.local, bundle.spec.n).K2
+    stand_in = CertificateConvex(K=1.0, gamma=2.0)
+    theta, _ = solve_theta(bundle.spec, stand_in, terminal, paths, ENGINE, replace(opts, z_clip=4.0 * math.sqrt(k2)))
+    assert np.abs(theta.Y - local.Y).max() <= 10 * opts.tol
+    assert np.abs(theta.Z - local.Z).max() <= 10 * opts.tol
+
+
+def _driver_at(spec, t, y, z):
+    """The full driver at one node of an answer: Y (N, n), Z (N, n, d) and
+    the law of those clouds that the spec declares."""
+    law = {"none": None, "y_only": MeasureView(y), "joint": MeasureView(y, z)}[spec.law_dependence]
+    return spec(t, y, z, law)
+
+
+@pytest.mark.parametrize("row", sorted(_CROSS_SCHEME))
+@pytest.mark.parametrize("steps", [8, 16])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_theta_answer_solves_its_discrete_equation_at_every_node(row, steps, seed):
+    name, params = _CROSS_SCHEME[row]
+    bundle = fixture(name, **params)
+    grid = build_grid(1.0, steps)
+    paths = sample_brownian(grid, 1024, bundle.spec.d, seed=seed)
+    opts = SolverOptions(tol=1e-9, max_iter=60)
+    sol, _ = solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), paths, ENGINE, opts)
+    table, n_part, dt = FactorTable.of(paths, ENGINE.basis), paths.particles, grid.dt
+    z_next = None
+    for k in range(steps - 1, -1, -1):
+        op, y_next = table[k], sol.Y[:, k + 1]
+        fit = op.apply(y_next)
+        products = np.einsum("ni,nd->nid", y_next - fit, paths.increments[:, k, :]) / dt
+        z = op.apply(products.reshape(n_part, -1)).reshape(sol.Z[:, k].shape)
+        # the terminal point reads node K - 1's Z
+        f_next = _driver_at(bundle.spec, grid.nodes[k + 1], y_next, z if z_next is None else z_next)
+        f_here = _driver_at(bundle.spec, grid.nodes[k], sol.Y[:, k], z)
+        assert np.abs(sol.Y[:, k] - fit - 0.5 * dt * (f_here + f_next)).max() <= 2 * opts.tol
+        z_next = z

@@ -1,149 +1,49 @@
-"""A theta solve overwrites one (Y, Z) iterate in place. The reference here
-is the two-buffer loop it replaced: each sweep's kernel pass allocates a new
-iterate, the sweep record is reduced from the new and the previous iterate
-after the pass, and the a-priori excess from the last iterate. The in-place
-solve must equal it bitwise.
+"""A theta solve settles each node in one (Y, Z) iterate before the node
+below: node k fits its Z once and iterates only its Y.
 
-A scalar driver that reads neither Y nor the law replays its sweeps from
-the second on instead of running the kernel again; the replayed solve must
-equal the same solve with the driver declared to read Y, bitwise."""
+The node rule: a node whose driver reads neither Y nor the law sees only
+its own settled Z, in its own and in the other rows, so its first iterate is
+its fixed point. It takes one iteration, recorded with a difference of 0,
+and its answer must equal bitwise the same solve with the driver declared to
+read Y, which confirms each node with a second iteration. With more than one
+inner sweep the other rows read the node's refit own rows, so there the rule
+holds for n = 1 alone."""
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
 
 from mfbsde import solvers
-from mfbsde.condexp import FactorTable, RegressionBasis, RegressionEngine
-from mfbsde.generators import CertificateConvex, fixture
+from mfbsde.condexp import RegressionBasis, RegressionEngine
+from mfbsde.generators import CertificateConvex, GeneratorSpec, fixture
+from mfbsde.measures import sum_squares
 from mfbsde.paths import build_grid, sample_brownian
-from mfbsde.solvers import PicardStep, PicardTrace, Solution, SolverDivergence, SolverOptions, run_scheme, solve_theta
+from mfbsde.solvers import SolverDivergence, SolverOptions, solve_theta
 
 ENGINE = RegressionEngine(RegressionBasis(kind="polynomial", degree=3))
 
 
-def _two_buffer_step(it, y_new, y_prev):
-    dy = max_y = 0.0
-    with np.errstate(over="ignore"):
-        for j in range(y_new.shape[1]):
-            dy = max(dy, float(np.abs(y_new[:, j] - y_prev[:, j]).max()))
-            max_y = max(max_y, float(np.abs(y_new[:, j]).max()))
-    return PicardStep(iteration=it, dy_sup=dy, combined=dy, max_abs_y=max_y)
+def _cross_rows_stage(z, law, others):
+    # own row norms, and each own row against the other component's row
+    return sum_squares(z), (z * others[:, ::-1]).sum(axis=2)
 
 
-def _two_buffer_theta(spec, cert, terminal, paths, engine, opts=SolverOptions()):
-    """The theta solve with a previous and a new iterate alive in every sweep."""
-    grid = paths.grid
-    terminal = solvers._terminal_block(terminal, paths.particles, spec.n, grid.steps)
-    n, d, m = spec.n, spec.d, grid.steps
-    y_prev = np.zeros((m + 1, paths.particles, n)).swapaxes(0, 1)
-    z_prev = np.zeros((m, paths.particles, n, d)).swapaxes(0, 1)
-    if opts.init_offset:
-        y_prev += opts.init_offset
-    trace = PicardTrace()
-    clips = 0
-    # a table of its own, so the reference factors every node independently
-    operators = FactorTable(engine.basis, [paths.brownian_at(k) for k in range(m + 1)])
-    for it in range(1, opts.max_iter + 1):
-        driver = partial(solvers._own_rows, spec, y_prev, z_prev, (y_prev, z_prev), 0)
-        y_new, z_new, c = solvers._backward(paths, driver, terminal, operators, opts, 0, m)
-        clips += c
-        step = _two_buffer_step(it, y_new, y_prev)
-        trace.steps.append(step)
-        converged = step.dy_sup <= opts.tol
-        y_prev, z_prev = y_new, z_new
-        if converged:
-            trace.converged = True
-            break
-        d_all = trace.differences()
-        if it >= 4 and np.all(np.diff(d_all[-3:]) > 0) and d_all[-1] > 1e3:
-            raise SolverDivergence("Picard sweeps diverging", trace)
-    if not trace.converged:
-        raise SolverDivergence(f"no convergence within {opts.max_iter} sweeps", trace)
-    trace.apriori_excess = solvers._apriori_excess(y_prev.swapaxes(0, 1), cert, spec.zeta_level, grid)[0]
-    return Solution(Y=y_prev, Z=z_prev, grid=grid, clip_events=clips), trace
+# n = 2 and d = 2: each component reads its own row and the other one's,
+# and neither Y nor the law
+_CROSS_ROWS = GeneratorSpec(
+    n=2,
+    d=2,
+    evaluate=lambda t, y, law, stage: 0.25 * stage[0] + 0.1 * stage[1],
+    z_stage=_cross_rows_stage,
+    law_dependence="none",
+    reads_y=False,
+)
 
 
-def _assert_same_solve(got, ref):
-    (sol, trace), (ref_sol, ref_trace) = got, ref
-    assert np.array_equal(sol.Y, ref_sol.Y) and np.array_equal(sol.Z, ref_sol.Z)
-    assert sol.clip_events == ref_sol.clip_events
-    assert trace.converged == ref_trace.converged
-    assert trace.steps == ref_trace.steps
-    assert trace.apriori_excess == ref_trace.apriori_excess
-
-
-# (fixture, fixture params, certificate or None for the fixture's, horizon, steps, particles, options)
-_CASES = {
-    "pure_quadratic": ("pure_quadratic", {"terminal": "brownian"}, None, 1.0, 16, 1024, {"z_clip": 0.8}),
-    # sweep 1's terminal point reads the offset terminal row, not the terminal
-    "linear_mf_offset": ("linear_mf", {}, None, 1.0, 8, 1024, {"init_offset": 0.3}),
-    "bounded_sine_mf_inner": ("bounded_sine_mf", {"n": 2}, None, 1.0, 8, 1024, {"inner_sweeps": 2}),
-    # eq41 reads the other Z rows and the joint law of the previous sweep
-    "eq41": ("eq41", {"n": 2}, CertificateConvex(K=1.0, gamma=2.0), 0.1, 8, 512, {}),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_CASES))
-def test_in_place_theta_equals_the_two_buffer_loop_bitwise(case):
-    name, params, cert, horizon, steps, particles, options = _CASES[case]
-    bundle = fixture(name, **params)
-    cert = bundle.convex if cert is None else cert
-    paths = sample_brownian(build_grid(horizon, steps), particles, bundle.spec.d, seed=21)
-    terminal = bundle.terminal(paths)
-    opts = SolverOptions(tol=1e-10, max_iter=60, **options)
-    got = solve_theta(bundle.spec, cert, terminal, paths, ENGINE, opts)
-    ref = _two_buffer_theta(bundle.spec, cert, terminal, paths, ENGINE, opts)
-    assert got[1].iterations >= 2
-    if options.get("z_clip"):
-        assert got[0].clip_events > 0
-    _assert_same_solve(got, ref)
-
-
-def test_volterra_inner_in_place_theta_equals_the_two_buffer_loop_bitwise(monkeypatch):
-    bundle = fixture("volterra_demo")
-    grid = build_grid(1.0, 16)
-    paths = sample_brownian(grid, 1024, 1, seed=3)
-    opts = SolverOptions(tol=1e-10, max_iter=60)
-    got = run_scheme(bundle, "volterra", grid, paths, ENGINE, opts)[:2]
-    monkeypatch.setattr(solvers, "solve_theta", _two_buffer_theta)
-    ref = run_scheme(bundle, "volterra", grid, paths, ENGINE, opts)[:2]
-    assert got[1].iterations > 2
-    _assert_same_solve(got, ref)
-
-
-def test_in_place_theta_refuses_the_blow_up_the_two_buffer_loop_reaches():
-    # max |Y| is about 2e234: the sweeps converge, and the a-priori check
-    # refuses the answer with the excess of the two-buffer loop's iterate
-    bundle = fixture("pure_quadratic", gamma=20.0, terminal="brownian")
-    paths = sample_brownian(build_grid(1.0, 16), 1024, 1, seed=4)
-    terminal = bundle.terminal(paths)
-    opts = SolverOptions(tol=1e-7)
-    with pytest.raises(SolverDivergence, match="^a-priori estimate broken at node 0 ") as info:
-        solve_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE, opts)
-    _, ref_trace = _two_buffer_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE, opts)
-    trace = info.value.trace
-    assert trace.converged and trace.steps == ref_trace.steps
-    assert trace.apriori_excess == ref_trace.apriori_excess > 1e235
-    assert str(info.value).endswith(f"excess {ref_trace.apriori_excess:.3g} > 0.5")
-
-
-def test_theta_solve_holds_one_iterate():
-    # the parent's two-buffer loop peaked at about 2.3 iterates
-    bundle = fixture("pure_quadratic", terminal="brownian")
-    grid = build_grid(1.0, 32)
-    paths = sample_brownian(grid, 4096, 1, seed=8)
-    terminal = bundle.terminal(paths)
-    iterate_bytes = 8 * paths.particles * ((grid.steps + 1) + grid.steps)
-    tracemalloc.start()
-    try:
-        _, trace = solve_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE, SolverOptions(tol=1e-8))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert trace.converged and trace.iterations == 2
-    assert peak < 1.75 * iterate_bytes
+def _cross_rows_problem(steps=8, particles=1024):
+    paths = sample_brownian(build_grid(1.0, steps), particles, 2, seed=21)
+    return paths, np.tanh(paths.terminal())
 
 
 def _count_kernel_passes(monkeypatch) -> list:
@@ -157,26 +57,77 @@ def _count_kernel_passes(monkeypatch) -> list:
     return passes
 
 
-@pytest.mark.parametrize("z_clip", [None, 0.8])
-def test_a_driver_that_freezes_nothing_replays_its_confirming_sweep(monkeypatch, z_clip):
-    bundle = fixture("pure_quadratic", terminal="brownian")
-    paths = sample_brownian(build_grid(1.0, 16), 1024, 1, seed=21)
-    terminal = bundle.terminal(paths)
+@pytest.mark.parametrize("z_clip", [None, 0.3])
+def test_a_node_that_reads_no_y_and_no_law_takes_one_iteration(monkeypatch, z_clip):
+    paths, terminal = _cross_rows_problem()
+    steps, cert = paths.grid.steps, CertificateConvex(K=0.0, gamma=1.0)
     opts = SolverOptions(tol=1e-10, z_clip=z_clip)
     passes = _count_kernel_passes(monkeypatch)
-    got = solve_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE, opts)
-    assert len(passes) == 1 and got[1].iterations == 2
-    ref = solve_theta(replace(bundle.spec, reads_y=True), bundle.convex, terminal, paths, ENGINE, opts)
-    assert len(passes) == 3 and ref[1].steps[1].dy_sup == 0.0
-    if z_clip:
-        assert got[0].clip_events > 0
-    _assert_same_solve(got, ref)
+    sol, trace = solve_theta(_CROSS_ROWS, cert, terminal, paths, ENGINE, opts)
+    assert len(passes) == 1 and trace.converged
+    assert [(s.iteration, s.dy_sup, s.combined) for s in trace.steps] == [(1, 0.0, 0.0)] * steps
+    ref, ref_trace = solve_theta(replace(_CROSS_ROWS, reads_y=True), cert, terminal, paths, ENGINE, opts)
+    assert len(passes) == 2 and ref_trace.converged
+    assert [s.iteration for s in ref_trace.steps] == [1, 2] * steps
+    assert all(s.dy_sup == 0.0 for s in ref_trace.steps[1::2])
+    assert np.array_equal(sol.Y, ref.Y) and np.array_equal(sol.Z, ref.Z)
+    assert sol.clip_events == ref.clip_events and (sol.clip_events > 0) == bool(z_clip)
+    assert trace.apriori_excess == ref_trace.apriori_excess
 
 
-def test_a_replaying_solve_still_needs_its_confirming_sweep(monkeypatch):
+def test_only_a_node_that_reads_y_needs_its_confirming_iteration():
+    paths, terminal = _cross_rows_problem()
+    cert, opts = CertificateConvex(K=0.0, gamma=1.0), SolverOptions(max_iter=1)
+    _, trace = solve_theta(_CROSS_ROWS, cert, terminal, paths, ENGINE, opts)
+    assert trace.converged and trace.iterations == paths.grid.steps
+    with pytest.raises(SolverDivergence, match=r"^no convergence within 1 iterations at node 7 \(t=0\.875\)$") as exc:
+        solve_theta(replace(_CROSS_ROWS, reads_y=True), cert, terminal, paths, ENGINE, opts)
+    assert exc.value.trace.iterations == 1 and not exc.value.trace.converged
+
+
+def test_with_inner_sweeps_only_a_one_component_node_takes_one_iteration():
+    # the next iteration's other rows read the refit own rows, so the first
+    # iterate is no fixed point: node 7's second iteration moves Y by 2.6e-4
+    paths, terminal = _cross_rows_problem()
+    steps, cert = paths.grid.steps, CertificateConvex(K=0.0, gamma=1.0)
+    opts = SolverOptions(tol=1e-10, inner_sweeps=2)
+    _, trace = solve_theta(_CROSS_ROWS, cert, terminal, paths, ENGINE, opts)
+    last = [s for s, after in zip(trace.steps, trace.steps[1:] + [None]) if after is None or after.iteration == 1]
+    assert trace.converged and len(last) == steps
+    assert all(s.iteration > 2 and s.dy_sup <= opts.tol for s in last)
+    bundle = fixture("pure_quadratic", gamma=1.0, terminal="brownian")
+    paths = sample_brownian(paths.grid, 1024, 1, seed=21)
+    _, trace = solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), paths, ENGINE, opts)
+    assert [(s.iteration, s.dy_sup) for s in trace.steps] == [(1, 0.0)] * steps
+
+
+def test_theta_refuses_the_blow_up_its_nodes_converge_to():
+    # max |Y| is about 2e234: every node converges, and the a-priori check
+    # refuses the answer at node 0
+    bundle = fixture("pure_quadratic", gamma=20.0, terminal="brownian")
+    paths = sample_brownian(build_grid(1.0, 16), 1024, 1, seed=4)
+    terminal = bundle.terminal(paths)
+    with pytest.raises(SolverDivergence, match="^a-priori estimate broken at node 0 ") as info:
+        solve_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE, SolverOptions(tol=1e-7))
+    trace = info.value.trace
+    assert trace.converged and trace.iterations == paths.grid.steps
+    assert trace.steps[-1].max_abs_y > 1e234
+    assert trace.apriori_excess > 1e235
+    assert str(info.value).endswith(f"excess {trace.apriori_excess:.3g} > 0.5")
+
+
+def test_theta_solve_holds_one_iterate():
+    # a two-buffer loop, a previous and a new iterate, peaked at about 2.3 iterates
     bundle = fixture("pure_quadratic", terminal="brownian")
-    paths = sample_brownian(build_grid(1.0, 8), 512, 1, seed=5)
-    passes = _count_kernel_passes(monkeypatch)
-    with pytest.raises(SolverDivergence, match="^no convergence within 1 sweeps$") as exc:
-        solve_theta(bundle.spec, bundle.convex, bundle.terminal(paths), paths, ENGINE, SolverOptions(max_iter=1))
-    assert len(passes) == 1 and exc.value.trace.iterations == 1
+    grid = build_grid(1.0, 32)
+    paths = sample_brownian(grid, 4096, 1, seed=8)
+    terminal = bundle.terminal(paths)
+    iterate_bytes = 8 * paths.particles * ((grid.steps + 1) + grid.steps)
+    tracemalloc.start()
+    try:
+        _, trace = solve_theta(bundle.spec, bundle.convex, terminal, paths, ENGINE, SolverOptions(tol=1e-8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.converged and trace.iterations == grid.steps
+    assert peak < 1.75 * iterate_bytes
