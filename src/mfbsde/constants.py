@@ -60,8 +60,11 @@ def m_const(n: int, lam: float, alpha: float) -> float:
 @_overflow_is_bad_input
 def local_radii(cert: CertificateLocal, n: int) -> tuple[float, float]:
     """Sup radius K1 and quadratic-variation radius K2 of the invariant ball:
-    the one public route to them when :func:`local_window` finds no root."""
-    k1, _, k2 = _radii_with_log(cert, n)
+    the one public route to them when :func:`local_window` finds no root.
+    A K2 beyond float64 range raises :class:`ConstantsError` naming log K2."""
+    k1, log_k2, k2 = _radii_with_log(cert, n)
+    if k2 == math.inf:
+        raise OverflowError(f"K2 = exp({log_k2!r}) is beyond float64 range")
     return k1, k2
 
 

@@ -10,14 +10,14 @@ ensemble's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .condexp import FactorTable
 from .constants import GlobalConstants, _radii_at, estimate_terms
 from .generators import CertificateLocal
-from .measures import ExpMoment, exp_moment, max_abs, sum_squares
+from .measures import sum_squares
 from .paths import require_grid
 
 MC_SLACK = 0.05
@@ -61,8 +61,13 @@ def bmo_profile(z_values, paths, engine, k_lo: int = 0, operators=None) -> np.nd
     sum onto the node-k state. Node k's operator, k a global node index,
     comes from the ensemble's :class:`mfbsde.condexp.FactorTable` for
     ``engine``'s basis, or from ``operators``, a ``local`` window's dict of
-    built operators. The step dt is that of the ensemble's grid.
+    built operators. The step dt is that of the ensemble's grid. Raises
+    ``ValueError`` naming ``k_lo``, the node count and the grid's steps
+    unless the K nodes from ``k_lo`` lie on the grid's nodes 0..steps-1.
     """
+    nodes = np.shape(z_values)[1]
+    if not (0 <= k_lo and k_lo + nodes <= paths.grid.steps):
+        raise ValueError(f"Z of {nodes} nodes from k_lo = {k_lo!r} does not fit a grid of {paths.grid.steps} steps")
     tails = _tail_sums(z_values, paths.grid.dt).T  # (K, N)
     if operators is None:
         operators = FactorTable.of(paths, engine.basis)
@@ -71,8 +76,10 @@ def bmo_profile(z_values, paths, engine, k_lo: int = 0, operators=None) -> np.nd
 
 def bmo_norm(z_values, paths, engine, k_lo: int = 0, operators=None) -> float:
     """BMO norm of one Z array on its nodes: the square root of the
-    :func:`bmo_profile` maximum."""
+    :func:`bmo_profile` maximum; ``ValueError`` for a Z of no node."""
     profile = bmo_profile(z_values, paths, engine, k_lo=k_lo, operators=operators)
+    if profile.size == 0:
+        raise ValueError(f"Z spans 0 nodes from k_lo = {k_lo!r}; a BMO norm needs at least one")
     return float(math.sqrt(max(profile.max(), 0.0)))
 
 
@@ -141,15 +148,14 @@ def check_envelope(sol, gconsts: GlobalConstants, n: int) -> list[BoundReport]:
 
 @dataclass(frozen=True)
 class ThetaGap:
-    """Interpolated Picard differences and their exponential moments."""
+    """Interpolated Picard differences."""
 
     theta: float
     delta: np.ndarray
     delta_tilde: np.ndarray
-    moments: dict = field(default_factory=dict)
 
 
-def theta_gap(y_m: np.ndarray, y_mp: np.ndarray, theta: float, gamma: float = 1.0) -> ThetaGap:
+def theta_gap(y_m: np.ndarray, y_mp: np.ndarray, theta: float) -> ThetaGap:
     """Monitors Delta = (Y^{m+p} - th Y^m)/(1-th), tilde with roles swapped.
 
     The identity (1-th) Delta + th Y^m = Y^{m+p} holds by construction and
@@ -166,15 +172,7 @@ def theta_gap(y_m: np.ndarray, y_mp: np.ndarray, theta: float, gamma: float = 1.
         raise ValueError(f"iterates must be (N, K, ...) with K >= 1 nodes, got shape {y_m.shape}")
     delta = (y_mp - theta * y_m) / (1.0 - theta)
     delta_tilde = (y_m - theta * y_mp) / (1.0 - theta)
-    moments: dict[str, ExpMoment] = {}
-    for tag, arr in (("delta", delta), ("delta_tilde", delta_tilde)):
-        # per-particle sup over the nodes (axis 1) and components, node by node
-        sup = np.zeros(len(arr))
-        for k in range(arr.shape[1]):
-            np.maximum(sup, max_abs(arr[:, k].reshape(len(arr), -1)), out=sup)
-        for q in (1, 2):
-            moments[f"{tag}_q{q}"] = exp_moment(gamma * sup, q=q)
-    return ThetaGap(theta=theta, delta=delta, delta_tilde=delta_tilde, moments=moments)
+    return ThetaGap(theta=theta, delta=delta, delta_tilde=delta_tilde)
 
 
 @dataclass(frozen=True)

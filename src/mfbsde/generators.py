@@ -2,14 +2,16 @@
 
 A driver evaluates vectorized over particles, all n components in one
 call. Diagonal structure means component i is quadratic in its own Z row
-only; certificates carry the constants that make that quantitative. Each
-spec states its driver in one form: ``z_stage(z, law, others)`` computes
-what the driver reads of Z, with component i's own row from ``z`` and every
-other row from ``others``, and ``evaluate(t, y, law, stage)`` reads Z only
-through that stage. ``spec(t, y, z, law)`` is the full driver. A caller
-whose Z arguments stay fixed computes the stage once. :func:`fixture` fills
-each bundle's ``name`` and ``params``; the builders state only the driver,
-terminal and certificates.
+only; certificates carry the constants that make that quantitative, and
+the test suite audits every certificate a fixture carries against its
+driver by sampling. Each spec states its driver in one form:
+``z_stage(z, law, others)`` computes what the driver reads of Z, with
+component i's own row from ``z`` and every other row from ``others``,
+and ``evaluate(t, y, law, stage)`` reads Z only through that stage.
+``spec(t, y, z, law)`` is the full driver. A caller whose Z arguments
+stay fixed computes the stage once. :func:`fixture` fills each bundle's
+``name`` and ``params``; the builders state only the driver, terminal
+and certificates.
 """
 from __future__ import annotations
 
@@ -155,7 +157,8 @@ class GeneratorSpec:
     as ``pure_quadratic``'s: ``solve_theta`` settles each node of a driver
     that reads no Y and no law in one iteration (with inner sweeps, if
     n = 1). ``zeta_level`` is the pointwise bound of the absorbing process
-    zeta_t used by growth audits; fixtures here model it constant.
+    zeta_t in the certificates' growth bounds; fixtures here model it
+    constant.
     """
 
     n: int
@@ -199,13 +202,6 @@ class FixtureBundle:
     g: GSpec | None = None
     oracle: str | None = None
     params: dict = field(default_factory=dict)
-
-    def certificate(self):
-        """The certificate matching the fixture's primary scheme."""
-        for cert in (self.local, self.global_, self.convex, self.volterra):
-            if cert is not None:
-                return cert
-        raise CertificateError(f"fixture {self.name} carries no certificate")
 
 
 # ---------------------------------------------------------------------------
@@ -472,92 +468,3 @@ def fixture(name: str, **params) -> FixtureBundle:
     except OverflowError:
         raise FixtureError(f"fixture {name!r}: parameters {bound.arguments} overflow float64") from None
     return replace(bundle, name=name, params=bound.arguments)
-
-
-# ---------------------------------------------------------------------------
-# Growth audit
-# ---------------------------------------------------------------------------
-
-GROWTH_RADIUS = 5.0  # largest scale of the (y, z) samples and laws check_growth draws
-
-
-@dataclass(frozen=True)
-class GrowthViolation:
-    where: dict
-    lhs: float
-    rhs: float
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    checked: int
-    violations: tuple[GrowthViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _certificate_bound(cert, z_rows: np.ndarray, y_norm: np.ndarray, component: int, w1: float, w2: float, zeta: float) -> np.ndarray:
-    own = z_rows[:, component]
-    if isinstance(cert, CertificateLocal):
-        cross = _others_sum(z_rows ** (1.0 + cert.alpha))[:, component]
-        return (
-            zeta
-            + cert.psi(y_norm)
-            + 0.5 * cert.gamma * own**2
-            + cert.lam * cross
-            + cert.psi0(w1)
-            + cert.gamma0 * w2 ** (1.0 + cert.alpha)
-        )
-    if isinstance(cert, CertificateGlobal):
-        return zeta + cert.L * y_norm + 0.5 * cert.gamma * own**2 + cert.L * w1
-    if isinstance(cert, CertificateConvex):
-        return zeta + cert.K * y_norm + 0.5 * cert.gamma * own**2 + cert.K * w1
-    raise CertificateError(f"no growth audit for certificate type {type(cert).__name__}")
-
-
-def check_growth(
-    spec: GeneratorSpec,
-    cert,
-    budget: int = 10_000,
-    seed: int = 20260814,
-) -> GrowthReport:
-    """Random-sampling audit of the certificate's growth bound.
-
-    Draws batches of (t, y, z) around synthetic particle laws of varying
-    radius and checks |f^i| against the certified right side pointwise.
-    An empty violation list is evidence, not proof.
-    """
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    batches = 25
-    per = max(1, budget // batches)
-    checked = 0
-    violations: list[GrowthViolation] = []
-    w1_order = 1 if isinstance(cert, CertificateConvex) else 2
-    for b in range(batches):
-        t = float(gen.uniform(0.0, 1.0))
-        scale = float(gen.uniform(0.05, GROWTH_RADIUS))
-        y = gen.uniform(-scale, scale, size=(per, spec.n))
-        z = gen.uniform(-scale, scale, size=(per, spec.n, spec.d))
-        law_y = gen.normal(0.0, scale, size=(64, spec.n))
-        law_z = gen.normal(0.0, scale, size=(64, spec.n * spec.d))
-        law = MeasureView(law_y, law_z)
-        vals = spec(t, y, z, law)
-        z_rows = np.sqrt(sum_squares(z))
-        y_norm = np.sqrt(sum_squares(y))
-        w1 = law.w_y(w1_order)
-        w2 = law.w_z(2)
-        for i in range(spec.n):
-            bound = _certificate_bound(cert, z_rows, y_norm, i, w1, w2, spec.zeta_level)
-            bad = np.abs(vals[:, i]) > bound * (1.0 + 1e-12)
-            checked += per
-            for idx in np.flatnonzero(bad)[:3]:
-                violations.append(
-                    GrowthViolation(
-                        where={"batch": b, "component": i, "t": t, "y": y[idx].tolist(), "z": z[idx].tolist()},
-                        lhs=float(abs(vals[idx, i])),
-                        rhs=float(bound[idx]),
-                    )
-                )
-    return GrowthReport(checked=checked, violations=tuple(violations))

@@ -6,8 +6,7 @@ log-sum-exp form, and the log value is the authoritative one once
 exponents leave the comfortable range of float64.
 
 Every per-particle norm in the package, here and in the drivers, solvers
-and diagnostics, is the square root of :func:`sum_squares`; every
-per-particle sup over components is :func:`max_abs`.
+and diagnostics, is the square root of :func:`sum_squares`.
 """
 from __future__ import annotations
 
@@ -35,15 +34,6 @@ def sum_squares(x: np.ndarray) -> np.ndarray:
         for i in range(1, x.shape[-1]):
             total += x[..., i] * x[..., i]
     return total
-
-
-def max_abs(x: np.ndarray) -> np.ndarray:
-    """Largest |x| over the trailing axis, with one pass per column;
-    bitwise equal to ``np.abs(x).max(axis=-1)``, NaN included."""
-    top = np.abs(x[..., 0])
-    for i in range(1, x.shape[-1]):
-        np.maximum(top, np.abs(x[..., i]), out=top)
-    return top
 
 
 def _flat_rows(z: np.ndarray) -> np.ndarray:

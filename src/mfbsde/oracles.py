@@ -16,7 +16,7 @@ import numpy as np
 from .condexp import RegressionBasis, RegressionEngine
 from .generators import FixtureBundle
 from .measures import exp_moment
-from .paths import TimeGrid, build_grid, is_count, sample_brownian
+from .paths import TimeGrid, build_grid, is_count, is_finite_real, sample_brownian
 from .solvers import SolverOptions, run_scheme
 
 TerminalFn = Callable[[np.ndarray], np.ndarray]
@@ -41,6 +41,15 @@ class OracleResult:
     method: str
     note: str = ""
     extras: dict = field(default_factory=dict, repr=False)
+
+
+def _require_finite(positive: tuple = (), **values) -> None:
+    """Raise ``ValueError`` naming the first value that is not a finite
+    real, or not > 0 for a name in ``positive``."""
+    for name, value in values.items():
+        if not (is_finite_real(value) and (name not in positive or value > 0)):
+            need = "positive and finite" if name in positive else "a finite real"
+            raise ValueError(f"{name} must be {need}, got {value!r}")
 
 
 def _integrability_screen(terminal_fn: TerminalFn, gamma: float, horizon: float) -> None:
@@ -83,9 +92,11 @@ def cole_hopf(
     terminal g(W_T): the exponential transform gives
 
         Y_0 = (1/gamma) log E[ exp(gamma g(W_T)) ].
+
+    Raises ``ValueError`` naming gamma or the horizon unless it is
+    positive and finite.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _require_finite(("gamma", "horizon"), gamma=gamma, horizon=horizon)
     _integrability_screen(terminal_fn, gamma, horizon)
     if method == "gauss":
         v1 = _gauss_value(terminal_fn, gamma, horizon, GAUSS_NODES)
@@ -122,7 +133,10 @@ def linear_mf_oracle(a: float, b: float, horizon: float, terminal: str = "const"
     A constant terminal c gives the deterministic pair
     Y_t = c exp((a + b)(T - t)), Z = 0; the Brownian terminal W_T gives
     Y_t = exp(a (T - t)) W_t with Z_t = exp(a (T - t)) and mean zero.
+    Raises ``ValueError`` naming a, b or the value unless it is a finite
+    real, and the horizon unless it is positive and finite.
     """
+    _require_finite(("horizon",), a=a, b=b, horizon=horizon, value=value)
     if terminal == "const":
         y0 = value * math.exp((a + b) * horizon)
         return OracleResult(

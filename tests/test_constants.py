@@ -348,3 +348,10 @@ def test_local_radii_reach_a_certificate_whose_window_equation_has_no_root():
     k1, k2 = local_radii(cert, 1)
     assert k1 == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
     assert k2 == pytest.approx(2.0 + 2.0 * 16.0, rel=1e-14)  # 2n/gamma^2 + (2n/gamma) e^(2 gamma K1)
+
+
+def test_local_radii_refuse_a_k2_beyond_float64_range():
+    # gamma = 1e-200 used to return (1.39e200, inf), dropping log K2
+    cert = CertificateLocal(gamma=1e-200, lam=0.0, gamma0=0.0, alpha=0.0, M1=1.0, M2=0.0)
+    with pytest.raises(ConstantsError, match=r"overflows float64 \(K2 = exp\(921\.72\d+\) is beyond float64 range\)"):
+        local_radii(cert, 1)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mfbsde.measures import MeasureView, max_abs, sum_squares
+from mfbsde.measures import MeasureView, sum_squares
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -74,10 +74,3 @@ def test_distance_to_point_mass_matches_moment_root_of_norms(data):
         reference = float(np.mean(norms**p) ** (1.0 / p))
         assert abs(MeasureView(pts).w_y(p) - reference) <= 1e-14 * reference
 
-
-@SETTINGS
-@given(st.data())
-def test_max_abs_equals_the_trailing_axis_reduction_bitwise(data):
-    shape = data.draw(_shapes(4))
-    x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=True, allow_infinity=True)))
-    assert np.array_equal(max_abs(x), np.abs(x).max(axis=-1), equal_nan=True)

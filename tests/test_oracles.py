@@ -67,6 +67,42 @@ def test_invalid_inputs():
         cole_hopf(lambda w: w, 1.0, 1.0, method="magic")
 
 
+@pytest.mark.parametrize(
+    "gamma, horizon, message",
+    [
+        (math.nan, 1.0, "gamma must be positive and finite, got nan"),
+        (math.inf, 1.0, "gamma must be positive and finite, got inf"),
+        (1.0, math.nan, "horizon must be positive and finite, got nan"),
+        (1.0, math.inf, "horizon must be positive and finite, got inf"),
+        (1.0, -1.0, "horizon must be positive and finite, got -1.0"),
+        (1.0, 0.0, "horizon must be positive and finite, got 0.0"),
+    ],
+    ids=["gamma-nan", "gamma-inf", "horizon-nan", "horizon-inf", "horizon-negative", "horizon-zero"],
+)
+def test_cole_hopf_refuses_a_non_finite_gamma_or_a_horizon_not_positive(gamma, horizon, message):
+    # NaN used to pass the gamma check into value=nan, an infinite horizon to
+    # read 0.434 and a negative one to raise "math domain error"
+    with pytest.raises(ValueError, match=message):
+        cole_hopf(np.tanh, gamma, horizon)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((math.nan, 0.0, 1.0), "a must be a finite real, got nan"),
+        ((0.0, math.inf, 1.0), "b must be a finite real, got inf"),
+        ((0.0, 1.0, math.nan), "horizon must be positive and finite, got nan"),
+        ((0.0, 1.0, -1.0), "horizon must be positive and finite, got -1.0"),
+        ((0.0, 1.0, 1.0, "const", math.nan), "value must be a finite real, got nan"),
+    ],
+    ids=["a-nan", "b-inf", "horizon-nan", "horizon-negative", "value-nan"],
+)
+def test_linear_oracle_refuses_a_non_finite_parameter(args, message):
+    # linear_mf_oracle(nan, 0.0, 1.0) used to return nan
+    with pytest.raises(ValueError, match=message):
+        linear_mf_oracle(*args)
+
+
 def test_linear_oracle_const_terminal():
     r = linear_mf_oracle(0.25, 0.75, 2.0, terminal="const", value=3.0)
     assert r.value == pytest.approx(3.0 * math.exp(2.0))
